@@ -11,9 +11,9 @@
 //! at least 2x the single-lock baseline.
 
 use dimmunix_bench::report::{write_bench_json, BenchJson};
-use dimmunix_core::Config;
-use dimmunix_rt::{AcquisitionSite, DimmunixRuntime};
+use dimmunix_rt::{AcquisitionSite, DimmunixRuntime, TaskAcquire};
 use std::sync::{Arc, Barrier};
+use std::task::{Wake, Waker};
 use std::time::Instant;
 use workloads::synthetic_history;
 
@@ -22,17 +22,23 @@ const ITERS: usize = 30_000;
 /// Private locks per thread (spread over shards by the router).
 const LOCKS_PER_THREAD: usize = 8;
 
+/// The bench never parks (private locks, empty history), so its waker is
+/// never fired.
+struct NoopWake;
+
+impl Wake for NoopWake {
+    fn wake(self: Arc<Self>) {}
+}
+
 /// One timed run: `threads` OS threads, each hammering its own private
-/// locks through the three runtime hooks. Returns acquisitions per second.
+/// locks through the three task hooks. Returns acquisitions per second.
 fn run(threads: usize, shards: usize) -> f64 {
-    // Pin the admission knob off: with the (default) lock-free path on, a
-    // clean-history workload never touches a shard lock at all and the
-    // shard count would measure nothing. This bench is about the *locked*
-    // engine — the path every doubted admission falls back to.
-    let rt = DimmunixRuntime::builder()
-        .config(Config::builder().lock_free_admission(false).build())
-        .shards(shards)
-        .build();
+    // This bench is about the *locked* engine — the path every doubted
+    // admission falls back to. Thread owners at clean sites are admitted
+    // lock-free and never touch a shard lock, so the shard count would
+    // measure nothing; task owners always take the locked path, so each
+    // worker drives it the way production does, as a registered task.
+    let rt = DimmunixRuntime::builder().shards(shards).build();
     let barrier = Arc::new(Barrier::new(threads + 1));
     let mut handles = Vec::with_capacity(threads);
     for t in 0..threads {
@@ -41,12 +47,15 @@ fn run(threads: usize, shards: usize) -> f64 {
         handles.push(std::thread::spawn(move || {
             let locks: Vec<_> = (0..LOCKS_PER_THREAD).map(|_| rt.allocate_lock()).collect();
             let site = AcquisitionSite::new("ShardBench.worker", "engine_sharded.rs", t as u32);
+            let task = rt.register_task(None);
+            let waker = Waker::from(Arc::new(NoopWake));
             barrier.wait();
             for i in 0..ITERS {
                 let lock = locks[i % LOCKS_PER_THREAD];
-                rt.before_acquire(lock, site).expect("never deadlocks");
-                rt.after_acquire(lock);
-                rt.before_release(lock);
+                let answer = rt.task_begin_acquire(task, lock, site, &waker);
+                assert_eq!(answer, TaskAcquire::Granted, "never parks or deadlocks");
+                rt.task_finish_acquire(task, lock);
+                rt.task_release(task, lock);
             }
         }));
     }

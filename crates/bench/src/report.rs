@@ -16,6 +16,7 @@
 
 #![deny(missing_docs)]
 
+use dimmunix_core::json::write_escaped;
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
@@ -83,7 +84,9 @@ impl BenchJson {
         let pad = "  ".repeat(indent + 1);
         out.push_str("{\n");
         for (i, (key, value)) in self.fields.iter().enumerate() {
-            let _ = write!(out, "{pad}\"{}\": ", escape(key));
+            out.push_str(&pad);
+            write_escaped(out, key);
+            out.push_str(": ");
             match value {
                 JsonField::Num(v) if v.is_finite() => {
                     let _ = write!(out, "{v}");
@@ -92,9 +95,7 @@ impl BenchJson {
                 JsonField::Int(v) => {
                     let _ = write!(out, "{v}");
                 }
-                JsonField::Str(v) => {
-                    let _ = write!(out, "\"{}\"", escape(v));
-                }
+                JsonField::Str(v) => write_escaped(out, v),
                 JsonField::Obj(v) => v.render_into(out, indent + 1),
             }
             if i + 1 < self.fields.len() {
@@ -104,22 +105,6 @@ impl BenchJson {
         }
         let _ = write!(out, "{}}}", "  ".repeat(indent));
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// The workspace root (where the `BENCH_*.json` files live), resolved

@@ -1,9 +1,8 @@
 //! Lock-free admission summary.
 //!
 //! The sharded engine's fast path still serializes every acquisition on the
-//! home-shard mutex, and one avoidance park degrades *every* request in the
-//! process to the ordered all-shard path. This module is the atomic summary
-//! that lets the runtime admit the overwhelmingly common case — a thread
+//! home-shard mutex. This module is the atomic summary that lets the runtime
+//! admit the overwhelmingly common case — a thread
 //! holding nothing, acquiring at a position no signature mentions, with no
 //! parked owner naming it as a blocker — with **zero shard locks**: a
 //! seqlock-style epoch read over a few cache lines.
@@ -63,7 +62,6 @@
 
 use crate::callstack::SiteKey;
 use crate::rag::YieldRecord;
-use crate::sharded::MAX_SHARDS;
 use crate::snapshot::HistorySnapshot;
 use crate::OwnerId;
 use std::fmt;
@@ -108,8 +106,6 @@ pub struct AdmissionSummary {
     bloom: [AtomicU64; BLOOM_WORDS],
     /// Striped refcounts of owners named in live yield records' blockers.
     blockers: [AtomicU32; BLOCKER_STRIPES],
-    /// Owners currently parked by avoidance, per shard.
-    parked_per_shard: [AtomicU32; MAX_SHARDS],
     /// Owners currently parked by avoidance, process-wide.
     parked_total: AtomicU64,
     /// Outer-table prefix already folded into the Bloom set (outer ids are
@@ -138,7 +134,6 @@ impl AdmissionSummary {
             epoch: AtomicU64::new(0),
             bloom: std::array::from_fn(|_| AtomicU64::new(0)),
             blockers: std::array::from_fn(|_| AtomicU32::new(0)),
-            parked_per_shard: std::array::from_fn(|_| AtomicU32::new(0)),
             parked_total: AtomicU64::new(0),
             absorbed_outers: AtomicU64::new(0),
             fast_admits: AtomicU64::new(0),
@@ -192,14 +187,6 @@ impl AdmissionSummary {
     /// Owners currently parked by avoidance, process-wide.
     pub fn parked_total(&self) -> u64 {
         self.parked_total.load(Ordering::Acquire)
-    }
-
-    /// Owners currently parked by avoidance on `shard`.
-    pub fn parked_on_shard(&self, shard: usize) -> u64 {
-        self.parked_per_shard
-            .get(shard)
-            .map(|c| c.load(Ordering::Acquire) as u64)
-            .unwrap_or(0)
     }
 
     /// The epoch-validated lock-free admission check: admits iff a
@@ -265,24 +252,18 @@ impl AdmissionSummary {
         self.epoch.fetch_add(1, Ordering::AcqRel); // even: quiescent
     }
 
-    /// Records that an owner parked on `shard` with `record`'s blockers.
-    pub(crate) fn note_yield(&self, record: &YieldRecord, shard: usize) {
+    /// Records that an owner parked with `record`'s blockers.
+    pub(crate) fn note_yield(&self, record: &YieldRecord) {
         for b in &record.blockers {
             self.blockers[Self::blocker_stripe(*b)].fetch_add(1, Ordering::Release);
-        }
-        if let Some(c) = self.parked_per_shard.get(shard) {
-            c.fetch_add(1, Ordering::Release);
         }
         self.parked_total.fetch_add(1, Ordering::Release);
     }
 
     /// Reverses [`note_yield`](Self::note_yield) for a cleared record.
-    pub(crate) fn note_yield_cleared(&self, record: &YieldRecord, shard: usize) {
+    pub(crate) fn note_yield_cleared(&self, record: &YieldRecord) {
         for b in &record.blockers {
             self.blockers[Self::blocker_stripe(*b)].fetch_sub(1, Ordering::Release);
-        }
-        if let Some(c) = self.parked_per_shard.get(shard) {
-            c.fetch_sub(1, Ordering::Release);
         }
         self.parked_total.fetch_sub(1, Ordering::Release);
     }
@@ -395,10 +376,9 @@ mod tests {
         let s = AdmissionSummary::new();
         let t1 = OwnerId::thread(1);
         let rec = record(vec![t1]);
-        s.note_yield(&rec, 0);
+        s.note_yield(&rec);
         assert!(s.is_blocker(t1));
         assert_eq!(s.parked_total(), 1);
-        assert_eq!(s.parked_on_shard(0), 1);
         assert_eq!(s.try_admit(SiteKey::new(7), t1), Admission::Fallback);
         assert_eq!(s.slow_fallbacks(), 1);
         // A *different* owner is still admitted — scoped degradation.
@@ -407,7 +387,7 @@ mod tests {
             other => panic!("expected scoped admit, got {other:?}"),
         }
         assert_eq!(s.degradation_scope_hits(), 1);
-        s.note_yield_cleared(&rec, 0);
+        s.note_yield_cleared(&rec);
         assert!(!s.is_blocker(t1));
         assert_eq!(s.parked_total(), 0);
     }
@@ -416,14 +396,14 @@ mod tests {
     fn thread_and_task_spaces_do_not_collide_via_identity() {
         let s = AdmissionSummary::new();
         let rec = record(vec![OwnerId::thread(5)]);
-        s.note_yield(&rec, 0);
+        s.note_yield(&rec);
         // The stripe is a hash, so a task *may* collide, but the identical
         // raw index must not collide by construction of the pre-mix.
         assert_ne!(
             AdmissionSummary::blocker_stripe(OwnerId::thread(5)),
             AdmissionSummary::blocker_stripe(OwnerId::task(5)),
         );
-        s.note_yield_cleared(&rec, 0);
+        s.note_yield_cleared(&rec);
     }
 
     #[test]

@@ -79,17 +79,6 @@ pub struct Config {
     /// `<path>.segN` file (0 = unsegmented). Replay always walks whatever
     /// segment chain exists on disk regardless of this setting.
     pub log_segment_records: usize,
-    /// Whether the lock-free admission path is active (default `true`).
-    ///
-    /// When enabled, the sharded engine scopes its degradation decision to
-    /// the owners actually involved in a potential cycle (a park only slows
-    /// requests a yield record's blocker list could reach), and the runtime
-    /// admits clean-history, hold-free acquisitions with zero shard locks
-    /// via an epoch-validated read of the
-    /// [`AdmissionSummary`](crate::AdmissionSummary). When disabled, any
-    /// parked owner degrades every request to the ordered all-shard path
-    /// (the pre-admission-path behaviour).
-    pub lock_free_admission: bool,
 }
 
 impl Default for Config {
@@ -106,7 +95,6 @@ impl Default for Config {
             eviction_window: DEFAULT_EVICTION_WINDOW,
             refuse_at_capacity: false,
             log_segment_records: DEFAULT_LOG_SEGMENT_RECORDS,
-            lock_free_admission: true,
         }
     }
 }
@@ -216,14 +204,6 @@ impl ConfigBuilder {
         self
     }
 
-    /// Enables or disables the lock-free admission path (scoped degradation
-    /// in the sharded engine, zero-lock epoch-read admission in the
-    /// runtime).
-    pub fn lock_free_admission(mut self, enabled: bool) -> Self {
-        self.config.lock_free_admission = enabled;
-        self
-    }
-
     /// Finishes the builder.
     pub fn build(self) -> Config {
         self.config
@@ -249,7 +229,6 @@ mod tests {
             "default evicts, paper flag opts in"
         );
         assert_eq!(cfg.log_segment_records, DEFAULT_LOG_SEGMENT_RECORDS);
-        assert!(cfg.lock_free_admission);
     }
 
     #[test]
@@ -266,7 +245,6 @@ mod tests {
             .eviction_window(4)
             .refuse_at_capacity(true)
             .log_segment_records(64)
-            .lock_free_admission(false)
             .build();
         assert_eq!(cfg.stack_depth, 3);
         assert!(cfg.is_disabled());
@@ -277,7 +255,6 @@ mod tests {
         assert_eq!(cfg.eviction_window, 4);
         assert!(cfg.refuse_at_capacity);
         assert_eq!(cfg.log_segment_records, 64);
-        assert!(!cfg.lock_free_admission);
     }
 
     #[test]

@@ -111,14 +111,13 @@ pub struct Dimmunix {
     events: EventLog,
     clock: LogicalTime,
     pending_wakeups: Vec<SignatureId>,
-    /// Shared lock-free admission summary and this engine's shard index,
-    /// attached by concurrent substrates
+    /// Shared lock-free admission summary, attached by concurrent substrates
     /// ([`attach_admission_summary`](Dimmunix::attach_admission_summary)).
     /// When present, the engine mirrors its yield-record bookkeeping and
     /// history installs into the summary as a side effect of its (locked)
     /// transitions. `None` for stand-alone engines — the summary holds
     /// atomics, so a cloned engine would share (and corrupt) its counts.
-    admission: Option<(Arc<AdmissionSummary>, usize)>,
+    admission: Option<Arc<AdmissionSummary>>,
     /// Diagnostics of the history-log recovery performed at construction
     /// (`None` for engines built without replaying a log: no configured
     /// path, explicit starting history, or shard stamped from a shared
@@ -208,21 +207,20 @@ impl Dimmunix {
     }
 
     /// Attaches the process-wide [`AdmissionSummary`] this engine keeps
-    /// current (as shard `shard` of a sharded deployment; pass 0 for a
-    /// monolithic engine). Absorbs the current snapshot's outer positions
-    /// into the summary's Bloom set immediately, then incrementally on
-    /// every later snapshot install.
+    /// current. Absorbs the current snapshot's outer positions into the
+    /// summary's Bloom set immediately, then incrementally on every later
+    /// snapshot install.
     ///
     /// Cloning an engine with a summary attached shares the summary —
     /// intended for the runtime, which never clones its shard engines.
-    pub fn attach_admission_summary(&mut self, summary: Arc<AdmissionSummary>, shard: usize) {
+    pub fn attach_admission_summary(&mut self, summary: Arc<AdmissionSummary>) {
         summary.absorb_snapshot(&self.snapshot);
-        self.admission = Some((summary, shard));
+        self.admission = Some(summary);
     }
 
     /// The attached admission summary, if any.
     pub fn admission_summary(&self) -> Option<&Arc<AdmissionSummary>> {
-        self.admission.as_ref().map(|(s, _)| s)
+        self.admission.as_ref()
     }
 
     /// Re-points this engine's position table at a shared process-wide
@@ -257,12 +255,12 @@ impl Dimmunix {
             base.outer_len() <= self.snapshot.outer_len(),
             "reset target must be an ancestor snapshot"
         );
-        if let Some((summary, shard)) = &self.admission {
+        if let Some(summary) = &self.admission {
             // The summary outlives the run being rewound: un-count each live
             // yield record individually (the Bloom set is set-only and stays;
             // stale bits only cost a conservative slow path).
             for (_, rec) in self.rag.yield_records() {
-                summary.note_yield_cleared(rec, *shard);
+                summary.note_yield_cleared(rec);
             }
         }
         self.rag.clear();
@@ -909,11 +907,11 @@ impl Dimmunix {
     /// counts stay balanced. `Rag::set_yield` replaces an existing record
     /// without returning it, so the old record is tracked-cleared first.
     pub(crate) fn set_yield_tracked(&mut self, t: OwnerId, record: YieldRecord) {
-        if let Some((summary, shard)) = &self.admission {
+        if let Some(summary) = &self.admission {
             if let Some(old) = self.rag.clear_yield(t) {
-                summary.note_yield_cleared(&old, *shard);
+                summary.note_yield_cleared(&old);
             }
-            summary.note_yield(&record, *shard);
+            summary.note_yield(&record);
         }
         self.rag.set_yield(t, record);
     }
@@ -921,8 +919,8 @@ impl Dimmunix {
     /// [`Rag::clear_yield`] mirrored into the attached admission summary.
     pub(crate) fn clear_yield_tracked(&mut self, t: OwnerId) -> Option<YieldRecord> {
         let taken = self.rag.clear_yield(t);
-        if let (Some(rec), Some((summary, shard))) = (&taken, &self.admission) {
-            summary.note_yield_cleared(rec, *shard);
+        if let (Some(rec), Some(summary)) = (&taken, &self.admission) {
+            summary.note_yield_cleared(rec);
         }
         taken
     }
@@ -976,7 +974,7 @@ impl Dimmunix {
             }
         }
         self.linked_outers = outers.len();
-        if let Some((summary, _)) = &self.admission {
+        if let Some(summary) = &self.admission {
             // Incremental and idempotent: a broadcast install over N shards
             // scans the new outers once and skips N-1 times.
             summary.absorb_snapshot(&self.snapshot);

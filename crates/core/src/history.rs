@@ -443,45 +443,6 @@ impl History {
         Ok(history)
     }
 
-    // ------------------------------------------------------------------
-    // File persistence
-    // ------------------------------------------------------------------
-
-    /// Writes the history to `path` in the text format, atomically
-    /// (write-then-rename) so a crash cannot corrupt the antibody store.
-    ///
-    /// # Errors
-    /// Propagates filesystem errors.
-    pub fn save_text(&self, path: impl AsRef<Path>) -> Result<()> {
-        let path = path.as_ref();
-        let tmp = path.with_extension("tmp");
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                fs::create_dir_all(parent)?;
-            }
-        }
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(self.to_text().as_bytes())?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, path)?;
-        Ok(())
-    }
-
-    /// Loads a text-format history from `path`; an absent file yields an
-    /// empty history (a fresh phone has no antibodies yet).
-    ///
-    /// # Errors
-    /// Propagates filesystem errors other than "not found" and parse errors.
-    pub fn load_text(path: impl AsRef<Path>) -> Result<History> {
-        match fs::read_to_string(path.as_ref()) {
-            Ok(text) => History::from_text(&text),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(History::new()),
-            Err(e) => Err(e.into()),
-        }
-    }
-
     /// Serializes the history as pretty JSON. Stacks are encoded in the same
     /// compact `method@file:line;…` form the text codec uses, so the two
     /// codecs share one stack grammar.
@@ -1240,20 +1201,6 @@ mod tests {
     fn empty_text_is_empty_history() {
         assert!(History::from_text("").unwrap().is_empty());
         assert!(History::from_text("\n\n").unwrap().is_empty());
-    }
-
-    #[test]
-    fn file_roundtrip_and_missing_file() {
-        let dir = std::env::temp_dir().join(format!("dimmunix-hist-{}", std::process::id()));
-        let path = dir.join("history.dimmu");
-        let mut h = History::new();
-        h.add(sig(SignatureKind::Deadlock, 10, 20));
-        h.save_text(&path).unwrap();
-        let loaded = History::load_text(&path).unwrap();
-        assert_eq!(loaded.len(), 1);
-        let missing = History::load_text(dir.join("nope.dimmu")).unwrap();
-        assert!(missing.is_empty());
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -94,9 +94,8 @@ pub use rag::{
     find_cycle_with, AccessMode, CycleStep, HeldEntry, LockOwner, Rag, WaitEdge, YieldRecord,
 };
 pub use sharded::{
-    broadcast_signature, fast_path_eligible, holds_mask_with, request_cross_shard,
-    stale_shard_after, stale_shard_consumed, try_request_local, LocalDecision, ShardRouter,
-    ShardedDimmunix, MAX_SHARDS,
+    broadcast_signature, request_cross_shard, try_request_local, LocalDecision, OwnerRoute,
+    ShardRouter, ShardedDimmunix, MAX_SHARDS,
 };
 pub use signature::{Signature, SignatureKind, SignaturePair};
 pub use snapshot::{HistorySnapshot, OuterTable};

@@ -128,76 +128,92 @@ impl ShardRouter {
     }
 }
 
-/// The fast-path eligibility predicate, shared by [`ShardedDimmunix`] and
-/// the `dimmunix-rt` runtime so the two routing layers cannot drift.
-///
-/// A request may be decided inside its home shard alone iff the requester
-/// holds no lock on any shard (`holds_mask == 0`), any leftover request
-/// edge from an abandoned acquisition lives in the home shard itself, and
-/// no park can involve the requester in a cycle (`any_parked == false` —
-/// the caller must evaluate this under a lock that a parking operation
-/// would also need, e.g. the home shard's mutex, so a concurrent park
-/// cannot be missed). With `lock_free_admission` enabled the caller scopes
-/// that third condition to yield records naming the requester in their
-/// blocker list; the legacy condition is "no owner parked anywhere".
-/// [`try_request_local`] documents why these conditions make the
-/// shard-local decision identical to the monolithic one.
-pub fn fast_path_eligible(
+/// Per-owner routing bookkeeping kept outside the shards: the one route type
+/// of [`ShardedDimmunix`] and the `dimmunix-rt` runtime (which embeds it in
+/// its per-thread and per-task state), so the two routing layers share one
+/// eligibility predicate and one set of transitions and cannot drift.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OwnerRoute {
+    /// Bit `s` set while the owner holds at least one lock on shard `s`.
     holds_mask: u64,
+    /// Shard still carrying the owner's request edge or yield record from a
+    /// request that was answered with `Yield` or `DeadlockDetected` (the
+    /// substrate may never complete those acquisitions).
     stale_shard: Option<usize>,
-    any_parked: bool,
-    home: usize,
-) -> bool {
-    holds_mask == 0 && stale_shard.map_or(true, |s| s == home) && !any_parked
 }
 
-/// The stale-request-edge transition after a request, shared by
-/// [`ShardedDimmunix`] and the `dimmunix-rt` runtime.
-///
-/// `Yield` and `DeadlockDetected` leave the request edge (and, for yields,
-/// the park record) behind in the home shard until the thread retries,
-/// completes, or cancels; a grant's edge is consumed by the following
-/// `acquired`; the reentrant fast path and a disabled engine touch no
-/// edges, so the previous value stands.
-pub fn stale_shard_after(
-    outcome: &RequestOutcome,
-    prev: Option<usize>,
-    home: usize,
-    disabled: bool,
-) -> Option<usize> {
-    if disabled {
-        return prev;
+impl OwnerRoute {
+    /// True while no shard knows anything about the owner: no hold anywhere
+    /// and no leftover request edge.
+    pub fn is_idle(&self) -> bool {
+        self.holds_mask == 0 && self.stale_shard.is_none()
     }
-    match outcome {
-        RequestOutcome::Yield { .. } | RequestOutcome::DeadlockDetected { .. } => Some(home),
-        RequestOutcome::Granted => None,
-        RequestOutcome::GrantedReentrant => prev,
-    }
-}
 
-/// The stale-edge transition when an acquisition or cancellation touches
-/// `home`: both consume the request edge the home shard was carrying, so a
-/// stale marker pointing at `home` is cleared; a marker pointing elsewhere
-/// is untouched (the consumed edge was a different one). Shared by
-/// [`ShardedDimmunix`] and the `dimmunix-rt` runtime.
-pub fn stale_shard_consumed(prev: Option<usize>, home: usize) -> Option<usize> {
-    if prev == Some(home) {
-        None
-    } else {
-        prev
+    /// The shard still carrying a leftover request edge or yield record, if
+    /// any — [`request_cross_shard`]'s `prev_request_shard`.
+    pub fn stale_shard(&self) -> Option<usize> {
+        self.stale_shard
     }
-}
 
-/// The holds-mask transition after an engine call on `shard` changed (or
-/// may have changed) the thread's holds there: bit `shard` reflects whether
-/// the shard's RAG still records any hold for the thread. Re-derived from
-/// the RAG rather than counted, so the mask can never drift. Shared by
-/// [`ShardedDimmunix`] and the `dimmunix-rt` runtime.
-pub fn holds_mask_with(mask: u64, shard: usize, holds_here: bool) -> u64 {
-    if holds_here {
-        mask | (1 << shard)
-    } else {
-        mask & !(1 << shard)
+    /// The owner-local half of the shard-local eligibility predicate: a
+    /// request may be decided inside its home shard alone iff the requester
+    /// holds no lock on any shard and any leftover request edge from an
+    /// abandoned acquisition lives in the home shard itself. The other half
+    /// — no yield record on any shard names the requester as a blocker — is
+    /// the caller's to evaluate, under a lock a parking operation would also
+    /// need (e.g. the home shard's mutex) so a concurrent park cannot be
+    /// missed. [`try_request_local`] documents why the two halves make the
+    /// shard-local decision identical to the monolithic one.
+    pub fn local_eligible(&self, home: usize) -> bool {
+        self.holds_mask == 0 && self.stale_shard.map_or(true, |s| s == home)
+    }
+
+    /// The stale-request-edge transition after a request on `home`. `Yield`
+    /// and `DeadlockDetected` leave the request edge (and, for yields, the
+    /// park record) behind in the home shard until the owner retries,
+    /// completes, or cancels; a grant's edge is consumed by the following
+    /// `acquired`; the reentrant fast path and a disabled engine touch no
+    /// edges, so the previous value stands.
+    pub fn after_request(&mut self, outcome: &RequestOutcome, home: usize, disabled: bool) {
+        if disabled {
+            return;
+        }
+        match outcome {
+            RequestOutcome::Yield { .. } | RequestOutcome::DeadlockDetected { .. } => {
+                self.stale_shard = Some(home);
+            }
+            RequestOutcome::Granted => self.stale_shard = None,
+            RequestOutcome::GrantedReentrant => {}
+        }
+    }
+
+    /// The transition after an acquisition on `home` was recorded: the
+    /// acquisition consumed the home shard's request edge, and `holds` says
+    /// whether the shard's RAG now records any hold for the owner.
+    pub fn after_acquired(&mut self, home: usize, holds: bool) {
+        self.after_released(home, holds); // the same holds-mask transition
+        self.after_cancel(home); // the same consumed-edge transition
+    }
+
+    /// The holds-mask transition after an engine call on `home` changed (or
+    /// may have changed) the owner's holds there. `holds` is re-derived from
+    /// the shard's RAG rather than counted, so the mask can never drift.
+    pub fn after_released(&mut self, home: usize, holds: bool) {
+        if holds {
+            self.holds_mask |= 1 << home;
+        } else {
+            self.holds_mask &= !(1 << home);
+        }
+    }
+
+    /// The transition after a cancellation on `home`: it consumed the
+    /// request edge the home shard was carrying, so a stale marker pointing
+    /// at `home` is cleared; a marker pointing elsewhere is untouched (the
+    /// consumed edge was a different one).
+    pub fn after_cancel(&mut self, home: usize) {
+        if self.stale_shard == Some(home) {
+            self.stale_shard = None;
+        }
     }
 }
 
@@ -221,9 +237,9 @@ pub enum LocalDecision {
 /// ([`Rag::lists_yield_blocker`](crate::Rag::lists_yield_blocker) is false
 /// everywhere — a yield record's blocker list is a snapshot, so a
 /// starvation cycle can run through a thread that holds no lock at all,
-/// but only by traversing a yield edge that names it; the legacy gate
-/// conservatively requires [`Rag::yield_count`](crate::Rag::yield_count)
-/// to be zero everywhere instead). A hold-free requester has no other
+/// but only by traversing a yield edge that names it). The first two
+/// conditions are [`OwnerRoute::local_eligible`]; the third is the
+/// caller's to read under the home shard's lock. A hold-free requester has no other
 /// possible in-edge, so under that precondition no wait-for cycle can pass
 /// through it, and shard-local detection plus an empty per-position
 /// signature list make the shard-local decision identical to the
@@ -782,17 +798,6 @@ pub fn broadcast_signature(shards: &mut [&mut Dimmunix], sig: Signature) -> (Sig
 // The deterministic sharded engine
 // ----------------------------------------------------------------------
 
-/// Per-thread routing bookkeeping kept outside the shards.
-#[derive(Debug, Clone, Copy, Default)]
-struct OwnerRoute {
-    /// Bit `s` set while the thread holds at least one lock on shard `s`.
-    holds_mask: u64,
-    /// Shard still carrying the thread's request edge or yield record from a
-    /// request that was answered with `Yield` or `DeadlockDetected` (the
-    /// substrate may never complete those acquisitions).
-    stale_shard: Option<usize>,
-}
-
 /// A sharded, deterministic Dimmunix engine.
 ///
 /// Semantically a [`Dimmunix`] whose state is partitioned by lock id across
@@ -989,39 +994,34 @@ impl ShardedDimmunix {
     ) -> RequestOutcome {
         let t = t.into();
         let home = self.router.shard_of(l);
-        let route = self.owner_routes.entry(t).or_default();
-        let stale = route.stale_shard;
-        // Scoped degradation: with the lock-free admission path enabled, a
-        // parked owner only degrades requests its yield record could actually
-        // involve in a cycle — those naming `t` in a blocker list (a yield
-        // edge is the only possible in-edge to a hold-free requester, so any
-        // cycle through `t` must traverse one). Everyone else stays on the
-        // shard-local fast path. The legacy gate degrades on *any* park.
-        let any_parked = if self.shards[home].config().lock_free_admission {
-            self.shards
+        let mut route = self.owner_routes.get(&t).copied().unwrap_or_default();
+        // Scoped degradation: a parked owner only degrades requests its yield
+        // record could actually involve in a cycle — those naming `t` in a
+        // blocker list (a yield edge is the only possible in-edge to a
+        // hold-free requester, so any cycle through `t` must traverse one).
+        // Everyone else stays on the shard-local fast path.
+        let local_ok = route.local_eligible(home)
+            && !self
+                .shards
                 .iter()
-                .any(|s| s.rag().yield_count() > 0 && s.rag().lists_yield_blocker(t))
-        } else {
-            self.shards.iter().any(|s| s.rag().yield_count() > 0)
-        };
-        let fast_ok = fast_path_eligible(route.holds_mask, stale, any_parked, home);
+                .any(|s| s.rag().yield_count() > 0 && s.rag().lists_yield_blocker(t));
 
-        let outcome = if fast_ok {
-            match try_request_local(&mut self.shards[home], t, l, stack, mode) {
-                LocalDecision::Decided(outcome) => outcome,
-                LocalDecision::NeedsCrossShard => {
-                    let mut refs: Vec<&mut Dimmunix> = self.shards.iter_mut().collect();
-                    request_cross_shard(&mut refs, &self.router, t, l, stack, mode, stale)
-                }
+        let local = if local_ok {
+            try_request_local(&mut self.shards[home], t, l, stack, mode)
+        } else {
+            LocalDecision::NeedsCrossShard
+        };
+        let outcome = match local {
+            LocalDecision::Decided(outcome) => outcome,
+            LocalDecision::NeedsCrossShard => {
+                let mut refs: Vec<&mut Dimmunix> = self.shards.iter_mut().collect();
+                let stale = route.stale_shard();
+                request_cross_shard(&mut refs, &self.router, t, l, stack, mode, stale)
             }
-        } else {
-            let mut refs: Vec<&mut Dimmunix> = self.shards.iter_mut().collect();
-            request_cross_shard(&mut refs, &self.router, t, l, stack, mode, stale)
         };
 
-        let disabled = self.shards[home].config().is_disabled();
-        let route = self.owner_routes.entry(t).or_default();
-        route.stale_shard = stale_shard_after(&outcome, stale, home, disabled);
+        route.after_request(&outcome, home, self.config().is_disabled());
+        self.owner_routes.insert(t, route);
         outcome
     }
 
@@ -1034,10 +1034,8 @@ impl ShardedDimmunix {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.shards[home].acquired_with_seq(t, l, seq);
-        self.refresh_route(t, home);
-        let route = self.owner_routes.entry(t).or_default();
-        // The acquisition consumed the home shard's request edge.
-        route.stale_shard = stale_shard_consumed(route.stale_shard, home);
+        let holds = self.holds_on(t, home);
+        self.route_mut(t).after_acquired(home, holds);
     }
 
     /// Called right before the monitor is released; see
@@ -1053,7 +1051,8 @@ impl ShardedDimmunix {
         let t = t.into();
         let home = self.router.shard_of(l);
         self.shards[home].released_into(t, l, wake);
-        self.refresh_route(t, home);
+        let holds = self.holds_on(t, home);
+        self.route_mut(t).after_released(home, holds);
     }
 
     /// Abandons a granted-but-never-completed acquisition; see
@@ -1062,8 +1061,7 @@ impl ShardedDimmunix {
         let t = t.into();
         let home = self.router.shard_of(l);
         self.shards[home].cancel_request(t, l);
-        let route = self.owner_routes.entry(t).or_default();
-        route.stale_shard = stale_shard_consumed(route.stale_shard, home);
+        self.route_mut(t).after_cancel(home);
     }
 
     /// Drains wake-ups scheduled outside the release path (starvation
@@ -1087,11 +1085,73 @@ impl ShardedDimmunix {
         self.shards[0].save_history()
     }
 
-    /// Re-derives the thread's holds-mask bit for `shard` from that shard's
-    /// RAG (exact, so the fast-path precondition can never drift).
-    fn refresh_route(&mut self, t: OwnerId, shard: usize) {
-        let holds = !self.shards[shard].rag().held_locks(t).is_empty();
-        let route = self.owner_routes.entry(t).or_default();
-        route.holds_mask = holds_mask_with(route.holds_mask, shard, holds);
+    /// Whether `shard`'s RAG records any hold for `t` (exact, so the
+    /// holds mask derived from it can never drift).
+    fn holds_on(&self, t: OwnerId, shard: usize) -> bool {
+        !self.shards[shard].rag().held_locks(t).is_empty()
+    }
+
+    fn route_mut(&mut self, t: OwnerId) -> &mut OwnerRoute {
+        self.owner_routes.entry(t).or_default()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn yielded() -> RequestOutcome {
+        RequestOutcome::Yield {
+            signature: SignatureId::new(0),
+        }
+    }
+
+    #[test]
+    fn holds_on_any_shard_force_the_cross_path() {
+        let mut r = OwnerRoute::default();
+        assert!(r.is_idle() && (0..MAX_SHARDS).all(|home| r.local_eligible(home)));
+        r.after_acquired(MAX_SHARDS - 1, true);
+        r.after_acquired(2, true);
+        assert!((0..MAX_SHARDS).all(|home| !r.local_eligible(home)));
+        // Bits are per shard, and a shard's bit follows its RAG, not a count.
+        r.after_released(MAX_SHARDS - 1, false);
+        r.after_released(2, true);
+        assert!(!r.is_idle() && !r.local_eligible(2));
+        r.after_released(2, false);
+        assert!(r.is_idle());
+    }
+
+    #[test]
+    fn a_stale_edge_blocks_tier_one_and_every_shard_but_its_own() {
+        let refused = RequestOutcome::DeadlockDetected {
+            signature: SignatureId::new(0),
+            new_signature: true,
+            owners: Vec::new(),
+        };
+        for outcome in [yielded(), refused] {
+            let mut r = OwnerRoute::default();
+            r.after_request(&outcome, 3, false);
+            assert_eq!(r.stale_shard(), Some(3));
+            assert!(!r.is_idle() && r.local_eligible(3) && !r.local_eligible(4));
+        }
+    }
+
+    #[test]
+    fn only_a_grant_or_the_home_shard_clears_a_stale_edge() {
+        let mut r = OwnerRoute::default();
+        r.after_request(&yielded(), 3, false);
+        r.after_request(&RequestOutcome::GrantedReentrant, 5, false);
+        r.after_request(&RequestOutcome::Granted, 5, true); // disabled: no edge moves
+        r.after_cancel(4);
+        r.after_acquired(4, false);
+        assert_eq!(r.stale_shard(), Some(3));
+        r.after_cancel(3);
+        assert_eq!(r.stale_shard(), None);
+        r.after_request(&yielded(), 3, false);
+        r.after_acquired(3, true);
+        assert_eq!(r.stale_shard(), None);
+        r.after_request(&yielded(), 3, false);
+        r.after_request(&RequestOutcome::Granted, 5, false);
+        assert_eq!(r.stale_shard(), None);
     }
 }

@@ -298,20 +298,11 @@ fn prop_engine_consistent_on_ordered_workloads() {
 /// several shard counts (including the `shards = 1` reference
 /// configuration). Every hook call must produce the identical outcome, the
 /// rolled-up per-shard counters must equal the oracle's, and the history
-/// replicas must record the same antibodies.
-///
-/// Runs once per setting of [`Config::lock_free_admission`]: the knob
-/// selects between the scoped (blocker-based) and global any-park
-/// degradation predicates in the sharded fast path, and neither may ever
-/// diverge from the monolithic oracle by a single decision.
+/// replicas must record the same antibodies. This pins the scoped
+/// (blocker-based) degradation predicate of the sharded fast path: it may
+/// never diverge from the monolithic oracle by a single decision.
 #[test]
 fn prop_sharded_engine_equals_monolithic_oracle() {
-    for lock_free in [true, false] {
-        sharded_oracle_property(lock_free);
-    }
-}
-
-fn sharded_oracle_property(lock_free: bool) {
     /// What the simulated substrate is doing with one logical thread.
     #[derive(Clone, Copy, PartialEq)]
     enum ThreadMode {
@@ -334,7 +325,7 @@ fn sharded_oracle_property(lock_free: bool) {
         // avoidance and starvation machinery is exercised.
         let history = pretrain_history(&mut g, 6);
 
-        let cfg = Config::builder().lock_free_admission(lock_free).build();
+        let cfg = Config::default();
         let mut oracle = Dimmunix::with_history(cfg.clone(), history.clone());
         let shard_counts = [1usize, 2, 3, 8];
         let mut sharded: Vec<ShardedDimmunix> = shard_counts
@@ -490,18 +481,8 @@ fn sharded_oracle_property(lock_free: bool) {
 /// sharded engines with shards ∈ {1, 2, 3, 8}, with identical rolled-up
 /// stats, histories, and shared-snapshot epochs — so the multi-owner
 /// detection/avoidance paths cannot drift between the two implementations.
-///
-/// As with the mutex-only sibling, runs once per setting of
-/// [`Config::lock_free_admission`] so both degradation-scoping predicates
-/// are pinned to the oracle.
 #[test]
 fn prop_sharded_engine_equals_monolithic_oracle_mixed_rwlock() {
-    for lock_free in [true, false] {
-        sharded_oracle_mixed_rwlock_property(lock_free);
-    }
-}
-
-fn sharded_oracle_mixed_rwlock_property(lock_free: bool) {
     /// What the simulated substrate is doing with one logical thread.
     #[derive(Clone, Copy, PartialEq)]
     enum ThreadMode {
@@ -526,7 +507,7 @@ fn sharded_oracle_mixed_rwlock_property(lock_free: bool) {
         // avoidance machinery (including the crowd-mate carve-out) runs.
         let history = pretrain_history(&mut g, 6);
 
-        let cfg = Config::builder().lock_free_admission(lock_free).build();
+        let cfg = Config::default();
         let mut oracle = Dimmunix::with_history(cfg.clone(), history.clone());
         let shard_counts = [1usize, 2, 3, 8];
         let mut sharded: Vec<ShardedDimmunix> = shard_counts

@@ -13,8 +13,8 @@
 //! lock id ([`RuntimeOptions::shards`]). Each shard is an independent
 //! [`Dimmunix`] engine behind its own mutex, so uncontended acquisitions of
 //! locks on different shards proceed in parallel. A request that might close
-//! a deadlock cycle (the requester already holds locks, some thread is
-//! parked by avoidance, or the requesting position appears in the history)
+//! a deadlock cycle (the requester already holds locks, a parked owner's
+//! yield record names it, or the requesting position appears in the history)
 //! takes the cross-shard path instead: every shard mutex is acquired in
 //! ascending index order (a total order, so the runtime cannot deadlock
 //! itself) and the decision is computed by `dimmunix-core`'s
@@ -40,11 +40,10 @@ use crate::exchange::{ExchangeOptions, ExchangeState, ExchangeStats};
 use crate::site::AcquisitionSite;
 use crate::sync;
 use dimmunix_core::{
-    broadcast_signature, fast_path_eligible, holds_mask_with, request_cross_shard,
-    stale_shard_after, stale_shard_consumed, try_request_local, AccessMode, Admission,
+    broadcast_signature, request_cross_shard, try_request_local, AccessMode, Admission,
     AdmissionSummary, CallStack, Config, Dimmunix, History, HistorySnapshot, LocalDecision, LockId,
-    OwnerId, PositionId, RecoveryReport, RequestOutcome, ShardRouter, Signature, SignatureId,
-    SiteKey, StackInterner, Stats, TaskId, ThreadId,
+    OwnerId, OwnerRoute, PositionId, RecoveryReport, RequestOutcome, ShardRouter, Signature,
+    SignatureId, SiteKey, StackInterner, Stats, TaskId, ThreadId,
 };
 use dimmunix_exchange::{Pack, PackError};
 use std::collections::{HashMap, VecDeque};
@@ -208,7 +207,7 @@ pub struct RuntimeBuilder {
 
 impl RuntimeBuilder {
     /// Starts from the defaults: fail-safe deadlock policy, one engine
-    /// shard, in-memory history.
+    /// shard per core, in-memory history.
     pub fn new() -> Self {
         Self::default()
     }
@@ -223,8 +222,8 @@ impl RuntimeBuilder {
     }
 
     /// Number of engine shards the lock-id space is partitioned over (see
-    /// [`RuntimeOptions::shards`]). Default 1 — the paper's single global
-    /// engine lock.
+    /// [`RuntimeOptions::shards`]). Default one per core; `1` is the
+    /// paper's single global engine lock.
     pub fn shards(mut self, shards: usize) -> Self {
         self.options.shards = shards;
         self
@@ -270,12 +269,17 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Builds a private runtime.
+    /// Builds a private runtime. If the configuration names a history log
+    /// and no explicit starting history was given, the log is replayed (and
+    /// its crash tail repaired) once; either way the resulting snapshot is
+    /// bulk-built once and shared by every shard.
     pub fn build(self) -> Arc<DimmunixRuntime> {
-        match self.history {
-            Some(history) => DimmunixRuntime::with_history(self.options, history),
-            None => DimmunixRuntime::with_options(self.options),
-        }
+        let config = self.options.config.clone();
+        let first = match self.history {
+            Some(history) => Dimmunix::with_history(config, history),
+            None => Dimmunix::new(config),
+        };
+        DimmunixRuntime::assemble_from(self.options, first)
     }
 
     /// Builds the runtime and installs it as the process-global one used by
@@ -360,15 +364,12 @@ struct FastHold {
 
 /// Per-(runtime, OS thread) routing state. Only the owning thread reads or
 /// writes its entry, so no synchronization is needed.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ThreadRoute {
     id: ThreadId,
-    /// Bit `s` set while the thread holds at least one lock on shard `s`.
-    holds_mask: u64,
-    /// Shard still carrying this thread's request edge from an acquisition
-    /// that was refused with [`LockError::WouldDeadlock`] (the substrate
-    /// abandons those, so the edge survives until the next request).
-    stale_shard: Option<usize>,
+    /// Holds mask and stale request edge: the state the locked admission
+    /// path shares with tasks and with `ShardedDimmunix`.
+    route: OwnerRoute,
     /// The one lock (if any) this thread holds via the no-engine fast path.
     /// At most one: a second acquisition while this is `Some` takes the
     /// cross-shard path, which publishes this hold into the engine first.
@@ -496,15 +497,11 @@ pub struct DimmunixRuntime {
     exchange: Option<ExchangeState>,
 }
 
-/// Per-task routing state, mirroring [`ThreadRoute`] plus the task's spawn
+/// Per-task routing state: the shared [`OwnerRoute`] plus the task's spawn
 /// site for diagnostics.
 #[derive(Debug, Clone, Copy, Default)]
 struct TaskRoute {
-    /// Bit `s` set while the task holds at least one lock on shard `s`.
-    holds_mask: u64,
-    /// Shard still carrying this task's request edge from an acquisition
-    /// answered with `Yield` or `DeadlockDetected`.
-    stale_shard: Option<usize>,
+    route: OwnerRoute,
     /// Where the task was spawned, when the executor recorded it.
     spawn_site: Option<AcquisitionSite>,
 }
@@ -541,13 +538,13 @@ impl fmt::Debug for DimmunixRuntime {
 }
 
 impl DimmunixRuntime {
-    /// Creates a private runtime with default options (paper defaults:
-    /// fail-safe deadlock policy, one engine shard). Use
+    /// Creates a private runtime with default options (fail-safe deadlock
+    /// policy, one engine shard per core). Use
     /// [`builder`](Self::builder) to configure one, and
     /// [`global`](Self::global) for the process-global runtime the drop-in
     /// constructors attach to.
     pub fn new() -> Arc<Self> {
-        Self::with_options(RuntimeOptions::default())
+        RuntimeBuilder::new().build()
     }
 
     /// Starts a [`RuntimeBuilder`] — the fluent construction surface.
@@ -580,21 +577,6 @@ impl DimmunixRuntime {
         *sync::lock(&GLOBAL_RUNTIME) = None;
     }
 
-    /// Creates a runtime with explicit options. If the configuration names
-    /// a history log, it is replayed (and its crash tail repaired) once;
-    /// the resulting snapshot is shared by every shard.
-    fn with_options(options: RuntimeOptions) -> Arc<Self> {
-        let first = Dimmunix::new(options.config.clone());
-        Self::assemble_from(options, first)
-    }
-
-    /// Creates a runtime pre-loaded with a history (antibodies). The
-    /// snapshot is bulk-built once and shared by every shard.
-    fn with_history(options: RuntimeOptions, history: History) -> Arc<Self> {
-        let first = Dimmunix::with_history(options.config.clone(), history);
-        Self::assemble_from(options, first)
-    }
-
     /// Completes construction from the first shard engine: the remaining
     /// shards receive clones of its snapshot `Arc` — one shared history
     /// per runtime, regardless of the shard count.
@@ -603,29 +585,18 @@ impl DimmunixRuntime {
         let snapshot = Arc::clone(first.history_snapshot());
         let summary = Arc::new(AdmissionSummary::new());
         let interner = Arc::new(StackInterner::new());
-        first.attach_admission_summary(Arc::clone(&summary), 0);
+        first.attach_admission_summary(Arc::clone(&summary));
         first.share_stack_interner(Arc::clone(&interner));
         let mut shards = Vec::with_capacity(router.shard_count());
         shards.push(Mutex::new(ShardCell::new(first)));
-        for index in 1..router.shard_count() {
+        for _ in 1..router.shard_count() {
             let mut engine = Dimmunix::with_snapshot(options.config.clone(), Arc::clone(&snapshot));
-            engine.attach_admission_summary(Arc::clone(&summary), index);
+            engine.attach_admission_summary(Arc::clone(&summary));
             engine.share_stack_interner(Arc::clone(&interner));
             shards.push(Mutex::new(ShardCell::new(engine)));
         }
-        let rt = Self::assemble(options, router, shards, summary);
-        rt.startup_exchange_import();
-        rt
-    }
-
-    fn assemble(
-        options: RuntimeOptions,
-        router: ShardRouter,
-        shards: Vec<Mutex<ShardCell>>,
-        summary: Arc<AdmissionSummary>,
-    ) -> Arc<Self> {
         let exchange = options.exchange.clone().map(ExchangeState::new);
-        Arc::new(DimmunixRuntime {
+        let rt = Arc::new(DimmunixRuntime {
             shards,
             gates: Mutex::new(HashMap::new()),
             router,
@@ -639,7 +610,9 @@ impl DimmunixRuntime {
             task_routes: Mutex::new(HashMap::new()),
             task_wakers: Mutex::new(HashMap::new()),
             exchange,
-        })
+        });
+        rt.startup_exchange_import();
+        rt
     }
 
     /// Startup pull of the configured import packs. Each foreign signature
@@ -771,8 +744,7 @@ impl DimmunixRuntime {
             }
             let route = ThreadRoute {
                 id,
-                holds_mask: 0,
-                stale_shard: None,
+                route: OwnerRoute::default(),
                 fast_held: None,
             };
             cell.borrow_mut().insert(self.instance, route);
@@ -780,7 +752,8 @@ impl DimmunixRuntime {
         })
     }
 
-    fn update_route(&self, f: impl FnOnce(&mut ThreadRoute)) {
+    /// Applies `f` to this thread's routing state, if it has any yet.
+    fn update_thread_route(&self, f: impl FnOnce(&mut ThreadRoute)) {
         THREAD_ROUTE.with(|cell| {
             if let Some(r) = cell.borrow_mut().get_mut(&self.instance) {
                 f(r);
@@ -804,7 +777,7 @@ impl DimmunixRuntime {
             let Some(r) = map.get_mut(&self.instance) else {
                 return false;
             };
-            if r.holds_mask != 0 || r.stale_shard.is_some() || r.fast_held.is_some() {
+            if !r.route.is_idle() || r.fast_held.is_some() {
                 return false;
             }
             if self.exchange_pending() {
@@ -908,8 +881,7 @@ impl DimmunixRuntime {
     /// to the shared history, under the all-shard lock — the same
     /// append-once/install-everywhere path detections take.
     pub fn add_signature(&self, sig: Signature) -> SignatureId {
-        let mut guards: Vec<MutexGuard<'_, ShardCell>> =
-            self.shards.iter().map(sync::lock).collect();
+        let mut guards = self.lock_all_shards();
         let mut engines: Vec<&mut Dimmunix> = guards.iter_mut().map(|g| &mut g.engine).collect();
         broadcast_signature(&mut engines, sig).0
     }
@@ -997,25 +969,6 @@ impl DimmunixRuntime {
         }
     }
 
-    /// The locked half of the shard-local fast-path precondition, read under
-    /// the home shard's lock. Parking or resuming a thread requires every
-    /// shard lock (including home), and the summary's park counters are
-    /// updated from under those locks, so the answer cannot be invalidated
-    /// while the home lock is held. With lock-free admission the check is
-    /// *scoped*: only a park whose yield record lists `owner` as a blocker
-    /// forces the cross-shard path (a yield record's blocker list is a
-    /// snapshot, so a starvation cycle can pass through an owner that holds
-    /// no lock — but only through owners the record actually names). With
-    /// the knob off, any park anywhere degrades every request, reproducing
-    /// the old global behaviour.
-    fn locked_gate_clear(&self, owner: OwnerId) -> bool {
-        if self.options.config.lock_free_admission {
-            !self.summary.is_blocker(owner)
-        } else {
-            self.summary.parked_total() == 0
-        }
-    }
-
     /// Whether quarantined foreign antibodies await activation. The
     /// no-engine fast path declines while any are pending, so an antibody
     /// cannot be bypassed in the window between its import and the
@@ -1027,32 +980,189 @@ impl DimmunixRuntime {
             .is_some_and(|ex| ex.pending_nonempty.load(Ordering::Relaxed))
     }
 
-    /// Publishes a fast-path hold into its home shard's engine, under the
-    /// all-shard locks the caller already holds. After this, the owner's
-    /// every hold is engine-visible, so the cross-shard request that follows
-    /// sees the full wait-for relation.
-    fn publish_fast_hold(
+    // ------------------------------------------------------------------
+    // The locked admission path, keyed by owner
+    // ------------------------------------------------------------------
+    //
+    // One implementation for OS threads and async tasks; the public hooks
+    // below adapt it and differ only in where an owner's route lives
+    // (`THREAD_ROUTE` vs `task_routes`) and in how a yield parks (a sampled
+    // condvar gate vs a queued waker).
+
+    /// Every shard lock, in ascending index order (the total order that
+    /// keeps the runtime from deadlocking itself).
+    fn lock_all_shards(&self) -> Vec<MutexGuard<'_, ShardCell>> {
+        self.shards.iter().map(sync::lock).collect()
+    }
+
+    /// One engine decision on the locked admission ladder: inside the home
+    /// shard alone when neither detection nor avoidance can need another
+    /// shard's state, otherwise under every shard lock, over the merged
+    /// view. `route` is the caller's copy of the owner's route, updated in
+    /// place; the caller stores it back. On the all-shard path a pending
+    /// `fast_hold` (threads only) is published before the request, starvation
+    /// wake-ups are delivered, and a `Yield` runs `on_yield` **while every
+    /// shard lock is still held**: a release that would wake the signature
+    /// needs a shard lock, so whatever `on_yield` registers (a gate
+    /// generation sample, a waker) cannot miss it.
+    // Inlined so each adapter keeps a copy specialised to its `on_yield` (and,
+    // for tasks, to `fast_hold == None`), as when the ladder was written twice.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn decide_locked(
         &self,
-        guards: &mut [MutexGuard<'_, ShardCell>],
-        thread: ThreadId,
-        fh: FastHold,
-    ) {
-        let fhome = self.router.shard_of(fh.lock);
+        owner: OwnerId,
+        route: &mut OwnerRoute,
+        fast_hold: Option<FastHold>,
+        lock: LockId,
+        stack: &CallStack,
+        mode: AccessMode,
+        on_yield: impl FnOnce(SignatureId),
+    ) -> RequestOutcome {
+        let home = self.router.shard_of(lock);
+        let mut outcome = None;
+        // Owner-local half of the eligibility predicate. A pending fast hold
+        // forces the all-shard path, which publishes it before requesting.
+        if fast_hold.is_none() && route.local_eligible(home) {
+            let mut cell = sync::lock(&self.shards[home]);
+            // The parked half, read under the home shard's lock: parking or
+            // resuming an owner requires every shard lock (including home),
+            // and the summary's blocker counts are updated from under those
+            // locks, so the answer cannot be invalidated while home is held.
+            // The check is *scoped*: only a park whose yield record lists
+            // `owner` as a blocker forces the all-shard path (a yield
+            // record's blocker list is a snapshot, so a starvation cycle can
+            // pass through an owner that holds no lock — but only through
+            // owners the record actually names).
+            if !self.summary.is_blocker(owner) {
+                if let LocalDecision::Decided(o) =
+                    try_request_local(&mut cell.engine, owner, lock, stack, mode)
+                {
+                    // A yield needs the requesting position in the history,
+                    // which answers `NeedsCrossShard`: `on_yield` only ever
+                    // runs on the all-shard path, where it is race-free.
+                    debug_assert!(!matches!(o, RequestOutcome::Yield { .. }));
+                    outcome = Some(o);
+                }
+            }
+        }
+
+        let outcome = match outcome {
+            Some(o) => o,
+            None => {
+                let mut guards = self.lock_all_shards();
+                if let Some(fh) = fast_hold {
+                    // Publish the fast-path hold into its home shard first:
+                    // after this the owner's every hold is engine-visible, so
+                    // the request below sees the full wait-for relation.
+                    let fhome = self.router.shard_of(fh.lock);
+                    let seq = self.acq_seq.fetch_add(1, Ordering::Relaxed);
+                    let (fstack, _) = cached_site_stack(fh.site);
+                    let engine = &mut guards[fhome].engine;
+                    engine.publish_acquired(owner, fh.lock, &fstack, fh.mode, seq);
+                    route.after_acquired(fhome, !engine.rag().held_locks(owner).is_empty());
+                    self.summary.note_published();
+                }
+                let o = {
+                    let mut engines: Vec<&mut Dimmunix> =
+                        guards.iter_mut().map(|g| &mut g.engine).collect();
+                    let stale = route.stale_shard();
+                    request_cross_shard(&mut engines, &self.router, owner, lock, stack, mode, stale)
+                };
+                let mut pending: Vec<SignatureId> = Vec::new();
+                for g in guards.iter_mut() {
+                    pending.extend(g.engine.take_pending_wakeups());
+                }
+                if !pending.is_empty() {
+                    self.notify_signatures(&pending);
+                }
+                if let RequestOutcome::Yield { signature } = &o {
+                    on_yield(*signature);
+                }
+                o
+            }
+        };
+        route.after_request(&outcome, home, self.options.config.is_disabled());
+        outcome
+    }
+
+    /// Surfaces a detected deadlock as the configured policy demands.
+    fn deadlock_verdict(
+        &self,
+        signature: SignatureId,
+        lock: LockId,
+        site: AcquisitionSite,
+        owner: OwnerId,
+        spawn_site: Option<AcquisitionSite>,
+    ) -> Result<(), LockError> {
+        // Contribute-back: the new antibody is in the shared history; push
+        // the fleet pack before surfacing.
+        self.export_contribution();
+        match self.options.deadlock_policy {
+            DeadlockPolicy::Error => Err(LockError::WouldDeadlock {
+                signature,
+                lock,
+                site,
+                owner,
+                spawn_site,
+            }),
+            // Paper-faithful: proceed and let the owners freeze once; the
+            // signature is persisted, so the next run is immune.
+            DeadlockPolicy::Block => Ok(()),
+        }
+    }
+
+    /// Records `owner`'s completed acquisition in the lock's home shard,
+    /// stamped with the runtime-global acquisition sequence so merged views
+    /// can order holds across shards. Returns the home shard and whether the
+    /// owner holds anything there, for the caller's route transition.
+    fn finish_locked(&self, owner: OwnerId, lock: LockId) -> (usize, bool) {
+        let home = self.router.shard_of(lock);
         let seq = self.acq_seq.fetch_add(1, Ordering::Relaxed);
-        let (fstack, _) = cached_site_stack(fh.site);
-        guards[fhome]
-            .engine
-            .publish_acquired(thread, fh.lock, &fstack, fh.mode, seq);
-        let holds = !guards[fhome]
-            .engine
-            .rag()
-            .held_locks(thread.into())
-            .is_empty();
-        self.summary.note_published();
-        self.update_route(|r| {
-            r.fast_held = None;
-            r.holds_mask = holds_mask_with(r.holds_mask, fhome, holds);
-        });
+        let mut cell = sync::lock(&self.shards[home]);
+        cell.engine.acquired_with_seq(owner, lock, seq);
+        (home, !cell.engine.rag().held_locks(owner).is_empty())
+    }
+
+    /// Backs `owner` out of an approved acquisition that will not be
+    /// completed. Returns the home shard and the signature the owner was
+    /// still parked on, if any.
+    fn cancel_locked(&self, owner: OwnerId, lock: LockId) -> (usize, Option<SignatureId>) {
+        let home = self.router.shard_of(lock);
+        let mut cell = sync::lock(&self.shards[home]);
+        let parked_on = cell.engine.rag().yielding(owner).map(|y| y.signature);
+        cell.engine.cancel_request(owner, lock);
+        (home, parked_on)
+    }
+
+    /// Engine release + release-driven wake-ups under the home shard's lock.
+    /// Returns the home shard and whether the owner still holds anything
+    /// there.
+    fn release_locked(&self, owner: OwnerId, lock: LockId) -> (usize, bool) {
+        let home = self.router.shard_of(lock);
+        let mut cell = sync::lock(&self.shards[home]);
+        let ShardCell {
+            engine,
+            wake_scratch,
+        } = &mut *cell;
+        engine.released_into(owner, lock, wake_scratch);
+        if !wake_scratch.is_empty() {
+            self.notify_signatures_released(wake_scratch);
+        }
+        (home, !engine.rag().held_locks(owner).is_empty())
+    }
+
+    /// Unregisters `owner` on every shard, force-releasing anything it still
+    /// holds and waking whoever that unblocks. The caller drops the route.
+    fn retire_locked(&self, owner: OwnerId) {
+        let mut guards = self.lock_all_shards();
+        let mut wake: Vec<SignatureId> = Vec::new();
+        for g in guards.iter_mut() {
+            wake.extend(g.engine.unregister_owner(owner));
+        }
+        if !wake.is_empty() {
+            self.notify_signatures(&wake);
+        }
     }
 
     /// The `lockMonitor` prologue: keeps requesting until the engine grants,
@@ -1100,7 +1210,6 @@ impl DimmunixRuntime {
         // shard lock is taken (activation appends under the all-shard
         // lock), so the antibody can refuse *this very request* below.
         self.feed_exchange(&stack);
-        let home = self.router.shard_of(lock);
 
         // No-engine fast path: a hold-free requester whose site provably
         // appears in no history signature and whom no yield record names as
@@ -1108,110 +1217,42 @@ impl DimmunixRuntime {
         // slot, so the grant is decided by one seqlock-consistent read of
         // the admission summary — no shard lock at all. Any doubt (seqlock
         // retry exhaustion, bloom hit, blocker hit, relevant park) falls
-        // back to the engine paths below, which remain the oracle.
-        if self.options.config.lock_free_admission
-            && self.try_fast_admit(lock, site, mode, site_key)
-        {
+        // back to the locked path below, which remains the oracle.
+        if self.try_fast_admit(lock, site, mode, site_key) {
             return Ok(());
         }
 
+        // Only this thread touches its route, so one read serves every
+        // retry; changes are stored back after each decision.
+        let mut tr = self.route();
         loop {
-            let route = self.route();
-            // Thread-local half of the eligibility predicate; the parked
-            // half ([`locked_gate_clear`](Self::locked_gate_clear)) is read
-            // *under the home shard's lock* below — parking a thread
-            // requires every shard lock (including home), so the answer
-            // cannot change while the fast path holds it. A pending
-            // fast-path hold forces the cross path, which publishes it into
-            // the engine before requesting.
-            let fast_pending = route.fast_held;
-            let thread_local_ok = fast_pending.is_none()
-                && fast_path_eligible(route.holds_mask, route.stale_shard, false, home);
-
-            // Fast path: decide inside the home shard when neither detection
-            // nor avoidance can need another shard's state.
-            let mut outcome = None;
-            if thread_local_ok {
-                let mut cell = sync::lock(&self.shards[home]);
-                if self.locked_gate_clear(thread.into()) {
-                    if let LocalDecision::Decided(o) =
-                        try_request_local(&mut cell.engine, thread, lock, &stack, mode)
-                    {
-                        outcome = Some(o);
-                    }
-                }
-            }
-
-            // Cross-shard path: all shard locks in ascending index order,
-            // decision over the merged view, wake-ups and gate sampling
-            // while the locks are still held.
+            let before = tr.route;
+            let fast_hold = tr.fast_held.take();
             let mut parked_gate: Option<(Arc<SignatureGate>, u64)> = None;
-            let outcome = match outcome {
-                Some(o) => o,
-                None => {
-                    let mut guards: Vec<MutexGuard<'_, ShardCell>> =
-                        self.shards.iter().map(sync::lock).collect();
-                    if let Some(fh) = fast_pending {
-                        self.publish_fast_hold(&mut guards, thread, fh);
-                    }
-                    let o = {
-                        let mut engines: Vec<&mut Dimmunix> =
-                            guards.iter_mut().map(|g| &mut g.engine).collect();
-                        request_cross_shard(
-                            &mut engines,
-                            &self.router,
-                            thread,
-                            lock,
-                            &stack,
-                            mode,
-                            route.stale_shard,
-                        )
-                    };
-                    let mut pending: Vec<SignatureId> = Vec::new();
-                    for g in guards.iter_mut() {
-                        pending.extend(g.engine.take_pending_wakeups());
-                    }
-                    if !pending.is_empty() {
-                        self.notify_signatures(&pending);
-                    }
-                    if let RequestOutcome::Yield { signature } = &o {
-                        // Sample the gate generation before the shard locks
-                        // are dropped: a release that happens right after
-                        // cannot be lost.
-                        let gate = self.gate(*signature);
-                        let observed = *sync::lock(&gate.lock);
-                        parked_gate = Some((gate, observed));
-                    }
-                    o
-                }
-            };
-
-            let next_stale = stale_shard_after(
-                &outcome,
-                route.stale_shard,
-                home,
-                self.options.config.is_disabled(),
+            let outcome = self.decide_locked(
+                thread.into(),
+                &mut tr.route,
+                fast_hold,
+                lock,
+                &stack,
+                mode,
+                |signature| {
+                    // Sample the gate generation before the shard locks are
+                    // dropped: a release that happens right after cannot be
+                    // lost.
+                    let gate = self.gate(signature);
+                    let observed = *sync::lock(&gate.lock);
+                    parked_gate = Some((gate, observed));
+                },
             );
-            if next_stale != route.stale_shard {
-                self.update_route(|r| r.stale_shard = next_stale);
+            if fast_hold.is_some() || tr.route != before {
+                self.update_thread_route(|r| *r = tr);
             }
 
             match outcome {
                 RequestOutcome::Granted | RequestOutcome::GrantedReentrant => return Ok(()),
                 RequestOutcome::DeadlockDetected { signature, .. } => {
-                    // Contribute-back: the new antibody is in the shared
-                    // history; push the fleet pack before surfacing.
-                    self.export_contribution();
-                    return match self.options.deadlock_policy {
-                        DeadlockPolicy::Error => Err(LockError::WouldDeadlock {
-                            signature,
-                            lock,
-                            site,
-                            owner: thread.into(),
-                            spawn_site: None,
-                        }),
-                        DeadlockPolicy::Block => Ok(()),
-                    };
+                    return self.deadlock_verdict(signature, lock, site, thread.into(), None);
                 }
                 RequestOutcome::Yield { .. } => {
                     let (gate, observed) = parked_gate.expect("yield decided on the cross path");
@@ -1233,30 +1274,18 @@ impl DimmunixRuntime {
         }
     }
 
-    /// The `lockMonitor` epilogue. Stamps the hold with the runtime-global
-    /// acquisition sequence so merged views can order holds across shards.
-    /// A hold admitted on the no-engine fast path stays engine-invisible
-    /// here (only a counter ticks); it is published on demand if the owner
-    /// ever takes the slow path while still holding it.
+    /// The `lockMonitor` epilogue. A hold admitted on the no-engine fast
+    /// path stays engine-invisible here (only a counter ticks); it is
+    /// published on demand if the owner ever takes the slow path while still
+    /// holding it.
     pub fn after_acquire(&self, lock: LockId) {
         let route = self.route();
         if route.fast_held.map(|fh| fh.lock) == Some(lock) {
             self.summary.note_fast_acquire();
             return;
         }
-        let thread = route.id;
-        let home = self.router.shard_of(lock);
-        let seq = self.acq_seq.fetch_add(1, Ordering::Relaxed);
-        let holds = {
-            let mut cell = sync::lock(&self.shards[home]);
-            cell.engine.acquired_with_seq(thread, lock, seq);
-            !cell.engine.rag().held_locks(thread.into()).is_empty()
-        };
-        self.update_route(|r| {
-            r.holds_mask = holds_mask_with(r.holds_mask, home, holds);
-            // The acquisition consumed the home shard's request edge.
-            r.stale_shard = stale_shard_consumed(r.stale_shard, home);
-        });
+        let (home, holds) = self.finish_locked(route.id.into(), lock);
+        self.update_thread_route(|r| r.route.after_acquired(home, holds));
     }
 
     /// Backs out of an approved acquisition that will not be completed
@@ -1268,15 +1297,10 @@ impl DimmunixRuntime {
             self.summary.note_fast_cancel();
             return;
         }
-        let thread = self.route().id;
-        let home = self.router.shard_of(lock);
-        {
-            let mut cell = sync::lock(&self.shards[home]);
-            cell.engine.cancel_request(thread, lock);
-        }
-        self.update_route(|r| {
-            r.stale_shard = stale_shard_consumed(r.stale_shard, home);
-        });
+        // A thread is back from its park before it can cancel, so there is
+        // no parked signature to clean up after.
+        let (home, _) = self.cancel_locked(self.route().id.into(), lock);
+        self.update_thread_route(|r| r.route.after_cancel(home));
     }
 
     /// The `unlockMonitor` prologue: releases in the owning shard and wakes
@@ -1289,45 +1313,14 @@ impl DimmunixRuntime {
             self.summary.note_fast_release();
             return;
         }
-        let thread = self.route().id;
-        let home = self.router.shard_of(lock);
-        let holds = self.release_in_shard(thread, lock, home);
-        self.update_route(|r| {
-            r.holds_mask = holds_mask_with(r.holds_mask, home, holds);
-        });
-    }
-
-    /// Engine release + gate wake-ups under the home shard's lock; returns
-    /// whether `thread` still holds anything on that shard.
-    fn release_in_shard(&self, thread: ThreadId, lock: LockId, home: usize) -> bool {
-        let mut cell = sync::lock(&self.shards[home]);
-        let ShardCell {
-            engine,
-            wake_scratch,
-            ..
-        } = &mut *cell;
-        engine.released_into(thread, lock, wake_scratch);
-        if !cell.wake_scratch.is_empty() {
-            self.notify_signatures_released(&cell.wake_scratch);
-        }
-        !cell.engine.rag().held_locks(thread.into()).is_empty()
+        let (home, holds) = self.release_locked(self.route().id.into(), lock);
+        self.update_thread_route(|r| r.route.after_released(home, holds));
     }
 
     /// Unregisters the calling thread (normally done when a worker exits),
     /// force-releasing anything it still holds on any shard.
     pub fn retire_current_thread(&self) {
-        let thread = self.route().id;
-        let mut wake: Vec<SignatureId> = Vec::new();
-        {
-            let mut guards: Vec<MutexGuard<'_, ShardCell>> =
-                self.shards.iter().map(sync::lock).collect();
-            for g in guards.iter_mut() {
-                wake.extend(g.engine.unregister_owner(thread));
-            }
-            if !wake.is_empty() {
-                self.notify_signatures(&wake);
-            }
-        }
+        self.retire_locked(self.route().id.into());
         THREAD_ROUTE.with(|cell| {
             cell.borrow_mut().remove(&self.instance);
         });
@@ -1368,9 +1361,7 @@ impl DimmunixRuntime {
 
     /// The spawn site recorded for `task`, if any.
     pub fn task_spawn_site(&self, task: TaskId) -> Option<AcquisitionSite> {
-        sync::lock(&self.task_routes)
-            .get(&task)
-            .and_then(|r| r.spawn_site)
+        self.task_route(task).spawn_site
     }
 
     fn task_route(&self, task: TaskId) -> TaskRoute {
@@ -1380,9 +1371,10 @@ impl DimmunixRuntime {
             .unwrap_or_default()
     }
 
-    fn update_task_route(&self, task: TaskId, f: impl FnOnce(&mut TaskRoute)) {
+    /// Applies `f` to `task`'s route, if it is still registered.
+    fn update_task_route(&self, task: TaskId, f: impl FnOnce(&mut OwnerRoute)) {
         if let Some(r) = sync::lock(&self.task_routes).get_mut(&task) {
-            f(r);
+            f(&mut r.route);
         }
     }
 
@@ -1418,101 +1410,30 @@ impl DimmunixRuntime {
         let (stack, _) = cached_site_stack(site);
         // Same foreign-antibody gate as the thread path.
         self.feed_exchange(&stack);
-        let home = self.router.shard_of(lock);
-        let route = self.task_route(task);
-        let task_local_ok = fast_path_eligible(route.holds_mask, route.stale_shard, false, home);
-
-        // Fast path: decide inside the home shard when neither detection nor
-        // avoidance can need another shard's state. The local path cannot
-        // yield (a yield needs the requesting position in the history, which
-        // forces the cross-shard path), so no waker registration is needed.
-        let mut outcome = None;
-        if task_local_ok {
-            let mut cell = sync::lock(&self.shards[home]);
-            if self.locked_gate_clear(owner) {
-                if let LocalDecision::Decided(o) =
-                    try_request_local(&mut cell.engine, owner, lock, &stack, mode)
-                {
-                    if matches!(o, RequestOutcome::Yield { .. }) {
-                        // Unreachable by construction; fall through to the
-                        // cross-shard path, which can register the waker
-                        // race-free under the all-shard lock.
-                        debug_assert!(false, "local fast path yielded");
-                    } else {
-                        outcome = Some(o);
-                    }
+        let tr = self.task_route(task);
+        let mut route = tr.route;
+        let outcome =
+            self.decide_locked(owner, &mut route, None, lock, &stack, mode, |signature| {
+                // At most one entry per task: a re-park refreshes the waker in
+                // place (keeping its queue turn) instead of duplicating it.
+                let mut parked = sync::lock(&self.task_wakers);
+                let queue = parked.entry(signature).or_default();
+                match queue.iter_mut().find(|(t, _)| *t == task) {
+                    Some((_, w)) => *w = waker.clone(),
+                    None => queue.push_back((task, waker.clone())),
                 }
-            }
-        }
-
-        let outcome = match outcome {
-            Some(o) => o,
-            None => {
-                let mut guards: Vec<MutexGuard<'_, ShardCell>> =
-                    self.shards.iter().map(sync::lock).collect();
-                let o = {
-                    let mut engines: Vec<&mut Dimmunix> =
-                        guards.iter_mut().map(|g| &mut g.engine).collect();
-                    request_cross_shard(
-                        &mut engines,
-                        &self.router,
-                        owner,
-                        lock,
-                        &stack,
-                        mode,
-                        route.stale_shard,
-                    )
-                };
-                let mut pending: Vec<SignatureId> = Vec::new();
-                for g in guards.iter_mut() {
-                    pending.extend(g.engine.take_pending_wakeups());
-                }
-                if !pending.is_empty() {
-                    self.notify_signatures(&pending);
-                }
-                if let RequestOutcome::Yield { signature } = &o {
-                    // Register the waker while every shard lock is still
-                    // held: a release that would wake this signature needs a
-                    // shard lock, so the wake-up cannot be lost. At most one
-                    // entry per task: a re-park refreshes the waker in place
-                    // (keeping its queue turn) instead of duplicating it.
-                    let mut parked = sync::lock(&self.task_wakers);
-                    let queue = parked.entry(*signature).or_default();
-                    match queue.iter_mut().find(|(t, _)| *t == task) {
-                        Some((_, w)) => *w = waker.clone(),
-                        None => queue.push_back((task, waker.clone())),
-                    }
-                }
-                o
-            }
-        };
-
-        let next_stale = stale_shard_after(
-            &outcome,
-            route.stale_shard,
-            home,
-            self.options.config.is_disabled(),
-        );
-        if next_stale != route.stale_shard {
-            self.update_task_route(task, |r| r.stale_shard = next_stale);
+            });
+        if route != tr.route {
+            self.update_task_route(task, |r| *r = route);
         }
 
         match outcome {
             RequestOutcome::Granted | RequestOutcome::GrantedReentrant => TaskAcquire::Granted,
             RequestOutcome::Yield { signature } => TaskAcquire::Parked { signature },
             RequestOutcome::DeadlockDetected { signature, .. } => {
-                self.export_contribution();
-                match self.options.deadlock_policy {
-                    DeadlockPolicy::Error => TaskAcquire::WouldDeadlock(LockError::WouldDeadlock {
-                        signature,
-                        lock,
-                        site,
-                        owner,
-                        spawn_site: route.spawn_site,
-                    }),
-                    // Paper-faithful: proceed and let the tasks freeze once;
-                    // the signature is persisted, so the next run is immune.
-                    DeadlockPolicy::Block => TaskAcquire::Granted,
+                match self.deadlock_verdict(signature, lock, site, owner, tr.spawn_site) {
+                    Ok(()) => TaskAcquire::Granted,
+                    Err(refusal) => TaskAcquire::WouldDeadlock(refusal),
                 }
             }
         }
@@ -1521,85 +1442,39 @@ impl DimmunixRuntime {
     /// The task analogue of [`after_acquire`](Self::after_acquire): records
     /// the completed acquisition, stamped with the runtime-global sequence.
     pub fn task_finish_acquire(&self, task: TaskId, lock: LockId) {
-        let owner = OwnerId::Task(task);
-        let home = self.router.shard_of(lock);
-        let seq = self.acq_seq.fetch_add(1, Ordering::Relaxed);
-        let holds = {
-            let mut cell = sync::lock(&self.shards[home]);
-            cell.engine.acquired_with_seq(owner, lock, seq);
-            !cell.engine.rag().held_locks(owner).is_empty()
-        };
-        self.update_task_route(task, |r| {
-            r.holds_mask = holds_mask_with(r.holds_mask, home, holds);
-            r.stale_shard = stale_shard_consumed(r.stale_shard, home);
-        });
+        let (home, holds) = self.finish_locked(task.into(), lock);
+        self.update_task_route(task, |r| r.after_acquired(home, holds));
     }
 
     /// Backs out of an approved task acquisition that will not be completed
     /// (the acquiring future was dropped between approval and completion —
     /// e.g. a select! raced it against a timeout).
     pub fn task_cancel_acquire(&self, task: TaskId, lock: LockId) {
-        let owner = OwnerId::Task(task);
-        let home = self.router.shard_of(lock);
-        let parked_on = {
-            let mut cell = sync::lock(&self.shards[home]);
-            let sig = cell.engine.rag().yielding(owner).map(|y| y.signature);
-            cell.engine.cancel_request(owner, lock);
-            sig
-        };
+        let (home, parked_on) = self.cancel_locked(task.into(), lock);
+        // The dropped future may have been the single waiter a release-driven
+        // wake was handed to; drop its stale waker and re-broadcast so the
+        // wake is not lost with it.
         if let Some(sig) = parked_on {
-            // The dropped future may have been the single waiter a
-            // release-driven wake was handed to; drop its stale waker and
-            // re-broadcast so the wake is not lost with it.
             if let Some(q) = sync::lock(&self.task_wakers).get_mut(&sig) {
                 q.retain(|(t, _)| *t != task);
             }
             self.notify_signatures(&[sig]);
         }
-        self.update_task_route(task, |r| {
-            r.stale_shard = stale_shard_consumed(r.stale_shard, home);
-        });
+        self.update_task_route(task, |r| r.after_cancel(home));
     }
 
     /// The task analogue of [`before_release`](Self::before_release):
     /// releases in the owning shard and wakes every parked thread and task
     /// the engine says must be notified.
     pub fn task_release(&self, task: TaskId, lock: LockId) {
-        let owner = OwnerId::Task(task);
-        let home = self.router.shard_of(lock);
-        let holds = {
-            let mut cell = sync::lock(&self.shards[home]);
-            let ShardCell {
-                engine,
-                wake_scratch,
-                ..
-            } = &mut *cell;
-            engine.released_into(owner, lock, wake_scratch);
-            if !cell.wake_scratch.is_empty() {
-                self.notify_signatures_released(&cell.wake_scratch);
-            }
-            !cell.engine.rag().held_locks(owner).is_empty()
-        };
-        self.update_task_route(task, |r| {
-            r.holds_mask = holds_mask_with(r.holds_mask, home, holds);
-        });
+        let (home, holds) = self.release_locked(task.into(), lock);
+        self.update_task_route(task, |r| r.after_released(home, holds));
     }
 
     /// Unregisters a completed task, force-releasing anything it still
     /// holds on any shard (a guard leaked across task teardown).
     pub fn retire_task(&self, task: TaskId) {
-        let owner = OwnerId::Task(task);
-        let mut wake: Vec<SignatureId> = Vec::new();
-        {
-            let mut guards: Vec<MutexGuard<'_, ShardCell>> =
-                self.shards.iter().map(sync::lock).collect();
-            for g in guards.iter_mut() {
-                wake.extend(g.engine.unregister_owner(owner));
-            }
-            if !wake.is_empty() {
-                self.notify_signatures(&wake);
-            }
-        }
+        self.retire_locked(task.into());
         sync::lock(&self.task_routes).remove(&task);
     }
 }
@@ -1644,10 +1519,7 @@ mod tests {
 
     #[test]
     fn sharded_runtime_roundtrips_across_shards() {
-        let rt = DimmunixRuntime::with_options(RuntimeOptions {
-            shards: 8,
-            ..RuntimeOptions::default()
-        });
+        let rt = DimmunixRuntime::builder().shards(8).build();
         assert_eq!(rt.shard_count(), 8);
         // Nested acquisitions across several shards, then release in
         // reverse order; everything must balance.
@@ -1668,67 +1540,51 @@ mod tests {
 
     #[test]
     fn deadlock_policy_error_reports_would_deadlock() {
-        // Build the AB/BA deadlock with two OS threads synchronized by
-        // channels so the interleaving is deterministic.
-        use std::sync::mpsc;
+        // The AB/BA deadlock on two OS threads, one barrier wait per step so
+        // the interleaving is deterministic. Only the hooks are driven (no
+        // real lock blocks), so t1's request for B is approved and pending
+        // when t2's request for A closes the cycle.
         let rt = DimmunixRuntime::new();
-        let la = rt.allocate_lock();
-        let lb = rt.allocate_lock();
-
-        let (to_t2, from_t1) = mpsc::channel::<()>();
-        let (to_t1, from_t2) = mpsc::channel::<()>();
-
-        let rt1 = rt.clone();
-        let t1 = std::thread::spawn(move || {
-            rt1.before_acquire(la, AcquisitionSite::new("t1.outer", "rt.rs", 1))
-                .unwrap();
-            rt1.after_acquire(la);
-            to_t2.send(()).unwrap();
-            from_t2.recv().unwrap();
-            // B is held by t2; this request parks or errors only if a cycle
-            // forms; since t2 errors out first, just try and release.
-            let r = rt1.before_acquire(lb, AcquisitionSite::new("t1.inner", "rt.rs", 2));
-            if r.is_ok() {
-                rt1.after_acquire(lb);
-                rt1.before_release(lb);
-            }
-            rt1.before_release(la);
+        let (la, lb) = (rt.allocate_lock(), rt.allocate_lock());
+        let step = std::sync::Barrier::new(2);
+        let refusal = std::thread::scope(|s| {
+            s.spawn(|| {
+                rt.before_acquire(la, AcquisitionSite::new("t1.outer", "rt.rs", 1))
+                    .unwrap();
+                rt.after_acquire(la);
+                step.wait(); // t1 holds A
+                step.wait(); // t2 holds B
+                rt.before_acquire(lb, AcquisitionSite::new("t1.inner", "rt.rs", 2))
+                    .unwrap();
+                step.wait(); // t1 waits for B
+                step.wait(); // t2 was refused
+                rt.cancel_acquire(lb);
+                rt.before_release(la);
+            });
+            let t2 = s.spawn(|| {
+                step.wait();
+                rt.before_acquire(lb, AcquisitionSite::new("t2.outer", "rt.rs", 3))
+                    .unwrap();
+                rt.after_acquire(lb);
+                step.wait();
+                step.wait();
+                let r = rt.before_acquire(la, AcquisitionSite::new("t2.inner", "rt.rs", 4));
+                step.wait();
+                rt.before_release(lb);
+                r
+            });
+            t2.join().unwrap()
         });
-
-        let rt2 = rt.clone();
-        let t2 = std::thread::spawn(move || -> Result<(), LockError> {
-            from_t1.recv().unwrap();
-            rt2.before_acquire(lb, AcquisitionSite::new("t2.outer", "rt.rs", 3))?;
-            rt2.after_acquire(lb);
-            // t1 holds A and is (or will be) waiting for B: requesting A now
-            // closes the cycle.
-            std::thread::sleep(Duration::from_millis(50));
-            let r = rt2.before_acquire(la, AcquisitionSite::new("t2.inner", "rt.rs", 4));
-            to_t1.send(()).ok();
-            rt2.before_release(lb);
-            r
-        });
-
-        // t2 signals t1 only after its own attempt, so order the handshake:
-        // t1 waits for t2's token before requesting B. To avoid a real hang
-        // when the engine lets both proceed, t2 sends the token right after
-        // its attempt (above) — by then the cycle either formed or not.
-        // Deliver the token for t1 released by t2 above.
-        t1.join().unwrap();
-        let result = t2.join().unwrap();
-        // Exactly one of the two inner acquisitions must have been refused,
-        // and the signature must be in the history.
-        match result {
-            Err(LockError::WouldDeadlock { .. }) => {}
-            Ok(()) => {
-                // The schedule did not interleave adversarially this time;
-                // that is acceptable (no deadlock formed), but then no
-                // signature must have been recorded either.
+        match refusal {
+            Err(LockError::WouldDeadlock { lock, owner, .. }) => {
+                assert_eq!(lock, la);
+                assert!(matches!(owner, OwnerId::Thread(_)));
             }
+            Ok(()) => panic!("the request closing the cycle must be refused"),
         }
-        let history = rt.history();
-        let stats = rt.stats();
-        assert_eq!(stats.deadlocks_detected as usize, history.len());
+        // The signature is in the history.
+        assert_eq!(rt.history().len(), 1);
+        assert_eq!(rt.stats().deadlocks_detected, 1);
     }
 
     fn acquire_site_for_test(line: u32) -> AcquisitionSite {
@@ -1917,7 +1773,7 @@ mod tests {
     fn yield_parks_and_release_wakes() {
         // Train a runtime so that (siteA, siteB) is a known signature, then
         // check that a thread requesting at siteB parks while another holds
-        // siteA, and proceeds after the release.
+        // siteA, and proceeds only after the release.
         let site_a = AcquisitionSite::new("outerA", "park.rs", 1);
         let site_b = AcquisitionSite::new("outerB", "park.rs", 2);
         let sig = Signature::new(
@@ -1929,30 +1785,32 @@ mod tests {
         );
         let rt = DimmunixRuntime::new();
         rt.add_signature(sig);
-        let la = rt.allocate_lock();
-        let lb = rt.allocate_lock();
+        let (la, lb) = (rt.allocate_lock(), rt.allocate_lock());
 
         // Main thread holds A acquired at siteA.
         rt.before_acquire(la, site_a).unwrap();
         rt.after_acquire(la);
 
-        let rt2 = rt.clone();
-        let waiter = std::thread::spawn(move || {
-            let start = std::time::Instant::now();
-            rt2.before_acquire(lb, site_b).unwrap();
-            rt2.after_acquire(lb);
-            rt2.before_release(lb);
-            start.elapsed()
+        let releasing = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                rt.before_acquire(lb, site_b).unwrap();
+                let released_first = releasing.load(Ordering::SeqCst);
+                rt.after_acquire(lb);
+                rt.before_release(lb);
+                released_first
+            });
+            // The waiter parks inside `before_acquire`, so no rendezvous can
+            // mark the park; the yield counter ticks at the park decision.
+            while rt.stats().yields == 0 {
+                std::thread::yield_now();
+            }
+            releasing.store(true, Ordering::SeqCst);
+            rt.before_release(la);
+            assert!(
+                waiter.join().unwrap(),
+                "waiter must stay parked until the blocker releases"
+            );
         });
-
-        // Give the waiter time to park, then release A to wake it.
-        std::thread::sleep(Duration::from_millis(120));
-        assert!(rt.stats().yields >= 1, "waiter should have parked");
-        rt.before_release(la);
-        let waited = waiter.join().unwrap();
-        assert!(
-            waited >= Duration::from_millis(80),
-            "waiter should have been parked for a while, waited {waited:?}"
-        );
     }
 }

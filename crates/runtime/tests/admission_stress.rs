@@ -13,9 +13,7 @@
 //! by a release at quiescence, the parked pair really parks, and the clean
 //! sites really take the fast path.
 
-use dimmunix_core::{
-    CallStack, Config, Dimmunix, Frame, History, LockId, RequestOutcome, ThreadId,
-};
+use dimmunix_core::{CallStack, Dimmunix, Frame, History, LockId, RequestOutcome, ThreadId};
 use dimmunix_rt::{AcquisitionSite, DimmunixRuntime};
 use std::sync::{Arc, Barrier};
 use std::thread;
@@ -65,20 +63,9 @@ const CLEAN_ITERS: usize = 1500;
 /// Number of clean hammer threads.
 const CLEAN_THREADS: usize = 3;
 
-struct Totals {
-    yields: u64,
-    deadlocks: u64,
-    acquisitions: u64,
-    releases: u64,
-    fast_admits: u64,
-    published: u64,
-}
-
-/// Runs the mixed workload on a fresh runtime and returns the quiescent
-/// counters. `lock_free`: whether the no-engine admission path is enabled.
-fn run_workload(lock_free: bool) -> Totals {
+#[test]
+fn fast_admissions_race_parks_without_divergence() {
     let rt = DimmunixRuntime::builder()
-        .config(Config::builder().lock_free_admission(lock_free).build())
         .shards(4)
         .history(trained_history())
         .build();
@@ -184,48 +171,25 @@ fn run_workload(lock_free: bool) -> Totals {
 
     let stats = rt.stats();
     let summary = rt.admission_summary();
-    Totals {
-        yields: stats.yields,
-        deadlocks: stats.deadlocks_detected,
-        acquisitions: stats.acquisitions,
-        releases: stats.releases,
-        fast_admits: summary.fast_admits(),
-        published: summary.published(),
-    }
-}
-
-#[test]
-fn fast_admissions_race_parks_without_divergence() {
-    let t = run_workload(true);
     assert_eq!(
-        t.deadlocks, 0,
+        stats.deadlocks_detected, 0,
         "avoidance must keep the pattern deadlock-free"
     );
     assert_eq!(
-        t.acquisitions, t.releases,
+        stats.acquisitions, stats.releases,
         "every acquisition matched by a release at quiescence"
     );
     assert!(
-        t.yields >= HOT_ITERS as u64,
+        stats.yields >= HOT_ITERS as u64,
         "every hot iteration parks at least once (got {} yields)",
-        t.yields
+        stats.yields
     );
     assert!(
-        t.fast_admits > 0,
+        summary.fast_admits() > 0,
         "clean sites must take the no-engine fast path"
     );
     assert!(
-        t.published > 0,
+        summary.published() > 0,
         "the nesting thread must publish fast holds through the slow path"
     );
-}
-
-#[test]
-fn disabled_fast_path_keeps_the_same_invariants() {
-    let t = run_workload(false);
-    assert_eq!(t.deadlocks, 0);
-    assert_eq!(t.acquisitions, t.releases);
-    assert!(t.yields >= HOT_ITERS as u64);
-    assert_eq!(t.fast_admits, 0, "knob off: no lock-free admissions");
-    assert_eq!(t.published, 0);
 }

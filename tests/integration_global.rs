@@ -95,8 +95,7 @@ fn global_runtime_full_lifecycle_with_reset() {
     let defaulted = DimmunixRuntime::global();
     assert_eq!(
         defaulted.shard_count(),
-        1,
-        "default global is paper-faithful"
+        std::thread::available_parallelism().map_or(1, |n| n.get().min(dimmunix::core::MAX_SHARDS)),
     );
     assert!(
         RuntimeBuilder::new().install_global().is_err(),
