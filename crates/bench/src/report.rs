@@ -8,15 +8,14 @@
 //! fails the build when a gated figure regresses.
 //!
 //! The container this reproduction builds in has no registry access, so
-//! (as with the history codec in `dimmunix-core`) the JSON here is written
-//! and read by a few dozen lines of self-contained code instead of a serde
-//! dependency. The writer emits a flat-ish pretty-printed object; the
-//! reader in [`read_number`] only needs to find a numeric field by key,
-//! which is all the gate consumes.
+//! there is no serde: the writer here emits a flat-ish pretty-printed
+//! object (strings escaped by `dimmunix_core::json::write_escaped`), and
+//! [`read_number`] reads it back through `dimmunix_core::json::parse`, the
+//! workspace's one JSON reader.
 
 #![deny(missing_docs)]
 
-use dimmunix_core::json::write_escaped;
+use dimmunix_core::json::{self, write_escaped};
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
@@ -138,16 +137,10 @@ pub fn percentiles(samples: &[f64]) -> (f64, f64, f64) {
 }
 
 /// Reads the numeric value of a top-level `"key": <number>` field from a
-/// `BENCH_*.json` file written by [`write_bench_json`]. Only the syntax
-/// that writer produces is understood — sufficient for the CI gate.
+/// `BENCH_*.json` file written by [`write_bench_json`] — every figure the
+/// CI gate consumes is top-level.
 pub fn read_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let start = text.find(&needle)? + needle.len();
-    let rest = text[start..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+    json::parse(text).ok()?.get(key)?.as_f64()
 }
 
 #[cfg(test)]
@@ -164,8 +157,9 @@ mod tests {
         let text = report.render();
         assert_eq!(read_number(&text, "acceptance_ratio"), Some(1.0));
         assert_eq!(read_number(&text, "requests"), Some(42.0));
-        assert_eq!(read_number(&text, "p99_us"), Some(12.5));
         assert_eq!(read_number(&text, "missing"), None);
+        assert_eq!(read_number(&text, "bench"), None, "not a number");
+        assert_eq!(read_number(&text, "p99_us"), None, "nested, not top-level");
     }
 
     #[test]

@@ -10,13 +10,14 @@
 use crate::SiteId;
 use std::fmt;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// The FNV-1a offset basis: the state [`fnv1a`] folds start from.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Folds `bytes` into an FNV-1a state. FNV is used (rather than
 /// `DefaultHasher`) because site keys are *persisted* and exchanged between
 /// processes, so the hash must be stable across builds and platforms.
-pub(crate) fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+pub fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(FNV_PRIME);

@@ -56,25 +56,17 @@ pub struct Config {
     /// survive the reboot that follows a freeze. Disable to trade that
     /// durability for cheaper appends.
     pub log_sync: bool,
-    /// Maximum number of signatures retained in the in-memory history.
+    /// Maximum number of signatures retained in the in-memory history; at
+    /// this size a new antibody evicts generation-stale ones (see
+    /// [`eviction_window`](Config::eviction_window)).
     pub max_signatures: usize,
-    /// Capacity of the in-memory event log (0 disables event logging).
-    pub event_log_capacity: usize,
     /// Generation window for eviction at capacity: a live signature is
     /// eviction-eligible only if it matched nothing within this many
     /// snapshot epochs. Signatures matched more recently are never evicted
     /// (a soft overflow is preferred), so immunity against active bugs is
-    /// retained.
+    /// retained. Each retirement is recorded in
+    /// [`Stats::signatures_evicted`](crate::Stats).
     pub eviction_window: u64,
-    /// Paper-faithful capacity behaviour: when `true`, a full history
-    /// refuses new antibodies ([`DimmunixError::HistoryFull`] from the
-    /// fallible API, a silent refusal from the infallible one) instead of
-    /// evicting generation-stale ones. Default `false`: evict and record
-    /// the retirement in [`Stats::signatures_evicted`].
-    ///
-    /// [`DimmunixError::HistoryFull`]: crate::DimmunixError::HistoryFull
-    /// [`Stats::signatures_evicted`]: crate::Stats
-    pub refuse_at_capacity: bool,
     /// Records per history-log segment before appends roll to a fresh
     /// `<path>.segN` file (0 = unsegmented). Replay always walks whatever
     /// segment chain exists on disk regardless of this setting.
@@ -91,9 +83,7 @@ impl Default for Config {
             history_path: None,
             log_sync: true,
             max_signatures: DEFAULT_MAX_SIGNATURES,
-            event_log_capacity: 0,
             eviction_window: DEFAULT_EVICTION_WINDOW,
-            refuse_at_capacity: false,
             log_segment_records: DEFAULT_LOG_SEGMENT_RECORDS,
         }
     }
@@ -177,23 +167,10 @@ impl ConfigBuilder {
         self
     }
 
-    /// Sets the in-memory event log capacity (0 disables logging).
-    pub fn event_log_capacity(mut self, cap: usize) -> Self {
-        self.config.event_log_capacity = cap;
-        self
-    }
-
     /// Sets the generation window for eviction at capacity (epochs a
     /// signature may go unmatched before it becomes eviction-eligible).
     pub fn eviction_window(mut self, window: u64) -> Self {
         self.config.eviction_window = window;
-        self
-    }
-
-    /// Enables the paper-faithful refusal of new antibodies at capacity
-    /// instead of the default generation-based eviction.
-    pub fn refuse_at_capacity(mut self, refuse: bool) -> Self {
-        self.config.refuse_at_capacity = refuse;
         self
     }
 
@@ -224,10 +201,6 @@ mod tests {
         assert!(cfg.history_path.is_none());
         assert!(cfg.log_sync);
         assert_eq!(cfg.eviction_window, DEFAULT_EVICTION_WINDOW);
-        assert!(
-            !cfg.refuse_at_capacity,
-            "default evicts, paper flag opts in"
-        );
         assert_eq!(cfg.log_segment_records, DEFAULT_LOG_SEGMENT_RECORDS);
     }
 
@@ -241,19 +214,15 @@ mod tests {
             .history_path("/tmp/h.dimmu")
             .log_sync(false)
             .max_signatures(12)
-            .event_log_capacity(128)
             .eviction_window(4)
-            .refuse_at_capacity(true)
             .log_segment_records(64)
             .build();
         assert_eq!(cfg.stack_depth, 3);
         assert!(cfg.is_disabled());
         assert_eq!(cfg.max_signatures, 12);
-        assert_eq!(cfg.event_log_capacity, 128);
         assert!(cfg.history_path.is_some());
         assert!(!cfg.log_sync);
         assert_eq!(cfg.eviction_window, 4);
-        assert!(cfg.refuse_at_capacity);
         assert_eq!(cfg.log_segment_records, 64);
     }
 

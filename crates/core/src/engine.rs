@@ -21,7 +21,6 @@ use crate::callstack::CallStack;
 use crate::config::Config;
 use crate::detection::{classify_cycle, last_history_hold};
 use crate::error::{DimmunixError, Result};
-use crate::events::{EventKind, EventLog};
 use crate::history::{History, HistoryLog, RecoveryReport};
 use crate::position::{PositionId, PositionTable};
 use crate::rag::{AccessMode, Rag, YieldRecord};
@@ -108,7 +107,6 @@ pub struct Dimmunix {
     /// [`install_snapshot`](Dimmunix::install_snapshot).
     linked_outers: usize,
     stats: Stats,
-    events: EventLog,
     clock: LogicalTime,
     pending_wakeups: Vec<SignatureId>,
     /// Shared lock-free admission summary, attached by concurrent substrates
@@ -197,7 +195,6 @@ impl Dimmunix {
             linked_outers: snapshot.outer_len(),
             snapshot,
             stats: Stats::new(),
-            events: EventLog::new(config.event_log_capacity),
             clock: LogicalTime::ZERO,
             pending_wakeups: Vec::new(),
             admission: None,
@@ -247,7 +244,7 @@ impl Dimmunix {
     /// at or above it is a later addition to unlink.
     ///
     /// Everything run-scoped is cleared — RAG, position queues, stats,
-    /// events, logical clock, pending wake-ups — while the position table
+    /// logical clock, pending wake-ups — while the position table
     /// itself survives, with `history_ref` links pruned back to `base`'s
     /// outer table.
     pub fn reset_to_snapshot(&mut self, base: &Arc<HistorySnapshot>) {
@@ -266,7 +263,6 @@ impl Dimmunix {
         self.rag.clear();
         self.pending_wakeups.clear();
         self.stats = Stats::new();
-        self.events = EventLog::new(self.config.event_log_capacity);
         self.clock = LogicalTime::ZERO;
         let cutoff = base.outer_len();
         for p in self.positions.iter_mut() {
@@ -335,11 +331,6 @@ impl Dimmunix {
     /// [`Position::history_ref`](crate::Position::history_ref).
     pub fn signature_index(&self) -> &SignatureIndex {
         self.snapshot.index()
-    }
-
-    /// The event log (empty unless enabled in the configuration).
-    pub fn events(&self) -> &EventLog {
-        &self.events
     }
 
     /// Current logical time.
@@ -440,27 +431,11 @@ impl Dimmunix {
 
     /// Adds a signature directly to the history (vendor-shipped antibodies or
     /// synthetic signatures for the §5 microbenchmark). Returns its id and
-    /// whether it was new. At capacity the default configuration evicts
-    /// generation-stale antibodies; under
-    /// [`refuse_at_capacity`](crate::Config::refuse_at_capacity) a full
-    /// history silently refuses — use
-    /// [`try_add_signature`](Dimmunix::try_add_signature) to observe the
-    /// refusal as a structured error.
+    /// whether it was new. At `max_signatures` generation-stale antibodies
+    /// are evicted to make room, each retirement recorded in
+    /// [`Stats::signatures_evicted`](crate::Stats).
     pub fn add_signature(&mut self, sig: Signature) -> (SignatureId, bool) {
         self.insert_signature(sig)
-    }
-
-    /// Fallible variant of [`add_signature`](Dimmunix::add_signature).
-    ///
-    /// # Errors
-    /// Returns [`DimmunixError::HistoryFull`] when the history is at
-    /// `max_signatures` and the configuration sets
-    /// [`refuse_at_capacity`](crate::Config::refuse_at_capacity) (the
-    /// paper-faithful refusal). The default configuration never errors: it
-    /// evicts generation-stale antibodies instead, recording each
-    /// retirement in [`Stats::signatures_evicted`](crate::Stats).
-    pub fn try_add_signature(&mut self, sig: Signature) -> Result<(SignatureId, bool)> {
-        self.try_insert_signature(sig)
     }
 
     // ------------------------------------------------------------------
@@ -532,14 +507,6 @@ impl Dimmunix {
         let t = t.into();
         self.clock = self.clock.next();
         self.stats.requests += 1;
-        self.events.push(
-            self.clock,
-            EventKind::Request {
-                thread: t,
-                lock: l,
-                position: pos,
-            },
-        );
 
         if self.config.is_disabled() {
             self.stats.grants += 1;
@@ -558,8 +525,6 @@ impl Dimmunix {
         // `std::sync::RwLock`).
         if self.rag.owns(l, t) {
             self.stats.reentrant_grants += 1;
-            self.events
-                .push(self.clock, EventKind::ReentrantGrant { thread: t, lock: l });
             return RequestOutcome::GrantedReentrant;
         }
 
@@ -577,26 +542,12 @@ impl Dimmunix {
                     if new {
                         self.stats.new_starvation_signatures += 1;
                     }
-                    self.events.push(
-                        self.clock,
-                        EventKind::StarvationDetected {
-                            thread: t,
-                            signature: sig_id,
-                            new_signature: new,
-                        },
-                    );
                     // Resume every parked participant (§2.2): clear its yield
                     // and schedule a wake-up of its signature.
                     for th in &detected.owners {
                         if let Some(y) = self.clear_yield_tracked(*th) {
                             self.pending_wakeups.push(y.signature);
                             self.stats.wakeups += 1;
-                            self.events.push(
-                                self.clock,
-                                EventKind::Wakeup {
-                                    signature: y.signature,
-                                },
-                            );
                         }
                     }
                     // Fall through: the requester itself is then treated by
@@ -606,14 +557,6 @@ impl Dimmunix {
                     if new {
                         self.stats.new_deadlock_signatures += 1;
                     }
-                    self.events.push(
-                        self.clock,
-                        EventKind::DeadlockDetected {
-                            thread: t,
-                            signature: sig_id,
-                            new_signature: new,
-                        },
-                    );
                     return RequestOutcome::DeadlockDetected {
                         signature: sig_id,
                         new_signature: new,
@@ -646,19 +589,11 @@ impl Dimmunix {
                     // the avoidance-induced deadlock and let the thread
                     // proceed instead (§2.2).
                     let sig = self.starvation_signature(t, pos, &inst.blockers);
-                    let (s_id, new) = self.insert_signature(sig);
+                    let (_, new) = self.insert_signature(sig);
                     self.stats.starvations_detected += 1;
                     if new {
                         self.stats.new_starvation_signatures += 1;
                     }
-                    self.events.push(
-                        self.clock,
-                        EventKind::StarvationDetected {
-                            thread: t,
-                            signature: s_id,
-                            new_signature: new,
-                        },
-                    );
                     park = false;
                 }
                 if park {
@@ -670,14 +605,6 @@ impl Dimmunix {
                             position: pos,
                             lock: l,
                             blockers: inst.blockers,
-                        },
-                    );
-                    self.events.push(
-                        self.clock,
-                        EventKind::Yield {
-                            thread: t,
-                            lock: l,
-                            signature: inst.signature,
                         },
                     );
                     return RequestOutcome::Yield {
@@ -693,8 +620,6 @@ impl Dimmunix {
             p.queue_mut().push(t);
         }
         self.rag.set_pending_grant(t, l, pos, mode);
-        self.events
-            .push(self.clock, EventKind::Grant { thread: t, lock: l });
         RequestOutcome::Granted
     }
 
@@ -722,8 +647,6 @@ impl Dimmunix {
             // `acquisitions - nested_reentries == releases` at quiescence.
             self.stats.nested_reentries += 1;
             self.rag.acquire_recursive(t, l);
-            self.events
-                .push(self.clock, EventKind::Acquired { thread: t, lock: l });
             return;
         }
         // The access mode travels with the grant, so shared and exclusive
@@ -742,8 +665,6 @@ impl Dimmunix {
             }
         };
         self.rag.acquire_mode_with_seq(t, l, pos, mode, seq);
-        self.events
-            .push(self.clock, EventKind::Acquired { thread: t, lock: l });
     }
 
     /// Called right before the monitor is released (including the implicit
@@ -776,8 +697,6 @@ impl Dimmunix {
         let Some(pos) = self.rag.release(t, l) else {
             // Nested monitor exit, or a release the engine never saw the
             // acquisition of; nothing to wake.
-            self.events
-                .push(self.clock, EventKind::Released { thread: t, lock: l });
             return;
         };
         self.stats.releases += 1;
@@ -795,14 +714,8 @@ impl Dimmunix {
         if let Some(p) = self.positions.get_mut(pos) {
             p.queue_mut().remove_one(t);
         }
-        self.events
-            .push(self.clock, EventKind::Released { thread: t, lock: l });
         self.extend_wakeups_for_position(pos, wake);
-        for sig in wake.iter() {
-            self.stats.wakeups += 1;
-            self.events
-                .push(self.clock, EventKind::Wakeup { signature: *sig });
-        }
+        self.stats.wakeups += wake.len() as u64;
     }
 
     /// Abandons a granted-but-never-completed acquisition (e.g. the substrate
@@ -846,14 +759,6 @@ impl Dimmunix {
         let pos = self.intern_linked(stack);
         self.clock = self.clock.next();
         self.stats.requests += 1;
-        self.events.push(
-            self.clock,
-            EventKind::Request {
-                thread: t,
-                lock: l,
-                position: pos,
-            },
-        );
         self.stats.grants += 1;
         self.rag.register_owner(t);
         self.rag.register_lock(l);
@@ -863,8 +768,6 @@ impl Dimmunix {
             }
         }
         self.rag.set_pending_grant(t, l, pos, mode);
-        self.events
-            .push(self.clock, EventKind::Grant { thread: t, lock: l });
         self.acquired_with_seq(t, l, seq);
     }
 
@@ -886,7 +789,7 @@ impl Dimmunix {
     pub fn save_history(&self) -> Result<()> {
         match self.log() {
             Some(log) => log.rewrite(self.snapshot.history()),
-            None => Err(crate::error::DimmunixError::ProtocolViolation(
+            None => Err(DimmunixError::ProtocolViolation(
                 "no history path configured".into(),
             )),
         }
@@ -938,11 +841,6 @@ impl Dimmunix {
     /// Advances the logical clock by one tick (one tick per hook call).
     pub(crate) fn tick(&mut self) {
         self.clock = self.clock.next();
-    }
-
-    /// Records an event at the current logical time.
-    pub(crate) fn push_event(&mut self, kind: EventKind) {
-        self.events.push(self.clock, kind);
     }
 
     /// Schedules a wake-up to be drained by [`take_pending_wakeups`].
@@ -1017,66 +915,32 @@ impl Dimmunix {
     /// resulting snapshot on the others, so the log is appended exactly
     /// once per new signature.
     ///
-    /// Infallible wrapper over [`try_add_signature`]: under the
-    /// paper-faithful `refuse_at_capacity` flag a full history degrades to
-    /// the historical refusal tuple (last live id, `false`) instead of an
-    /// error.
-    ///
-    /// [`try_add_signature`]: Dimmunix::try_add_signature
+    /// A duplicate of a live signature returns its existing id (and
+    /// refreshes its eviction generation). At `max_signatures`,
+    /// generation-stale antibodies (never matched within `eviction_window`
+    /// epochs) are retired to make room — recorded in
+    /// [`Stats::signatures_evicted`] — and a soft overflow is tolerated
+    /// when every live antibody is recent.
     pub(crate) fn insert_signature(&mut self, sig: Signature) -> (SignatureId, bool) {
-        match self.try_insert_signature(sig) {
-            Ok(result) => result,
-            Err(_) => (
-                SignatureId::new(self.snapshot.history().total_slots().saturating_sub(1)),
-                false,
-            ),
-        }
-    }
-
-    /// Fallible signature insertion. A duplicate of a live signature
-    /// returns its existing id (and refreshes its eviction generation). At
-    /// `max_signatures`, the default configuration retires
-    /// generation-stale antibodies (never matched within
-    /// `eviction_window` epochs) to make room — recorded in
-    /// [`Stats::signatures_evicted`] — and tolerates a soft overflow when
-    /// every live antibody is recent; with
-    /// [`refuse_at_capacity`](crate::Config::refuse_at_capacity) set, it
-    /// refuses instead with [`DimmunixError::HistoryFull`], the
-    /// paper-faithful behaviour.
-    ///
-    /// # Errors
-    /// [`DimmunixError::HistoryFull`] only, and only under
-    /// `refuse_at_capacity`.
-    pub(crate) fn try_insert_signature(&mut self, sig: Signature) -> Result<(SignatureId, bool)> {
         if let Some(existing) = self.snapshot.history().find(&sig) {
             self.snapshot.note_matched(existing);
-            return Ok((existing, false));
+            return (existing, false);
         }
-        if self.snapshot.len() >= self.config.max_signatures {
-            if self.config.refuse_at_capacity {
-                // Paper-faithful: old antibodies are proven bugs; new ones
-                // can be re-learned on the next occurrence.
-                self.stats.history_full_refusals += 1;
-                return Err(DimmunixError::HistoryFull {
-                    capacity: self.config.max_signatures,
-                });
-            }
-            while self.snapshot.len() >= self.config.max_signatures {
-                let Some(victim) = self
-                    .snapshot
-                    .eviction_candidate(self.config.eviction_window)
-                else {
-                    // Every live antibody matched within the window; evicting
-                    // one would break eviction soundness, so overflow softly.
-                    break;
-                };
-                let evicted = self.snapshot.evict(victim).expect("candidate is live");
-                self.install_snapshot(evicted);
-                self.stats.signatures_evicted += 1;
-                // Owners parked on the retired signature must re-request:
-                // the pattern they were held back from no longer exists.
-                self.pending_wakeups.push(victim);
-            }
+        while self.snapshot.len() >= self.config.max_signatures {
+            let Some(victim) = self
+                .snapshot
+                .eviction_candidate(self.config.eviction_window)
+            else {
+                // Every live antibody matched within the window; evicting
+                // one would break eviction soundness, so overflow softly.
+                break;
+            };
+            let evicted = self.snapshot.evict(victim).expect("candidate is live");
+            self.install_snapshot(evicted);
+            self.stats.signatures_evicted += 1;
+            // Owners parked on the retired signature must re-request:
+            // the pattern they were held back from no longer exists.
+            self.pending_wakeups.push(victim);
         }
         let (snapshot, id, new) = self.snapshot.append(sig);
         debug_assert!(new, "duplicates returned early above");
@@ -1089,7 +953,7 @@ impl Dimmunix {
             }
             self.install_snapshot(snapshot);
         }
-        Ok((id, new))
+        (id, new)
     }
 
     /// True if parking `t` (with the given blockers) would close a wait-for

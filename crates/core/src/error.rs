@@ -24,14 +24,6 @@ pub enum DimmunixError {
         /// Human-readable description of the problem.
         message: String,
     },
-    /// The in-memory history is at `max_signatures` and the configuration
-    /// sets the paper-faithful `refuse_at_capacity` flag, so the new
-    /// antibody was refused (the default configuration evicts
-    /// generation-stale antibodies instead and never produces this error).
-    HistoryFull {
-        /// The configured `max_signatures` bound that was hit.
-        capacity: usize,
-    },
 }
 
 impl fmt::Display for DimmunixError {
@@ -44,12 +36,6 @@ impl fmt::Display for DimmunixError {
             DimmunixError::Io(e) => write!(f, "history i/o error: {e}"),
             DimmunixError::Parse { line, message } => {
                 write!(f, "history parse error at line {line}: {message}")
-            }
-            DimmunixError::HistoryFull { capacity } => {
-                write!(
-                    f,
-                    "history full: {capacity} signature(s) at capacity and refusal is configured"
-                )
             }
         }
     }
@@ -89,7 +75,6 @@ mod tests {
                 line: 4,
                 message: "bad token".into(),
             },
-            DimmunixError::HistoryFull { capacity: 5 },
         ];
         for c in cases {
             let msg = c.to_string();

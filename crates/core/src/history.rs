@@ -5,18 +5,19 @@
 //! across process restarts — on the phone, across reboots — which is what
 //! turns a one-time hang into permanent immunity (§2.1, §5 case study).
 //!
-//! Three codecs are provided:
-//! * a line-oriented text format close in spirit to the original Dimmunix
-//!   history files,
-//! * a self-contained JSON format convenient for tooling (hand-rolled: the
-//!   build environment has no crates.io access, so `serde` is unavailable),
-//!   and
-//! * an **append-only log** ([`HistoryLog`]): one self-delimiting JSON
-//!   record per detected signature, appended as the engine runs and
-//!   replayed at start-up. Appending a ~200-byte record is what a detection
-//!   costs on disk, instead of rewriting the whole store; a crash can at
-//!   worst leave a partial final record, which replay detects and
-//!   [`recover`](HistoryLog::recover) truncates away.
+//! A signature has **one** serialised form, the fingerprinted single-line
+//! JSON record of [`signature_to_log_record`]; [`signature_from_json_value`]
+//! is its only decoder. Every surface is that record:
+//! * the **append-only log** ([`HistoryLog`]): one record per detected
+//!   signature, appended as the engine runs and replayed at start-up.
+//!   Appending a ~200-byte record is what a detection costs on disk,
+//!   instead of rewriting the whole store; a crash can at worst leave a
+//!   partial final record, which replay detects and
+//!   [`recover`](HistoryLog::recover) truncates away;
+//! * the **text dump** ([`History::to_text`] / [`History::from_text`]): one
+//!   record per line, so a dump is byte-for-byte a valid log segment, read
+//!   back strictly (no torn tail is tolerated);
+//! * the entries of a `dimmunix-exchange` antibody pack.
 //!
 //! Position-indexed queries over the history (the avoidance and release hot
 //! paths) live in [`SignatureIndex`](crate::SignatureIndex), which lives
@@ -266,20 +267,6 @@ impl History {
             .map(|(i, s)| (SignatureId::new(i), &*s.sig))
     }
 
-    /// Ids of signatures whose outer stacks include `stack`. Used on the
-    /// release path: when a lock acquired at a history position is released,
-    /// every thread parked on a signature containing that position must be
-    /// woken (§4).
-    pub fn signatures_with_outer(&self, stack: &CallStack) -> Vec<SignatureId> {
-        // Cold path: the engine answers this query from its position-keyed
-        // `SignatureIndex`; this stack-keyed form exists for tooling and
-        // substrates that hold a bare history.
-        self.iter()
-            .filter(|(_, s)| s.outer_stacks().any(|o| o == stack))
-            .map(|(id, _)| id)
-            .collect()
-    }
-
     /// Merges another history into this one, deduplicating; returns the
     /// number of newly added signatures. Useful when a vendor ships
     /// pre-seeded antibodies with an application update.
@@ -324,185 +311,50 @@ impl History {
     }
 
     // ------------------------------------------------------------------
-    // Text codec
+    // Record codec: text dump and log replay
     // ------------------------------------------------------------------
 
-    /// Serializes the history into the line-oriented text format.
-    ///
-    /// Format, one signature per block:
-    /// ```text
-    /// #sig <kind> <arity>
-    /// <outer compact stack>
-    /// <inner compact stack>
-    /// ...
-    /// ```
+    /// Serializes the history as one [`signature_to_log_record`] line per
+    /// live signature, in id order. The dump is byte-for-byte a valid
+    /// [`HistoryLog`] segment.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
         for (_, sig) in self.iter() {
-            let kind = match sig.kind() {
-                SignatureKind::Deadlock => "deadlock",
-                SignatureKind::Starvation => "starvation",
-            };
-            out.push_str(&format!("#sig {kind} {}\n", sig.arity()));
-            for pair in sig.pairs() {
-                out.push_str(&pair.outer.to_compact());
-                out.push('\n');
-                out.push_str(&pair.inner.to_compact());
-                out.push('\n');
-            }
+            out.push_str(&signature_to_log_record(sig));
+            out.push('\n');
         }
         out
     }
 
-    /// Parses the text format produced by [`to_text`].
+    /// Parses a dump produced by [`to_text`]: the strict variant of
+    /// [`replay_log_text`], for text that is not a live log — every
+    /// non-empty line must be a complete, newline-terminated record.
     ///
     /// ```
     /// use dimmunix_core::History;
-    /// let text = "\
-    /// #sig deadlock 2
-    /// Nms.enqueue@nms.java:310
-    /// Nms.cancel@nms.java:402
-    /// SbS.handleMessage@sbs.java:120
-    /// SbS.expand@sbs.java:88
-    /// ";
+    /// let text = concat!(
+    ///     r#"{"kind": "deadlock", "pairs": ["#,
+    ///     r#"{"outer": "Nms.enqueue@nms.java:310", "inner": "Nms.cancel@nms.java:402"}, "#,
+    ///     r#"{"outer": "SbS.handleMessage@sbs.java:120", "inner": "SbS.expand@sbs.java:88"}"#,
+    ///     r#"], "fp": "413f80c380492393"}"#,
+    ///     "\n",
+    /// );
     /// let history = History::from_text(text)?;
     /// assert_eq!(history.len(), 1);
-    /// assert_eq!(History::from_text(&history.to_text())?.len(), 1);
+    /// assert_eq!(history.to_text(), text);
+    /// // Without its terminating newline the record is not complete.
+    /// assert!(History::from_text(text.trim_end()).is_err());
     /// # Ok::<(), dimmunix_core::DimmunixError>(())
     /// ```
     ///
     /// # Errors
-    /// Returns [`DimmunixError::Parse`] for malformed input.
+    /// Returns [`DimmunixError::Parse`] for any malformed or unterminated
+    /// line.
     ///
     /// [`to_text`]: History::to_text
+    /// [`replay_log_text`]: History::replay_log_text
     pub fn from_text(text: &str) -> Result<History> {
-        let mut history = History::new();
-        let lines: Vec<&str> = text.lines().collect();
-        let mut i = 0;
-        while i < lines.len() {
-            let line = lines[i].trim();
-            if line.is_empty() {
-                i += 1;
-                continue;
-            }
-            let rest = line.strip_prefix("#sig ").ok_or(DimmunixError::Parse {
-                line: i + 1,
-                message: format!("expected `#sig`, found `{line}`"),
-            })?;
-            let mut parts = rest.split_whitespace();
-            let kind = match parts.next() {
-                Some("deadlock") => SignatureKind::Deadlock,
-                Some("starvation") => SignatureKind::Starvation,
-                other => {
-                    return Err(DimmunixError::Parse {
-                        line: i + 1,
-                        message: format!("unknown signature kind {other:?}"),
-                    })
-                }
-            };
-            let arity: usize =
-                parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or(DimmunixError::Parse {
-                        line: i + 1,
-                        message: "missing or invalid arity".into(),
-                    })?;
-            i += 1;
-            let mut pairs = Vec::with_capacity(arity);
-            for _ in 0..arity {
-                if i >= lines.len() {
-                    return Err(DimmunixError::Parse {
-                        line: i,
-                        message: "truncated signature block".into(),
-                    });
-                }
-                let outer_line = lines.get(i).ok_or(DimmunixError::Parse {
-                    line: i,
-                    message: "missing outer stack line".into(),
-                })?;
-                let inner_line = lines.get(i + 1).ok_or(DimmunixError::Parse {
-                    line: i + 1,
-                    message: "missing inner stack line".into(),
-                })?;
-                let outer =
-                    CallStack::parse_compact(outer_line).map_err(|m| DimmunixError::Parse {
-                        line: i + 1,
-                        message: m,
-                    })?;
-                let inner =
-                    CallStack::parse_compact(inner_line).map_err(|m| DimmunixError::Parse {
-                        line: i + 2,
-                        message: m,
-                    })?;
-                pairs.push(SignaturePair::new(outer, inner));
-                i += 2;
-            }
-            history.add(Signature::new(kind, pairs));
-        }
-        Ok(history)
-    }
-
-    /// Serializes the history as pretty JSON. Stacks are encoded in the same
-    /// compact `method@file:line;…` form the text codec uses, so the two
-    /// codecs share one stack grammar.
-    ///
-    /// # Errors
-    /// Never fails; the signature is kept for API stability.
-    pub fn to_json(&self) -> Result<String> {
-        let mut out = String::from("{\n  \"signatures\": [");
-        for (i, (_, sig)) in self.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\n      \"kind\": ");
-            json::write_escaped(&mut out, &sig.kind().to_string());
-            out.push_str(",\n      \"pairs\": [");
-            for (j, pair) in sig.pairs().iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str("\n        {\"outer\": ");
-                json::write_escaped(&mut out, &pair.outer.to_compact());
-                out.push_str(", \"inner\": ");
-                json::write_escaped(&mut out, &pair.inner.to_compact());
-                out.push('}');
-            }
-            out.push_str("\n      ]\n    }");
-        }
-        out.push_str("\n  ]\n}");
-        Ok(out)
-    }
-
-    /// Parses a JSON history produced by [`to_json`](History::to_json).
-    ///
-    /// ```
-    /// use dimmunix_core::History;
-    /// let json = r#"{"signatures": [{"kind": "deadlock", "pairs": [
-    ///     {"outer": "a@a.rs:1", "inner": "b@b.rs:2"},
-    ///     {"outer": "c@c.rs:3", "inner": "d@d.rs:4"}
-    /// ]}]}"#;
-    /// let history = History::from_json(json)?;
-    /// assert_eq!(history.len(), 1);
-    /// let roundtrip = History::from_json(&history.to_json()?)?;
-    /// assert_eq!(roundtrip.len(), 1);
-    /// # Ok::<(), dimmunix_core::DimmunixError>(())
-    /// ```
-    ///
-    /// # Errors
-    /// Returns a parse error for malformed JSON.
-    pub fn from_json(text: &str) -> Result<History> {
-        let parse_err = |message: String| DimmunixError::Parse { line: 0, message };
-        let doc = json::parse(text).map_err(|e| parse_err(format!("json decode: {e}")))?;
-        let sigs = doc
-            .get("signatures")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| parse_err("missing `signatures` array".into()))?;
-        let mut history = History::new();
-        for sig in sigs {
-            history.add(signature_from_json_value(sig)?);
-        }
-        Ok(history)
+        Ok(Self::decode_records(text, false)?.history)
     }
 
     /// Replays an append-only signature log (the format written by
@@ -516,8 +368,8 @@ impl History {
     /// ```
     /// use dimmunix_core::History;
     /// let log = concat!(
-    ///     r#"{"kind": "deadlock", "pairs": [{"outer": "a@a.rs:1", "inner": "b@b.rs:2"},"#,
-    ///     r#" {"outer": "c@c.rs:3", "inner": "d@d.rs:4"}]}"#,
+    ///     r#"{"kind": "deadlock", "pairs": [{"outer": "a@a.rs:1", "inner": "b@b.rs:2"}],"#,
+    ///     r#" "fp": "5171ef7fde149826"}"#,
     ///     "\n",
     ///     r#"{"kind": "starva"#, // the crash ate the rest of this record
     /// );
@@ -531,30 +383,28 @@ impl History {
     /// # Errors
     /// Returns [`DimmunixError::Parse`] for a malformed non-tail record.
     pub fn replay_log_text(text: &str) -> Result<LogReplay> {
-        let mut history = History::new();
-        let mut records = 0usize;
-        let mut truncated_tail = false;
-        let mut valid_len = 0usize;
+        Self::decode_records(text, true)
+    }
 
-        // Lines with their byte offsets, so the valid prefix length can be
-        // reported for tail repair.
-        let mut offset = 0usize;
-        let mut lines: Vec<(usize, usize, &str)> = Vec::new(); // (line_no, offset, line)
-        for (line_no, line) in text.split_inclusive('\n').enumerate() {
-            lines.push((line_no + 1, offset, line));
-            offset += line.len();
-        }
-        let last_content = lines
-            .iter()
-            .rposition(|(_, _, l)| !l.trim().is_empty())
-            .unwrap_or(0);
-
-        for (i, (line_no, start, line)) in lines.iter().enumerate() {
+    /// The one record-stream reader. `torn_tail_ok` is the only difference
+    /// between a live log (an interrupted append may have left a partial
+    /// final record) and a dump (which must be whole).
+    fn decode_records(text: &str, torn_tail_ok: bool) -> Result<LogReplay> {
+        let mut replay = LogReplay::default();
+        // Byte offset of the end of the current line, so the valid prefix
+        // length can be reported for tail repair.
+        let mut end = 0usize;
+        for (i, line) in text.split_inclusive('\n').enumerate() {
+            end += line.len();
             let trimmed = line.trim();
             if trimmed.is_empty() {
-                valid_len = start + line.len();
+                replay.valid_len = end;
                 continue;
             }
+            let corrupt = |message: String| DimmunixError::Parse {
+                line: i + 1,
+                message: format!("corrupt record: {message}"),
+            };
             match signature_from_log_record(trimmed) {
                 // A record is committed once its terminating newline is on
                 // disk (appends write record + newline in one call). A
@@ -562,40 +412,28 @@ impl History {
                 // exactly like a partial one, so replay and tail repair
                 // always agree on the committed prefix.
                 Ok(sig) if line.ends_with('\n') => {
-                    history.add(sig);
-                    records += 1;
-                    valid_len = start + line.len();
+                    replay.history.add(sig);
+                    replay.records += 1;
+                    replay.valid_len = end;
                 }
-                Ok(_) => {
-                    truncated_tail = true;
-                }
-                Err(e) if i == last_content => {
-                    // Partial final record: the append was interrupted.
-                    let _ = e;
-                    truncated_tail = true;
+                Ok(_) if torn_tail_ok => replay.truncated_tail = true,
+                Ok(_) => return Err(corrupt("unterminated final record".into())),
+                // Partial final record (nothing but blank space follows):
+                // the append was interrupted.
+                Err(_) if torn_tail_ok && text[end..].trim().is_empty() => {
+                    replay.truncated_tail = true;
                     break;
                 }
-                Err(e) => {
-                    return Err(DimmunixError::Parse {
-                        line: *line_no,
-                        message: format!("corrupt log record: {e}"),
-                    })
-                }
+                Err(e) => return Err(corrupt(e.to_string())),
             }
         }
-
-        Ok(LogReplay {
-            history,
-            records,
-            truncated_tail,
-            valid_len,
-        })
+        Ok(replay)
     }
 }
 
 /// Outcome of replaying an append-only signature log (see
 /// [`History::replay_log_text`] and [`HistoryLog::replay`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LogReplay {
     /// The signatures reconstructed from the well-formed prefix of the log
     /// (duplicates are merged, exactly as live detections are).
@@ -665,20 +503,20 @@ impl std::fmt::Display for RecoveryReport {
     }
 }
 
-/// Encodes one signature as a single-line, self-delimiting JSON log record.
+/// Encodes one signature as a single-line, self-delimiting JSON record —
+/// the only serialised form of a signature.
 ///
-/// The record is the element format of [`History::to_json`]'s `signatures`
-/// array, flattened to one line — JSON strings escape raw newlines, so a
-/// newline always terminates a record and the log is self-delimiting.
+/// `{"kind": …, "pairs": [{"outer": …, "inner": …}, …], "fp": …}` on one
+/// line: JSON strings escape raw newlines, so a newline always terminates a
+/// record and a stream of records is self-delimiting. Stacks use the
+/// compact `method@file:line;…` form.
 ///
-/// Since the exchange layer exists, each record also carries the
-/// signature's stable content fingerprint
-/// ([`Signature::stable_fingerprint`]) as an `fp` field: 16 lowercase hex
-/// digits derived from normalized site keys, not absolute lines. Legacy
-/// records without the field replay unchanged (the fingerprint is a pure
-/// function of the stacks and is recomputed); a record *with* the field
-/// must agree with the recomputation, which makes a tampered or bit-rotted
-/// record detectable instead of silently importing a wrong antibody.
+/// `fp` is the signature's stable content fingerprint
+/// ([`Signature::stable_fingerprint`]): 16 lowercase hex digits derived
+/// from normalized site keys, not absolute lines. The decoder requires it
+/// and checks it against a recomputation from the stacks, which makes a
+/// tampered or bit-rotted record detectable instead of silently importing a
+/// wrong antibody.
 pub fn signature_to_log_record(sig: &Signature) -> String {
     let mut out = String::from("{\"kind\": ");
     json::write_escaped(&mut out, &sig.kind().to_string());
@@ -709,13 +547,14 @@ pub fn signature_from_log_record(line: &str) -> Result<Signature> {
     signature_from_json_value(&value)
 }
 
-/// Decodes one signature object (`{"kind": …, "pairs": […]}`), shared by the
-/// JSON history codec, the log record codec, and the antibody-pack codec in
-/// `dimmunix-exchange`.
+/// Decodes one signature object (`{"kind": …, "pairs": […], "fp": …}`) —
+/// the only signature decoder, shared by the log, the text dump, and the
+/// antibody-pack codec in `dimmunix-exchange`.
 ///
 /// # Errors
-/// Returns [`DimmunixError::Parse`] for malformed objects or records whose
-/// declared `fp` disagrees with the recomputed fingerprint.
+/// Returns [`DimmunixError::Parse`] for malformed objects, records without
+/// an `fp` member, and records whose declared `fp` disagrees with the
+/// recomputed fingerprint.
 pub fn signature_from_json_value(sig: &JsonValue) -> Result<Signature> {
     let parse_err = |message: String| DimmunixError::Parse { line: 0, message };
     let kind = match sig.get("kind").and_then(JsonValue::as_str) {
@@ -739,19 +578,21 @@ pub fn signature_from_json_value(sig: &JsonValue) -> Result<Signature> {
         pairs.push(SignaturePair::new(stack("outer")?, stack("inner")?));
     }
     let parsed = Signature::new(kind, pairs);
-    // Optional stable-fingerprint field (absent in legacy records): when
-    // present it must match the recomputation from the stacks, so a record
-    // whose content and declared identity disagree is rejected as corrupt
-    // rather than replayed into the history.
-    if let Some(declared) = sig.get("fp").and_then(JsonValue::as_str) {
-        let declared = u64::from_str_radix(declared, 16)
-            .map_err(|_| parse_err("non-hex `fp` field".into()))?;
-        let actual = parsed.stable_fingerprint();
-        if declared != actual {
-            return Err(parse_err(format!(
-                "fingerprint mismatch: record declares {declared:016x}, content hashes to {actual:016x}"
-            )));
-        }
+    // The declared fingerprint must be present and match the recomputation
+    // from the stacks, so a record whose content and declared identity
+    // disagree — or whose identity was stripped — is rejected as corrupt
+    // rather than replayed into the history unverified.
+    let declared = sig
+        .get("fp")
+        .and_then(JsonValue::as_str)
+        .ok_or_else(|| parse_err("record is missing `fp`".into()))?;
+    let declared =
+        u64::from_str_radix(declared, 16).map_err(|_| parse_err("non-hex `fp` field".into()))?;
+    let actual = parsed.stable_fingerprint();
+    if declared != actual {
+        return Err(parse_err(format!(
+            "fingerprint mismatch: record declares {declared:016x}, content hashes to {actual:016x}"
+        )));
     }
     Ok(parsed)
 }
@@ -957,10 +798,7 @@ impl HistoryLog {
     /// legally be appended after it).
     pub fn replay(&self) -> Result<LogReplay> {
         let segs = self.segments();
-        let mut history = History::new();
-        let mut records = 0usize;
-        let mut truncated_tail = false;
-        let mut valid_len = 0usize;
+        let mut total = LogReplay::default();
         for (i, seg) in segs.iter().enumerate() {
             let text = fs::read_to_string(seg)?;
             let replay = History::replay_log_text(&text)?;
@@ -974,19 +812,14 @@ impl HistoryLog {
                     ),
                 });
             }
-            records += replay.records;
-            history.merge(&replay.history);
+            total.records += replay.records;
+            total.history.merge(&replay.history);
             if last {
-                truncated_tail = replay.truncated_tail;
-                valid_len = replay.valid_len;
+                total.truncated_tail = replay.truncated_tail;
+                total.valid_len = replay.valid_len;
             }
         }
-        Ok(LogReplay {
-            history,
-            records,
-            truncated_tail,
-            valid_len,
-        })
+        Ok(total)
     }
 
     /// Replays the log and, if it ends in a crash-partial record, truncates
@@ -1075,11 +908,7 @@ impl HistoryLog {
         }
         {
             let mut f = fs::File::create(&tmp)?;
-            for (_, sig) in history.iter() {
-                let mut record = signature_to_log_record(sig);
-                record.push('\n');
-                f.write_all(record.as_bytes())?;
-            }
+            f.write_all(history.to_text().as_bytes())?;
             f.sync_all()?;
         }
         fs::rename(&tmp, &self.path)?;
@@ -1175,42 +1004,41 @@ mod tests {
         }
     }
 
+    /// A `to_text()` dump is a log segment: written to a fresh file it
+    /// replays through `HistoryLog` record for record and dumps back to the
+    /// same bytes.
     #[test]
-    fn json_roundtrip_preserves_signatures() {
+    fn text_dump_is_a_log_segment() {
         let mut h = History::new();
         h.add(sig(SignatureKind::Deadlock, 1, 2));
-        let json = h.to_json().unwrap();
-        let parsed = History::from_json(&json).unwrap();
-        assert_eq!(parsed.len(), 1);
-        assert!(parsed
-            .get(SignatureId::new(0))
-            .unwrap()
-            .same_bug(h.get(SignatureId::new(0)).unwrap()));
+        h.add(sig(SignatureKind::Starvation, 5, 9));
+        h.add(sig(SignatureKind::Deadlock, 7, 8));
+        let path =
+            std::env::temp_dir().join(format!("dimmunix-text-dump-{}.log", std::process::id()));
+        fs::write(&path, h.to_text()).unwrap();
+        let replay = HistoryLog::new(&path).replay().unwrap();
+        assert_eq!(replay.records, h.len());
+        assert!(!replay.truncated_tail);
+        assert_eq!(replay.history.to_text(), h.to_text());
+        fs::remove_file(&path).ok();
     }
 
     #[test]
     fn from_text_rejects_garbage() {
-        assert!(History::from_text("nonsense").is_err());
-        assert!(History::from_text("#sig deadlock x").is_err());
-        assert!(History::from_text("#sig weird 2").is_err());
-        // truncated block
-        assert!(History::from_text("#sig deadlock 2\na@f:1\nb@f:2\n").is_err());
+        let good = signature_to_log_record(&sig(SignatureKind::Deadlock, 1, 2));
+        assert!(History::from_text(&format!("{good}\n")).is_ok());
+        assert!(History::from_text("nonsense\n").is_err());
+        // Strict: what log replay tolerates as a torn tail is an error here,
+        // whether the final record is partial or merely unterminated.
+        assert!(History::from_text(&format!("{good}\n{{\"kind\": \"dead")).is_err());
+        let err = History::from_text(&good).unwrap_err();
+        assert!(err.to_string().contains("unterminated"), "{err}");
     }
 
     #[test]
     fn empty_text_is_empty_history() {
         assert!(History::from_text("").unwrap().is_empty());
         assert!(History::from_text("\n\n").unwrap().is_empty());
-    }
-
-    #[test]
-    fn signatures_with_outer_finds_matching() {
-        let mut h = History::new();
-        h.add(sig(SignatureKind::Deadlock, 1, 2));
-        let outer = CallStack::single(Frame::new("m1", "f1.rs", 1));
-        assert_eq!(h.signatures_with_outer(&outer).len(), 1);
-        let unrelated = CallStack::single(Frame::new("zzz", "f.rs", 1));
-        assert!(h.signatures_with_outer(&unrelated).is_empty());
     }
 
     #[test]
@@ -1241,23 +1069,36 @@ mod tests {
         assert!(parsed.same_bug(&original));
     }
 
-    /// Legacy-id fallback: records written before the `fp` field existed
-    /// (the checked-in corpus, old `HistoryLog` chains) carry only
-    /// `kind`/`pairs` and must keep replaying byte-for-byte.
+    /// A record whose `fp` member was stripped carries no verifiable
+    /// identity and must be refused on every path — it used to replay
+    /// unverified. In a log it is interior corruption, so engine start-up
+    /// takes the quarantine + `RecoveryReport` path rather than trusting it.
     #[test]
-    fn legacy_records_without_fingerprint_still_parse() {
-        let legacy =
-            r#"{"kind": "deadlock", "pairs": [{"outer": "a@a.rs:1", "inner": "b@b.rs:2"}]}"#;
-        let parsed = signature_from_log_record(legacy).unwrap();
-        assert_eq!(parsed.kind(), SignatureKind::Deadlock);
-        assert_eq!(parsed.arity(), 1);
-        // The modern record for the same signature declares the fingerprint
-        // and parses back to the same bug.
-        let modern = signature_to_log_record(&parsed);
-        assert!(modern.contains("\"fp\""));
-        assert!(signature_from_log_record(&modern)
-            .unwrap()
-            .same_bug(&parsed));
+    fn stripped_fingerprint_is_rejected() {
+        let good = signature_to_log_record(&sig(SignatureKind::Deadlock, 1, 2));
+        let fp_at = good.find(", \"fp\": ").expect("record carries fp");
+        let stripped = format!("{}}}", &good[..fp_at]);
+        assert!(json::parse(&stripped).is_ok(), "still well-formed JSON");
+        let names_the_field = |err: DimmunixError| {
+            assert!(matches!(err, DimmunixError::Parse { .. }), "{err:?}");
+            assert!(err.to_string().contains("missing `fp`"), "{err}");
+        };
+        names_the_field(signature_from_log_record(&stripped).unwrap_err());
+        names_the_field(History::from_text(&format!("{stripped}\n")).unwrap_err());
+
+        let dir = std::env::temp_dir().join(format!("dimmunix-log-nofp-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("history.log");
+        fs::write(&path, format!("{stripped}\n{good}\n")).unwrap();
+        names_the_field(HistoryLog::new(&path).replay().unwrap_err());
+        // Reported, not silent: the engine quarantines the log and says so.
+        let engine = crate::Dimmunix::new(crate::Config::builder().history_path(&path).build());
+        assert!(engine.history().is_empty());
+        let report = engine.recovery_report().expect("a log was configured");
+        assert_eq!(report.quarantined_records, 2);
+        assert_eq!(report.quarantine_path, Some(dir.join("history.corrupt")));
+        fs::remove_dir_all(&dir).ok();
     }
 
     /// A record whose declared fingerprint disagrees with its content is

@@ -107,7 +107,7 @@ impl_id!(SiteId, u64);
 /// The abstract identity that owns locks and waits in the RAG.
 ///
 /// Every layer of the engine — lock owners, wait-for edges, cycle
-/// classification, avoidance candidate sets, position queues, events and
+/// classification, avoidance candidate sets, position queues and
 /// statistics — is keyed by `OwnerId` rather than a raw [`ThreadId`]. The
 /// classic thread-keyed runtime is simply the [`OwnerId::Thread`]
 /// instantiation; async substrates feed [`OwnerId::Task`] identities so that
@@ -213,7 +213,7 @@ impl fmt::Display for SignatureId {
     }
 }
 
-/// Monotonic logical clock used to order engine events.
+/// Monotonic logical clock of an engine.
 ///
 /// One tick per engine entry point (request / acquire / release); it is not
 /// wall-clock time, which keeps replays deterministic.

@@ -1,10 +1,12 @@
-//! A minimal JSON reader/writer used by the history codec and the antibody
-//! pack codec in `dimmunix-exchange`.
+//! The workspace's only JSON reader/writer: the signature record codec in
+//! [`history`](crate::History), the antibody pack codec in
+//! `dimmunix-exchange`, and the `BENCH_*.json` reports of `dimmunix-bench`
+//! all go through it.
 //!
 //! The container this reproduction builds in has no registry access, so the
-//! crate cannot depend on `serde_json`; the JSON surface of the history and
-//! of antibody packs is small (objects, arrays, strings, numbers) and is
-//! served by this self-contained module instead. The parser is a plain
+//! crate cannot depend on `serde_json`; the JSON surface of those three is
+//! small (objects, arrays, strings, numbers) and is served by this
+//! self-contained module instead. The parser is a plain
 //! recursive-descent over a generic [`JsonValue`], the writer a pair of
 //! escape helpers.
 

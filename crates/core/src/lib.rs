@@ -60,7 +60,6 @@ mod config;
 mod detection;
 mod engine;
 mod error;
-mod events;
 mod history;
 mod ids;
 pub mod json;
@@ -74,7 +73,7 @@ mod stats;
 
 pub use admission::{Admission, AdmissionSummary};
 pub use avoidance::{find_instantiation, signature_instantiable, Instantiation, SignatureIndex};
-pub use callstack::{CallStack, Frame, SiteKey};
+pub use callstack::{fnv1a, CallStack, Frame, SiteKey, FNV_OFFSET};
 pub use config::{
     Config, ConfigBuilder, DEFAULT_EVICTION_WINDOW, DEFAULT_LOG_SEGMENT_RECORDS,
     DEFAULT_MAX_SIGNATURES, DEFAULT_STACK_DEPTH,
@@ -82,7 +81,6 @@ pub use config::{
 pub use detection::{classify_cycle, DetectedCycle};
 pub use engine::{Dimmunix, RequestOutcome};
 pub use error::{DimmunixError, Result};
-pub use events::{Event, EventKind, EventLog};
 pub use history::{
     signature_from_json_value, signature_from_log_record, signature_to_log_record, History,
     HistoryLog, LogReplay, RecoveryReport,
@@ -119,7 +117,7 @@ mod engine_tests {
     /// Drives the canonical AB/BA deadlock to detection and returns the
     /// engine (with one signature in its history).
     fn detect_ab_ba() -> Dimmunix {
-        let mut e = Dimmunix::new(Config::builder().event_log_capacity(256).build());
+        let mut e = Dimmunix::new(Config::default());
         assert!(e.request(t(1), l(1), &site("t1.outer", 10)).is_granted());
         e.acquired(t(1), l(1));
         assert!(e.request(t(2), l(2), &site("t2.outer", 20)).is_granted());
@@ -429,20 +427,6 @@ mod engine_tests {
     }
 
     #[test]
-    fn event_log_records_decisions_when_enabled() {
-        let e = detect_ab_ba();
-        assert!(e.events().is_enabled());
-        assert!(e
-            .events()
-            .iter()
-            .any(|ev| matches!(ev.kind, EventKind::DeadlockDetected { .. })));
-        assert!(e
-            .events()
-            .iter()
-            .any(|ev| matches!(ev.kind, EventKind::Grant { .. })));
-    }
-
-    #[test]
     fn memory_footprint_increases_with_history() {
         let empty = Dimmunix::default().memory_footprint_bytes();
         let trained = detect_ab_ba();
@@ -484,42 +468,6 @@ mod engine_tests {
         assert_eq!(e.history().len(), 2);
         assert_eq!(e.stats().signatures_evicted, 2);
         assert!(e.history().get(s0).is_none(), "s0 was retired");
-        assert_eq!(e.stats().history_full_refusals, 0);
-    }
-
-    #[test]
-    fn max_signatures_refuses_under_paper_faithful_flag() {
-        fn ab(n: u32) -> Signature {
-            Signature::new(
-                SignatureKind::Deadlock,
-                vec![SignaturePair::new(
-                    site("refuse.a", n * 10),
-                    site("refuse.b", n * 10 + 1),
-                )],
-            )
-        }
-        let mut e = Dimmunix::new(
-            Config::builder()
-                .max_signatures(1)
-                .refuse_at_capacity(true)
-                .build(),
-        );
-        let (s0, new0) = e.add_signature(ab(0));
-        assert!(new0);
-        // A duplicate is never a refusal: it resolves to the existing id.
-        assert!(matches!(e.try_add_signature(ab(0)), Ok((id, false)) if id == s0));
-        // A distinct antibody at capacity is refused with a structured error.
-        assert!(matches!(
-            e.try_add_signature(ab(1)),
-            Err(DimmunixError::HistoryFull { capacity: 1 })
-        ));
-        assert_eq!(e.history().len(), 1);
-        assert_eq!(e.stats().history_full_refusals, 1);
-        assert_eq!(e.stats().signatures_evicted, 0);
-        // The infallible detection-path wrapper degrades to "not new".
-        let (_, added) = e.add_signature(ab(2));
-        assert!(!added);
-        assert_eq!(e.stats().history_full_refusals, 2);
     }
 
     #[test]

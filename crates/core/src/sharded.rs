@@ -61,8 +61,7 @@
 //!
 //! Detection results flow back through the owning shards: the signature is
 //! appended to every replica, the yield/queue bookkeeping is written to the
-//! shard that owns the affected lock, and counters/events land on the home
-//! shard.
+//! shard that owns the affected lock, and counters land on the home shard.
 //!
 //! ## Determinism and the single-shard oracle
 //!
@@ -79,7 +78,6 @@ use crate::avoidance::{instantiable_with_candidates, Instantiation};
 use crate::callstack::CallStack;
 use crate::config::Config;
 use crate::engine::{Dimmunix, RequestOutcome};
-use crate::events::EventKind;
 use crate::history::History;
 use crate::position::PositionId;
 use crate::rag::{find_cycle_with, AccessMode, CycleStep, WaitEdge, YieldRecord};
@@ -296,11 +294,6 @@ pub fn request_cross_shard(
 
     shards[home].tick();
     shards[home].stats_mut().requests += 1;
-    shards[home].push_event(EventKind::Request {
-        thread: t,
-        lock: l,
-        position: pos,
-    });
 
     if shards[home].config().is_disabled() {
         shards[home].stats_mut().grants += 1;
@@ -323,7 +316,6 @@ pub fn request_cross_shard(
     // lock it already owns (in any mode).
     if shards[home].rag().owns(l, t) {
         shards[home].stats_mut().reentrant_grants += 1;
-        shards[home].push_event(EventKind::ReentrantGrant { thread: t, lock: l });
         return RequestOutcome::GrantedReentrant;
     }
 
@@ -357,20 +349,12 @@ pub fn request_cross_shard(
                 if new {
                     shards[home].stats_mut().new_starvation_signatures += 1;
                 }
-                shards[home].push_event(EventKind::StarvationDetected {
-                    thread: t,
-                    signature: sig_id,
-                    new_signature: new,
-                });
                 // Resume every parked participant (§2.2): clear its yield
                 // (wherever it lives) and schedule a wake-up.
                 for th in &detected.owners {
                     if let Some(y) = clear_yield_any(shards, *th) {
                         shards[home].push_pending_wakeup(y.signature);
                         shards[home].stats_mut().wakeups += 1;
-                        shards[home].push_event(EventKind::Wakeup {
-                            signature: y.signature,
-                        });
                     }
                 }
                 // Fall through: the requester itself is then treated by the
@@ -380,11 +364,6 @@ pub fn request_cross_shard(
                 if new {
                     shards[home].stats_mut().new_deadlock_signatures += 1;
                 }
-                shards[home].push_event(EventKind::DeadlockDetected {
-                    thread: t,
-                    signature: sig_id,
-                    new_signature: new,
-                });
                 return RequestOutcome::DeadlockDetected {
                     signature: sig_id,
                     new_signature: new,
@@ -424,16 +403,11 @@ pub fn request_cross_shard(
                 // Parking would itself create a wait-for cycle: record
                 // the avoidance-induced deadlock and let the thread
                 // proceed instead (§2.2).
-                let (s_id, new) = broadcast_signature(shards, sig);
+                let (_, new) = broadcast_signature(shards, sig);
                 shards[home].stats_mut().starvations_detected += 1;
                 if new {
                     shards[home].stats_mut().new_starvation_signatures += 1;
                 }
-                shards[home].push_event(EventKind::StarvationDetected {
-                    thread: t,
-                    signature: s_id,
-                    new_signature: new,
-                });
                 park = false;
             }
             if park {
@@ -447,11 +421,6 @@ pub fn request_cross_shard(
                         blockers: inst.blockers,
                     },
                 );
-                shards[home].push_event(EventKind::Yield {
-                    thread: t,
-                    lock: l,
-                    signature: inst.signature,
-                });
                 return RequestOutcome::Yield {
                     signature: inst.signature,
                 };
@@ -465,7 +434,6 @@ pub fn request_cross_shard(
         p.queue_mut().push(t);
     }
     shards[home].rag_mut().set_pending_grant(t, l, pos, mode);
-    shards[home].push_event(EventKind::Grant { thread: t, lock: l });
     RequestOutcome::Granted
 }
 

@@ -48,13 +48,8 @@ pub struct Stats {
     /// condition variables).
     pub wakeups: u64,
     /// Antibodies retired by generation-based eviction at `max_signatures`
-    /// (never matched within the configured eviction window). Zero under
-    /// the paper-faithful `refuse_at_capacity` configuration.
+    /// (never matched within the configured eviction window).
     pub signatures_evicted: u64,
-    /// New antibodies refused because the history was at `max_signatures`
-    /// under the paper-faithful `refuse_at_capacity` configuration. Zero
-    /// under the default eviction configuration.
-    pub history_full_refusals: u64,
     /// Acquisitions admitted by the lock-free admission path (an
     /// epoch-validated read over the
     /// [`AdmissionSummary`](crate::AdmissionSummary), no shard lock taken).
@@ -133,7 +128,6 @@ impl Stats {
         self.signatures_examined += other.signatures_examined;
         self.wakeups += other.wakeups;
         self.signatures_evicted += other.signatures_evicted;
-        self.history_full_refusals += other.history_full_refusals;
         self.fast_admits += other.fast_admits;
         self.slow_fallbacks += other.slow_fallbacks;
         self.degradation_scope_hits += other.degradation_scope_hits;
@@ -146,7 +140,7 @@ impl fmt::Display for Stats {
             f,
             "requests={} grants={} reentrant={} acquisitions={} releases={} reentries={} \
              yields={} deadlocks={} (new sigs {}) starvations={} (new sigs {}) checks={} \
-             examined={} wakeups={} evicted={} refusals={} fast_admits={} slow_fallbacks={} \
+             examined={} wakeups={} evicted={} fast_admits={} slow_fallbacks={} \
              degradation_scope_hits={}",
             self.requests,
             self.grants,
@@ -163,7 +157,6 @@ impl fmt::Display for Stats {
             self.signatures_examined,
             self.wakeups,
             self.signatures_evicted,
-            self.history_full_refusals,
             self.fast_admits,
             self.slow_fallbacks,
             self.degradation_scope_hits
@@ -193,7 +186,6 @@ mod tests {
             signatures_examined: 13,
             wakeups: 12,
             signatures_evicted: 14,
-            history_full_refusals: 15,
             fast_admits: 16,
             slow_fallbacks: 17,
             degradation_scope_hits: 18,
@@ -206,7 +198,6 @@ mod tests {
         assert_eq!(a.synchronizations(), 8);
         assert_eq!(a.nested_reentries, 2);
         assert_eq!(a.signatures_evicted, 28);
-        assert_eq!(a.history_full_refusals, 30);
         assert_eq!(a.fast_admits, 32);
         assert_eq!(a.slow_fallbacks, 34);
         assert_eq!(a.degradation_scope_hits, 36);

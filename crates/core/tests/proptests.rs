@@ -82,24 +82,6 @@ fn prop_history_text_roundtrip() {
 }
 
 #[test]
-fn prop_history_json_roundtrip() {
-    for seed in 0..CASES {
-        let mut g = Gen::new(seed);
-        let mut h = History::new();
-        for _ in 0..g.range(0, 6) {
-            h.add(signature(&mut g));
-        }
-        let json = h.to_json().unwrap();
-        let reparsed = History::from_json(&json)
-            .unwrap_or_else(|e| panic!("seed {seed}: json decode failed: {e}\n{json}"));
-        assert_eq!(reparsed.len(), h.len(), "seed {seed}");
-        for (id, s) in h.iter() {
-            assert!(reparsed.get(id).unwrap().same_bug(s), "seed {seed}");
-        }
-    }
-}
-
-#[test]
 fn prop_position_interning_is_consistent() {
     for seed in 0..CASES {
         let mut g = Gen::new(seed);
@@ -823,7 +805,6 @@ fn prop_eviction_never_retires_recently_matched() {
             }
         }
         total_evictions += e.stats().signatures_evicted;
-        assert_eq!(e.stats().history_full_refusals, 0, "seed {seed}");
     }
     // The property must not hold vacuously: across the seed sweep the
     // small capacities force real evictions.

@@ -13,38 +13,8 @@ use dimmunix_core::{
     CallStack, Config, Dimmunix, Frame, History, LockId, ProcessId, RequestOutcome, SignatureId,
     ThreadId,
 };
+use dimmunix_testkit::Gen;
 use std::collections::HashMap;
-
-/// Deterministic scheduler PRNG (SplitMix64). The substrate only needs a
-/// seed-replayable stream of small indices, so a self-contained generator
-/// beats an external dependency the build environment cannot fetch.
-#[derive(Debug, Clone)]
-struct SchedulerRng {
-    state: u64,
-}
-
-impl SchedulerRng {
-    fn seed_from_u64(seed: u64) -> Self {
-        SchedulerRng {
-            // Avoid the all-zero fixed point without perturbing other seeds.
-            state: seed ^ 0x9e37_79b9_7f4a_7c15,
-        }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform index in `0..bound` (`bound > 0`); the tiny modulo bias is
-    /// irrelevant for schedule exploration.
-    fn gen_index(&mut self, bound: usize) -> usize {
-        (self.next_u64() % bound as u64) as usize
-    }
-}
 
 /// Bytes the integration code adds per thread (the `stackBuffer` field, §4).
 pub const STACK_BUFFER_BYTES: usize = 512;
@@ -159,7 +129,7 @@ impl ProcessBuilder {
             engine,
             monitors: HashMap::new(),
             threads: Vec::new(),
-            rng: SchedulerRng::seed_from_u64(self.seed),
+            rng: Gen::new(self.seed),
             virtual_time: 0,
             next_thread: 1,
             baseline_bytes: self.baseline_bytes,
@@ -179,7 +149,7 @@ pub struct Process {
     engine: Dimmunix,
     monitors: HashMap<ObjRef, MonitorState>,
     threads: Vec<VmThread>,
-    rng: SchedulerRng,
+    rng: Gen,
     virtual_time: u64,
     next_thread: u64,
     baseline_bytes: usize,
@@ -299,7 +269,7 @@ impl Process {
         if candidates.is_empty() {
             return false;
         }
-        let pick = candidates[self.rng.gen_index(candidates.len())];
+        let pick = candidates[self.rng.range(0, candidates.len())];
         self.steps += 1;
         self.virtual_time += 1;
         self.execute_thread_step(pick);
@@ -777,6 +747,7 @@ mod tests {
     fn every_seed_completes_with_history() {
         let (_, trained) = find_deadlocking_seed(None).expect("some seed must deadlock");
         let history = trained.engine().history().clone();
+        let (mut steps, mut yields) = (0, 0);
         for seed in 0..40u64 {
             let (program, main) = ab_ba_program();
             let mut p = ProcessBuilder::new("abba", program)
@@ -791,7 +762,12 @@ mod tests {
                 p.stats()
             );
             assert_eq!(p.stats().deadlocks_detected, 0, "seed {seed}");
+            steps += p.stats().steps;
+            yields += p.stats().yields;
         }
+        // Seed replay: these 40 schedules are pinned, so a change to the
+        // scheduler's random stream shows up here.
+        assert_eq!((steps, yields), (716, 36));
     }
 
     #[test]

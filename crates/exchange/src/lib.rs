@@ -161,6 +161,18 @@ mod tests {
         let count_tampered = good.replace("\"signature_count\": 2", "\"signature_count\": 3");
         assert!(Pack::from_json(&count_tampered).is_err());
 
+        // An entry whose per-record `fp` was stripped has no verifiable
+        // identity: count and whole-pack fingerprint still agree, yet the
+        // pack is rejected whole (it used to import unverified).
+        let fp_member = good.find(", \"fp\": \"").unwrap();
+        let mut stripped = good.clone();
+        stripped.replace_range(
+            fp_member..fp_member + ", \"fp\": \"0123456789abcdef\"".len(),
+            "",
+        );
+        let err = Pack::from_json(&stripped).unwrap_err();
+        assert!(err.to_string().contains("missing `fp`"), "got: {err}");
+
         // The import helper moves the bad file aside.
         let dir = std::env::temp_dir().join(format!("dimmunix-pack-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();

@@ -15,7 +15,8 @@
 //!
 //! Integrity is all-or-nothing: a document whose declared `signature_count`
 //! or `fingerprint` disagrees with its contents, or any of whose entries
-//! carries a signature whose declared per-record `fp` disagrees with a
+//! carries a signature record (the history log's record format,
+//! [`signature_to_log_record`]) whose `fp` is missing or disagrees with a
 //! recomputation from its stacks, is rejected **whole**. A malicious or
 //! corrupt pack must not be able to slip even one bogus antibody into a
 //! local history, because an antibody is a standing instruction to park
@@ -23,7 +24,8 @@
 
 use dimmunix_core::json::{self, JsonValue};
 use dimmunix_core::{
-    signature_from_json_value, signature_to_log_record, History, HistorySnapshot, Signature,
+    fnv1a, signature_from_json_value, signature_to_log_record, History, HistorySnapshot, Signature,
+    FNV_OFFSET,
 };
 use std::collections::BTreeMap;
 use std::fmt;
@@ -34,17 +36,6 @@ use std::sync::Arc;
 pub const PACK_FORMAT: &str = "dimmunix-pack";
 /// The only pack version this build reads and writes.
 pub const PACK_VERSION: u64 = 1;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
 
 /// An error produced by the pack codec.
 #[derive(Debug)]
@@ -262,7 +253,7 @@ impl Pack {
     /// the document is not JSON, is not a `dimmunix-pack` of a supported
     /// version, declares a `signature_count` or `fingerprint` that disagrees
     /// with its contents, carries duplicate entries for one bug, or carries
-    /// any record whose per-signature `fp` fails recomputation.
+    /// any record whose per-signature `fp` is missing or fails recomputation.
     pub fn from_json(text: &str) -> Result<Pack, PackError> {
         let doc = json::parse(text).map_err(malformed)?;
         match doc.get("format").and_then(JsonValue::as_str) {
@@ -311,7 +302,7 @@ impl Pack {
             let sig_value = item
                 .get("signature")
                 .ok_or_else(|| malformed("entry is missing `signature`"))?;
-            // Re-verifies the per-record `fp` against the stacks.
+            // Requires the per-record `fp` and re-verifies it against the stacks.
             let signature =
                 signature_from_json_value(sig_value).map_err(|e| malformed(e.to_string()))?;
             if !pack.add(signature, detections) {

@@ -238,7 +238,17 @@ mod tests {
     use super::*;
     use std::sync::mpsc;
     use std::sync::Barrier;
-    use std::time::Duration;
+
+    /// Spins until the runtime has counted `n` acquisition requests. A
+    /// thread that blocks inside the real rwlock cannot mark a rendezvous
+    /// itself, but the engine counts its request — and records its request
+    /// edge — under the shard lock before the block, and `stats()` never
+    /// reads ahead of the engine.
+    fn await_requests(rt: &DimmunixRuntime, n: u64) {
+        while rt.stats().requests < n {
+            std::thread::yield_now();
+        }
+    }
 
     #[test]
     fn read_write_roundtrip_balances_engine_accounting() {
@@ -330,7 +340,6 @@ mod tests {
         let g = rw.read().unwrap();
         second_in.wait();
         first_reader.join().unwrap();
-        std::thread::sleep(Duration::from_millis(10));
         drop(g); // last reader out releases its own hold
         let stats = rt.stats();
         assert_eq!(stats.acquisitions, stats.releases);
@@ -371,11 +380,10 @@ mod tests {
         r2_in_rx.recv().unwrap();
 
         // The writer takes `b`, then blocks writing `a` (two readers hold it).
-        let (writer_has_b_tx, writer_has_b_rx) = mpsc::channel::<()>();
+        let requests = rt.stats().requests;
         let (rw, rb) = (a.clone(), b.clone());
         let writer = std::thread::spawn(move || {
             let gb = rb.write().unwrap();
-            writer_has_b_tx.send(()).unwrap();
             // Blocks on the real rwlock until both readers leave; the engine
             // request edge (writer -> every reader of `a`) is registered
             // before the block.
@@ -383,10 +391,9 @@ mod tests {
             drop(ga);
             drop(gb);
         });
-        writer_has_b_rx.recv().unwrap();
-        // Let the writer actually park inside `a.write()` so its request
-        // edge is in the RAG.
-        std::thread::sleep(Duration::from_millis(80));
+        // Both writer requests counted: it holds `b` and its request edge
+        // for `a` is in the RAG.
+        await_requests(&rt, requests + 2);
         r2_go_tx.send(()).unwrap();
 
         let refusal = r2.join().unwrap();
@@ -432,23 +439,22 @@ mod tests {
         drop(r1_guard);
 
         // A writer takes `b` and blocks writing `a` (r2 still reads it).
-        let (writer_has_b_tx, writer_has_b_rx) = mpsc::channel::<()>();
+        let requests = rt.stats().requests;
         let (rw, rb) = (a.clone(), b.clone());
         let writer = std::thread::spawn(move || {
             let gb = rb.write().unwrap();
-            writer_has_b_tx.send(()).unwrap();
             let ga = rw.write().unwrap();
             drop(ga);
             drop(gb);
         });
-        writer_has_b_rx.recv().unwrap();
-        std::thread::sleep(Duration::from_millis(80));
+        await_requests(&rt, requests + 2);
 
         // r1 now writes `b`: waits behind the writer, who waits on r2 only.
-        // No cycle exists — the acquisition must succeed once r2 leaves.
+        // No cycle exists — the acquisition must succeed once r2 leaves,
+        // which happens only after the engine has decided r1's request.
         let rb1 = b.clone();
         let r1 = std::thread::spawn(move || rb1.write().map(|_| ()));
-        std::thread::sleep(Duration::from_millis(50));
+        await_requests(&rt, requests + 3);
         r2_release_tx.send(()).unwrap();
         r2.join().unwrap();
         writer.join().unwrap();

@@ -23,7 +23,7 @@
 use crate::scenario::{Scenario, SimOp};
 use dimmunix_core::{
     AccessMode, CallStack, Config, Dimmunix, History, LockId, OwnerId, PositionId, RequestOutcome,
-    ShardedDimmunix, SignatureId, Stats,
+    ShardedDimmunix, SignatureId, Stats, FNV_OFFSET,
 };
 use dimmunix_testkit::Gen;
 use std::cmp::Reverse;
@@ -34,17 +34,9 @@ use std::sync::Arc;
 // Trace hashing
 // ---------------------------------------------------------------------------
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 /// FNV-1a over a byte slice; used for history fingerprints.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    dimmunix_core::fnv1a(FNV_OFFSET, bytes)
 }
 
 /// Incremental FNV-1a over tagged event words — the `sched_trace_hash`.
@@ -58,10 +50,7 @@ impl TraceHash {
 
     fn push(&mut self, words: &[u64]) {
         for w in words {
-            for b in w.to_le_bytes() {
-                self.0 ^= b as u64;
-                self.0 = self.0.wrapping_mul(FNV_PRIME);
-            }
+            self.0 = dimmunix_core::fnv1a(self.0, &w.to_le_bytes());
         }
     }
 }

@@ -6,9 +6,8 @@
 //! again within the run. Driving it against an engine whose
 //! `max_signatures` cap is far below the gadget count must therefore push
 //! the history through generation-based eviction: the stale antibodies are
-//! retired to make room, the engine keeps accepting new ones (no
-//! `HistoryFull` refusals in the default configuration), and the live set
-//! stays at the cap.
+//! retired to make room, the engine keeps accepting new ones, and the live
+//! set stays at the cap.
 
 use dimmunix_core::{Config, History};
 use dimmunix_sim::scenario::signature_storm;

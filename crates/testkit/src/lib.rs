@@ -26,7 +26,9 @@
 pub mod schedule;
 pub mod script;
 
-/// Deterministic PRNG (SplitMix64) for generating random cases.
+/// Deterministic PRNG (SplitMix64) for generating random cases — and the
+/// workspace's one SplitMix64: `dalvik-sim`'s scheduler and the
+/// `workloads` async-server request schedule draw from it too.
 ///
 /// Extracted verbatim from the core proptest harness: the constructor XORs
 /// the seed with the SplitMix64 increment so that small consecutive seeds

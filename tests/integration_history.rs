@@ -1,4 +1,4 @@
-//! Integration tests for the persistent history: cross-codec round trips,
+//! Integration tests for the persistent history: record-codec round trips,
 //! vendor merging, compatibility between signatures produced by the VM
 //! substrate and consumed by the real-thread runtime (they share the
 //! engine's representation), the shared-snapshot memory accounting, and
@@ -25,18 +25,18 @@ fn train_philosophers() -> History {
     panic!("philosophers never deadlocked");
 }
 
+/// The two readers of the one record format — the strict text reader and
+/// the tail-tolerant log replay — reconstruct a VM-produced history alike.
 #[test]
 fn vm_produced_history_round_trips_through_both_codecs() {
     let history = train_philosophers();
     let text = history.to_text();
-    let json = history.to_json().unwrap();
     let from_text = History::from_text(&text).unwrap();
-    let from_json = History::from_json(&json).unwrap();
-    assert_eq!(from_text.len(), history.len());
-    assert_eq!(from_json.len(), history.len());
+    let from_log = History::replay_log_text(&text).unwrap().history;
+    assert_eq!(from_text.to_text(), text);
+    assert_eq!(from_log.to_text(), text);
     for (id, sig) in history.iter() {
         assert!(from_text.get(id).unwrap().same_bug(sig));
-        assert!(from_json.get(id).unwrap().same_bug(sig));
     }
 }
 
@@ -423,9 +423,11 @@ fn segmented_history_replays_byte_identically_across_processes() {
 
 #[test]
 fn corrupted_history_files_are_rejected_not_misread() {
-    assert!(History::from_text("#sig deadlock two\n").is_err());
-    assert!(History::from_text("#sig deadlock 1\nonly-one-line@f:1\n").is_err());
-    assert!(History::from_json("{ not json").is_err());
+    assert!(History::from_text("{ not json\n").is_err());
+    // The retired `#sig` text grammar and fp-less records are refused too.
+    assert!(History::from_text("#sig deadlock 1\na@f:1\nb@f:2\n").is_err());
+    let legacy = r#"{"kind": "deadlock", "pairs": [{"outer": "a@a.rs:1", "inner": "b@b.rs:2"}]}"#;
+    assert!(History::from_text(&format!("{legacy}\n")).is_err());
     // An empty file is a valid, empty history (fresh phone).
     assert!(History::from_text("").unwrap().is_empty());
 }
