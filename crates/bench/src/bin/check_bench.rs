@@ -36,6 +36,10 @@
 //!   versus one global engine lock (host-independent floor; the ≥ 2x
 //!   scaling assertion on many-core hosts lives in the bench itself), and
 //!   its memory overhead must stay within 10% of the monolithic engine.
+//! * `BENCH_engine_hotpath.json` — two counts, the same on every host: a
+//!   request/acquired/released cycle at a clean position allocates (at
+//!   most once; nothing, in fact) and examines no signature, whatever the
+//!   size of the history.
 //!
 //! Reports that do not exist yet are an error too: the gate only means
 //! something if the benches actually ran before it.
@@ -171,6 +175,18 @@ const GATES: &[Gate] = &[
         field: "mem_ratio",
         check: |v| v > 0.0 && v <= 1.1,
         expect: "<= 1.1 (sharded engine memory within 10% of monolithic)",
+    },
+    Gate {
+        file: "BENCH_engine_hotpath.json",
+        field: "allocs_per_cycle_clean",
+        check: |v| v <= 1.0,
+        expect: "<= 1 (a clean-position engine cycle must stay off the heap)",
+    },
+    Gate {
+        file: "BENCH_engine_hotpath.json",
+        field: "signatures_examined_per_check_clean",
+        check: |v| v == 0.0,
+        expect: "== 0 (a clean position must not scan the history)",
     },
 ];
 

@@ -19,16 +19,16 @@ use crate::admission::AdmissionSummary;
 use crate::avoidance::SignatureIndex;
 use crate::callstack::CallStack;
 use crate::config::Config;
-use crate::detection::{classify_cycle, last_history_hold};
+use crate::detection::classify_cycle;
 use crate::error::{DimmunixError, Result};
 use crate::history::{History, HistoryLog, RecoveryReport};
 use crate::position::{PositionId, PositionTable};
 use crate::rag::{AccessMode, Rag, YieldRecord};
-use crate::signature::{Signature, SignatureKind, SignaturePair};
+use crate::sharded::{find_instantiation_merged, starvation_signature_merged, would_starve_merged};
+use crate::signature::Signature;
 use crate::snapshot::HistorySnapshot;
 use crate::stats::Stats;
-use crate::{LockId, LogicalTime, OwnerId, SignatureId};
-use std::collections::HashMap;
+use crate::{IdHashMap, LockId, OwnerId, SignatureId};
 use std::sync::Arc;
 
 /// The engine's answer to a lock request.
@@ -101,13 +101,12 @@ pub struct Dimmunix {
     /// the map stays empty on engines that never touch a history site.
     ///
     /// [`Position::history_ref`]: crate::Position::history_ref
-    outer_to_local: HashMap<PositionId, PositionId>,
+    outer_to_local: IdHashMap<PositionId, PositionId>,
     /// Number of snapshot outer ids already linked against the local
     /// position table; ids past this watermark are reconciled by the next
     /// [`install_snapshot`](Dimmunix::install_snapshot).
     linked_outers: usize,
     stats: Stats,
-    clock: LogicalTime,
     pending_wakeups: Vec<SignatureId>,
     /// Shared lock-free admission summary, attached by concurrent substrates
     /// ([`attach_admission_summary`](Dimmunix::attach_admission_summary)).
@@ -189,13 +188,12 @@ impl Dimmunix {
         Dimmunix {
             positions: PositionTable::new(config.stack_depth),
             rag: Rag::new(),
-            outer_to_local: HashMap::new(),
+            outer_to_local: IdHashMap::default(),
             // The local table is empty, so there is nothing to link yet;
             // new positions are linked as they are interned.
             linked_outers: snapshot.outer_len(),
             snapshot,
             stats: Stats::new(),
-            clock: LogicalTime::ZERO,
             pending_wakeups: Vec::new(),
             admission: None,
             recovery: None,
@@ -244,9 +242,8 @@ impl Dimmunix {
     /// at or above it is a later addition to unlink.
     ///
     /// Everything run-scoped is cleared — RAG, position queues, stats,
-    /// logical clock, pending wake-ups — while the position table
-    /// itself survives, with `history_ref` links pruned back to `base`'s
-    /// outer table.
+    /// pending wake-ups — while the position table itself survives, with
+    /// `history_ref` links pruned back to `base`'s outer table.
     pub fn reset_to_snapshot(&mut self, base: &Arc<HistorySnapshot>) {
         debug_assert!(
             base.outer_len() <= self.snapshot.outer_len(),
@@ -263,7 +260,6 @@ impl Dimmunix {
         self.rag.clear();
         self.pending_wakeups.clear();
         self.stats = Stats::new();
-        self.clock = LogicalTime::ZERO;
         let cutoff = base.outer_len();
         for p in self.positions.iter_mut() {
             p.queue_mut().clear();
@@ -333,11 +329,6 @@ impl Dimmunix {
         self.snapshot.index()
     }
 
-    /// Current logical time.
-    pub fn now(&self) -> LogicalTime {
-        self.clock
-    }
-
     /// Estimated resident memory added by Dimmunix to the process, in bytes.
     /// This is what the Table 1 memory-overhead experiment charges to
     /// Dimmunix: the engine-local state
@@ -403,19 +394,14 @@ impl Dimmunix {
         self.rag.unregister_lock(l);
     }
 
-    /// Interns a call stack as a position without issuing a request; exposed
-    /// so substrates can pre-compute position ids for static sites (§4's
-    /// compiler-id optimization).
+    /// Interns a call stack as a position without issuing a request (public
+    /// so substrates can pre-compute position ids for static sites, §4's
+    /// compiler-id optimization) and, if the position is new, links it
+    /// against the shared snapshot's canonical outer table. Every intern
+    /// performed by the engine goes through here, which (together with
+    /// snapshot installs) maintains the invariant that
+    /// `Position::history_ref` is always current.
     pub fn intern_position(&mut self, stack: &CallStack) -> PositionId {
-        self.intern_linked(stack)
-    }
-
-    /// Interns `stack` and, if the position is new, links it against the
-    /// shared snapshot's canonical outer table. Every intern performed by
-    /// the engine goes through here, which (together with
-    /// [`install_snapshot`](Dimmunix::install_snapshot)) maintains the
-    /// invariant that `Position::history_ref` is always current.
-    fn intern_linked(&mut self, stack: &CallStack) -> PositionId {
         let before = self.positions.len();
         let pid = self.positions.intern(stack);
         if self.positions.len() > before {
@@ -466,7 +452,7 @@ impl Dimmunix {
         stack: &CallStack,
         mode: AccessMode,
     ) -> RequestOutcome {
-        let pos = self.intern_linked(stack);
+        let pos = self.intern_position(stack);
         self.request_at_mode(t, l, pos, mode)
     }
 
@@ -505,12 +491,10 @@ impl Dimmunix {
         mode: AccessMode,
     ) -> RequestOutcome {
         let t = t.into();
-        self.clock = self.clock.next();
         self.stats.requests += 1;
 
         if self.config.is_disabled() {
             self.stats.grants += 1;
-            self.rag.register_owner(t);
             self.rag.register_lock(l);
             self.rag.set_pending_grant(t, l, pos, mode);
             return RequestOutcome::Granted;
@@ -577,18 +561,18 @@ impl Dimmunix {
             let outer = self.positions.get(pos).and_then(|p| p.history_ref());
             self.stats.signatures_examined +=
                 outer.map_or(0, |o| self.snapshot.index().signatures_at(o).len() as u64);
-            // Same implementation as the sharded engine's merged check,
-            // called with this engine as the only shard.
-            let inst = outer.and_then(|o| {
-                crate::sharded::find_instantiation_merged(&[&*self], 0, t, o, l, mode)
-            });
+            // Same implementations as the sharded engine's merged check,
+            // starvation probe and starvation signature, called with this
+            // engine as the only shard.
+            let only = std::slice::from_ref(&*self);
+            let inst = outer.and_then(|o| find_instantiation_merged(only, 0, t, o, l, mode));
             if let Some(inst) = inst {
                 let mut park = true;
-                if self.config.starvation_handling && self.would_starve(t, &inst.blockers) {
+                if self.config.starvation_handling && would_starve_merged(only, t, &inst.blockers) {
                     // Parking would itself create a wait-for cycle: record
                     // the avoidance-induced deadlock and let the thread
                     // proceed instead (§2.2).
-                    let sig = self.starvation_signature(t, pos, &inst.blockers);
+                    let sig = starvation_signature_merged(only, 0, pos, &inst.blockers);
                     let (_, new) = self.insert_signature(sig);
                     self.stats.starvations_detected += 1;
                     if new {
@@ -635,7 +619,6 @@ impl Dimmunix {
     /// [`Rag::acquire_with_seq`]).
     pub fn acquired_with_seq(&mut self, t: impl Into<OwnerId>, l: LockId, seq: u64) {
         let t = t.into();
-        self.clock = self.clock.next();
         self.stats.acquisitions += 1;
         if self.config.is_disabled() {
             return;
@@ -657,7 +640,7 @@ impl Dimmunix {
                 // The acquisition was not announced through `request` (or the
                 // grant was for a different lock). Account it under an
                 // anonymous position so release bookkeeping stays balanced.
-                let p = self.intern_linked(&CallStack::new());
+                let p = self.intern_position(&CallStack::new());
                 if let Some(pd) = self.positions.get_mut(p) {
                     pd.queue_mut().push(t);
                 }
@@ -689,7 +672,6 @@ impl Dimmunix {
     pub fn released_into(&mut self, t: impl Into<OwnerId>, l: LockId, wake: &mut Vec<SignatureId>) {
         let t = t.into();
         wake.clear();
-        self.clock = self.clock.next();
         if self.config.is_disabled() {
             self.stats.releases += 1;
             return;
@@ -723,7 +705,6 @@ impl Dimmunix {
     /// `acquired`). Reverses the queue entry created by the grant.
     pub fn cancel_request(&mut self, t: impl Into<OwnerId>, l: LockId) {
         let t = t.into();
-        self.clock = self.clock.next();
         self.clear_yield_tracked(t);
         if let Some((granted_lock, pos, mode)) = self.rag.take_pending_grant(t) {
             if granted_lock == l {
@@ -756,11 +737,9 @@ impl Dimmunix {
         seq: u64,
     ) {
         let t = t.into();
-        let pos = self.intern_linked(stack);
-        self.clock = self.clock.next();
+        let pos = self.intern_position(stack);
         self.stats.requests += 1;
         self.stats.grants += 1;
-        self.rag.register_owner(t);
         self.rag.register_lock(l);
         if !self.config.is_disabled() {
             if let Some(p) = self.positions.get_mut(pos) {
@@ -776,6 +755,12 @@ impl Dimmunix {
     /// the corresponding signature condition variables.
     pub fn take_pending_wakeups(&mut self) -> Vec<SignatureId> {
         std::mem::take(&mut self.pending_wakeups)
+    }
+
+    /// True if [`take_pending_wakeups`](Dimmunix::take_pending_wakeups)
+    /// would return anything — the cheap test substrates make first.
+    pub fn has_pending_wakeups(&self) -> bool {
+        !self.pending_wakeups.is_empty()
     }
 
     /// Rewrites the configured history log to exactly the in-memory
@@ -838,11 +823,6 @@ impl Dimmunix {
         &mut self.stats
     }
 
-    /// Advances the logical clock by one tick (one tick per hook call).
-    pub(crate) fn tick(&mut self) {
-        self.clock = self.clock.next();
-    }
-
     /// Schedules a wake-up to be drained by [`take_pending_wakeups`].
     ///
     /// [`take_pending_wakeups`]: Dimmunix::take_pending_wakeups
@@ -854,7 +834,7 @@ impl Dimmunix {
     /// table with it: every canonical outer id added since the last
     /// reconciliation is looked up among the already-interned local
     /// positions and linked both ways. Newer positions link themselves at
-    /// intern time ([`intern_linked`](Dimmunix::intern_linked)), so the
+    /// intern time ([`intern_position`](Dimmunix::intern_position)), so the
     /// `history_ref` invariant holds at all times. In a sharded deployment
     /// this runs on every shard, under the all-shard lock, right after a
     /// detection appended to the shared history.
@@ -954,51 +934,5 @@ impl Dimmunix {
             self.install_snapshot(snapshot);
         }
         (id, new)
-    }
-
-    /// True if parking `t` (with the given blockers) would close a wait-for
-    /// cycle, i.e. some blocker transitively waits on `t`.
-    fn would_starve(&self, t: OwnerId, blockers: &[OwnerId]) -> bool {
-        let mut stack: Vec<OwnerId> = blockers.to_vec();
-        let mut visited: Vec<OwnerId> = Vec::new();
-        while let Some(current) = stack.pop() {
-            if current == t {
-                return true;
-            }
-            if visited.contains(&current) {
-                continue;
-            }
-            visited.push(current);
-            for (next, _) in self.rag.successors(current, true) {
-                stack.push(next);
-            }
-        }
-        false
-    }
-
-    /// Builds the signature of an avoidance-induced deadlock: one pair per
-    /// participant (the would-be parked thread plus its blockers), using the
-    /// most informative stable position for each.
-    fn starvation_signature(
-        &self,
-        _requester: OwnerId,
-        pos: PositionId,
-        blockers: &[OwnerId],
-    ) -> Signature {
-        let stack_of = |p: Option<PositionId>| {
-            p.and_then(|p| self.positions.get(p))
-                .map(|d| d.stack().clone())
-                .unwrap_or_default()
-        };
-        let mut pairs = Vec::with_capacity(1 + blockers.len());
-        pairs.push(SignaturePair::new(stack_of(Some(pos)), stack_of(Some(pos))));
-        for b in blockers {
-            let outer = last_history_hold(&self.rag, &self.positions, *b)
-                .or_else(|| self.rag.held_locks(*b).last().map(|e| e.pos))
-                .or_else(|| self.rag.requesting(*b).map(|(_, p)| p));
-            let inner = self.rag.requesting(*b).map(|(_, p)| p).or(outer);
-            pairs.push(SignaturePair::new(stack_of(outer), stack_of(inner)));
-        }
-        Signature::new(SignatureKind::Starvation, pairs)
     }
 }

@@ -213,29 +213,58 @@ impl fmt::Display for SignatureId {
     }
 }
 
-/// Monotonic logical clock of an engine.
+/// Hasher for maps keyed by the engine's own identifiers ([`LockId`],
+/// [`OwnerId`], [`SignatureId`], position and runtime-instance ids): each
+/// integer written is xored into the state and folded through one
+/// 64×64→128-bit multiply, high half onto low half. `HashMap` takes the
+/// bucket from a hash's low bits and a control byte from its top seven, so
+/// both ends must depend on every input bit; a bare multiply leaves the low
+/// bits of strided ids constant.
 ///
-/// One tick per engine entry point (request / acquire / release); it is not
-/// wall-clock time, which keeps replays deterministic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct LogicalTime(pub u64);
+/// Threat model: every key is a counter or address this process allocated,
+/// never attacker-chosen, so SipHash's collision resistance buys nothing
+/// here — do not use this hasher for keys read from outside the process.
+/// Being unseeded, it also makes map iteration order deterministic.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IdHasher(u64);
 
-impl LogicalTime {
-    /// The zero instant.
-    pub const ZERO: LogicalTime = LogicalTime(0);
+impl std::hash::Hasher for IdHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
 
-    /// Returns the next instant.
-    #[must_use]
-    pub fn next(self) -> LogicalTime {
-        LogicalTime(self.0 + 1)
+    /// Byte strings are not what this hasher is for; a stray non-integer
+    /// key still hashes correctly, one fold per byte.
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|b| self.write_u64(u64::from(*b)));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        let wide = u128::from(self.0 ^ v) * 0xf135_7aea_2e62_a9c5_u128;
+        self.0 = (wide as u64) ^ ((wide >> 64) as u64);
+    }
+
+    #[inline]
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(u64::from(v));
+    }
+
+    #[inline]
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+
+    /// `#[derive(Hash)]` writes an enum's discriminant through here.
+    #[inline]
+    fn write_isize(&mut self, v: isize) {
+        self.write_u64(v as u64);
     }
 }
 
-impl fmt::Display for LogicalTime {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "t{}", self.0)
-    }
-}
+/// A `HashMap` hashed by [`IdHasher`].
+pub type IdHashMap<K, V> = std::collections::HashMap<K, V, std::hash::BuildHasherDefault<IdHasher>>;
 
 #[cfg(test)]
 mod tests {
@@ -265,14 +294,6 @@ mod tests {
         assert!(!format!("{}", ThreadId::new(1)).is_empty());
         assert!(!format!("{}", LockId::new(1)).is_empty());
         assert!(!format!("{}", SignatureId::new(1)).is_empty());
-        assert!(!format!("{}", LogicalTime::ZERO).is_empty());
-    }
-
-    #[test]
-    fn logical_time_advances() {
-        let t = LogicalTime::ZERO;
-        assert_eq!(t.next(), LogicalTime(1));
-        assert!(t < t.next());
     }
 
     #[test]

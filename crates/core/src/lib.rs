@@ -85,7 +85,9 @@ pub use history::{
     signature_from_json_value, signature_from_log_record, signature_to_log_record, History,
     HistoryLog, LogReplay, RecoveryReport,
 };
-pub use ids::{LockId, LogicalTime, OwnerId, ProcessId, SignatureId, SiteId, TaskId, ThreadId};
+pub use ids::{
+    IdHashMap, IdHasher, LockId, OwnerId, ProcessId, SignatureId, SiteId, TaskId, ThreadId,
+};
 pub use position::{OwnerQueue, Position, PositionId, PositionTable, StackInterner, ThreadQueue};
 pub use pvec::{PersistentMap, PersistentVec};
 pub use rag::{

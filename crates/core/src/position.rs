@@ -12,6 +12,7 @@
 
 use crate::callstack::{CallStack, SiteKey};
 use crate::OwnerId;
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::{Arc, RwLock};
@@ -334,6 +335,8 @@ pub struct PositionTable {
     /// sharded engines and the runtime share a single interner across all
     /// shards via [`PositionTable::with_interner`].
     interner: Arc<StackInterner>,
+    /// Keyed by the interned stack and probed through `Borrow<CallStack>`
+    /// with the caller's own stack, so a hit clones nothing.
     by_stack: HashMap<Arc<CallStack>, PositionId>,
     /// Stable-key index: the **first** position interned with each
     /// [`SiteKey`]. Keys deliberately coarsen identity (absolute lines are
@@ -392,13 +395,24 @@ impl PositionTable {
         self.positions.is_empty()
     }
 
+    /// `stack` as this table keys it: itself when it is no deeper than the
+    /// table's depth (every runtime site), so that probing `by_stack` clones
+    /// no frame; a truncated copy only for deeper stacks.
+    fn coarsened<'a>(&self, stack: &'a CallStack) -> Cow<'a, CallStack> {
+        if stack.depth() <= self.depth {
+            Cow::Borrowed(stack)
+        } else {
+            Cow::Owned(stack.truncated(self.depth))
+        }
+    }
+
     /// Interns `stack` (after truncation) and returns its id.
     pub fn intern(&mut self, stack: &CallStack) -> PositionId {
-        let truncated = stack.truncated(self.depth);
-        if let Some(id) = self.by_stack.get(&truncated) {
+        let stack = self.coarsened(stack);
+        if let Some(id) = self.by_stack.get(&*stack) {
             return *id;
         }
-        let shared = self.interner.intern(&truncated);
+        let shared = self.interner.intern(&stack);
         let id = PositionId(self.positions.len() as u32);
         let position = Position::new(id, Arc::clone(&shared));
         self.by_key.entry(position.site_key()).or_insert(id);
@@ -409,7 +423,7 @@ impl PositionTable {
 
     /// Looks up the id of an already-interned stack without inserting.
     pub fn lookup(&self, stack: &CallStack) -> Option<PositionId> {
-        self.by_stack.get(&stack.truncated(self.depth)).copied()
+        self.by_stack.get(&*self.coarsened(stack)).copied()
     }
 
     /// The first position interned with the given stable site key, if any.

@@ -28,8 +28,7 @@
 //! every query below degenerates to the paper's single-owner semantics.
 
 use crate::position::PositionId;
-use crate::{LockId, OwnerId, SignatureId};
-use std::collections::HashMap;
+use crate::{IdHashMap, LockId, OwnerId, SignatureId};
 
 /// How an owner holds (or requests) a lock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -56,7 +55,7 @@ impl AccessMode {
 }
 
 /// Why an owner is waiting on another owner in the wait-for relation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WaitEdge {
     /// The owner requests this lock, held by the successor owner.
     Lock(LockId),
@@ -154,10 +153,14 @@ pub struct CycleStep {
 }
 
 /// The resource allocation graph.
+///
+/// Both node maps are [`IdHashMap`]s: every hook probes them several times,
+/// and their keys are ids the substrate allocated (see
+/// [`IdHasher`](crate::IdHasher) for why that makes SipHash unnecessary).
 #[derive(Debug, Clone, Default)]
 pub struct Rag {
-    owners_map: HashMap<OwnerId, OwnerNode>,
-    locks: HashMap<LockId, LockNode>,
+    owners_map: IdHashMap<OwnerId, OwnerNode>,
+    locks: IdHashMap<LockId, LockNode>,
     /// Fallback acquisition counter used when the caller does not supply a
     /// sequence number (single-engine configuration).
     next_seq: u64,
@@ -310,7 +313,8 @@ impl Rag {
         self.owners_map.get(&t).and_then(|n| n.yielding.as_ref())
     }
 
-    /// Live yield records, keyed by their parked owner (unordered).
+    /// Live yield records, keyed by their parked owner (in the map's order:
+    /// arbitrary, but with [`IdHashMap`] the same on every run).
     pub fn yield_records(&self) -> impl Iterator<Item = (OwnerId, &YieldRecord)> {
         self.owners_map
             .iter()
@@ -345,11 +349,8 @@ impl Rag {
 
     /// Records that `t` requests `l` at position `pos` in `mode`.
     pub fn set_request_mode(&mut self, t: OwnerId, l: LockId, pos: PositionId, mode: AccessMode) {
-        self.register_owner(t);
         self.register_lock(l);
-        if let Some(n) = self.owners_map.get_mut(&t) {
-            n.requesting = Some(RequestEdge { lock: l, pos, mode });
-        }
+        self.owners_map.entry(t).or_default().requesting = Some(RequestEdge { lock: l, pos, mode });
     }
 
     /// Clears the outstanding request of `t`.
@@ -361,13 +362,11 @@ impl Rag {
 
     /// Marks owner `t` as parked by avoidance.
     pub fn set_yield(&mut self, t: OwnerId, record: YieldRecord) {
-        self.register_owner(t);
-        if let Some(n) = self.owners_map.get_mut(&t) {
-            if n.yielding.is_none() {
-                self.yield_records += 1;
-            }
-            n.yielding = Some(record);
+        let n = self.owners_map.entry(t).or_default();
+        if n.yielding.is_none() {
+            self.yield_records += 1;
         }
+        n.yielding = Some(record);
     }
 
     /// Clears the parked state of `t`; returns the record if one was set.
@@ -389,10 +388,8 @@ impl Rag {
     ///
     /// [`acquire`]: Rag::acquire
     pub fn set_pending_grant(&mut self, t: OwnerId, l: LockId, pos: PositionId, mode: AccessMode) {
-        self.register_owner(t);
-        if let Some(n) = self.owners_map.get_mut(&t) {
-            n.pending_grant = Some(RequestEdge { lock: l, pos, mode });
-        }
+        self.owners_map.entry(t).or_default().pending_grant =
+            Some(RequestEdge { lock: l, pos, mode });
     }
 
     /// The lock, position, and mode approved by the last grant for `t`, if
@@ -442,30 +439,26 @@ impl Rag {
         seq: u64,
     ) {
         self.next_seq = self.next_seq.max(seq).saturating_add(1);
-        self.register_owner(t);
-        self.register_lock(l);
-        if let Some(n) = self.owners_map.get_mut(&t) {
-            n.requesting = None;
-            n.pending_grant = None;
-            n.held.push(HeldEntry {
-                lock: l,
-                pos,
-                mode,
-                seq,
-            });
-        }
-        if let Some(ln) = self.locks.get_mut(&l) {
-            debug_assert!(
-                ln.owners.iter().all(|o| o.owner != t),
-                "first acquisition of an already-owned lock; use acquire_recursive"
-            );
-            ln.owners.push(LockOwner {
-                owner: t,
-                pos,
-                mode,
-                recursion: 1,
-            });
-        }
+        let n = self.owners_map.entry(t).or_default();
+        n.requesting = None;
+        n.pending_grant = None;
+        n.held.push(HeldEntry {
+            lock: l,
+            pos,
+            mode,
+            seq,
+        });
+        let ln = self.locks.entry(l).or_default();
+        debug_assert!(
+            ln.owners.iter().all(|o| o.owner != t),
+            "first acquisition of an already-owned lock; use acquire_recursive"
+        );
+        ln.owners.push(LockOwner {
+            owner: t,
+            pos,
+            mode,
+            recursion: 1,
+        });
     }
 
     /// The sequence number the next un-stamped [`acquire`](Rag::acquire)
@@ -513,33 +506,33 @@ impl Rag {
         Some(pos)
     }
 
-    /// Successor owners of `t` in the wait-for relation, together with the
-    /// edge kind. A request fans out to **every** owner whose mode conflicts
-    /// with the requested one: a writer blocked behind a reader crowd waits
-    /// on all of its readers, while a reader joining the crowd waits on no
-    /// one. `include_yields` selects whether avoidance-parked owners
-    /// contribute edges (needed for starvation detection).
-    pub fn successors(&self, t: OwnerId, include_yields: bool) -> Vec<(OwnerId, WaitEdge)> {
-        let mut out = Vec::new();
-        if let Some(node) = self.owners_map.get(&t) {
-            if let Some(edge) = node.requesting {
-                for owner in self.owners(edge.lock) {
-                    if owner.owner != t && edge.mode.conflicts_with(owner.mode) {
-                        out.push((owner.owner, WaitEdge::Lock(edge.lock)));
-                    }
-                }
-            }
-            if include_yields {
-                if let Some(y) = &node.yielding {
-                    for b in &y.blockers {
-                        if *b != t {
-                            out.push((*b, WaitEdge::Yield(y.signature)));
-                        }
-                    }
+    /// Visits the successor owners of `t` in the wait-for relation, together
+    /// with the edge kind. A request fans out to **every** owner whose mode
+    /// conflicts with the requested one: a writer blocked behind a reader
+    /// crowd waits on all of its readers, while a reader joining the crowd
+    /// waits on no one. `include_yields` selects whether avoidance-parked
+    /// owners contribute edges (needed for starvation detection).
+    pub fn successors(
+        &self,
+        t: OwnerId,
+        include_yields: bool,
+        mut visit: impl FnMut(OwnerId, WaitEdge),
+    ) {
+        let Some(node) = self.owners_map.get(&t) else {
+            return;
+        };
+        if let Some(edge) = node.requesting {
+            for owner in self.owners(edge.lock) {
+                if owner.owner != t && edge.mode.conflicts_with(owner.mode) {
+                    visit(owner.owner, WaitEdge::Lock(edge.lock));
                 }
             }
         }
-        out
+        if let Some(y) = node.yielding.as_ref().filter(|_| include_yields) {
+            for b in y.blockers.iter().filter(|b| **b != t) {
+                visit(*b, WaitEdge::Yield(y.signature));
+            }
+        }
     }
 
     /// Searches for a wait-for cycle containing `start`.
@@ -548,7 +541,9 @@ impl Rag {
     /// owner of entry `(i + 1) % len` through the given edge. Returns `None`
     /// if `start` is not part of any cycle.
     pub fn find_cycle_from(&self, start: OwnerId, include_yields: bool) -> Option<Vec<CycleStep>> {
-        find_cycle_with(start, |t| self.successors(t, include_yields))
+        find_cycle_with(start, |t, out| {
+            self.successors(t, include_yields, |next, edge| out.push((next, edge)));
+        })
     }
 
     /// Estimated resident memory of the graph in bytes.
@@ -570,75 +565,80 @@ impl Rag {
 }
 
 /// Searches for a wait-for cycle containing `start` over an arbitrary
-/// successor function.
+/// successor function, which appends the out-edges of the owner it is given
+/// to the buffer it is handed.
 ///
 /// This is [`Rag::find_cycle_from`] with the graph abstracted away: the
 /// sharded engine calls it with a closure that concatenates the successor
 /// edges of every shard's RAG, which yields exactly the wait-for relation a
 /// single monolithic RAG would contain (an owner's out-edges all live in the
 /// shard that handled its outstanding request).
+///
+/// An owner that waits on no one — nearly every request — answers `None`
+/// from that one successor call, before anything is allocated.
 pub fn find_cycle_with<F>(start: OwnerId, mut successors: F) -> Option<Vec<CycleStep>>
 where
-    F: FnMut(OwnerId) -> Vec<(OwnerId, WaitEdge)>,
+    F: FnMut(OwnerId, &mut Vec<(OwnerId, WaitEdge)>),
 {
-    // Depth-first search over the wait-for relation, recording the path.
-    // Out-degree per owner is 1 (the requested lock's holders) plus the
-    // blockers of a yield record, so the graph is tiny in practice.
-    let mut path: Vec<CycleStep> = Vec::new();
-    let mut on_path: Vec<OwnerId> = Vec::new();
-    let mut visited: Vec<OwnerId> = Vec::new();
-    dfs_cycle(
-        start,
-        start,
-        &mut successors,
-        &mut path,
-        &mut on_path,
-        &mut visited,
-    )
-    .then_some(path)
+    let mut edges = Vec::new();
+    successors(start, &mut edges);
+    if edges.is_empty() {
+        return None;
+    }
+    let mut search = CycleSearch {
+        target: start,
+        successors,
+        edges,
+        path: Vec::new(),
+        entered: Vec::new(),
+    };
+    search.visit(start, 0).then_some(search.path)
 }
 
-fn dfs_cycle<F>(
-    current: OwnerId,
+/// Depth-first search over the wait-for relation, recording the path.
+/// Out-degree per owner is 1 (the requested lock's holders) plus the blockers
+/// of a yield record, so the graph is tiny in practice.
+struct CycleSearch<F> {
     target: OwnerId,
-    successors: &mut F,
-    path: &mut Vec<CycleStep>,
-    on_path: &mut Vec<OwnerId>,
-    visited: &mut Vec<OwnerId>,
-) -> bool
-where
-    F: FnMut(OwnerId) -> Vec<(OwnerId, WaitEdge)>,
-{
-    on_path.push(current);
-    for (next, edge) in successors(current) {
-        if next == target && (!path.is_empty() || current != target) {
-            path.push(CycleStep {
+    successors: F,
+    /// Out-edges of the owners on the current path, one run per owner: one
+    /// buffer for the whole search instead of a list per visited node.
+    edges: Vec<(OwnerId, WaitEdge)>,
+    path: Vec<CycleStep>,
+    /// Every owner visited so far, on the current path or exhausted.
+    entered: Vec<OwnerId>,
+}
+
+impl<F: FnMut(OwnerId, &mut Vec<(OwnerId, WaitEdge)>)> CycleSearch<F> {
+    /// Visits `current`, whose out-edges are `edges[from..]`.
+    fn visit(&mut self, current: OwnerId, from: usize) -> bool {
+        self.entered.push(current);
+        let until = self.edges.len();
+        for i in from..until {
+            let (next, edge) = self.edges[i];
+            if next == self.target && current == self.target {
+                // self-loop; ignore (reentrant acquisitions never produce one)
+                continue;
+            }
+            if next != self.target && self.entered.contains(&next) {
+                continue;
+            }
+            self.path.push(CycleStep {
                 owner: current,
                 edge,
             });
-            on_path.pop();
-            return true;
+            if next == self.target {
+                return true;
+            }
+            (self.successors)(next, &mut self.edges);
+            if self.visit(next, until) {
+                return true;
+            }
+            self.edges.truncate(until);
+            self.path.pop();
         }
-        if next == target && path.is_empty() && current == target {
-            // self-loop; ignore (reentrant acquisitions never produce one)
-            continue;
-        }
-        if on_path.contains(&next) || visited.contains(&next) {
-            continue;
-        }
-        path.push(CycleStep {
-            owner: current,
-            edge,
-        });
-        if dfs_cycle(next, target, successors, path, on_path, visited) {
-            on_path.pop();
-            return true;
-        }
-        path.pop();
+        false
     }
-    on_path.pop();
-    visited.push(current);
-    false
 }
 
 #[cfg(test)]
@@ -653,6 +653,11 @@ mod tests {
     }
     fn p(i: u32) -> PositionId {
         PositionId::new(i)
+    }
+    fn successors_of(rag: &Rag, t: OwnerId, include_yields: bool) -> Vec<OwnerId> {
+        let mut out = Vec::new();
+        rag.successors(t, include_yields, |next, _| out.push(next));
+        out
     }
 
     #[test]
@@ -707,20 +712,15 @@ mod tests {
         rag.acquire_mode_with_seq(t(2), l(1), p(2), AccessMode::Shared, 2);
         // A writer waits on *all* current readers...
         rag.set_request_mode(t(3), l(1), p(3), AccessMode::Exclusive);
-        let succ: Vec<OwnerId> = rag
-            .successors(t(3), false)
-            .iter()
-            .map(|(s, _)| *s)
-            .collect();
-        assert_eq!(succ, vec![t(1), t(2)]);
+        assert_eq!(successors_of(&rag, t(3), false), vec![t(1), t(2)]);
         // ...while a reader joining the crowd waits on no one.
         rag.set_request_mode(t(4), l(1), p(4), AccessMode::Shared);
-        assert!(rag.successors(t(4), false).is_empty());
+        assert!(successors_of(&rag, t(4), false).is_empty());
         // A reader blocked behind an exclusive owner does wait.
         let mut rag2 = Rag::new();
         rag2.acquire(t(1), l(1), p(0));
         rag2.set_request_mode(t(2), l(1), p(1), AccessMode::Shared);
-        assert_eq!(rag2.successors(t(2), false).len(), 1);
+        assert_eq!(successors_of(&rag2, t(2), false).len(), 1);
     }
 
     #[test]
@@ -850,7 +850,7 @@ mod tests {
         let mut rag = Rag::new();
         rag.acquire(t(1), l(1), p(0));
         rag.set_request(t(1), l(1), p(1));
-        assert!(rag.successors(t(1), true).is_empty());
+        assert!(successors_of(&rag, t(1), true).is_empty());
     }
 
     #[test]

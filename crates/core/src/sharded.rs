@@ -84,8 +84,8 @@ use crate::rag::{find_cycle_with, AccessMode, CycleStep, WaitEdge, YieldRecord};
 use crate::signature::{Signature, SignatureKind, SignaturePair};
 use crate::snapshot::HistorySnapshot;
 use crate::stats::Stats;
-use crate::{LockId, OwnerId, SignatureId};
-use std::collections::HashMap;
+use crate::{IdHashMap, LockId, OwnerId, SignatureId};
+use std::borrow::{Borrow, BorrowMut};
 use std::sync::Arc;
 
 /// Upper bound on the number of shards (holds-per-shard bookkeeping is a
@@ -275,12 +275,15 @@ pub fn try_request_local(
 /// index owning `l`, and `prev_request_shard` is the shard still carrying
 /// the thread's previous request edge or yield record, if any (the request
 /// edge moves to `home`, mirroring the monolithic engine's overwrite).
+/// A shard is reached however the caller holds it — the engines themselves
+/// ([`ShardedDimmunix`]), `&mut` references, or a substrate's mutex guards —
+/// so no caller builds a second list of references beside the one it has.
 ///
 /// The decision logic mirrors [`Dimmunix::request_at`] step for step; only
 /// the state accessors are merged across shards as described in the module
 /// docs.
 pub fn request_cross_shard(
-    shards: &mut [&mut Dimmunix],
+    shards: &mut [impl BorrowMut<Dimmunix>],
     router: &ShardRouter,
     t: impl Into<OwnerId>,
     l: LockId,
@@ -290,80 +293,75 @@ pub fn request_cross_shard(
 ) -> RequestOutcome {
     let t = t.into();
     let home = router.shard_of(l);
-    let pos = shards[home].intern_position(stack);
+    // A different shard still carrying the requester's last edge or record.
+    let prev = prev_request_shard.filter(|prev| *prev != home);
+    let h = at(shards, home);
+    let pos = h.intern_position(stack);
+    h.stats_mut().requests += 1;
 
-    shards[home].tick();
-    shards[home].stats_mut().requests += 1;
-
-    if shards[home].config().is_disabled() {
-        shards[home].stats_mut().grants += 1;
-        shards[home].rag_mut().register_owner(t);
-        shards[home].rag_mut().register_lock(l);
-        shards[home].rag_mut().set_pending_grant(t, l, pos, mode);
+    if h.config().is_disabled() {
+        h.stats_mut().grants += 1;
+        h.rag_mut().register_lock(l);
+        h.rag_mut().set_pending_grant(t, l, pos, mode);
         return RequestOutcome::Granted;
     }
+    let detection = h.config().detection;
+    let avoidance = h.config().avoidance;
+    let starvation_handling = h.config().starvation_handling;
 
     // If the thread is retrying after a yield, it is no longer parked; the
     // record lives in the shard that answered the yielded request.
-    shards[home].clear_yield_tracked(t);
-    if let Some(prev) = prev_request_shard {
-        if prev != home {
-            shards[prev].clear_yield_tracked(t);
-        }
+    h.clear_yield_tracked(t);
+    if let Some(prev) = prev {
+        at(shards, prev).clear_yield_tracked(t);
     }
 
     // Reentrant fast path: a thread never deadlocks against itself on a
     // lock it already owns (in any mode).
-    if shards[home].rag().owns(l, t) {
-        shards[home].stats_mut().reentrant_grants += 1;
+    let h = at(shards, home);
+    if h.rag().owns(l, t) {
+        h.stats_mut().reentrant_grants += 1;
         return RequestOutcome::GrantedReentrant;
     }
 
     // The request edge moves to the home shard (the monolithic engine's
     // `set_request` overwrite, split across shards).
-    if let Some(prev) = prev_request_shard {
-        if prev != home {
-            shards[prev].rag_mut().clear_request(t);
-        }
+    h.rag_mut().set_request_mode(t, l, pos, mode);
+    if let Some(prev) = prev {
+        at(shards, prev).rag_mut().clear_request(t);
     }
-    shards[home].rag_mut().set_request_mode(t, l, pos, mode);
-
-    let detection = shards[home].config().detection;
-    let avoidance = shards[home].config().avoidance;
-    let starvation_handling = shards[home].config().starvation_handling;
 
     // --- Detection (merged wait-for relation) --------------------------
     if detection {
         let include_yields = starvation_handling;
-        // One read-only snapshot serves cycle search and classification.
-        let detected = {
-            let ro: Vec<&Dimmunix> = shards.iter().map(|s| &**s).collect();
-            find_cycle_with(t, |th| merged_successors(&ro, th, include_yields))
-                .map(|steps| classify_cycle_merged(&ro, router, &steps))
-        };
+        // One read-only view serves cycle search and classification.
+        let ro = &*shards;
+        let detected = find_cycle_with(t, |th, out| {
+            merged_successors(ro, th, include_yields, |next, edge| out.push((next, edge)));
+        })
+        .map(|steps| classify_cycle_merged(ro, router, &steps));
         if let Some(detected) = detected {
             let is_starvation = detected.involves_yield;
             let (sig_id, new) = broadcast_signature(shards, detected.signature.clone());
             if is_starvation {
-                shards[home].stats_mut().starvations_detected += 1;
-                if new {
-                    shards[home].stats_mut().new_starvation_signatures += 1;
-                }
+                let stats = at(shards, home).stats_mut();
+                stats.starvations_detected += 1;
+                stats.new_starvation_signatures += u64::from(new);
                 // Resume every parked participant (§2.2): clear its yield
                 // (wherever it lives) and schedule a wake-up.
                 for th in &detected.owners {
                     if let Some(y) = clear_yield_any(shards, *th) {
-                        shards[home].push_pending_wakeup(y.signature);
-                        shards[home].stats_mut().wakeups += 1;
+                        let h = at(shards, home);
+                        h.push_pending_wakeup(y.signature);
+                        h.stats_mut().wakeups += 1;
                     }
                 }
                 // Fall through: the requester itself is then treated by the
                 // avoidance logic below.
             } else {
-                shards[home].stats_mut().deadlocks_detected += 1;
-                if new {
-                    shards[home].stats_mut().new_deadlock_signatures += 1;
-                }
+                let stats = at(shards, home).stats_mut();
+                stats.deadlocks_detected += 1;
+                stats.new_deadlock_signatures += u64::from(new);
                 return RequestOutcome::DeadlockDetected {
                     signature: sig_id,
                     new_signature: new,
@@ -374,45 +372,32 @@ pub fn request_cross_shard(
     }
 
     // --- Avoidance (merged queue occupancy) ----------------------------
-    if avoidance && !shards[home].history().is_empty() {
-        shards[home].stats_mut().instantiation_checks += 1;
-        let outer = shards[home]
-            .positions()
-            .get(pos)
-            .and_then(|p| p.history_ref());
-        let examined = outer.map_or(0, |o| {
-            shards[home].signature_index().signatures_at(o).len() as u64
-        });
-        shards[home].stats_mut().signatures_examined += examined;
-        // One read-only snapshot serves the instantiation check and, when it
+    // (A starvation recorded just above may have been the first signature.)
+    if avoidance && !at(shards, home).history().is_empty() {
+        let h = at(shards, home);
+        h.stats_mut().instantiation_checks += 1;
+        let outer = h.positions().get(pos).and_then(|p| p.history_ref());
+        let examined = outer.map_or(0, |o| h.signature_index().signatures_at(o).len() as u64);
+        h.stats_mut().signatures_examined += examined;
+        // One read-only view serves the instantiation check and, when it
         // matches, the starvation probe over the same state.
-        let (inst, starvation_sig) = {
-            let ro: Vec<&Dimmunix> = shards.iter().map(|s| &**s).collect();
-            match outer.and_then(|o| find_instantiation_merged(&ro, home, t, o, l, mode)) {
-                Some(inst) => {
-                    let sig = (starvation_handling && would_starve_merged(&ro, t, &inst.blockers))
-                        .then(|| starvation_signature_merged(&ro, home, pos, &inst.blockers));
-                    (Some(inst), sig)
-                }
-                None => (None, None),
-            }
-        };
-        if let Some(inst) = inst {
-            let mut park = true;
+        let ro = &*shards;
+        if let Some(inst) = outer.and_then(|o| find_instantiation_merged(ro, home, t, o, l, mode)) {
+            let starvation_sig = (starvation_handling
+                && would_starve_merged(ro, t, &inst.blockers))
+            .then(|| starvation_signature_merged(ro, home, pos, &inst.blockers));
             if let Some(sig) = starvation_sig {
                 // Parking would itself create a wait-for cycle: record
                 // the avoidance-induced deadlock and let the thread
                 // proceed instead (§2.2).
                 let (_, new) = broadcast_signature(shards, sig);
-                shards[home].stats_mut().starvations_detected += 1;
-                if new {
-                    shards[home].stats_mut().new_starvation_signatures += 1;
-                }
-                park = false;
-            }
-            if park {
-                shards[home].stats_mut().yields += 1;
-                shards[home].set_yield_tracked(
+                let stats = at(shards, home).stats_mut();
+                stats.starvations_detected += 1;
+                stats.new_starvation_signatures += u64::from(new);
+            } else {
+                let h = at(shards, home);
+                h.stats_mut().yields += 1;
+                h.set_yield_tracked(
                     t,
                     YieldRecord {
                         signature: inst.signature,
@@ -429,70 +414,89 @@ pub fn request_cross_shard(
     }
 
     // --- Grant ----------------------------------------------------------
-    shards[home].stats_mut().grants += 1;
-    if let Some(p) = shards[home].positions_mut().get_mut(pos) {
+    let h = at(shards, home);
+    h.stats_mut().grants += 1;
+    if let Some(p) = h.positions_mut().get_mut(pos) {
         p.queue_mut().push(t);
     }
-    shards[home].rag_mut().set_pending_grant(t, l, pos, mode);
+    h.rag_mut().set_pending_grant(t, l, pos, mode);
     RequestOutcome::Granted
 }
 
 // ----------------------------------------------------------------------
 // Merged-view helpers
 // ----------------------------------------------------------------------
+//
+// Generic over how a shard is borrowed, so one read-only view of the
+// caller's own list serves detection and avoidance alike. The two accessors
+// pin `Borrow`'s target type, which method-call syntax would leave ambiguous
+// against the reflexive `impl Borrow<T> for T`.
+
+fn shard(s: &impl Borrow<Dimmunix>) -> &Dimmunix {
+    s.borrow()
+}
+
+fn at(shards: &mut [impl BorrowMut<Dimmunix>], index: usize) -> &mut Dimmunix {
+    shards[index].borrow_mut()
+}
 
 /// The merged wait-for successors of `t`: concatenation of the per-shard
 /// relations. A thread's out-edges (its outstanding request and its yield
 /// blockers) all live in the shard of its outstanding request, so
 /// concatenation yields exactly the monolithic successor list.
 fn merged_successors(
-    shards: &[&Dimmunix],
+    shards: &[impl Borrow<Dimmunix>],
     t: OwnerId,
     include_yields: bool,
-) -> Vec<(OwnerId, WaitEdge)> {
-    let mut out = Vec::new();
+    mut visit: impl FnMut(OwnerId, WaitEdge),
+) {
     for s in shards {
-        out.extend(s.rag().successors(t, include_yields));
+        shard(s).rag().successors(t, include_yields, &mut visit);
     }
-    out
 }
 
 /// A position pinned to the shard whose table interned it.
 type ShardPos = (usize, PositionId);
 
-fn stack_at(shards: &[&Dimmunix], loc: Option<ShardPos>) -> CallStack {
-    loc.and_then(|(s, p)| shards[s].positions().get(p))
+fn stack_at(shards: &[impl Borrow<Dimmunix>], loc: Option<ShardPos>) -> CallStack {
+    loc.and_then(|(s, p)| shard(&shards[s]).positions().get(p))
         .map(|p| p.stack().clone())
         .unwrap_or_default()
 }
 
 /// The shard and record of `t`'s outstanding request, if any.
-fn requesting_any(shards: &[&Dimmunix], t: OwnerId) -> Option<(usize, LockId, PositionId)> {
+fn requesting_any(
+    shards: &[impl Borrow<Dimmunix>],
+    t: OwnerId,
+) -> Option<(usize, LockId, PositionId)> {
     shards
         .iter()
+        .map(shard)
         .enumerate()
         .find_map(|(i, s)| s.rag().requesting(t).map(|(l, p)| (i, l, p)))
 }
 
 /// The shard and yield record of `t`, if it is parked by avoidance.
-fn yielding_any<'a>(shards: &'a [&Dimmunix], t: OwnerId) -> Option<(usize, &'a YieldRecord)> {
+fn yielding_any(shards: &[impl Borrow<Dimmunix>], t: OwnerId) -> Option<(usize, &YieldRecord)> {
     shards
         .iter()
+        .map(shard)
         .enumerate()
         .find_map(|(i, s)| s.rag().yielding(t).map(|y| (i, y)))
 }
 
 /// Clears `t`'s yield record in whichever shard carries it.
-fn clear_yield_any(shards: &mut [&mut Dimmunix], t: OwnerId) -> Option<YieldRecord> {
-    shards.iter_mut().find_map(|s| s.clear_yield_tracked(t))
+fn clear_yield_any(shards: &mut [impl BorrowMut<Dimmunix>], t: OwnerId) -> Option<YieldRecord> {
+    (0..shards.len()).find_map(|i| at(shards, i).clear_yield_tracked(t))
 }
 
 /// Latest lock held by `t` (by global acquisition sequence) whose
 /// acquisition position is flagged as in-history — the merged equivalent of
 /// `detection::last_history_hold`.
-fn last_history_hold_merged(shards: &[&Dimmunix], t: OwnerId) -> Option<ShardPos> {
+fn last_history_hold_merged(shards: &[impl Borrow<Dimmunix>], t: OwnerId) -> Option<ShardPos> {
     shards
         .iter()
+        .map(shard)
         .enumerate()
         .flat_map(|(i, s)| {
             s.rag()
@@ -512,9 +516,10 @@ fn last_history_hold_merged(shards: &[&Dimmunix], t: OwnerId) -> Option<ShardPos
 
 /// Latest lock held by `t` across all shards, by global acquisition
 /// sequence — the merged equivalent of `held_locks(t).last()`.
-fn last_hold_merged(shards: &[&Dimmunix], t: OwnerId) -> Option<ShardPos> {
+fn last_hold_merged(shards: &[impl Borrow<Dimmunix>], t: OwnerId) -> Option<ShardPos> {
     shards
         .iter()
+        .map(shard)
         .enumerate()
         .flat_map(|(i, s)| {
             s.rag()
@@ -530,7 +535,7 @@ fn last_hold_merged(shards: &[&Dimmunix], t: OwnerId) -> Option<ShardPos> {
 /// resolves positions through the shard that interned them and hold recency
 /// through the global acquisition sequence.
 fn classify_cycle_merged(
-    shards: &[&Dimmunix],
+    shards: &[impl Borrow<Dimmunix>],
     router: &ShardRouter,
     steps: &[CycleStep],
 ) -> crate::detection::DetectedCycle {
@@ -549,7 +554,10 @@ fn classify_cycle_merged(
                 // The waited-on thread is one owner among possibly several
                 // (a reader crowd): the template position is *its* `acqPos`.
                 let s = router.shard_of(*lock);
-                shards[s].rag().acq_pos_of(*lock, waited_on).map(|p| (s, p))
+                shard(&shards[s])
+                    .rag()
+                    .acq_pos_of(*lock, waited_on)
+                    .map(|p| (s, p))
             }
             WaitEdge::Yield(_) => {
                 involves_yield = true;
@@ -601,14 +609,14 @@ fn classify_cycle_merged(
 /// (`&[&engine]`, `home = 0`) — one implementation, so the single-engine
 /// and sharded decisions cannot drift.
 pub(crate) fn find_instantiation_merged(
-    shards: &[&Dimmunix],
+    shards: &[impl Borrow<Dimmunix>],
     home: usize,
     thread: OwnerId,
     outer: PositionId,
     lock: LockId,
     mode: AccessMode,
 ) -> Option<Instantiation> {
-    let snapshot = shards[home].history_snapshot();
+    let snapshot = shard(&shards[home]).history_snapshot();
     'sigs: for &sig in snapshot.index().signatures_at(outer) {
         let slots = snapshot.index().outer_positions_of(sig);
         // An injective assignment of k slots touches at most k - 1 distinct
@@ -621,7 +629,7 @@ pub(crate) fn find_instantiation_merged(
         let mut candidates: Vec<Vec<OwnerId>> = Vec::with_capacity(cap);
         for slot in slots {
             let mut set: Vec<OwnerId> = Vec::new();
-            for s in shards {
+            for s in shards.iter().map(shard) {
                 let Some(pid) = s.local_position_of_outer(*slot) else {
                     continue;
                 };
@@ -691,9 +699,14 @@ fn crowd_mate_occupancy(
     crowd > 0 && p.queue().count(c) <= crowd
 }
 
-/// Merged equivalent of the engine's `would_starve`: true if parking `t`
-/// would close a wait-for cycle through one of its blockers.
-fn would_starve_merged(shards: &[&Dimmunix], t: OwnerId, blockers: &[OwnerId]) -> bool {
+/// True if parking `t` (with the given blockers) would close a wait-for
+/// cycle, i.e. some blocker transitively waits on `t`. The monolithic engine
+/// asks the same question as the one-shard call.
+pub(crate) fn would_starve_merged(
+    shards: &[impl Borrow<Dimmunix>],
+    t: OwnerId,
+    blockers: &[OwnerId],
+) -> bool {
     let mut stack: Vec<OwnerId> = blockers.to_vec();
     let mut visited: Vec<OwnerId> = Vec::new();
     while let Some(current) = stack.pop() {
@@ -704,16 +717,16 @@ fn would_starve_merged(shards: &[&Dimmunix], t: OwnerId, blockers: &[OwnerId]) -
             continue;
         }
         visited.push(current);
-        for (next, _) in merged_successors(shards, current, true) {
-            stack.push(next);
-        }
+        merged_successors(shards, current, true, |next, _| stack.push(next));
     }
     false
 }
 
-/// Merged equivalent of the engine's `starvation_signature`.
-fn starvation_signature_merged(
-    shards: &[&Dimmunix],
+/// Builds the signature of an avoidance-induced deadlock: one pair per
+/// participant (the would-be parked owner, whose request `home` answers, plus
+/// its blockers), using the most informative stable position for each.
+pub(crate) fn starvation_signature_merged(
+    shards: &[impl Borrow<Dimmunix>],
     home: usize,
     pos: PositionId,
     blockers: &[OwnerId],
@@ -744,19 +757,25 @@ fn starvation_signature_merged(
 ///
 /// Exposed so substrates that wrap shards in their own mutexes
 /// (`dimmunix-rt`) install antibodies through the identical code path.
-pub fn broadcast_signature(shards: &mut [&mut Dimmunix], sig: Signature) -> (SignatureId, bool) {
+pub fn broadcast_signature(
+    shards: &mut [impl BorrowMut<Dimmunix>],
+    sig: Signature,
+) -> (SignatureId, bool) {
     let (first, rest) = shards.split_first_mut().expect("at least one shard");
+    let first: &mut Dimmunix = first.borrow_mut();
     let (id, new) = first.insert_signature(sig);
     if new {
         let snapshot = Arc::clone(first.history_snapshot());
-        for s in rest.iter_mut() {
+        for s in rest {
+            let s: &mut Dimmunix = s.borrow_mut();
             s.install_snapshot(Arc::clone(&snapshot));
         }
     }
     debug_assert!(
-        shards
-            .windows(2)
-            .all(|w| Arc::ptr_eq(w[0].history_snapshot(), w[1].history_snapshot())),
+        shards.windows(2).all(|w| Arc::ptr_eq(
+            shard(&w[0]).history_snapshot(),
+            shard(&w[1]).history_snapshot()
+        )),
         "shards must share one history snapshot"
     );
     (id, new)
@@ -792,7 +811,7 @@ pub struct ShardedDimmunix {
     router: ShardRouter,
     /// Global acquisition counter stamped into every shard's RAG holds.
     next_seq: u64,
-    owner_routes: HashMap<OwnerId, OwnerRoute>,
+    owner_routes: IdHashMap<OwnerId, OwnerRoute>,
 }
 
 impl ShardedDimmunix {
@@ -832,7 +851,7 @@ impl ShardedDimmunix {
             shards: engines,
             router,
             next_seq: 1,
-            owner_routes: HashMap::new(),
+            owner_routes: IdHashMap::default(),
         }
     }
 
@@ -933,8 +952,7 @@ impl ShardedDimmunix {
     /// Adds a signature to the shared history and installs the successor
     /// snapshot into every shard; returns its id and whether it was new.
     pub fn add_signature(&mut self, sig: Signature) -> (SignatureId, bool) {
-        let mut refs: Vec<&mut Dimmunix> = self.shards.iter_mut().collect();
-        broadcast_signature(&mut refs, sig)
+        broadcast_signature(&mut self.shards, sig)
     }
 
     /// Called before a monitor (exclusive) acquisition; see
@@ -982,9 +1000,8 @@ impl ShardedDimmunix {
         let outcome = match local {
             LocalDecision::Decided(outcome) => outcome,
             LocalDecision::NeedsCrossShard => {
-                let mut refs: Vec<&mut Dimmunix> = self.shards.iter_mut().collect();
                 let stale = route.stale_shard();
-                request_cross_shard(&mut refs, &self.router, t, l, stack, mode, stale)
+                request_cross_shard(&mut self.shards, &self.router, t, l, stack, mode, stale)
             }
         };
 

@@ -17,9 +17,9 @@
 use crate::runtime::DimmunixRuntime;
 use crate::site::AcquisitionSite;
 use crate::sync;
-use dimmunix_core::TaskId;
+use dimmunix_core::{IdHashMap, IdHasher, TaskId};
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::{Arc, Mutex};
@@ -36,7 +36,7 @@ struct ReadyQueue {
 #[derive(Default)]
 struct ReadyState {
     queue: VecDeque<u64>,
-    queued: HashSet<u64>,
+    queued: HashSet<u64, std::hash::BuildHasherDefault<IdHasher>>,
 }
 
 impl ReadyQueue {
@@ -147,7 +147,7 @@ pub struct ExecutorReport {
 pub struct Executor {
     rt: Arc<DimmunixRuntime>,
     workers: usize,
-    tasks: RefCell<HashMap<u64, TaskEntry>>,
+    tasks: RefCell<IdHashMap<u64, TaskEntry>>,
     ready: Arc<ReadyQueue>,
     spawned: Cell<usize>,
     polls: Cell<u64>,
@@ -170,7 +170,7 @@ impl Executor {
         Executor {
             rt: Arc::clone(rt),
             workers: workers.max(1),
-            tasks: RefCell::new(HashMap::new()),
+            tasks: RefCell::default(),
             ready: Arc::new(ReadyQueue::default()),
             spawned: Cell::new(0),
             polls: Cell::new(0),

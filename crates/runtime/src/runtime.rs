@@ -41,12 +41,14 @@ use crate::site::AcquisitionSite;
 use crate::sync;
 use dimmunix_core::{
     broadcast_signature, request_cross_shard, try_request_local, AccessMode, Admission,
-    AdmissionSummary, CallStack, Config, Dimmunix, History, HistorySnapshot, LocalDecision, LockId,
-    OwnerId, OwnerRoute, PositionId, RecoveryReport, RequestOutcome, ShardRouter, Signature,
-    SignatureId, SiteKey, StackInterner, Stats, TaskId, ThreadId,
+    AdmissionSummary, CallStack, Config, Dimmunix, History, HistorySnapshot, IdHashMap,
+    LocalDecision, LockId, OwnerId, OwnerRoute, PositionId, RecoveryReport, RequestOutcome,
+    ShardRouter, Signature, SignatureId, SiteKey, StackInterner, Stats, TaskId, ThreadId,
+    MAX_SHARDS,
 };
 use dimmunix_exchange::{Pack, PackError};
-use std::collections::{HashMap, VecDeque};
+use std::borrow::{Borrow, BorrowMut};
+use std::collections::VecDeque;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -345,6 +347,36 @@ impl ShardCell {
     }
 }
 
+/// One slot of the all-shard lock: the guard of the shard with this index,
+/// empty past the runtime's shard count. Dereferences to the cell; core's
+/// cross-shard functions reach the engine through `Borrow`.
+struct LockedShard<'a>(Option<MutexGuard<'a, ShardCell>>);
+
+impl std::ops::Deref for LockedShard<'_> {
+    type Target = ShardCell;
+    fn deref(&self) -> &ShardCell {
+        self.0.as_deref().expect("slot of an existing shard")
+    }
+}
+
+impl std::ops::DerefMut for LockedShard<'_> {
+    fn deref_mut(&mut self) -> &mut ShardCell {
+        self.0.as_deref_mut().expect("slot of an existing shard")
+    }
+}
+
+impl Borrow<Dimmunix> for LockedShard<'_> {
+    fn borrow(&self) -> &Dimmunix {
+        &self.engine
+    }
+}
+
+impl BorrowMut<Dimmunix> for LockedShard<'_> {
+    fn borrow_mut(&mut self) -> &mut Dimmunix {
+        &mut self.engine
+    }
+}
+
 /// A lock admitted on the no-engine fast path and still held. The engine has
 /// never seen this hold: the admission summary proved its site cannot appear
 /// in any history signature and its owner cannot be a deadlock-cycle
@@ -376,39 +408,12 @@ struct ThreadRoute {
     fast_held: Option<FastHold>,
 }
 
-/// FNV-1a hasher for the thread-local maps on the admission fast path.
-/// Their keys are tiny and fixed-size (a runtime instance id; a site's
-/// pointer triple), where the default SipHash costs more than the admission
-/// check itself; FNV is not DoS-resistant, but these maps never hold
-/// attacker-chosen keys.
-#[derive(Default)]
-struct FnvHasher(u64);
-
-impl std::hash::Hasher for FnvHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        let mut h = if self.0 == 0 {
-            0xcbf2_9ce4_8422_2325
-        } else {
-            self.0
-        };
-        for &b in bytes {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-        }
-        self.0 = h;
-    }
-}
-
-type FnvMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<FnvHasher>>;
-
 /// Cache key for [`SITE_STACKS`]: the site's `'static` string **pointers**
 /// stand in for their contents. For a given call site the pointers are
 /// stable, and pointer equality implies content equality; two distinct
 /// pointers with equal contents merely cache the same stack twice. This
-/// keeps per-call string hashing off the steady-state acquisition path.
+/// keeps per-call string hashing off the steady-state acquisition path: the
+/// key hashes as three process-allocated integers, an [`IdHashMap`] key.
 #[derive(PartialEq, Eq, Hash)]
 struct SiteCacheKey(usize, usize, u32);
 
@@ -424,29 +429,30 @@ impl From<AcquisitionSite> for SiteCacheKey {
 
 thread_local! {
     /// Per-OS-thread routing state, keyed by runtime instance.
-    static THREAD_ROUTE: std::cell::RefCell<FnvMap<u64, ThreadRoute>> =
-        std::cell::RefCell::new(FnvMap::default());
+    static THREAD_ROUTE: std::cell::RefCell<IdHashMap<u64, ThreadRoute>> =
+        std::cell::RefCell::new(IdHashMap::default());
 
     /// Per-thread cache of interned call stacks and site keys by acquisition
     /// site. A site is a `'static` triple, so the cache never invalidates;
     /// the steady-state acquisition path allocates nothing and hashes only
     /// this one small map lookup.
-    static SITE_STACKS: std::cell::RefCell<FnvMap<SiteCacheKey, (Arc<CallStack>, SiteKey)>> =
-        std::cell::RefCell::new(FnvMap::default());
+    static SITE_STACKS: std::cell::RefCell<IdHashMap<SiteCacheKey, (Arc<CallStack>, SiteKey)>> =
+        std::cell::RefCell::new(IdHashMap::default());
 }
 
-/// The call stack and stable site key for an acquisition site, from the
-/// thread-local cache (built once per (thread, site)).
-fn cached_site_stack(site: AcquisitionSite) -> (Arc<CallStack>, SiteKey) {
+/// Applies `f` to the call stack and stable site key of an acquisition site,
+/// in place in the thread-local cache (built once per (thread, site)), so a
+/// caller that only needs the key, or the stack for the length of one engine
+/// call, touches no reference count. `f` must not acquire through a site.
+fn cached_site<R>(site: AcquisitionSite, f: impl FnOnce(&Arc<CallStack>, SiteKey) -> R) -> R {
     SITE_STACKS.with(|cell| {
-        cell.borrow_mut()
-            .entry(site.into())
-            .or_insert_with(|| {
-                let stack = Arc::new(site.to_call_stack());
-                let key = stack.site_key();
-                (stack, key)
-            })
-            .clone()
+        let mut map = cell.borrow_mut();
+        let (stack, key) = map.entry(site.into()).or_insert_with(|| {
+            let stack = Arc::new(site.to_call_stack());
+            let key = stack.site_key();
+            (stack, key)
+        });
+        f(stack, *key)
     })
 }
 
@@ -461,7 +467,7 @@ pub struct DimmunixRuntime {
     /// ascending index order.
     shards: Vec<Mutex<ShardCell>>,
     /// Per-signature park gates, global across shards.
-    gates: Mutex<HashMap<SignatureId, Arc<SignatureGate>>>,
+    gates: Mutex<IdHashMap<SignatureId, Arc<SignatureGate>>>,
     router: ShardRouter,
     options: RuntimeOptions,
     /// Global acquisition sequence, stamped into shard RAG holds so merged
@@ -483,7 +489,7 @@ pub struct DimmunixRuntime {
     /// [`ThreadRoute`]). A map rather than a thread-local because a task may
     /// be polled from any worker thread; each entry is only touched by its
     /// own task's polls, which an executor serializes.
-    task_routes: Mutex<HashMap<TaskId, TaskRoute>>,
+    task_routes: Mutex<IdHashMap<TaskId, TaskRoute>>,
     /// Wakers of tasks parked by avoidance, keyed by the signature whose
     /// instantiation parked them — the async analogue of the condition
     /// variable [`SignatureGate`]s, FIFO per signature and at most one
@@ -491,7 +497,7 @@ pub struct DimmunixRuntime {
     /// entry ([`notify_signatures_released`](Self::notify_signatures_released));
     /// correctness-critical notifications (starvation, cancellation,
     /// retirement) wake every entry.
-    task_wakers: Mutex<HashMap<SignatureId, VecDeque<(TaskId, Waker)>>>,
+    task_wakers: Mutex<IdHashMap<SignatureId, VecDeque<(TaskId, Waker)>>>,
     /// Collaborative-exchange state (quarantined foreign antibodies and
     /// counters); `None` unless [`RuntimeBuilder::exchange`] configured it.
     exchange: Option<ExchangeState>,
@@ -598,7 +604,7 @@ impl DimmunixRuntime {
         let exchange = options.exchange.clone().map(ExchangeState::new);
         let rt = Arc::new(DimmunixRuntime {
             shards,
-            gates: Mutex::new(HashMap::new()),
+            gates: Mutex::default(),
             router,
             options,
             acq_seq: AtomicU64::new(1),
@@ -607,8 +613,8 @@ impl DimmunixRuntime {
             next_thread: AtomicU64::new(1),
             next_lock: AtomicU64::new(1),
             next_task: AtomicU64::new(1),
-            task_routes: Mutex::new(HashMap::new()),
-            task_wakers: Mutex::new(HashMap::new()),
+            task_routes: Mutex::default(),
+            task_wakers: Mutex::default(),
             exchange,
         });
         rt.startup_exchange_import();
@@ -666,14 +672,14 @@ impl DimmunixRuntime {
     /// costs one relaxed load. Activated antibodies are appended to the
     /// shared history *after* the pending guard is dropped, keeping the
     /// pending-before-shards lock order one-way.
-    fn feed_exchange(&self, stack: &CallStack) {
+    fn feed_exchange(&self, site: AcquisitionSite) {
         let Some(ex) = &self.exchange else { return };
         if !ex.pending_nonempty.load(Ordering::Relaxed) {
             return;
         }
         let activated = {
             let mut pending = sync::lock(&ex.pending);
-            let out = pending.observe_position(stack);
+            let out = cached_site(site, |stack, _| pending.observe_position(stack));
             ex.pending_nonempty
                 .store(!pending.is_empty(), Ordering::Relaxed);
             out
@@ -734,21 +740,22 @@ impl DimmunixRuntime {
 
     /// This thread's routing state, creating and registering it on first use.
     fn route(&self) -> ThreadRoute {
-        THREAD_ROUTE.with(|cell| {
-            if let Some(r) = cell.borrow().get(&self.instance) {
-                return *r;
-            }
+        THREAD_ROUTE.with(|cell| *self.route_in(&mut cell.borrow_mut()))
+    }
+
+    /// This thread's entry in its (already borrowed) route map; a thread seen
+    /// for the first time is given an id and registered on every shard.
+    fn route_in<'m>(&self, map: &'m mut IdHashMap<u64, ThreadRoute>) -> &'m mut ThreadRoute {
+        map.entry(self.instance).or_insert_with(|| {
             let id = ThreadId::new(self.next_thread.fetch_add(1, Ordering::Relaxed));
             for shard in &self.shards {
                 sync::lock(shard).engine.register_owner(id);
             }
-            let route = ThreadRoute {
+            ThreadRoute {
                 id,
                 route: OwnerRoute::default(),
                 fast_held: None,
-            };
-            cell.borrow_mut().insert(self.instance, route);
-            route
+            }
         })
     }
 
@@ -763,48 +770,42 @@ impl DimmunixRuntime {
 
     /// One-access no-engine admission attempt: checks every thread-local
     /// precondition, consults the summary, and records the pending fast
-    /// hold, all under a single borrow of the route map. Returns whether
-    /// the acquisition was admitted lock-free.
+    /// hold, all under a single borrow of the route map. `Ok` means the
+    /// acquisition was admitted lock-free; `Err` hands back the route that
+    /// was read, so the locked path continues from it without a second look.
     fn try_fast_admit(
         &self,
         lock: LockId,
         site: AcquisitionSite,
         mode: AccessMode,
-        site_key: SiteKey,
-    ) -> bool {
+    ) -> Result<(), ThreadRoute> {
         THREAD_ROUTE.with(|cell| {
             let mut map = cell.borrow_mut();
-            let Some(r) = map.get_mut(&self.instance) else {
-                return false;
-            };
-            if !r.route.is_idle() || r.fast_held.is_some() {
-                return false;
+            let r = self.route_in(&mut map);
+            if r.route.is_idle() && r.fast_held.is_none() && !self.exchange_pending() {
+                let site_key = cached_site(site, |_, key| key);
+                if let Admission::Admit { .. } = self.summary.try_admit(site_key, r.id.into()) {
+                    r.fast_held = Some(FastHold { lock, mode, site });
+                    return Ok(());
+                }
             }
-            if self.exchange_pending() {
-                return false;
-            }
-            if !matches!(
-                self.summary.try_admit(site_key, r.id.into()),
-                Admission::Admit { .. }
-            ) {
-                return false;
-            }
-            r.fast_held = Some(FastHold { lock, mode, site });
-            true
+            Err(*r)
         })
     }
 
     /// Clears this thread's pending fast hold if it is `lock`, under a
-    /// single borrow of the route map. Returns whether it was cleared.
-    fn clear_fast_held(&self, lock: LockId) -> bool {
+    /// single borrow of the route map. `Ok` means it was (the engine never
+    /// saw the hold); `Err` hands back the thread's id for the locked path.
+    fn clear_fast_held(&self, lock: LockId) -> Result<(), ThreadId> {
         THREAD_ROUTE.with(|cell| {
-            if let Some(r) = cell.borrow_mut().get_mut(&self.instance) {
-                if r.fast_held.map(|fh| fh.lock) == Some(lock) {
-                    r.fast_held = None;
-                    return true;
-                }
+            let mut map = cell.borrow_mut();
+            let r = self.route_in(&mut map);
+            if r.fast_held.map(|fh| fh.lock) == Some(lock) {
+                r.fast_held = None;
+                Ok(())
+            } else {
+                Err(r.id)
             }
-            false
         })
     }
 
@@ -882,8 +883,7 @@ impl DimmunixRuntime {
     /// append-once/install-everywhere path detections take.
     pub fn add_signature(&self, sig: Signature) -> SignatureId {
         let mut guards = self.lock_all_shards();
-        let mut engines: Vec<&mut Dimmunix> = guards.iter_mut().map(|g| &mut g.engine).collect();
-        broadcast_signature(&mut engines, sig).0
+        broadcast_signature(&mut guards[..self.shards.len()], sig).0
     }
 
     /// Estimated bytes of memory the runtime adds to the process: the
@@ -990,9 +990,14 @@ impl DimmunixRuntime {
     // condvar gate vs a queued waker).
 
     /// Every shard lock, in ascending index order (the total order that
-    /// keeps the runtime from deadlocking itself).
-    fn lock_all_shards(&self) -> Vec<MutexGuard<'_, ShardCell>> {
-        self.shards.iter().map(sync::lock).collect()
+    /// keeps the runtime from deadlocking itself), in a fixed array so that
+    /// nothing is allocated; callers slice to `..self.shards.len()`.
+    fn lock_all_shards(&self) -> [LockedShard<'_>; MAX_SHARDS] {
+        let mut guards = std::array::from_fn(|_| LockedShard(None));
+        for (slot, shard) in guards.iter_mut().zip(&self.shards) {
+            slot.0 = Some(sync::lock(shard));
+        }
+        guards
     }
 
     /// One engine decision on the locked admission ladder: inside the home
@@ -1050,30 +1055,30 @@ impl DimmunixRuntime {
         let outcome = match outcome {
             Some(o) => o,
             None => {
-                let mut guards = self.lock_all_shards();
+                let mut all = self.lock_all_shards();
+                let guards = &mut all[..self.shards.len()];
                 if let Some(fh) = fast_hold {
                     // Publish the fast-path hold into its home shard first:
                     // after this the owner's every hold is engine-visible, so
                     // the request below sees the full wait-for relation.
                     let fhome = self.router.shard_of(fh.lock);
                     let seq = self.acq_seq.fetch_add(1, Ordering::Relaxed);
-                    let (fstack, _) = cached_site_stack(fh.site);
                     let engine = &mut guards[fhome].engine;
-                    engine.publish_acquired(owner, fh.lock, &fstack, fh.mode, seq);
+                    cached_site(fh.site, |fstack, _| {
+                        engine.publish_acquired(owner, fh.lock, fstack, fh.mode, seq);
+                    });
                     route.after_acquired(fhome, !engine.rag().held_locks(owner).is_empty());
                     self.summary.note_published();
                 }
-                let o = {
-                    let mut engines: Vec<&mut Dimmunix> =
-                        guards.iter_mut().map(|g| &mut g.engine).collect();
-                    let stale = route.stale_shard();
-                    request_cross_shard(&mut engines, &self.router, owner, lock, stack, mode, stale)
-                };
-                let mut pending: Vec<SignatureId> = Vec::new();
-                for g in guards.iter_mut() {
-                    pending.extend(g.engine.take_pending_wakeups());
-                }
-                if !pending.is_empty() {
+                let stale = route.stale_shard();
+                let o = request_cross_shard(guards, &self.router, owner, lock, stack, mode, stale);
+                // Starvation resolution and eviction schedule wake-ups; a
+                // request that did neither (nearly all) has none to drain.
+                if guards.iter().any(|g| g.engine.has_pending_wakeups()) {
+                    let pending: Vec<SignatureId> = guards
+                        .iter_mut()
+                        .flat_map(|g| g.engine.take_pending_wakeups())
+                        .collect();
                     self.notify_signatures(&pending);
                 }
                 if let RequestOutcome::Yield { signature } = &o {
@@ -1157,7 +1162,7 @@ impl DimmunixRuntime {
     fn retire_locked(&self, owner: OwnerId) {
         let mut guards = self.lock_all_shards();
         let mut wake: Vec<SignatureId> = Vec::new();
-        for g in guards.iter_mut() {
+        for g in &mut guards[..self.shards.len()] {
             wake.extend(g.engine.unregister_owner(owner));
         }
         if !wake.is_empty() {
@@ -1203,13 +1208,11 @@ impl DimmunixRuntime {
         site: AcquisitionSite,
         mode: AccessMode,
     ) -> Result<(), LockError> {
-        let thread = self.route().id;
-        let (stack, site_key) = cached_site_stack(site);
         // Foreign-antibody gate: this acquisition's position is local
         // evidence that may activate quarantined imports. Runs before any
         // shard lock is taken (activation appends under the all-shard
         // lock), so the antibody can refuse *this very request* below.
-        self.feed_exchange(&stack);
+        self.feed_exchange(site);
 
         // No-engine fast path: a hold-free requester whose site provably
         // appears in no history signature and whom no yield record names as
@@ -1218,13 +1221,13 @@ impl DimmunixRuntime {
         // the admission summary — no shard lock at all. Any doubt (seqlock
         // retry exhaustion, bloom hit, blocker hit, relevant park) falls
         // back to the locked path below, which remains the oracle.
-        if self.try_fast_admit(lock, site, mode, site_key) {
+        // Only this thread touches its route, so the read the fast path made
+        // serves every retry; changes are stored back after each decision.
+        let Err(mut tr) = self.try_fast_admit(lock, site, mode) else {
             return Ok(());
-        }
-
-        // Only this thread touches its route, so one read serves every
-        // retry; changes are stored back after each decision.
-        let mut tr = self.route();
+        };
+        let thread = tr.id;
+        let stack = cached_site(site, |stack, _| Arc::clone(stack));
         loop {
             let before = tr.route;
             let fast_hold = tr.fast_held.take();
@@ -1293,13 +1296,13 @@ impl DimmunixRuntime {
     /// fast-path admission only drops the thread-local record — the engine
     /// never saw the request.
     pub fn cancel_acquire(&self, lock: LockId) {
-        if self.clear_fast_held(lock) {
+        let Err(thread) = self.clear_fast_held(lock) else {
             self.summary.note_fast_cancel();
             return;
-        }
+        };
         // A thread is back from its park before it can cancel, so there is
         // no parked signature to clean up after.
-        let (home, _) = self.cancel_locked(self.route().id.into(), lock);
+        let (home, _) = self.cancel_locked(thread.into(), lock);
         self.update_thread_route(|r| r.route.after_cancel(home));
     }
 
@@ -1309,11 +1312,11 @@ impl DimmunixRuntime {
     /// so no history signature mentions it and the release can
     /// de-instantiate nothing.
     pub fn before_release(&self, lock: LockId) {
-        if self.clear_fast_held(lock) {
+        let Err(thread) = self.clear_fast_held(lock) else {
             self.summary.note_fast_release();
             return;
-        }
-        let (home, holds) = self.release_locked(self.route().id.into(), lock);
+        };
+        let (home, holds) = self.release_locked(thread.into(), lock);
         self.update_thread_route(|r| r.route.after_released(home, holds));
     }
 
@@ -1407,9 +1410,9 @@ impl DimmunixRuntime {
         waker: &Waker,
     ) -> TaskAcquire {
         let owner = OwnerId::Task(task);
-        let (stack, _) = cached_site_stack(site);
         // Same foreign-antibody gate as the thread path.
-        self.feed_exchange(&stack);
+        self.feed_exchange(site);
+        let stack = cached_site(site, |stack, _| Arc::clone(stack));
         let tr = self.task_route(task);
         let mut route = tr.route;
         let outcome =

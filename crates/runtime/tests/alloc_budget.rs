@@ -1,0 +1,146 @@
+//! The allocation budget of the acquisition paths, counted by an allocator
+//! local to this test binary: once warm, none of them allocates. The locked
+//! engine path used to allocate twelve times per nested transfer as counted
+//! here (guard and engine lists, a successor list per cycle search, a cloned
+//! frame per intern, a drained wake list) and five per task cycle; none of
+//! that was deadlock logic. The counts repeat exactly, so they are asserted
+//! exactly.
+
+use dimmunix_core::{History, Signature, SignatureKind, SignaturePair};
+use dimmunix_rt::{AcquisitionSite, DimmunixRuntime, ImmuneMutex, TaskAcquire};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+use std::task::{Wake, Waker};
+
+thread_local! {
+    /// Allocations made by this thread (tests run on threads of their own).
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every request is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the only addition is a thread-local counter with a
+// const initialiser and no destructor, so touching it allocates nothing and
+// is valid for the whole life of a thread.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` above with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Allocations this thread makes while running `f`.
+fn allocations(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    f();
+    ALLOCS.with(Cell::get) - before
+}
+
+#[test]
+fn the_counter_counts() {
+    let buffer = || drop(std::hint::black_box(Vec::<u64>::with_capacity(8)));
+    assert_eq!(allocations(buffer), 1);
+}
+
+const FILE: &str = "alloc_budget.rs";
+const OUTER: AcquisitionSite = AcquisitionSite::new("budget.debit", FILE, 1);
+const INNER: AcquisitionSite = AcquisitionSite::new("budget.credit", FILE, 2);
+const FLAT: AcquisitionSite = AcquisitionSite::new("budget.flat", FILE, 3);
+
+/// A 2-shard runtime whose history is not empty (so every locked request
+/// runs the avoidance check) but names none of this file's sites.
+fn runtime() -> Arc<DimmunixRuntime> {
+    let elsewhere = |line| AcquisitionSite::new("budget.elsewhere", FILE, line).to_call_stack();
+    let mut history = History::new();
+    history.add(Signature::new(
+        SignatureKind::Deadlock,
+        vec![
+            SignaturePair::new(elsewhere(10), elsewhere(11)),
+            SignaturePair::new(elsewhere(20), elsewhere(21)),
+        ],
+    ));
+    DimmunixRuntime::builder()
+        .shards(2)
+        .history(history)
+        .build()
+}
+
+const WARM_UP: usize = 10;
+const COUNTED: usize = 1000;
+
+/// Two-lock transfers, as `nested_transfers` makes them: the first lock is
+/// admitted lock-free, the second publishes it and takes the all-shard path.
+/// A position's `OwnerQueue` goes from no occupant to one and back on every
+/// transfer, but a `BTreeMap` keeps its emptied root leaf, so after the
+/// warm-up even that is free.
+#[test]
+fn nested_transfer_allocates_nothing() {
+    let rt = runtime();
+    let accounts: Vec<ImmuneMutex<i64>> = (0..8).map(|_| ImmuneMutex::new_in(&rt, 100)).collect();
+    let on = |shard: usize| {
+        let mut found = accounts
+            .iter()
+            .filter(|a| rt.shard_of(a.lock_id()) == shard);
+        (found.next().expect("first"), found.next().expect("second"))
+    };
+    let ((a0, b0), (a1, _)) = (on(0), on(1));
+    // Same shard, and across shards in both directions.
+    let pairs = [(a0, b0), (a0, a1), (a1, b0)];
+    let transfer = |i: usize| {
+        let (from, to) = pairs[i % pairs.len()];
+        let mut from = from.lock_at(OUTER).expect("clean history");
+        let mut to = to.lock_at(INNER).expect("clean history");
+        *from -= 1;
+        *to += 1;
+    };
+    (0..WARM_UP).for_each(transfer);
+    let counted = allocations(|| (0..COUNTED).for_each(transfer));
+    assert_eq!(counted, 0);
+    assert_eq!(rt.stats().yields + rt.stats().deadlocks_detected, 0);
+}
+
+/// Un-nested sections at a clean site never reach the engine.
+#[test]
+fn flat_section_allocates_nothing() {
+    let rt = runtime();
+    let m = ImmuneMutex::new_in(&rt, 0u64);
+    let section = |_| *m.lock_at(FLAT).expect("clean history") += 1;
+    (0..WARM_UP).for_each(section);
+    assert_eq!(allocations(|| (0..COUNTED).for_each(section)), 0);
+    assert_eq!(rt.stats().fast_admits, (WARM_UP + COUNTED) as u64);
+}
+
+struct NoOp;
+
+impl Wake for NoOp {
+    fn wake(self: Arc<Self>) {}
+}
+
+/// The task hooks, which always take the locked path (home shard alone for a
+/// hold-free task): no more per cycle than a nested transfer, i.e. nothing.
+#[test]
+fn task_cycle_allocates_nothing() {
+    let rt = runtime();
+    let lock = rt.allocate_lock();
+    let task = rt.register_task(None);
+    let waker = Waker::from(Arc::new(NoOp));
+    let cycle = |_| {
+        let answer = rt.task_begin_acquire(task, lock, FLAT, &waker);
+        assert_eq!(answer, TaskAcquire::Granted);
+        rt.task_finish_acquire(task, lock);
+        rt.task_release(task, lock);
+    };
+    (0..WARM_UP).for_each(cycle);
+    assert_eq!(allocations(|| (0..COUNTED).for_each(cycle)), 0);
+}
