@@ -31,8 +31,9 @@ pub struct InstalledApp {
 pub struct AppRunReport {
     /// How the run ended.
     pub outcome: RunOutcome,
-    /// True if the process ended up with at least one deadlocked thread or
-    /// no runnable thread — the user-visible "interface frozen" condition.
+    /// True unless the run completed: a detected deadlock, a stall, or an
+    /// exhausted step budget — the user-visible "interface frozen"
+    /// condition.
     pub frozen: bool,
     /// Deadlocks detected by Dimmunix during the run.
     pub deadlocks_detected: u64,
@@ -127,8 +128,7 @@ impl Phone {
             .wrapping_add(self.boot_count as u64)
             .wrapping_mul(0x9e37_79b9_7f4a_7c15);
         let mut zygote = self.zygote.clone().with_seed(seed);
-        let mut process = zygote.fork(&app.package, app.program.clone(), app.entry);
-        let _ = &mut process;
+        let process = zygote.fork(&app.package, app.program.clone(), app.entry);
         // Preserve the zygote's pid counter so pids stay unique.
         self.zygote = zygote;
         process
@@ -138,8 +138,7 @@ impl Phone {
         let stats = process.stats();
         AppRunReport {
             outcome,
-            frozen: outcome != RunOutcome::Completed
-                && (stats.deadlocked_threads > 0 || process.is_stuck()),
+            frozen: outcome != RunOutcome::Completed,
             deadlocks_detected: stats.deadlocks_detected,
             syncs: stats.syncs,
         }

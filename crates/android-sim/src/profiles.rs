@@ -212,7 +212,7 @@ mod tests {
         let outcome = p.run(10_000_000);
         assert_eq!(outcome, RunOutcome::Completed);
         // main + workers
-        assert_eq!(p.threads().len() as u32, profile.threads + 1);
+        assert_eq!(p.thread_count() as u32, profile.threads + 1);
         let expected_syncs = profile.total_syncs(30.0) / 1000;
         let measured = p.stats().syncs;
         assert!(

@@ -11,7 +11,8 @@
 //!
 //! This module builds that scenario as a [`Program`] for the simulated VM.
 
-use dalvik_sim::{MethodId, ObjRef, Program, ProgramBuilder};
+use dalvik_sim::{lower, MethodId, ObjRef, Program, ProgramBuilder};
+use dimmunix_sim::Scenario;
 
 /// Monitor guarding `NotificationManagerService.mNotificationList`.
 pub const NOTIFICATION_MANAGER_LOCK: ObjRef = ObjRef(7001);
@@ -92,6 +93,16 @@ impl NotificationScenario {
     }
 }
 
+impl NotificationScenario {
+    /// The case study as an explorer scenario — the program
+    /// [lowered](dalvik_sim::lower()) — so it can be fuzzed, shrunk and
+    /// replayed by trace hash like any catalog scenario.
+    pub fn scenario(&self) -> Scenario {
+        let (program, entry) = self.build();
+        lower("notification-7986", &program, entry).expect("the program is loop-free")
+    }
+}
+
 /// Convenience: the default scenario program.
 pub fn notification_deadlock_program() -> (Program, MethodId) {
     NotificationScenario::default().build()
@@ -101,6 +112,11 @@ pub fn notification_deadlock_program() -> (Program, MethodId) {
 mod tests {
     use super::*;
     use dalvik_sim::{ProcessBuilder, RunOutcome};
+    use dimmunix_core::History;
+    use dimmunix_sim::corpus::replay_on;
+    use dimmunix_sim::{
+        fuzz, run_schedule, vaccinate, DecisionSource, FuzzConfig, MonoDriver, SimConfig,
+    };
 
     #[test]
     fn scenario_has_four_synchronization_sites() {
@@ -145,5 +161,60 @@ mod tests {
             }
         }
         assert!(completed > 0, "not every interleaving deadlocks");
+    }
+
+    /// The case study under the explorer's fuzzer: it finds the inversion,
+    /// shrinks the schedule, the minimized trace reproduces at its hash on
+    /// a fresh driver, and the vaccinated replay completes clean.
+    #[test]
+    fn fuzzer_finds_shrinks_and_vaccinates_the_case_study() {
+        let scenario = NotificationScenario::default().scenario();
+        // Four synchronization statements, each reached from three call
+        // sites: twelve full stacks (four positions at stack depth 1).
+        assert_eq!(scenario.sites.len(), 12);
+        let report = fuzz(&scenario, &FuzzConfig::new(0x7986, 2000));
+        assert!(!report.found.is_empty(), "no deadlock found");
+        assert!(report.completed > 0, "benign schedules exist too");
+        for f in &report.found {
+            assert!(f.minimized.decisions.len() <= f.trace.decisions.len());
+            assert_eq!(replay_on(&scenario, &f.minimized), None);
+            let (immune, _) = vaccinate(&scenario, &f.history_text, &f.minimized, 8);
+            assert_eq!(immune.outcome, RunOutcome::Completed);
+            assert_eq!(immune.stats.deadlocks_detected, 0);
+        }
+    }
+
+    /// A process run *is* an explorer run: same seed, same trace hash,
+    /// decisions and history text on two fresh processes, and the recorded
+    /// decisions replay the run exactly on the lowered scenario.
+    #[test]
+    fn process_runs_are_deterministic_and_replay_from_their_decisions() {
+        for seed in 0..20u64 {
+            let launch = || {
+                let (program, main) = notification_deadlock_program();
+                let mut p = ProcessBuilder::new("system_server", program)
+                    .seed(seed)
+                    .spawn_main(main);
+                p.run(100_000);
+                p
+            };
+            let (p, q) = (launch(), launch());
+            let (a, b) = (p.last_run().unwrap(), q.last_run().unwrap());
+            assert_eq!(a.sched_trace_hash, b.sched_trace_hash, "seed {seed}");
+            assert_eq!(a.decisions, b.decisions, "seed {seed}");
+            assert_eq!(a.history_text, b.history_text, "seed {seed}");
+
+            let scenario = p.scenario();
+            let mut driver = MonoDriver::new(scenario, History::new());
+            let replay = run_schedule(
+                &mut driver,
+                scenario,
+                &mut DecisionSource::replay(a.decisions.clone()),
+                &SimConfig::for_scenario(scenario),
+            );
+            assert_eq!(replay.sched_trace_hash, a.sched_trace_hash, "seed {seed}");
+            assert_eq!(replay.outcome, a.outcome, "seed {seed}");
+            assert_eq!(replay.history_text, a.history_text, "seed {seed}");
+        }
     }
 }

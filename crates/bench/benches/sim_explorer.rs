@@ -6,19 +6,21 @@
 //!    scenario through one reused driver; this is the figure that makes
 //!    virtual-time fuzzing viable in CI (schedules/second, gated ≥ 100k).
 //! 2. **Discovery** — a bounded fuzzing budget over the deadlock-prone
-//!    catalog scenarios; every distinct find must shrink to a minimized
-//!    trace that reproduces on a fresh driver, and vaccination (immune
-//!    replay, folding in newly exposed signatures) must converge to a
-//!    completed schedule with zero detections.
+//!    catalog scenarios and the §5 case study (the notification/status-bar
+//!    program, lowered from the Dalvik model); every distinct find must
+//!    shrink to a minimized trace that reproduces on a fresh driver, and
+//!    vaccination (immune replay, folding in newly exposed signatures)
+//!    must converge to a completed schedule with zero detections.
 //! 3. **Corpus** — full replay of the checked-in `corpus/*.trace`
 //!    regression traces.
 //!
 //! Writes `BENCH_sim_explorer.json`; `check_bench` gates the rate, the
 //! find/minimize counts, corpus cleanliness, and immune-replay deadlocks.
 
+use android_sim::NotificationScenario;
 use dimmunix_bench::report::{repo_root, write_bench_json, BenchJson};
 use dimmunix_core::History;
-use dimmunix_sim::corpus::{replay_all, replay_trace};
+use dimmunix_sim::corpus::{replay_all, replay_on};
 use dimmunix_sim::scenario::{async_server, bank_transfer, dining_philosophers};
 use dimmunix_sim::{fuzz_with_driver, vaccinate, FuzzConfig, MonoDriver, RunOutcome};
 use std::time::Instant;
@@ -52,6 +54,7 @@ fn main() {
         dining_philosophers(5, 1),
         bank_transfer(3, 4, 3, 0xb0ba),
         async_server(6, 3, 3, 0xa51c),
+        NotificationScenario::default().scenario(),
     ] {
         let mut driver = MonoDriver::new(&scenario, History::new());
         let cfg = FuzzConfig::new(SEED, DISCOVERY_RUNS);
@@ -61,7 +64,7 @@ fn main() {
             found += 1;
             // A minimized trace must reproduce its deadlock at the pinned
             // hash on a completely fresh driver.
-            match replay_trace(&f.minimized) {
+            match replay_on(&scenario, &f.minimized) {
                 None => minimized += 1,
                 Some(err) => eprintln!("{}: minimized trace broken: {err}", scenario.name),
             }

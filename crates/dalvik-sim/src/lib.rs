@@ -6,9 +6,16 @@
 //! virtual machine with exactly the synchronization surface the paper needs —
 //! `monitorenter` / `monitorexit` bytecodes, reentrant monitors with
 //! `Object.wait()` / `notify()` semantics (including the wait-reacquisition
-//! path §3.2 relies on), thread spawning, busy computation, a seeded
-//! scheduler, and a Zygote-style process factory so that every application
+//! path §3.2 relies on), thread spawning, busy computation on one simulated
+//! core, and a Zygote-style process factory so that every application
 //! process carries its own Dimmunix instance (Figure 1).
+//!
+//! The crate is a *front end*: it owns the program model, the process and
+//! platform models (Zygote, memory, energy) and the [lowering](lower()) of a
+//! program to a `dimmunix-sim` scenario. Scheduling, monitors and the hook
+//! protocol are the explorer's — there is one scheduler in the workspace —
+//! so every program here can also be fuzzed, shrunk and replayed by trace
+//! hash.
 //!
 //! Determinism is the point: a given program + seed always produces the same
 //! interleaving, so the case-study deadlock can be reproduced, the antibody
@@ -36,18 +43,18 @@
 #![warn(missing_debug_implementations)]
 
 mod energy;
+mod lower;
 mod memory;
 mod process;
 mod program;
-mod thread;
 mod zygote;
 
+/// How a run ended — the explorer's type; anything but `Completed` is a
+/// frozen process.
+pub use dimmunix_sim::RunOutcome;
 pub use energy::{EnergyModel, EnergyReport};
+pub use lower::{lower, LowerError};
 pub use memory::{AppMemory, PlatformMemory, DEVICE_RAM_BYTES};
-pub use process::{
-    Process, ProcessBuilder, ProcessStats, RunOutcome, MONITOR_NODE_BYTES, STACK_BUFFER_BYTES,
-};
+pub use process::{Process, ProcessBuilder, ProcessStats, MONITOR_NODE_BYTES, STACK_BUFFER_BYTES};
 pub use program::{Method, MethodBuilder, MethodId, ObjRef, Op, Program, ProgramBuilder, SyncBody};
-pub use thread::{FrameState, ResumeTarget, ThreadState, VmThread};
-
 pub use zygote::Zygote;

@@ -4,12 +4,15 @@
 //! single-threaded [`Executor`] with `asyncio::RwLock`s over a
 //! `DimmunixRuntime` — the same substrate the sync/async equivalence suite
 //! validates — serialized by a turnstile so that a [`DecisionSource`]
-//! chooses which parked task runs next. `Work` ops become one turnstile
-//! pass (the executor has no clock; interleaving freedom is what matters),
-//! and every scenario site maps to an [`AcquisitionSite`] with the *same*
-//! scope/file/line the engine drivers show as a [`CallStack`] frame — so a
-//! history learned by the virtual-time fuzzer parses and textually matches
-//! on this substrate, and vice versa.
+//! chooses which parked task runs next. `Work` and `Compute` ops become one
+//! turnstile pass (the executor has no clock; interleaving freedom is what
+//! matters), and every scenario site — one frame deep, as
+//! [`crate::scenario::site`] builds them — maps to an [`AcquisitionSite`]
+//! with the *same* scope/file/line the engine drivers show as a
+//! [`CallStack`] frame — so a history learned by the virtual-time fuzzer
+//! parses and textually matches on this substrate, and vice versa. The
+//! substrate has no condition variable and spawns every task up front, so
+//! scenarios with `Wait`, `Notify` or `Spawn` ops are rejected.
 //!
 //! This is the cross-substrate leg of the explorer: a deadlock found by
 //! [`crate::fuzz::fuzz`] in virtual time is confirmed against the real
@@ -18,17 +21,33 @@
 //!
 //! [`CallStack`]: dimmunix_core::CallStack
 
-use crate::scenario::{Scenario, SimOp, SITE_FILE};
+use crate::scenario::{Scenario, SimOp};
 use crate::sim::{fnv1a, DecisionSource};
 use dimmunix_core::AccessMode;
 use dimmunix_core::{History, Stats};
 use dimmunix_rt::asyncio::{Executor, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use dimmunix_rt::{AcquisitionSite, DeadlockPolicy, DimmunixRuntime, LockError};
 use std::cell::RefCell;
+use std::collections::BTreeSet;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
+use std::sync::Mutex;
 use std::task::{Context, Poll, Waker};
+
+/// `AcquisitionSite` names its scope and file by `&'static str`; scenario
+/// sites are owned call stacks. Each distinct string is leaked once per
+/// process.
+fn leak_once(s: &str) -> &'static str {
+    static INTERNED: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+    let mut set = INTERNED.lock().expect("interner poisoned");
+    if let Some(&interned) = set.get(s) {
+        return interned;
+    }
+    let leaked: &'static str = Box::leak(s.into());
+    set.insert(leaked);
+    leaked
+}
 
 /// What one substrate run produced.
 #[derive(Clone, Debug)]
@@ -92,12 +111,27 @@ enum Guard<'a> {
 /// scheduling via `source`. Single-sharded runtime, `Error` deadlock
 /// policy: a detected cycle refuses the victim, which drops its guards and
 /// dies — everyone else completes.
+///
+/// # Panics
+/// If the scenario uses `Wait`, `Notify` or `Spawn` (no condvar, no dormant
+/// tasks on this substrate) or a site deeper than one frame.
 pub fn run_async(
     scenario: &Scenario,
     history: History,
     source: &mut DecisionSource,
 ) -> AsyncRunReport {
     let n = scenario.tasks.len();
+    let unsupported = |op: &SimOp| {
+        matches!(
+            op,
+            SimOp::Wait { .. } | SimOp::Notify { .. } | SimOp::Spawn { .. }
+        )
+    };
+    assert!(
+        !scenario.tasks.iter().flat_map(|t| &t.ops).any(unsupported),
+        "{}: the asyncio substrate has no wait/notify/spawn",
+        scenario.name
+    );
     let rt = DimmunixRuntime::builder()
         .shards(1)
         .deadlock_policy(DeadlockPolicy::Error)
@@ -120,7 +154,10 @@ pub fn run_async(
     let sites: Vec<AcquisitionSite> = scenario
         .sites
         .iter()
-        .map(|s| AcquisitionSite::new(s.scope, SITE_FILE, s.line))
+        .map(|s| match s.frames() {
+            [f] => AcquisitionSite::new(leak_once(f.method()), leak_once(f.file()), f.line()),
+            _ => panic!("{}: asyncio sites are one frame deep", scenario.name),
+        })
         .collect();
 
     for (t, task) in scenario.tasks.iter().enumerate() {
@@ -139,9 +176,12 @@ pub fn run_async(
                 }
                 .await;
                 match op {
-                    SimOp::Work { .. } => {
+                    SimOp::Work { .. } | SimOp::Compute { .. } => {
                         // The executor has no virtual clock; a work op is
                         // one extra pass through the turnstile.
+                    }
+                    SimOp::Wait { .. } | SimOp::Notify { .. } | SimOp::Spawn { .. } => {
+                        unreachable!("rejected before any task was spawned")
                     }
                     SimOp::Acquire { lock, mode, site } => {
                         let result = match mode {

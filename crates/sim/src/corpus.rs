@@ -10,7 +10,7 @@
 //! re-orders exploration cannot, because replays never consult a random
 //! tail.
 
-use crate::scenario::by_name;
+use crate::scenario::{by_name, Scenario};
 use crate::sim::{run_schedule, DecisionSource, MonoDriver, RunOutcome, SimConfig};
 use crate::trace::ScheduleTrace;
 use dimmunix_core::History;
@@ -59,20 +59,27 @@ pub fn save_trace(dir: &Path, trace: &ScheduleTrace) -> std::io::Result<String> 
     Ok(name)
 }
 
-/// Replays one trace against a fresh (history-free) engine and checks it
-/// still deadlocks with the recorded hash. Returns a failure description,
-/// or `None` on success.
+/// Replays one trace of a catalog scenario (resolved by name) — see
+/// [`replay_on`]. Returns a failure description, or `None` on success.
 pub fn replay_trace(trace: &ScheduleTrace) -> Option<String> {
-    let Some(scenario) = by_name(&trace.scenario) else {
-        return Some(format!("unknown scenario {:?}", trace.scenario));
-    };
-    let mut driver = MonoDriver::new(&scenario, History::new());
+    match by_name(&trace.scenario) {
+        Some(scenario) => replay_on(&scenario, trace),
+        None => Some(format!("unknown scenario {:?}", trace.scenario)),
+    }
+}
+
+/// Replays `trace` on `scenario` against a fresh (history-free) engine and
+/// checks it still deadlocks with the recorded hash. Returns a failure
+/// description, or `None` on success. For scenarios outside the catalog —
+/// a lowered Dalvik program — the caller supplies the scenario itself.
+pub fn replay_on(scenario: &Scenario, trace: &ScheduleTrace) -> Option<String> {
+    let mut driver = MonoDriver::new(scenario, History::new());
     let mut source = DecisionSource::replay(trace.decisions.clone());
     let run = run_schedule(
         &mut driver,
-        &scenario,
+        scenario,
         &mut source,
-        &SimConfig::for_scenario(&scenario),
+        &SimConfig::for_scenario(scenario),
     );
     if !matches!(run.outcome, RunOutcome::Deadlock { .. }) {
         return Some(format!(

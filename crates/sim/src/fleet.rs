@@ -119,8 +119,8 @@ pub fn fleet_convergence(processes: usize, seed: u64) -> FleetReport {
         // The trust gate only releases the antibody once this build's own
         // positions (its site stacks, at *its* line numbers) vouch for
         // every outer site key.
-        for stack in build.site_stacks() {
-            for antibody in pending.observe_position(&stack) {
+        for stack in &build.sites {
+            for antibody in pending.observe_position(stack) {
                 activated_total += 1;
                 history.add(antibody.signature);
             }

@@ -12,7 +12,7 @@
 //!
 //! * [`scenario`] — the workload DSL: dining philosophers, bank transfers,
 //!   the async-server lock-order bug, and the writer-preference-gap
-//!   executable spec, as data.
+//!   executable spec, as data; plus the monitor ops front ends lower to.
 //! * [`sim`] — the virtual-time executor: min-heap clock, run-to-completion
 //!   tasks with explicit blocking points, fuel bounds instead of wall-clock
 //!   timeouts, an FNV-1a `sched_trace_hash` per run, and exact replay from
@@ -34,9 +34,13 @@
 //! same schedules, the same finds, the same minimized traces, byte for
 //! byte — across processes and machines.
 //!
-//! Distinct from the workspace's `dalvik-sim`: that crate simulates the
-//! paper's *Dalvik deployment* (monitor bytecodes, Zygote processes); this
-//! one explores *schedules* of the engine's own hook protocol.
+//! This is the workspace's one scheduler. `dalvik-sim` — the paper's
+//! *Dalvik deployment* (monitor bytecodes, `wait`/`notify`, Zygote
+//! processes) — is a front end on it: its programs are lowered to
+//! [`Scenario`]s (`Compute`, `Wait`, `Notify` and `Spawn` ops, sites that
+//! are whole inlined call stacks) and a process run is one
+//! [`run_schedule`], so the case study can be fuzzed, shrunk and replayed
+//! by trace hash like any catalog scenario.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -55,7 +59,7 @@ pub use fleet::{fleet_convergence, FleetReport};
 pub use fuzz::{
     fuzz, fuzz_with_driver, immune_replay, vaccinate, FoundDeadlock, FuzzConfig, FuzzReport,
 };
-pub use scenario::{by_name, catalog, Scenario, SimOp, SiteSpec, TaskScript};
+pub use scenario::{by_name, catalog, Scenario, SimOp, TaskScript};
 pub use sim::{
     fnv1a, run_schedule, DecisionSource, EngineHooks, MonoDriver, OnDeadlock, RunOutcome,
     RunReport, ShardedDriver, SimConfig, Tail,

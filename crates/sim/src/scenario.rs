@@ -2,7 +2,8 @@
 //!
 //! A [`Scenario`] is a deadlock-prone concurrent program described as data:
 //! a set of locks, a set of tasks, and per-task scripts of
-//! acquire/release/work ops annotated with static acquisition sites. The
+//! acquire/release/work (and monitor wait/notify, spawn, one-core compute)
+//! ops annotated with static acquisition sites. The
 //! simulator ([`crate::sim`]) executes scenarios against the real engine in
 //! virtual time; the fuzzer ([`crate::fuzz()`]) explores their interleavings.
 //!
@@ -13,36 +14,28 @@
 //! executable spec. [`catalog`] lists the canonical instances the fuzzer,
 //! regression corpus, and benches refer to by name.
 //!
-//! Sites are `(static scope, unique line)` pairs in a single virtual source
-//! file ([`SITE_FILE`]): the blocking engine sees them as single-frame
-//! [`CallStack`]s, the asyncio substrate as `AcquisitionSite`s — the same
-//! frame either way, so histories learned on one substrate are textually
-//! comparable with the other's.
+//! Sites are whole [`CallStack`]s. The hand-written builders below use
+//! [`site`]: one `(static scope, unique line)` frame in a single virtual
+//! source file ([`SITE_FILE`]), which the asyncio substrate can also show
+//! as an `AcquisitionSite` — the same frame either way, so histories
+//! learned on one substrate are textually comparable with the other's.
+//! Front ends that lower a program model into a scenario (`dalvik-sim`)
+//! supply the full inlined frame chain of each synchronization statement
+//! instead.
 
 use dimmunix_core::{AccessMode, CallStack, Frame};
 use dimmunix_testkit::Gen;
 
-/// The virtual source file every scenario site lives in.
+/// The virtual source file every hand-written scenario site lives in.
 pub const SITE_FILE: &str = "sim_scenario.rs";
 
-/// A static acquisition site of a scenario: one frame in [`SITE_FILE`].
-/// Lines are unique within a scenario, so two sites never intern to the
-/// same engine position.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SiteSpec {
-    /// Enclosing scope (the frame's method name). Shared across tasks that
-    /// run the same "code path" — e.g. every bank teller transfers through
-    /// the same two sites, exactly like the real workload.
-    pub scope: &'static str,
-    /// Line in [`SITE_FILE`]; unique per site within a scenario.
-    pub line: u32,
-}
-
-impl SiteSpec {
-    /// The single-frame call stack the blocking engine is shown.
-    pub fn stack(&self) -> CallStack {
-        CallStack::single(Frame::new(self.scope, SITE_FILE, self.line))
-    }
+/// A one-frame site in [`SITE_FILE`]. `scope` is the enclosing code path
+/// (shared across tasks that run it — every bank teller transfers through
+/// the same two sites, exactly like the real workload); lines are unique
+/// within a scenario, so two sites never intern to the same engine
+/// position.
+pub fn site(scope: &str, line: u32) -> CallStack {
+    CallStack::single(Frame::new(scope, SITE_FILE, line))
 }
 
 /// One step of a task script.
@@ -64,10 +57,47 @@ pub enum SimOp {
         lock: usize,
     },
     /// Compute for `cost` virtual time units — an explicit blocking point
-    /// at which the scheduler may interleave other tasks.
+    /// at which the scheduler may interleave other tasks. A *parallel*
+    /// sleep: every other runnable task runs before the clock moves.
     Work {
         /// Virtual duration (≥ 1).
         cost: u64,
+    },
+    /// Busy work on a single simulated core: the clock advances by `cost`
+    /// *serially* (nobody else runs meanwhile) and the task stays runnable,
+    /// so this is a pure preemption point — the scheduler may pick any
+    /// runnable task next, this one included. The Dalvik front end lowers
+    /// `Compute(cycles)` to it.
+    Compute {
+        /// Virtual duration (may be 0: a bare yield).
+        cost: u64,
+    },
+    /// `Object.wait()`: release every (reentrant) hold on `lock` through
+    /// the `released` hook, join the lock's wait set, and — once notified
+    /// or past the optional deadline — *re-request* the lock through the
+    /// engine from `site` and restore the recursion depth. Skipped when
+    /// the task does not own `lock` (Java's `IllegalMonitorStateException`).
+    Wait {
+        /// Scenario lock index.
+        lock: usize,
+        /// Virtual time units after which the wait times out, if any.
+        timeout: Option<u64>,
+        /// Index into [`Scenario::sites`] the reacquisition is shown at.
+        site: usize,
+    },
+    /// `Object.notify()` / `notifyAll()`: wake the longest waiter (or every
+    /// waiter) of `lock`. Skipped when the task does not own `lock`.
+    Notify {
+        /// Scenario lock index.
+        lock: usize,
+        /// Wake the whole wait set instead of its front.
+        all: bool,
+    },
+    /// Start task `task`. A task that is the target of some `Spawn` starts
+    /// dormant and takes no part in scheduling until the op executes.
+    Spawn {
+        /// Index into [`Scenario::tasks`].
+        task: usize,
     },
 }
 
@@ -88,8 +118,9 @@ pub struct Scenario {
     pub name: String,
     /// Number of locks, indexed `0..locks`.
     pub locks: usize,
-    /// The static acquisition sites scripts refer to by index.
-    pub sites: Vec<SiteSpec>,
+    /// The static acquisition sites scripts refer to by index, as the call
+    /// stacks the engine is shown.
+    pub sites: Vec<CallStack>,
     /// The tasks.
     pub tasks: Vec<TaskScript>,
     /// Model OS-level writer preference in the simulated locks: a shared
@@ -113,12 +144,6 @@ impl Scenario {
     pub fn total_ops(&self) -> usize {
         self.tasks.iter().map(|t| t.ops.len()).sum()
     }
-
-    /// The site stacks, in index order, for pre-interning by engine
-    /// drivers.
-    pub fn site_stacks(&self) -> Vec<CallStack> {
-        self.sites.iter().map(SiteSpec::stack).collect()
-    }
 }
 
 /// `n` dining philosophers (ISSUE 7 / paper §2): philosopher `p` grabs fork
@@ -131,15 +156,9 @@ pub fn dining_philosophers(n: usize, rounds: usize) -> Scenario {
     let mut tasks = Vec::new();
     for p in 0..n {
         let left = sites.len();
-        sites.push(SiteSpec {
-            scope: "philosopher.left_fork",
-            line: (2 * p + 1) as u32,
-        });
+        sites.push(site("philosopher.left_fork", (2 * p + 1) as u32));
         let right = sites.len();
-        sites.push(SiteSpec {
-            scope: "philosopher.right_fork",
-            line: (2 * p + 2) as u32,
-        });
+        sites.push(site("philosopher.right_fork", (2 * p + 2) as u32));
         let mut ops = Vec::new();
         for _ in 0..rounds {
             ops.push(SimOp::Acquire {
@@ -182,14 +201,8 @@ pub fn dining_philosophers(n: usize, rounds: usize) -> Scenario {
 pub fn bank_transfer(tellers: usize, accounts: usize, transfers: usize, seed: u64) -> Scenario {
     assert!(accounts >= 2, "transfers need two distinct accounts");
     let sites = vec![
-        SiteSpec {
-            scope: "transfer.from_account",
-            line: 1,
-        },
-        SiteSpec {
-            scope: "transfer.to_account",
-            line: 2,
-        },
+        site("transfer.from_account", 1),
+        site("transfer.to_account", 2),
     ];
     let mut g = Gen::new(seed);
     let tasks = (0..tellers)
@@ -241,22 +254,10 @@ pub fn async_server(tasks: usize, resources: usize, invert_every: usize, seed: u
     assert!(resources >= 2, "handlers lock two distinct resources");
     assert!(invert_every >= 1);
     let sites = vec![
-        SiteSpec {
-            scope: "handle_request.first",
-            line: 1,
-        },
-        SiteSpec {
-            scope: "handle_request.second",
-            line: 2,
-        },
-        SiteSpec {
-            scope: "handle_request.inverted_first",
-            line: 3,
-        },
-        SiteSpec {
-            scope: "handle_request.inverted_second",
-            line: 4,
-        },
+        site("handle_request.first", 1),
+        site("handle_request.second", 2),
+        site("handle_request.inverted_first", 3),
+        site("handle_request.inverted_second", 4),
     ];
     let mut g = Gen::new(seed);
     let scripts = (0..tasks)
@@ -320,26 +321,11 @@ pub fn async_server(tasks: usize, resources: usize, invert_every: usize, seed: u
 /// is exactly the behaviour the known-gap entry documents.
 pub fn writer_preference_gap() -> Scenario {
     let sites = vec![
-        SiteSpec {
-            scope: "gap.reader_takes_rw",
-            line: 1,
-        },
-        SiteSpec {
-            scope: "gap.reader_takes_mutex",
-            line: 2,
-        },
-        SiteSpec {
-            scope: "gap.writer_takes_rw",
-            line: 3,
-        },
-        SiteSpec {
-            scope: "gap.holder_takes_mutex",
-            line: 4,
-        },
-        SiteSpec {
-            scope: "gap.holder_reads_rw",
-            line: 5,
-        },
+        site("gap.reader_takes_rw", 1),
+        site("gap.reader_takes_mutex", 2),
+        site("gap.writer_takes_rw", 3),
+        site("gap.holder_takes_mutex", 4),
+        site("gap.holder_reads_rw", 5),
     ];
     let tasks = vec![
         TaskScript {
@@ -428,10 +414,7 @@ pub fn signature_storm(gadgets: usize) -> Scenario {
         .into_iter()
         .enumerate()
         {
-            sites.push(SiteSpec {
-                scope,
-                line: (base + i + 1) as u32,
-            });
+            sites.push(site(scope, (base + i + 1) as u32));
         }
         // Task A takes the gadget's locks in (a, b) order, task B in
         // (b, a) order — the canonical inversion; the Work between the
@@ -479,7 +462,7 @@ pub fn signature_storm(gadgets: usize) -> Scenario {
 /// instance per simulated process and exchanges antibody packs between
 /// them; `fleet_inversion(0)` is the canonical catalog member.
 pub fn fleet_inversion(shift: u32) -> Scenario {
-    let sites: Vec<SiteSpec> = [
+    let sites: Vec<CallStack> = [
         "fleet.a_first",
         "fleet.a_second",
         "fleet.b_first",
@@ -487,10 +470,7 @@ pub fn fleet_inversion(shift: u32) -> Scenario {
     ]
     .into_iter()
     .enumerate()
-    .map(|(i, scope)| SiteSpec {
-        scope,
-        line: shift + i as u32 + 1,
-    })
+    .map(|(i, scope)| site(scope, shift + i as u32 + 1))
     .collect();
     let tasks = ["a", "b"]
         .into_iter()
@@ -566,7 +546,8 @@ mod tests {
             assert!(by_name(&s.name).is_some(), "{}: not resolvable", s.name);
             let mut lines = std::collections::HashSet::new();
             for site in &s.sites {
-                assert!(lines.insert(site.line), "{}: duplicate site line", s.name);
+                let line = site.top().expect("one frame").line();
+                assert!(lines.insert(line), "{}: duplicate site line", s.name);
             }
             for task in &s.tasks {
                 let mut held: Vec<usize> = Vec::new();
@@ -583,6 +564,13 @@ mod tests {
                             held.remove(i.unwrap());
                         }
                         SimOp::Work { cost } => assert!(cost >= 1, "{}", s.name),
+                        SimOp::Compute { .. } => {}
+                        SimOp::Wait { lock, site, .. } => {
+                            assert!(held.contains(&lock), "{}: wait on unheld lock", s.name);
+                            assert!(site < s.sites.len(), "{}", s.name);
+                        }
+                        SimOp::Notify { lock, .. } => assert!(lock < s.locks, "{}", s.name),
+                        SimOp::Spawn { task } => assert!(task < s.tasks.len(), "{}", s.name),
                     }
                 }
                 assert!(held.is_empty(), "{}: {} leaks holds", s.name, task.name);

@@ -4,8 +4,10 @@
 //! (monolithic or sharded, behind [`EngineHooks`]) under an explicit
 //! scheduling policy ([`DecisionSource`]). Tasks run to completion between
 //! *blocking points* — `Work` ops (virtual sleeps on a min-heap clock),
-//! substrate lock waits, and avoidance parks — and whenever more than one
-//! task is runnable the decision source picks which runs next. Every
+//! `Compute` ops (serial busy work that leaves the task runnable),
+//! substrate lock waits, avoidance parks, and monitor `Wait`s — and
+//! whenever more than one task is runnable the decision source picks which
+//! runs next. Every
 //! decision and engine-visible event is folded into an FNV-1a
 //! `sched_trace_hash`, so any run replays exactly from its recorded
 //! decision trace, and fuel (an executed-op bound) replaces wall-clock
@@ -65,6 +67,12 @@ const TAG_WORK: u64 = 5;
 const TAG_FINISH: u64 = 6;
 const TAG_BACKOUT: u64 = 7;
 const TAG_FINAL: u64 = 8;
+// Tags of the ops the Dalvik front end brought (PR 16). New ops fold under
+// new tags, so a scenario that uses none of them hashes exactly as before.
+const TAG_COMPUTE: u64 = 9;
+const TAG_WAIT: u64 = 10;
+const TAG_NOTIFY: u64 = 11;
+const TAG_SPAWN: u64 = 12;
 
 // ---------------------------------------------------------------------------
 // Decision sources
@@ -193,7 +201,6 @@ pub struct MonoDriver {
     engine: Dimmunix,
     base: Arc<dimmunix_core::HistorySnapshot>,
     site_pos: Vec<PositionId>,
-    wake_scratch: Vec<SignatureId>,
 }
 
 impl std::fmt::Debug for MonoDriver {
@@ -216,10 +223,17 @@ impl MonoDriver {
     /// eviction-pressure tests cap `max_signatures` far below the default
     /// so a detection-heavy scenario overflows it in a single run.
     pub fn with_config(scenario: &Scenario, config: Config, history: History) -> Self {
-        let mut engine = Dimmunix::with_history(config, history);
+        Self::from_engine(scenario, Dimmunix::with_history(config, history))
+    }
+
+    /// Wraps an already-built engine — a process front end constructs its
+    /// own (replaying the configured history log, as [`Dimmunix::new`]
+    /// does) and keeps reading it through [`engine`](MonoDriver::engine)
+    /// after the run.
+    pub fn from_engine(scenario: &Scenario, mut engine: Dimmunix) -> Self {
         let base = Arc::clone(engine.history_snapshot());
         let site_pos = scenario
-            .site_stacks()
+            .sites
             .iter()
             .map(|s| engine.intern_position(s))
             .collect();
@@ -227,8 +241,12 @@ impl MonoDriver {
             engine,
             base,
             site_pos,
-            wake_scratch: Vec::new(),
         }
+    }
+
+    /// The engine, as the last run left it.
+    pub fn engine(&self) -> &Dimmunix {
+        &self.engine
     }
 }
 
@@ -259,7 +277,6 @@ impl EngineHooks for MonoDriver {
     fn released_into(&mut self, task: usize, lock: usize, wake: &mut Vec<SignatureId>) {
         self.engine
             .released_into(owner(task), LockId::new(lock as u64), wake);
-        let _ = &self.wake_scratch;
     }
 
     fn cancel_request(&mut self, task: usize, lock: usize) {
@@ -315,7 +332,7 @@ impl ShardedDriver {
             engine: ShardedDimmunix::with_history(Config::default(), shards, history.clone()),
             shards,
             seeded: history,
-            site_stacks: scenario.site_stacks(),
+            site_stacks: scenario.sites.clone(),
         }
     }
 }
@@ -417,7 +434,7 @@ impl SimConfig {
 }
 
 /// How a run ended.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RunOutcome {
     /// Every task finished (or died on the refusal path).
     Completed,
@@ -462,6 +479,10 @@ pub struct RunReport {
     pub executed_ops: usize,
     /// Final virtual-clock reading.
     pub virtual_time: u64,
+    /// Busy time: the summed `cost` of every executed `Work` and `Compute`
+    /// op. With `executed_ops` this is the CPU time of a one-core front
+    /// end, whatever the (parallel) clock read.
+    pub work_units: u64,
     /// Peak count of simultaneously blocked tasks that held at least one
     /// lock — the near-miss metric the fuzzer's mutation pool keys on.
     pub max_blocked: usize,
@@ -483,10 +504,14 @@ pub struct RunReport {
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum State {
+    /// Target of a `Spawn` that has not executed yet.
+    Dormant,
     Runnable,
     Sleeping,
     LockWait,
     Parked,
+    /// In a lock's wait set (`Wait`), until notified or timed out.
+    Waiting,
     Finished,
     Refused,
 }
@@ -498,16 +523,20 @@ enum Pending {
     Op,
     /// Engine approved; waiting for substrate admission (the oracle's
     /// `LockWait`): acquisition completes without a new engine request.
+    /// `depth` is the number of holds the acquisition establishes: 1, or
+    /// the recursion depth a `Wait` released and must restore.
     Take {
         lock: usize,
         mode: AccessMode,
-        site: usize,
+        depth: usize,
     },
-    /// Avoidance-parked; retries the full engine request when woken.
+    /// Avoidance-parked, or leaving a `Wait`: (re)issues the full engine
+    /// request when woken.
     Retry {
         lock: usize,
         mode: AccessMode,
         site: usize,
+        depth: usize,
     },
 }
 
@@ -517,6 +546,8 @@ struct SimLock {
     owners: Vec<(usize, AccessMode)>,
     /// FIFO of engine-approved tasks waiting for admission.
     waiters: VecDeque<(usize, AccessMode)>,
+    /// FIFO of tasks inside `Wait` on this lock.
+    wait_set: VecDeque<usize>,
 }
 
 struct Sim<'a, E: EngineHooks> {
@@ -537,6 +568,7 @@ struct Sim<'a, E: EngineHooks> {
     hash: TraceHash,
     decisions: Vec<u32>,
     executed: usize,
+    work_units: u64,
     max_blocked: usize,
     failsafe_retries: u32,
     deadlocks: u32,
@@ -554,6 +586,13 @@ pub fn run_schedule<E: EngineHooks>(
 ) -> RunReport {
     driver.reset();
     let n = scenario.tasks.len();
+    // A task some `Spawn` names starts dormant (derived, not declared).
+    let mut state = vec![State::Runnable; n];
+    for op in scenario.tasks.iter().flat_map(|t| &t.ops) {
+        if let SimOp::Spawn { task } = *op {
+            state[task] = State::Dormant;
+        }
+    }
     let mut sim = Sim {
         driver,
         scenario,
@@ -561,8 +600,8 @@ pub fn run_schedule<E: EngineHooks>(
         now: 0,
         seq: 0,
         heap: BinaryHeap::new(),
-        runnable: (0..n).collect(),
-        state: vec![State::Runnable; n],
+        runnable: (0..n).filter(|&t| state[t] == State::Runnable).collect(),
+        state,
         pending: vec![Pending::Op; n],
         pc: vec![0; n],
         held: vec![Vec::new(); n],
@@ -570,6 +609,7 @@ pub fn run_schedule<E: EngineHooks>(
             .map(|_| SimLock {
                 owners: Vec::new(),
                 waiters: VecDeque::new(),
+                wait_set: VecDeque::new(),
             })
             .collect(),
         parked: HashMap::new(),
@@ -577,6 +617,7 @@ pub fn run_schedule<E: EngineHooks>(
         hash: TraceHash::new(),
         decisions: Vec::new(),
         executed: 0,
+        work_units: 0,
         max_blocked: 0,
         failsafe_retries: 0,
         deadlocks: 0,
@@ -589,19 +630,21 @@ pub fn run_schedule<E: EngineHooks>(
 impl<E: EngineHooks> Sim<'_, E> {
     fn run(&mut self, source: &mut DecisionSource) -> RunReport {
         let outcome = loop {
+            // Everything due by now becomes runnable together (and competes
+            // for the next decision). Only a serial `Compute` moves the
+            // clock while tasks are runnable; otherwise nothing is due
+            // until the branch below advances it.
+            while let Some(&Reverse((due, _, task))) = self.heap.peek() {
+                if due > self.now {
+                    break;
+                }
+                self.heap.pop();
+                self.wake_timer(task);
+            }
             if self.runnable.is_empty() {
                 if let Some(&Reverse((t, _, _))) = self.heap.peek() {
-                    // Advance virtual time; everything due now becomes
-                    // runnable together (and competes for the next
-                    // decision).
+                    // Advance virtual time to the next deadline.
                     self.now = t;
-                    while let Some(&Reverse((due, _, task))) = self.heap.peek() {
-                        if due != t {
-                            break;
-                        }
-                        self.heap.pop();
-                        self.make_runnable(task);
-                    }
                     continue;
                 }
                 if self.all_terminal() {
@@ -650,6 +693,7 @@ impl<E: EngineHooks> Sim<'_, E> {
             decisions: std::mem::take(&mut self.decisions),
             executed_ops: self.executed,
             virtual_time: self.now,
+            work_units: self.work_units,
             max_blocked: self.max_blocked,
             failsafe_retries: self.failsafe_retries,
             deadlocks: self.deadlocks,
@@ -664,13 +708,13 @@ impl<E: EngineHooks> Sim<'_, E> {
     fn step_task(&mut self, task: usize) -> Option<RunOutcome> {
         loop {
             match self.pending[task] {
-                Pending::Take { lock, mode, site } => {
+                Pending::Take { lock, mode, depth } => {
                     // Woken as a lock waiter: admission needs only owner
                     // compatibility (it already reached the queue front;
                     // writer preference gates fresh arrivals, not handoffs).
                     if self.compatible(lock, task, mode) {
                         self.pending[task] = Pending::Op;
-                        self.take(task, lock, mode, site);
+                        self.take(task, lock, mode, depth);
                     } else {
                         // Barged by an avoidance-woken or fresh owner:
                         // re-join at the back, exactly like the oracle.
@@ -679,10 +723,15 @@ impl<E: EngineHooks> Sim<'_, E> {
                         return None;
                     }
                 }
-                Pending::Retry { lock, mode, site } => {
+                Pending::Retry {
+                    lock,
+                    mode,
+                    site,
+                    depth,
+                } => {
                     self.pending[task] = Pending::Op;
                     self.executed += 1;
-                    match self.begin_acquire(task, lock, mode, site) {
+                    match self.begin_acquire(task, lock, mode, site, depth) {
                         AcquireStep::Continue => {}
                         AcquireStep::Blocked => return None,
                         AcquireStep::Terminal(o) => return Some(o),
@@ -698,6 +747,7 @@ impl<E: EngineHooks> Sim<'_, E> {
                     match op {
                         SimOp::Work { cost } => {
                             let due = self.now + cost.max(1);
+                            self.work_units += cost;
                             self.seq += 1;
                             self.heap.push(Reverse((due, self.seq, task)));
                             self.state[task] = State::Sleeping;
@@ -712,11 +762,44 @@ impl<E: EngineHooks> Sim<'_, E> {
                             self.release(task, lock);
                         }
                         SimOp::Acquire { lock, mode, site } => {
-                            match self.begin_acquire(task, lock, mode, site) {
+                            match self.begin_acquire(task, lock, mode, site, 1) {
                                 AcquireStep::Continue => {}
                                 AcquireStep::Blocked => return None,
                                 AcquireStep::Terminal(o) => return Some(o),
                             }
+                        }
+                        SimOp::Compute { cost } => {
+                            self.now += cost;
+                            self.work_units += cost;
+                            self.hash.push(&[TAG_COMPUTE, task as u64, self.now]);
+                            self.event(format!(
+                                "t={} task={} computed {cost}",
+                                self.now, self.scenario.tasks[task].name
+                            ));
+                            self.make_runnable(task);
+                            return None;
+                        }
+                        SimOp::Wait {
+                            lock,
+                            timeout,
+                            site,
+                        } => {
+                            if self.wait(task, lock, timeout, site) {
+                                return None;
+                            }
+                        }
+                        SimOp::Notify { lock, all } => self.notify(task, lock, all),
+                        SimOp::Spawn { task: child } => {
+                            if self.state[child] == State::Dormant {
+                                self.make_runnable(child);
+                            }
+                            self.hash.push(&[TAG_SPAWN, task as u64, child as u64]);
+                            self.event(format!(
+                                "t={} task={} spawned {}",
+                                self.now,
+                                self.scenario.tasks[task].name,
+                                self.scenario.tasks[child].name
+                            ));
                         }
                     }
                 }
@@ -738,6 +821,7 @@ impl<E: EngineHooks> Sim<'_, E> {
         lock: usize,
         mode: AccessMode,
         site: usize,
+        depth: usize,
     ) -> AcquireStep {
         let outcome = self.driver.request(task, lock, site, mode);
         // Mirrors `task_begin_acquire`: pending wake-ups scheduled while the
@@ -748,7 +832,7 @@ impl<E: EngineHooks> Sim<'_, E> {
             RequestOutcome::Granted | RequestOutcome::GrantedReentrant => {
                 self.hash.push(&[TAG_OUTCOME, task as u64, lock as u64, 0]);
                 if self.admissible_fresh(lock, task, mode) {
-                    self.take(task, lock, mode, site);
+                    self.take(task, lock, mode, depth);
                     AcquireStep::Continue
                 } else {
                     self.event(format!(
@@ -756,7 +840,7 @@ impl<E: EngineHooks> Sim<'_, E> {
                         self.now, self.scenario.tasks[task].name
                     ));
                     self.locks[lock].waiters.push_back((task, mode));
-                    self.pending[task] = Pending::Take { lock, mode, site };
+                    self.pending[task] = Pending::Take { lock, mode, depth };
                     self.block(task, State::LockWait);
                     AcquireStep::Blocked
                 }
@@ -778,7 +862,12 @@ impl<E: EngineHooks> Sim<'_, E> {
                 if !q.contains(&task) {
                     q.push_back(task);
                 }
-                self.pending[task] = Pending::Retry { lock, mode, site };
+                self.pending[task] = Pending::Retry {
+                    lock,
+                    mode,
+                    site,
+                    depth,
+                };
                 self.block(task, State::Parked);
                 AcquireStep::Blocked
             }
@@ -843,15 +932,97 @@ impl<E: EngineHooks> Sim<'_, E> {
         true
     }
 
-    fn take(&mut self, task: usize, lock: usize, mode: AccessMode, _site: usize) {
-        self.locks[lock].owners.push((task, mode));
-        self.driver.acquired(task, lock);
-        self.held[task].push(lock);
-        self.hash.push(&[TAG_TAKE, task as u64, lock as u64]);
+    /// Takes `lock` `depth` times over: once for an ordinary acquisition,
+    /// more when the reacquisition after a `Wait` restores the recursion
+    /// depth it released (the engine counts the re-entries itself).
+    fn take(&mut self, task: usize, lock: usize, mode: AccessMode, depth: usize) {
+        for _ in 0..depth {
+            self.locks[lock].owners.push((task, mode));
+            self.driver.acquired(task, lock);
+            self.held[task].push(lock);
+            self.hash.push(&[TAG_TAKE, task as u64, lock as u64]);
+        }
         self.event(format!(
             "t={} task={} acquired lock={lock}",
             self.now, self.scenario.tasks[task].name
         ));
+    }
+
+    /// `Object.wait()`. Returns false — the op is skipped — when `task`
+    /// does not own `lock`.
+    fn wait(&mut self, task: usize, lock: usize, timeout: Option<u64>, site: usize) -> bool {
+        let mut holds = self.locks[lock].owners.iter().filter(|&&(o, _)| o == task);
+        let Some(&(_, mode)) = holds.next() else {
+            return false;
+        };
+        let depth = 1 + holds.count();
+        // Every hold goes back through the `released` hook (the engine
+        // counts recursion itself; only the last release frees the lock).
+        for _ in 0..depth {
+            self.release(task, lock);
+        }
+        self.locks[lock].wait_set.push_back(task);
+        let deadline = timeout.map(|t| self.now + t);
+        if let Some(due) = deadline {
+            self.seq += 1;
+            self.heap.push(Reverse((due, self.seq, task)));
+        }
+        // Waking re-requests through the engine — the §3.2 path.
+        self.pending[task] = Pending::Retry {
+            lock,
+            mode,
+            site,
+            depth,
+        };
+        self.state[task] = State::Waiting;
+        self.hash.push(&[
+            TAG_WAIT,
+            task as u64,
+            lock as u64,
+            depth as u64,
+            deadline.map_or(0, |d| d + 1),
+        ]);
+        self.event(format!(
+            "t={} task={} waits on lock={lock} until {deadline:?}",
+            self.now, self.scenario.tasks[task].name
+        ));
+        true
+    }
+
+    /// `Object.notify()` / `notifyAll()`; skipped when `task` does not own
+    /// `lock`.
+    fn notify(&mut self, task: usize, lock: usize, all: bool) {
+        if !self.locks[lock].owners.iter().any(|&(o, _)| o == task) {
+            return;
+        }
+        let mut woken = 0u64;
+        while let Some(w) = self.locks[lock].wait_set.pop_front() {
+            // A timed waiter leaves its deadline on the clock; drop it, or
+            // it would cut short whatever the task sleeps on next.
+            self.heap.retain(|&Reverse((_, _, t))| t != w);
+            self.make_runnable(w);
+            woken += 1;
+            if !all {
+                break;
+            }
+        }
+        self.hash
+            .push(&[TAG_NOTIFY, task as u64, lock as u64, woken]);
+        self.event(format!(
+            "t={} task={} notified {woken} on lock={lock}",
+            self.now, self.scenario.tasks[task].name
+        ));
+    }
+
+    /// A clock entry came due: a `Work` sleeper resumes, a timed `Wait`
+    /// times out (leaves the wait set and goes to reacquire).
+    fn wake_timer(&mut self, task: usize) {
+        if self.state[task] == State::Waiting {
+            if let Pending::Retry { lock, .. } = self.pending[task] {
+                self.locks[lock].wait_set.retain(|&w| w != task);
+            }
+        }
+        self.make_runnable(task);
     }
 
     /// Mirrors `MutexGuard::drop`: substrate first (drop the owner entry,
@@ -899,6 +1070,9 @@ impl<E: EngineHooks> Sim<'_, E> {
     }
 
     fn finish(&mut self, task: usize) {
+        // A script that ends holding locks drops them, as a terminating
+        // thread does (well-formed scenarios hold none here).
+        self.back_out_holds(task);
         let wake = self.driver.unregister_owner(task);
         self.wake_all_each(&wake);
         self.state[task] = State::Finished;
@@ -960,7 +1134,7 @@ impl<E: EngineHooks> Sim<'_, E> {
     fn all_terminal(&self) -> bool {
         self.state
             .iter()
-            .all(|s| matches!(s, State::Finished | State::Refused))
+            .all(|s| matches!(s, State::Finished | State::Refused | State::Dormant))
     }
 
     fn block(&mut self, task: usize, state: State) {
@@ -1125,6 +1299,227 @@ mod tests {
             assert_eq!(a.outcome, b.outcome, "seed {seed}");
             assert_eq!(a.history_text, b.history_text, "seed {seed}");
         }
+    }
+
+    fn script(name: &str, ops: Vec<SimOp>) -> crate::scenario::TaskScript {
+        crate::scenario::TaskScript {
+            name: name.into(),
+            ops,
+        }
+    }
+
+    fn acquire(lock: usize, site: usize) -> SimOp {
+        SimOp::Acquire {
+            lock,
+            mode: AccessMode::Exclusive,
+            site,
+        }
+    }
+
+    fn scenario(
+        name: &str,
+        locks: usize,
+        sites: usize,
+        tasks: Vec<crate::scenario::TaskScript>,
+    ) -> Scenario {
+        Scenario {
+            name: name.into(),
+            locks,
+            sites: (0..sites)
+                .map(|i| crate::scenario::site("test.site", i as u32 + 1))
+                .collect(),
+            tasks,
+            writer_preference: false,
+            failsafe_budget: 0,
+        }
+    }
+
+    /// A timed `Wait` that is notified early must not leave its deadline on
+    /// the clock: `wait(50)` at t=0, notified at t=5, then `Work{100}` — the
+    /// task resumes at t=105, not at the stale t=50.
+    #[test]
+    fn a_notified_wait_leaves_no_stale_timer() {
+        let s = scenario(
+            "stale-timer",
+            1,
+            3,
+            vec![
+                script(
+                    "waiter",
+                    vec![
+                        acquire(0, 0),
+                        SimOp::Wait {
+                            lock: 0,
+                            timeout: Some(50),
+                            site: 1,
+                        },
+                        SimOp::Release { lock: 0 },
+                        SimOp::Work { cost: 100 },
+                    ],
+                ),
+                script(
+                    "notifier",
+                    vec![
+                        SimOp::Work { cost: 5 },
+                        acquire(0, 2),
+                        SimOp::Notify {
+                            lock: 0,
+                            all: false,
+                        },
+                        SimOp::Release { lock: 0 },
+                    ],
+                ),
+            ],
+        );
+        let cfg = SimConfig {
+            record_events: true,
+            ..SimConfig::for_scenario(&s)
+        };
+        let mut driver = MonoDriver::new(&s, History::new());
+        let run = run_schedule(&mut driver, &s, &mut DecisionSource::replay(vec![]), &cfg);
+        assert_eq!(run.outcome, RunOutcome::Completed, "{:?}", run.events);
+        assert!(
+            run.events
+                .contains(&"t=105 task=waiter finished".to_string()),
+            "{:?}",
+            run.events
+        );
+        assert_eq!(run.stats.acquisitions, 3, "enter, reacquire, notifier");
+        let again = run_schedule(
+            &mut driver,
+            &s,
+            &mut DecisionSource::replay(run.decisions.clone()),
+            &cfg,
+        );
+        assert_eq!(again.sched_trace_hash, run.sched_trace_hash);
+    }
+
+    /// The §3.2 shape in the DSL: `holder` waits on lock 0 while holding
+    /// lock 1, `inverter` takes 0 then 1, `notifier` ends the wait early on
+    /// some schedules. Spawned from a main task, so every new op is in play.
+    fn wait_inversion() -> Scenario {
+        scenario(
+            "wait-inversion",
+            2,
+            6,
+            vec![
+                script(
+                    "main",
+                    vec![
+                        SimOp::Spawn { task: 1 },
+                        SimOp::Spawn { task: 2 },
+                        SimOp::Spawn { task: 3 },
+                    ],
+                ),
+                script(
+                    "holder",
+                    vec![
+                        acquire(0, 0),
+                        acquire(0, 0),
+                        acquire(1, 1),
+                        SimOp::Wait {
+                            lock: 0,
+                            timeout: Some(3),
+                            site: 2,
+                        },
+                        SimOp::Release { lock: 1 },
+                        SimOp::Release { lock: 0 },
+                        SimOp::Release { lock: 0 },
+                    ],
+                ),
+                script(
+                    "inverter",
+                    vec![
+                        SimOp::Compute { cost: 2 },
+                        acquire(0, 3),
+                        SimOp::Compute { cost: 30 },
+                        acquire(1, 4),
+                        SimOp::Release { lock: 1 },
+                        SimOp::Release { lock: 0 },
+                    ],
+                ),
+                script(
+                    "notifier",
+                    vec![
+                        SimOp::Compute { cost: 1 },
+                        acquire(0, 5),
+                        SimOp::Notify { lock: 0, all: true },
+                        SimOp::Release { lock: 0 },
+                    ],
+                ),
+            ],
+        )
+    }
+
+    /// The monolithic and sharded drivers agree on a scenario that spawns,
+    /// waits, notifies and computes — and the schedules do exercise the
+    /// reacquisition both ways (some deadlock there, some complete).
+    #[test]
+    fn mono_and_sharded_drivers_agree_on_wait_notify() {
+        let s = wait_inversion();
+        let cfg = SimConfig::for_scenario(&s);
+        let mut mono = MonoDriver::new(&s, History::new());
+        let mut sharded = ShardedDriver::new(&s, 4, History::new());
+        let (mut deadlocked, mut completed) = (0, 0);
+        for seed in 0..30u64 {
+            let a = run_schedule(
+                &mut mono,
+                &s,
+                &mut DecisionSource::random(Gen::new(seed)),
+                &cfg,
+            );
+            let b = run_schedule(
+                &mut sharded,
+                &s,
+                &mut DecisionSource::random(Gen::new(seed)),
+                &cfg,
+            );
+            assert_eq!(a.sched_trace_hash, b.sched_trace_hash, "seed {seed}");
+            assert_eq!(a.outcome, b.outcome, "seed {seed}");
+            assert_eq!(a.history_text, b.history_text, "seed {seed}");
+            match a.outcome {
+                RunOutcome::Deadlock { .. } => deadlocked += 1,
+                RunOutcome::Completed => {
+                    // Re-entered twice, released by the wait, restored by
+                    // the reacquisition: the engine's hold balance closes.
+                    assert_eq!(a.stats.reentrant_balance(), 0, "seed {seed}");
+                    completed += 1;
+                }
+                other => panic!("seed {seed}: {other:?}"),
+            }
+        }
+        assert!(
+            deadlocked > 0 && completed > 0,
+            "{deadlocked} / {completed}"
+        );
+    }
+
+    /// `Wait` and `Notify` on a lock the task does not own are skipped, and
+    /// a dormant task nobody spawns never runs.
+    #[test]
+    fn unowned_wait_and_notify_are_skipped() {
+        let s = scenario(
+            "unowned",
+            1,
+            1,
+            vec![
+                script(
+                    "main",
+                    vec![
+                        SimOp::Wait {
+                            lock: 0,
+                            timeout: None,
+                            site: 0,
+                        },
+                        SimOp::Notify { lock: 0, all: true },
+                    ],
+                ),
+                script("never", vec![acquire(0, 0), SimOp::Spawn { task: 1 }]),
+            ],
+        );
+        let run = first_schedule(&s);
+        assert_eq!(run.outcome, RunOutcome::Completed);
+        assert_eq!((run.executed_ops, run.stats.requests), (2, 0));
     }
 
     /// The writer-preference-gap scenario stalls without a detection and

@@ -42,7 +42,7 @@ fn main() {
         // the profile's baseline for a fair table.
         let dimmunix_mb = (vanilla.memory_vanilla_bytes()
             + process.engine().memory_footprint_bytes()
-            + process.threads().len() * dimmunix::vm::STACK_BUFFER_BYTES)
+            + process.thread_count() * dimmunix::vm::STACK_BUFFER_BYTES)
             as f64
             / (1024.0 * 1024.0);
         println!(
