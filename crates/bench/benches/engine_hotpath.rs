@@ -6,12 +6,15 @@
 //! One cycle is a `request` / `acquired` / `released_into` of one logical
 //! thread at a position no signature mentions. Each (threads, history) cell
 //! times it twice — through `request(&CallStack)`, which interns the stack on
-//! every call as the runtime's hooks do, and through `request_at(PositionId)`
-//! — and reports two counts beside the timings: the engine's own accounting of
-//! the avoidance hot path (`signatures examined / instantiation checks`: zero
-//! with the inverted position index, where a linear scan would examine the
-//! *entire* history, e.g. 256 signatures, on every check), and heap
-//! allocations per cycle from an allocator that counts in this binary only.
+//! every call as the runtime's hooks do, and through `request_at(PositionId)`.
+//! The two columns (`request_ns_per_cycle` vs `request_at_ns_per_cycle`) are
+//! ablation A2: call-stack capture against the compiler-assigned static site
+//! id the paper proposes in §4. Two counts sit beside the timings: the
+//! engine's own accounting of the avoidance hot path (`signatures examined /
+//! instantiation checks`: zero with the inverted position index, where a
+//! linear scan would examine the *entire* history, e.g. 256 signatures, on
+//! every check), and heap allocations per cycle from an allocator that counts
+//! in this binary only.
 //! `BENCH_engine_hotpath.json` carries every cell; `check_bench` gates the
 //! two counts, which do not depend on the host.
 

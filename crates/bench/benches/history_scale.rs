@@ -10,8 +10,8 @@
 //! ~100x here) cannot land silently.
 //!
 //! Writes `BENCH_history_scale.json`; `check_bench` gates the append
-//! scaling ratio, that the eviction workload actually retired antibodies,
-//! and that post-eviction lookups were measured.
+//! scaling ratio and that the eviction workload actually retired
+//! antibodies. The post-eviction lookup latency is reported, not gated.
 
 use dimmunix_bench::report::{percentiles, write_bench_json, BenchJson};
 use dimmunix_core::{
@@ -136,13 +136,13 @@ fn main() {
     // regression moves every pass (a copy-everything snapshot is ~100x),
     // so the minimum cannot mask one.
     let robust = |samples: &[f64]| -> (f64, f64) {
-        let (_, p50, _) = percentiles(samples);
+        let (p50, _) = percentiles(samples);
         let kept: Vec<f64> = samples
             .iter()
             .copied()
             .filter(|v| *v <= 2.0 * p50)
             .collect();
-        let (_, _, p99) = percentiles(&kept);
+        let (_, p99) = percentiles(&kept);
         (p50, p99)
     };
     // 300 samples per pass: a p99 with only 3 samples above it is a real
@@ -222,7 +222,7 @@ fn main() {
             })
             .collect()
     };
-    let (_, lookup_p50, lookup_p99) = percentiles(&lookup_samples);
+    let (lookup_p50, lookup_p99) = percentiles(&lookup_samples);
     println!("post-eviction lookup: p50 {lookup_p50:.0} ns, p99 {lookup_p99:.0} ns");
 
     let report = report

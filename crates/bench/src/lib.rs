@@ -1,9 +1,9 @@
 //! # dimmunix-bench — experiment harness
 //!
-//! One function per experiment of the paper (see `DESIGN.md`'s
-//! per-experiment index). Each returns a structured result that the
-//! `reproduce` binary renders as the corresponding table/figure rows and
-//! that the integration tests assert shape properties on.
+//! One function per experiment of the paper (`reproduce --help` lists
+//! them). Each returns a structured result that the `reproduce` binary
+//! renders as the corresponding table/figure rows and that the integration
+//! tests assert shape properties on.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

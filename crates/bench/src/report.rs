@@ -1,8 +1,7 @@
 //! Machine-readable bench reports: `BENCH_<name>.json` at the repo root.
 //!
-//! Every bench target that participates in the regression gate renders its
-//! headline figures — latency percentiles, acceptance ratio, overhead
-//! versus bare locks — through [`BenchJson`] and drops them next to the
+//! Every bench target renders its headline figures — counts, ratios,
+//! latency percentiles — through [`BenchJson`] and drops them next to the
 //! workspace `Cargo.toml` via [`write_bench_json`]. The `check_bench`
 //! binary (run as a CI step after the benches) re-reads those files and
 //! fails the build when a gated figure regresses.
@@ -120,12 +119,11 @@ pub fn write_bench_json(name: &str, report: &BenchJson) -> io::Result<PathBuf> {
     Ok(path)
 }
 
-/// Median, p50 and p99 over a sample set, in the samples' own unit.
-/// (Median and p50 coincide by definition; both are emitted because the
-/// report schema names them separately.) Empty input yields zeros.
-pub fn percentiles(samples: &[f64]) -> (f64, f64, f64) {
+/// p50 and p99 over a sample set, in the samples' own unit. Empty input
+/// yields zeros.
+pub fn percentiles(samples: &[f64]) -> (f64, f64) {
     if samples.is_empty() {
-        return (0.0, 0.0, 0.0);
+        return (0.0, 0.0);
     }
     let mut sorted = samples.to_vec();
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("samples must be finite"));
@@ -133,7 +131,7 @@ pub fn percentiles(samples: &[f64]) -> (f64, f64, f64) {
         let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
         sorted[idx]
     };
-    (at(0.5), at(0.5), at(0.99))
+    (at(0.5), at(0.99))
 }
 
 /// Reads the numeric value of a top-level `"key": <number>` field from a
@@ -165,11 +163,8 @@ mod tests {
     #[test]
     fn percentiles_pick_median_and_tail() {
         let samples: Vec<f64> = (0..=100).map(f64::from).collect();
-        let (median, p50, p99) = percentiles(&samples);
-        assert_eq!(median, p50);
-        assert_eq!(median, 50.0);
-        assert_eq!(p99, 99.0);
-        assert_eq!(percentiles(&[]), (0.0, 0.0, 0.0));
+        assert_eq!(percentiles(&samples), (50.0, 99.0));
+        assert_eq!(percentiles(&[]), (0.0, 0.0));
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::path::PathBuf;
 /// How many stack frames are kept when interning an acquisition position.
 ///
 /// The paper uses depth 1 on the phone (cheap, but coarser matching, §3.2);
-/// the depth-ablation experiment (`A1` in `DESIGN.md`) sweeps this value.
+/// the depth-ablation experiment (`A1`; see `reproduce --help`) sweeps this value.
 pub const DEFAULT_STACK_DEPTH: usize = 1;
 
 /// Upper bound on signatures kept in memory; old histories on real phones are

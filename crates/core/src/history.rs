@@ -122,13 +122,6 @@ impl History {
         self.live == 0
     }
 
-    /// Number of id slots ever assigned, including retired ones. New ids
-    /// are allocated past this point, so ids are never reused even after
-    /// eviction.
-    pub fn total_slots(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Adds a signature unless an identical one (same bug) is already live.
     /// Returns the signature's id and whether it was newly inserted.
     pub fn add(&mut self, sig: Signature) -> (SignatureId, bool) {

@@ -188,16 +188,6 @@ impl Rag {
         self.yield_records = 0;
     }
 
-    /// Number of registered owners.
-    pub fn owner_count(&self) -> usize {
-        self.owners_map.len()
-    }
-
-    /// Number of registered locks.
-    pub fn lock_count(&self) -> usize {
-        self.locks.len()
-    }
-
     /// Registers an owner node (idempotent).
     pub fn register_owner(&mut self, t: OwnerId) {
         self.owners_map.entry(t).or_default();
@@ -232,11 +222,6 @@ impl Rag {
     /// True if the owner is registered.
     pub fn has_owner(&self, t: OwnerId) -> bool {
         self.owners_map.contains_key(&t)
-    }
-
-    /// True if the lock is registered.
-    pub fn has_lock(&self, l: LockId) -> bool {
-        self.locks.contains_key(&l)
     }
 
     /// The *sole* owner of `l`, if it has exactly one. This is the
@@ -300,14 +285,6 @@ impl Rag {
             .map(|r| (r.lock, r.pos))
     }
 
-    /// The access mode of `t`'s outstanding request, if any.
-    pub fn requesting_mode(&self, t: OwnerId) -> Option<AccessMode> {
-        self.owners_map
-            .get(&t)
-            .and_then(|n| n.requesting)
-            .map(|r| r.mode)
-    }
-
     /// The yield record of `t`, if it is parked by avoidance.
     pub fn yielding(&self, t: OwnerId) -> Option<&YieldRecord> {
         self.owners_map.get(&t).and_then(|n| n.yielding.as_ref())
@@ -328,18 +305,6 @@ impl Rag {
     /// scoped-degradation admission gate.
     pub fn lists_yield_blocker(&self, t: OwnerId) -> bool {
         self.yield_records().any(|(_, y)| y.blockers.contains(&t))
-    }
-
-    /// Owners currently parked by avoidance.
-    pub fn yielding_owners(&self) -> Vec<OwnerId> {
-        let mut v: Vec<OwnerId> = self
-            .owners_map
-            .iter()
-            .filter(|(_, n)| n.yielding.is_some())
-            .map(|(t, _)| *t)
-            .collect();
-        v.sort_unstable();
-        v
     }
 
     /// Records that `t` requests `l` at position `pos`, exclusively.

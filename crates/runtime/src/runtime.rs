@@ -1362,11 +1362,6 @@ impl DimmunixRuntime {
         id
     }
 
-    /// The spawn site recorded for `task`, if any.
-    pub fn task_spawn_site(&self, task: TaskId) -> Option<AcquisitionSite> {
-        self.task_route(task).spawn_site
-    }
-
     fn task_route(&self, task: TaskId) -> TaskRoute {
         sync::lock(&self.task_routes)
             .get(&task)

@@ -69,7 +69,7 @@ impl AcquisitionSite {
     }
 
     /// Derives a stable numeric id for the site (the paper's compiler-id
-    /// optimization, exercised by the `site_id_ablation` bench).
+    /// optimization; the `engine_hotpath` bench measures what it saves).
     pub fn to_site_id(self) -> SiteId {
         // FNV-1a over the textual location; stable across runs because it
         // depends only on the source location.

@@ -12,9 +12,12 @@
 //! interleaving: no deadlock is ever detected, every acquisition is matched
 //! by a release at quiescence, the parked pair really parks, and the clean
 //! sites really take the fast path.
+//!
+//! A second test pins the counts of the clean many-thread regime, where
+//! they are exact: 64 threads, shared locks, empty history, nothing nested.
 
 use dimmunix_core::{CallStack, Dimmunix, Frame, History, LockId, RequestOutcome, ThreadId};
-use dimmunix_rt::{AcquisitionSite, DimmunixRuntime};
+use dimmunix_rt::{AcquisitionSite, DimmunixRuntime, ImmuneMutex, ImmuneRwLock};
 use std::sync::{Arc, Barrier};
 use std::thread;
 
@@ -191,5 +194,76 @@ fn fast_admissions_race_parks_without_divergence() {
     assert!(
         summary.published() > 0,
         "the nesting thread must publish fast holds through the slow path"
+    );
+}
+
+/// Threads of the clean-contention count test.
+const CONTENDED_THREADS: usize = 64;
+/// Shared locks of each kind.
+const CONTENDED_LOCKS: usize = 8;
+/// Un-nested sections per thread, alternating mutex and rwlock.
+const CONTENDED_SECTIONS: usize = 600;
+/// Every eighth rwlock section takes the write side.
+const WRITE_EVERY: usize = 8;
+
+/// The counts of the many-thread regime, exact on any host: 64 threads
+/// contend for 8 shared mutexes and 8 shared rwlocks with an empty history
+/// and nothing nested. No signature is ever installed, so the epoch the
+/// fast path reads never moves and no owner is ever a blocker: every
+/// admission is a lock-free one, the engine sees no request, and nobody
+/// parks. (The timings of this regime are `flat_sections` of the
+/// `benchmark/` package.)
+#[test]
+fn clean_contended_sections_are_all_fast_admits() {
+    let rt = DimmunixRuntime::builder().shards(8).build();
+    let mutexes: Vec<ImmuneMutex<u64>> = (0..CONTENDED_LOCKS)
+        .map(|_| ImmuneMutex::new_in(&rt, 0))
+        .collect();
+    let rwlocks: Vec<ImmuneRwLock<u64>> = (0..CONTENDED_LOCKS)
+        .map(|_| ImmuneRwLock::new_in(&rt, 0))
+        .collect();
+    let start = Barrier::new(CONTENDED_THREADS);
+
+    thread::scope(|scope| {
+        for w in 0..CONTENDED_THREADS {
+            let (rt, mutexes, rwlocks, start) = (&rt, &mutexes, &rwlocks, &start);
+            scope.spawn(move || {
+                let line = w as u32;
+                let mutex_site = AcquisitionSite::new("contended.mutex", FILE, line);
+                let read_site = AcquisitionSite::new("contended.read", FILE, line);
+                let write_site = AcquisitionSite::new("contended.write", FILE, line);
+                start.wait();
+                for i in 0..CONTENDED_SECTIONS {
+                    let (pair, slot) = (i / 2, (i / 2 + w) % CONTENDED_LOCKS);
+                    if i % 2 == 0 {
+                        *mutexes[slot].lock_at(mutex_site).unwrap() += 1;
+                    } else if pair % WRITE_EVERY == 0 {
+                        *rwlocks[slot].write_at(write_site).unwrap() += 1;
+                    } else {
+                        std::hint::black_box(*rwlocks[slot].read_at(read_site).unwrap());
+                    }
+                }
+                rt.retire_current_thread();
+            });
+        }
+    });
+
+    let sections = (CONTENDED_THREADS * CONTENDED_SECTIONS) as u64;
+    let stats = rt.stats();
+    assert_eq!(stats.fast_admits, sections);
+    assert_eq!(stats.slow_fallbacks, 0);
+    assert_eq!(stats.yields, 0);
+    assert_eq!(stats.deadlocks_detected, 0);
+    assert_eq!(stats.grants + stats.reentrant_grants, stats.requests);
+    assert_eq!(stats.acquisitions, sections);
+    assert_eq!(stats.releases, sections);
+    // Every write landed: the sections really ran under their locks.
+    let mutex_sum: u64 = mutexes.iter().map(|m| *m.lock().unwrap()).sum();
+    let rwlock_sum: u64 = rwlocks.iter().map(|l| *l.read().unwrap()).sum();
+    let pairs = CONTENDED_SECTIONS / 2;
+    assert_eq!(mutex_sum, (CONTENDED_THREADS * pairs) as u64);
+    assert_eq!(
+        rwlock_sum,
+        (CONTENDED_THREADS * pairs.div_ceil(WRITE_EVERY)) as u64
     );
 }

@@ -163,20 +163,18 @@ impl MicrobenchHarness {
         }
     }
 
-    /// The runtime driving the benchmark (counters, history inspection).
-    pub fn runtime(&self) -> &Arc<DimmunixRuntime> {
-        &self.runtime
-    }
-
-    /// Executes one measured batch of synchronized sections. The clock
-    /// starts when every worker has passed the start barrier, so thread
-    /// spawning is excluded from the measurement; yield/deadlock counts are
-    /// reported as deltas over this run only, so the harness can be reused
-    /// across samples.
+    /// Executes one measured batch of synchronized sections. The measured
+    /// phase runs from the first worker leaving the start barrier to the
+    /// last one finishing its sections, on the workers' own clock reads:
+    /// thread spawning is excluded, and so is the wait of the spawning
+    /// thread, which on a core-starved host may not run again until the
+    /// workers are well under way. Yield/deadlock counts are reported as
+    /// deltas over this run only, so the harness can be reused across
+    /// samples.
     pub fn run(&self) -> MicrobenchResult {
         let cfg = self.config;
         let before = self.runtime.stats();
-        let barrier = Arc::new(std::sync::Barrier::new(cfg.threads + 1));
+        let barrier = Arc::new(std::sync::Barrier::new(cfg.threads));
         let mut handles = Vec::with_capacity(cfg.threads);
         for (tid, pool) in self.pools.iter().cloned().enumerate() {
             let barrier = barrier.clone();
@@ -186,6 +184,7 @@ impl MicrobenchHarness {
                 // Cheap xorshift for "random lock objects".
                 let mut rng_state = 0x1234_5678_9abc_def0u64 ^ (tid as u64).wrapping_mul(0x9e37);
                 barrier.wait();
+                let started = Instant::now();
                 for _ in 0..cfg.iterations {
                     rng_state ^= rng_state << 13;
                     rng_state ^= rng_state >> 7;
@@ -211,6 +210,7 @@ impl MicrobenchHarness {
                     std::hint::black_box(busy_work(cfg.work_outside));
                     completed += 1;
                 }
+                let finished = Instant::now();
                 // The harness is reused across samples: retire this worker's
                 // engine registration so the per-shard RAGs do not accumulate
                 // one dead thread node per worker per run. (Bare workers
@@ -219,16 +219,18 @@ impl MicrobenchHarness {
                 if matches!(&*pool, LockPool::Immune(_)) {
                     runtime.retire_current_thread();
                 }
-                completed
+                (completed, started, finished)
             }));
         }
-        barrier.wait();
-        let start = Instant::now();
         let mut total = 0u64;
+        let mut phase: Option<(Instant, Instant)> = None;
         for h in handles {
-            total += h.join().expect("worker panicked");
+            let (completed, started, finished) = h.join().expect("worker panicked");
+            total += completed;
+            let (first, last) = phase.unwrap_or((started, finished));
+            phase = Some((first.min(started), last.max(finished)));
         }
-        let elapsed = start.elapsed();
+        let elapsed = phase.map_or(Duration::ZERO, |(first, last)| last - first);
         let stats = self.runtime.stats();
         MicrobenchResult {
             synchronizations: total,
@@ -240,10 +242,10 @@ impl MicrobenchHarness {
 }
 
 /// Runs the microbenchmark once with the given configuration: builds a
-/// [`MicrobenchHarness`] and times a single batch. Benchmarks that take
-/// several samples should build the harness once and call
+/// [`MicrobenchHarness`] and times a single batch. A measurement that takes
+/// several samples builds the harness once and calls
 /// [`MicrobenchHarness::run`] per sample, keeping setup out of the timed
-/// region (see `benches/microbenchmark.rs`).
+/// region, as [`run_overhead_pair`] does.
 pub fn run_microbenchmark(config: &MicrobenchConfig) -> MicrobenchResult {
     MicrobenchHarness::new(config).run()
 }
@@ -269,21 +271,65 @@ impl OverheadRow {
     }
 }
 
+/// Interleaved sampling rounds per side of [`run_overhead_pair`].
+const SAMPLES: usize = 5;
+/// Back-to-back batches folded into one sample by taking the fastest.
+const MIN_OF: usize = 3;
+
+/// One sample: the fastest of [`MIN_OF`] back-to-back batches, in seconds.
+/// Interference only ever adds time, so the minimum is the closest
+/// observable to the workload's intrinsic cost.
+fn sample(harness: &MicrobenchHarness) -> f64 {
+    let fastest = (0..MIN_OF)
+        .map(|_| harness.run())
+        .min_by_key(|r| r.elapsed)
+        .expect("MIN_OF > 0");
+    assert_eq!(fastest.deadlocks, 0);
+    assert_eq!(fastest.yields, 0, "synthetic signatures must never match");
+    fastest.elapsed.as_secs_f64()
+}
+
+/// Median batch time after dropping the samples slower than twice the
+/// median (a host-wide stall hit that round).
+fn median_after_interference_cut(mut secs: Vec<f64>) -> f64 {
+    secs.sort_by(|a, b| a.total_cmp(b));
+    let median = secs[secs.len() / 2];
+    secs.retain(|&t| t <= 2.0 * median);
+    secs[secs.len() / 2]
+}
+
 /// Runs the paired (vanilla vs Dimmunix) experiment for one configuration.
+///
+/// One batch per side cannot be trusted on a shared host: machine drift
+/// (CPU-quota throttling, background load) lands on whichever side is being
+/// measured, and a sequential median-of-5 once reported the immune runtime
+/// 15 % *faster* than bare. So both harnesses are built before any
+/// measurement, each runs one warm-up batch, and the two sides are sampled
+/// **interleaved** for `SAMPLES` rounds — slow drift spreads over both
+/// distributions and cancels in the ratio — each sample being the fastest of
+/// `MIN_OF` batches. The reported rates are those of the medians that
+/// survive the 2x-median interference cut.
 pub fn run_overhead_pair(base: &MicrobenchConfig) -> OverheadRow {
-    let vanilla = run_microbenchmark(&MicrobenchConfig {
-        dimmunix_enabled: false,
-        ..*base
+    let [vanilla, dimmunix] = [false, true].map(|dimmunix_enabled| {
+        MicrobenchHarness::new(&MicrobenchConfig {
+            dimmunix_enabled,
+            ..*base
+        })
     });
-    let dimmunix = run_microbenchmark(&MicrobenchConfig {
-        dimmunix_enabled: true,
-        ..*base
-    });
+    // Warm-up: thread-local routes, site cache, allocator.
+    vanilla.run();
+    dimmunix.run();
+    let (mut vanilla_secs, mut dimmunix_secs) = (Vec::new(), Vec::new());
+    for _round in 0..SAMPLES {
+        vanilla_secs.push(sample(&vanilla));
+        dimmunix_secs.push(sample(&dimmunix));
+    }
+    let syncs = (base.threads * base.iterations) as f64;
     OverheadRow {
         threads: base.threads,
         history_size: base.synthetic_signatures,
-        vanilla_rate: vanilla.syncs_per_sec(),
-        dimmunix_rate: dimmunix.syncs_per_sec(),
+        vanilla_rate: syncs / median_after_interference_cut(vanilla_secs),
+        dimmunix_rate: syncs / median_after_interference_cut(dimmunix_secs),
     }
 }
 
