@@ -121,6 +121,13 @@ const GATES: &[Gate] = &[
         check: |v| v == 0.0,
         expect: "== 0 (a clean position must not scan the history)",
     },
+    Gate {
+        file: "BENCH_engine_hotpath.json",
+        field: "hot_allocs_per_check",
+        check: |v| v == 0.0,
+        expect:
+            "== 0 (a check that matches nothing must stay off the heap, however hot its position)",
+    },
 ];
 
 /// Checks every gate against the reports under `root`, and that `root`

@@ -12,35 +12,33 @@
 //! queues) and the history, which makes the matching logic easy to unit-test
 //! and property-test in isolation.
 //!
-//! ## Two implementations
+//! ## One live check, one oracle
 //!
 //! [`find_instantiation`] is the straightforward reference: it walks the
-//! *entire* history on every request and re-resolves every outer stack
-//! through [`PositionTable::lookup`]. That is O(|history| × arity) per
-//! acquisition — fine for unit tests, unacceptable on the hot path of a
-//! platform-wide deployment.
+//! *entire* history on every request, re-resolves every outer stack
+//! through [`PositionTable::lookup`] and offers every occupant of every
+//! slot to the matching. That is O(|history| × arity × crowd) per
+//! acquisition — fine as an oracle, unacceptable on the hot path of a
+//! platform-wide deployment. It is **mode-agnostic**: it reasons about
+//! position occupancy only.
 //!
-//! Both implementations here are **mode-agnostic**: they reason about
-//! position occupancy only. The engine's live check
-//! (`sharded::find_instantiation_merged`, shared by the monolithic and
-//! sharded request paths) layers access-mode awareness on top — for a
-//! shared (rwlock-read) request it excludes candidate threads whose only
-//! occupancy of a slot is their own shared hold of the requested lock
-//! (crowd-mates cannot produce the mutual wait a signature predicts). For
-//! exclusive requests the live check and these references coincide.
-//!
-//! [`SignatureIndex`] is what the engine actually uses: an inverted index
-//! from interned [`PositionId`]s to the signatures whose outer positions
-//! include them, with each signature's outer stacks resolved to position ids
-//! *once*, at insertion time. A request then only examines the signatures
-//! indexed at the requesting position — O(signatures-at-this-position), which
-//! is zero for the overwhelming majority of positions (deadlock histories are
-//! small and touch few sites). The index lives once per process inside the
-//! shared [`HistorySnapshot`](crate::HistorySnapshot), keyed by the
-//! snapshot's canonical outer-position ids; engine shards link their own
-//! interned positions to those ids (`Position::history_ref`). The linear
-//! reference is retained so equivalence can be property-checked
-//! (`tests/proptests.rs`).
+//! The engine's live check is `sharded::find_instantiation_merged`, shared
+//! by the monolithic and sharded request paths. It reads the
+//! [`SignatureIndex`] — an inverted index from canonical outer
+//! [`PositionId`]s to the signatures that mention them, each signature's
+//! outer stacks resolved *once*, at insertion time, inside the shared
+//! [`HistorySnapshot`](crate::HistorySnapshot) — so a request examines only
+//! the signatures indexed at its own position (none, for the overwhelming
+//! majority of positions). Of those it rejects every signature with an
+//! unoccupied slot after O(arity) reads, before any candidate is collected,
+//! and matches the survivors in the engine's reused [`MatchScratch`]. On top
+//! it layers access-mode awareness: for a shared (rwlock-read) request it
+//! excludes candidates whose only occupancy of a slot is their own shared
+//! hold of the requested lock (crowd-mates cannot produce the mutual wait a
+//! signature predicts). For exclusive requests the live check and the
+//! reference coincide — same signature, same blockers — which
+//! `tests/proptests.rs` checks through the public engine API. Both run the
+//! one matching implemented here ([`MatchScratch::instantiate`]).
 
 use crate::history::History;
 use crate::position::{PositionId, PositionTable};
@@ -65,9 +63,9 @@ pub struct Instantiation {
 /// antibody) together with the blocking threads.
 ///
 /// This is the **linear-scan reference implementation**: it examines every
-/// signature in the history on every call. The engine's hot path uses
-/// [`SignatureIndex::find_instantiation`] instead; this function is kept as
-/// the oracle the indexed implementation is property-tested against.
+/// signature in the history on every call. The engine's hot path is
+/// `sharded::find_instantiation_merged`; this function is kept as the
+/// oracle that check is property-tested against.
 pub fn find_instantiation(
     history: &History,
     positions: &PositionTable,
@@ -251,28 +249,6 @@ impl SignatureIndex {
         }
     }
 
-    /// Indexed equivalent of [`find_instantiation`]: only signatures whose
-    /// outer positions include `position` are examined, and their outer
-    /// stacks are never re-resolved.
-    pub fn find_instantiation(
-        &self,
-        positions: &PositionTable,
-        owner: impl Into<OwnerId>,
-        position: PositionId,
-    ) -> Option<Instantiation> {
-        let owner = owner.into();
-        for &sig in self.signatures_at(position) {
-            let outer = self.outer_positions_of(sig);
-            if let Some(blockers) = instantiable_at(outer, positions, owner, position) {
-                return Some(Instantiation {
-                    signature: sig,
-                    blockers,
-                });
-            }
-        }
-        None
-    }
-
     /// Estimated resident memory of the index in bytes.
     pub fn memory_footprint_bytes(&self) -> usize {
         let mut total = std::mem::size_of::<Self>();
@@ -305,167 +281,163 @@ pub fn signature_instantiable(
     position: PositionId,
 ) -> Option<Vec<OwnerId>> {
     let owner = owner.into();
-    // Resolve each outer stack to an interned position. If an outer stack was
-    // never interned, no owner can possibly occupy it, so the signature
-    // cannot be instantiated at all.
     let mut outer_positions = Vec::with_capacity(sig.arity());
+    let mut scratch = MatchScratch::default();
     for outer in sig.outer_stacks() {
-        match positions.lookup(outer) {
-            Some(pid) => outer_positions.push(pid),
-            None => return None,
+        // Resolve each outer stack to an interned position. If an outer stack
+        // was never interned, no owner can possibly occupy it, so the
+        // signature cannot be instantiated at all.
+        let pid = positions.lookup(outer)?;
+        outer_positions.push(pid);
+        // Candidates: everyone else in that position's queue (they hold or
+        // were allowed to acquire locks there).
+        let queue = positions.get(pid)?.queue();
+        for c in queue.iter().filter(|c| *c != owner) {
+            scratch.offer(c, usize::MAX);
         }
+        scratch.end_slot();
     }
-    instantiable_at(&outer_positions, positions, owner, position)
+    scratch.instantiate(&outer_positions, position)
 }
 
-/// Core of the instantiation check, on already-resolved outer positions:
-/// searches for an injective assignment of distinct threads to the outer
-/// positions with the requester pre-assigned to `position`.
-fn instantiable_at(
-    outer_positions: &[PositionId],
-    positions: &PositionTable,
-    owner: OwnerId,
-    position: PositionId,
-) -> Option<Vec<OwnerId>> {
-    // The requesting position must occur among the signature's outer
-    // positions, otherwise this acquisition cannot complete an instantiation.
-    if !outer_positions.contains(&position) {
-        return None;
-    }
-
-    // Candidate threads per outer position: the threads in that position's
-    // queue (they hold or were allowed to acquire locks there). The
-    // requester's own slot is pre-assigned below.
-    let candidates: Vec<Vec<OwnerId>> = outer_positions
-        .iter()
-        .map(|pid| {
-            positions
-                .get(*pid)
-                .map(|p| p.queue().distinct_owners())
-                .unwrap_or_default()
-        })
-        .collect();
-
-    instantiable_with_candidates(outer_positions, &candidates, owner, position)
+/// Working memory of one instantiation check: the candidate owners of every
+/// outer slot of the signature under test, and the matching over them. The
+/// engine keeps one and reuses it, so a check that matches nothing allocates
+/// nothing once warm and a match allocates only its blocker list.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct MatchScratch {
+    /// Every slot's candidates, slot after slot; each run sorted and
+    /// de-duplicated.
+    owners: Vec<OwnerId>,
+    slots: Vec<Slot>,
 }
 
-/// Instantiation search on pre-computed per-slot candidate threads.
-///
-/// `candidates[k]` must be the sorted, de-duplicated set of threads covering
-/// `outer_positions[k]`. The sharded engine computes these sets as the union
-/// of every shard's local queue at that slot (queue entries are distributed
-/// across shards, one sub-queue per shard that granted a lock there), which
-/// makes this search — pre-assigning the requester to each occurrence of its
-/// position, then looking for an injective assignment of distinct threads to
-/// the remaining slots — identical to the monolithic engine's.
-pub(crate) fn instantiable_with_candidates(
-    outer_positions: &[PositionId],
-    candidates: &[Vec<OwnerId>],
-    owner: OwnerId,
-    position: PositionId,
-) -> Option<Vec<OwnerId>> {
-    for (slot, pid) in outer_positions.iter().enumerate() {
-        if *pid != position {
-            continue;
-        }
-        if let Some(assignment) = assign(candidates, owner, slot) {
-            let mut blockers: Vec<OwnerId> = assignment
-                .into_iter()
-                .flatten()
-                .filter(|x| *x != owner)
-                .collect();
-            blockers.sort_unstable();
-            blockers.dedup();
-            return Some(blockers);
-        }
-    }
-    None
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// One past this slot's run in [`MatchScratch::owners`].
+    end: usize,
+    /// The owner the matching currently covers this slot with.
+    assigned: Option<OwnerId>,
+    /// Whether the augmenting path being searched already re-routes this slot.
+    visited: bool,
 }
 
-/// Finds an injective assignment of distinct owners to every slot, with the
-/// requester `owner` pre-assigned to slot `pre_slot`, or `None` if no such
-/// assignment exists.
-///
-/// This is bipartite maximum matching (Kuhn's augmenting-path algorithm),
-/// polynomial in slots × candidate-list entries. Naive backtracking is
-/// factorial precisely on *failing* searches — a high-arity starvation
-/// signature with one uncoverable slot would make every avoidance check at
-/// a popular position explore every permutation of its candidate crowd
-/// before concluding "no instantiation".
-fn assign(
-    candidates: &[Vec<OwnerId>],
-    owner: OwnerId,
-    pre_slot: usize,
-) -> Option<Vec<Option<OwnerId>>> {
-    // Index the candidate owners; the requester is excluded outright (it
-    // is fixed to `pre_slot` and cannot cover another slot).
-    let mut owners: Vec<OwnerId> = candidates
-        .iter()
-        .flatten()
-        .copied()
-        .filter(|c| *c != owner)
-        .collect();
-    owners.sort_unstable();
-    owners.dedup();
-    // matched_slot[k]: the slot owner k currently covers, if any.
-    let mut matched_slot: Vec<Option<usize>> = vec![None; owners.len()];
-    for slot in 0..candidates.len() {
-        if slot == pre_slot {
-            continue;
-        }
-        let mut visited = vec![false; owners.len()];
-        if !augment(
-            candidates,
-            &owners,
-            slot,
-            pre_slot,
-            &mut visited,
-            &mut matched_slot,
-        ) {
-            return None;
-        }
+impl MatchScratch {
+    /// Forgets the previous signature's candidates (capacity is kept).
+    pub(crate) fn clear(&mut self) {
+        self.owners.clear();
+        self.slots.clear();
     }
-    let mut assignment: Vec<Option<OwnerId>> = vec![None; candidates.len()];
-    assignment[pre_slot] = Some(owner);
-    for (k, slot) in matched_slot.into_iter().enumerate() {
-        if let Some(slot) = slot {
-            assignment[slot] = Some(owners[k]);
-        }
-    }
-    Some(assignment)
-}
 
-/// Tries to cover `slot` with one of its candidates, re-routing owners
-/// already matched elsewhere along an augmenting path.
-fn augment(
-    candidates: &[Vec<OwnerId>],
-    owners: &[OwnerId],
-    slot: usize,
-    pre_slot: usize,
-    visited: &mut [bool],
-    matched_slot: &mut [Option<usize>],
-) -> bool {
-    for cand in &candidates[slot] {
-        let Ok(k) = owners.binary_search(cand) else {
-            continue; // the requester, excluded from the owner index
-        };
-        if visited[k] {
-            continue;
-        }
-        visited[k] = true;
-        let free = match matched_slot[k] {
-            None => true,
-            Some(other) => {
-                other != pre_slot
-                    && augment(candidates, owners, other, pre_slot, visited, matched_slot)
+    /// The candidate buffer, emptied and seeded with `seed`: a second use of
+    /// the same memory once a match has been extracted from it.
+    pub(crate) fn worklist(&mut self, seed: &[OwnerId]) -> &mut Vec<OwnerId> {
+        self.clear();
+        self.owners.extend_from_slice(seed);
+        &mut self.owners
+    }
+
+    /// Where slot `slot`'s run of candidates starts in `owners`: where the
+    /// previous slot's ends.
+    fn run_start(&self, slot: usize) -> usize {
+        slot.checked_sub(1).map_or(0, |prev| self.slots[prev].end)
+    }
+
+    /// Heap bytes held between checks.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.owners.capacity() * std::mem::size_of::<OwnerId>()
+            + self.slots.capacity() * std::mem::size_of::<Slot>()
+    }
+
+    /// Offers `c` — never the requester — as a candidate for the slot under
+    /// construction (the one the next [`end_slot`](Self::end_slot) closes),
+    /// keeping the `cap` smallest distinct offers. An injective assignment
+    /// of k slots touches at most k - 1 owners besides the pre-assigned
+    /// requester, so any `cap ≥ k` decides the matching exactly as the full
+    /// crowd would (a slot offering ≥ k candidates can always be covered
+    /// last), and each check stays O(arity²) however many thousands of tasks
+    /// crowd a position.
+    pub(crate) fn offer(&mut self, c: OwnerId, cap: usize) {
+        let start = self.run_start(self.slots.len());
+        if let Err(at) = self.owners[start..].binary_search(&c) {
+            if at < cap {
+                self.owners.insert(start + at, c);
+                if self.owners.len() - start > cap {
+                    self.owners.pop();
+                }
             }
-        };
-        if free {
-            matched_slot[k] = Some(slot);
-            return true;
         }
     }
-    false
+
+    /// Closes the slot under construction; returns whether anyone was
+    /// offered for it.
+    pub(crate) fn end_slot(&mut self) -> bool {
+        let start = self.run_start(self.slots.len());
+        self.slots.push(Slot {
+            end: self.owners.len(),
+            assigned: None,
+            visited: false,
+        });
+        self.owners.len() > start
+    }
+
+    /// The instantiation search over the slots built so far, one per entry
+    /// of `outer_positions`: pre-assigns the requester to each occurrence of
+    /// its `position` in turn and looks for an injective assignment of
+    /// distinct candidates to the remaining slots. Returns those owners (the
+    /// blockers, sorted) for the first occurrence that admits one.
+    ///
+    /// This is bipartite maximum matching (Kuhn's augmenting-path algorithm),
+    /// polynomial in slots × candidate-list entries. Naive backtracking is
+    /// factorial precisely on *failing* searches — a high-arity starvation
+    /// signature with one uncoverable slot would make every avoidance check
+    /// at a popular position explore every permutation of its candidate
+    /// crowd before concluding "no instantiation".
+    pub(crate) fn instantiate(
+        &mut self,
+        outer_positions: &[PositionId],
+        position: PositionId,
+    ) -> Option<Vec<OwnerId>> {
+        debug_assert_eq!(outer_positions.len(), self.slots.len());
+        for (pre, pid) in outer_positions.iter().enumerate() {
+            if *pid != position {
+                continue;
+            }
+            self.slots.iter_mut().for_each(|s| s.assigned = None);
+            let mut rest = (0..self.slots.len()).filter(|slot| *slot != pre);
+            let covered = rest.all(|slot| {
+                self.slots.iter_mut().for_each(|s| s.visited = false);
+                self.augment(slot)
+            });
+            if covered {
+                let mut blockers = Vec::with_capacity(self.slots.len() - 1);
+                blockers.extend(self.slots.iter().filter_map(|s| s.assigned));
+                blockers.sort_unstable();
+                return Some(blockers);
+            }
+        }
+        None
+    }
+
+    /// Tries to cover `slot` with one of its candidates, re-routing slots
+    /// already covered along an augmenting path (never the pre-assigned
+    /// slot: nobody is assigned to it).
+    fn augment(&mut self, slot: usize) -> bool {
+        for i in self.run_start(slot)..self.slots[slot].end {
+            let cand = self.owners[i];
+            let free = match self.slots.iter().position(|s| s.assigned == Some(cand)) {
+                None => true,
+                Some(other) => {
+                    !std::mem::replace(&mut self.slots[other].visited, true) && self.augment(other)
+                }
+            };
+            if free {
+                self.slots[slot].assigned = Some(cand);
+                return true;
+            }
+        }
+        false
+    }
 }
 
 #[cfg(test)]
@@ -590,26 +562,48 @@ mod tests {
         idx
     }
 
+    /// The engine's decision for a request at `at` while `held` are granted
+    /// and held: the matched signature and the yield record's blockers.
+    fn engine_decision(
+        history: &History,
+        held: &[(u64, u32)],
+        requester: u64,
+        at: u32,
+    ) -> Option<Instantiation> {
+        use crate::{Config, Dimmunix, LockId, RequestOutcome};
+        let mut engine = Dimmunix::with_history(Config::default(), history.clone());
+        for (l, (t, site)) in held.iter().enumerate() {
+            let lock = LockId::new(l as u64);
+            assert!(engine.request(owner(*t), lock, &stack(*site)).is_granted());
+            engine.acquired(owner(*t), lock);
+        }
+        let fresh = LockId::new(held.len() as u64);
+        match engine.request(owner(requester), fresh, &stack(at)) {
+            RequestOutcome::Yield { signature } => Some(Instantiation {
+                signature,
+                blockers: engine.rag().yielding(owner(requester))?.blockers.clone(),
+            }),
+            _ => None,
+        }
+    }
+
     #[test]
     fn index_agrees_with_linear_scan_on_basic_scenarios() {
         let (history, mut positions) = setup();
-        let idx = build_index(&history, &mut positions);
         let p1 = positions.lookup(&stack(1)).unwrap();
         let p2 = positions.lookup(&stack(2)).unwrap();
         // Empty queues: both report no instantiation.
-        for (t, p) in [(1u64, p1), (2, p2)] {
-            let owner = owner(t);
+        for (t, site, p) in [(1u64, 1, p1), (2, 2, p2)] {
             assert_eq!(
-                idx.find_instantiation(&positions, owner, p),
-                find_instantiation(&history, &positions, owner, p)
+                engine_decision(&history, &[], t, site),
+                find_instantiation(&history, &positions, owner(t), p)
             );
         }
         // Occupied queue: both report the same signature and blockers.
         positions.get_mut(p1).unwrap().queue_mut().push(owner(7));
         let linear = find_instantiation(&history, &positions, owner(8), p2);
-        let indexed = idx.find_instantiation(&positions, owner(8), p2);
         assert!(linear.is_some());
-        assert_eq!(indexed, linear);
+        assert_eq!(engine_decision(&history, &[(7, 1)], 8, 2), linear);
     }
 
     #[test]
@@ -647,9 +641,7 @@ mod tests {
         for (p, t) in [(p2, 9u64), (p3, 9)] {
             positions.get_mut(p).unwrap().queue_mut().push(owner(t));
         }
-        let inst = idx
-            .find_instantiation(&positions, owner(4), p1)
-            .expect("match");
+        let inst = engine_decision(&history, &[(9, 2), (9, 3)], 4, 1).expect("match");
         assert_eq!(inst.signature, SignatureId::new(0));
         assert_eq!(
             Some(inst),

@@ -16,7 +16,7 @@
 //! deterministic and property-testable.
 
 use crate::admission::AdmissionSummary;
-use crate::avoidance::SignatureIndex;
+use crate::avoidance::{MatchScratch, SignatureIndex};
 use crate::callstack::CallStack;
 use crate::config::Config;
 use crate::detection::classify_cycle;
@@ -108,6 +108,9 @@ pub struct Dimmunix {
     linked_outers: usize,
     stats: Stats,
     pending_wakeups: Vec<SignatureId>,
+    /// Working memory of the avoidance check, reused so that a decision
+    /// allocates nothing once warm.
+    match_scratch: MatchScratch,
     /// Shared lock-free admission summary, attached by concurrent substrates
     /// ([`attach_admission_summary`](Dimmunix::attach_admission_summary)).
     /// When present, the engine mirrors its yield-record bookkeeping and
@@ -195,6 +198,7 @@ impl Dimmunix {
             snapshot,
             stats: Stats::new(),
             pending_wakeups: Vec::new(),
+            match_scratch: MatchScratch::default(),
             admission: None,
             recovery: None,
             config,
@@ -344,13 +348,14 @@ impl Dimmunix {
     }
 
     /// Estimated resident memory of the engine-local state only: positions
-    /// and their queues, the RAG, and the outer-link map — everything
-    /// *except* the shared history snapshot.
+    /// and their queues, the RAG, the outer-link map and the avoidance
+    /// scratch — everything *except* the shared history snapshot.
     pub fn local_memory_footprint_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.positions.memory_footprint_bytes()
             + self.rag.memory_footprint_bytes()
             + self.outer_to_local.len() * 2 * std::mem::size_of::<PositionId>()
+            + self.match_scratch.heap_bytes()
     }
 
     // ------------------------------------------------------------------
@@ -564,37 +569,39 @@ impl Dimmunix {
             // Same implementations as the sharded engine's merged check,
             // starvation probe and starvation signature, called with this
             // engine as the only shard.
+            let mut scratch = std::mem::take(&mut self.match_scratch);
             let only = std::slice::from_ref(&*self);
-            let inst = outer.and_then(|o| find_instantiation_merged(only, 0, t, o, l, mode));
-            if let Some(inst) = inst {
-                let mut park = true;
-                if self.config.starvation_handling && would_starve_merged(only, t, &inst.blockers) {
-                    // Parking would itself create a wait-for cycle: record
-                    // the avoidance-induced deadlock and let the thread
-                    // proceed instead (§2.2).
-                    let sig = starvation_signature_merged(only, 0, pos, &inst.blockers);
-                    let (_, new) = self.insert_signature(sig);
-                    self.stats.starvations_detected += 1;
-                    if new {
-                        self.stats.new_starvation_signatures += 1;
-                    }
-                    park = false;
-                }
-                if park {
-                    self.stats.yields += 1;
-                    self.set_yield_tracked(
-                        t,
-                        YieldRecord {
-                            signature: inst.signature,
-                            position: pos,
-                            lock: l,
-                            blockers: inst.blockers,
-                        },
-                    );
-                    return RequestOutcome::Yield {
+            let inst =
+                outer.and_then(|o| find_instantiation_merged(only, 0, t, o, l, mode, &mut scratch));
+            let starvation_handling = self.config.starvation_handling;
+            let starvation_sig = inst
+                .as_ref()
+                .filter(|i| {
+                    starvation_handling && would_starve_merged(only, t, &i.blockers, &mut scratch)
+                })
+                .map(|i| starvation_signature_merged(only, 0, pos, &i.blockers));
+            self.match_scratch = scratch;
+            if let Some(sig) = starvation_sig {
+                // Parking would itself create a wait-for cycle: record the
+                // avoidance-induced deadlock and let the thread proceed
+                // instead (§2.2).
+                let (_, new) = self.insert_signature(sig);
+                self.stats.starvations_detected += 1;
+                self.stats.new_starvation_signatures += u64::from(new);
+            } else if let Some(inst) = inst {
+                self.stats.yields += 1;
+                self.set_yield_tracked(
+                    t,
+                    YieldRecord {
                         signature: inst.signature,
-                    };
-                }
+                        position: pos,
+                        lock: l,
+                        blockers: inst.blockers,
+                    },
+                );
+                return RequestOutcome::Yield {
+                    signature: inst.signature,
+                };
             }
         }
 
@@ -818,6 +825,12 @@ impl Dimmunix {
         &mut self.positions
     }
 
+    /// The avoidance check's working memory, lent to the cross-shard check
+    /// whose request this shard answers.
+    pub(crate) fn match_scratch_mut(&mut self) -> &mut MatchScratch {
+        &mut self.match_scratch
+    }
+
     /// Mutable access to the counters (cross-shard orchestration).
     pub(crate) fn stats_mut(&mut self) -> &mut Stats {
         &mut self.stats
@@ -862,8 +875,8 @@ impl Dimmunix {
     /// The local position (if any) interned for the snapshot's canonical
     /// outer id — used by the cross-shard instantiation check to find this
     /// shard's queue slice for an outer slot.
-    pub(crate) fn local_position_of_outer(&self, outer: PositionId) -> Option<PositionId> {
-        self.outer_to_local.get(&outer).copied()
+    pub(crate) fn local_position_of_outer(&self, outer: PositionId) -> Option<&crate::Position> {
+        self.positions.get(*self.outer_to_local.get(&outer)?)
     }
 
     // ------------------------------------------------------------------

@@ -137,28 +137,19 @@ impl OwnerQueue {
             .flat_map(|(o, c)| std::iter::repeat(*o).take(*c))
     }
 
-    /// Distinct owners currently occupying the queue, in owner-id order.
-    pub fn distinct_owners(&self) -> Vec<OwnerId> {
-        self.counts.keys().copied().collect()
-    }
-
     /// The first (in owner-id order) distinct owners satisfying `keep`, at
     /// most `cap` of them. The avoidance hot path uses this to bound an
     /// instantiation check by the signature's arity instead of by the
     /// position's crowd: an injective assignment of `k` slots never needs
     /// more than `k` candidates per slot, so any deterministic `cap ≥ k`
     /// prefix preserves the exact matching decision.
-    pub fn distinct_owners_capped(
-        &self,
+    pub fn distinct_owners_capped<'a>(
+        &'a self,
         cap: usize,
-        mut keep: impl FnMut(OwnerId) -> bool,
-    ) -> Vec<OwnerId> {
-        self.counts
-            .keys()
-            .copied()
-            .filter(|o| keep(*o))
-            .take(cap)
-            .collect()
+        mut keep: impl FnMut(OwnerId) -> bool + 'a,
+    ) -> impl Iterator<Item = OwnerId> + 'a {
+        let distinct = self.counts.keys().copied();
+        distinct.filter(move |o| keep(*o)).take(cap)
     }
 }
 
@@ -543,7 +534,7 @@ mod tests {
         assert_eq!(q.count(t1), 1);
         assert_eq!(q.remove_all(t1), 1);
         assert!(!q.contains(t1));
-        assert_eq!(q.distinct_owners(), vec![OwnerId::from(t2)]);
+        assert_eq!(q.iter().collect::<Vec<_>>(), vec![OwnerId::from(t2)]);
         assert!(!q.remove_one(crate::ThreadId::new(99)));
     }
 
@@ -589,7 +580,7 @@ mod tests {
             q.push(crate::ThreadId::new(i)); // duplicates collapse
         }
         let excluded = OwnerId::thread(2);
-        let capped = q.distinct_owners_capped(4, |o| o != excluded);
+        let capped: Vec<_> = q.distinct_owners_capped(4, |o| o != excluded).collect();
         assert_eq!(
             capped,
             vec![
@@ -599,7 +590,7 @@ mod tests {
                 OwnerId::thread(4),
             ]
         );
-        assert_eq!(q.distinct_owners_capped(99, |_| true).len(), 10);
+        assert_eq!(q.distinct_owners_capped(99, |_| true).count(), 10);
     }
 
     /// Site keys are assigned at intern time over the *truncated* stack and

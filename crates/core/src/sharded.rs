@@ -74,7 +74,7 @@
 //! shard counts, asserting identical outcomes, counters, and histories
 //! (`tests/proptests.rs`).
 
-use crate::avoidance::{instantiable_with_candidates, Instantiation};
+use crate::avoidance::{Instantiation, MatchScratch};
 use crate::callstack::CallStack;
 use crate::config::Config;
 use crate::engine::{Dimmunix, RequestOutcome};
@@ -379,37 +379,43 @@ pub fn request_cross_shard(
         let outer = h.positions().get(pos).and_then(|p| p.history_ref());
         let examined = outer.map_or(0, |o| h.signature_index().signatures_at(o).len() as u64);
         h.stats_mut().signatures_examined += examined;
+        // The home shard lends its scratch for the length of the decision.
+        let mut scratch = std::mem::take(h.match_scratch_mut());
         // One read-only view serves the instantiation check and, when it
         // matches, the starvation probe over the same state.
         let ro = &*shards;
-        if let Some(inst) = outer.and_then(|o| find_instantiation_merged(ro, home, t, o, l, mode)) {
-            let starvation_sig = (starvation_handling
-                && would_starve_merged(ro, t, &inst.blockers))
-            .then(|| starvation_signature_merged(ro, home, pos, &inst.blockers));
-            if let Some(sig) = starvation_sig {
-                // Parking would itself create a wait-for cycle: record
-                // the avoidance-induced deadlock and let the thread
-                // proceed instead (§2.2).
-                let (_, new) = broadcast_signature(shards, sig);
-                let stats = at(shards, home).stats_mut();
-                stats.starvations_detected += 1;
-                stats.new_starvation_signatures += u64::from(new);
-            } else {
-                let h = at(shards, home);
-                h.stats_mut().yields += 1;
-                h.set_yield_tracked(
-                    t,
-                    YieldRecord {
-                        signature: inst.signature,
-                        position: pos,
-                        lock: l,
-                        blockers: inst.blockers,
-                    },
-                );
-                return RequestOutcome::Yield {
+        let inst =
+            outer.and_then(|o| find_instantiation_merged(ro, home, t, o, l, mode, &mut scratch));
+        let starvation_sig = inst
+            .as_ref()
+            .filter(|i| {
+                starvation_handling && would_starve_merged(ro, t, &i.blockers, &mut scratch)
+            })
+            .map(|i| starvation_signature_merged(ro, home, pos, &i.blockers));
+        *at(shards, home).match_scratch_mut() = scratch;
+        if let Some(sig) = starvation_sig {
+            // Parking would itself create a wait-for cycle: record the
+            // avoidance-induced deadlock and let the thread proceed
+            // instead (§2.2).
+            let (_, new) = broadcast_signature(shards, sig);
+            let stats = at(shards, home).stats_mut();
+            stats.starvations_detected += 1;
+            stats.new_starvation_signatures += u64::from(new);
+        } else if let Some(inst) = inst {
+            let h = at(shards, home);
+            h.stats_mut().yields += 1;
+            h.set_yield_tracked(
+                t,
+                YieldRecord {
                     signature: inst.signature,
-                };
-            }
+                    position: pos,
+                    lock: l,
+                    blockers: inst.blockers,
+                },
+            );
+            return RequestOutcome::Yield {
+                signature: inst.signature,
+            };
         }
     }
 
@@ -607,7 +613,8 @@ fn classify_cycle_merged(
 ///
 /// The monolithic engine's avoidance check is the one-shard call
 /// (`&[&engine]`, `home = 0`) — one implementation, so the single-engine
-/// and sharded decisions cannot drift.
+/// and sharded decisions cannot drift. `scratch` is the caller's reused
+/// working memory; nothing is read from it.
 pub(crate) fn find_instantiation_merged(
     shards: &[impl Borrow<Dimmunix>],
     home: usize,
@@ -615,55 +622,51 @@ pub(crate) fn find_instantiation_merged(
     outer: PositionId,
     lock: LockId,
     mode: AccessMode,
+    scratch: &mut MatchScratch,
 ) -> Option<Instantiation> {
     let snapshot = shard(&shards[home]).history_snapshot();
     'sigs: for &sig in snapshot.index().signatures_at(outer) {
         let slots = snapshot.index().outer_positions_of(sig);
-        // An injective assignment of k slots touches at most k - 1 distinct
-        // owners besides the pre-assigned requester, so a deterministic
-        // prefix of k candidates per slot decides the matching exactly (any
-        // slot offering ≥ k non-requester candidates can always be covered
-        // last); the cap keeps each check O(arity²) however many thousands
-        // of tasks crowd the position.
+        // Screen: a slot nobody occupies on any shard is only coverable by
+        // the pre-assigned requester, and the requester stands at `outer`,
+        // so a signature with such a slot elsewhere cannot instantiate
+        // whatever its other slots hold. Reject it on O(arity) reads, before
+        // a single candidate is collected — the common case at a popular
+        // position, where nearly every co-indexed signature has a cold slot.
+        let cold = |slot: PositionId| {
+            let mut local = shards
+                .iter()
+                .filter_map(|s| shard(s).local_position_of_outer(slot));
+            local.all(|p| p.queue().is_empty())
+        };
+        if slots.iter().any(|slot| *slot != outer && cold(*slot)) {
+            continue;
+        }
         let cap = slots.len();
-        let mut candidates: Vec<Vec<OwnerId>> = Vec::with_capacity(cap);
+        scratch.clear();
         for slot in slots {
-            let mut set: Vec<OwnerId> = Vec::new();
             for s in shards.iter().map(shard) {
-                let Some(pid) = s.local_position_of_outer(*slot) else {
+                let Some(p) = s.local_position_of_outer(*slot) else {
                     continue;
                 };
-                let Some(p) = s.positions().get(pid) else {
-                    continue;
-                };
-                // Crowd-mates (shared mode: owners whose only occupancy
-                // of this slot is a shared hold of the requested lock)
-                // are not adversaries and must not consume the cap.
-                set.extend(p.queue().distinct_owners_capped(cap, |c| {
-                    c != thread && !(mode.is_shared() && crowd_mate_occupancy(s, p, c, lock, pid))
-                }));
+                // Each shard offers its own prefix of `cap`: the `cap`
+                // smallest of the union are among those. Crowd-mates
+                // (shared mode: owners whose only occupancy of this slot
+                // is a shared hold of the requested lock) are not
+                // adversaries and must not consume the cap.
+                let keep =
+                    |c| c != thread && !(mode.is_shared() && crowd_mate_occupancy(s, p, c, lock));
+                for c in p.queue().distinct_owners_capped(cap, keep) {
+                    scratch.offer(c, cap);
+                }
             }
-            if shards.len() > 1 {
-                // Union of per-shard prefixes: the smallest `cap`
-                // survivors are present in the merged prefix too.
-                set.sort_unstable();
-                set.dedup();
-                set.truncate(cap);
-            }
-            if set.is_empty() && *slot != outer {
-                // An unoccupied slot is only coverable by the pre-assigned
-                // requester, and the requester stands at `outer`: this
-                // signature cannot instantiate, whatever the other slots
-                // hold. Bail before paying for the rest of the build and
-                // the matching — the common case at a popular outer
-                // position, where most co-indexed signatures have at least
-                // one cold slot.
+            if !scratch.end_slot() && *slot != outer {
+                // Occupied, but only by the requester itself or by its
+                // crowd-mates: as good as cold.
                 continue 'sigs;
             }
-            candidates.push(set);
         }
-        let r = instantiable_with_candidates(slots, &candidates, thread, outer);
-        if let Some(blockers) = r {
+        if let Some(blockers) = scratch.instantiate(slots, outer) {
             // The one shared match point of the monolithic and sharded
             // request paths: refresh the antibody's eviction generation so
             // a signature that is actively steering schedules never counts
@@ -678,46 +681,45 @@ pub(crate) fn find_instantiation_merged(
     None
 }
 
-/// True if every occupancy of position `pid` (whose data `p` the caller
-/// already holds) by thread `c` in shard `s` is explained by a shared hold
-/// of `lock` itself — i.e. `c` covers the slot only as a member of the
-/// reader crowd the requester is about to join. The owner-entry probe runs
+/// True if every occupancy of position `p` by thread `c` in shard `s` (which
+/// interned `p`) is explained by a shared hold of `lock` itself — i.e. `c`
+/// covers the slot only as a member of the reader crowd the requester is
+/// about to join. The owner-entry probe runs
 /// first so the O(queue) occupancy count is paid only for actual
 /// crowd-mates, never for ordinary candidates.
-fn crowd_mate_occupancy(
-    s: &Dimmunix,
-    p: &crate::Position,
-    c: OwnerId,
-    lock: LockId,
-    pid: PositionId,
-) -> bool {
+fn crowd_mate_occupancy(s: &Dimmunix, p: &crate::Position, c: OwnerId, lock: LockId) -> bool {
     let crowd = s
         .rag()
         .owner_entry(lock, c)
-        .map(|o| usize::from(o.mode.is_shared() && o.pos == pid))
+        .map(|o| usize::from(o.mode.is_shared() && o.pos == p.id()))
         .unwrap_or(0);
     crowd > 0 && p.queue().count(c) <= crowd
 }
 
 /// True if parking `t` (with the given blockers) would close a wait-for
 /// cycle, i.e. some blocker transitively waits on `t`. The monolithic engine
-/// asks the same question as the one-shard call.
+/// asks the same question as the one-shard call. The worklist is the
+/// candidate buffer of `scratch`, free again once a match was extracted.
 pub(crate) fn would_starve_merged(
     shards: &[impl Borrow<Dimmunix>],
     t: OwnerId,
     blockers: &[OwnerId],
+    scratch: &mut MatchScratch,
 ) -> bool {
-    let mut stack: Vec<OwnerId> = blockers.to_vec();
-    let mut visited: Vec<OwnerId> = Vec::new();
-    while let Some(current) = stack.pop() {
+    // Every owner reached so far, in discovery order; `next` splits the
+    // expanded from the pending.
+    let reached = scratch.worklist(blockers);
+    let mut next = 0;
+    while let Some(current) = reached.get(next).copied() {
         if current == t {
             return true;
         }
-        if visited.contains(&current) {
-            continue;
-        }
-        visited.push(current);
-        merged_successors(shards, current, true, |next, _| stack.push(next));
+        next += 1;
+        merged_successors(shards, current, true, |succ, _| {
+            if !reached.contains(&succ) {
+                reached.push(succ);
+            }
+        });
     }
     false
 }

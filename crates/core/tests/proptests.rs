@@ -10,9 +10,10 @@
 //! their draw order so the pinned seeds keep meaning what they always did.
 
 use dimmunix_core::{
-    find_instantiation, AccessMode, CallStack, Config, Dimmunix, Frame, History, LockId,
-    PersistentMap, PersistentVec, PositionId, PositionTable, RequestOutcome, ShardedDimmunix,
-    Signature, SignatureId, SignatureIndex, SignatureKind, SignaturePair, ThreadId, ThreadQueue,
+    find_instantiation, AccessMode, CallStack, Config, Dimmunix, Frame, History, Instantiation,
+    LockId, PersistentMap, PersistentVec, PositionId, PositionTable, RequestOutcome,
+    ShardedDimmunix, Signature, SignatureId, SignatureIndex, SignatureKind, SignaturePair,
+    ThreadId, ThreadQueue,
 };
 use dimmunix_testkit::schedule::{
     plan_mixed_step, plan_mutex_step, pretrain_history, universe_site, PlannedStep,
@@ -141,17 +142,84 @@ fn prop_thread_queue_multiset_semantics() {
     }
 }
 
-/// **Indexed avoidance ≡ linear scan.** Random histories over a small site
-/// universe, random interning depth, random extra (noise) positions, random
-/// thread queues: for every thread/position pair, the engine's inverted
-/// [`SignatureIndex`] must return exactly what the linear-scan reference
-/// oracle returns — same matched signature, same blockers.
+/// **Live avoidance check ≡ linear scan.** Random histories (arity ≤ 6,
+/// duplicate outer positions) over a small site universe, random interning
+/// depth, random holds and releases on fresh locks (so detection is
+/// vacuous) with starvation handling off: every request's answer from
+/// [`Dimmunix`] and from [`ShardedDimmunix`] at 1 and 3 shards — the `Yield`
+/// signature and the yield record's blockers — must be exactly what the
+/// linear-scan reference oracle finds in a model of the position queues.
+/// Random lock ids spread a site's occupants over the three shards (many
+/// slots are occupied on one shard only), and owners that hold at a site
+/// before requesting at another leave slots occupied by the requester alone.
+/// The reference and the live check share one matching routine, so the
+/// reference's verdict is itself checked against an exhaustive search that
+/// shares nothing with it.
 #[test]
 fn prop_indexed_find_instantiation_equals_linear_scan() {
+    /// Whether distinct owners can cover every slot but `pre`, each from its
+    /// own candidates (raw thread ids < 32): every reachable set of used
+    /// owners, slot by slot.
+    fn coverable(slots: &[Vec<u64>], pre: usize) -> bool {
+        let mut used = vec![0u32];
+        for (_, cands) in slots.iter().enumerate().filter(|(k, _)| *k != pre) {
+            let mut next = Vec::new();
+            for m in &used {
+                next.extend(
+                    cands
+                        .iter()
+                        .filter(|c| m >> **c & 1 == 0)
+                        .map(|c| m | 1 << *c),
+                );
+            }
+            next.sort_unstable();
+            next.dedup();
+            used = next;
+        }
+        !used.is_empty()
+    }
+
+    /// The engines under test behind one interface.
+    enum Engine {
+        Mono(Box<Dimmunix>),
+        Sharded(ShardedDimmunix),
+    }
+    impl Engine {
+        /// One request; on a yield, the matched signature and its blockers.
+        fn request(&mut self, t: ThreadId, l: LockId, site: &CallStack) -> Option<Instantiation> {
+            let (outcome, rag) = match self {
+                Engine::Mono(e) => (e.request(t, l, site), e.rag()),
+                Engine::Sharded(e) => (e.request(t, l, site), e.shard(e.shard_of(l)).rag()),
+            };
+            match outcome {
+                RequestOutcome::Granted => None,
+                RequestOutcome::Yield { signature } => Some(Instantiation {
+                    signature,
+                    blockers: rag.yielding(t.into()).expect("parked").blockers.clone(),
+                }),
+                other => panic!("fresh locks cannot be owned or close a cycle: {other:?}"),
+            }
+        }
+        fn settle(&mut self, t: ThreadId, l: LockId, granted: bool) {
+            match (self, granted) {
+                (Engine::Mono(e), true) => e.acquired(t, l),
+                (Engine::Mono(e), false) => e.cancel_request(t, l),
+                (Engine::Sharded(e), true) => e.acquired(t, l),
+                (Engine::Sharded(e), false) => e.cancel_request(t, l),
+            }
+        }
+        fn released(&mut self, t: ThreadId, l: LockId) {
+            match self {
+                Engine::Mono(e) => drop(e.released(t, l)),
+                Engine::Sharded(e) => drop(e.released(t, l)),
+            }
+        }
+    }
+
+    let (mut yields, mut screened, mut self_covered, mut one_shard) = (0u32, 0u32, 0u32, 0u32);
     for seed in 0..CASES {
         let mut g = Gen::new(seed);
         let depth = g.range(1, 3);
-        let mut positions = PositionTable::new(depth);
 
         // A compact universe of sites so outer positions collide often and
         // queue coverage actually triggers matches.
@@ -160,11 +228,13 @@ fn prop_indexed_find_instantiation_equals_linear_scan() {
             .collect();
         let mut history = History::new();
         for _ in 0..g.range(0, 6) {
-            let arity = g.range(1, 4);
+            let arity = g.range(1, 7);
+            // A narrow window of the universe repeats outer positions.
+            let (base, width) = (g.range(0, universe.len()), g.range(1, universe.len()));
             let pairs = (0..arity)
                 .map(|_| {
                     SignaturePair::new(
-                        universe[g.range(0, universe.len())].clone(),
+                        universe[(base + g.range(0, width)) % universe.len()].clone(),
                         universe[g.range(0, universe.len())].clone(),
                     )
                 })
@@ -172,48 +242,134 @@ fn prop_indexed_find_instantiation_equals_linear_scan() {
             history.add(Signature::new(SignatureKind::Deadlock, pairs));
         }
 
-        // Build the index the way the engine's position-interning hook does.
-        let mut index = SignatureIndex::new();
-        for (id, sig) in history.iter() {
-            let outer: Vec<_> = sig.outer_stacks().map(|o| positions.intern(o)).collect();
-            index.insert(id, outer);
-        }
-        // Noise positions not mentioned by any signature.
-        for i in 0..g.range(0, 5) {
-            positions.intern(&CallStack::single(Frame::new(
-                format!("noise{i}"),
-                "noise.rs",
-                i as u32,
-            )));
-        }
+        let cfg = Config::builder()
+            .stack_depth(depth)
+            .starvation_handling(false)
+            .build();
+        let mut engines = [
+            Engine::Mono(Box::new(Dimmunix::with_history(
+                cfg.clone(),
+                history.clone(),
+            ))),
+            Engine::Sharded(ShardedDimmunix::with_history(
+                cfg.clone(),
+                1,
+                history.clone(),
+            )),
+            Engine::Sharded(ShardedDimmunix::with_history(
+                cfg.clone(),
+                3,
+                history.clone(),
+            )),
+        ];
+        // The oracle's view: one monolithic table of position queues.
+        let mut model = PositionTable::new(depth);
+        let mut held: Vec<(ThreadId, LockId, PositionId)> = Vec::new();
 
-        // Random queue occupancy.
-        let table_len = positions.len();
-        for _ in 0..g.range(0, 16) {
-            if table_len == 0 {
-                break;
+        for step in 0..g.range(20, 60) {
+            if !held.is_empty() && g.range(0, 4) == 0 {
+                let (t, l, pid) = held.swap_remove(g.range(0, held.len()));
+                engines.iter_mut().for_each(|e| e.released(t, l));
+                assert!(model.get_mut(pid).unwrap().queue_mut().remove_one(t));
+                continue;
             }
-            let pid = positions.iter().nth(g.range(0, table_len)).unwrap().id();
-            let t = ThreadId::new(g.range(1, 6) as u64);
-            positions.get_mut(pid).unwrap().queue_mut().push(t);
-        }
-
-        // Exhaustive comparison over threads × positions.
-        let pids: Vec<_> = positions.iter().map(|p| p.id()).collect();
-        for t in 1..6u64 {
-            let thread = ThreadId::new(t);
-            for &pid in &pids {
-                let linear = find_instantiation(&history, &positions, thread, pid);
-                let indexed = index.find_instantiation(&positions, thread, pid);
+            let t = ThreadId::new(g.range(1, 8) as u64);
+            // Fresh, scattered lock ids: no owner, no cycle, random home shard.
+            let l = LockId::new(step as u64 * 1000 + g.range(0, 1000) as u64);
+            let site = &universe[g.range(0, universe.len())];
+            let pid = model.intern(site);
+            let linear = find_instantiation(&history, &model, t, pid);
+            for (e, engine) in engines.iter_mut().enumerate() {
+                let live = engine.request(t, l, site);
                 assert_eq!(
-                    indexed, linear,
-                    "seed {seed}: divergence for thread {t} at {pid}"
+                    live, linear,
+                    "seed {seed} step {step} engine {e}: {t:?} at {pid}"
                 );
+            }
+            // The reference against the exhaustive search: the oldest
+            // signature whose slots are coverable with `t` pre-assigned to an
+            // occurrence of `pid`, and blockers that do cover it.
+            let slots_of = |sig: &Signature, keep: &dyn Fn(u64) -> bool| {
+                let slot = |o| {
+                    let queue = model.get(model.lookup(o)?)?.queue();
+                    let others = queue.iter().map(|c| c.index()).filter(|c| *c != t.index());
+                    Some((
+                        model.lookup(o)?,
+                        others.filter(|c| keep(*c)).collect::<Vec<_>>(),
+                    ))
+                };
+                sig.outer_stacks().map(slot).collect::<Option<Vec<_>>>()
+            };
+            let instantiable = |slots: &[(PositionId, Vec<u64>)]| {
+                let cands: Vec<_> = slots.iter().map(|(_, c)| c.clone()).collect();
+                (0..slots.len()).any(|pre| slots[pre].0 == pid && coverable(&cands, pre))
+            };
+            let exhaustive = history
+                .iter()
+                .find(|(_, sig)| slots_of(sig, &|_| true).is_some_and(|s| instantiable(&s)))
+                .map(|(id, _)| id);
+            assert_eq!(
+                linear.as_ref().map(|i| i.signature),
+                exhaustive,
+                "seed {seed} step {step}"
+            );
+            if let Some(inst) = &linear {
+                let sig = history.get(inst.signature).unwrap();
+                let by = |c| inst.blockers.contains(&ThreadId::new(c).into());
+                assert_eq!(
+                    inst.blockers.len(),
+                    sig.arity() - 1,
+                    "seed {seed} step {step}"
+                );
+                assert!(
+                    instantiable(&slots_of(sig, &by).unwrap()),
+                    "seed {seed} step {step}"
+                );
+            }
+
+            // A probe (undone) or, if granted, sometimes a lasting hold.
+            let hold = linear.is_none() && g.range(0, 3) > 0;
+            engines.iter_mut().for_each(|e| e.settle(t, l, hold));
+            if hold {
+                model.get_mut(pid).unwrap().queue_mut().push(t);
+                held.push((t, l, pid));
+            }
+
+            // What this request exercised, from the model.
+            yields += u32::from(linear.is_some());
+            let queue_at = |o| model.lookup(o).map(|p| model.get(p).unwrap().queue());
+            let Engine::Sharded(three) = &engines[2] else {
+                unreachable!()
+            };
+            let shards_occupied = |o: &CallStack| {
+                let occupied = |s: &Dimmunix| {
+                    let local = s.positions().lookup(o).and_then(|p| s.positions().get(p));
+                    local.is_some_and(|p| !p.queue().is_empty())
+                };
+                (0..3).filter(|i| occupied(three.shard(*i))).count()
+            };
+            for (_, sig) in history.iter() {
+                let mentions = sig.outer_stacks().any(|o| model.lookup(o) == Some(pid));
+                let others = || sig.outer_stacks().filter(|o| model.lookup(o) != Some(pid));
+                screened += u32::from(
+                    mentions && others().any(|o| queue_at(o).map_or(true, |q| q.is_empty())),
+                );
+                self_covered += u32::from(
+                    mentions
+                        && others().any(|o| {
+                            queue_at(o).is_some_and(|q| !q.is_empty() && q.len() == q.count(t))
+                        }),
+                );
+                one_shard += u32::from(mentions && others().any(|o| shards_occupied(o) == 1));
             }
         }
 
         // The index must also be structurally consistent: a signature is
         // listed exactly at its resolved outer positions.
+        let Engine::Mono(engine) = &engines[0] else {
+            unreachable!()
+        };
+        let index = engine.signature_index();
         for (id, sig) in history.iter() {
             let outs = index.outer_positions_of(id);
             assert_eq!(outs.len(), sig.arity(), "seed {seed}");
@@ -222,6 +378,17 @@ fn prop_indexed_find_instantiation_equals_linear_scan() {
             }
         }
     }
+    // The generator reaches what it is there to reach.
+    assert!(yields > 300, "matches: {yields}");
+    assert!(screened > 1500, "signatures with a cold slot: {screened}");
+    assert!(
+        self_covered > 150,
+        "slots held by the requester alone: {self_covered}"
+    );
+    assert!(
+        one_shard > 1500,
+        "slots occupied on one shard only: {one_shard}"
+    );
 }
 
 #[test]

@@ -466,7 +466,8 @@ pub struct DimmunixRuntime {
     /// Engine shards, one mutex each; cross-shard operations acquire them in
     /// ascending index order.
     shards: Vec<Mutex<ShardCell>>,
-    /// Per-signature park gates, global across shards.
+    /// Per-signature park gates, global across shards; one exists only for
+    /// a signature some thread has parked on.
     gates: Mutex<IdHashMap<SignatureId, Arc<SignatureGate>>>,
     router: ShardRouter,
     options: RuntimeOptions,
@@ -913,12 +914,8 @@ impl DimmunixRuntime {
         sync::lock(&self.shards[0]).engine.save_history()
     }
 
-    fn gate(&self, sig: SignatureId) -> Arc<SignatureGate> {
-        sync::lock(&self.gates).entry(sig).or_default().clone()
-    }
-
-    /// Bumps the generation of every listed signature gate, wakes the
-    /// parked threads, and fires the wakers of **every** task parked on
+    /// Bumps the generation of every listed signature's gate, wakes the
+    /// threads parked on it, and fires the wakers of **every** task parked on
     /// those signatures. Lock order: shard(s) before gates, everywhere.
     fn notify_signatures(&self, sigs: &[SignatureId]) {
         self.bump_gates(sigs);
@@ -959,12 +956,21 @@ impl DimmunixRuntime {
         }
     }
 
-    /// Generation bump + broadcast on every listed signature's thread gate.
+    /// Generation bump + broadcast on the thread gate of every listed
+    /// signature that has one. Only a parking thread creates a gate, under
+    /// every shard lock and before it drops them, while whoever notifies
+    /// changed the engine state under a shard lock first: that change either
+    /// precedes the park's decision, which then saw it, or follows the gate's
+    /// creation, and the lookup here finds it. A signature without a gate
+    /// therefore has no thread to wake — the case on every release of a
+    /// process that parks only tasks. Lock order: shards, gate map, gate.
     fn bump_gates(&self, sigs: &[SignatureId]) {
-        for sig in sigs {
-            let gate = self.gate(*sig);
-            let mut gen = sync::lock(&gate.lock);
-            *gen += 1;
+        let gates = sync::lock(&self.gates);
+        if gates.is_empty() {
+            return;
+        }
+        for gate in sigs.iter().filter_map(|sig| gates.get(sig)) {
+            *sync::lock(&gate.lock) += 1;
             gate.cv.notify_all();
         }
     }
@@ -1240,10 +1246,11 @@ impl DimmunixRuntime {
                 &stack,
                 mode,
                 |signature| {
-                    // Sample the gate generation before the shard locks are
-                    // dropped: a release that happens right after cannot be
-                    // lost.
-                    let gate = self.gate(signature);
+                    // Create the gate (only a park does) and sample its
+                    // generation before the shard locks are dropped: a
+                    // release that happens right after finds the gate and
+                    // cannot be lost.
+                    let gate = Arc::clone(sync::lock(&self.gates).entry(signature).or_default());
                     let observed = *sync::lock(&gate.lock);
                     parked_gate = Some((gate, observed));
                 },
@@ -1261,9 +1268,11 @@ impl DimmunixRuntime {
                     let (gate, observed) = parked_gate.expect("yield decided on the cross path");
                     let mut gen = sync::lock(&gate.lock);
                     while *gen == observed {
-                        // The timeout is a belt-and-braces guard against a
-                        // wake-up that raced with gate creation; correctness
-                        // does not depend on its value.
+                        // No wake-up can race with the gate's creation: it
+                        // was created and sampled under every shard lock, and
+                        // a notifier changes the engine under a shard lock
+                        // before it looks the gate up (see `bump_gates`). The
+                        // timeout is a guard correctness does not depend on.
                         let (g, timed_out) =
                             sync::wait_timeout(&gate.cv, gen, Duration::from_millis(50));
                         gen = g;
@@ -1765,6 +1774,63 @@ mod tests {
         assert!(!pack_path.exists(), "bad pack moved aside");
         assert!(dir.join("fleet.pack.corrupt").exists());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Only a parking thread creates a signature gate. A process that parks
+    /// tasks alone — yields, release-driven wake-ups, a cancelled park — ends
+    /// with an empty gate map: notifying a signature never inserts one.
+    #[test]
+    fn task_only_parks_create_no_gate() {
+        struct CountingWake(AtomicU64);
+        impl std::task::Wake for CountingWake {
+            fn wake(self: Arc<Self>) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let site_a = AcquisitionSite::new("outerA", "gate.rs", 1);
+        let site_b = AcquisitionSite::new("outerB", "gate.rs", 2);
+        let rt = DimmunixRuntime::new();
+        let sig = rt.add_signature(Signature::new(
+            dimmunix_core::SignatureKind::Deadlock,
+            vec![
+                dimmunix_core::SignaturePair::new(site_a.to_call_stack(), site_a.to_call_stack()),
+                dimmunix_core::SignaturePair::new(site_b.to_call_stack(), site_b.to_call_stack()),
+            ],
+        ));
+        let (la, lb) = (rt.allocate_lock(), rt.allocate_lock());
+        let (holder, waiter, quitter) = (
+            rt.register_task(None),
+            rt.register_task(None),
+            rt.register_task(None),
+        );
+        let wakes = Arc::new(CountingWake(AtomicU64::new(0)));
+        let waker = Waker::from(Arc::clone(&wakes));
+        let parked = TaskAcquire::Parked { signature: sig };
+
+        assert_eq!(
+            rt.task_begin_acquire(holder, la, site_a, &waker),
+            TaskAcquire::Granted
+        );
+        rt.task_finish_acquire(holder, la);
+        assert_eq!(rt.task_begin_acquire(waiter, lb, site_b, &waker), parked);
+        assert_eq!(rt.task_begin_acquire(quitter, lb, site_b, &waker), parked);
+        rt.task_cancel_acquire(quitter, lb); // re-broadcasts to the waiter
+        assert_eq!(wakes.0.load(Ordering::SeqCst), 1);
+        assert_eq!(rt.task_begin_acquire(waiter, lb, site_b, &waker), parked);
+        rt.task_release(holder, la); // the release-driven wake
+        assert_eq!(wakes.0.load(Ordering::SeqCst), 2);
+        assert_eq!(
+            rt.task_begin_acquire(waiter, lb, site_b, &waker),
+            TaskAcquire::Granted
+        );
+        rt.task_finish_acquire(waiter, lb);
+        rt.task_release(waiter, lb);
+        [holder, waiter, quitter]
+            .into_iter()
+            .for_each(|t| rt.retire_task(t));
+
+        assert_eq!(rt.stats().yields, 3);
+        assert!(sync::lock(&rt.gates).is_empty());
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The allocation budget of the acquisition paths, counted by an allocator
-//! local to this test binary: once warm, none of them allocates. The locked
+//! local to this test binary: once warm, none of them allocates short of an
+//! avoidance park, whose two allocations are named below. The locked
 //! engine path used to allocate twelve times per nested transfer as counted
 //! here (guard and engine lists, a successor list per cycle search, a cloned
 //! frame per intern, a drained wake list) and five per task cycle; none of
@@ -143,4 +144,114 @@ fn task_cycle_allocates_nothing() {
     };
     (0..WARM_UP).for_each(cycle);
     assert_eq!(allocations(|| (0..COUNTED).for_each(cycle)), 0);
+}
+
+const HOT: AcquisitionSite = AcquisitionSite::new("budget.hot", FILE, 4);
+const WARM: AcquisitionSite = AcquisitionSite::new("budget.warm", FILE, 5);
+
+/// A 2-shard runtime whose history has `HOT` co-indexed by eight signatures
+/// of arity 3, `(HOT, WARM, cold_k)`, where nothing ever acquires at a
+/// `cold_k`, and after them, if asked, one signature `(HOT, WARM)` that can
+/// instantiate.
+fn hot_runtime(instantiable: bool) -> Arc<DimmunixRuntime> {
+    let pair =
+        |site: AcquisitionSite| SignaturePair::new(site.to_call_stack(), site.to_call_stack());
+    let mut history = History::new();
+    for k in 0..8 {
+        let cold = AcquisitionSite::new("budget.cold", FILE, 100 + k);
+        let pairs = vec![pair(HOT), pair(WARM), pair(cold)];
+        history.add(Signature::new(SignatureKind::Deadlock, pairs));
+    }
+    if instantiable {
+        let pairs = vec![pair(HOT), pair(WARM)];
+        history.add(Signature::new(SignatureKind::Deadlock, pairs));
+    }
+    DimmunixRuntime::builder()
+        .shards(2)
+        .history(history)
+        .build()
+}
+
+/// The avoidance decision where it is busiest without a match: a request at
+/// an in-history position takes the all-shard path and examines eight
+/// signatures, each rejected by the cold-slot screen before a candidate is
+/// collected; the release at that position notifies the same eight
+/// signatures, on which nobody is parked, so no gate or waker queue exists
+/// to look at, let alone create.
+#[test]
+fn hot_position_with_cold_slots_allocates_nothing() {
+    let rt = hot_runtime(false);
+    let (warm, hot) = (rt.allocate_lock(), rt.allocate_lock());
+    let (holder, task) = (rt.register_task(None), rt.register_task(None));
+    let waker = Waker::from(Arc::new(NoOp));
+    assert_eq!(
+        rt.task_begin_acquire(holder, warm, WARM, &waker),
+        TaskAcquire::Granted
+    );
+    rt.task_finish_acquire(holder, warm);
+    let examined = || rt.stats().signatures_examined;
+    let request = || {
+        assert_eq!(
+            rt.task_begin_acquire(task, hot, HOT, &waker),
+            TaskAcquire::Granted
+        );
+        rt.task_finish_acquire(task, hot);
+    };
+    let release = || rt.task_release(task, hot);
+    for _ in 0..WARM_UP {
+        request();
+        release();
+    }
+    let before = examined();
+    let (mut requests, mut releases) = (0, 0);
+    for _ in 0..COUNTED {
+        requests += allocations(request);
+        releases += allocations(release);
+    }
+    assert_eq!((requests, releases), (0, 0));
+    assert_eq!(examined() - before, 8 * COUNTED as u64);
+    assert_eq!(rt.stats().yields, 0);
+}
+
+/// A yield and its granted retry: the one decision that allocates. A park
+/// costs exactly two allocations — the yield record's blocker list (the
+/// match, its starvation probe and the record's table entry reuse warm
+/// memory), and the signature's waker queue, created by the first task to
+/// park on a signature nobody is parked on and dropped with its last waiter.
+/// The blocker's release that wakes the task and the retry that is granted
+/// allocate nothing.
+#[test]
+fn yield_and_granted_retry_allocation_count() {
+    let rt = hot_runtime(true);
+    let (warm, hot) = (rt.allocate_lock(), rt.allocate_lock());
+    let (holder, task) = (rt.register_task(None), rt.register_task(None));
+    let waker = Waker::from(Arc::new(NoOp));
+    let (mut parks, mut wakes, mut retries) = (0, 0, 0);
+    for round in 0..WARM_UP + COUNTED {
+        assert_eq!(
+            rt.task_begin_acquire(holder, warm, WARM, &waker),
+            TaskAcquire::Granted
+        );
+        rt.task_finish_acquire(holder, warm);
+        let park = allocations(|| {
+            let answer = rt.task_begin_acquire(task, hot, HOT, &waker);
+            assert!(matches!(answer, TaskAcquire::Parked { .. }));
+        });
+        let wake = allocations(|| rt.task_release(holder, warm));
+        let retry = allocations(|| {
+            assert_eq!(
+                rt.task_begin_acquire(task, hot, HOT, &waker),
+                TaskAcquire::Granted
+            );
+            rt.task_finish_acquire(task, hot);
+            rt.task_release(task, hot);
+        });
+        if round >= WARM_UP {
+            parks += park;
+            wakes += wake;
+            retries += retry;
+        }
+    }
+    assert_eq!((parks, wakes, retries), (2 * COUNTED as u64, 0, 0));
+    assert_eq!(rt.stats().yields, (WARM_UP + COUNTED) as u64);
 }
