@@ -709,7 +709,9 @@ impl Dimmunix {
 
     /// Abandons a granted-but-never-completed acquisition (e.g. the substrate
     /// timed out or the thread was interrupted between `request` and
-    /// `acquired`). Reverses the queue entry created by the grant.
+    /// `acquired`). Reverses the queue entry created by the grant; the slot
+    /// that vacates is owed the wake-ups a release at the position would
+    /// issue, scheduled for [`take_pending_wakeups`](Dimmunix::take_pending_wakeups).
     pub fn cancel_request(&mut self, t: impl Into<OwnerId>, l: LockId) {
         let t = t.into();
         self.clear_yield_tracked(t);
@@ -718,6 +720,11 @@ impl Dimmunix {
                 if let Some(p) = self.positions.get_mut(pos) {
                     p.queue_mut().remove_one(t);
                 }
+                let mut wake = std::mem::take(&mut self.pending_wakeups);
+                let scheduled = wake.len();
+                self.extend_wakeups_for_position(pos, &mut wake);
+                self.stats.wakeups += (wake.len() - scheduled) as u64;
+                self.pending_wakeups = wake;
             } else {
                 // The grant was for a different lock; keep it.
                 self.rag.set_pending_grant(t, granted_lock, pos, mode);

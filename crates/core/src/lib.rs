@@ -88,7 +88,7 @@ pub use history::{
 pub use ids::{
     IdHashMap, IdHasher, LockId, OwnerId, ProcessId, SignatureId, SiteId, TaskId, ThreadId,
 };
-pub use position::{OwnerQueue, Position, PositionId, PositionTable, StackInterner, ThreadQueue};
+pub use position::{OwnerQueue, Position, PositionId, PositionTable, StackInterner};
 pub use pvec::{PersistentMap, PersistentVec};
 pub use rag::{
     find_cycle_with, AccessMode, CycleStep, HeldEntry, LockOwner, Rag, WaitEdge, YieldRecord,
@@ -299,6 +299,41 @@ mod engine_tests {
         // Because t1 backed out, t2 requesting at the other history position
         // must not see an instantiation.
         assert!(e.request(t(2), l(2), &site("t2.outer", 20)).is_granted());
+    }
+
+    /// A grant occupies its position's slot from the moment it is given, so
+    /// cancelling it vacates the slot exactly as a release would and owes the
+    /// owners parked on the position's signatures the same wake-up. A request
+    /// that was refused (parked) occupied nothing and owes none.
+    #[test]
+    fn cancelled_grant_schedules_the_wakeups_of_its_position() {
+        let trained = detect_ab_ba();
+        let mut e = Dimmunix::with_history(Config::default(), trained.history().clone());
+        assert!(e.request(t(1), l(1), &site("t1.outer", 10)).is_granted());
+        let outcome = e.request(t(2), l(2), &site("t2.outer", 20));
+        let RequestOutcome::Yield { signature } = outcome else {
+            panic!("a pending grant is a blocker, got {outcome:?}");
+        };
+        let wakeups_before = e.stats().wakeups;
+
+        // The refused request backs out: no slot was held, nothing to wake.
+        e.cancel_request(t(2), l(2));
+        assert!(e.take_pending_wakeups().is_empty());
+        assert!(matches!(
+            e.request(t(2), l(2), &site("t2.outer", 20)),
+            RequestOutcome::Yield { .. }
+        ));
+
+        // The granted request backs out: its slot is free again.
+        e.cancel_request(t(1), l(1));
+        assert_eq!(e.take_pending_wakeups(), vec![signature]);
+        assert_eq!(e.stats().wakeups, wakeups_before + 1);
+        assert!(e.request(t(2), l(2), &site("t2.outer", 20)).is_granted());
+
+        // A grant at a position no signature mentions wakes nobody.
+        assert!(e.request(t(1), l(3), &site("t1.helper", 12)).is_granted());
+        e.cancel_request(t(1), l(3));
+        assert!(!e.has_pending_wakeups());
     }
 
     #[test]

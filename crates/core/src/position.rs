@@ -58,9 +58,6 @@ pub struct OwnerQueue {
     len: usize,
 }
 
-/// Pre-`OwnerId` name of [`OwnerQueue`], kept for source compatibility.
-pub type ThreadQueue = OwnerQueue;
-
 impl OwnerQueue {
     /// Creates an empty queue.
     pub fn new() -> Self {

@@ -11,9 +11,9 @@
 
 use dimmunix_core::{
     find_instantiation, AccessMode, CallStack, Config, Dimmunix, Frame, History, Instantiation,
-    LockId, PersistentMap, PersistentVec, PositionId, PositionTable, RequestOutcome,
+    LockId, OwnerQueue, PersistentMap, PersistentVec, PositionId, PositionTable, RequestOutcome,
     ShardedDimmunix, Signature, SignatureId, SignatureIndex, SignatureKind, SignaturePair,
-    ThreadId, ThreadQueue,
+    ThreadId,
 };
 use dimmunix_testkit::schedule::{
     plan_mixed_step, plan_mutex_step, pretrain_history, universe_site, PlannedStep,
@@ -108,7 +108,7 @@ fn prop_position_interning_is_consistent() {
 fn prop_thread_queue_multiset_semantics() {
     for seed in 0..CASES {
         let mut g = Gen::new(seed);
-        let mut q = ThreadQueue::new();
+        let mut q = OwnerQueue::new();
         let mut model: Vec<u64> = Vec::new();
         let mut high_water = 0usize;
         for _ in 0..g.range(1, 200) {

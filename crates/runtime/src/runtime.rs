@@ -31,10 +31,11 @@
 //! replays the log — repairing a crash-partial tail record — so antibodies
 //! survive process restarts and reboots (§2.1).
 //!
-//! Threads parked by avoidance wait on per-signature gates (condition
-//! variables, global across shards) and are woken from the release path of
-//! whichever shard releases a lock acquired at one of the signature's outer
-//! positions.
+//! An owner parked by avoidance, thread or task, queues a [`Waker`] on the
+//! signature that refused it (one FIFO per signature, global across shards);
+//! the release path of whichever shard releases a lock acquired at one of
+//! the signature's outer positions wakes the front of the queue. A thread's
+//! waker unparks it: the blocking hooks are `block_on` over the task ones.
 
 use crate::exchange::{ExchangeOptions, ExchangeState, ExchangeStats};
 use crate::site::AcquisitionSite;
@@ -51,11 +52,11 @@ use std::borrow::{Borrow, BorrowMut};
 use std::collections::VecDeque;
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::sync::{Condvar, Mutex, MutexGuard};
-use std::task::Waker;
-use std::time::Duration;
+use std::sync::{Mutex, MutexGuard};
+use std::task::{Wake, Waker};
+use std::thread::{self, Thread};
 
 /// What the wrapper types should do when the engine reports that the
 /// requested acquisition closes a genuine deadlock cycle.
@@ -324,10 +325,19 @@ impl std::error::Error for GlobalAlreadyInstalled {}
 /// `OnceLock` only so the test-only reset can clear it).
 static GLOBAL_RUNTIME: Mutex<Option<Arc<DimmunixRuntime>>> = Mutex::new(None);
 
-#[derive(Default)]
-struct SignatureGate {
-    lock: Mutex<u64>,
-    cv: Condvar,
+/// What a thread parked by avoidance sleeps on, as in std's `block_on`: its
+/// waker sets the flag, which a wake that lands before the sleep and
+/// `thread::park`'s spurious returns cannot confuse, and unparks the thread.
+struct ThreadParker {
+    thread: Thread,
+    woken: AtomicBool,
+}
+
+impl Wake for ThreadParker {
+    fn wake(self: Arc<Self>) {
+        self.woken.store(true, Ordering::Release);
+        self.thread.unpark();
+    }
 }
 
 /// One engine shard and its per-shard scratch state, behind one mutex.
@@ -432,6 +442,13 @@ thread_local! {
     static THREAD_ROUTE: std::cell::RefCell<IdHashMap<u64, ThreadRoute>> =
         std::cell::RefCell::new(IdHashMap::default());
 
+    /// This thread's parker, allocated at its first park (a thread blocks
+    /// in one acquisition at a time, so one serves every runtime).
+    static PARKER: Arc<ThreadParker> = Arc::new(ThreadParker {
+        thread: thread::current(),
+        woken: AtomicBool::new(false),
+    });
+
     /// Per-thread cache of interned call stacks and site keys by acquisition
     /// site. A site is a `'static` triple, so the cache never invalidates;
     /// the steady-state acquisition path allocates nothing and hashes only
@@ -466,9 +483,6 @@ pub struct DimmunixRuntime {
     /// Engine shards, one mutex each; cross-shard operations acquire them in
     /// ascending index order.
     shards: Vec<Mutex<ShardCell>>,
-    /// Per-signature park gates, global across shards; one exists only for
-    /// a signature some thread has parked on.
-    gates: Mutex<IdHashMap<SignatureId, Arc<SignatureGate>>>,
     router: ShardRouter,
     options: RuntimeOptions,
     /// Global acquisition sequence, stamped into shard RAG holds so merged
@@ -491,14 +505,13 @@ pub struct DimmunixRuntime {
     /// be polled from any worker thread; each entry is only touched by its
     /// own task's polls, which an executor serializes.
     task_routes: Mutex<IdHashMap<TaskId, TaskRoute>>,
-    /// Wakers of tasks parked by avoidance, keyed by the signature whose
-    /// instantiation parked them — the async analogue of the condition
-    /// variable [`SignatureGate`]s, FIFO per signature and at most one
-    /// entry per task. Release-driven notifications wake only the front
-    /// entry ([`notify_signatures_released`](Self::notify_signatures_released));
-    /// correctness-critical notifications (starvation, cancellation,
-    /// retirement) wake every entry.
-    task_wakers: Mutex<IdHashMap<SignatureId, VecDeque<(TaskId, Waker)>>>,
+    /// Wakers of the owners parked by avoidance, threads and tasks alike,
+    /// keyed by the signature whose instantiation parked them: FIFO per
+    /// signature, at most one entry per owner, queued by
+    /// [`park_on`](Self::park_on) alone. A release wakes only the front entry
+    /// ([`notify_signatures_released`](Self::notify_signatures_released));
+    /// starvation, eviction, cancellation and retirement wake every entry.
+    parked: Mutex<IdHashMap<SignatureId, VecDeque<(OwnerId, Waker)>>>,
     /// Collaborative-exchange state (quarantined foreign antibodies and
     /// counters); `None` unless [`RuntimeBuilder::exchange`] configured it.
     exchange: Option<ExchangeState>,
@@ -605,7 +618,6 @@ impl DimmunixRuntime {
         let exchange = options.exchange.clone().map(ExchangeState::new);
         let rt = Arc::new(DimmunixRuntime {
             shards,
-            gates: Mutex::default(),
             router,
             options,
             acq_seq: AtomicU64::new(1),
@@ -615,7 +627,7 @@ impl DimmunixRuntime {
             next_lock: AtomicU64::new(1),
             next_task: AtomicU64::new(1),
             task_routes: Mutex::default(),
-            task_wakers: Mutex::default(),
+            parked: Mutex::default(),
             exchange,
         });
         rt.startup_exchange_import();
@@ -914,14 +926,27 @@ impl DimmunixRuntime {
         sync::lock(&self.shards[0]).engine.save_history()
     }
 
-    /// Bumps the generation of every listed signature's gate, wakes the
-    /// threads parked on it, and fires the wakers of **every** task parked on
-    /// those signatures. Lock order: shard(s) before gates, everywhere.
+    /// Queues `waker` for `owner` on `signature`: the one way an owner of
+    /// either kind parks. Runs under every shard lock, and whoever notifies
+    /// changed the engine state under a shard lock first: the change either
+    /// precedes the park's decision, which saw it, or follows the queueing,
+    /// and the notifier finds the waker — no wake-up is lost, nothing re-polls.
+    /// A re-park refreshes the waker in place, keeping the owner's queue turn.
+    fn park_on(&self, signature: SignatureId, owner: OwnerId, waker: Waker) {
+        let mut parked = sync::lock(&self.parked);
+        let queue = parked.entry(signature).or_default();
+        match queue.iter_mut().find(|(o, _)| *o == owner) {
+            Some((_, w)) => *w = waker,
+            None => queue.push_back((owner, waker)),
+        }
+    }
+
+    /// Wakes **every** owner parked on the listed signatures. Lock order:
+    /// shard(s) before the parked map, everywhere.
     fn notify_signatures(&self, sigs: &[SignatureId]) {
-        self.bump_gates(sigs);
-        let mut parked_tasks = sync::lock(&self.task_wakers);
+        let mut parked = sync::lock(&self.parked);
         for sig in sigs {
-            if let Some(wakers) = parked_tasks.remove(sig) {
+            if let Some(wakers) = parked.remove(sig) {
                 for (_, w) in wakers {
                     w.wake();
                 }
@@ -930,48 +955,26 @@ impl DimmunixRuntime {
     }
 
     /// The release-driven variant of [`notify_signatures`](Self::notify_signatures):
-    /// wakes only the **front** task parked on each signature instead of the
-    /// whole crowd. Waking everyone on every release makes the parked
-    /// population re-run the avoidance check O(parked × releases) times while
-    /// at most one of them can be granted per de-instantiating release; the
-    /// chain stays live with a single wake because a woken-then-granted task
-    /// acquires at an in-history position, so its own release re-notifies
-    /// the signature and hands the wake to the next waiter, and a
-    /// woken-then-reparked task goes to the back of the queue while the
-    /// blockers that keep the signature instantiable still hold locks whose
-    /// releases notify it again. Parked threads still get the full condvar
-    /// broadcast — their gates are generation-sampled, not queued.
+    /// wakes only the **front** owner parked on each signature instead of the
+    /// whole crowd, which would re-run the avoidance check O(parked ×
+    /// releases) times while at most one owner can be granted per
+    /// de-instantiating release. One wake keeps the chain live: a
+    /// woken-then-granted owner acquires at an in-history position, so its
+    /// own release re-notifies the signature, and a woken-then-reparked one
+    /// goes to the back of the queue while the blockers that keep the
+    /// signature instantiable still hold locks whose releases notify it
+    /// again (ARCHITECTURE.md, "Invariants", has the whole argument).
     fn notify_signatures_released(&self, sigs: &[SignatureId]) {
-        self.bump_gates(sigs);
-        let mut parked_tasks = sync::lock(&self.task_wakers);
+        let mut parked = sync::lock(&self.parked);
         for sig in sigs {
-            if let Some(wakers) = parked_tasks.get_mut(sig) {
+            if let Some(wakers) = parked.get_mut(sig) {
                 if let Some((_, w)) = wakers.pop_front() {
                     w.wake();
                 }
                 if wakers.is_empty() {
-                    parked_tasks.remove(sig);
+                    parked.remove(sig);
                 }
             }
-        }
-    }
-
-    /// Generation bump + broadcast on the thread gate of every listed
-    /// signature that has one. Only a parking thread creates a gate, under
-    /// every shard lock and before it drops them, while whoever notifies
-    /// changed the engine state under a shard lock first: that change either
-    /// precedes the park's decision, which then saw it, or follows the gate's
-    /// creation, and the lookup here finds it. A signature without a gate
-    /// therefore has no thread to wake — the case on every release of a
-    /// process that parks only tasks. Lock order: shards, gate map, gate.
-    fn bump_gates(&self, sigs: &[SignatureId]) {
-        let gates = sync::lock(&self.gates);
-        if gates.is_empty() {
-            return;
-        }
-        for gate in sigs.iter().filter_map(|sig| gates.get(sig)) {
-            *sync::lock(&gate.lock) += 1;
-            gate.cv.notify_all();
         }
     }
 
@@ -992,8 +995,8 @@ impl DimmunixRuntime {
     //
     // One implementation for OS threads and async tasks; the public hooks
     // below adapt it and differ only in where an owner's route lives
-    // (`THREAD_ROUTE` vs `task_routes`) and in how a yield parks (a sampled
-    // condvar gate vs a queued waker).
+    // (`THREAD_ROUTE` vs `task_routes`) and in who drives the retry after a
+    // park (the hook's own loop vs the executor).
 
     /// Every shard lock, in ascending index order (the total order that
     /// keeps the runtime from deadlocking itself), in a fixed array so that
@@ -1014,8 +1017,7 @@ impl DimmunixRuntime {
     /// `fast_hold` (threads only) is published before the request, starvation
     /// wake-ups are delivered, and a `Yield` runs `on_yield` **while every
     /// shard lock is still held**: a release that would wake the signature
-    /// needs a shard lock, so whatever `on_yield` registers (a gate
-    /// generation sample, a waker) cannot miss it.
+    /// needs a shard lock, so the waker `on_yield` queues cannot miss it.
     // Inlined so each adapter keeps a copy specialised to its `on_yield` (and,
     // for tasks, to `fast_hold == None`), as when the ladder was written twice.
     #[allow(clippy::too_many_arguments)]
@@ -1097,29 +1099,46 @@ impl DimmunixRuntime {
         outcome
     }
 
-    /// Surfaces a detected deadlock as the configured policy demands.
-    fn deadlock_verdict(
+    /// One pass of the paper's `lockMonitor` loop for an owner of either
+    /// kind: the engine's decision, the park if it says yield (`waker` is
+    /// built only then) and the policy's verdict on a detection. The caller
+    /// stores `route` back and retries a park once the waker has fired.
+    // Inlined for the same reason as `decide_locked`.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn request_once(
         &self,
-        signature: SignatureId,
+        owner: OwnerId,
+        route: &mut OwnerRoute,
+        fast_hold: Option<FastHold>,
         lock: LockId,
         site: AcquisitionSite,
-        owner: OwnerId,
+        mode: AccessMode,
         spawn_site: Option<AcquisitionSite>,
-    ) -> Result<(), LockError> {
-        // Contribute-back: the new antibody is in the shared history; push
-        // the fleet pack before surfacing.
-        self.export_contribution();
-        match self.options.deadlock_policy {
-            DeadlockPolicy::Error => Err(LockError::WouldDeadlock {
-                signature,
-                lock,
-                site,
-                owner,
-                spawn_site,
-            }),
-            // Paper-faithful: proceed and let the owners freeze once; the
-            // signature is persisted, so the next run is immune.
-            DeadlockPolicy::Block => Ok(()),
+        waker: impl FnOnce() -> Waker,
+    ) -> TaskAcquire {
+        let stack = cached_site(site, |stack, _| Arc::clone(stack));
+        let on_yield = |signature| self.park_on(signature, owner, waker());
+        match self.decide_locked(owner, route, fast_hold, lock, &stack, mode, on_yield) {
+            RequestOutcome::Granted | RequestOutcome::GrantedReentrant => TaskAcquire::Granted,
+            RequestOutcome::Yield { signature } => TaskAcquire::Parked { signature },
+            RequestOutcome::DeadlockDetected { signature, .. } => {
+                // Contribute-back: the new antibody is in the shared history;
+                // push the fleet pack before surfacing.
+                self.export_contribution();
+                match self.options.deadlock_policy {
+                    DeadlockPolicy::Error => TaskAcquire::WouldDeadlock(LockError::WouldDeadlock {
+                        signature,
+                        lock,
+                        site,
+                        owner,
+                        spawn_site,
+                    }),
+                    // Paper-faithful: proceed and let the owners freeze once;
+                    // the signature is persisted, so the next run is immune.
+                    DeadlockPolicy::Block => TaskAcquire::Granted,
+                }
+            }
         }
     }
 
@@ -1136,13 +1155,17 @@ impl DimmunixRuntime {
     }
 
     /// Backs `owner` out of an approved acquisition that will not be
-    /// completed. Returns the home shard and the signature the owner was
+    /// completed, waking whoever was parked behind the slot its grant
+    /// occupied. Returns the home shard and the signature the owner was
     /// still parked on, if any.
     fn cancel_locked(&self, owner: OwnerId, lock: LockId) -> (usize, Option<SignatureId>) {
         let home = self.router.shard_of(lock);
         let mut cell = sync::lock(&self.shards[home]);
         let parked_on = cell.engine.rag().yielding(owner).map(|y| y.signature);
         cell.engine.cancel_request(owner, lock);
+        if cell.engine.has_pending_wakeups() {
+            self.notify_signatures(&cell.engine.take_pending_wakeups());
+        }
         (home, parked_on)
     }
 
@@ -1177,7 +1200,7 @@ impl DimmunixRuntime {
     }
 
     /// The `lockMonitor` prologue: keeps requesting until the engine grants,
-    /// parking on the matched signature's gate whenever it says yield.
+    /// parking on the matched signature's queue whenever it says yield.
     ///
     /// Uncontended requests that cannot interact with another shard are
     /// decided under the home shard's lock alone; the rest take the ordered
@@ -1232,56 +1255,26 @@ impl DimmunixRuntime {
         let Err(mut tr) = self.try_fast_admit(lock, site, mode) else {
             return Ok(());
         };
-        let thread = tr.id;
-        let stack = cached_site(site, |stack, _| Arc::clone(stack));
+        let owner = OwnerId::from(tr.id);
+        let waker = || PARKER.with(|p| Waker::from(Arc::clone(p)));
         loop {
             let before = tr.route;
-            let fast_hold = tr.fast_held.take();
-            let mut parked_gate: Option<(Arc<SignatureGate>, u64)> = None;
-            let outcome = self.decide_locked(
-                thread.into(),
-                &mut tr.route,
-                fast_hold,
-                lock,
-                &stack,
-                mode,
-                |signature| {
-                    // Create the gate (only a park does) and sample its
-                    // generation before the shard locks are dropped: a
-                    // release that happens right after finds the gate and
-                    // cannot be lost.
-                    let gate = Arc::clone(sync::lock(&self.gates).entry(signature).or_default());
-                    let observed = *sync::lock(&gate.lock);
-                    parked_gate = Some((gate, observed));
-                },
-            );
-            if fast_hold.is_some() || tr.route != before {
+            let held = tr.fast_held.take();
+            let answer =
+                self.request_once(owner, &mut tr.route, held, lock, site, mode, None, waker);
+            if held.is_some() || tr.route != before {
                 self.update_thread_route(|r| *r = tr);
             }
-
-            match outcome {
-                RequestOutcome::Granted | RequestOutcome::GrantedReentrant => return Ok(()),
-                RequestOutcome::DeadlockDetected { signature, .. } => {
-                    return self.deadlock_verdict(signature, lock, site, thread.into(), None);
-                }
-                RequestOutcome::Yield { .. } => {
-                    let (gate, observed) = parked_gate.expect("yield decided on the cross path");
-                    let mut gen = sync::lock(&gate.lock);
-                    while *gen == observed {
-                        // No wake-up can race with the gate's creation: it
-                        // was created and sampled under every shard lock, and
-                        // a notifier changes the engine under a shard lock
-                        // before it looks the gate up (see `bump_gates`). The
-                        // timeout is a guard correctness does not depend on.
-                        let (g, timed_out) =
-                            sync::wait_timeout(&gate.cv, gen, Duration::from_millis(50));
-                        gen = g;
-                        if timed_out {
-                            break;
-                        }
+            match answer {
+                TaskAcquire::Granted => return Ok(()),
+                TaskAcquire::WouldDeadlock(refusal) => return Err(refusal),
+                // Sleep until the queued waker fires, then retry the request
+                // (the paper's do/while loop).
+                TaskAcquire::Parked { .. } => PARKER.with(|p| {
+                    while !p.woken.swap(false, Ordering::Acquire) {
+                        thread::park();
                     }
-                    // Loop: retry the request (the paper's do/while loop).
-                }
+                }),
             }
         }
     }
@@ -1316,10 +1309,10 @@ impl DimmunixRuntime {
     }
 
     /// The `unlockMonitor` prologue: releases in the owning shard and wakes
-    /// every signature gate the engine says must be notified. Releasing a
-    /// fast-path hold is wake-free: its site was bloom-clear at admission,
-    /// so no history signature mentions it and the release can
-    /// de-instantiate nothing.
+    /// the front owner parked on every signature the engine says must be
+    /// notified. Releasing a fast-path hold is wake-free: its site was
+    /// bloom-clear at admission, so no history signature mentions it and the
+    /// release can de-instantiate nothing.
     pub fn before_release(&self, lock: LockId) {
         let Err(thread) = self.clear_fast_held(lock) else {
             self.summary.note_fast_release();
@@ -1330,12 +1323,13 @@ impl DimmunixRuntime {
     }
 
     /// Unregisters the calling thread (normally done when a worker exits),
-    /// force-releasing anything it still holds on any shard.
+    /// force-releasing anything it still holds on any shard. A thread this
+    /// runtime never saw has nothing to retire.
     pub fn retire_current_thread(&self) {
-        self.retire_locked(self.route().id.into());
-        THREAD_ROUTE.with(|cell| {
-            cell.borrow_mut().remove(&self.instance);
-        });
+        let route = THREAD_ROUTE.with(|cell| cell.borrow_mut().remove(&self.instance));
+        if let Some(route) = route {
+            self.retire_locked(route.id.into());
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1391,7 +1385,7 @@ impl DimmunixRuntime {
     /// `Poll::Pending` — `waker` has been registered on the signature and
     /// fires when the park may be over, whereupon the future calls this
     /// again (the paper's `do { … } while (sigId >= 0)` loop, driven by the
-    /// executor instead of a condition variable).
+    /// executor instead of the hook's own loop).
     pub fn task_begin_acquire(
         &self,
         task: TaskId,
@@ -1416,34 +1410,22 @@ impl DimmunixRuntime {
         let owner = OwnerId::Task(task);
         // Same foreign-antibody gate as the thread path.
         self.feed_exchange(site);
-        let stack = cached_site(site, |stack, _| Arc::clone(stack));
         let tr = self.task_route(task);
-        let mut route = tr.route;
-        let outcome =
-            self.decide_locked(owner, &mut route, None, lock, &stack, mode, |signature| {
-                // At most one entry per task: a re-park refreshes the waker in
-                // place (keeping its queue turn) instead of duplicating it.
-                let mut parked = sync::lock(&self.task_wakers);
-                let queue = parked.entry(signature).or_default();
-                match queue.iter_mut().find(|(t, _)| *t == task) {
-                    Some((_, w)) => *w = waker.clone(),
-                    None => queue.push_back((task, waker.clone())),
-                }
-            });
+        let (mut route, waker) = (tr.route, || waker.clone());
+        let answer = self.request_once(
+            owner,
+            &mut route,
+            None,
+            lock,
+            site,
+            mode,
+            tr.spawn_site,
+            waker,
+        );
         if route != tr.route {
             self.update_task_route(task, |r| *r = route);
         }
-
-        match outcome {
-            RequestOutcome::Granted | RequestOutcome::GrantedReentrant => TaskAcquire::Granted,
-            RequestOutcome::Yield { signature } => TaskAcquire::Parked { signature },
-            RequestOutcome::DeadlockDetected { signature, .. } => {
-                match self.deadlock_verdict(signature, lock, site, owner, tr.spawn_site) {
-                    Ok(()) => TaskAcquire::Granted,
-                    Err(refusal) => TaskAcquire::WouldDeadlock(refusal),
-                }
-            }
-        }
+        answer
     }
 
     /// The task analogue of [`after_acquire`](Self::after_acquire): records
@@ -1462,8 +1444,8 @@ impl DimmunixRuntime {
         // wake was handed to; drop its stale waker and re-broadcast so the
         // wake is not lost with it.
         if let Some(sig) = parked_on {
-            if let Some(q) = sync::lock(&self.task_wakers).get_mut(&sig) {
-                q.retain(|(t, _)| *t != task);
+            if let Some(q) = sync::lock(&self.parked).get_mut(&sig) {
+                q.retain(|(o, _)| *o != OwnerId::Task(task));
             }
             self.notify_signatures(&[sig]);
         }
@@ -1471,8 +1453,8 @@ impl DimmunixRuntime {
     }
 
     /// The task analogue of [`before_release`](Self::before_release):
-    /// releases in the owning shard and wakes every parked thread and task
-    /// the engine says must be notified.
+    /// releases in the owning shard and wakes the front owner parked on
+    /// every signature the engine says must be notified.
     pub fn task_release(&self, task: TaskId, lock: LockId) {
         let (home, holds) = self.release_locked(task.into(), lock);
         self.update_task_route(task, |r| r.after_released(home, holds));
@@ -1501,6 +1483,17 @@ mod tests {
         assert_ne!(main_id, other);
         // Repeated calls on the same thread return the same id.
         assert_eq!(rt.current_thread(), main_id);
+    }
+
+    /// Retiring a thread the runtime never saw registers nothing on the way:
+    /// the next thread id handed out is still the first.
+    #[test]
+    fn retiring_an_unseen_thread_allocates_no_id() {
+        let rt = DimmunixRuntime::new();
+        rt.retire_current_thread();
+        assert_eq!(rt.current_thread(), ThreadId::new(1));
+        rt.retire_current_thread();
+        assert_eq!(rt.current_thread(), ThreadId::new(2));
     }
 
     #[test]
@@ -1661,14 +1654,21 @@ mod tests {
             rt2.after_acquire(lb);
             rt2.before_release(lb);
         });
-        std::thread::sleep(Duration::from_millis(120));
+        // The waiter parks inside `before_acquire`, so no rendezvous can
+        // mark the park; the yield counter ticks at the park decision.
+        while rt.stats().yields == 0 {
+            std::thread::yield_now();
+        }
         let stats = rt.exchange_stats().unwrap();
         assert_eq!(stats.activated, 1);
         assert_eq!(stats.pending, 0);
-        assert!(rt.stats().yields >= 1, "imported antibody should park");
         assert_eq!(rt.stats().deadlocks_detected, 0);
         rt.before_release(la);
         waiter.join().unwrap();
+        // The holder's request, then one park and one granted retry:
+        // nothing re-polls.
+        let stats = rt.stats();
+        assert_eq!((stats.yields, stats.requests), (1, 3));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1776,19 +1776,20 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Only a parking thread creates a signature gate. A process that parks
-    /// tasks alone — yields, release-driven wake-ups, a cancelled park — ends
-    /// with an empty gate map: notifying a signature never inserts one.
+    /// Every queued waker is consumed: after task parks — yields,
+    /// release-driven wake-ups, a cancelled park — and after a thread park,
+    /// the parked map is empty at quiescence, and notifying a signature
+    /// nobody is parked on inserts nothing.
     #[test]
-    fn task_only_parks_create_no_gate() {
+    fn every_queued_waker_is_consumed() {
         struct CountingWake(AtomicU64);
         impl std::task::Wake for CountingWake {
             fn wake(self: Arc<Self>) {
                 self.0.fetch_add(1, Ordering::SeqCst);
             }
         }
-        let site_a = AcquisitionSite::new("outerA", "gate.rs", 1);
-        let site_b = AcquisitionSite::new("outerB", "gate.rs", 2);
+        let site_a = AcquisitionSite::new("outerA", "queue.rs", 1);
+        let site_b = AcquisitionSite::new("outerB", "queue.rs", 2);
         let rt = DimmunixRuntime::new();
         let sig = rt.add_signature(Signature::new(
             dimmunix_core::SignatureKind::Deadlock,
@@ -1830,7 +1831,27 @@ mod tests {
             .for_each(|t| rt.retire_task(t));
 
         assert_eq!(rt.stats().yields, 3);
-        assert!(sync::lock(&rt.gates).is_empty());
+        assert!(sync::lock(&rt.parked).is_empty());
+
+        // The same through a thread park.
+        rt.before_acquire(la, site_a).unwrap();
+        rt.after_acquire(la);
+        let queues = std::thread::scope(|s| {
+            s.spawn(|| {
+                rt.before_acquire(lb, site_b).unwrap();
+                rt.after_acquire(lb);
+                rt.before_release(lb);
+            });
+            while rt.stats().yields == 3 {
+                std::thread::yield_now();
+            }
+            let queues = sync::lock(&rt.parked).len();
+            rt.before_release(la);
+            queues
+        });
+        assert_eq!(queues, 1);
+        assert_eq!(rt.stats().yields, 4);
+        assert!(sync::lock(&rt.parked).is_empty());
     }
 
     #[test]
@@ -1876,5 +1897,6 @@ mod tests {
                 "waiter must stay parked until the blocker releases"
             );
         });
+        assert_eq!(rt.stats().yields, 1, "one park, no re-poll");
     }
 }

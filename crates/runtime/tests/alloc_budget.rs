@@ -176,8 +176,8 @@ fn hot_runtime(instantiable: bool) -> Arc<DimmunixRuntime> {
 /// an in-history position takes the all-shard path and examines eight
 /// signatures, each rejected by the cold-slot screen before a candidate is
 /// collected; the release at that position notifies the same eight
-/// signatures, on which nobody is parked, so no gate or waker queue exists
-/// to look at, let alone create.
+/// signatures, on which nobody is parked, so no waker queue exists to look
+/// at, let alone create.
 #[test]
 fn hot_position_with_cold_slots_allocates_nothing() {
     let rt = hot_runtime(false);
@@ -216,7 +216,7 @@ fn hot_position_with_cold_slots_allocates_nothing() {
 /// A yield and its granted retry: the one decision that allocates. A park
 /// costs exactly two allocations — the yield record's blocker list (the
 /// match, its starvation probe and the record's table entry reuse warm
-/// memory), and the signature's waker queue, created by the first task to
+/// memory), and the signature's waker queue, created by the first owner to
 /// park on a signature nobody is parked on and dropped with its last waiter.
 /// The blocker's release that wakes the task and the retry that is granted
 /// allocate nothing.
@@ -254,4 +254,50 @@ fn yield_and_granted_retry_allocation_count() {
     }
     assert_eq!((parks, wakes, retries), (2 * COUNTED as u64, 0, 0));
     assert_eq!(rt.stats().yields, (WARM_UP + COUNTED) as u64);
+}
+
+/// The same park made by a thread costs no more: the waker it queues is a
+/// clone of its thread-local parker (allocated by the thread's first park, in
+/// the warm-up), and sleeping, being unparked and the granted retry allocate
+/// nothing.
+#[test]
+fn thread_park_allocates_no_more_than_a_task_park() {
+    const ROUNDS: usize = 200;
+    let rt = hot_runtime(true);
+    let (warm, hot) = (rt.allocate_lock(), rt.allocate_lock());
+    let holder = rt.register_task(None);
+    let waker = Waker::from(Arc::new(NoOp));
+    let step = std::sync::Barrier::new(2);
+    let parks = std::thread::scope(|s| {
+        let waiter = s.spawn(|| {
+            let mut parks = 0;
+            for round in 0..WARM_UP + ROUNDS {
+                step.wait(); // the holder occupies WARM
+                let park = allocations(|| rt.before_acquire(hot, HOT).expect("granted"));
+                rt.after_acquire(hot);
+                rt.before_release(hot);
+                step.wait();
+                if round >= WARM_UP {
+                    parks += park;
+                }
+            }
+            parks
+        });
+        // No assertion in here: a panic would strand the waiter at the barrier.
+        let mut granted = 0;
+        for round in 0..WARM_UP + ROUNDS {
+            let answer = rt.task_begin_acquire(holder, warm, WARM, &waker);
+            granted += usize::from(answer == TaskAcquire::Granted);
+            rt.task_finish_acquire(holder, warm);
+            step.wait();
+            while rt.stats().yields <= round as u64 {
+                std::thread::yield_now();
+            }
+            rt.task_release(holder, warm); // wakes the waiter
+            step.wait();
+        }
+        (waiter.join().expect("waiter"), granted)
+    });
+    assert_eq!(parks, (2 * ROUNDS as u64, WARM_UP + ROUNDS));
+    assert_eq!(rt.stats().yields, (WARM_UP + ROUNDS) as u64);
 }

@@ -10,7 +10,7 @@
 //! locked path from the start) `DimmunixRuntime::stats` folds both into
 //! the same totals.
 
-use dimmunix_core::{History, LockId, TaskId};
+use dimmunix_core::{History, LockId, Signature, SignatureKind, SignaturePair, TaskId};
 use dimmunix_rt::{AcquisitionSite, DimmunixRuntime, LockError, TaskAcquire};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
@@ -57,6 +57,15 @@ fn thread_acquire(rt: &DimmunixRuntime, lock: LockId, site: AcquisitionSite) {
     rt.after_acquire(lock);
 }
 
+/// Spins until the runtime has decided `n` parks. A thread parks inside
+/// `before_acquire`, so no barrier can mark the park; the yield counter ticks
+/// at the park decision, under the locks the waker is queued under.
+fn await_yields(rt: &DimmunixRuntime, n: u64) {
+    while rt.stats().yields < n {
+        std::thread::yield_now();
+    }
+}
+
 fn threads_learn() -> Run {
     let (rt, [la, lb, _]) = runtime(History::new());
     let step = Barrier::new(2);
@@ -93,11 +102,7 @@ fn threads_replay(learned: History) -> Run {
         s.spawn(|| {
             thread_acquire(&rt, la, X_OUTER);
             step.wait();
-            // X holds A. Y parks inside `before_acquire`, so no barrier can
-            // mark the park; the yield counter ticks at the park decision.
-            while rt.stats().yields == 0 {
-                std::thread::yield_now();
-            }
+            await_yields(&rt, 1); // X holds A, Y is parked
             thread_acquire(&rt, lb, X_INNER);
             rt.before_release(lb);
             rt.before_release(la); // wakes Y
@@ -178,4 +183,115 @@ fn thread_and_task_locked_paths_agree() {
     let replayed = tasks_replay(history.clone());
     assert_eq!(replayed, ([5, 4, 1, 0, 4, 4], learned.1));
     assert_eq!(threads_replay(history), replayed);
+}
+
+// A signature over two sites of their own, for the park-queue scripts below.
+
+const P_A: AcquisitionSite = AcquisitionSite::new("agree.park_a", FILE, 1);
+const P_B: AcquisitionSite = AcquisitionSite::new("agree.park_b", FILE, 1);
+
+/// History holding the one signature `(P_A, P_B)`: while someone occupies
+/// `P_A`, a request at `P_B` parks.
+fn park_history() -> History {
+    let pair = |s: AcquisitionSite| SignaturePair::new(s.to_call_stack(), s.to_call_stack());
+    let mut history = History::new();
+    history.add(Signature::new(
+        SignatureKind::Deadlock,
+        vec![pair(P_A), pair(P_B)],
+    ));
+    history
+}
+
+fn counting_waker() -> (Arc<CountingWake>, Waker) {
+    let count = Arc::new(CountingWake::default());
+    let waker = Waker::from(Arc::clone(&count));
+    (count, waker)
+}
+
+/// A grant occupies its position's slot until the acquisition is finished
+/// and released — or cancelled. The cancel vacates the slot like a release,
+/// so it owes the owners parked behind it the same wake-up.
+#[test]
+fn cancelled_grant_wakes_the_task_parked_behind_it() {
+    let (rt, [la, lb, _]) = runtime(park_history());
+    let (holder, waiter) = (rt.register_task(None), rt.register_task(None));
+    let (wakes, w) = counting_waker();
+    let granted = rt.task_begin_acquire(holder, la, P_A, &w);
+    assert_eq!(granted, TaskAcquire::Granted); // never finished
+    let parked = rt.task_begin_acquire(waiter, lb, P_B, &w);
+    assert!(matches!(parked, TaskAcquire::Parked { .. }));
+    rt.task_cancel_acquire(holder, la);
+    assert_eq!(wakes.0.load(Ordering::SeqCst), 1, "the cancel wakes W");
+    task_acquire(&rt, &w, waiter, lb, P_B);
+    rt.task_release(waiter, lb);
+    assert_eq!(rt.stats().yields, 1);
+}
+
+/// The same through the thread hooks, where `ImmuneMutex::try_lock` reaches
+/// it (grant, `WouldBlock`, `cancel_acquire`): the parked thread has nothing
+/// but the cancel's wake-up to return on.
+#[test]
+fn cancelled_grant_wakes_the_thread_parked_behind_it() {
+    let (rt, [la, lb, _]) = runtime(park_history());
+    rt.before_acquire(la, P_A).expect("granted"); // never finished
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            thread_acquire(&rt, lb, P_B);
+            rt.before_release(lb);
+        });
+        await_yields(&rt, 1);
+        rt.cancel_acquire(la);
+    });
+    let stats = rt.stats();
+    assert_eq!((stats.yields, stats.requests), (1, 3));
+}
+
+/// Threads and tasks park in one FIFO per signature: a thread and two tasks
+/// queue behind one blocker in that order, and every release at a position
+/// of the signature wakes exactly the front owner, of whichever kind.
+#[test]
+fn mixed_owners_share_one_fifo_queue() {
+    let (rt, [la, lb, _]) = runtime(park_history());
+    let (t1, t2) = (rt.register_task(None), rt.register_task(None));
+    let (wakes1, w1) = counting_waker();
+    let (wakes2, w2) = counting_waker();
+    let woken = || [&wakes1, &wakes2].map(|c| c.0.load(Ordering::SeqCst));
+    // 0: the thread is parked or retrying, 1: it holds B, 2: it may release.
+    let stage = AtomicUsize::new(0);
+    let await_stage = |n| {
+        while stage.load(Ordering::SeqCst) != n {
+            std::thread::yield_now();
+        }
+    };
+
+    thread_acquire(&rt, la, P_A); // the blocker
+
+    // Nothing in the scope asserts: a panic there would strand the thread.
+    let (parked, after_blocker_release) = std::thread::scope(|s| {
+        s.spawn(|| {
+            thread_acquire(&rt, lb, P_B); // parks first
+            stage.store(1, Ordering::SeqCst);
+            await_stage(2);
+            rt.before_release(lb); // hands the wake to the first task
+        });
+        await_yields(&rt, 1);
+        let parked = [(t1, &w1), (t2, &w2)].map(|(t, w)| rt.task_begin_acquire(t, lb, P_B, w));
+        rt.before_release(la); // wakes the thread, and only the thread
+        await_stage(1);
+        let after_blocker_release = woken();
+        stage.store(2, Ordering::SeqCst);
+        (parked, after_blocker_release)
+    });
+    assert!(parked
+        .iter()
+        .all(|p| matches!(p, TaskAcquire::Parked { .. })));
+    assert_eq!(after_blocker_release, [0, 0]);
+    assert_eq!(woken(), [1, 0], "the thread's release wakes the first task");
+    task_acquire(&rt, &w1, t1, lb, P_B);
+    rt.task_release(t1, lb);
+    assert_eq!(woken(), [1, 1], "the first task's release wakes the second");
+    task_acquire(&rt, &w2, t2, lb, P_B);
+    rt.task_release(t2, lb);
+    assert_eq!(woken(), [1, 1]);
+    assert_eq!(rt.stats().yields, 3);
 }
