@@ -110,6 +110,12 @@ const GATES: &[Gate] = &[
         expect: "<= 1.1 (sharded engine memory within 10% of monolithic)",
     },
     Gate {
+        file: "BENCH_engine_sharded.json",
+        field: "tier1_contention_ratio",
+        check: |v| v > 0.0 && v <= 1.5,
+        expect: "<= 1.5 (two threads on disjoint locks must not slow each other: tier 1 shares no written line)",
+    },
+    Gate {
         file: "BENCH_engine_hotpath.json",
         field: "allocs_per_cycle_clean",
         check: |v| v <= 1.0,

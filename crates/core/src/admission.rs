@@ -58,7 +58,10 @@
 //! a stale decrement can only send the reader to the slow path. All data
 //! loads use `Acquire`, all stores `Release`, so a reader that observes the
 //! second (even, equal) epoch load also observes every Bloom bit the
-//! writer published before it.
+//! writer published before it. The statistics counters are the exception:
+//! they are `Relaxed` on both sides, because nobody synchronises through a
+//! statistic — and they are striped by owner (see `CounterStripe`), so
+//! the fast path writes no cache line another owner's fast path touches.
 
 use crate::callstack::SiteKey;
 use crate::rag::YieldRecord;
@@ -72,6 +75,24 @@ const BLOOM_WORDS: usize = 64;
 const BLOOM_BITS: u64 = (BLOOM_WORDS * 64) as u64;
 /// Number of blocker reference-count stripes.
 const BLOCKER_STRIPES: usize = 256;
+/// Number of owner-striped statistics blocks. Thread and task ids are handed
+/// out sequentially per runtime, so concurrently live neighbours land on
+/// different stripes; owners that do collide merely share a line.
+const COUNTER_STRIPES: usize = 16;
+
+/// One owner stripe of the fast-path statistics, alone on its cache lines
+/// (128 bytes: adjacent-line prefetch pairs 64-byte lines). A tier-1 section
+/// writes only its owner's stripe; readers sum all of them.
+#[derive(Default)]
+#[repr(align(128))]
+struct CounterStripe {
+    fast_admits: AtomicU64,
+    slow_fallbacks: AtomicU64,
+    degradation_scope_hits: AtomicU64,
+    fast_acquires: AtomicU64,
+    fast_releases: AtomicU64,
+    published: AtomicU64,
+}
 
 /// Outcome of a lock-free admission attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,14 +132,11 @@ pub struct AdmissionSummary {
     /// Outer-table prefix already folded into the Bloom set (outer ids are
     /// append-only, so absorption is incremental and idempotent).
     absorbed_outers: AtomicU64,
-    // Metric counters (see `Stats` for their rendered form).
-    fast_admits: AtomicU64,
-    slow_fallbacks: AtomicU64,
-    degradation_scope_hits: AtomicU64,
-    fast_acquires: AtomicU64,
-    fast_releases: AtomicU64,
-    fast_cancels: AtomicU64,
-    published: AtomicU64,
+    /// Metric counters (see `Stats` for their rendered form), striped by
+    /// owner so that no two concurrently running owners write one line and
+    /// none of the fields above — all read on the fast path — shares a line
+    /// with a counter.
+    counters: [CounterStripe; COUNTER_STRIPES],
 }
 
 impl Default for AdmissionSummary {
@@ -136,14 +154,21 @@ impl AdmissionSummary {
             blockers: std::array::from_fn(|_| AtomicU32::new(0)),
             parked_total: AtomicU64::new(0),
             absorbed_outers: AtomicU64::new(0),
-            fast_admits: AtomicU64::new(0),
-            slow_fallbacks: AtomicU64::new(0),
-            degradation_scope_hits: AtomicU64::new(0),
-            fast_acquires: AtomicU64::new(0),
-            fast_releases: AtomicU64::new(0),
-            fast_cancels: AtomicU64::new(0),
-            published: AtomicU64::new(0),
+            counters: std::array::from_fn(|_| CounterStripe::default()),
         }
+    }
+
+    /// The statistics block `owner` writes.
+    fn stripe(&self, owner: OwnerId) -> &CounterStripe {
+        &self.counters[owner.index() as usize % COUNTER_STRIPES]
+    }
+
+    /// A statistic's live total: the sum of its per-owner stripes.
+    fn total(&self, counter: impl Fn(&CounterStripe) -> &AtomicU64) -> u64 {
+        self.counters
+            .iter()
+            .map(|stripe| counter(stripe).load(Ordering::Relaxed))
+            .sum()
     }
 
     fn bloom_slots(key: SiteKey) -> [(usize, u64); 2] {
@@ -204,6 +229,7 @@ impl AdmissionSummary {
     /// [`Stats::slow_fallbacks`]: crate::Stats::slow_fallbacks
     /// [`Stats::degradation_scope_hits`]: crate::Stats::degradation_scope_hits
     pub fn try_admit(&self, key: SiteKey, owner: OwnerId) -> Admission {
+        let counters = self.stripe(owner);
         for _ in 0..2 {
             let before = self.epoch.load(Ordering::Acquire);
             if before & 1 == 1 {
@@ -211,20 +237,22 @@ impl AdmissionSummary {
                 continue;
             }
             if self.site_may_be_in_history(key) || self.is_blocker(owner) {
-                self.slow_fallbacks.fetch_add(1, Ordering::Relaxed);
+                counters.slow_fallbacks.fetch_add(1, Ordering::Relaxed);
                 return Admission::Fallback;
             }
             let degraded = self.parked_total() > 0;
             let after = self.epoch.load(Ordering::Acquire);
             if before == after {
-                self.fast_admits.fetch_add(1, Ordering::Relaxed);
+                counters.fast_admits.fetch_add(1, Ordering::Relaxed);
                 if degraded {
-                    self.degradation_scope_hits.fetch_add(1, Ordering::Relaxed);
+                    counters
+                        .degradation_scope_hits
+                        .fetch_add(1, Ordering::Relaxed);
                 }
                 return Admission::Admit { degraded };
             }
         }
-        self.slow_fallbacks.fetch_add(1, Ordering::Relaxed);
+        counters.slow_fallbacks.fetch_add(1, Ordering::Relaxed);
         Admission::Fallback
     }
 
@@ -268,63 +296,58 @@ impl AdmissionSummary {
         self.parked_total.fetch_sub(1, Ordering::Release);
     }
 
-    /// Counts an engine-invisible acquisition completed on the fast path.
-    pub fn note_fast_acquire(&self) {
-        self.fast_acquires.fetch_add(1, Ordering::Relaxed);
+    /// Counts an engine-invisible acquisition `owner` completed on the fast
+    /// path.
+    pub fn note_fast_acquire(&self, owner: OwnerId) {
+        self.stripe(owner)
+            .fast_acquires
+            .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts an engine-invisible release completed on the fast path.
-    pub fn note_fast_release(&self) {
-        self.fast_releases.fetch_add(1, Ordering::Relaxed);
+    /// Counts an engine-invisible release `owner` completed on the fast path.
+    pub fn note_fast_release(&self, owner: OwnerId) {
+        self.stripe(owner)
+            .fast_releases
+            .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts a cancelled fast-path admission (e.g. a failed `try_lock`).
-    pub fn note_fast_cancel(&self) {
-        self.fast_cancels.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts a fast-held lock published into the engine by a slow-path
-    /// request (its request/grant/acquisition are then counted by the
-    /// engine, so aggregation subtracts `published` once from each).
-    pub fn note_published(&self) {
-        self.published.fetch_add(1, Ordering::Relaxed);
+    /// Counts a fast-held lock of `owner` published into the engine by a
+    /// slow-path request (its request/grant/acquisition are then counted by
+    /// the engine, so aggregation subtracts `published` once from each).
+    pub fn note_published(&self, owner: OwnerId) {
+        self.stripe(owner).published.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Fast-path admissions granted without any shard lock.
     pub fn fast_admits(&self) -> u64 {
-        self.fast_admits.load(Ordering::Relaxed)
+        self.total(|c| &c.fast_admits)
     }
 
     /// Fast-path-eligible attempts that failed validation and fell back.
     pub fn slow_fallbacks(&self) -> u64 {
-        self.slow_fallbacks.load(Ordering::Relaxed)
+        self.total(|c| &c.slow_fallbacks)
     }
 
     /// Fast admissions that succeeded while some owner was parked elsewhere
     /// (requests the old global `parked` flag would have degraded).
     pub fn degradation_scope_hits(&self) -> u64 {
-        self.degradation_scope_hits.load(Ordering::Relaxed)
+        self.total(|c| &c.degradation_scope_hits)
     }
 
     /// Engine-invisible acquisitions completed on the fast path.
     pub fn fast_acquires(&self) -> u64 {
-        self.fast_acquires.load(Ordering::Relaxed)
+        self.total(|c| &c.fast_acquires)
     }
 
     /// Engine-invisible releases completed on the fast path.
     pub fn fast_releases(&self) -> u64 {
-        self.fast_releases.load(Ordering::Relaxed)
-    }
-
-    /// Cancelled fast-path admissions.
-    pub fn fast_cancels(&self) -> u64 {
-        self.fast_cancels.load(Ordering::Relaxed)
+        self.total(|c| &c.fast_releases)
     }
 
     /// Fast-held locks later published into the engine by a slow-path
     /// request.
     pub fn published(&self) -> u64 {
-        self.published.load(Ordering::Relaxed)
+        self.total(|c| &c.published)
     }
 }
 
@@ -404,6 +427,106 @@ mod tests {
             AdmissionSummary::blocker_stripe(OwnerId::task(5)),
         );
         s.note_yield_cleared(&rec);
+    }
+
+    /// The six statistics of one stripe, in field order.
+    fn stripe_values(s: &AdmissionSummary, stripe: usize) -> [u64; 6] {
+        let c = &s.counters[stripe];
+        [
+            &c.fast_admits,
+            &c.slow_fallbacks,
+            &c.degradation_scope_hits,
+            &c.fast_acquires,
+            &c.fast_releases,
+            &c.published,
+        ]
+        .map(|counter| counter.load(Ordering::Relaxed))
+    }
+
+    #[test]
+    fn striped_counters_fold_to_exact_totals() {
+        let s = AdmissionSummary::new();
+        let clean = SiteKey::new(7);
+        // Thread(3), Thread(3 + 16) and Task(3) share stripe 3; Thread(4)
+        // has stripe 4 to itself.
+        let sharing = [OwnerId::thread(3), OwnerId::thread(19), OwnerId::task(3)];
+        let alone = OwnerId::thread(4);
+        for owner in sharing {
+            assert!(std::ptr::eq(s.stripe(owner), &s.counters[3]));
+        }
+        assert!(std::ptr::eq(s.stripe(alone), &s.counters[4]));
+
+        // A site in the Bloom set, so `try_admit` there is a fallback.
+        let in_history = SiteKey::new(99);
+        for (word, mask) in AdmissionSummary::bloom_slots(in_history) {
+            s.bloom[word].fetch_or(mask, Ordering::Release);
+        }
+
+        for (rounds, owner) in sharing.into_iter().chain([alone]).enumerate() {
+            for _ in 0..=rounds {
+                assert!(matches!(s.try_admit(clean, owner), Admission::Admit { .. }));
+                s.note_fast_acquire(owner);
+                s.note_fast_release(owner);
+            }
+            assert_eq!(s.try_admit(in_history, owner), Admission::Fallback);
+            s.note_published(owner);
+        }
+        // One parked owner elsewhere: the next admit is a degradation hit.
+        let rec = record(vec![OwnerId::thread(1000)]);
+        s.note_yield(&rec);
+        assert_eq!(
+            s.try_admit(clean, alone),
+            Admission::Admit { degraded: true }
+        );
+        s.note_yield_cleared(&rec);
+
+        // 1 + 2 + 3 sections on stripe 3, 4 (+ the degraded admit) on stripe 4.
+        assert_eq!(stripe_values(&s, 3), [6, 3, 0, 6, 6, 3]);
+        assert_eq!(stripe_values(&s, 4), [5, 1, 1, 4, 4, 1]);
+        for stripe in (0..COUNTER_STRIPES).filter(|i| ![3, 4].contains(i)) {
+            assert_eq!(stripe_values(&s, stripe), [0; 6], "stripe {stripe}");
+        }
+        assert_eq!(s.fast_admits(), 11);
+        assert_eq!(s.slow_fallbacks(), 4);
+        assert_eq!(s.degradation_scope_hits(), 1);
+        assert_eq!(s.fast_acquires(), 10);
+        assert_eq!(s.fast_releases(), 10);
+        assert_eq!(s.published(), 4);
+    }
+
+    /// The layout the fast path's scaling rests on: a tier-1 section writes
+    /// only counter stripes, so no field it *reads* may share a line with one.
+    /// Fails when a stripe stops being line-sized and line-aligned, i.e. when
+    /// two owners' counters, or a counter and `parked_total`, can meet again.
+    #[test]
+    fn counters_share_no_cache_line_with_the_fields_the_fast_path_reads() {
+        use std::mem::{align_of, size_of, size_of_val};
+        const LINE: usize = 128;
+        assert_eq!(align_of::<CounterStripe>(), LINE);
+        assert_eq!(size_of::<CounterStripe>() % LINE, 0);
+        // The summary itself is line-aligned, so offsets within it are
+        // offsets within lines.
+        assert_eq!(align_of::<AdmissionSummary>() % LINE, 0);
+
+        let s = AdmissionSummary::new();
+        let base = &s as *const AdmissionSummary as usize;
+        fn lines<T>(base: usize, field: &T) -> std::ops::RangeInclusive<usize> {
+            let offset = field as *const T as usize - base;
+            offset / LINE..=(offset + size_of_val(field) - 1) / LINE
+        }
+        let counters = lines(base, &s.counters);
+        for (name, read) in [
+            ("epoch", lines(base, &s.epoch)),
+            ("bloom", lines(base, &s.bloom)),
+            ("blockers", lines(base, &s.blockers)),
+            ("parked_total", lines(base, &s.parked_total)),
+            ("absorbed_outers", lines(base, &s.absorbed_outers)),
+        ] {
+            assert!(
+                read.end() < counters.start() || read.start() > counters.end(),
+                "{name} (lines {read:?}) shares a line with the counter stripes ({counters:?})"
+            );
+        }
     }
 
     #[test]

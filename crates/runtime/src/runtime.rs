@@ -808,14 +808,15 @@ impl DimmunixRuntime {
 
     /// Clears this thread's pending fast hold if it is `lock`, under a
     /// single borrow of the route map. `Ok` means it was (the engine never
-    /// saw the hold); `Err` hands back the thread's id for the locked path.
-    fn clear_fast_held(&self, lock: LockId) -> Result<(), ThreadId> {
+    /// saw the hold), `Err` that the locked path must run; both hand back
+    /// the thread's id.
+    fn clear_fast_held(&self, lock: LockId) -> Result<ThreadId, ThreadId> {
         THREAD_ROUTE.with(|cell| {
             let mut map = cell.borrow_mut();
             let r = self.route_in(&mut map);
             if r.fast_held.map(|fh| fh.lock) == Some(lock) {
                 r.fast_held = None;
-                Ok(())
+                Ok(r.id)
             } else {
                 Err(r.id)
             }
@@ -1076,7 +1077,7 @@ impl DimmunixRuntime {
                         engine.publish_acquired(owner, fh.lock, fstack, fh.mode, seq);
                     });
                     route.after_acquired(fhome, !engine.rag().held_locks(owner).is_empty());
-                    self.summary.note_published();
+                    self.summary.note_published(owner);
                 }
                 let stale = route.stale_shard();
                 let o = request_cross_shard(guards, &self.router, owner, lock, stack, mode, stale);
@@ -1286,7 +1287,7 @@ impl DimmunixRuntime {
     pub fn after_acquire(&self, lock: LockId) {
         let route = self.route();
         if route.fast_held.map(|fh| fh.lock) == Some(lock) {
-            self.summary.note_fast_acquire();
+            self.summary.note_fast_acquire(route.id.into());
             return;
         }
         let (home, holds) = self.finish_locked(route.id.into(), lock);
@@ -1299,7 +1300,6 @@ impl DimmunixRuntime {
     /// never saw the request.
     pub fn cancel_acquire(&self, lock: LockId) {
         let Err(thread) = self.clear_fast_held(lock) else {
-            self.summary.note_fast_cancel();
             return;
         };
         // A thread is back from its park before it can cancel, so there is
@@ -1314,9 +1314,12 @@ impl DimmunixRuntime {
     /// bloom-clear at admission, so no history signature mentions it and the
     /// release can de-instantiate nothing.
     pub fn before_release(&self, lock: LockId) {
-        let Err(thread) = self.clear_fast_held(lock) else {
-            self.summary.note_fast_release();
-            return;
+        let thread = match self.clear_fast_held(lock) {
+            Ok(thread) => {
+                self.summary.note_fast_release(thread.into());
+                return;
+            }
+            Err(thread) => thread,
         };
         let (home, holds) = self.release_locked(thread.into(), lock);
         self.update_thread_route(|r| r.route.after_released(home, holds));

@@ -211,8 +211,11 @@ const WRITE_EVERY: usize = 8;
 /// and nothing nested. No signature is ever installed, so the epoch the
 /// fast path reads never moves and no owner is ever a blocker: every
 /// admission is a lock-free one, the engine sees no request, and nobody
-/// parks. (The timings of this regime are `flat_sections` of the
-/// `benchmark/` package.)
+/// parks. The fast-path counters are striped by owner (64 threads = 4 per
+/// stripe) and summed by `stats()`; the totals are live and exact, so they
+/// are read twice: once every section has run but half the threads are still
+/// registered, and again once all have retired. (The timings of this regime
+/// are `flat_sections` of the `benchmark/` package.)
 #[test]
 fn clean_contended_sections_are_all_fast_admits() {
     let rt = DimmunixRuntime::builder().shards(8).build();
@@ -223,10 +226,25 @@ fn clean_contended_sections_are_all_fast_admits() {
         .map(|_| ImmuneRwLock::new_in(&rt, 0))
         .collect();
     let start = Barrier::new(CONTENDED_THREADS);
+    // Every worker and the main thread; then the odd workers and the main
+    // thread.
+    let sections_done = Barrier::new(CONTENDED_THREADS + 1);
+    let resume = Barrier::new(CONTENDED_THREADS / 2 + 1);
+    let sections = (CONTENDED_THREADS * CONTENDED_SECTIONS) as u64;
+    let assert_exact_counts = |stats: dimmunix_core::Stats| {
+        assert_eq!(stats.fast_admits, sections);
+        assert_eq!(stats.slow_fallbacks, 0);
+        assert_eq!(stats.yields, 0);
+        assert_eq!(stats.deadlocks_detected, 0);
+        assert_eq!(stats.grants + stats.reentrant_grants, stats.requests);
+        assert_eq!(stats.acquisitions, sections);
+        assert_eq!(stats.releases, sections);
+    };
 
     thread::scope(|scope| {
         for w in 0..CONTENDED_THREADS {
             let (rt, mutexes, rwlocks, start) = (&rt, &mutexes, &rwlocks, &start);
+            let (sections_done, resume) = (&sections_done, &resume);
             scope.spawn(move || {
                 let line = w as u32;
                 let mutex_site = AcquisitionSite::new("contended.mutex", FILE, line);
@@ -243,20 +261,25 @@ fn clean_contended_sections_are_all_fast_admits() {
                         std::hint::black_box(*rwlocks[slot].read_at(read_site).unwrap());
                     }
                 }
-                rt.retire_current_thread();
+                // Even workers retire before the first read, odd ones after.
+                if w % 2 == 0 {
+                    rt.retire_current_thread();
+                }
+                sections_done.wait();
+                if w % 2 == 1 {
+                    resume.wait();
+                    rt.retire_current_thread();
+                }
             });
         }
+        sections_done.wait();
+        // Read, release the odd workers, then assert: a failed assertion
+        // must not leave them waiting.
+        let half_live = rt.stats();
+        resume.wait();
+        assert_exact_counts(half_live);
     });
-
-    let sections = (CONTENDED_THREADS * CONTENDED_SECTIONS) as u64;
-    let stats = rt.stats();
-    assert_eq!(stats.fast_admits, sections);
-    assert_eq!(stats.slow_fallbacks, 0);
-    assert_eq!(stats.yields, 0);
-    assert_eq!(stats.deadlocks_detected, 0);
-    assert_eq!(stats.grants + stats.reentrant_grants, stats.requests);
-    assert_eq!(stats.acquisitions, sections);
-    assert_eq!(stats.releases, sections);
+    assert_exact_counts(rt.stats());
     // Every write landed: the sections really ran under their locks.
     let mutex_sum: u64 = mutexes.iter().map(|m| *m.lock().unwrap()).sum();
     let rwlock_sum: u64 = rwlocks.iter().map(|l| *l.read().unwrap()).sum();
