@@ -5,14 +5,15 @@
 //! [`Dimmunix::request`] before a monitor acquisition, [`Dimmunix::acquired`]
 //! right after the acquisition succeeds, and [`Dimmunix::released`] right
 //! before the monitor is released. `request` answers with a
-//! [`RequestOutcome`]: proceed, park on a signature's condition variable and
-//! retry, or "a deadlock is happening right now" (the signature has already
-//! been saved for the next run).
+//! [`RequestOutcome`]: proceed, queue a waker on the signature and retry, or
+//! "a deadlock is happening right now" (the signature has already been saved
+//! for the next run).
 //!
 //! The engine is deliberately single-threaded: the paper serializes the three
 //! hooks with a global lock inside the VM, and the substrates here do the
-//! same (`Mutex<Dimmunix>` in `dimmunix-rt`, naturally serialized execution in
-//! `dalvik-sim`). Keeping the engine free of interior locking makes it
+//! same (`dimmunix-rt` keeps each shard engine behind its own mutex;
+//! `dimmunix-sim`, which `dalvik-sim` lowers its programs onto, runs one task
+//! at a time). Keeping the engine free of interior locking makes it
 //! deterministic and property-testable.
 
 use crate::admission::AdmissionSummary;
@@ -39,8 +40,8 @@ pub enum RequestOutcome {
     /// The thread already owns the monitor; proceed (reentrant acquisition).
     GrantedReentrant,
     /// Granting now could instantiate the given history signature: the thread
-    /// must wait (on the signature's condition variable, in the substrates)
-    /// and then call `request` again.
+    /// must wait (the substrates queue a waker on the signature) and then
+    /// call `request` again.
     Yield {
         /// The signature whose instantiation is being avoided.
         signature: SignatureId,
@@ -570,10 +571,10 @@ impl Dimmunix {
             // starvation probe and starvation signature, called with this
             // engine as the only shard.
             let mut scratch = std::mem::take(&mut self.match_scratch);
-            let only = std::slice::from_ref(&*self);
+            let starvation_handling = self.config.starvation_handling;
+            let only = &[Some(&mut *self)];
             let inst =
                 outer.and_then(|o| find_instantiation_merged(only, 0, t, o, l, mode, &mut scratch));
-            let starvation_handling = self.config.starvation_handling;
             let starvation_sig = inst
                 .as_ref()
                 .filter(|i| {
@@ -677,16 +678,22 @@ impl Dimmunix {
     /// so steady-state releases of in-history positions perform no
     /// allocation (the §4 release path runs on every monitor exit).
     pub fn released_into(&mut self, t: impl Into<OwnerId>, l: LockId, wake: &mut Vec<SignatureId>) {
-        let t = t.into();
         wake.clear();
+        wake.extend_from_slice(self.release(t.into(), l));
+    }
+
+    /// The release hook proper. The signatures to wake are borrowed from the
+    /// shared snapshot's index, so the locked ladder hands them to its wake
+    /// sink without copying them anywhere.
+    pub(crate) fn release(&mut self, t: OwnerId, l: LockId) -> &[SignatureId] {
         if self.config.is_disabled() {
             self.stats.releases += 1;
-            return;
+            return &[];
         }
         let Some(pos) = self.rag.release(t, l) else {
             // Nested monitor exit, or a release the engine never saw the
             // acquisition of; nothing to wake.
-            return;
+            return &[];
         };
         self.stats.releases += 1;
         // Reentrant balance identity: every top-level acquisition is matched
@@ -703,8 +710,12 @@ impl Dimmunix {
         if let Some(p) = self.positions.get_mut(pos) {
             p.queue_mut().remove_one(t);
         }
-        self.extend_wakeups_for_position(pos, wake);
+        // Same inverted index as the request path: the signatures whose outer
+        // positions include the released acquisition's position.
+        let outer = self.positions.get(pos).and_then(|p| p.history_ref());
+        let wake = outer.map_or(&[][..], |o| self.snapshot.index().signatures_at(o));
         self.stats.wakeups += wake.len() as u64;
+        wake
     }
 
     /// Abandons a granted-but-never-completed acquisition (e.g. the substrate
@@ -765,8 +776,8 @@ impl Dimmunix {
     }
 
     /// Wake-ups scheduled outside the release path (starvation resolution).
-    /// Substrates should drain these after every `request` call and notify
-    /// the corresponding signature condition variables.
+    /// Substrates should drain these after every `request` call and wake
+    /// every owner that queued a waker on one of the signatures.
     pub fn take_pending_wakeups(&mut self) -> Vec<SignatureId> {
         std::mem::take(&mut self.pending_wakeups)
     }
@@ -903,8 +914,6 @@ impl Dimmunix {
         let Some(outer) = self.positions.get(pos).and_then(|p| p.history_ref()) else {
             return;
         };
-        // Same inverted index as the request path: the signatures whose outer
-        // positions include the released acquisition's position.
         wake.extend_from_slice(self.snapshot.index().signatures_at(outer));
     }
 

@@ -93,10 +93,7 @@ pub use pvec::{PersistentMap, PersistentVec};
 pub use rag::{
     find_cycle_with, AccessMode, CycleStep, HeldEntry, LockOwner, Rag, WaitEdge, YieldRecord,
 };
-pub use sharded::{
-    broadcast_signature, request_cross_shard, try_request_local, LocalDecision, OwnerRoute,
-    ShardRouter, ShardedDimmunix, MAX_SHARDS,
-};
+pub use sharded::{OwnerRoute, ShardAccess, ShardedDimmunix, MAX_SHARDS};
 pub use signature::{Signature, SignatureKind, SignaturePair};
 pub use snapshot::{HistorySnapshot, OuterTable};
 pub use stats::Stats;

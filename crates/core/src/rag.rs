@@ -301,8 +301,9 @@ impl Rag {
     /// True if any live yield record names `t` among its blockers, i.e. a
     /// yield edge points *at* `t` in the wait-for relation. Together with
     /// "t holds no lock" (no request edge can point at it either) this
-    /// proves no cycle can run through `t` — the soundness condition of the
-    /// scoped-degradation admission gate.
+    /// proves no cycle can run through `t` — the exact fact the admission
+    /// summary's `is_blocker` over-approximates for the scoped-degradation
+    /// gate (the oracle proptests check that direction).
     pub fn lists_yield_blocker(&self, t: OwnerId) -> bool {
         self.yield_records().any(|(_, y)| y.blockers.contains(&t))
     }

@@ -24,24 +24,19 @@
 //!   outer ids, so the avoidance hot path still runs entirely inside the
 //!   home shard.
 //!
-//! ## Fast path vs cross-shard path
+//! ## The locked admission ladder: tier 2 vs tier 3
 //!
-//! A request can be decided entirely inside its home shard
-//! ([`try_request_local`]) when neither detection nor avoidance can possibly
-//! need another shard's state:
-//!
-//! * the requester holds no lock on any shard (so no wait-for cycle can run
-//!   through it — cycles need an edge *into* the requester, i.e. a lock it
-//!   holds), and
-//! * no history signature mentions the requesting position (so the
-//!   avoidance instantiation check is vacuous — the common case, since
-//!   deadlock histories touch few sites).
-//!
-//! Otherwise the request takes the cross-shard path
-//! ([`request_cross_shard`]): the caller acquires **all shards in ascending
-//! index order** (a total order, so two concurrent cross-shard requests
-//! cannot deadlock the engine itself) and the decision is computed against
-//! the merged view:
+//! [`ShardAccess`] is the one implementation of the locked tiers. A request
+//! is decided inside its home shard, under that shard's lock alone
+//! ([`try_request_local`], tier 2), when neither detection nor avoidance can
+//! need another shard's state: the requester holds no lock on any shard and
+//! no live yield record names it as a blocker (so no wait-for cycle can run
+//! through it), and no history signature mentions the requesting position
+//! (so the avoidance check is vacuous — the common case). Otherwise it takes
+//! the cross-shard path ([`request_cross_shard`], tier 3): the implementor holds
+//! **all shards in ascending index order** (a total order, so two concurrent
+//! cross-shard requests cannot deadlock the engine itself) and the decision
+//! is computed against the merged view:
 //!
 //! * the merged wait-for relation is the concatenation of the per-shard
 //!   relations (a thread's out-edges all live in the shard of its
@@ -63,17 +58,18 @@
 //! appended to every replica, the yield/queue bookkeeping is written to the
 //! shard that owns the affected lock, and counters land on the home shard.
 //!
-//! ## Determinism and the single-shard oracle
+//! ## Two implementors and the single-shard oracle
 //!
-//! [`ShardedDimmunix`] is, like [`Dimmunix`], a deterministic state machine
-//! with no interior locking; `dimmunix-rt` supplies the actual per-shard
-//! mutexes. `ShardedDimmunix` with `shards = 1` routes *everything* through
-//! one shard and is observably equivalent to a plain [`Dimmunix`], which is
-//! what the property tests exploit: the same random workload is driven
-//! through a monolithic engine and through sharded engines with several
-//! shard counts, asserting identical outcomes, counters, and histories
-//! (`tests/proptests.rs`).
+//! `dimmunix-rt` drives the ladder over one mutex per shard;
+//! [`ShardedDimmunix`] owns its shards outright, so it is, like
+//! [`Dimmunix`], a deterministic state machine with no interior locking
+//! that runs the very code the runtime's threads and tasks run. With
+//! `shards = 1` it is observably equivalent to a plain [`Dimmunix`], which
+//! the property tests exploit: the same random workload is driven through a
+//! monolithic engine and through sharded engines with several shard counts,
+//! asserting identical outcomes, counters, and histories.
 
+use crate::admission::AdmissionSummary;
 use crate::avoidance::{Instantiation, MatchScratch};
 use crate::callstack::CallStack;
 use crate::config::Config;
@@ -85,51 +81,31 @@ use crate::signature::{Signature, SignatureKind, SignaturePair};
 use crate::snapshot::HistorySnapshot;
 use crate::stats::Stats;
 use crate::{IdHashMap, LockId, OwnerId, SignatureId};
-use std::borrow::{Borrow, BorrowMut};
+use std::ops::DerefMut;
 use std::sync::Arc;
 
 /// Upper bound on the number of shards (holds-per-shard bookkeeping is a
 /// 64-bit mask).
 pub const MAX_SHARDS: usize = 64;
 
-/// Maps lock ids to shard indices.
-///
-/// The mapping is a Fibonacci multiplicative hash of the raw lock id, so
-/// substrates that allocate sequential ids (like `dimmunix-rt`) spread their
-/// locks evenly even when allocation patterns are strided.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardRouter {
-    shards: usize,
+/// The shard owning `lock` among `shards`: a Fibonacci multiplicative hash
+/// of the raw lock id, so substrates that allocate sequential ids (like
+/// `dimmunix-rt`) spread their locks evenly even when allocation patterns
+/// are strided.
+fn shard_index(lock: LockId, shards: usize) -> usize {
+    if shards == 1 {
+        return 0;
+    }
+    let mixed = lock.index().wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    // High bits of the product are the well-mixed ones.
+    ((mixed >> 32) % shards as u64) as usize
 }
 
-impl ShardRouter {
-    /// Creates a router over `shards` shards, clamped to `1..=MAX_SHARDS`.
-    pub fn new(shards: usize) -> Self {
-        ShardRouter {
-            shards: shards.clamp(1, MAX_SHARDS),
-        }
-    }
-
-    /// Number of shards routed over.
-    pub fn shard_count(&self) -> usize {
-        self.shards
-    }
-
-    /// The shard owning `lock`.
-    pub fn shard_of(&self, lock: LockId) -> usize {
-        if self.shards == 1 {
-            return 0;
-        }
-        let mixed = lock.index().wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        // High bits of the product are the well-mixed ones.
-        ((mixed >> 32) % self.shards as u64) as usize
-    }
-}
-
-/// Per-owner routing bookkeeping kept outside the shards: the one route type
-/// of [`ShardedDimmunix`] and the `dimmunix-rt` runtime (which embeds it in
-/// its per-thread and per-task state), so the two routing layers share one
-/// eligibility predicate and one set of transitions and cannot drift.
+/// Per-owner routing bookkeeping kept outside the shards: the shards the
+/// owner holds locks on, and the one still carrying a leftover request edge.
+/// Each [`ShardAccess`] implementor keeps one per owner and hands it to the
+/// ladder, which alone reads and transitions it; outside this crate it is an
+/// opaque value with one question, [`is_idle`](Self::is_idle).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OwnerRoute {
     /// Bit `s` set while the owner holds at least one lock on shard `s`.
@@ -142,27 +118,17 @@ pub struct OwnerRoute {
 
 impl OwnerRoute {
     /// True while no shard knows anything about the owner: no hold anywhere
-    /// and no leftover request edge.
+    /// and no leftover request edge — the owner's half of the lock-free
+    /// tier's precondition.
     pub fn is_idle(&self) -> bool {
         self.holds_mask == 0 && self.stale_shard.is_none()
     }
 
-    /// The shard still carrying a leftover request edge or yield record, if
-    /// any — [`request_cross_shard`]'s `prev_request_shard`.
-    pub fn stale_shard(&self) -> Option<usize> {
-        self.stale_shard
-    }
-
-    /// The owner-local half of the shard-local eligibility predicate: a
-    /// request may be decided inside its home shard alone iff the requester
-    /// holds no lock on any shard and any leftover request edge from an
-    /// abandoned acquisition lives in the home shard itself. The other half
-    /// — no yield record on any shard names the requester as a blocker — is
-    /// the caller's to evaluate, under a lock a parking operation would also
-    /// need (e.g. the home shard's mutex) so a concurrent park cannot be
-    /// missed. [`try_request_local`] documents why the two halves make the
-    /// shard-local decision identical to the monolithic one.
-    pub fn local_eligible(&self, home: usize) -> bool {
+    /// The owner-local half of tier 2's eligibility predicate: the requester
+    /// holds no lock on any shard, and any leftover request edge from an
+    /// abandoned acquisition lives in the home shard itself.
+    /// [`try_request_local`] has the other half and why the two suffice.
+    fn local_eligible(&self, home: usize) -> bool {
         self.holds_mask == 0 && self.stale_shard.map_or(true, |s| s == home)
     }
 
@@ -170,12 +136,9 @@ impl OwnerRoute {
     /// and `DeadlockDetected` leave the request edge (and, for yields, the
     /// park record) behind in the home shard until the owner retries,
     /// completes, or cancels; a grant's edge is consumed by the following
-    /// `acquired`; the reentrant fast path and a disabled engine touch no
-    /// edges, so the previous value stands.
-    pub fn after_request(&mut self, outcome: &RequestOutcome, home: usize, disabled: bool) {
-        if disabled {
-            return;
-        }
+    /// `acquired`; the reentrant fast path touches no edges, so the previous
+    /// value stands. (A disabled engine only ever grants.)
+    fn after_request(&mut self, outcome: &RequestOutcome, home: usize) {
         match outcome {
             RequestOutcome::Yield { .. } | RequestOutcome::DeadlockDetected { .. } => {
                 self.stale_shard = Some(home);
@@ -188,7 +151,7 @@ impl OwnerRoute {
     /// The transition after an acquisition on `home` was recorded: the
     /// acquisition consumed the home shard's request edge, and `holds` says
     /// whether the shard's RAG now records any hold for the owner.
-    pub fn after_acquired(&mut self, home: usize, holds: bool) {
+    fn after_acquired(&mut self, home: usize, holds: bool) {
         self.after_released(home, holds); // the same holds-mask transition
         self.after_cancel(home); // the same consumed-edge transition
     }
@@ -196,7 +159,7 @@ impl OwnerRoute {
     /// The holds-mask transition after an engine call on `home` changed (or
     /// may have changed) the owner's holds there. `holds` is re-derived from
     /// the shard's RAG rather than counted, so the mask can never drift.
-    pub fn after_released(&mut self, home: usize, holds: bool) {
+    fn after_released(&mut self, home: usize, holds: bool) {
         if holds {
             self.holds_mask |= 1 << home;
         } else {
@@ -208,50 +171,223 @@ impl OwnerRoute {
     /// request edge the home shard was carrying, so a stale marker pointing
     /// at `home` is cleared; a marker pointing elsewhere is untouched (the
     /// consumed edge was a different one).
-    pub fn after_cancel(&mut self, home: usize) {
+    fn after_cancel(&mut self, home: usize) {
         if self.stale_shard == Some(home) {
             self.stale_shard = None;
         }
     }
 }
 
-/// Outcome of the shard-local fast path.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LocalDecision {
-    /// The request was fully decided inside the home shard.
-    Decided(RequestOutcome),
-    /// The request may need another shard's state (the requesting position
-    /// appears in the history); the caller must take the cross-shard path.
-    /// No engine state was modified beyond interning the position.
-    NeedsCrossShard,
+/// How an implementor holds its shards, and the one locked admission ladder
+/// (tiers 2–3) over them: `dimmunix-rt` drives it over one mutex per shard,
+/// [`ShardedDimmunix`] over the engines it owns.
+///
+/// Each provided method is a step of the ladder, keyed by [`OwnerId`]. What
+/// only the runtime has — a lock-free hold to publish, a park, the wake
+/// sinks — comes in as arguments, called under the step's shard locks. A
+/// step that changes the owner's [`OwnerRoute`] returns the transition for
+/// the implementor to apply where it keeps the route. Every shard carries
+/// the implementor's one [`AdmissionSummary`], which tier 2's gate reads.
+pub trait ShardAccess {
+    /// One held shard: a mutex guard, or a plain `&mut` to an owned engine.
+    type Guard<'a>: DerefMut<Target = Dimmunix>
+    where
+        Self: 'a;
+
+    /// Number of shards, at most [`MAX_SHARDS`].
+    fn shard_count(&self) -> usize;
+
+    /// Holds shard `index` alone.
+    fn lock(&mut self, index: usize) -> Self::Guard<'_>;
+
+    /// Holds every shard, taken in ascending index order (the total order
+    /// that keeps a locking implementor from deadlocking itself); the slots past
+    /// [`shard_count`](Self::shard_count) are `None`.
+    fn lock_all(&mut self) -> [Option<Self::Guard<'_>>; MAX_SHARDS];
+
+    /// The next value of the implementor-wide acquisition sequence, stamped
+    /// into holds so merged views can order one owner's holds across shards.
+    fn next_seq(&mut self) -> u64;
+
+    /// The shard owning `lock`.
+    fn shard_of(&self, lock: LockId) -> usize {
+        shard_index(lock, self.shard_count())
+    }
+
+    /// Adds `sig` to the shared history under every shard lock, the path
+    /// detections take; returns its id and whether it was new.
+    fn add_signature_locked(&mut self, sig: Signature) -> (SignatureId, bool) {
+        let n = self.shard_count();
+        broadcast_signature(&mut self.lock_all()[..n], sig)
+    }
+
+    /// One engine decision: inside the home shard alone when neither
+    /// detection nor avoidance can need another shard's state (tier 2),
+    /// otherwise under every shard lock over the merged view (tier 3).
+    ///
+    /// A `fast_hold` (a lock the owner holds unseen by the engine, and the
+    /// call that publishes it) forces tier 3 and is published first. Tier 3
+    /// hands scheduled wake-ups to `wake_all` and runs `on_yield` **while
+    /// every shard lock is held**, so no release can slip past the park.
+    // Inlined so each implementor keeps a copy specialised to its arguments.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn decide_locked(
+        &mut self,
+        owner: OwnerId,
+        route: &mut OwnerRoute,
+        fast_hold: Option<(LockId, impl FnOnce(&mut Dimmunix, u64))>,
+        lock: LockId,
+        stack: &CallStack,
+        mode: AccessMode,
+        on_yield: impl FnOnce(SignatureId),
+        wake_all: impl FnOnce(&[SignatureId]),
+    ) -> RequestOutcome {
+        let home = self.shard_of(lock);
+        let mut decided = None;
+        if fast_hold.is_none() && route.local_eligible(home) {
+            let mut shard = self.lock(home);
+            // The parked half, read under the home shard's lock: parking or
+            // resuming an owner takes every shard lock, and the summary's
+            // blocker counts change only under those locks. The check is
+            // *scoped*: only a park whose yield record lists `owner` as a
+            // blocker forces tier 3.
+            if shard
+                .admission_summary()
+                .is_some_and(|s| !s.is_blocker(owner))
+            {
+                // A yield needs the requesting position in the history,
+                // which tier 2 declines: `on_yield` only ever runs on tier 3.
+                decided = try_request_local(&mut shard, owner, lock, stack, mode);
+            }
+        }
+
+        let outcome = match decided {
+            Some(decided) => decided,
+            None => {
+                let n = self.shard_count();
+                let publish = fast_hold
+                    .map(|(held, publish)| (self.shard_of(held), self.next_seq(), publish));
+                let mut all = self.lock_all();
+                let shards = &mut all[..n];
+                if let Some((fhome, seq, publish)) = publish {
+                    // After this the owner's every hold is engine-visible, so
+                    // the request below sees the full wait-for relation.
+                    let engine = at(shards, fhome);
+                    publish(engine, seq);
+                    route.after_acquired(fhome, !engine.rag().held_locks(owner).is_empty());
+                    if let Some(summary) = engine.admission_summary() {
+                        summary.note_published(owner);
+                    }
+                }
+                let o = request_cross_shard(shards, owner, lock, stack, mode, route.stale_shard);
+                // Starvation resolution and eviction schedule wake-ups; a
+                // request that did neither (nearly all) has none to drain.
+                if shards.iter().any(|s| shard(s).has_pending_wakeups()) {
+                    let pending: Vec<SignatureId> = (0..n)
+                        .flat_map(|i| at(shards, i).take_pending_wakeups())
+                        .collect();
+                    wake_all(&pending);
+                }
+                if let RequestOutcome::Yield { signature } = &o {
+                    on_yield(*signature);
+                }
+                o
+            }
+        };
+        route.after_request(&outcome, home);
+        outcome
+    }
+
+    /// Records `owner`'s completed acquisition of `lock` in its home shard,
+    /// stamped with the implementor-wide acquisition sequence.
+    #[inline(always)]
+    fn finish_locked(&mut self, owner: OwnerId, lock: LockId) -> impl FnOnce(&mut OwnerRoute) {
+        let home = self.shard_of(lock);
+        let seq = self.next_seq();
+        let mut shard = self.lock(home);
+        shard.acquired_with_seq(owner, lock, seq);
+        let holds = !shard.rag().held_locks(owner).is_empty();
+        move |route: &mut OwnerRoute| route.after_acquired(home, holds)
+    }
+
+    /// Backs `owner` out of an approved acquisition of `lock` that will not
+    /// be completed; the wake-ups the vacated slot is owed go to `wake_all`.
+    /// Also returns the signature the owner was still parked on, if any.
+    #[inline(always)]
+    fn cancel_locked(
+        &mut self,
+        owner: OwnerId,
+        lock: LockId,
+        wake_all: impl FnOnce(&[SignatureId]),
+    ) -> (Option<SignatureId>, impl FnOnce(&mut OwnerRoute)) {
+        let home = self.shard_of(lock);
+        let mut shard = self.lock(home);
+        let parked_on = shard.rag().yielding(owner).map(|y| y.signature);
+        shard.cancel_request(owner, lock);
+        if shard.has_pending_wakeups() {
+            wake_all(&shard.take_pending_wakeups());
+        }
+        (parked_on, move |r: &mut OwnerRoute| r.after_cancel(home))
+    }
+
+    /// Releases `owner`'s hold on `lock` in its home shard; the signatures
+    /// the release may de-instantiate go to `wake_front`.
+    #[inline(always)]
+    fn release_locked(
+        &mut self,
+        owner: OwnerId,
+        lock: LockId,
+        wake_front: impl FnOnce(&[SignatureId]),
+    ) -> impl FnOnce(&mut OwnerRoute) {
+        let home = self.shard_of(lock);
+        let mut shard = self.lock(home);
+        let wake = shard.release(owner, lock);
+        if !wake.is_empty() {
+            wake_front(wake);
+        }
+        let holds = !shard.rag().held_locks(owner).is_empty();
+        move |route: &mut OwnerRoute| route.after_released(home, holds)
+    }
+
+    /// Unregisters `owner` on every shard, force-releasing anything it still
+    /// holds; the signatures those releases owe a wake-up go to `wake_all`,
+    /// sorted and deduplicated. The caller drops the owner's route.
+    fn retire_locked(&mut self, owner: OwnerId, wake_all: impl FnOnce(&[SignatureId])) {
+        let n = self.shard_count();
+        let mut wake = Vec::new();
+        let mut all = self.lock_all();
+        for i in 0..n {
+            wake.extend(at(&mut all, i).unregister_owner(owner));
+        }
+        wake.sort_unstable_by_key(|s| s.index());
+        wake.dedup();
+        if !wake.is_empty() {
+            wake_all(&wake);
+        }
+    }
 }
 
-/// Attempts to decide a request entirely inside its home shard.
+/// Tier 2: decides a request entirely inside its home shard, or returns
+/// `None` (having only interned the position) when the requesting position
+/// appears in the history and tier 3 must decide.
 ///
-/// Precondition (enforced by the callers, [`ShardedDimmunix`] and the
-/// `dimmunix-rt` runtime): the requesting thread holds no lock on **any**
-/// shard, has no outstanding request or yield record on a *different*
-/// shard, and **no yield record on any shard names it as a blocker**
-/// ([`Rag::lists_yield_blocker`](crate::Rag::lists_yield_blocker) is false
-/// everywhere — a yield record's blocker list is a snapshot, so a
-/// starvation cycle can run through a thread that holds no lock at all,
-/// but only by traversing a yield edge that names it). The first two
-/// conditions are [`OwnerRoute::local_eligible`]; the third is the
-/// caller's to read under the home shard's lock. A hold-free requester has no other
-/// possible in-edge, so under that precondition no wait-for cycle can pass
-/// through it, and shard-local detection plus an empty per-position
-/// signature list make the shard-local decision identical to the
-/// monolithic one.
-pub fn try_request_local(
+/// Precondition, checked by [`ShardAccess::decide_locked`]: the requester
+/// holds no lock on **any** shard, has no outstanding request or yield
+/// record on a *different* shard ([`OwnerRoute::local_eligible`]), and **no
+/// live yield record names it as a blocker** (a blocker list is a snapshot,
+/// so a starvation cycle can run through a hold-free owner, but only along
+/// a yield edge naming it). With no possible in-edge no cycle can pass
+/// through it, so the shard-local decision is the monolithic one.
+fn try_request_local(
     shard: &mut Dimmunix,
-    t: impl Into<OwnerId>,
+    t: OwnerId,
     l: LockId,
     stack: &CallStack,
     mode: AccessMode,
-) -> LocalDecision {
-    let t = t.into();
+) -> Option<RequestOutcome> {
     if shard.config().is_disabled() {
-        return LocalDecision::Decided(shard.request_mode(t, l, stack, mode));
+        return Some(shard.request_mode(t, l, stack, mode));
     }
     let pos = shard.intern_position(stack);
     // A position mentioned by any signature carries a link to its canonical
@@ -263,36 +399,31 @@ pub fn try_request_local(
         .and_then(|p| p.history_ref())
         .is_some()
     {
-        return LocalDecision::NeedsCrossShard;
+        return None;
     }
-    LocalDecision::Decided(shard.request_at_mode(t, l, pos, mode))
+    Some(shard.request_at_mode(t, l, pos, mode))
 }
 
-/// Decides a request against the full multi-shard view.
+/// Decides a request against the full multi-shard view (tier 3).
 ///
-/// `shards` must contain **every** shard (the caller holds all of them, in
-/// ascending index order when the shards live behind locks), `home` is the
-/// index owning `l`, and `prev_request_shard` is the shard still carrying
-/// the thread's previous request edge or yield record, if any (the request
-/// edge moves to `home`, mirroring the monolithic engine's overwrite).
-/// A shard is reached however the caller holds it — the engines themselves
-/// ([`ShardedDimmunix`]), `&mut` references, or a substrate's mutex guards —
-/// so no caller builds a second list of references beside the one it has.
+/// `shards` must contain **every** shard, held in ascending index order (the
+/// slots of [`ShardAccess::lock_all`]), and `prev_request_shard` is the shard
+/// still carrying the thread's previous request edge or yield record, if any
+/// (the request edge moves to `l`'s home shard, mirroring the monolithic
+/// engine's overwrite).
 ///
 /// The decision logic mirrors [`Dimmunix::request_at`] step for step; only
 /// the state accessors are merged across shards as described in the module
 /// docs.
-pub fn request_cross_shard(
-    shards: &mut [impl BorrowMut<Dimmunix>],
-    router: &ShardRouter,
-    t: impl Into<OwnerId>,
+fn request_cross_shard(
+    shards: &mut [Option<impl Held>],
+    t: OwnerId,
     l: LockId,
     stack: &CallStack,
     mode: AccessMode,
     prev_request_shard: Option<usize>,
 ) -> RequestOutcome {
-    let t = t.into();
-    let home = router.shard_of(l);
+    let home = shard_index(l, shards.len());
     // A different shard still carrying the requester's last edge or record.
     let prev = prev_request_shard.filter(|prev| *prev != home);
     let h = at(shards, home);
@@ -339,7 +470,7 @@ pub fn request_cross_shard(
         let detected = find_cycle_with(t, |th, out| {
             merged_successors(ro, th, include_yields, |next, edge| out.push((next, edge)));
         })
-        .map(|steps| classify_cycle_merged(ro, router, &steps));
+        .map(|steps| classify_cycle_merged(ro, &steps));
         if let Some(detected) = detected {
             let is_starvation = detected.involves_yield;
             let (sig_id, new) = broadcast_signature(shards, detected.signature.clone());
@@ -433,17 +564,23 @@ pub fn request_cross_shard(
 // Merged-view helpers
 // ----------------------------------------------------------------------
 //
-// Generic over how a shard is borrowed, so one read-only view of the
-// caller's own list serves detection and avoidance alike. The two accessors
-// pin `Borrow`'s target type, which method-call syntax would leave ambiguous
-// against the reflexive `impl Borrow<T> for T`.
+// Generic over how a shard is held, so one read-only view of the caller's
+// own list serves detection and avoidance alike.
 
-fn shard(s: &impl Borrow<Dimmunix>) -> &Dimmunix {
-    s.borrow()
+/// A held shard, as the merged helpers reach it through the slots of a
+/// [`ShardAccess::lock_all`] array: a mutex guard, or a `&mut` engine.
+pub(crate) trait Held: DerefMut<Target = Dimmunix> {}
+
+impl<G: DerefMut<Target = Dimmunix>> Held for G {}
+
+fn shard(s: &Option<impl Held>) -> &Dimmunix {
+    s.as_deref().expect("slot of an existing shard")
 }
 
-fn at(shards: &mut [impl BorrowMut<Dimmunix>], index: usize) -> &mut Dimmunix {
-    shards[index].borrow_mut()
+fn at(shards: &mut [Option<impl Held>], index: usize) -> &mut Dimmunix {
+    shards[index]
+        .as_deref_mut()
+        .expect("slot of an existing shard")
 }
 
 /// The merged wait-for successors of `t`: concatenation of the per-shard
@@ -451,7 +588,7 @@ fn at(shards: &mut [impl BorrowMut<Dimmunix>], index: usize) -> &mut Dimmunix {
 /// blockers) all live in the shard of its outstanding request, so
 /// concatenation yields exactly the monolithic successor list.
 fn merged_successors(
-    shards: &[impl Borrow<Dimmunix>],
+    shards: &[Option<impl Held>],
     t: OwnerId,
     include_yields: bool,
     mut visit: impl FnMut(OwnerId, WaitEdge),
@@ -464,17 +601,14 @@ fn merged_successors(
 /// A position pinned to the shard whose table interned it.
 type ShardPos = (usize, PositionId);
 
-fn stack_at(shards: &[impl Borrow<Dimmunix>], loc: Option<ShardPos>) -> CallStack {
+fn stack_at(shards: &[Option<impl Held>], loc: Option<ShardPos>) -> CallStack {
     loc.and_then(|(s, p)| shard(&shards[s]).positions().get(p))
         .map(|p| p.stack().clone())
         .unwrap_or_default()
 }
 
 /// The shard and record of `t`'s outstanding request, if any.
-fn requesting_any(
-    shards: &[impl Borrow<Dimmunix>],
-    t: OwnerId,
-) -> Option<(usize, LockId, PositionId)> {
+fn requesting_any(shards: &[Option<impl Held>], t: OwnerId) -> Option<(usize, LockId, PositionId)> {
     shards
         .iter()
         .map(shard)
@@ -483,7 +617,7 @@ fn requesting_any(
 }
 
 /// The shard and yield record of `t`, if it is parked by avoidance.
-fn yielding_any(shards: &[impl Borrow<Dimmunix>], t: OwnerId) -> Option<(usize, &YieldRecord)> {
+fn yielding_any(shards: &[Option<impl Held>], t: OwnerId) -> Option<(usize, &YieldRecord)> {
     shards
         .iter()
         .map(shard)
@@ -492,14 +626,14 @@ fn yielding_any(shards: &[impl Borrow<Dimmunix>], t: OwnerId) -> Option<(usize, 
 }
 
 /// Clears `t`'s yield record in whichever shard carries it.
-fn clear_yield_any(shards: &mut [impl BorrowMut<Dimmunix>], t: OwnerId) -> Option<YieldRecord> {
+fn clear_yield_any(shards: &mut [Option<impl Held>], t: OwnerId) -> Option<YieldRecord> {
     (0..shards.len()).find_map(|i| at(shards, i).clear_yield_tracked(t))
 }
 
 /// Latest lock held by `t` (by global acquisition sequence) whose
 /// acquisition position is flagged as in-history — the merged equivalent of
 /// `detection::last_history_hold`.
-fn last_history_hold_merged(shards: &[impl Borrow<Dimmunix>], t: OwnerId) -> Option<ShardPos> {
+fn last_history_hold_merged(shards: &[Option<impl Held>], t: OwnerId) -> Option<ShardPos> {
     shards
         .iter()
         .map(shard)
@@ -522,7 +656,7 @@ fn last_history_hold_merged(shards: &[impl Borrow<Dimmunix>], t: OwnerId) -> Opt
 
 /// Latest lock held by `t` across all shards, by global acquisition
 /// sequence — the merged equivalent of `held_locks(t).last()`.
-fn last_hold_merged(shards: &[impl Borrow<Dimmunix>], t: OwnerId) -> Option<ShardPos> {
+fn last_hold_merged(shards: &[Option<impl Held>], t: OwnerId) -> Option<ShardPos> {
     shards
         .iter()
         .map(shard)
@@ -541,8 +675,7 @@ fn last_hold_merged(shards: &[impl Borrow<Dimmunix>], t: OwnerId) -> Option<Shar
 /// resolves positions through the shard that interned them and hold recency
 /// through the global acquisition sequence.
 fn classify_cycle_merged(
-    shards: &[impl Borrow<Dimmunix>],
-    router: &ShardRouter,
+    shards: &[Option<impl Held>],
     steps: &[CycleStep],
 ) -> crate::detection::DetectedCycle {
     let n = steps.len();
@@ -559,7 +692,7 @@ fn classify_cycle_merged(
             WaitEdge::Lock(lock) => {
                 // The waited-on thread is one owner among possibly several
                 // (a reader crowd): the template position is *its* `acqPos`.
-                let s = router.shard_of(*lock);
+                let s = shard_index(*lock, shards.len());
                 shard(&shards[s])
                     .rag()
                     .acq_pos_of(*lock, waited_on)
@@ -616,7 +749,7 @@ fn classify_cycle_merged(
 /// and sharded decisions cannot drift. `scratch` is the caller's reused
 /// working memory; nothing is read from it.
 pub(crate) fn find_instantiation_merged(
-    shards: &[impl Borrow<Dimmunix>],
+    shards: &[Option<impl Held>],
     home: usize,
     thread: OwnerId,
     outer: PositionId,
@@ -701,7 +834,7 @@ fn crowd_mate_occupancy(s: &Dimmunix, p: &crate::Position, c: OwnerId, lock: Loc
 /// asks the same question as the one-shard call. The worklist is the
 /// candidate buffer of `scratch`, free again once a match was extracted.
 pub(crate) fn would_starve_merged(
-    shards: &[impl Borrow<Dimmunix>],
+    shards: &[Option<impl Held>],
     t: OwnerId,
     blockers: &[OwnerId],
     scratch: &mut MatchScratch,
@@ -728,7 +861,7 @@ pub(crate) fn would_starve_merged(
 /// participant (the would-be parked owner, whose request `home` answers, plus
 /// its blockers), using the most informative stable position for each.
 pub(crate) fn starvation_signature_merged(
-    shards: &[impl Borrow<Dimmunix>],
+    shards: &[Option<impl Held>],
     home: usize,
     pos: PositionId,
     blockers: &[OwnerId],
@@ -756,21 +889,12 @@ pub(crate) fn starvation_signature_merged(
 /// remaining shards only swap their `Arc` and reconcile their local
 /// position links. `shards` must contain every shard, held under the
 /// all-shard lock (ascending order) when the shards live behind mutexes.
-///
-/// Exposed so substrates that wrap shards in their own mutexes
-/// (`dimmunix-rt`) install antibodies through the identical code path.
-pub fn broadcast_signature(
-    shards: &mut [impl BorrowMut<Dimmunix>],
-    sig: Signature,
-) -> (SignatureId, bool) {
-    let (first, rest) = shards.split_first_mut().expect("at least one shard");
-    let first: &mut Dimmunix = first.borrow_mut();
-    let (id, new) = first.insert_signature(sig);
+fn broadcast_signature(shards: &mut [Option<impl Held>], sig: Signature) -> (SignatureId, bool) {
+    let (id, new) = at(shards, 0).insert_signature(sig);
     if new {
-        let snapshot = Arc::clone(first.history_snapshot());
-        for s in rest {
-            let s: &mut Dimmunix = s.borrow_mut();
-            s.install_snapshot(Arc::clone(&snapshot));
+        let snapshot = Arc::clone(at(shards, 0).history_snapshot());
+        for i in 1..shards.len() {
+            at(shards, i).install_snapshot(Arc::clone(&snapshot));
         }
     }
     debug_assert!(
@@ -787,13 +911,48 @@ pub fn broadcast_signature(
 // The deterministic sharded engine
 // ----------------------------------------------------------------------
 
+/// The shards a [`ShardedDimmunix`] owns outright: holding one is a `&mut`
+/// borrow, so the ladder runs without a single lock.
+#[derive(Debug)]
+struct OwnedShards {
+    engines: Vec<Dimmunix>,
+    /// Global acquisition counter stamped into every shard's RAG holds.
+    next_seq: u64,
+}
+
+impl ShardAccess for OwnedShards {
+    type Guard<'a> = &'a mut Dimmunix;
+
+    fn shard_count(&self) -> usize {
+        self.engines.len()
+    }
+
+    fn lock(&mut self, index: usize) -> &mut Dimmunix {
+        &mut self.engines[index]
+    }
+
+    fn lock_all(&mut self) -> [Option<&mut Dimmunix>; MAX_SHARDS] {
+        let mut all = std::array::from_fn(|_| None);
+        for (slot, engine) in all.iter_mut().zip(&mut self.engines) {
+            *slot = Some(engine);
+        }
+        all
+    }
+
+    fn next_seq(&mut self) -> u64 {
+        self.next_seq += 1;
+        self.next_seq - 1
+    }
+}
+
 /// A sharded, deterministic Dimmunix engine.
 ///
 /// Semantically a [`Dimmunix`] whose state is partitioned by lock id across
 /// `N` internal shards (see the module docs for the ownership model). Like
-/// the monolithic engine it contains no interior locking: `dimmunix-rt`
-/// wraps each shard in its own mutex, while tests and simulators drive this
-/// type directly and rely on its determinism.
+/// the monolithic engine it contains no interior locking: it runs the
+/// [`ShardAccess`] ladder's tiers 2–3 without a lock, the same code the
+/// `dimmunix-rt` runtime runs under its per-shard mutexes, while tests and
+/// simulators drive this type directly and rely on its determinism.
 ///
 /// ```
 /// use dimmunix_core::{CallStack, Config, Frame, LockId, ShardedDimmunix, OwnerId};
@@ -807,13 +966,15 @@ pub fn broadcast_signature(
 /// let _wake = engine.released(t, l);
 /// assert_eq!(engine.stats().grants, 1);
 /// ```
-#[derive(Debug, Clone)]
+// Not `Clone`: every shard shares one attached admission summary, whose
+// atomics a clone would share too.
+#[derive(Debug)]
 pub struct ShardedDimmunix {
-    shards: Vec<Dimmunix>,
-    router: ShardRouter,
-    /// Global acquisition counter stamped into every shard's RAG holds.
-    next_seq: u64,
+    shards: OwnedShards,
     owner_routes: IdHashMap<OwnerId, OwnerRoute>,
+    /// Wake-ups the ladder drained from the shards and handed to its
+    /// wake-all sink, kept for [`take_pending_wakeups`](Self::take_pending_wakeups).
+    woken: Vec<SignatureId>,
 }
 
 impl ShardedDimmunix {
@@ -834,74 +995,75 @@ impl ShardedDimmunix {
     }
 
     /// Completes construction from the first shard: the remaining shards
-    /// receive clones of its snapshot `Arc`, never their own copy.
+    /// receive clones of its snapshot `Arc`, never their own copy, and every
+    /// shard the one admission summary the ladder's tier-2 gate reads.
     fn from_first(config: Config, shards: usize, mut first: Dimmunix) -> Self {
-        let router = ShardRouter::new(shards);
+        let shards = shards.clamp(1, MAX_SHARDS);
         let snapshot = Arc::clone(first.history_snapshot());
+        let summary = Arc::new(AdmissionSummary::new());
         // One stack interner serves every shard: a site hot on several
         // shards is resident once, not once per shard.
         let interner = Arc::new(crate::StackInterner::new());
+        first.attach_admission_summary(Arc::clone(&summary));
         first.share_stack_interner(Arc::clone(&interner));
-        let mut engines = Vec::with_capacity(router.shard_count());
+        let mut engines = Vec::with_capacity(shards);
         engines.push(first);
-        for _ in 1..router.shard_count() {
+        for _ in 1..shards {
             let mut shard = Dimmunix::with_snapshot(config.clone(), Arc::clone(&snapshot));
+            shard.attach_admission_summary(Arc::clone(&summary));
             shard.share_stack_interner(Arc::clone(&interner));
             engines.push(shard);
         }
         ShardedDimmunix {
-            shards: engines,
-            router,
-            next_seq: 1,
+            shards: OwnedShards {
+                engines,
+                next_seq: 1,
+            },
             owner_routes: IdHashMap::default(),
+            woken: Vec::new(),
         }
     }
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The lock-id router.
-    pub fn router(&self) -> &ShardRouter {
-        &self.router
+        self.shards.engines.len()
     }
 
     /// The shard owning `lock`.
     pub fn shard_of(&self, lock: LockId) -> usize {
-        self.router.shard_of(lock)
+        self.shards.shard_of(lock)
     }
 
     /// Read access to one shard (tests and diagnostics).
     pub fn shard(&self, index: usize) -> &Dimmunix {
-        &self.shards[index]
+        &self.shards.engines[index]
     }
 
     /// Diagnostics of the history-log recovery performed at construction
     /// (the replay happens once, on the first shard; see
     /// [`Dimmunix::recovery_report`]). `None` when no log replay happened.
     pub fn recovery_report(&self) -> Option<&crate::RecoveryReport> {
-        self.shards[0].recovery_report()
+        self.shard(0).recovery_report()
     }
 
     /// The engine configuration (identical across shards).
     pub fn config(&self) -> &Config {
-        self.shards[0].config()
+        self.shard(0).config()
     }
 
     /// The deadlock history (read from the shared snapshot).
     pub fn history(&self) -> &History {
-        self.shards[0].history()
+        self.shard(0).history()
     }
 
     /// The shared history snapshot all shards read.
     pub fn history_snapshot(&self) -> &Arc<HistorySnapshot> {
-        self.shards[0].history_snapshot()
+        self.shard(0).history_snapshot()
     }
 
     /// Rolled-up activity counters: the sum of every shard's [`Stats`].
     pub fn stats(&self) -> Stats {
-        Stats::merged(self.shards.iter().map(|s| s.stats()))
+        Stats::merged(self.shards.engines.iter().map(|s| s.stats()))
     }
 
     /// Estimated resident memory added by the sharded engine, in bytes.
@@ -912,6 +1074,7 @@ impl ShardedDimmunix {
         self.history_snapshot().memory_footprint_bytes()
             + self
                 .shards
+                .engines
                 .iter()
                 .map(|s| s.local_memory_footprint_bytes())
                 .sum::<usize>()
@@ -920,7 +1083,7 @@ impl ShardedDimmunix {
     /// Registers an owner (thread or task) on every shard. Idempotent.
     pub fn register_owner(&mut self, t: impl Into<OwnerId>) {
         let t = t.into();
-        for s in &mut self.shards {
+        for s in &mut self.shards.engines {
             s.register_owner(t);
         }
     }
@@ -930,38 +1093,32 @@ impl ShardedDimmunix {
     pub fn unregister_owner(&mut self, t: impl Into<OwnerId>) -> Vec<SignatureId> {
         let t = t.into();
         let mut wake = Vec::new();
-        for s in &mut self.shards {
-            wake.extend(s.unregister_owner(t));
-        }
-        wake.sort_unstable_by_key(|s| s.index());
-        wake.dedup();
+        self.shards
+            .retire_locked(t, |sigs| wake.extend_from_slice(sigs));
         self.owner_routes.remove(&t);
         wake
     }
 
     /// Registers a lock on its home shard. Idempotent.
     pub fn register_lock(&mut self, l: LockId) {
-        let home = self.router.shard_of(l);
-        self.shards[home].register_lock(l);
+        let home = self.shard_of(l);
+        self.shards.engines[home].register_lock(l);
     }
 
     /// Unregisters a lock from its home shard.
     pub fn unregister_lock(&mut self, l: LockId) {
-        let home = self.router.shard_of(l);
-        self.shards[home].unregister_lock(l);
+        let home = self.shard_of(l);
+        self.shards.engines[home].unregister_lock(l);
     }
 
     /// Adds a signature to the shared history and installs the successor
     /// snapshot into every shard; returns its id and whether it was new.
     pub fn add_signature(&mut self, sig: Signature) -> (SignatureId, bool) {
-        broadcast_signature(&mut self.shards, sig)
+        self.shards.add_signature_locked(sig)
     }
 
     /// Called before a monitor (exclusive) acquisition; see
     /// [`Dimmunix::request`].
-    ///
-    /// Requests that cannot touch another shard's state are decided inside
-    /// the home shard; the rest take the cross-shard snapshot path.
     pub fn request(
         &mut self,
         t: impl Into<OwnerId>,
@@ -981,35 +1138,18 @@ impl ShardedDimmunix {
         mode: AccessMode,
     ) -> RequestOutcome {
         let t = t.into();
-        let home = self.router.shard_of(l);
-        let mut route = self.owner_routes.get(&t).copied().unwrap_or_default();
-        // Scoped degradation: a parked owner only degrades requests its yield
-        // record could actually involve in a cycle — those naming `t` in a
-        // blocker list (a yield edge is the only possible in-edge to a
-        // hold-free requester, so any cycle through `t` must traverse one).
-        // Everyone else stays on the shard-local fast path.
-        let local_ok = route.local_eligible(home)
-            && !self
-                .shards
-                .iter()
-                .any(|s| s.rag().yield_count() > 0 && s.rag().lists_yield_blocker(t));
-
-        let local = if local_ok {
-            try_request_local(&mut self.shards[home], t, l, stack, mode)
-        } else {
-            LocalDecision::NeedsCrossShard
-        };
-        let outcome = match local {
-            LocalDecision::Decided(outcome) => outcome,
-            LocalDecision::NeedsCrossShard => {
-                let stale = route.stale_shard();
-                request_cross_shard(&mut self.shards, &self.router, t, l, stack, mode, stale)
-            }
-        };
-
-        route.after_request(&outcome, home, self.config().is_disabled());
-        self.owner_routes.insert(t, route);
-        outcome
+        let route = self.owner_routes.entry(t).or_default();
+        let woken = &mut self.woken;
+        self.shards.decide_locked(
+            t,
+            route,
+            None::<(LockId, fn(&mut Dimmunix, u64))>,
+            l,
+            stack,
+            mode,
+            |_| {},
+            |sigs| woken.extend_from_slice(sigs),
+        )
     }
 
     /// Called right after the monitor acquisition succeeded; see
@@ -1017,12 +1157,8 @@ impl ShardedDimmunix {
     /// acquisition sequence.
     pub fn acquired(&mut self, t: impl Into<OwnerId>, l: LockId) {
         let t = t.into();
-        let home = self.router.shard_of(l);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.shards[home].acquired_with_seq(t, l, seq);
-        let holds = self.holds_on(t, home);
-        self.route_mut(t).after_acquired(home, holds);
+        let acquired = self.shards.finish_locked(t, l);
+        acquired(self.owner_routes.entry(t).or_default());
     }
 
     /// Called right before the monitor is released; see
@@ -1036,27 +1172,30 @@ impl ShardedDimmunix {
     /// Allocation-free release path; see [`Dimmunix::released_into`].
     pub fn released_into(&mut self, t: impl Into<OwnerId>, l: LockId, wake: &mut Vec<SignatureId>) {
         let t = t.into();
-        let home = self.router.shard_of(l);
-        self.shards[home].released_into(t, l, wake);
-        let holds = self.holds_on(t, home);
-        self.route_mut(t).after_released(home, holds);
+        wake.clear();
+        let released = self
+            .shards
+            .release_locked(t, l, |sigs| wake.extend_from_slice(sigs));
+        released(self.owner_routes.entry(t).or_default());
     }
 
     /// Abandons a granted-but-never-completed acquisition; see
     /// [`Dimmunix::cancel_request`].
     pub fn cancel_request(&mut self, t: impl Into<OwnerId>, l: LockId) {
         let t = t.into();
-        let home = self.router.shard_of(l);
-        self.shards[home].cancel_request(t, l);
-        self.route_mut(t).after_cancel(home);
+        let woken = &mut self.woken;
+        let (_, cancelled) = self
+            .shards
+            .cancel_locked(t, l, |sigs| woken.extend_from_slice(sigs));
+        cancelled(self.owner_routes.entry(t).or_default());
     }
 
     /// Drains wake-ups scheduled outside the release path (starvation
-    /// resolution) from every shard; see
+    /// resolution, cancellations, evictions); see
     /// [`Dimmunix::take_pending_wakeups`].
     pub fn take_pending_wakeups(&mut self) -> Vec<SignatureId> {
-        let mut out = Vec::new();
-        for s in &mut self.shards {
+        let mut out = std::mem::take(&mut self.woken);
+        for s in &mut self.shards.engines {
             out.extend(s.take_pending_wakeups());
         }
         out
@@ -1069,17 +1208,7 @@ impl ShardedDimmunix {
     /// # Errors
     /// Returns an error if no path is configured or the write fails.
     pub fn save_history(&self) -> crate::error::Result<()> {
-        self.shards[0].save_history()
-    }
-
-    /// Whether `shard`'s RAG records any hold for `t` (exact, so the
-    /// holds mask derived from it can never drift).
-    fn holds_on(&self, t: OwnerId, shard: usize) -> bool {
-        !self.shards[shard].rag().held_locks(t).is_empty()
-    }
-
-    fn route_mut(&mut self, t: OwnerId) -> &mut OwnerRoute {
-        self.owner_routes.entry(t).or_default()
+        self.shard(0).save_history()
     }
 }
 
@@ -1117,8 +1246,8 @@ mod tests {
         };
         for outcome in [yielded(), refused] {
             let mut r = OwnerRoute::default();
-            r.after_request(&outcome, 3, false);
-            assert_eq!(r.stale_shard(), Some(3));
+            r.after_request(&outcome, 3);
+            assert_eq!(r.stale_shard, Some(3));
             assert!(!r.is_idle() && r.local_eligible(3) && !r.local_eligible(4));
         }
     }
@@ -1126,19 +1255,18 @@ mod tests {
     #[test]
     fn only_a_grant_or_the_home_shard_clears_a_stale_edge() {
         let mut r = OwnerRoute::default();
-        r.after_request(&yielded(), 3, false);
-        r.after_request(&RequestOutcome::GrantedReentrant, 5, false);
-        r.after_request(&RequestOutcome::Granted, 5, true); // disabled: no edge moves
+        r.after_request(&yielded(), 3);
+        r.after_request(&RequestOutcome::GrantedReentrant, 5);
         r.after_cancel(4);
         r.after_acquired(4, false);
-        assert_eq!(r.stale_shard(), Some(3));
+        assert_eq!(r.stale_shard, Some(3));
         r.after_cancel(3);
-        assert_eq!(r.stale_shard(), None);
-        r.after_request(&yielded(), 3, false);
+        assert_eq!(r.stale_shard, None);
+        r.after_request(&yielded(), 3);
         r.after_acquired(3, true);
-        assert_eq!(r.stale_shard(), None);
-        r.after_request(&yielded(), 3, false);
-        r.after_request(&RequestOutcome::Granted, 5, false);
-        assert_eq!(r.stale_shard(), None);
+        assert_eq!(r.stale_shard, None);
+        r.after_request(&yielded(), 3);
+        r.after_request(&RequestOutcome::Granted, 5);
+        assert_eq!(r.stale_shard, None);
     }
 }

@@ -44,8 +44,8 @@ pub struct Stats {
     /// position are touched); a linear scan would grow it by |history| per
     /// check.
     pub signatures_examined: u64,
-    /// Wake-ups issued on the release path (threads resumed from signature
-    /// condition variables).
+    /// Wake-ups issued on the release path (owners woken from the waker
+    /// queued on the signature).
     pub wakeups: u64,
     /// Antibodies retired by generation-based eviction at `max_signatures`
     /// (never matched within the configured eviction window).

@@ -11,9 +11,9 @@
 
 use dimmunix_core::{
     find_instantiation, AccessMode, CallStack, Config, Dimmunix, Frame, History, Instantiation,
-    LockId, OwnerQueue, PersistentMap, PersistentVec, PositionId, PositionTable, RequestOutcome,
-    ShardedDimmunix, Signature, SignatureId, SignatureIndex, SignatureKind, SignaturePair,
-    ThreadId,
+    LockId, OwnerId, OwnerQueue, PersistentMap, PersistentVec, PositionId, PositionTable,
+    RequestOutcome, ShardedDimmunix, Signature, SignatureId, SignatureIndex, SignatureKind,
+    SignaturePair, ThreadId,
 };
 use dimmunix_testkit::schedule::{
     plan_mixed_step, plan_mutex_step, pretrain_history, universe_site, PlannedStep,
@@ -440,6 +440,30 @@ fn prop_engine_consistent_on_ordered_workloads() {
     }
 }
 
+/// The admission summary the locked ladder's tier-2 gate trusts, checked
+/// against the RAGs it summarises on every sharded engine: `parked_total`
+/// counts exactly the live yield records across the shards, and every owner
+/// some shard's RAG lists as a yield blocker reads `is_blocker` — the
+/// direction tiers 1–2 rely on (the converse may fail on a stripe
+/// collision, which only costs a slower tier).
+fn assert_summaries_cover_rags(sharded: &[ShardedDimmunix], owners: u64, seed: u64, step: usize) {
+    let ctx = format!("seed {seed} step {step}");
+    for s in sharded {
+        let n = s.shard_count();
+        let summary = s
+            .shard(0)
+            .admission_summary()
+            .expect("a summary is attached");
+        let records: usize = (0..n).map(|i| s.shard(i).rag().yield_count()).sum();
+        assert_eq!(summary.parked_total(), records as u64, "{ctx} (shards {n})");
+        for t in (0..owners).map(OwnerId::thread) {
+            if (0..n).any(|i| s.shard(i).rag().lists_yield_blocker(t)) {
+                assert!(summary.is_blocker(t), "{ctx} (shards {n}): {t} unflagged");
+            }
+        }
+    }
+}
+
 /// **Sharded engine ≡ monolithic engine.** Drives the same randomly
 /// scheduled lock workload — random nesting, contention, deadlock cycles,
 /// yield/park/retry, pre-trained histories — through a monolithic
@@ -499,6 +523,7 @@ fn prop_sharded_engine_equals_monolithic_oracle() {
                         for s in &mut sharded {
                             s.acquired(t, l);
                         }
+                        assert_summaries_cover_rags(&sharded, THREADS, seed, step);
                         held[tid].push(lraw);
                         mode[tid] = ThreadMode::Running;
                     }
@@ -522,6 +547,7 @@ fn prop_sharded_engine_equals_monolithic_oracle() {
                                          (shards {n})"
                                     );
                                 }
+                                assert_summaries_cover_rags(&sharded, THREADS, seed, step);
                                 continue;
                             }
                             // No reentrant acquisitions except through random
@@ -539,6 +565,7 @@ fn prop_sharded_engine_equals_monolithic_oracle() {
                             "seed {seed} step {step}: outcome diverges (shards {n}, t{tid}, l{lraw})"
                         );
                     }
+                    assert_summaries_cover_rags(&sharded, THREADS, seed, step);
                     match outcome {
                         RequestOutcome::Granted => {
                             if oracle.rag().owner(l).is_none() {
@@ -546,6 +573,7 @@ fn prop_sharded_engine_equals_monolithic_oracle() {
                                 for s in &mut sharded {
                                     s.acquired(t, l);
                                 }
+                                assert_summaries_cover_rags(&sharded, THREADS, seed, step);
                                 held[tid].push(lraw);
                                 mode[tid] = ThreadMode::Running;
                             } else {
@@ -557,6 +585,7 @@ fn prop_sharded_engine_equals_monolithic_oracle() {
                             for s in &mut sharded {
                                 s.acquired(t, l);
                             }
+                            assert_summaries_cover_rags(&sharded, THREADS, seed, step);
                             held[tid].push(lraw);
                             mode[tid] = ThreadMode::Running;
                         }
@@ -570,6 +599,7 @@ fn prop_sharded_engine_equals_monolithic_oracle() {
                             for s in &mut sharded {
                                 s.cancel_request(t, l);
                             }
+                            assert_summaries_cover_rags(&sharded, THREADS, seed, step);
                             mode[tid] = ThreadMode::Running;
                         }
                     }
@@ -694,6 +724,7 @@ fn prop_sharded_engine_equals_monolithic_oracle_mixed_rwlock() {
                         for s in &mut sharded {
                             s.acquired(t, l);
                         }
+                        assert_summaries_cover_rags(&sharded, THREADS, seed, step);
                         held[tid].push((lraw, m));
                         mode[tid] = ThreadMode::Running;
                     }
@@ -717,6 +748,7 @@ fn prop_sharded_engine_equals_monolithic_oracle_mixed_rwlock() {
                                     "seed {seed} step {step}: release wake-ups diverge (shards {n})"
                                 );
                             }
+                            assert_summaries_cover_rags(&sharded, THREADS, seed, step);
                             continue;
                         }
                         PlannedStep::Skip => unreachable!("mixed schedules never skip"),
@@ -733,6 +765,7 @@ fn prop_sharded_engine_equals_monolithic_oracle_mixed_rwlock() {
                              (shards {n}, t{tid}, l{lraw}, {m:?})"
                         );
                     }
+                    assert_summaries_cover_rags(&sharded, THREADS, seed, step);
                     match outcome {
                         RequestOutcome::Granted => {
                             if compatible(&held, tid, lraw, m) {
@@ -740,6 +773,7 @@ fn prop_sharded_engine_equals_monolithic_oracle_mixed_rwlock() {
                                 for s in &mut sharded {
                                     s.acquired(t, l);
                                 }
+                                assert_summaries_cover_rags(&sharded, THREADS, seed, step);
                                 held[tid].push((lraw, m));
                                 mode[tid] = ThreadMode::Running;
                             } else {
@@ -759,6 +793,7 @@ fn prop_sharded_engine_equals_monolithic_oracle_mixed_rwlock() {
                             for s in &mut sharded {
                                 s.acquired(t, l);
                             }
+                            assert_summaries_cover_rags(&sharded, THREADS, seed, step);
                             held[tid].push((lraw, existing));
                             mode[tid] = ThreadMode::Running;
                         }
@@ -770,6 +805,7 @@ fn prop_sharded_engine_equals_monolithic_oracle_mixed_rwlock() {
                             for s in &mut sharded {
                                 s.cancel_request(t, l);
                             }
+                            assert_summaries_cover_rags(&sharded, THREADS, seed, step);
                             mode[tid] = ThreadMode::Running;
                         }
                     }

@@ -10,9 +10,9 @@
 //! [`OwnerId::Task`](dimmunix_core::OwnerId) instead:
 //!
 //! * [`Mutex`] and [`RwLock`] are **poll-based** immune locks: where the
-//!   blocking runtime parks an OS thread on a condition variable when the
-//!   engine answers *yield*, the async lock registers the task's waker on
-//!   the signature and returns `Poll::Pending`; the release path fires the
+//!   blocking runtime parks an OS thread until the waker it queues on the
+//!   signature fires, the async lock queues the task's waker on the
+//!   signature and returns `Poll::Pending`; the release path fires the
 //!   waker and the future re-requests — the paper's
 //!   `do { … } while (sigId >= 0)` loop, driven by the executor.
 //! * A guard held across an `.await` **is a hold edge** in the RAG, under

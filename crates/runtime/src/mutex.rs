@@ -17,10 +17,12 @@
 //! deterministic site identity.
 //!
 //! The lock id allocated at construction determines the engine shard whose
-//! mutex screens this lock's acquisitions (see
-//! [`RuntimeOptions::shards`](crate::RuntimeOptions::shards)): two
-//! `ImmuneMutex`es on different shards synchronize through entirely
-//! disjoint engine state on the hot path.
+//! mutex guards this lock's engine state (see
+//! [`RuntimeOptions::shards`](crate::RuntimeOptions::shards)). A clean
+//! acquisition takes no shard mutex at all; one the lock-free tier declines
+//! is decided by `dimmunix-core`'s locked ladder under that mutex alone when
+//! it can be, so two `ImmuneMutex`es on different shards synchronize
+//! through disjoint engine state.
 
 use crate::runtime::{DimmunixRuntime, LockError};
 use crate::site::AcquisitionSite;

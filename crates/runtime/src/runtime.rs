@@ -12,14 +12,12 @@
 //! hooks behind one global VM lock, this runtime shards the engine state by
 //! lock id ([`RuntimeOptions::shards`]). Each shard is an independent
 //! [`Dimmunix`] engine behind its own mutex, so uncontended acquisitions of
-//! locks on different shards proceed in parallel. A request that might close
-//! a deadlock cycle (the requester already holds locks, a parked owner's
-//! yield record names it, or the requesting position appears in the history)
-//! takes the cross-shard path instead: every shard mutex is acquired in
-//! ascending index order (a total order, so the runtime cannot deadlock
-//! itself) and the decision is computed by `dimmunix-core`'s
-//! [`request_cross_shard`] against the merged view. See
-//! `dimmunix_core::ShardedDimmunix` for the ownership model and
+//! locks on different shards proceed in parallel. Past the lock-free tier
+//! (below), every hook drives `dimmunix-core`'s one locked admission ladder,
+//! [`ShardAccess`], over those mutexes — the same ladder
+//! `dimmunix_core::ShardedDimmunix` drives without locks. A request that
+//! might close a deadlock cycle takes every shard mutex in ascending index
+//! order (a total order, so the runtime cannot deadlock itself); see
 //! `ARCHITECTURE.md` for the full protocol.
 //!
 //! The deadlock history is **not** sharded: every shard reads one shared,
@@ -41,14 +39,12 @@ use crate::exchange::{ExchangeOptions, ExchangeState, ExchangeStats};
 use crate::site::AcquisitionSite;
 use crate::sync;
 use dimmunix_core::{
-    broadcast_signature, request_cross_shard, try_request_local, AccessMode, Admission,
-    AdmissionSummary, CallStack, Config, Dimmunix, History, HistorySnapshot, IdHashMap,
-    LocalDecision, LockId, OwnerId, OwnerRoute, PositionId, RecoveryReport, RequestOutcome,
-    ShardRouter, Signature, SignatureId, SiteKey, StackInterner, Stats, TaskId, ThreadId,
+    AccessMode, Admission, AdmissionSummary, CallStack, Config, Dimmunix, History, HistorySnapshot,
+    IdHashMap, LockId, OwnerId, OwnerRoute, PositionId, RecoveryReport, RequestOutcome,
+    ShardAccess, Signature, SignatureId, SiteKey, StackInterner, Stats, TaskId, ThreadId,
     MAX_SHARDS,
 };
 use dimmunix_exchange::{Pack, PackError};
-use std::borrow::{Borrow, BorrowMut};
 use std::collections::VecDeque;
 use std::fmt;
 use std::path::PathBuf;
@@ -340,50 +336,40 @@ impl Wake for ThreadParker {
     }
 }
 
-/// One engine shard and its per-shard scratch state, behind one mutex.
-struct ShardCell {
-    engine: Dimmunix,
-    /// Reused buffer for the release-path wake-up list, so steady-state
-    /// releases perform no allocation.
-    wake_scratch: Vec<SignatureId>,
+/// The engine shards, one mutex each, and the acquisition sequence stamped
+/// into their holds: the runtime's implementor of core's admission ladder, and
+/// the one place the runtime takes a shard mutex (counted in test builds).
+struct EngineShards {
+    engines: Vec<Mutex<Dimmunix>>,
+    acq_seq: AtomicU64,
+    #[cfg(feature = "test-util")]
+    locks_taken: AtomicU64,
 }
 
-impl ShardCell {
-    fn new(engine: Dimmunix) -> Self {
-        ShardCell {
-            engine,
-            wake_scratch: Vec::new(),
-        }
+impl<'r> ShardAccess for &'r EngineShards {
+    type Guard<'a>
+        = MutexGuard<'r, Dimmunix>
+    where
+        Self: 'a;
+
+    fn shard_count(&self) -> usize {
+        self.engines.len()
     }
-}
 
-/// One slot of the all-shard lock: the guard of the shard with this index,
-/// empty past the runtime's shard count. Dereferences to the cell; core's
-/// cross-shard functions reach the engine through `Borrow`.
-struct LockedShard<'a>(Option<MutexGuard<'a, ShardCell>>);
-
-impl std::ops::Deref for LockedShard<'_> {
-    type Target = ShardCell;
-    fn deref(&self) -> &ShardCell {
-        self.0.as_deref().expect("slot of an existing shard")
+    fn lock(&mut self, index: usize) -> MutexGuard<'r, Dimmunix> {
+        #[cfg(feature = "test-util")]
+        self.locks_taken.fetch_add(1, Ordering::Relaxed);
+        sync::lock(&self.engines[index])
     }
-}
 
-impl std::ops::DerefMut for LockedShard<'_> {
-    fn deref_mut(&mut self) -> &mut ShardCell {
-        self.0.as_deref_mut().expect("slot of an existing shard")
+    fn lock_all(&mut self) -> [Option<MutexGuard<'r, Dimmunix>>; MAX_SHARDS] {
+        let mut all = std::array::from_fn(|_| None);
+        (0..self.engines.len()).for_each(|i| all[i] = Some(self.lock(i)));
+        all
     }
-}
 
-impl Borrow<Dimmunix> for LockedShard<'_> {
-    fn borrow(&self) -> &Dimmunix {
-        &self.engine
-    }
-}
-
-impl BorrowMut<Dimmunix> for LockedShard<'_> {
-    fn borrow_mut(&mut self) -> &mut Dimmunix {
-        &mut self.engine
+    fn next_seq(&mut self) -> u64 {
+        self.acq_seq.fetch_add(1, Ordering::Relaxed)
     }
 }
 
@@ -482,12 +468,8 @@ fn cached_site<R>(site: AcquisitionSite, f: impl FnOnce(&Arc<CallStack>, SiteKey
 pub struct DimmunixRuntime {
     /// Engine shards, one mutex each; cross-shard operations acquire them in
     /// ascending index order.
-    shards: Vec<Mutex<ShardCell>>,
-    router: ShardRouter,
+    shards: EngineShards,
     options: RuntimeOptions,
-    /// Global acquisition sequence, stamped into shard RAG holds so merged
-    /// views can order holds across shards.
-    acq_seq: AtomicU64,
     /// Shared lock-free admission summary: a seqlock-published digest of
     /// every shard's history bloom, per-blocker park counts, and fast-path
     /// counters. Each shard engine holds a clone of this `Arc` and updates
@@ -552,7 +534,7 @@ impl fmt::Debug for DimmunixRuntime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DimmunixRuntime")
             .field("options", &self.options)
-            .field("shards", &self.shards.len())
+            .field("shards", &self.shard_count())
             .finish_non_exhaustive()
     }
 }
@@ -601,26 +583,29 @@ impl DimmunixRuntime {
     /// shards receive clones of its snapshot `Arc` — one shared history
     /// per runtime, regardless of the shard count.
     fn assemble_from(options: RuntimeOptions, mut first: Dimmunix) -> Arc<Self> {
-        let router = ShardRouter::new(options.shards);
+        let count = options.shards.clamp(1, MAX_SHARDS);
         let snapshot = Arc::clone(first.history_snapshot());
         let summary = Arc::new(AdmissionSummary::new());
         let interner = Arc::new(StackInterner::new());
         first.attach_admission_summary(Arc::clone(&summary));
         first.share_stack_interner(Arc::clone(&interner));
-        let mut shards = Vec::with_capacity(router.shard_count());
-        shards.push(Mutex::new(ShardCell::new(first)));
-        for _ in 1..router.shard_count() {
+        let mut engines = Vec::with_capacity(count);
+        engines.push(Mutex::new(first));
+        for _ in 1..count {
             let mut engine = Dimmunix::with_snapshot(options.config.clone(), Arc::clone(&snapshot));
             engine.attach_admission_summary(Arc::clone(&summary));
             engine.share_stack_interner(Arc::clone(&interner));
-            shards.push(Mutex::new(ShardCell::new(engine)));
+            engines.push(Mutex::new(engine));
         }
         let exchange = options.exchange.clone().map(ExchangeState::new);
         let rt = Arc::new(DimmunixRuntime {
-            shards,
-            router,
+            shards: EngineShards {
+                engines,
+                acq_seq: AtomicU64::new(1),
+                #[cfg(feature = "test-util")]
+                locks_taken: AtomicU64::new(0),
+            },
             options,
-            acq_seq: AtomicU64::new(1),
             summary,
             instance: NEXT_RUNTIME_INSTANCE.fetch_add(1, Ordering::Relaxed),
             next_thread: AtomicU64::new(1),
@@ -737,12 +722,19 @@ impl DimmunixRuntime {
 
     /// Number of engine shards.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        (&self.shards).shard_count()
     }
 
     /// The shard owning `lock` (diagnostics and tests).
     pub fn shard_of(&self, lock: LockId) -> usize {
-        self.router.shard_of(lock)
+        (&self.shards).shard_of(lock)
+    }
+
+    /// Shard-mutex acquisitions so far: the per-hook budget tests pin.
+    #[cfg(feature = "test-util")]
+    #[doc(hidden)]
+    pub fn shard_locks_taken(&self) -> u64 {
+        self.shards.locks_taken.load(Ordering::Relaxed)
     }
 
     /// Identifier of the calling OS thread, registering it on first use (the
@@ -761,8 +753,9 @@ impl DimmunixRuntime {
     fn route_in<'m>(&self, map: &'m mut IdHashMap<u64, ThreadRoute>) -> &'m mut ThreadRoute {
         map.entry(self.instance).or_insert_with(|| {
             let id = ThreadId::new(self.next_thread.fetch_add(1, Ordering::Relaxed));
-            for shard in &self.shards {
-                sync::lock(shard).engine.register_owner(id);
+            let mut shards = &self.shards;
+            for i in 0..shards.shard_count() {
+                shards.lock(i).register_owner(id);
             }
             ThreadRoute {
                 id,
@@ -827,8 +820,8 @@ impl DimmunixRuntime {
     /// monitor and embedding a RAG node) and registers it on its home shard.
     pub fn allocate_lock(&self) -> LockId {
         let id = LockId::new(self.next_lock.fetch_add(1, Ordering::Relaxed));
-        let home = self.router.shard_of(id);
-        sync::lock(&self.shards[home]).engine.register_lock(id);
+        let mut shards = &self.shards;
+        shards.lock(shards.shard_of(id)).register_lock(id);
         id
     }
 
@@ -839,10 +832,7 @@ impl DimmunixRuntime {
     /// at start-up to tell "no antibodies yet" apart from "antibodies lost
     /// to corruption" — the engine no longer starts silently empty.
     pub fn recovery_report(&self) -> Option<RecoveryReport> {
-        sync::lock(&self.shards[0])
-            .engine
-            .recovery_report()
-            .cloned()
+        (&self.shards).lock(0).recovery_report().cloned()
     }
 
     /// Snapshot of the engine counters, rolled up across shards and folded
@@ -853,8 +843,9 @@ impl DimmunixRuntime {
     /// counters, so published admits are subtracted to avoid double counting.
     pub fn stats(&self) -> Stats {
         let mut total = Stats::new();
-        for shard in &self.shards {
-            total.merge(sync::lock(shard).engine.stats());
+        let mut shards = &self.shards;
+        for i in 0..shards.shard_count() {
+            total.merge(shards.lock(i).stats());
         }
         let s = &self.summary;
         let fast_admits = s.fast_admits();
@@ -881,7 +872,7 @@ impl DimmunixRuntime {
     /// Snapshot of the current history (cloned out of the shared
     /// [`HistorySnapshot`]).
     pub fn history(&self) -> History {
-        sync::lock(&self.shards[0]).engine.history().clone()
+        (&self.shards).lock(0).history().clone()
     }
 
     /// The shared history snapshot every shard currently reads. Cheap (one
@@ -889,15 +880,14 @@ impl DimmunixRuntime {
     /// immutable and stays internally consistent even as detections swap in
     /// successors.
     pub fn history_snapshot(&self) -> Arc<HistorySnapshot> {
-        Arc::clone(sync::lock(&self.shards[0]).engine.history_snapshot())
+        Arc::clone((&self.shards).lock(0).history_snapshot())
     }
 
     /// Adds a signature (vendor antibody or synthetic benchmark signature)
     /// to the shared history, under the all-shard lock — the same
     /// append-once/install-everywhere path detections take.
     pub fn add_signature(&self, sig: Signature) -> SignatureId {
-        let mut guards = self.lock_all_shards();
-        broadcast_signature(&mut guards[..self.shards.len()], sig).0
+        (&self.shards).add_signature_locked(sig).0
     }
 
     /// Estimated bytes of memory the runtime adds to the process: the
@@ -905,16 +895,16 @@ impl DimmunixRuntime {
     /// state (positions, RAG, outer links). The figure stays essentially
     /// flat as the shard count grows.
     pub fn memory_footprint_bytes(&self) -> usize {
-        let mut total = 0usize;
-        let mut snapshot = 0usize;
-        for (i, shard) in self.shards.iter().enumerate() {
-            let g = sync::lock(shard);
+        let mut shards = &self.shards;
+        let mut total = 0;
+        for i in 0..shards.shard_count() {
+            let engine = shards.lock(i);
             if i == 0 {
-                snapshot = g.engine.history_snapshot().memory_footprint_bytes();
+                total += engine.history_snapshot().memory_footprint_bytes();
             }
-            total += g.engine.local_memory_footprint_bytes();
+            total += engine.local_memory_footprint_bytes();
         }
-        total + snapshot
+        total
     }
 
     /// Rewrites the configured history log to exactly the current history
@@ -924,7 +914,7 @@ impl DimmunixRuntime {
     /// # Errors
     /// Fails if no path is configured or the write fails.
     pub fn save_history(&self) -> dimmunix_core::Result<()> {
-        sync::lock(&self.shards[0]).engine.save_history()
+        (&self.shards).lock(0).save_history()
     }
 
     /// Queues `waker` for `owner` on `signature`: the one way an owner of
@@ -991,120 +981,19 @@ impl DimmunixRuntime {
     }
 
     // ------------------------------------------------------------------
-    // The locked admission path, keyed by owner
+    // The locked admission path: core's ladder over `self.shards`
     // ------------------------------------------------------------------
     //
-    // One implementation for OS threads and async tasks; the public hooks
-    // below adapt it and differ only in where an owner's route lives
-    // (`THREAD_ROUTE` vs `task_routes`) and in who drives the retry after a
-    // park (the hook's own loop vs the executor).
-
-    /// Every shard lock, in ascending index order (the total order that
-    /// keeps the runtime from deadlocking itself), in a fixed array so that
-    /// nothing is allocated; callers slice to `..self.shards.len()`.
-    fn lock_all_shards(&self) -> [LockedShard<'_>; MAX_SHARDS] {
-        let mut guards = std::array::from_fn(|_| LockedShard(None));
-        for (slot, shard) in guards.iter_mut().zip(&self.shards) {
-            slot.0 = Some(sync::lock(shard));
-        }
-        guards
-    }
-
-    /// One engine decision on the locked admission ladder: inside the home
-    /// shard alone when neither detection nor avoidance can need another
-    /// shard's state, otherwise under every shard lock, over the merged
-    /// view. `route` is the caller's copy of the owner's route, updated in
-    /// place; the caller stores it back. On the all-shard path a pending
-    /// `fast_hold` (threads only) is published before the request, starvation
-    /// wake-ups are delivered, and a `Yield` runs `on_yield` **while every
-    /// shard lock is still held**: a release that would wake the signature
-    /// needs a shard lock, so the waker `on_yield` queues cannot miss it.
-    // Inlined so each adapter keeps a copy specialised to its `on_yield` (and,
-    // for tasks, to `fast_hold == None`), as when the ladder was written twice.
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    fn decide_locked(
-        &self,
-        owner: OwnerId,
-        route: &mut OwnerRoute,
-        fast_hold: Option<FastHold>,
-        lock: LockId,
-        stack: &CallStack,
-        mode: AccessMode,
-        on_yield: impl FnOnce(SignatureId),
-    ) -> RequestOutcome {
-        let home = self.router.shard_of(lock);
-        let mut outcome = None;
-        // Owner-local half of the eligibility predicate. A pending fast hold
-        // forces the all-shard path, which publishes it before requesting.
-        if fast_hold.is_none() && route.local_eligible(home) {
-            let mut cell = sync::lock(&self.shards[home]);
-            // The parked half, read under the home shard's lock: parking or
-            // resuming an owner requires every shard lock (including home),
-            // and the summary's blocker counts are updated from under those
-            // locks, so the answer cannot be invalidated while home is held.
-            // The check is *scoped*: only a park whose yield record lists
-            // `owner` as a blocker forces the all-shard path (a yield
-            // record's blocker list is a snapshot, so a starvation cycle can
-            // pass through an owner that holds no lock — but only through
-            // owners the record actually names).
-            if !self.summary.is_blocker(owner) {
-                if let LocalDecision::Decided(o) =
-                    try_request_local(&mut cell.engine, owner, lock, stack, mode)
-                {
-                    // A yield needs the requesting position in the history,
-                    // which answers `NeedsCrossShard`: `on_yield` only ever
-                    // runs on the all-shard path, where it is race-free.
-                    debug_assert!(!matches!(o, RequestOutcome::Yield { .. }));
-                    outcome = Some(o);
-                }
-            }
-        }
-
-        let outcome = match outcome {
-            Some(o) => o,
-            None => {
-                let mut all = self.lock_all_shards();
-                let guards = &mut all[..self.shards.len()];
-                if let Some(fh) = fast_hold {
-                    // Publish the fast-path hold into its home shard first:
-                    // after this the owner's every hold is engine-visible, so
-                    // the request below sees the full wait-for relation.
-                    let fhome = self.router.shard_of(fh.lock);
-                    let seq = self.acq_seq.fetch_add(1, Ordering::Relaxed);
-                    let engine = &mut guards[fhome].engine;
-                    cached_site(fh.site, |fstack, _| {
-                        engine.publish_acquired(owner, fh.lock, fstack, fh.mode, seq);
-                    });
-                    route.after_acquired(fhome, !engine.rag().held_locks(owner).is_empty());
-                    self.summary.note_published(owner);
-                }
-                let stale = route.stale_shard();
-                let o = request_cross_shard(guards, &self.router, owner, lock, stack, mode, stale);
-                // Starvation resolution and eviction schedule wake-ups; a
-                // request that did neither (nearly all) has none to drain.
-                if guards.iter().any(|g| g.engine.has_pending_wakeups()) {
-                    let pending: Vec<SignatureId> = guards
-                        .iter_mut()
-                        .flat_map(|g| g.engine.take_pending_wakeups())
-                        .collect();
-                    self.notify_signatures(&pending);
-                }
-                if let RequestOutcome::Yield { signature } = &o {
-                    on_yield(*signature);
-                }
-                o
-            }
-        };
-        route.after_request(&outcome, home, self.options.config.is_disabled());
-        outcome
-    }
+    // The public hooks below adapt it for threads and tasks and differ only
+    // in where an owner's route lives (`THREAD_ROUTE` vs `task_routes`) and
+    // in who drives the retry after a park (the hook's loop vs the executor).
 
     /// One pass of the paper's `lockMonitor` loop for an owner of either
     /// kind: the engine's decision, the park if it says yield (`waker` is
     /// built only then) and the policy's verdict on a detection. The caller
     /// stores `route` back and retries a park once the waker has fired.
-    // Inlined for the same reason as `decide_locked`.
+    // Inlined so each adapter keeps a copy of the ladder specialised to its
+    // arguments; one shared copy cost `nested_transfers` 4 %.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     fn request_once(
@@ -1119,8 +1008,20 @@ impl DimmunixRuntime {
         waker: impl FnOnce() -> Waker,
     ) -> TaskAcquire {
         let stack = cached_site(site, |stack, _| Arc::clone(stack));
+        // Published from the stack the locked path would have interned.
+        let fast_hold = fast_hold.map(|fh| {
+            (fh.lock, move |engine: &mut Dimmunix, seq| {
+                cached_site(fh.site, |s, _| {
+                    engine.publish_acquired(owner, fh.lock, s, fh.mode, seq)
+                })
+            })
+        });
         let on_yield = |signature| self.park_on(signature, owner, waker());
-        match self.decide_locked(owner, route, fast_hold, lock, &stack, mode, on_yield) {
+        let wake_all = |sigs: &[SignatureId]| self.notify_signatures(sigs);
+        let mut shards = &self.shards;
+        match shards.decide_locked(
+            owner, route, fast_hold, lock, &stack, mode, on_yield, wake_all,
+        ) {
             RequestOutcome::Granted | RequestOutcome::GrantedReentrant => TaskAcquire::Granted,
             RequestOutcome::Yield { signature } => TaskAcquire::Parked { signature },
             RequestOutcome::DeadlockDetected { signature, .. } => {
@@ -1140,63 +1041,6 @@ impl DimmunixRuntime {
                     DeadlockPolicy::Block => TaskAcquire::Granted,
                 }
             }
-        }
-    }
-
-    /// Records `owner`'s completed acquisition in the lock's home shard,
-    /// stamped with the runtime-global acquisition sequence so merged views
-    /// can order holds across shards. Returns the home shard and whether the
-    /// owner holds anything there, for the caller's route transition.
-    fn finish_locked(&self, owner: OwnerId, lock: LockId) -> (usize, bool) {
-        let home = self.router.shard_of(lock);
-        let seq = self.acq_seq.fetch_add(1, Ordering::Relaxed);
-        let mut cell = sync::lock(&self.shards[home]);
-        cell.engine.acquired_with_seq(owner, lock, seq);
-        (home, !cell.engine.rag().held_locks(owner).is_empty())
-    }
-
-    /// Backs `owner` out of an approved acquisition that will not be
-    /// completed, waking whoever was parked behind the slot its grant
-    /// occupied. Returns the home shard and the signature the owner was
-    /// still parked on, if any.
-    fn cancel_locked(&self, owner: OwnerId, lock: LockId) -> (usize, Option<SignatureId>) {
-        let home = self.router.shard_of(lock);
-        let mut cell = sync::lock(&self.shards[home]);
-        let parked_on = cell.engine.rag().yielding(owner).map(|y| y.signature);
-        cell.engine.cancel_request(owner, lock);
-        if cell.engine.has_pending_wakeups() {
-            self.notify_signatures(&cell.engine.take_pending_wakeups());
-        }
-        (home, parked_on)
-    }
-
-    /// Engine release + release-driven wake-ups under the home shard's lock.
-    /// Returns the home shard and whether the owner still holds anything
-    /// there.
-    fn release_locked(&self, owner: OwnerId, lock: LockId) -> (usize, bool) {
-        let home = self.router.shard_of(lock);
-        let mut cell = sync::lock(&self.shards[home]);
-        let ShardCell {
-            engine,
-            wake_scratch,
-        } = &mut *cell;
-        engine.released_into(owner, lock, wake_scratch);
-        if !wake_scratch.is_empty() {
-            self.notify_signatures_released(wake_scratch);
-        }
-        (home, !engine.rag().held_locks(owner).is_empty())
-    }
-
-    /// Unregisters `owner` on every shard, force-releasing anything it still
-    /// holds and waking whoever that unblocks. The caller drops the route.
-    fn retire_locked(&self, owner: OwnerId) {
-        let mut guards = self.lock_all_shards();
-        let mut wake: Vec<SignatureId> = Vec::new();
-        for g in &mut guards[..self.shards.len()] {
-            wake.extend(g.engine.unregister_owner(owner));
-        }
-        if !wake.is_empty() {
-            self.notify_signatures(&wake);
         }
     }
 
@@ -1290,8 +1134,9 @@ impl DimmunixRuntime {
             self.summary.note_fast_acquire(route.id.into());
             return;
         }
-        let (home, holds) = self.finish_locked(route.id.into(), lock);
-        self.update_thread_route(|r| r.route.after_acquired(home, holds));
+        let mut shards = &self.shards;
+        let acquired = shards.finish_locked(route.id.into(), lock);
+        self.update_thread_route(|r| acquired(&mut r.route));
     }
 
     /// Backs out of an approved acquisition that will not be completed
@@ -1304,8 +1149,10 @@ impl DimmunixRuntime {
         };
         // A thread is back from its park before it can cancel, so there is
         // no parked signature to clean up after.
-        let (home, _) = self.cancel_locked(thread.into(), lock);
-        self.update_thread_route(|r| r.route.after_cancel(home));
+        let mut shards = &self.shards;
+        let (_, cancelled) =
+            shards.cancel_locked(thread.into(), lock, |sigs| self.notify_signatures(sigs));
+        self.update_thread_route(|r| cancelled(&mut r.route));
     }
 
     /// The `unlockMonitor` prologue: releases in the owning shard and wakes
@@ -1321,8 +1168,11 @@ impl DimmunixRuntime {
             }
             Err(thread) => thread,
         };
-        let (home, holds) = self.release_locked(thread.into(), lock);
-        self.update_thread_route(|r| r.route.after_released(home, holds));
+        let mut shards = &self.shards;
+        let released = shards.release_locked(thread.into(), lock, |sigs| {
+            self.notify_signatures_released(sigs)
+        });
+        self.update_thread_route(|r| released(&mut r.route));
     }
 
     /// Unregisters the calling thread (normally done when a worker exits),
@@ -1331,7 +1181,7 @@ impl DimmunixRuntime {
     pub fn retire_current_thread(&self) {
         let route = THREAD_ROUTE.with(|cell| cell.borrow_mut().remove(&self.instance));
         if let Some(route) = route {
-            self.retire_locked(route.id.into());
+            (&self.shards).retire_locked(route.id.into(), |sigs| self.notify_signatures(sigs));
         }
     }
 
@@ -1355,8 +1205,9 @@ impl DimmunixRuntime {
     /// [`LockError::WouldDeadlock::spawn_site`] diagnostics.
     pub fn register_task(&self, spawn_site: Option<AcquisitionSite>) -> TaskId {
         let id = TaskId::new(self.next_task.fetch_add(1, Ordering::Relaxed));
-        for shard in &self.shards {
-            sync::lock(shard).engine.register_owner(id);
+        let mut shards = &self.shards;
+        for i in 0..shards.shard_count() {
+            shards.lock(i).register_owner(id);
         }
         sync::lock(&self.task_routes).insert(
             id,
@@ -1434,15 +1285,18 @@ impl DimmunixRuntime {
     /// The task analogue of [`after_acquire`](Self::after_acquire): records
     /// the completed acquisition, stamped with the runtime-global sequence.
     pub fn task_finish_acquire(&self, task: TaskId, lock: LockId) {
-        let (home, holds) = self.finish_locked(task.into(), lock);
-        self.update_task_route(task, |r| r.after_acquired(home, holds));
+        let mut shards = &self.shards;
+        let acquired = shards.finish_locked(task.into(), lock);
+        self.update_task_route(task, acquired);
     }
 
     /// Backs out of an approved task acquisition that will not be completed
     /// (the acquiring future was dropped between approval and completion —
     /// e.g. a select! raced it against a timeout).
     pub fn task_cancel_acquire(&self, task: TaskId, lock: LockId) {
-        let (home, parked_on) = self.cancel_locked(task.into(), lock);
+        let mut shards = &self.shards;
+        let (parked_on, cancelled) =
+            shards.cancel_locked(task.into(), lock, |sigs| self.notify_signatures(sigs));
         // The dropped future may have been the single waiter a release-driven
         // wake was handed to; drop its stale waker and re-broadcast so the
         // wake is not lost with it.
@@ -1452,21 +1306,24 @@ impl DimmunixRuntime {
             }
             self.notify_signatures(&[sig]);
         }
-        self.update_task_route(task, |r| r.after_cancel(home));
+        self.update_task_route(task, cancelled);
     }
 
     /// The task analogue of [`before_release`](Self::before_release):
     /// releases in the owning shard and wakes the front owner parked on
     /// every signature the engine says must be notified.
     pub fn task_release(&self, task: TaskId, lock: LockId) {
-        let (home, holds) = self.release_locked(task.into(), lock);
-        self.update_task_route(task, |r| r.after_released(home, holds));
+        let mut shards = &self.shards;
+        let released = shards.release_locked(task.into(), lock, |sigs| {
+            self.notify_signatures_released(sigs)
+        });
+        self.update_task_route(task, released);
     }
 
     /// Unregisters a completed task, force-releasing anything it still
     /// holds on any shard (a guard leaked across task teardown).
     pub fn retire_task(&self, task: TaskId) {
-        self.retire_locked(task.into());
+        (&self.shards).retire_locked(task.into(), |sigs| self.notify_signatures(sigs));
         sync::lock(&self.task_routes).remove(&task);
     }
 }
