@@ -12,12 +12,11 @@
 //! An [`AdmissionSummary`] conservatively over-approximates two facts about
 //! the engine state:
 //!
-//! - **"this site is in no signature"** — a Bloom bitset over the
-//!   [`SiteKey`]s of every outer position the history has ever contained.
-//!   Bits are only ever set (never cleared), so a *clear* probe proves the
-//!   site never appeared in any signature: the avoidance check at this
-//!   position is vacuous, and a grant here cannot occupy a slot another
-//!   thread's instantiation check would look at.
+//! - **"this site is in no live signature"** — a blocked Bloom filter over
+//!   the [`SiteKey`]s of the outer positions some *live* signature mentions.
+//!   A *clear* probe proves that no live signature mentions the site: the
+//!   avoidance check at this position is vacuous, and a grant here cannot
+//!   occupy a slot another thread's instantiation check would look at.
 //! - **"no parked owner waits on me"** — striped reference counts over the
 //!   blocker lists of all live yield records. A zero stripe proves no yield
 //!   edge points at this owner. Combined with the caller's guarantee that
@@ -26,10 +25,38 @@
 //!   run through it — granting is exactly what the monolithic oracle would
 //!   decide.
 //!
-//! The converse direction is *not* proven: a set Bloom bit or a non-zero
+//! The converse direction is *not* proven: a set filter bit or a non-zero
 //! stripe may be a collision or a stale blocker snapshot. Any doubt routes
 //! the request to the locked engine path, which remains the
 //! property-tested oracle.
+//!
+//! ## The filter
+//!
+//! The filter is blocked in the sense of Putze, Sanders & Singler
+//! ("Cache-, Hash-, and Space-Efficient Bloom Filters", WEA 2007): a key
+//! sets `PROBE_BITS` (6) bits inside **one** 64-bit word, so a probe is one
+//! atomic load. It is sized to the live history, at least
+//! `MIN_BITS_PER_KEY` (16) bits per live outer position (≤ 0.4 % false
+//! positives, computed; ≈ 0.04 % just after a doubling), and grows by
+//! doubling: level *i* holds `64 << i` words, and level 0 (512 bytes)
+//! serves histories of up to 256 live outer positions.
+//!
+//! - **Appends** set the new signatures' keys in the current level. When
+//!   the live key count outgrows it, the next level is built off to the
+//!   side from the snapshot's live outer positions, then published by
+//!   storing `level` under an odd epoch.
+//! - **Evictions** make the next absorbed snapshot rebuild the filter from
+//!   the outer positions some live signature still mentions (in place, with
+//!   the epoch odd, or into the level the smaller history now fits), so an
+//!   evicted antibody's keys stop sending clean sites to the locked path.
+//!
+//! A level, once allocated, lives as long as the summary: a reader may
+//! still be probing a level the writer has just replaced, and keeping it
+//! costs at most as much again as the largest level (the levels double)
+//! where freeing it would need a reclamation protocol on the hot path.
+//! The level and every bit depend only on the set of live outer positions,
+//! so a summary that absorbed a history in one call answers exactly as one
+//! that followed it install by install.
 //!
 //! ## What the summary may NOT prove
 //!
@@ -47,32 +74,46 @@
 //!
 //! ## Memory ordering
 //!
-//! Writers (history installs absorbing new outer positions into the Bloom
-//! set) run under the engine's all-shard lock order, so there is at most
-//! one writer at a time; the epoch is bumped to odd before mutating and
-//! back to even after (`AcqRel`), and readers reject any read that saw an
-//! odd epoch or different epochs before/after. Yield-record bookkeeping
+//! Writers (history installs absorbing a snapshot into the filter) run
+//! under the engine's all-shard lock order, so there is at most one writer
+//! at a time. Every change a reader could see half-done happens with the
+//! epoch odd (bumped `AcqRel` before and after): setting new keys, refilling
+//! the current level in place, and storing a new `level`. A level built off
+//! to the side is filled while it is unpublished, and any reader still
+//! holding an older `level` value straddles the epoch bumps of the switch
+//! and is rejected. Readers reject any read that saw an odd epoch or
+//! different epochs before/after. Yield-record bookkeeping
 //! (blocker stripes, park counts) is *not* epoch-fenced: each component
 //! read is individually conservative — stripe increments only happen for
 //! owners that hold or occupy something (never a fast-path candidate), and
 //! a stale decrement can only send the reader to the slow path. All data
-//! loads use `Acquire`, all stores `Release`, so a reader that observes the
-//! second (even, equal) epoch load also observes every Bloom bit the
-//! writer published before it. The statistics counters are the exception:
-//! they are `Relaxed` on both sides, because nobody synchronises through a
-//! statistic — and they are striped by owner (see `CounterStripe`), so
-//! the fast path writes no cache line another owner's fast path touches.
+//! loads use `Acquire`, all stores `Release`, so a reader that observes a
+//! word or a `level` the writer stored under an odd epoch also observes
+//! that odd epoch on its second load. The statistics counters are the
+//! exception: they are `Relaxed` on both sides, because nobody synchronises
+//! through a statistic — and they are striped by owner (see
+//! `CounterStripe`), so the fast path writes no cache line another owner's
+//! fast path touches.
 
+use crate::avoidance::SignatureIndex;
 use crate::callstack::SiteKey;
+use crate::position::PositionId;
 use crate::rag::YieldRecord;
 use crate::snapshot::HistorySnapshot;
-use crate::OwnerId;
+use crate::{OwnerId, SignatureId};
 use std::fmt;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
-/// Number of 64-bit words in the Bloom bitset (4096 bits).
-const BLOOM_WORDS: usize = 64;
-const BLOOM_BITS: u64 = (BLOOM_WORDS * 64) as u64;
+/// Words in filter level 0 (4096 bits); level `i` holds `BASE_WORDS << i`.
+const BASE_WORDS: usize = 64;
+/// Filter levels. The last (16 MiB) fits four million live outer positions;
+/// a larger history keeps it, at fewer bits per key.
+const LEVELS: usize = 16;
+/// Bits one key sets, all inside one word.
+const PROBE_BITS: u32 = 6;
+/// Filter bits kept per live outer position, at least.
+const MIN_BITS_PER_KEY: usize = 16;
 /// Number of blocker reference-count stripes.
 const BLOCKER_STRIPES: usize = 256;
 /// Number of owner-striped statistics blocks. Thread and task ids are handed
@@ -92,6 +133,20 @@ struct CounterStripe {
     fast_acquires: AtomicU64,
     fast_releases: AtomicU64,
     published: AtomicU64,
+}
+
+/// What the filter has absorbed, for the writer alone.
+#[derive(Debug, Default)]
+struct Absorbed {
+    /// The last absorbed index's [`SignatureIndex::id_bound`].
+    ids: usize,
+    /// Signatures retired by then (`ids - len`).
+    retired: usize,
+    /// Outer positions some live signature mentioned by then.
+    keys: usize,
+    /// The site key of every outer position seen so far, by outer id: a
+    /// rebuild sets live keys without re-hashing their stacks.
+    site_keys: Vec<SiteKey>,
 }
 
 /// Outcome of a lock-free admission attempt.
@@ -118,20 +173,26 @@ pub enum Admission {
 /// a side effect of their (locked) state transitions, and the runtime reads
 /// it without locks. See the module docs for the exact guarantees.
 ///
+/// `repr(C)` keeps the declaration order: the fields every probe reads
+/// first share one line, and the counter stripes come last.
+///
 /// [`Dimmunix::attach_admission_summary`]: crate::engine::Dimmunix::attach_admission_summary
+#[repr(C)]
 pub struct AdmissionSummary {
-    /// Seqlock epoch: odd while a history install is being absorbed.
+    /// Seqlock epoch: odd while the filter is being changed in place or a
+    /// new level is being published.
     epoch: AtomicU64,
-    /// Set-only Bloom bitset over the site keys of all history outer
-    /// positions, past and present.
-    bloom: [AtomicU64; BLOOM_WORDS],
+    /// The filter level probes read; changed only with the epoch odd.
+    level: AtomicUsize,
+    /// Filter levels, level `i` holding `BASE_WORDS << i` words, allocated
+    /// on first use and kept until the summary drops.
+    levels: [OnceLock<Box<[AtomicU64]>>; LEVELS],
     /// Striped refcounts of owners named in live yield records' blockers.
     blockers: [AtomicU32; BLOCKER_STRIPES],
     /// Owners currently parked by avoidance, process-wide.
     parked_total: AtomicU64,
-    /// Outer-table prefix already folded into the Bloom set (outer ids are
-    /// append-only, so absorption is incremental and idempotent).
-    absorbed_outers: AtomicU64,
+    /// What the filter holds; the mutex also keeps absorptions serial.
+    absorbed: Mutex<Absorbed>,
     /// Metric counters (see `Stats` for their rendered form), striped by
     /// owner so that no two concurrently running owners write one line and
     /// none of the fields above — all read on the fast path — shares a line
@@ -146,16 +207,20 @@ impl Default for AdmissionSummary {
 }
 
 impl AdmissionSummary {
-    /// Creates an empty summary (empty Bloom set, no parked owners).
+    /// Creates an empty summary (an empty level-0 filter, no parked
+    /// owners).
     pub fn new() -> Self {
-        AdmissionSummary {
+        let summary = AdmissionSummary {
             epoch: AtomicU64::new(0),
-            bloom: std::array::from_fn(|_| AtomicU64::new(0)),
+            level: AtomicUsize::new(0),
+            levels: std::array::from_fn(|_| OnceLock::new()),
             blockers: std::array::from_fn(|_| AtomicU32::new(0)),
             parked_total: AtomicU64::new(0),
-            absorbed_outers: AtomicU64::new(0),
+            absorbed: Mutex::new(Absorbed::default()),
             counters: std::array::from_fn(|_| CounterStripe::default()),
-        }
+        };
+        summary.level_words(0);
+        summary
     }
 
     /// The statistics block `owner` writes.
@@ -171,17 +236,35 @@ impl AdmissionSummary {
             .sum()
     }
 
-    fn bloom_slots(key: SiteKey) -> [(usize, u64); 2] {
-        // Two probes derived from the (already well-mixed FNV) site key:
-        // the key itself and a Fibonacci remix of it.
-        let h1 = key.raw();
-        let h2 = key
-            .raw()
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .rotate_left(32);
-        [h1, h2].map(|h| {
-            let bit = h % BLOOM_BITS;
-            ((bit / 64) as usize, 1u64 << (bit % 64))
+    /// The word of a `words`-word level that holds `key`, and the bits
+    /// `key` sets in it. The site key is an FNV hash, so it is remixed
+    /// (MurmurHash3's 64-bit finaliser) before its high bits pick the word
+    /// and six disjoint 6-bit fields of its low bits pick the bits.
+    fn probe(key: SiteKey, words: usize) -> (usize, u64) {
+        let mut h = key.raw();
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^= h >> 33;
+        let word = (h >> 40) as usize & (words - 1);
+        let mask = (0..PROBE_BITS).fold(0u64, |mask, i| mask | 1 << ((h >> (6 * i)) & 63));
+        (word, mask)
+    }
+
+    /// The smallest level with at least `MIN_BITS_PER_KEY` bits per key.
+    fn level_for(keys: usize) -> usize {
+        (0..LEVELS)
+            .find(|&level| (BASE_WORDS << level) * 64 >= keys * MIN_BITS_PER_KEY)
+            .unwrap_or(LEVELS - 1)
+    }
+
+    /// The words of `level`, allocated zeroed on first use.
+    fn level_words(&self, level: usize) -> &[AtomicU64] {
+        self.levels[level].get_or_init(|| {
+            (0..BASE_WORDS << level)
+                .map(|_| AtomicU64::new(0))
+                .collect()
         })
     }
 
@@ -194,12 +277,16 @@ impl AdmissionSummary {
         (raw.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize % BLOCKER_STRIPES
     }
 
-    /// True if `key` *may* be the site of a history outer position. A
-    /// `false` answer is definitive: no signature ever mentioned the site.
+    /// True if `key` *may* be the site of an outer position some live
+    /// signature mentions. A `false` answer from an epoch-validated read is
+    /// definitive: no live signature mentions the site.
     pub fn site_may_be_in_history(&self, key: SiteKey) -> bool {
-        Self::bloom_slots(key)
-            .iter()
-            .all(|&(word, mask)| self.bloom[word].load(Ordering::Acquire) & mask != 0)
+        // Every published level is allocated; a missing one reads as "may".
+        let Some(words) = self.levels[self.level.load(Ordering::Acquire)].get() else {
+            return true;
+        };
+        let (word, mask) = Self::probe(key, words.len());
+        words[word].load(Ordering::Acquire) & mask == mask
     }
 
     /// True if `owner` *may* be named as a blocker by a live yield record.
@@ -215,8 +302,8 @@ impl AdmissionSummary {
     }
 
     /// The epoch-validated lock-free admission check: admits iff a
-    /// consistent read proves `key` is in no signature and no parked owner
-    /// waits on `owner`. Counts [`Stats::fast_admits`],
+    /// consistent read proves `key` is in no live signature and no parked
+    /// owner waits on `owner`. Counts [`Stats::fast_admits`],
     /// [`Stats::slow_fallbacks`], and [`Stats::degradation_scope_hits`] as
     /// a side effect.
     ///
@@ -233,7 +320,7 @@ impl AdmissionSummary {
         for _ in 0..2 {
             let before = self.epoch.load(Ordering::Acquire);
             if before & 1 == 1 {
-                // A history install is absorbing; retry once, then fall back.
+                // The filter is changing; retry once, then fall back.
                 continue;
             }
             if self.site_may_be_in_history(key) || self.is_blocker(owner) {
@@ -256,28 +343,106 @@ impl AdmissionSummary {
         Admission::Fallback
     }
 
-    /// Folds any not-yet-absorbed outer positions of `snapshot` into the
-    /// Bloom set. Idempotent and incremental: outer ids are append-only, so
-    /// a broadcast install over N shards does the scan once and N-1 O(1)
-    /// skips. Must not run concurrently with itself (callers hold the
-    /// engine's all-shard lock order, or are single-threaded).
+    /// Brings the filter up to `snapshot`'s live signatures. Signatures
+    /// appended since the last call are set incrementally; if any were
+    /// retired (or `snapshot` is an ancestor of the last one), the filter is
+    /// rebuilt from the outer positions live signatures still mention. A
+    /// snapshot with nothing new is an O(1) skip, so a broadcast install
+    /// over N shards does the work once. Callers hold the engine's
+    /// all-shard lock order, or are single-threaded; concurrent calls
+    /// serialise on an internal mutex.
     pub fn absorb_snapshot(&self, snapshot: &HistorySnapshot) {
-        let len = snapshot.outer_len() as u64;
-        let start = self.absorbed_outers.load(Ordering::Acquire);
-        if start >= len {
+        let index = snapshot.index();
+        let mut absorbed = self.absorbed.lock().unwrap_or_else(PoisonError::into_inner);
+        let ids = index.id_bound();
+        let retired = ids - index.len();
+        if ids == absorbed.ids && retired == absorbed.retired {
             return;
         }
-        self.epoch.fetch_add(1, Ordering::AcqRel); // odd: writer active
+        // Outer ids are append-only along a lineage: a rewind to an ancestor
+        // keeps the cache's prefix, and the lineage appended from there on
+        // may give the ids past it to other stacks.
         let outers = snapshot.outer_table();
-        for id in start..len {
-            if let Some(stack) = outers.stack(crate::position::PositionId::new(id as u32)) {
-                for (word, mask) in Self::bloom_slots(stack.site_key()) {
-                    self.bloom[word].fetch_or(mask, Ordering::Release);
+        absorbed.site_keys.truncate(outers.len());
+        let cached = absorbed.site_keys.len();
+        absorbed.site_keys.extend((cached..outers.len()).map(|id| {
+            let stack = outers.stack(PositionId::new(id as u32));
+            stack.expect("id below len").site_key()
+        }));
+        let site_keys = &absorbed.site_keys;
+        let appends_only = ids > absorbed.ids && retired == absorbed.retired;
+        // An empty filter is built in one pass, like a rebuild.
+        let keys = if appends_only && absorbed.ids > 0 {
+            // The new signatures are the only new mentions.
+            let appended = absorbed.ids..ids;
+            let new_keys = appended
+                .clone()
+                .map(|sig| newly_live_outers(index, SignatureId::new(sig)))
+                .sum::<usize>();
+            let keys = absorbed.keys + new_keys;
+            let level = Self::level_for(keys);
+            if level == self.level.load(Ordering::Relaxed) {
+                let words = self.level_words(level);
+                self.epoch.fetch_add(1, Ordering::AcqRel); // odd: writer active
+                for sig in appended {
+                    for outer in index.outer_positions_of(SignatureId::new(sig)) {
+                        Self::set(words, site_keys[outer.index()]);
+                    }
                 }
+                self.epoch.fetch_add(1, Ordering::AcqRel); // even: quiescent
+            } else {
+                self.rebuild(&live_keys(index, site_keys), level);
             }
+            keys
+        } else {
+            let live = live_keys(index, site_keys);
+            self.rebuild(&live, Self::level_for(live.len()));
+            live.len()
+        };
+        absorbed.ids = ids;
+        absorbed.retired = retired;
+        absorbed.keys = keys;
+    }
+
+    /// Sets `key`'s bits in `words`. Absorptions are serial, so a plain
+    /// read-modify-write loses nothing.
+    fn set(words: &[AtomicU64], key: SiteKey) {
+        let (word, mask) = Self::probe(key, words.len());
+        let word = &words[word];
+        word.store(word.load(Ordering::Relaxed) | mask, Ordering::Release);
+    }
+
+    /// Refills `level` with exactly the `live` keys, then makes it the level
+    /// probes read. The current level is refilled in place with the epoch
+    /// odd; any other is filled off to the side and published by storing
+    /// `level` with the epoch odd.
+    fn rebuild(&self, live: &[SiteKey], level: usize) {
+        let words = self.level_words(level);
+        let in_place = level == self.level.load(Ordering::Relaxed);
+        if in_place {
+            self.epoch.fetch_add(1, Ordering::AcqRel); // odd: readers fall back
         }
-        self.absorbed_outers.store(len, Ordering::Release);
+        for word in words {
+            word.store(0, Ordering::Release);
+        }
+        for &key in live {
+            Self::set(words, key);
+        }
+        if !in_place {
+            self.epoch.fetch_add(1, Ordering::AcqRel); // odd: readers fall back
+            self.level.store(level, Ordering::Release);
+        }
         self.epoch.fetch_add(1, Ordering::AcqRel); // even: quiescent
+    }
+
+    /// Bytes of filter the summary holds: every level allocated so far,
+    /// the one probes read and the ones it replaced.
+    pub fn filter_bytes(&self) -> usize {
+        self.levels
+            .iter()
+            .filter_map(OnceLock::get)
+            .map(|words| std::mem::size_of_val(&**words))
+            .sum()
     }
 
     /// Records that an owner parked with `record`'s blockers.
@@ -351,15 +516,45 @@ impl AdmissionSummary {
     }
 }
 
+/// The site keys of the outer positions some live signature of `index`
+/// mentions, gathered before a rebuild so the odd-epoch window is only the
+/// refill itself.
+fn live_keys(index: &SignatureIndex, site_keys: &[SiteKey]) -> Vec<SiteKey> {
+    index
+        .live_positions()
+        .map(|outer| site_keys[outer.index()])
+        .collect()
+}
+
+/// The outer positions `sig` is the first live signature to mention: each
+/// counted once, at the lowest live id listing it.
+fn newly_live_outers(index: &SignatureIndex, sig: SignatureId) -> usize {
+    let outers = index.outer_positions_of(sig);
+    outers
+        .iter()
+        .enumerate()
+        .filter(|&(i, outer)| {
+            index.signatures_at(*outer).first() == Some(&sig) && !outers[..i].contains(outer)
+        })
+        .count()
+}
+
 impl fmt::Debug for AdmissionSummary {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let level = self.level.load(Ordering::Relaxed);
+        let bits = (BASE_WORDS << level) * 64;
+        let keys = self
+            .absorbed
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .keys;
         f.debug_struct("AdmissionSummary")
             .field("epoch", &self.epoch.load(Ordering::Relaxed))
             .field("parked_total", &self.parked_total())
-            .field(
-                "absorbed_outers",
-                &self.absorbed_outers.load(Ordering::Relaxed),
-            )
+            .field("level", &level)
+            .field("live_keys", &keys)
+            .field("bits_per_key", &(bits as f64 / keys as f64))
+            .field("filter_bytes", &self.filter_bytes())
             .field("fast_admits", &self.fast_admits())
             .field("slow_fallbacks", &self.slow_fallbacks())
             .field("degradation_scope_hits", &self.degradation_scope_hits())
@@ -456,11 +651,10 @@ mod tests {
         }
         assert!(std::ptr::eq(s.stripe(alone), &s.counters[4]));
 
-        // A site in the Bloom set, so `try_admit` there is a fallback.
+        // A site in the filter, so `try_admit` there is a fallback.
         let in_history = SiteKey::new(99);
-        for (word, mask) in AdmissionSummary::bloom_slots(in_history) {
-            s.bloom[word].fetch_or(mask, Ordering::Release);
-        }
+        let (word, mask) = AdmissionSummary::probe(in_history, BASE_WORDS);
+        s.level_words(0)[word].fetch_or(mask, Ordering::Release);
 
         for (rounds, owner) in sharing.into_iter().chain([alone]).enumerate() {
             for _ in 0..=rounds {
@@ -500,7 +694,7 @@ mod tests {
     /// two owners' counters, or a counter and `parked_total`, can meet again.
     #[test]
     fn counters_share_no_cache_line_with_the_fields_the_fast_path_reads() {
-        use std::mem::{align_of, size_of, size_of_val};
+        use std::mem::{align_of, size_of};
         const LINE: usize = 128;
         assert_eq!(align_of::<CounterStripe>(), LINE);
         assert_eq!(size_of::<CounterStripe>() % LINE, 0);
@@ -515,12 +709,17 @@ mod tests {
             offset / LINE..=(offset + size_of_val(field) - 1) / LINE
         }
         let counters = lines(base, &s.counters);
+        // The epoch and the level a probe reads next share the read-mostly
+        // line, with the first filter levels.
+        let head = lines(base, &s.epoch);
+        assert_eq!(lines(base, &s.level), head);
+        assert_eq!(lines(base, &s.levels[0]), head);
         for (name, read) in [
-            ("epoch", lines(base, &s.epoch)),
-            ("bloom", lines(base, &s.bloom)),
+            ("epoch", head.clone()),
+            ("level", lines(base, &s.level)),
+            ("levels", lines(base, &s.levels)),
             ("blockers", lines(base, &s.blockers)),
             ("parked_total", lines(base, &s.parked_total)),
-            ("absorbed_outers", lines(base, &s.absorbed_outers)),
         ] {
             assert!(
                 read.end() < counters.start() || read.start() > counters.end(),
@@ -557,5 +756,211 @@ mod tests {
         s.absorb_snapshot(&snap); // no new outers: O(1) skip, no epoch bump
         assert_eq!(s.epoch.load(Ordering::Relaxed), epoch_after);
         assert_eq!(epoch_after % 2, 0, "epoch must end even");
+    }
+
+    /// A history of `n` two-position signatures with distinct outer sites.
+    fn two_position(n: usize) -> crate::History {
+        use crate::signature::{Signature, SignatureKind, SignaturePair};
+        use crate::{CallStack, Frame};
+        let at =
+            |i: usize, role: &str| CallStack::single(Frame::new(format!("s{i}.{role}"), "f.rs", 1));
+        (0..n)
+            .map(|i| {
+                Signature::new(
+                    SignatureKind::Deadlock,
+                    vec![
+                        SignaturePair::new(at(i, "outerA"), at(i, "innerA")),
+                        SignaturePair::new(at(i, "outerB"), at(i, "innerB")),
+                    ],
+                )
+            })
+            .collect()
+    }
+
+    /// The filter's memory, pinned: what an empty history costs today, the
+    /// live level at the default cap, and what growing one install at a
+    /// time keeps beside it.
+    #[test]
+    fn filter_bytes_track_the_live_history() {
+        assert_eq!(AdmissionSummary::new().filter_bytes(), 512);
+
+        let history = two_position(4096);
+        let bulk = AdmissionSummary::new();
+        bulk.absorb_snapshot(&HistorySnapshot::build(history.clone(), 1));
+        let level = bulk.level.load(Ordering::Relaxed);
+        let live = size_of_val(&**bulk.levels[level].get().unwrap());
+        assert!(live <= 16 * 1024, "live level {live} B");
+        assert_eq!(
+            bulk.filter_bytes(),
+            512 + live,
+            "level 0 and the live level"
+        );
+
+        let grown = AdmissionSummary::new();
+        let mut snap = HistorySnapshot::build(crate::History::new(), 1);
+        for (_, sig) in history.iter() {
+            snap = snap.append(sig.clone()).0;
+            grown.absorb_snapshot(&snap);
+        }
+        assert_eq!(grown.level.load(Ordering::Relaxed), level);
+        assert_eq!(grown.filter_bytes(), (BASE_WORDS << (level + 1)) * 8 - 512);
+        assert!(grown.filter_bytes() <= 2 * live);
+
+        let shown = format!("{grown:?}");
+        for field in [
+            "level: 5",
+            "live_keys: 8192",
+            "bits_per_key: 16.0",
+            "filter_bytes: 32256",
+        ] {
+            assert!(shown.contains(field), "{field} missing from {shown}");
+        }
+    }
+
+    /// Eviction takes an antibody's keys out of the filter, and the level
+    /// follows the live history down as well as up.
+    #[test]
+    fn eviction_rebuilds_the_filter_from_live_signatures() {
+        let history = two_position(1024);
+        let mut snap = HistorySnapshot::build(history, 1);
+        let s = AdmissionSummary::new();
+        s.absorb_snapshot(&snap);
+        assert_eq!(s.level.load(Ordering::Relaxed), 3, "2048 live keys");
+        let outer_keys = |snap: &HistorySnapshot, sig: usize| {
+            snap.index()
+                .outer_positions_of(SignatureId::new(sig))
+                .iter()
+                .map(|&p| snap.outer_table().stack(p).unwrap().site_key())
+                .collect::<Vec<_>>()
+        };
+        let first = outer_keys(&snap, 0);
+        for sig in 0..1000 {
+            snap = snap.evict(SignatureId::new(sig)).unwrap();
+        }
+        let epoch = s.epoch.load(Ordering::Relaxed);
+        s.absorb_snapshot(&snap);
+        assert_eq!(s.epoch.load(Ordering::Relaxed), epoch + 2, "one publish");
+        assert_eq!(s.level.load(Ordering::Relaxed), 0, "48 live keys");
+        assert!(first.iter().all(|&key| !s.site_may_be_in_history(key)));
+        for sig in 1000..1024 {
+            assert!(outer_keys(&snap, sig)
+                .iter()
+                .all(|&key| s.site_may_be_in_history(key)));
+        }
+        // Nothing new: an O(1) skip.
+        s.absorb_snapshot(&snap);
+        assert_eq!(s.epoch.load(Ordering::Relaxed), epoch + 2);
+    }
+
+    /// The words of the level probes read.
+    fn live_words(s: &AdmissionSummary) -> Vec<u64> {
+        let level = s.level.load(Ordering::Relaxed);
+        let words = s.levels[level].get().expect("the live level is allocated");
+        words.iter().map(|w| w.load(Ordering::Relaxed)).collect()
+    }
+
+    /// **No false negatives, one layout.** Random sequences of appends,
+    /// evictions, bursts that grow the filter by several levels, and
+    /// rewinds to an ancestor snapshot, absorbed after every step. After
+    /// each, every outer key of every live signature must probe as "may be
+    /// in history" (checked against a `HashSet` oracle built from the
+    /// signatures themselves), and a fresh summary that absorbed the same
+    /// snapshot in one call must hold the same level and the same words, bit
+    /// for bit — which is what lets a one-shot `absorb_snapshot` predict the
+    /// runtime's answers.
+    #[test]
+    fn prop_filter_has_no_false_negatives_and_one_layout() {
+        use crate::history::History;
+        use crate::signature::{Signature, SignatureKind, SignaturePair};
+        use crate::{CallStack, Frame};
+        use dimmunix_testkit::Gen;
+        use std::collections::HashSet;
+        use std::sync::Arc;
+
+        const CASES: u64 = 48;
+        for seed in 0..CASES {
+            let mut g = Gen::new(seed ^ 0xb10c_b100);
+            let depth = g.range(1, 3);
+            // A small pool makes signatures share outer sites, so evicted
+            // keys are re-mentioned and some outers stay live after an
+            // eviction; a large one lets bursts grow the filter.
+            let pool = g.range(4, 2000);
+            let stack = |g: &mut Gen| {
+                let frames = (0..g.range(1, 3))
+                    .map(|_| {
+                        Frame::new(
+                            format!("p{}", g.range(0, pool)),
+                            "f.rs",
+                            g.range(1, 4) as u32,
+                        )
+                    })
+                    .collect();
+                CallStack::from_frames(frames)
+            };
+            let signature = |g: &mut Gen| {
+                let pairs = (0..g.range(1, 4))
+                    .map(|_| SignaturePair::new(stack(g), stack(g)))
+                    .collect();
+                Signature::new(SignatureKind::Deadlock, pairs)
+            };
+
+            let summary = AdmissionSummary::new();
+            let mut snap = HistorySnapshot::build(History::new(), depth);
+            let mut ancestors = vec![Arc::clone(&snap)];
+            for step in 0..g.range(1, 24) {
+                match g.range(0, 8) {
+                    0..=2 => snap = snap.append(signature(&mut g)).0,
+                    3..=4 => {
+                        let live: Vec<SignatureId> =
+                            snap.history().iter().map(|(id, _)| id).collect();
+                        for _ in 0..g.range(1, 4).min(live.len()) {
+                            let victim = live[g.range(0, live.len())];
+                            snap = snap.evict(victim).unwrap_or(snap);
+                        }
+                    }
+                    5..=6 => {
+                        for _ in 0..g.range(1, 600) {
+                            snap = snap.append(signature(&mut g)).0;
+                        }
+                    }
+                    _ => {
+                        // Later snapshots descend from the rewind target;
+                        // the abandoned ones are no one's ancestors.
+                        ancestors.truncate(g.range(1, ancestors.len() + 1));
+                        snap = ancestors.pop().expect("the empty base stays");
+                    }
+                }
+                ancestors.push(Arc::clone(&snap));
+                summary.absorb_snapshot(&snap);
+
+                let ctx = format!("seed {seed} step {step}");
+                let live: HashSet<SiteKey> = snap
+                    .history()
+                    .iter()
+                    .flat_map(|(_, sig)| sig.outer_stacks())
+                    .map(|outer| outer.truncated(depth).site_key())
+                    .collect();
+                for &key in &live {
+                    assert!(
+                        summary.site_may_be_in_history(key),
+                        "{ctx}: live {key} reads clear"
+                    );
+                }
+                assert_eq!(summary.epoch.load(Ordering::Relaxed) % 2, 0, "{ctx}");
+
+                let bulk = AdmissionSummary::new();
+                bulk.absorb_snapshot(&snap);
+                assert_eq!(
+                    summary.level.load(Ordering::Relaxed),
+                    bulk.level.load(Ordering::Relaxed),
+                    "{ctx}: level ({} live keys)",
+                    live.len()
+                );
+                assert!(
+                    live_words(&summary) == live_words(&bulk),
+                    "{ctx}: words differ"
+                );
+            }
+        }
     }
 }

@@ -136,6 +136,13 @@ impl SignatureIndex {
         self.live == 0
     }
 
+    /// One past the highest id ever indexed: the live signatures plus the
+    /// id gaps eviction left. Ids are append-only along a snapshot lineage,
+    /// so `id_bound() - len()` counts the signatures retired so far.
+    pub fn id_bound(&self) -> usize {
+        self.outer_positions.len()
+    }
+
     /// Indexes `sig` under its resolved outer positions. Ids may arrive in
     /// any order and with gaps (eviction retires ids without renumbering);
     /// re-inserting an already-indexed id is a no-op.
@@ -238,6 +245,15 @@ impl SignatureIndex {
             .get(pos.index())
             .map(|ids| ids.as_slice())
             .unwrap_or(&[])
+    }
+
+    /// The positions some indexed (live) signature lists, ascending.
+    pub fn live_positions(&self) -> impl Iterator<Item = PositionId> + '_ {
+        self.by_position
+            .iter()
+            .enumerate()
+            .filter(|(_, ids)| !ids.is_empty())
+            .map(|(pos, _)| PositionId::new(pos as u32))
     }
 
     /// The resolved outer positions of `sig` (one per signature pair);

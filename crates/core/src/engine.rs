@@ -207,9 +207,9 @@ impl Dimmunix {
     }
 
     /// Attaches the process-wide [`AdmissionSummary`] this engine keeps
-    /// current. Absorbs the current snapshot's outer positions into the
-    /// summary's Bloom set immediately, then incrementally on every later
-    /// snapshot install.
+    /// current. Absorbs the current snapshot's live outer positions into
+    /// the summary's filter immediately, then again on every later snapshot
+    /// install.
     ///
     /// Cloning an engine with a summary attached shares the summary —
     /// intended for the runtime, which never clones its shard engines.
@@ -256,11 +256,12 @@ impl Dimmunix {
         );
         if let Some(summary) = &self.admission {
             // The summary outlives the run being rewound: un-count each live
-            // yield record individually (the Bloom set is set-only and stays;
-            // stale bits only cost a conservative slow path).
+            // yield record individually, and take the filter back to `base`,
+            // whose live signatures a later eviction may have cleared.
             for (_, rec) in self.rag.yield_records() {
                 summary.note_yield_cleared(rec);
             }
+            summary.absorb_snapshot(base);
         }
         self.rag.clear();
         self.pending_wakeups.clear();
@@ -884,8 +885,9 @@ impl Dimmunix {
         }
         self.linked_outers = outers.len();
         if let Some(summary) = &self.admission {
-            // Incremental and idempotent: a broadcast install over N shards
-            // scans the new outers once and skips N-1 times.
+            // Idempotent: a broadcast install over N shards absorbs the new
+            // signatures (or rebuilds after an eviction) once and skips N-1
+            // times.
             summary.absorb_snapshot(&self.snapshot);
         }
     }

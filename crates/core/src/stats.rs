@@ -57,7 +57,7 @@ pub struct Stats {
     /// summary's counters into its aggregate view.
     pub fast_admits: u64,
     /// Fast-path-eligible attempts that failed the lock-free validation
-    /// (Bloom hit, blocker-stripe hit, or a racing history install) and
+    /// (site-filter hit, blocker-stripe hit, or a racing filter update) and
     /// fell back to the locked engine path. Zero in the core engines.
     pub slow_fallbacks: u64,
     /// Fast admissions granted *while some owner was parked* elsewhere in

@@ -377,7 +377,7 @@ impl<'r> ShardAccess for &'r EngineShards {
 /// never seen this hold: the admission summary proved its site cannot appear
 /// in any history signature and its owner cannot be a deadlock-cycle
 /// participant, so the hold stays thread-private until either it is released
-/// (wake-free, since a bloom-clear site can de-instantiate no signature) or
+/// (wake-free, since a filter-clear site can de-instantiate no signature) or
 /// the same thread takes the slow path for a nested acquisition — at which
 /// point the hold is published into its home shard's RAG first, so cycle
 /// detection sees the full hold set.
@@ -471,7 +471,7 @@ pub struct DimmunixRuntime {
     shards: EngineShards,
     options: RuntimeOptions,
     /// Shared lock-free admission summary: a seqlock-published digest of
-    /// every shard's history bloom, per-blocker park counts, and fast-path
+    /// the live history's site filter, per-blocker park counts, and fast-path
     /// counters. Each shard engine holds a clone of this `Arc` and updates
     /// it from under its own lock; the no-engine fast path reads it with no
     /// locks at all.
@@ -972,7 +972,7 @@ impl DimmunixRuntime {
     /// Whether quarantined foreign antibodies await activation. The
     /// no-engine fast path declines while any are pending, so an antibody
     /// cannot be bypassed in the window between its import and the
-    /// history/bloom update that [`feed_exchange`](Self::feed_exchange)'s
+    /// history/filter update that [`feed_exchange`](Self::feed_exchange)'s
     /// activation performs.
     fn exchange_pending(&self) -> bool {
         self.exchange
@@ -1093,7 +1093,7 @@ impl DimmunixRuntime {
         // a blocker cannot close a cycle and cannot occupy an avoidance
         // slot, so the grant is decided by one seqlock-consistent read of
         // the admission summary — no shard lock at all. Any doubt (seqlock
-        // retry exhaustion, bloom hit, blocker hit, relevant park) falls
+        // retry exhaustion, filter hit, blocker hit, relevant park) falls
         // back to the locked path below, which remains the oracle.
         // Only this thread touches its route, so the read the fast path made
         // serves every retry; changes are stored back after each decision.
@@ -1158,7 +1158,7 @@ impl DimmunixRuntime {
     /// The `unlockMonitor` prologue: releases in the owning shard and wakes
     /// the front owner parked on every signature the engine says must be
     /// notified. Releasing a fast-path hold is wake-free: its site was
-    /// bloom-clear at admission, so no history signature mentions it and the
+    /// filter-clear at admission, so no live signature mentions it and the
     /// release can de-instantiate nothing.
     pub fn before_release(&self, lock: LockId) {
         let thread = match self.clear_fast_held(lock) {
