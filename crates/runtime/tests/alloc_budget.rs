@@ -8,9 +8,12 @@
 //! exactly.
 
 use dimmunix_core::{History, Signature, SignatureKind, SignaturePair};
+use dimmunix_rt::asyncio::{yield_now, Executor, Mutex, RwLock};
 use dimmunix_rt::{AcquisitionSite, DimmunixRuntime, ImmuneMutex, TaskAcquire};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
+use std::future::Future;
+use std::rc::Rc;
 use std::sync::Arc;
 use std::task::{Wake, Waker};
 
@@ -300,4 +303,151 @@ fn thread_park_allocates_no_more_than_a_task_park() {
     });
     assert_eq!(parks, (2 * ROUNDS as u64, WARM_UP + ROUNDS));
     assert_eq!(rt.stats().yields, (WARM_UP + ROUNDS) as u64);
+}
+
+/// A warm task's poll and wake: 1000 `yield_now`s, each a wake and a poll
+/// by the executor.
+#[test]
+fn warm_executor_poll_allocation_count() {
+    let rt = runtime();
+    let ex = Executor::new_in(&rt, 2);
+    let counted = Rc::new(Cell::new(u64::MAX));
+    let out = Rc::clone(&counted);
+    ex.spawn(async move {
+        for _ in 0..WARM_UP {
+            yield_now().await;
+        }
+        let before = ALLOCS.with(Cell::get);
+        for _ in 0..COUNTED {
+            yield_now().await;
+        }
+        out.set(ALLOCS.with(Cell::get) - before);
+    });
+    assert_eq!(ex.run().completed, 1);
+    assert_eq!(counted.get(), COUNTED as u64);
+}
+
+const HANDOFFS: usize = 100;
+const WARM_HANDOFFS: usize = 20;
+
+/// The guard drops a holder task makes of a contended async lock: how many
+/// tasks wait for the lock at each, and what each allocates.
+#[derive(Default)]
+struct Handoffs {
+    waiting: Cell<usize>,
+    drops: RefCell<Vec<u64>>,
+}
+
+impl Handoffs {
+    /// Awaits `acquire` as a waiter the holder's drops can see.
+    async fn wait<F: Future>(&self, acquire: F) -> F::Output {
+        self.waiting.set(self.waiting.get() + 1);
+        let out = acquire.await;
+        self.waiting.set(self.waiting.get() - 1);
+        out
+    }
+
+    /// Drops `guard` with `waiters` tasks queued behind it, counting what
+    /// the drop allocates.
+    fn hand_off<G>(&self, guard: G, waiters: usize) {
+        let at = self.drops.borrow().len();
+        assert_eq!(self.waiting.get(), waiters, "hand-off {at}");
+        let allocated = allocations(|| drop(guard));
+        self.drops.borrow_mut().push(allocated);
+    }
+
+    /// Runs `ex` to completion and sums the warm drops' allocations.
+    fn run(&self, ex: &Executor, tasks: usize) -> u64 {
+        let report = ex.run();
+        assert_eq!((report.completed, report.stuck), (tasks, 0));
+        let drops = self.drops.borrow();
+        assert_eq!(drops.len(), HANDOFFS);
+        drops[WARM_HANDOFFS..].iter().sum()
+    }
+}
+
+/// The holder of an `asyncio::Mutex` drops its guard with the other task
+/// queued, so the drop hands the lock on.
+#[test]
+fn contended_mutex_hand_off_allocation_count() {
+    let rt = runtime();
+    let ex = Executor::new_in(&rt, 2);
+    let (lock, log) = (
+        Rc::new(Mutex::new_in(&rt, 0u64)),
+        Rc::new(Handoffs::default()),
+    );
+    let (l, h, log2) = (Rc::clone(&lock), Rc::clone(&log), Rc::clone(&log));
+    ex.spawn(async move {
+        for _ in 0..HANDOFFS {
+            let guard = l.lock_at(FLAT).await.expect("clean history");
+            yield_now().await;
+            h.hand_off(guard, 1);
+            yield_now().await;
+        }
+    });
+    ex.spawn(async move {
+        for _ in 0..HANDOFFS {
+            *log2.wait(lock.lock_at(FLAT)).await.expect("clean history") += 1;
+            yield_now().await;
+        }
+    });
+    assert_eq!(log.run(&ex, 2), 0);
+}
+
+/// The same on the write side of an `asyncio::RwLock`.
+#[test]
+fn contended_write_hand_off_allocation_count() {
+    let rt = runtime();
+    let ex = Executor::new_in(&rt, 2);
+    let (lock, log) = (
+        Rc::new(RwLock::new_in(&rt, 0u64)),
+        Rc::new(Handoffs::default()),
+    );
+    let (l, h, log2) = (Rc::clone(&lock), Rc::clone(&log), Rc::clone(&log));
+    ex.spawn(async move {
+        for _ in 0..HANDOFFS {
+            let guard = l.write_at(FLAT).await.expect("clean history");
+            yield_now().await;
+            h.hand_off(guard, 1);
+            yield_now().await;
+        }
+    });
+    ex.spawn(async move {
+        for _ in 0..HANDOFFS {
+            *log2.wait(lock.write_at(FLAT)).await.expect("clean history") += 1;
+            yield_now().await;
+        }
+    });
+    assert_eq!(log.run(&ex, 2), 80);
+}
+
+/// A write release that hands the lock to a batch of two queued readers,
+/// woken together.
+#[test]
+fn write_hand_off_to_a_reader_batch_allocation_count() {
+    let rt = runtime();
+    let ex = Executor::new_in(&rt, 2);
+    let (lock, log) = (
+        Rc::new(RwLock::new_in(&rt, 0u64)),
+        Rc::new(Handoffs::default()),
+    );
+    let (l, h) = (Rc::clone(&lock), Rc::clone(&log));
+    ex.spawn(async move {
+        for _ in 0..HANDOFFS {
+            let guard = l.write_at(FLAT).await.expect("clean history");
+            yield_now().await;
+            h.hand_off(guard, 2);
+            yield_now().await;
+        }
+    });
+    for _ in 0..2 {
+        let (l, h) = (Rc::clone(&lock), Rc::clone(&log));
+        ex.spawn(async move {
+            for _ in 0..HANDOFFS {
+                drop(h.wait(l.read_at(FLAT)).await.expect("clean history"));
+                yield_now().await;
+            }
+        });
+    }
+    assert_eq!(log.run(&ex, 3), 80);
 }
