@@ -120,10 +120,12 @@ impl Future for YieldNow {
     }
 }
 
-/// One spawned task: its engine identity and its future.
+/// One spawned task: its engine identity, its future, and the waker every
+/// poll of it lends out, built once at spawn so a poll allocates nothing.
 struct TaskEntry {
     task: TaskId,
     future: Pin<Box<dyn Future<Output = ()>>>,
+    waker: Waker,
 }
 
 /// What a [`Executor::run`] call observed.
@@ -212,11 +214,16 @@ impl Executor {
     ) -> TaskId {
         let task = self.rt.register_task(Some(site));
         let id = task.index();
+        let waker = Waker::from(Arc::new(TaskWaker {
+            ready: Arc::clone(&self.ready),
+            id,
+        }));
         self.tasks.borrow_mut().insert(
             id,
             TaskEntry {
                 task,
                 future: Box::pin(future),
+                waker,
             },
         );
         self.spawned.set(self.spawned.get() + 1);
@@ -239,11 +246,7 @@ impl Executor {
             let poll_index = self.polls.get();
             self.polls.set(poll_index + 1);
             let worker = (poll_index % self.workers as u64) as usize;
-            let waker = Waker::from(Arc::new(TaskWaker {
-                ready: Arc::clone(&self.ready),
-                id,
-            }));
-            let mut cx = Context::from_waker(&waker);
+            let mut cx = Context::from_waker(&entry.waker);
             CURRENT.with(|c| {
                 c.set(Some(CurrentTask {
                     task: entry.task,

@@ -15,6 +15,18 @@
 //!   signature and returns `Poll::Pending`; the release path fires the
 //!   waker and the future re-requests — the paper's
 //!   `do { … } while (sigId >= 0)` loop, driven by the executor.
+//! * There is **one async lock**. [`RwLock`] keeps the only lock state
+//!   (readers, writer, one FIFO of waiting tasks) and the only hand-off;
+//!   [`Mutex`] is a newtype over it whose `lock` is `write`, and
+//!   [`MutexLockFuture`] / [`MutexGuard`] are the write future and guard.
+//!   One private acquisition state machine drives the read and the write
+//!   future alike: engine decision (grant, park, refusal), then take the
+//!   lock or queue for it, and the back-out when a future is dropped.
+//! * A release hands the lock on in a fixed order: the guard's state
+//!   update, then the engine release, then the wake — of the front writer
+//!   alone, or of the front reader and then every other queued reader, in
+//!   queue order, one waker at a time and outside the state borrow, so a
+//!   hand-off allocates nothing.
 //! * A guard held across an `.await` **is a hold edge** in the RAG, under
 //!   the task's identity: the engine records the acquisition when the guard
 //!   is produced and the release when it is dropped, however many polls and

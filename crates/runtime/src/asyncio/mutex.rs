@@ -1,46 +1,11 @@
-//! The poll-based immune mutex.
+//! The poll-based immune mutex: the exclusive side of [`RwLock`].
 
-use crate::asyncio::executor::current_task;
-use crate::runtime::{DimmunixRuntime, LockError, TaskAcquire};
+use crate::asyncio::rwlock::{RwLock, RwLockWriteFuture, RwLockWriteGuard};
+use crate::runtime::DimmunixRuntime;
 use crate::site::AcquisitionSite;
-use dimmunix_core::{LockId, TaskId};
-use std::cell::{RefCell, RefMut};
-use std::collections::VecDeque;
+use dimmunix_core::LockId;
 use std::fmt;
-use std::future::Future;
-use std::pin::Pin;
 use std::sync::Arc;
-use std::task::{Context, Poll, Waker};
-
-/// Book-keeping of the actual (task-level) lock, separate from the engine's
-/// view: the engine *approves* acquisitions; this state serializes them.
-struct MutexState {
-    owner: Option<TaskId>,
-    /// Wakers of engine-approved tasks waiting for the owner to release —
-    /// the async analogue of blocking on the raw mutex after
-    /// `before_acquire` returns. Their request edges stay in the RAG, so
-    /// cycles through these waits remain visible. FIFO with at most one
-    /// entry per task: a release hands the lock to the front waiter only,
-    /// so a crowd of `W` waiters costs `O(1)` polls per release instead of
-    /// the `O(W)` re-poll herd a broadcast would trigger.
-    waiters: VecDeque<(TaskId, Waker)>,
-}
-
-impl MutexState {
-    /// Registers (or refreshes) `task`'s waker without duplicating its
-    /// queue entry — a re-poll must not push the task to the back twice.
-    fn enqueue(&mut self, task: TaskId, waker: &Waker) {
-        match self.waiters.iter_mut().find(|(t, _)| *t == task) {
-            Some((_, w)) => *w = waker.clone(),
-            None => self.waiters.push_back((task, waker.clone())),
-        }
-    }
-
-    /// Pops and returns the front waiter's waker, if any.
-    fn next_waiter(&mut self) -> Option<Waker> {
-        self.waiters.pop_front().map(|(_, w)| w)
-    }
-}
 
 /// An async mutual-exclusion lock with deadlock immunity, keyed by task.
 ///
@@ -48,26 +13,24 @@ impl MutexState {
 /// acquisition is screened by the [`DimmunixRuntime`] under the *task's*
 /// identity ([`OwnerId::Task`](dimmunix_core::OwnerId)), so lock cycles
 /// among tasks are detected and avoided even when the tasks share worker
-/// threads. A [`MutexGuard`] held across an `.await` is a hold edge in the
-/// RAG for as long as it lives.
+/// threads. It is an [`RwLock`] that is only ever written: `lock` is
+/// [`write`](RwLock::write), with the same hooks, queue and hand-off.
 ///
 /// Not reentrant: a task locking a mutex it already holds panics (the
 /// engine reports the acquisition as reentrant, but an async mutex cannot
 /// grant it without self-deadlock).
-///
-/// Lock futures must be polled from a task context (inside a future
-/// spawned on an [`Executor`](crate::asyncio::Executor)).
-pub struct Mutex<T> {
-    rt: Arc<DimmunixRuntime>,
-    id: LockId,
-    state: RefCell<MutexState>,
-    data: RefCell<T>,
-}
+pub struct Mutex<T>(RwLock<T>);
+
+/// Future returned by [`Mutex::lock`].
+pub type MutexLockFuture<'a, T> = RwLockWriteFuture<'a, T>;
+
+/// Guard produced by [`Mutex::lock`]; releases on drop.
+pub type MutexGuard<'a, T> = RwLockWriteGuard<'a, T>;
 
 impl<T: fmt::Debug> fmt::Debug for Mutex<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("asyncio::Mutex")
-            .field("id", &self.id)
+            .field("id", &self.lock_id())
             .finish_non_exhaustive()
     }
 }
@@ -76,32 +39,21 @@ impl<T> Mutex<T> {
     /// Creates an immune async mutex attached to the process-global
     /// runtime.
     pub fn new(value: T) -> Self {
-        Self::new_in(&DimmunixRuntime::global(), value)
+        Mutex(RwLock::new(value))
     }
 
     /// Creates an immune async mutex attached to an explicit runtime.
     pub fn new_in(rt: &Arc<DimmunixRuntime>, value: T) -> Self {
-        Mutex {
-            rt: Arc::clone(rt),
-            id: rt.allocate_lock(),
-            state: RefCell::new(MutexState {
-                owner: None,
-                waiters: VecDeque::new(),
-            }),
-            data: RefCell::new(value),
-        }
+        Mutex(RwLock::new_in(rt, value))
     }
 
     /// The engine lock id backing this mutex.
     pub fn lock_id(&self) -> LockId {
-        self.id
+        self.0.lock_id()
     }
 
     /// Acquires the mutex, implicitly capturing the caller's source
-    /// location as the acquisition site.
-    ///
-    /// Resolves to [`LockError::WouldDeadlock`] when the acquisition would
-    /// close a task-level deadlock cycle (under the `Error` policy).
+    /// location as the acquisition site; see [`RwLock::write`].
     #[track_caller]
     pub fn lock(&self) -> MutexLockFuture<'_, T> {
         self.lock_at(AcquisitionSite::here())
@@ -110,177 +62,11 @@ impl<T> Mutex<T> {
     /// [`lock`](Self::lock) with an explicit acquisition site
     /// (deterministic tests and schedule replays).
     pub fn lock_at(&self, site: AcquisitionSite) -> MutexLockFuture<'_, T> {
-        MutexLockFuture {
-            lock: self,
-            site,
-            task: None,
-            stage: Stage::Init,
-        }
+        self.0.write_at(site)
     }
 
     /// Consumes the mutex and returns the protected value.
     pub fn into_inner(self) -> T {
-        self.data.into_inner()
-    }
-}
-
-/// Where a lock future stands in the acquisition protocol — which engine
-/// state exists and must be reversed if the future is dropped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Stage {
-    /// No engine state yet.
-    Init,
-    /// Parked by avoidance: a yield record and request edge exist.
-    Parked,
-    /// Engine approved; a pending grant (request edge) exists until the
-    /// acquisition completes.
-    Approved,
-    /// Completed (guard produced or error returned).
-    Done,
-}
-
-/// Future returned by [`Mutex::lock`].
-#[derive(Debug)]
-pub struct MutexLockFuture<'a, T> {
-    lock: &'a Mutex<T>,
-    site: AcquisitionSite,
-    task: Option<TaskId>,
-    stage: Stage,
-}
-
-impl<'a, T> Future for MutexLockFuture<'a, T> {
-    type Output = Result<MutexGuard<'a, T>, LockError>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = self.get_mut();
-        let task = current_task()
-            .expect("asyncio lock futures must be polled from an Executor task context");
-        this.task = Some(task);
-        loop {
-            match this.stage {
-                Stage::Init | Stage::Parked => {
-                    match this
-                        .lock
-                        .rt
-                        .task_begin_acquire(task, this.lock.id, this.site, cx.waker())
-                    {
-                        TaskAcquire::Granted => this.stage = Stage::Approved,
-                        TaskAcquire::Parked { .. } => {
-                            this.stage = Stage::Parked;
-                            return Poll::Pending;
-                        }
-                        TaskAcquire::WouldDeadlock(err) => {
-                            // The engine leaves the refused request edge
-                            // behind; clear it so the task's next request
-                            // starts clean.
-                            this.lock.rt.task_cancel_acquire(task, this.lock.id);
-                            this.stage = Stage::Done;
-                            return Poll::Ready(Err(err));
-                        }
-                    }
-                }
-                Stage::Approved => {
-                    let mut state = this.lock.state.borrow_mut();
-                    match state.owner {
-                        None => {
-                            state.owner = Some(task);
-                            drop(state);
-                            this.lock.rt.task_finish_acquire(task, this.lock.id);
-                            this.stage = Stage::Done;
-                            return Poll::Ready(Ok(MutexGuard {
-                                lock: this.lock,
-                                task,
-                                inner: Some(this.lock.data.borrow_mut()),
-                            }));
-                        }
-                        Some(owner) if owner == task => {
-                            panic!(
-                                "asyncio::Mutex is not reentrant: task {task} already \
-                                 holds lock {}",
-                                this.lock.id
-                            );
-                        }
-                        Some(_) => {
-                            state.enqueue(task, cx.waker());
-                            return Poll::Pending;
-                        }
-                    }
-                }
-                Stage::Done => panic!("MutexLockFuture polled after completion"),
-            }
-        }
-    }
-}
-
-impl<T> Drop for MutexLockFuture<'_, T> {
-    fn drop(&mut self) {
-        // An abandoned future (select! lost the race, task cancelled) must
-        // reverse whatever engine state the protocol accumulated.
-        if matches!(self.stage, Stage::Parked | Stage::Approved) {
-            if let Some(task) = self.task {
-                self.lock.rt.task_cancel_acquire(task, self.lock.id);
-                if self.stage == Stage::Approved {
-                    // This future may have consumed the single wake a
-                    // release handed out; leave the queue clean and pass
-                    // the wake on so the lock is not silently orphaned.
-                    let next = {
-                        let mut state = self.lock.state.borrow_mut();
-                        state.waiters.retain(|(t, _)| *t != task);
-                        state.owner.is_none().then(|| state.next_waiter()).flatten()
-                    };
-                    if let Some(w) = next {
-                        w.wake();
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Guard produced by [`Mutex::lock`]; releases on drop. Holding it across
-/// an `.await` keeps the hold edge in the RAG — that is the mechanism by
-/// which guard-across-await deadlocks become visible cycles.
-pub struct MutexGuard<'a, T> {
-    lock: &'a Mutex<T>,
-    task: TaskId,
-    /// `Some` for the guard's whole life; `Option` only so `drop` can end
-    /// the borrow before waking the next owner.
-    inner: Option<RefMut<'a, T>>,
-}
-
-impl<T: fmt::Debug> fmt::Debug for MutexGuard<'_, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("asyncio::MutexGuard")
-            .field("value", &**self)
-            .finish()
-    }
-}
-
-impl<T> std::ops::Deref for MutexGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard not yet dropped")
-    }
-}
-
-impl<T> std::ops::DerefMut for MutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("guard not yet dropped")
-    }
-}
-
-impl<T> Drop for MutexGuard<'_, T> {
-    fn drop(&mut self) {
-        // End the data borrow before any waiter can be polled again.
-        self.inner = None;
-        let next = {
-            let mut state = self.lock.state.borrow_mut();
-            state.owner = None;
-            state.next_waiter()
-        };
-        self.lock.rt.task_release(self.task, self.lock.id);
-        if let Some(w) = next {
-            w.wake();
-        }
+        self.0.into_inner()
     }
 }

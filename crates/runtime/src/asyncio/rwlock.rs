@@ -1,7 +1,7 @@
-//! The poll-based immune reader–writer lock.
+//! The poll-based immune reader–writer lock: the one async lock, whose
+//! exclusive side is also [`Mutex`](crate::asyncio::Mutex).
 
 use crate::asyncio::executor::current_task;
-use crate::asyncio::mutex::Stage;
 use crate::runtime::{DimmunixRuntime, LockError, TaskAcquire};
 use crate::site::AcquisitionSite;
 use dimmunix_core::{AccessMode, LockId, TaskId};
@@ -13,23 +13,46 @@ use std::pin::Pin;
 use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
 
-/// Book-keeping of the actual task-level rwlock, separate from the engine's
-/// approval view. Readers may contain the same task more than once
-/// (reentrant shared acquisitions, which the engine grants reentrantly).
-struct RwState {
+/// Book-keeping of the actual task-level lock, separate from the engine's
+/// view: the engine *approves* acquisitions; this state serializes them.
+/// Readers may contain the same task more than once (reentrant shared
+/// acquisitions, which the engine grants reentrantly).
+struct LockState {
     readers: Vec<TaskId>,
     writer: Option<TaskId>,
     /// Wakers of engine-approved tasks waiting for the lock itself, FIFO
-    /// with the access mode they wait in and at most one entry per task;
-    /// their request edges stay in the RAG while they wait. A release wakes
-    /// only what can actually proceed — the front writer, or the reader
-    /// batch — never the whole crowd.
+    /// with the access mode they wait in and at most one entry per task —
+    /// the async analogue of blocking on the raw lock after
+    /// `before_acquire` returns. Their request edges stay in the RAG, so
+    /// cycles through these waits remain visible.
     waiters: VecDeque<(TaskId, AccessMode, Waker)>,
 }
 
-impl RwState {
+impl LockState {
+    /// Takes the lock for `task` in `mode` if it is free for that mode.
+    /// Panics on the two requests that would wait on the task itself.
+    fn try_take(&mut self, task: TaskId, mode: AccessMode, id: LockId) -> bool {
+        if self.writer == Some(task) {
+            panic!("asyncio lock {id} is not reentrant: task {task} holds it exclusively");
+        }
+        if mode.is_shared() {
+            if self.writer.is_none() {
+                self.readers.push(task);
+            }
+            return self.writer.is_none();
+        }
+        if self.readers.contains(&task) {
+            panic!("task {task} holds lock {id} shared; a read→write upgrade would self-deadlock");
+        }
+        let free = self.writer.is_none() && self.readers.is_empty();
+        if free {
+            self.writer = Some(task);
+        }
+        free
+    }
+
     /// Registers (or refreshes) `task`'s waker without duplicating its
-    /// queue entry.
+    /// queue entry — a re-poll must not push the task to the back twice.
     fn enqueue(&mut self, task: TaskId, mode: AccessMode, waker: &Waker) {
         match self.waiters.iter_mut().find(|(t, _, _)| *t == task) {
             Some((_, m, w)) => {
@@ -37,34 +60,6 @@ impl RwState {
                 *w = waker.clone();
             }
             None => self.waiters.push_back((task, mode, waker.clone())),
-        }
-    }
-
-    /// The wakers the next release hand-off should fire: the front waiter,
-    /// plus — when the front waits shared — every other shared waiter, since
-    /// a reader batch proceeds together while a writer proceeds alone.
-    fn handoff(&mut self) -> Vec<Waker> {
-        match self.waiters.front() {
-            None => Vec::new(),
-            Some((_, AccessMode::Exclusive, _)) => {
-                vec![self
-                    .waiters
-                    .pop_front()
-                    .map(|(_, _, w)| w)
-                    .expect("front exists")]
-            }
-            Some((_, AccessMode::Shared, _)) => {
-                let mut woken = Vec::new();
-                self.waiters.retain(|(_, m, w)| {
-                    if m.is_shared() {
-                        woken.push(w.clone());
-                        false
-                    } else {
-                        true
-                    }
-                });
-                woken
-            }
         }
     }
 }
@@ -76,16 +71,20 @@ impl RwState {
 /// [`AccessMode::Shared`], so every reader of a crowd carries its own hold
 /// edge and a blocked writer waits on all of them — the multi-owner RAG
 /// nodes that make rwlock cycles (e.g. two readers upgrading against each
-/// other's write) exact rather than approximated.
+/// other's write) exact rather than approximated. A guard held across an
+/// `.await` is a hold edge in the RAG for as long as it lives.
 ///
 /// Write acquisitions are not reentrant, and a read→write upgrade by the
 /// task holding the read side panics (it is a self-deadlock the engine
 /// cannot rescue, exactly like `std::sync::RwLock`'s undefined behaviour,
 /// made loud).
+///
+/// Lock futures must be polled from a task context (inside a future
+/// spawned on an [`Executor`](crate::asyncio::Executor)).
 pub struct RwLock<T> {
     rt: Arc<DimmunixRuntime>,
     id: LockId,
-    state: RefCell<RwState>,
+    state: RefCell<LockState>,
     data: RefCell<T>,
 }
 
@@ -109,7 +108,7 @@ impl<T> RwLock<T> {
         RwLock {
             rt: Arc::clone(rt),
             id: rt.allocate_lock(),
-            state: RefCell::new(RwState {
+            state: RefCell::new(LockState {
                 readers: Vec::new(),
                 writer: None,
                 waiters: VecDeque::new(),
@@ -132,29 +131,24 @@ impl<T> RwLock<T> {
 
     /// [`read`](Self::read) with an explicit acquisition site.
     pub fn read_at(&self, site: AcquisitionSite) -> RwLockReadFuture<'_, T> {
-        RwLockReadFuture {
-            lock: self,
-            site,
-            task: None,
-            stage: Stage::Init,
-        }
+        RwLockReadFuture(Acquire::new(self, site, AccessMode::Shared))
     }
 
     /// Acquires the lock exclusively, capturing the caller's source
     /// location as the acquisition site.
+    ///
+    /// Resolves to [`LockError::WouldDeadlock`] when the acquisition would
+    /// close a task-level deadlock cycle (under the `Error` policy); so does
+    /// [`read`](Self::read).
     #[track_caller]
     pub fn write(&self) -> RwLockWriteFuture<'_, T> {
         self.write_at(AcquisitionSite::here())
     }
 
-    /// [`write`](Self::write) with an explicit acquisition site.
+    /// [`write`](Self::write) with an explicit acquisition site
+    /// (deterministic tests and schedule replays).
     pub fn write_at(&self, site: AcquisitionSite) -> RwLockWriteFuture<'_, T> {
-        RwLockWriteFuture {
-            lock: self,
-            site,
-            task: None,
-            stage: Stage::Init,
-        }
+        RwLockWriteFuture(Acquire::new(self, site, AccessMode::Exclusive))
     }
 
     /// Consumes the rwlock and returns the protected value.
@@ -162,35 +156,167 @@ impl<T> RwLock<T> {
         self.data.into_inner()
     }
 
-    /// One engine decision for this future's poll; shared by the read and
-    /// write futures. Returns `Some(poll-result)` when the poll is over
-    /// (parked or refused), `None` when the engine approved and the caller
-    /// should try the actual lock.
-    fn begin<G>(
-        &self,
-        task: TaskId,
-        site: AcquisitionSite,
-        mode: AccessMode,
-        stage: &mut Stage,
-        cx: &mut Context<'_>,
-    ) -> Option<Poll<Result<G, LockError>>> {
-        match self
-            .rt
-            .task_begin_acquire_mode(task, self.id, site, mode, cx.waker())
-        {
-            TaskAcquire::Granted => {
-                *stage = Stage::Approved;
-                None
+    /// A guard drop: the state update, then the engine release, then — if
+    /// the lock is now free — the hand-off.
+    fn release(&self, task: TaskId, mode: AccessMode) {
+        let free = {
+            let mut state = self.state.borrow_mut();
+            if mode.is_shared() {
+                if let Some(i) = state.readers.iter().position(|r| *r == task) {
+                    state.readers.swap_remove(i);
+                }
+            } else {
+                state.writer = None;
             }
-            TaskAcquire::Parked { .. } => {
-                *stage = Stage::Parked;
-                Some(Poll::Pending)
+            state.writer.is_none() && state.readers.is_empty()
+        };
+        self.rt.task_release(task, self.id);
+        if free {
+            self.hand_off();
+        }
+    }
+
+    /// Wakes who can take the lock next: the front writer alone, or the
+    /// front reader and then every other queued reader, in queue order, a
+    /// reader batch proceeding together. One waiter at a time is popped
+    /// under the state borrow and woken outside it, so nothing allocates.
+    fn hand_off(&self) {
+        // Where the next reader of the batch is searched, once the front
+        // waiter was a reader.
+        let mut batch_from = None;
+        loop {
+            let (mode, waker) = {
+                let mut state = self.state.borrow_mut();
+                let at = match batch_from {
+                    None => 0,
+                    Some(from) => match state
+                        .waiters
+                        .range(from..)
+                        .position(|(_, m, _)| m.is_shared())
+                    {
+                        Some(i) => from + i,
+                        None => return,
+                    },
+                };
+                let Some((_, mode, waker)) = state.waiters.remove(at) else {
+                    return;
+                };
+                batch_from = Some(at);
+                (mode, waker)
+            };
+            waker.wake();
+            if !mode.is_shared() {
+                return;
             }
-            TaskAcquire::WouldDeadlock(err) => {
-                // Clear the refused request edge (see asyncio::Mutex).
-                self.rt.task_cancel_acquire(task, self.id);
-                *stage = Stage::Done;
-                Some(Poll::Ready(Err(err)))
+        }
+    }
+}
+
+/// Where an acquisition stands in the protocol — which engine state exists
+/// and must be reversed if its future is dropped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stage {
+    /// No engine state yet.
+    Init,
+    /// Parked by avoidance: a yield record and request edge exist.
+    Parked,
+    /// Engine approved; a pending grant (request edge) exists until the
+    /// acquisition completes.
+    Approved,
+    /// Completed (guard produced or error returned).
+    Done,
+}
+
+/// One task acquisition of an [`RwLock`] in one mode: the stage machine
+/// both lock futures run, and the back-out their drop makes.
+#[derive(Debug)]
+struct Acquire<'a, T> {
+    lock: &'a RwLock<T>,
+    site: AcquisitionSite,
+    mode: AccessMode,
+    task: Option<TaskId>,
+    stage: Stage,
+}
+
+impl<'a, T> Acquire<'a, T> {
+    fn new(lock: &'a RwLock<T>, site: AcquisitionSite, mode: AccessMode) -> Self {
+        Acquire {
+            lock,
+            site,
+            mode,
+            task: None,
+            stage: Stage::Init,
+        }
+    }
+
+    /// One poll of the protocol; resolves to the task once it holds the
+    /// lock. The engine decides first (grant, park or refusal); an approved
+    /// task then takes the lock or queues for it.
+    fn poll(&mut self, cx: &mut Context<'_>) -> Poll<Result<TaskId, LockError>> {
+        let (lock, id) = (self.lock, self.lock.id);
+        let task = current_task()
+            .expect("asyncio lock futures must be polled from an Executor task context");
+        self.task = Some(task);
+        loop {
+            match self.stage {
+                Stage::Init | Stage::Parked => {
+                    let waker = cx.waker();
+                    match lock
+                        .rt
+                        .task_begin_acquire_mode(task, id, self.site, self.mode, waker)
+                    {
+                        TaskAcquire::Granted => self.stage = Stage::Approved,
+                        TaskAcquire::Parked { .. } => {
+                            self.stage = Stage::Parked;
+                            return Poll::Pending;
+                        }
+                        TaskAcquire::WouldDeadlock(err) => {
+                            // The engine leaves the refused request edge
+                            // behind; clear it so the task's next request
+                            // starts clean.
+                            lock.rt.task_cancel_acquire(task, id);
+                            self.stage = Stage::Done;
+                            return Poll::Ready(Err(err));
+                        }
+                    }
+                }
+                Stage::Approved => {
+                    let mut state = lock.state.borrow_mut();
+                    if !state.try_take(task, self.mode, id) {
+                        state.enqueue(task, self.mode, cx.waker());
+                        return Poll::Pending;
+                    }
+                    drop(state);
+                    lock.rt.task_finish_acquire(task, id);
+                    self.stage = Stage::Done;
+                    return Poll::Ready(Ok(task));
+                }
+                Stage::Done => panic!("asyncio lock future polled after completion"),
+            }
+        }
+    }
+}
+
+impl<T> Drop for Acquire<'_, T> {
+    /// An abandoned future (select! lost the race, task cancelled) reverses
+    /// whatever engine state the protocol accumulated. An approved one may
+    /// also have consumed the single wake a hand-off gave it: it leaves the
+    /// queue and, unless the lock is write-held, hands off again so that
+    /// wake does not die with it. A spurious extra wake costs the woken task
+    /// one re-poll.
+    fn drop(&mut self) {
+        let (Some(task), Stage::Parked | Stage::Approved) = (self.task, self.stage) else {
+            return;
+        };
+        self.lock.rt.task_cancel_acquire(task, self.lock.id);
+        if self.stage == Stage::Approved {
+            let free = {
+                let mut state = self.lock.state.borrow_mut();
+                state.waiters.retain(|(t, _, _)| *t != task);
+                state.writer.is_none()
+            };
+            if free {
+                self.lock.hand_off();
             }
         }
     }
@@ -198,165 +324,37 @@ impl<T> RwLock<T> {
 
 /// Future returned by [`RwLock::read`].
 #[derive(Debug)]
-pub struct RwLockReadFuture<'a, T> {
-    lock: &'a RwLock<T>,
-    site: AcquisitionSite,
-    task: Option<TaskId>,
-    stage: Stage,
-}
+pub struct RwLockReadFuture<'a, T>(Acquire<'a, T>);
 
 impl<'a, T> Future for RwLockReadFuture<'a, T> {
     type Output = Result<RwLockReadGuard<'a, T>, LockError>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = self.get_mut();
-        let task = current_task()
-            .expect("asyncio lock futures must be polled from an Executor task context");
-        this.task = Some(task);
-        loop {
-            match this.stage {
-                Stage::Init | Stage::Parked => {
-                    if let Some(done) =
-                        this.lock
-                            .begin(task, this.site, AccessMode::Shared, &mut this.stage, cx)
-                    {
-                        return done;
-                    }
-                }
-                Stage::Approved => {
-                    let mut state = this.lock.state.borrow_mut();
-                    match state.writer {
-                        Some(writer) if writer == task => panic!(
-                            "asyncio::RwLock: task {task} holds the write side; a \
-                             reentrant read would self-deadlock"
-                        ),
-                        Some(_) => {
-                            state.enqueue(task, AccessMode::Shared, cx.waker());
-                            return Poll::Pending;
-                        }
-                        None => {
-                            state.readers.push(task);
-                            drop(state);
-                            this.lock.rt.task_finish_acquire(task, this.lock.id);
-                            this.stage = Stage::Done;
-                            return Poll::Ready(Ok(RwLockReadGuard {
-                                lock: this.lock,
-                                task,
-                                inner: Some(this.lock.data.borrow()),
-                            }));
-                        }
-                    }
-                }
-                Stage::Done => panic!("RwLockReadFuture polled after completion"),
-            }
-        }
+        let acquire = &mut self.get_mut().0;
+        let lock = acquire.lock;
+        acquire.poll(cx).map_ok(|task| RwLockReadGuard {
+            lock,
+            task,
+            inner: Some(lock.data.borrow()),
+        })
     }
 }
 
-impl<T> Drop for RwLockReadFuture<'_, T> {
-    fn drop(&mut self) {
-        if matches!(self.stage, Stage::Parked | Stage::Approved) {
-            if let Some(task) = self.task {
-                self.lock.rt.task_cancel_acquire(task, self.lock.id);
-                if self.stage == Stage::Approved {
-                    forward_handoff(self.lock, task);
-                }
-            }
-        }
-    }
-}
-
-/// Removes a dropped waiter's queue entry and, when the lock is not
-/// write-held, re-fires the hand-off: the dropped future may have consumed
-/// the single wake a release distributed, and that wake must not die with
-/// it. A spurious extra wake only costs the woken task one re-poll.
-fn forward_handoff<T>(lock: &RwLock<T>, task: TaskId) {
-    let woken = {
-        let mut state = lock.state.borrow_mut();
-        state.waiters.retain(|(t, _, _)| *t != task);
-        if state.writer.is_none() {
-            state.handoff()
-        } else {
-            Vec::new()
-        }
-    };
-    for w in woken {
-        w.wake();
-    }
-}
-
-/// Future returned by [`RwLock::write`].
+/// Future returned by [`RwLock::write`] and [`Mutex::lock`](crate::asyncio::Mutex::lock).
 #[derive(Debug)]
-pub struct RwLockWriteFuture<'a, T> {
-    lock: &'a RwLock<T>,
-    site: AcquisitionSite,
-    task: Option<TaskId>,
-    stage: Stage,
-}
+pub struct RwLockWriteFuture<'a, T>(Acquire<'a, T>);
 
 impl<'a, T> Future for RwLockWriteFuture<'a, T> {
     type Output = Result<RwLockWriteGuard<'a, T>, LockError>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = self.get_mut();
-        let task = current_task()
-            .expect("asyncio lock futures must be polled from an Executor task context");
-        this.task = Some(task);
-        loop {
-            match this.stage {
-                Stage::Init | Stage::Parked => {
-                    if let Some(done) =
-                        this.lock
-                            .begin(task, this.site, AccessMode::Exclusive, &mut this.stage, cx)
-                    {
-                        return done;
-                    }
-                }
-                Stage::Approved => {
-                    let mut state = this.lock.state.borrow_mut();
-                    if state.writer == Some(task) {
-                        panic!(
-                            "asyncio::RwLock is not write-reentrant: task {task} \
-                             already holds lock {} exclusively",
-                            this.lock.id
-                        );
-                    }
-                    if state.readers.contains(&task) {
-                        panic!(
-                            "asyncio::RwLock: task {task} holds the read side; a \
-                             read→write upgrade would self-deadlock"
-                        );
-                    }
-                    if state.writer.is_none() && state.readers.is_empty() {
-                        state.writer = Some(task);
-                        drop(state);
-                        this.lock.rt.task_finish_acquire(task, this.lock.id);
-                        this.stage = Stage::Done;
-                        return Poll::Ready(Ok(RwLockWriteGuard {
-                            lock: this.lock,
-                            task,
-                            inner: Some(this.lock.data.borrow_mut()),
-                        }));
-                    }
-                    state.enqueue(task, AccessMode::Exclusive, cx.waker());
-                    return Poll::Pending;
-                }
-                Stage::Done => panic!("RwLockWriteFuture polled after completion"),
-            }
-        }
-    }
-}
-
-impl<T> Drop for RwLockWriteFuture<'_, T> {
-    fn drop(&mut self) {
-        if matches!(self.stage, Stage::Parked | Stage::Approved) {
-            if let Some(task) = self.task {
-                self.lock.rt.task_cancel_acquire(task, self.lock.id);
-                if self.stage == Stage::Approved {
-                    forward_handoff(self.lock, task);
-                }
-            }
-        }
+        let acquire = &mut self.get_mut().0;
+        let lock = acquire.lock;
+        acquire.poll(cx).map_ok(|task| RwLockWriteGuard {
+            lock,
+            task,
+            inner: Some(lock.data.borrow_mut()),
+        })
     }
 }
 
@@ -366,6 +364,8 @@ impl<T> Drop for RwLockWriteFuture<'_, T> {
 pub struct RwLockReadGuard<'a, T> {
     lock: &'a RwLock<T>,
     task: TaskId,
+    /// `Some` for the guard's whole life; `Option` only so `drop` can end
+    /// the borrow before the lock is handed on.
     inner: Option<Ref<'a, T>>,
 }
 
@@ -387,28 +387,18 @@ impl<T> std::ops::Deref for RwLockReadGuard<'_, T> {
 impl<T> Drop for RwLockReadGuard<'_, T> {
     fn drop(&mut self) {
         self.inner = None;
-        let woken = {
-            let mut state = self.lock.state.borrow_mut();
-            if let Some(i) = state.readers.iter().position(|r| *r == self.task) {
-                state.readers.swap_remove(i);
-            }
-            if state.readers.is_empty() && state.writer.is_none() {
-                state.handoff()
-            } else {
-                Vec::new()
-            }
-        };
-        self.lock.rt.task_release(self.task, self.lock.id);
-        for w in woken {
-            w.wake();
-        }
+        self.lock.release(self.task, AccessMode::Shared);
     }
 }
 
-/// Exclusive guard produced by [`RwLock::write`]; releases on drop.
+/// Exclusive guard produced by [`RwLock::write`] and
+/// [`Mutex::lock`](crate::asyncio::Mutex::lock); releases on drop. Holding
+/// it across an `.await` keeps the hold edge in the RAG — that is the
+/// mechanism by which guard-across-await deadlocks become visible cycles.
 pub struct RwLockWriteGuard<'a, T> {
     lock: &'a RwLock<T>,
     task: TaskId,
+    /// As in [`RwLockReadGuard`].
     inner: Option<RefMut<'a, T>>,
 }
 
@@ -436,14 +426,6 @@ impl<T> std::ops::DerefMut for RwLockWriteGuard<'_, T> {
 impl<T> Drop for RwLockWriteGuard<'_, T> {
     fn drop(&mut self) {
         self.inner = None;
-        let woken = {
-            let mut state = self.lock.state.borrow_mut();
-            state.writer = None;
-            state.handoff()
-        };
-        self.lock.rt.task_release(self.task, self.lock.id);
-        for w in woken {
-            w.wake();
-        }
+        self.lock.release(self.task, AccessMode::Exclusive);
     }
 }

@@ -306,9 +306,9 @@ fn thread_park_allocates_no_more_than_a_task_park() {
 }
 
 /// A warm task's poll and wake: 1000 `yield_now`s, each a wake and a poll
-/// by the executor.
+/// by the executor, which lends every poll the waker built at spawn.
 #[test]
-fn warm_executor_poll_allocation_count() {
+fn warm_executor_poll_allocates_nothing() {
     let rt = runtime();
     let ex = Executor::new_in(&rt, 2);
     let counted = Rc::new(Cell::new(u64::MAX));
@@ -324,7 +324,7 @@ fn warm_executor_poll_allocation_count() {
         out.set(ALLOCS.with(Cell::get) - before);
     });
     assert_eq!(ex.run().completed, 1);
-    assert_eq!(counted.get(), COUNTED as u64);
+    assert_eq!(counted.get(), 0);
 }
 
 const HANDOFFS: usize = 100;
@@ -369,7 +369,7 @@ impl Handoffs {
 /// The holder of an `asyncio::Mutex` drops its guard with the other task
 /// queued, so the drop hands the lock on.
 #[test]
-fn contended_mutex_hand_off_allocation_count() {
+fn contended_mutex_hand_off_allocates_nothing() {
     let rt = runtime();
     let ex = Executor::new_in(&rt, 2);
     let (lock, log) = (
@@ -396,7 +396,7 @@ fn contended_mutex_hand_off_allocation_count() {
 
 /// The same on the write side of an `asyncio::RwLock`.
 #[test]
-fn contended_write_hand_off_allocation_count() {
+fn contended_write_hand_off_allocates_nothing() {
     let rt = runtime();
     let ex = Executor::new_in(&rt, 2);
     let (lock, log) = (
@@ -418,13 +418,13 @@ fn contended_write_hand_off_allocation_count() {
             yield_now().await;
         }
     });
-    assert_eq!(log.run(&ex, 2), 80);
+    assert_eq!(log.run(&ex, 2), 0);
 }
 
 /// A write release that hands the lock to a batch of two queued readers,
-/// woken together.
+/// woken one at a time with no list gathered.
 #[test]
-fn write_hand_off_to_a_reader_batch_allocation_count() {
+fn write_hand_off_to_a_reader_batch_allocates_nothing() {
     let rt = runtime();
     let ex = Executor::new_in(&rt, 2);
     let (lock, log) = (
@@ -449,5 +449,5 @@ fn write_hand_off_to_a_reader_batch_allocation_count() {
             }
         });
     }
-    assert_eq!(log.run(&ex, 3), 80);
+    assert_eq!(log.run(&ex, 3), 0);
 }
