@@ -259,6 +259,9 @@ pub trait ShardAccess {
                 // A yield needs the requesting position in the history,
                 // which tier 2 declines: `on_yield` only ever runs on tier 3.
                 decided = try_request_local(&mut shard, owner, lock, stack, mode);
+                if decided.is_some() {
+                    shard.stats_mut().local_decisions += 1;
+                }
             }
         }
 
@@ -281,6 +284,7 @@ pub trait ShardAccess {
                     }
                 }
                 let o = request_cross_shard(shards, owner, lock, stack, mode, route.stale_shard);
+                at(shards, home).stats_mut().cross_decisions += 1;
                 // Starvation resolution and eviction schedule wake-ups; a
                 // request that did neither (nearly all) has none to drain.
                 if shards.iter().any(|s| shard(s).has_pending_wakeups()) {

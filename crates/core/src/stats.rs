@@ -65,6 +65,16 @@ pub struct Stats {
     /// degraded to the all-shard path but scoped degradation kept fast.
     /// Zero in the core engines.
     pub degradation_scope_hits: u64,
+    /// Requests decided inside their home shard alone: tier 2 of the
+    /// locked admission ladder
+    /// ([`ShardAccess::decide_locked`](crate::ShardAccess::decide_locked)).
+    /// Zero in the monolithic engine, which has no tiers.
+    pub local_decisions: u64,
+    /// Requests decided under every shard lock over the merged view: tier
+    /// 3. In a [`ShardedDimmunix`](crate::ShardedDimmunix)
+    /// `local_decisions + cross_decisions == requests`; the runtime's
+    /// `requests` also counts its tier-1 admits.
+    pub cross_decisions: u64,
 }
 
 impl Stats {
@@ -131,6 +141,8 @@ impl Stats {
         self.fast_admits += other.fast_admits;
         self.slow_fallbacks += other.slow_fallbacks;
         self.degradation_scope_hits += other.degradation_scope_hits;
+        self.local_decisions += other.local_decisions;
+        self.cross_decisions += other.cross_decisions;
     }
 }
 
@@ -141,7 +153,7 @@ impl fmt::Display for Stats {
             "requests={} grants={} reentrant={} acquisitions={} releases={} reentries={} \
              yields={} deadlocks={} (new sigs {}) starvations={} (new sigs {}) checks={} \
              examined={} wakeups={} evicted={} fast_admits={} slow_fallbacks={} \
-             degradation_scope_hits={}",
+             degradation_scope_hits={} local_decisions={} cross_decisions={}",
             self.requests,
             self.grants,
             self.reentrant_grants,
@@ -159,7 +171,9 @@ impl fmt::Display for Stats {
             self.signatures_evicted,
             self.fast_admits,
             self.slow_fallbacks,
-            self.degradation_scope_hits
+            self.degradation_scope_hits,
+            self.local_decisions,
+            self.cross_decisions
         )
     }
 }
@@ -189,6 +203,8 @@ mod tests {
             fast_admits: 16,
             slow_fallbacks: 17,
             degradation_scope_hits: 18,
+            local_decisions: 19,
+            cross_decisions: 20,
         };
         let b = a;
         a.merge(&b);
@@ -201,6 +217,7 @@ mod tests {
         assert_eq!(a.fast_admits, 32);
         assert_eq!(a.slow_fallbacks, 34);
         assert_eq!(a.degradation_scope_hits, 36);
+        assert_eq!((a.local_decisions, a.cross_decisions), (38, 40));
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! The shard-mutex budget of every runtime hook, as exact counts on a
 //! 2-shard runtime. Where `flat_sections`-style timing cannot tell two
 //! builds apart, these counts can: a change to the locked admission ladder
-//! that takes one more shard lock in any hook fails here. Needs the
-//! `test-util` feature (`DimmunixRuntime::shard_locks_taken`).
+//! that takes one more shard lock in any hook fails here. Beside each budget
+//! sits the tier that decided: `Stats::local_decisions` (tier 2) and
+//! `Stats::cross_decisions` (tier 3). Needs the `test-util` feature
+//! (`DimmunixRuntime::shard_locks_taken`).
 
 use dimmunix_core::{Signature, SignatureKind, SignaturePair};
 use dimmunix_rt::{AcquisitionSite, DimmunixRuntime, TaskAcquire};
+use std::cell::Cell;
 use std::sync::Arc;
 use std::task::{Wake, Waker};
 
@@ -31,6 +34,13 @@ fn shard_locks<R>(rt: &DimmunixRuntime, f: impl FnOnce() -> R) -> (u64, R) {
 fn every_hook_takes_its_pinned_number_of_shard_locks() {
     let rt = DimmunixRuntime::builder().shards(2).log_sync(false).build();
     let count = |f: &dyn Fn()| shard_locks(&rt, f).0;
+    // Tier-2 and tier-3 decisions since the previous call.
+    let last = Cell::new((0, 0));
+    let decided = || {
+        let s = rt.stats();
+        let (local, cross) = last.replace((s.local_decisions, s.cross_decisions));
+        (s.local_decisions - local, s.cross_decisions - cross)
+    };
 
     assert_eq!(
         count(&|| {
@@ -50,7 +60,9 @@ fn every_hook_takes_its_pinned_number_of_shard_locks() {
         rt.before_release(debit);
     };
     section();
+    decided();
     assert_eq!(count(&section), 0, "steady-state tier-1 thread section");
+    assert_eq!(decided(), (0, 0), "tier 1 decides on neither locked tier");
 
     // A nested transfer: the outer lock is admitted on tier 1, the inner
     // request publishes it and takes tier 3, and both releases are then
@@ -64,6 +76,7 @@ fn every_hook_takes_its_pinned_number_of_shard_locks() {
         count(&|| rt.before_release(debit)),
     ];
     assert_eq!(nested, [2, 1, 1, 1], "publish + tier 3, finish, releases");
+    assert_eq!(decided(), (0, 1), "a nested transfer: tier 1, then tier 3");
 
     // A hold-free task at a clean site: tier 2 throughout.
     let waker = Waker::from(Arc::new(NoOp));
@@ -80,6 +93,7 @@ fn every_hook_takes_its_pinned_number_of_shard_locks() {
         count(&|| rt.task_release(task, debit)),
     ];
     assert_eq!(task_cycle, [1, 1, 1], "task begin / finish / release");
+    assert_eq!(decided(), (1, 0), "a hold-free task's begin: tier 2");
     assert_eq!(count(&|| rt.retire_task(task)), 2, "retire_task");
 
     let outer = OUTER.to_call_stack();

@@ -499,6 +499,11 @@ mod tests {
         assert_eq!(learn.result.refused, 1890, "a closing request was refused");
         let stats = learn.runtime.stats();
         assert!(stats.deadlocks_detected >= 1);
+        // Which locked tier decided each request (tasks never take tier 1).
+        assert_eq!(
+            (stats.local_decisions, stats.cross_decisions),
+            (19_705, 24_942)
+        );
         let learned = learn.runtime.history();
         assert_eq!(
             learned.len(),
@@ -525,6 +530,10 @@ mod tests {
         assert_eq!(stats.yields, 9999, "avoidance parked inverted requests");
         assert_eq!(stats.requests, 39_999);
         assert_eq!(stats.grants, 30_000);
+        assert_eq!(
+            (stats.local_decisions, stats.cross_decisions),
+            (9_236, 30_763)
+        );
         let _ = std::fs::remove_file(&log);
     }
 
@@ -552,7 +561,14 @@ mod tests {
         assert_eq!(immune.result.completed, cfg.tasks);
         assert_eq!(immune.result.stuck, 0);
         assert_eq!(immune.result.refused, 0);
-        assert_eq!(immune.runtime.stats().deadlocks_detected, 0);
+        let stats = immune.runtime.stats();
+        assert_eq!(stats.deadlocks_detected, 0);
+        // Per request: the first resource and the fan-in lock, taken
+        // holding nothing, on tier 2; the second resource on tier 3.
+        assert_eq!(
+            (stats.local_decisions, stats.cross_decisions),
+            (4_000, 2_000)
+        );
         assert_eq!(immune.result.latencies.len(), cfg.tasks);
         assert!(immune.result.latency_percentile(0.99) >= immune.result.latency_percentile(0.5));
     }
