@@ -11,6 +11,8 @@ use dimmunix::core::{
 use dimmunix::vm::{ProcessBuilder, RunOutcome};
 use dimmunix::workloads::{dining_philosophers, synthetic_history};
 
+mod common;
+
 fn train_philosophers() -> History {
     for seed in 0..400u64 {
         let (program, main) = dining_philosophers(3, 2);
@@ -141,9 +143,7 @@ fn platform_scale_history_is_not_replicated_per_shard() {
 /// append cleanly to the repaired log.
 #[test]
 fn history_log_survives_a_kill_during_detection() {
-    use dimmunix::rt::{AcquisitionSite, DeadlockPolicy, DimmunixRuntime, ImmuneMutex, LockError};
-    use std::sync::Arc;
-    use std::time::Duration;
+    use dimmunix::rt::{DeadlockPolicy, DimmunixRuntime};
 
     let dir = std::env::temp_dir().join(format!("dimmunix-it-kill-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -156,38 +156,7 @@ fn history_log_survives_a_kill_during_detection() {
 
     // Provoke two distinct deadlocks; each appends one record.
     let rt = builder().build();
-    for round in 0..2u32 {
-        let a = Arc::new(ImmuneMutex::new_in(&rt, 0u32));
-        let b = Arc::new(ImmuneMutex::new_in(&rt, 0u32));
-        let (a1, b1) = (a.clone(), b.clone());
-        let t1 = std::thread::spawn(move || -> Result<(), LockError> {
-            let _g = a1.lock_at(AcquisitionSite::new("kill.outerA", "kill.rs", round * 10))?;
-            std::thread::sleep(Duration::from_millis(60));
-            let _h = b1.lock_at(AcquisitionSite::new(
-                "kill.innerA",
-                "kill.rs",
-                round * 10 + 1,
-            ))?;
-            Ok(())
-        });
-        let t2 = std::thread::spawn(move || -> Result<(), LockError> {
-            std::thread::sleep(Duration::from_millis(20));
-            let _g = b.lock_at(AcquisitionSite::new(
-                "kill.outerB",
-                "kill.rs",
-                round * 10 + 2,
-            ))?;
-            std::thread::sleep(Duration::from_millis(60));
-            let _h = a.lock_at(AcquisitionSite::new(
-                "kill.innerB",
-                "kill.rs",
-                round * 10 + 3,
-            ))?;
-            Ok(())
-        });
-        let (r1, r2) = (t1.join().unwrap(), t2.join().unwrap());
-        assert!(r1.is_err() || r2.is_err(), "round {round} must deadlock");
-    }
+    provoke_deadlocks(&rt, 2, KILL);
     let full = rt.history();
     assert_eq!(full.len(), 2);
     drop(rt);
@@ -248,32 +217,45 @@ fn corrupt_history_log_is_quarantined_and_reported() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The scope names of the AB/BA schedule's acquisitions, per thread (outer,
+/// inner), and their file.
+type Sites = ([[&'static str; 2]; 2], &'static str);
+
+const KILL: Sites = (
+    [
+        ["kill.outerA", "kill.innerA"],
+        ["kill.outerB", "kill.innerB"],
+    ],
+    "kill.rs",
+);
+const SEG: Sites = (
+    [["seg.outerA", "seg.innerA"], ["seg.outerB", "seg.innerB"]],
+    "seg.rs",
+);
+
 /// Provokes `rounds` distinct AB-BA deadlocks through the real-thread
-/// runtime, each at its own sites so each learns a distinct antibody.
-fn provoke_deadlocks(rt: &std::sync::Arc<dimmunix::rt::DimmunixRuntime>, rounds: u32) {
-    use dimmunix::rt::{AcquisitionSite, ImmuneMutex, LockError};
-    use std::sync::Arc;
-    use std::time::Duration;
+/// runtime, each at its own lines (`round * 10` to `round * 10 + 3`) so each
+/// learns a distinct antibody.
+fn provoke_deadlocks(
+    rt: &std::sync::Arc<dimmunix::rt::DimmunixRuntime>,
+    rounds: u32,
+    (scopes, file): Sites,
+) {
+    use dimmunix::rt::AcquisitionSite;
 
     for round in 0..rounds {
-        let a = Arc::new(ImmuneMutex::new_in(rt, 0u32));
-        let b = Arc::new(ImmuneMutex::new_in(rt, 0u32));
-        let (a1, b1) = (a.clone(), b.clone());
-        let t1 = std::thread::spawn(move || -> Result<(), LockError> {
-            let _g = a1.lock_at(AcquisitionSite::new("seg.outerA", "seg.rs", round * 10))?;
-            std::thread::sleep(Duration::from_millis(60));
-            let _h = b1.lock_at(AcquisitionSite::new("seg.innerA", "seg.rs", round * 10 + 1))?;
-            Ok(())
+        let results = common::ab_ba(rt, |m, thread, inner| {
+            let line = round * 10 + 2 * thread as u32 + u32::from(inner);
+            m.lock_at(AcquisitionSite::new(
+                scopes[thread][usize::from(inner)],
+                file,
+                line,
+            ))
         });
-        let t2 = std::thread::spawn(move || -> Result<(), LockError> {
-            std::thread::sleep(Duration::from_millis(20));
-            let _g = b.lock_at(AcquisitionSite::new("seg.outerB", "seg.rs", round * 10 + 2))?;
-            std::thread::sleep(Duration::from_millis(60));
-            let _h = a.lock_at(AcquisitionSite::new("seg.innerB", "seg.rs", round * 10 + 3))?;
-            Ok(())
-        });
-        let (r1, r2) = (t1.join().unwrap(), t2.join().unwrap());
-        assert!(r1.is_err() || r2.is_err(), "round {round} must deadlock");
+        assert!(
+            results.iter().any(Result::is_err),
+            "round {round} must deadlock"
+        );
     }
 }
 
@@ -301,7 +283,7 @@ fn segmented_log_survives_a_kill_in_the_last_segment() {
     // Three distinct detections at two records per segment: the third rolls
     // into a second segment.
     let rt = builder().build();
-    provoke_deadlocks(&rt, 3);
+    provoke_deadlocks(&rt, 3, SEG);
     assert_eq!(rt.history().len(), 3);
     drop(rt);
     let seg1 = dir.join("history.log.seg1");
@@ -397,7 +379,7 @@ fn segmented_history_replays_byte_identically_across_processes() {
 
     // One record per segment: every detection rolls a fresh segment.
     let rt = builder().build();
-    provoke_deadlocks(&rt, 3);
+    provoke_deadlocks(&rt, 3, SEG);
     let text_before = rt.history().to_text();
     assert_eq!(rt.history().len(), 3);
     drop(rt);

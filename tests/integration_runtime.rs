@@ -8,7 +8,8 @@ use dimmunix::rt::{
     AcquisitionSite, DeadlockPolicy, DimmunixRuntime, ImmuneMutex, ImmuneRwLock, LockError,
 };
 use std::sync::Arc;
-use std::time::Duration;
+
+mod common;
 
 const OUTER_A: AcquisitionSite = AcquisitionSite::new("it.outerA", "it_rt.rs", 1);
 const INNER_A: AcquisitionSite = AcquisitionSite::new("it.innerA", "it_rt.rs", 2);
@@ -18,24 +19,11 @@ const INNER_B: AcquisitionSite = AcquisitionSite::new("it.innerB", "it_rt.rs", 4
 fn adversarial_run(
     runtime: &Arc<DimmunixRuntime>,
 ) -> (Result<(), LockError>, Result<(), LockError>) {
-    let a = Arc::new(ImmuneMutex::new_in(runtime, 0u32));
-    let b = Arc::new(ImmuneMutex::new_in(runtime, 0u32));
-    let (a1, b1) = (a.clone(), b.clone());
-    let t1 = std::thread::spawn(move || -> Result<(), LockError> {
-        let _g = a1.lock_at(OUTER_A)?;
-        std::thread::sleep(Duration::from_millis(60));
-        let _h = b1.lock_at(INNER_A)?;
-        Ok(())
+    const SITES: [[AcquisitionSite; 2]; 2] = [[OUTER_A, INNER_A], [OUTER_B, INNER_B]];
+    let [r1, r2] = common::ab_ba(runtime, |m, thread, inner| {
+        m.lock_at(SITES[thread][usize::from(inner)])
     });
-    let (a2, b2) = (a, b);
-    let t2 = std::thread::spawn(move || -> Result<(), LockError> {
-        std::thread::sleep(Duration::from_millis(20));
-        let _g = b2.lock_at(OUTER_B)?;
-        std::thread::sleep(Duration::from_millis(60));
-        let _h = a2.lock_at(INNER_B)?;
-        Ok(())
-    });
-    (t1.join().unwrap(), t2.join().unwrap())
+    (r1, r2)
 }
 
 #[test]

@@ -20,7 +20,8 @@ use dimmunix::rt::{
 };
 use dimmunix::sim::Gen;
 use std::sync::Arc;
-use std::time::Duration;
+
+mod common;
 
 // ---------------------------------------------------------------------
 // The one-line trick: both surfaces capture the same source line, so any
@@ -78,24 +79,14 @@ fn adversarial_run(
     rt: &Arc<DimmunixRuntime>,
     implicit: bool,
 ) -> (Result<(), LockError>, Result<(), LockError>) {
-    let a = Arc::new(ImmuneMutex::new_in(rt, 0u32));
-    let b = Arc::new(ImmuneMutex::new_in(rt, 0u32));
-    let (a1, b1) = (a.clone(), b.clone());
-    let t1 = std::thread::spawn(move || -> Result<(), LockError> {
-        let _g = acquire_outer(&a1, implicit)?;
-        std::thread::sleep(Duration::from_millis(60));
-        let _h = acquire_inner(&b1, implicit)?;
-        Ok(())
+    let [r1, r2] = common::ab_ba(rt, |m, _, inner| {
+        if inner {
+            acquire_inner(m, implicit)
+        } else {
+            acquire_outer(m, implicit)
+        }
     });
-    let (a2, b2) = (a, b);
-    let t2 = std::thread::spawn(move || -> Result<(), LockError> {
-        std::thread::sleep(Duration::from_millis(20));
-        let _g = acquire_outer(&b2, implicit)?;
-        std::thread::sleep(Duration::from_millis(60));
-        let _h = acquire_inner(&a2, implicit)?;
-        Ok(())
-    });
-    (t1.join().unwrap(), t2.join().unwrap())
+    (r1, r2)
 }
 
 /// The same deadlock learned through either surface produces byte-identical
