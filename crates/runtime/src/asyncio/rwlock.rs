@@ -35,18 +35,15 @@ impl LockState {
         if self.writer == Some(task) {
             panic!("asyncio lock {id} is not reentrant: task {task} holds it exclusively");
         }
-        if mode.is_shared() {
-            if self.writer.is_none() {
-                self.readers.push(task);
-            }
-            return self.writer.is_none();
-        }
-        if self.readers.contains(&task) {
+        let shared = mode.is_shared();
+        if !shared && self.readers.contains(&task) {
             panic!("task {task} holds lock {id} shared; a read→write upgrade would self-deadlock");
         }
-        let free = self.writer.is_none() && self.readers.is_empty();
-        if free {
-            self.writer = Some(task);
+        let free = self.writer.is_none() && (shared || self.readers.is_empty());
+        match (free, shared) {
+            (true, true) => self.readers.push(task),
+            (true, false) => self.writer = Some(task),
+            (false, _) => {}
         }
         free
     }
