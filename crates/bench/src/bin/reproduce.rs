@@ -2,15 +2,18 @@
 //!
 //! ```text
 //! reproduce [--exp all|table1|overhead|case-study|power|corpus|isolation|depth-ablation|starvation]
-//!           [--quick] [--scale N]
+//!           [--scale N]
 //! ```
+//!
+//! `--exp overhead` and `--exp power` time nothing: they read the last line
+//! of the checked-in `BENCH_TRAJECTORY.jsonl` (the immunity-cost benchmark's
+//! costs) and exit non-zero when that line cannot answer.
 
 use dimmunix_bench as bench;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut exp = "all".to_string();
-    let mut quick = false;
     let mut scale: u64 = 500;
     let mut i = 0;
     while i < args.len() {
@@ -19,14 +22,13 @@ fn main() {
                 i += 1;
                 exp = args.get(i).cloned().unwrap_or_else(|| "all".into());
             }
-            "--quick" => quick = true,
             "--scale" => {
                 i += 1;
                 scale = args.get(i).and_then(|s| s.parse().ok()).unwrap_or(500);
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: reproduce [--exp all|table1|overhead|case-study|power|corpus|isolation|depth-ablation|starvation] [--quick] [--scale N]"
+                    "usage: reproduce [--exp all|table1|overhead|case-study|power|corpus|isolation|depth-ablation|starvation] [--scale N]"
                 );
                 return;
             }
@@ -65,7 +67,7 @@ fn main() {
         print_table1(scale);
     }
     if run_all || exp == "overhead" {
-        print_overhead(quick || run_all);
+        print_overhead();
     }
     if run_all || exp == "case-study" {
         print_case_study();
@@ -121,21 +123,44 @@ fn print_table1(scale: u64) {
     println!();
 }
 
-fn print_overhead(quick: bool) {
-    println!("== §5 microbenchmark: synchronization throughput with and without Dimmunix ==");
-    println!("(paper: 1738-1756 syncs/s vanilla vs 1657-1681 with Dimmunix => 4-5% overhead)");
+/// The costs on the last line of the checked-in `BENCH_TRAJECTORY.jsonl`;
+/// exits non-zero, naming `experiment` and the reason, when that line cannot
+/// answer.
+fn trajectory_overhead(experiment: &str) -> bench::Overhead {
+    let path = bench::report::repo_root().join("BENCH_TRAJECTORY.jsonl");
+    let overhead = std::fs::read_to_string(&path)
+        .map_err(|e| format!("{}: {e}", path.display()))
+        .and_then(|text| bench::overhead(&text));
+    overhead.unwrap_or_else(|reason| {
+        eprintln!("§5 {experiment}: {reason}");
+        std::process::exit(1);
+    })
+}
+
+fn print_overhead() {
+    let o = trajectory_overhead("overhead");
+    println!("== §5 overhead: Table 1's sync rates x the benchmark's measured immunity cost ==");
     println!(
-        "{:>8} {:>10} {:>16} {:>16} {:>10}",
-        "Threads", "History", "Vanilla s/s", "Dimmunix s/s", "Overhead"
+        "PR {} line of BENCH_TRAJECTORY.jsonl, {} CPUs (paper: 4-5% overhead on its sync microbenchmark)",
+        o.pr, o.nproc
     );
-    for row in bench::overhead_sweep(quick) {
+    let costs: Vec<String> = bench::OVERHEAD_PATHS
+        .iter()
+        .zip(o.cost_ns)
+        .map(|((path, workload), ns)| format!("{path} {ns:.0} ns ({workload})"))
+        .collect();
+    println!("  {}", costs.join(", "));
+    println!("  a benchmark operation makes at least one acquisition: each cost is an upper bound on one sync");
+    println!("share of one core spent in the hooks at each application's Table 1 rate:");
+    println!(
+        "{:<12} {:>8} {:>9} {:>9} {:>9}",
+        "Application", "sync/s", "tier 1", "nested", "task"
+    );
+    for row in &o.rows {
+        let [tier1, nested, task] = row.core_share.map(|share| share * 100.0);
         println!(
-            "{:>8} {:>10} {:>16.0} {:>16.0} {:>9.1}%",
-            row.threads,
-            row.history_size,
-            row.vanilla_rate,
-            row.dimmunix_rate,
-            row.overhead() * 100.0
+            "{:<12} {:>8} {tier1:>8.3}% {nested:>8.3}% {task:>8.3}%",
+            row.app, row.syncs_per_sec
         );
     }
     println!();
@@ -167,8 +192,13 @@ fn print_case_study() {
 }
 
 fn print_power() {
-    let p = bench::power();
+    let o = trajectory_overhead("power");
+    let p = bench::power(&o);
     println!("== §5 power consumption ==");
+    println!(
+        "immunity work per sync: {:.0} ns, {}'s cost on the PR {} line of BENCH_TRAJECTORY.jsonl (the dearest path, an upper bound)",
+        p.cost_ns, p.workload, o.pr
+    );
     println!(
         "applications+OS share of energy: vanilla {}%  with Dimmunix {}%  (paper: 14% both)",
         p.vanilla_percent, p.dimmunix_percent

@@ -423,10 +423,10 @@ impl Dimmunix {
     }
 
     /// Adds a signature directly to the history (vendor-shipped antibodies or
-    /// synthetic signatures for the §5 microbenchmark). Returns its id and
-    /// whether it was new. At `max_signatures` generation-stale antibodies
-    /// are evicted to make room, each retirement recorded in
-    /// [`Stats::signatures_evicted`](crate::Stats).
+    /// the synthetic signatures of the history-size tests and benches).
+    /// Returns its id and whether it was new. At `max_signatures`
+    /// generation-stale antibodies are evicted to make room, each retirement
+    /// recorded in [`Stats::signatures_evicted`](crate::Stats).
     pub fn add_signature(&mut self, sig: Signature) -> (SignatureId, bool) {
         self.insert_signature(sig)
     }

@@ -1,7 +1,7 @@
 //! Runtime counters kept by the engine.
 //!
-//! These back the evaluation harness: synchronization throughput (Table 1 and
-//! the §5 microbenchmark), avoidance activity, and memory accounting.
+//! These back the evaluation harness: synchronization counts (Table 1),
+//! avoidance activity, and memory accounting.
 
 use std::fmt;
 

@@ -73,242 +73,7 @@ pub use site::{AcquisitionSite, CALLER_SCOPE};
 #[cfg(test)]
 mod integration_tests {
     use super::*;
-    use dimmunix_core::{Config, SignatureKind};
     use std::sync::Arc;
-    use std::time::Duration;
-
-    /// End-to-end "immunity develops" test on real threads: run 1 produces a
-    /// deadlock (detected, recorded); run 2 with the recorded history
-    /// completes.
-    #[test]
-    fn real_threads_learn_and_avoid_ab_ba() {
-        let site_a_outer = AcquisitionSite::new("transfer.a_to_b", "bank.rs", 10);
-        let site_a_inner = AcquisitionSite::new("transfer.a_to_b.inner", "bank.rs", 11);
-        let site_b_outer = AcquisitionSite::new("transfer.b_to_a", "bank.rs", 20);
-        let site_b_inner = AcquisitionSite::new("transfer.b_to_a.inner", "bank.rs", 21);
-
-        // --- Run 1: provoke the deadlock deterministically. ---------------
-        let rt = DimmunixRuntime::builder()
-            .config(Config::default())
-            .deadlock_policy(DeadlockPolicy::Error)
-            .build();
-        let a = Arc::new(ImmuneMutex::new_in(&rt, 0i64));
-        let b = Arc::new(ImmuneMutex::new_in(&rt, 0i64));
-
-        let barrier = Arc::new(std::sync::Barrier::new(2));
-        let (a1, b1, bar1) = (a.clone(), b.clone(), barrier.clone());
-        let t1 = std::thread::spawn(move || -> Result<(), LockError> {
-            let _ga = a1.lock_at(site_a_outer)?;
-            bar1.wait();
-            std::thread::sleep(Duration::from_millis(30));
-            let _gb = b1.lock_at(site_a_inner)?;
-            Ok(())
-        });
-        let (a2, b2, bar2) = (a.clone(), b.clone(), barrier.clone());
-        let t2 = std::thread::spawn(move || -> Result<(), LockError> {
-            let _gb = b2.lock_at(site_b_outer)?;
-            bar2.wait();
-            std::thread::sleep(Duration::from_millis(30));
-            let _ga = a2.lock_at(site_b_inner)?;
-            Ok(())
-        });
-        let r1 = t1.join().unwrap();
-        let r2 = t2.join().unwrap();
-        assert!(
-            r1.is_err() || r2.is_err(),
-            "the adversarial schedule must produce a detected deadlock"
-        );
-        // The refusal names the antibody and the refused call site — what a
-        // fail-safe retry loop would log.
-        if let Some(LockError::WouldDeadlock { lock, site, .. }) =
-            r1.as_ref().err().or(r2.as_ref().err())
-        {
-            assert!(*lock == a.lock_id() || *lock == b.lock_id());
-            assert_eq!(site.file, "bank.rs");
-        }
-        let history = rt.history();
-        assert_eq!(history.len(), 1);
-        assert_eq!(
-            history.iter().next().unwrap().1.kind(),
-            SignatureKind::Deadlock
-        );
-
-        // --- Run 2: same lock order, antibody loaded -> completes. --------
-        // (No barrier here: with immunity one thread may legitimately be
-        // parked before reaching a barrier, so the threads are staggered by
-        // sleeps instead; whichever reaches its outer position second is
-        // parked until the first finishes.)
-        let rt = DimmunixRuntime::builder()
-            .config(Config::default())
-            .deadlock_policy(DeadlockPolicy::Error)
-            .history(history)
-            .build();
-        let a = Arc::new(ImmuneMutex::new_in(&rt, 0i64));
-        let b = Arc::new(ImmuneMutex::new_in(&rt, 0i64));
-        let (a1, b1) = (a.clone(), b.clone());
-        let t1 = std::thread::spawn(move || -> Result<(), LockError> {
-            let _ga = a1.lock_at(site_a_outer)?;
-            std::thread::sleep(Duration::from_millis(80));
-            let _gb = b1.lock_at(site_a_inner)?;
-            Ok(())
-        });
-        let (a2, b2) = (a.clone(), b.clone());
-        let t2 = std::thread::spawn(move || -> Result<(), LockError> {
-            std::thread::sleep(Duration::from_millis(20));
-            let _gb = b2.lock_at(site_b_outer)?;
-            std::thread::sleep(Duration::from_millis(10));
-            let _ga = a2.lock_at(site_b_inner)?;
-            Ok(())
-        });
-        let r1 = t1.join().unwrap();
-        let r2 = t2.join().unwrap();
-        assert!(
-            r1.is_ok() && r2.is_ok(),
-            "replay must complete: {r1:?} {r2:?}"
-        );
-        assert_eq!(rt.stats().deadlocks_detected, 0);
-        assert_eq!(rt.history().len(), 1, "no new signature on the replay");
-    }
-
-    /// The same learn-then-avoid behaviour through the **implicit-site**
-    /// drop-in API: no `acquire_site!`, no `lock_at` — the sites are the
-    /// source locations of the `lock()` calls inside the two transfer
-    /// helpers, which are identical across the learn run and the avoid run
-    /// because both runs execute the same code.
-    #[test]
-    fn implicit_sites_learn_and_avoid_ab_ba() {
-        fn forward(
-            a: &Arc<ImmuneMutex<i64>>,
-            b: &Arc<ImmuneMutex<i64>>,
-            hold: Duration,
-        ) -> Result<(), LockError> {
-            let _ga = a.lock()?;
-            std::thread::sleep(hold);
-            let _gb = b.lock()?;
-            Ok(())
-        }
-        fn backward(
-            a: &Arc<ImmuneMutex<i64>>,
-            b: &Arc<ImmuneMutex<i64>>,
-            hold: Duration,
-        ) -> Result<(), LockError> {
-            let _gb = b.lock()?;
-            std::thread::sleep(hold);
-            let _ga = a.lock()?;
-            Ok(())
-        }
-        let run = |rt: &Arc<DimmunixRuntime>| {
-            let a = Arc::new(ImmuneMutex::new_in(rt, 0i64));
-            let b = Arc::new(ImmuneMutex::new_in(rt, 0i64));
-            let (a1, b1) = (a.clone(), b.clone());
-            let t1 = std::thread::spawn(move || forward(&a1, &b1, Duration::from_millis(60)));
-            let (a2, b2) = (a.clone(), b.clone());
-            let t2 = std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(20));
-                backward(&a2, &b2, Duration::from_millis(60))
-            });
-            (t1.join().unwrap(), t2.join().unwrap())
-        };
-
-        // Run 1: learn.
-        let rt = DimmunixRuntime::builder()
-            .deadlock_policy(DeadlockPolicy::Error)
-            .build();
-        let (r1, r2) = run(&rt);
-        assert!(
-            r1.is_err() || r2.is_err(),
-            "the adversarial schedule must deadlock: {r1:?} {r2:?}"
-        );
-        let history = rt.history();
-        assert_eq!(history.len(), 1);
-        // The implicit sites point at this very file.
-        if let Some(Err(LockError::WouldDeadlock { site, .. })) =
-            [r1, r2].into_iter().find(|r| r.is_err())
-        {
-            assert!(site.file.ends_with("lib.rs"), "site: {site}");
-            assert_eq!(site.scope, CALLER_SCOPE);
-        }
-
-        // Run 2: the same code with the antibody loaded completes.
-        let rt = DimmunixRuntime::builder()
-            .deadlock_policy(DeadlockPolicy::Error)
-            .history(history)
-            .build();
-        let (r1, r2) = run(&rt);
-        assert!(
-            r1.is_ok() && r2.is_ok(),
-            "replay must complete: {r1:?} {r2:?}"
-        );
-        assert_eq!(rt.stats().deadlocks_detected, 0);
-        assert_eq!(rt.history().len(), 1, "no new signature on the replay");
-    }
-
-    /// Writer/writer inversion across two `ImmuneRwLock`s, implicit sites:
-    /// detected once, avoided on the replay — the reader-writer scenario
-    /// family goes through the same engine path as monitors.
-    #[test]
-    fn rwlock_writer_writer_inversion_learns_and_avoids() {
-        fn forward(
-            a: &Arc<ImmuneRwLock<u32>>,
-            b: &Arc<ImmuneRwLock<u32>>,
-            hold: Duration,
-        ) -> Result<(), LockError> {
-            let mut ga = a.write()?;
-            std::thread::sleep(hold);
-            let gb = b.read()?;
-            *ga += *gb;
-            Ok(())
-        }
-        fn backward(
-            a: &Arc<ImmuneRwLock<u32>>,
-            b: &Arc<ImmuneRwLock<u32>>,
-            hold: Duration,
-        ) -> Result<(), LockError> {
-            let mut gb = b.write()?;
-            std::thread::sleep(hold);
-            let ga = a.read()?;
-            *gb += *ga;
-            Ok(())
-        }
-        let run = |rt: &Arc<DimmunixRuntime>| {
-            let a = Arc::new(ImmuneRwLock::new_in(rt, 1u32));
-            let b = Arc::new(ImmuneRwLock::new_in(rt, 1u32));
-            let (a1, b1) = (a.clone(), b.clone());
-            let t1 = std::thread::spawn(move || forward(&a1, &b1, Duration::from_millis(60)));
-            let (a2, b2) = (a.clone(), b.clone());
-            let t2 = std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(20));
-                backward(&a2, &b2, Duration::from_millis(60))
-            });
-            (t1.join().unwrap(), t2.join().unwrap())
-        };
-
-        // Run 1: the write/read inversion deadlocks and is detected.
-        let rt = DimmunixRuntime::builder()
-            .deadlock_policy(DeadlockPolicy::Error)
-            .build();
-        let (r1, r2) = run(&rt);
-        assert!(
-            r1.is_err() || r2.is_err(),
-            "the adversarial schedule must deadlock: {r1:?} {r2:?}"
-        );
-        assert_eq!(rt.stats().deadlocks_detected, 1);
-        let history = rt.history();
-        assert_eq!(history.len(), 1);
-
-        // Run 2: antibody loaded, the same code completes.
-        let rt = DimmunixRuntime::builder()
-            .deadlock_policy(DeadlockPolicy::Error)
-            .history(history)
-            .build();
-        let (r1, r2) = run(&rt);
-        assert!(
-            r1.is_ok() && r2.is_ok(),
-            "replay must complete: {r1:?} {r2:?}"
-        );
-        assert_eq!(rt.stats().deadlocks_detected, 0);
-        assert_eq!(rt.history().len(), 1, "no new signature on the replay");
-    }
 
     #[test]
     fn send_sync_bounds() {
@@ -332,89 +97,6 @@ mod integration_tests {
             }
         }
         panic!("router failed to spread 64 sequential lock ids over shards");
-    }
-
-    /// Cross-shard detection: the AB/BA cycle where A and B live on
-    /// different engine shards must be detected through the multi-shard
-    /// snapshot path, recorded once, and avoided on the replay.
-    #[test]
-    fn cross_shard_deadlock_is_detected_and_avoided() {
-        let site_a_outer = AcquisitionSite::new("xs.a_outer", "xs.rs", 10);
-        let site_a_inner = AcquisitionSite::new("xs.a_inner", "xs.rs", 11);
-        let site_b_outer = AcquisitionSite::new("xs.b_outer", "xs.rs", 20);
-        let site_b_inner = AcquisitionSite::new("xs.b_inner", "xs.rs", 21);
-        let builder = || {
-            DimmunixRuntime::builder()
-                .deadlock_policy(DeadlockPolicy::Error)
-                .shards(4)
-        };
-
-        // --- Run 1: provoke the cross-shard deadlock deterministically. ---
-        let rt = builder().build();
-        let (a, b) = cross_shard_pair(&rt);
-        assert_ne!(
-            rt.shard_of(a.lock_id()),
-            rt.shard_of(b.lock_id()),
-            "the cycle must span two shards"
-        );
-        let a = Arc::new(a);
-        let b = Arc::new(b);
-
-        let barrier = Arc::new(std::sync::Barrier::new(2));
-        let (a1, b1, bar1) = (a.clone(), b.clone(), barrier.clone());
-        let t1 = std::thread::spawn(move || -> Result<(), LockError> {
-            let _ga = a1.lock_at(site_a_outer)?;
-            bar1.wait();
-            std::thread::sleep(Duration::from_millis(30));
-            let _gb = b1.lock_at(site_a_inner)?;
-            Ok(())
-        });
-        let (a2, b2, bar2) = (a.clone(), b.clone(), barrier.clone());
-        let t2 = std::thread::spawn(move || -> Result<(), LockError> {
-            let _gb = b2.lock_at(site_b_outer)?;
-            bar2.wait();
-            std::thread::sleep(Duration::from_millis(30));
-            let _ga = a2.lock_at(site_b_inner)?;
-            Ok(())
-        });
-        let r1 = t1.join().unwrap();
-        let r2 = t2.join().unwrap();
-        assert!(
-            r1.is_err() || r2.is_err(),
-            "the adversarial schedule must produce a detected cross-shard deadlock"
-        );
-        let history = rt.history();
-        assert_eq!(history.len(), 1);
-        assert_eq!(rt.stats().deadlocks_detected, 1);
-
-        // --- Run 2: antibody loaded, staggered replay completes. ----------
-        let rt = builder().history(history).build();
-        let (a, b) = cross_shard_pair(&rt);
-        let a = Arc::new(a);
-        let b = Arc::new(b);
-        let (a1, b1) = (a.clone(), b.clone());
-        let t1 = std::thread::spawn(move || -> Result<(), LockError> {
-            let _ga = a1.lock_at(site_a_outer)?;
-            std::thread::sleep(Duration::from_millis(80));
-            let _gb = b1.lock_at(site_a_inner)?;
-            Ok(())
-        });
-        let (a2, b2) = (a.clone(), b.clone());
-        let t2 = std::thread::spawn(move || -> Result<(), LockError> {
-            std::thread::sleep(Duration::from_millis(20));
-            let _gb = b2.lock_at(site_b_outer)?;
-            std::thread::sleep(Duration::from_millis(10));
-            let _ga = a2.lock_at(site_b_inner)?;
-            Ok(())
-        });
-        let r1 = t1.join().unwrap();
-        let r2 = t2.join().unwrap();
-        assert!(
-            r1.is_ok() && r2.is_ok(),
-            "replay must complete: {r1:?} {r2:?}"
-        );
-        assert_eq!(rt.stats().deadlocks_detected, 0);
-        assert_eq!(rt.history().len(), 1, "no new signature on the replay");
     }
 
     /// Cross-shard stress: several threads hammer the trained AB/BA pattern

@@ -284,6 +284,7 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for MonitorGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dimmunix_core::Stats;
 
     #[test]
     fn enter_and_mutate() {
@@ -310,6 +311,14 @@ mod tests {
         assert_eq!(rt.stats().releases, 2);
     }
 
+    /// Spins until `rt`'s `field` count reaches `n`: the threads below
+    /// order their steps by the runtime's own counts, never by sleeps.
+    fn counted(rt: &DimmunixRuntime, field: fn(&Stats) -> u64, n: u64) {
+        while field(&rt.stats()) < n {
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn notify_wakes_waiter() {
         let rt = DimmunixRuntime::new();
@@ -318,11 +327,13 @@ mod tests {
         let waiter = std::thread::spawn(move || {
             let mut g = m2.enter().unwrap();
             while !*g {
-                g = g.wait_for(Duration::from_millis(20)).unwrap();
+                g = g.wait().unwrap();
             }
             true
         });
-        std::thread::sleep(Duration::from_millis(30));
+        // `wait` samples the notification generation before its release,
+        // so once that release is counted a notification cannot be lost.
+        counted(&rt, |s| s.releases, 1);
         {
             let mut g = m.enter().unwrap();
             *g = true;
@@ -334,50 +345,41 @@ mod tests {
     #[test]
     fn wait_induced_inversion_is_detected() {
         // §3.2's example with real threads and the error policy: t1 holds Y
-        // and waits (with timeout) on X; t2 takes X and then wants Y. The
-        // reacquisition of X by t1 (or the acquisition of Y by t2) must be
-        // reported as a deadlock, not silently hang.
+        // and waits on X; t2 enters X, notifies, and then wants Y while t1
+        // requests X back. The request that closes the cycle must be
+        // refused as a deadlock, not silently hang. Ordered by counts:
+        // 1. t1 holds Y, enters X and waits (releasing X);
+        // 2. once that release is counted, t2 enters X and notifies;
+        // 3. once t1's reacquisition request is counted, t2 requests Y.
         use crate::{DeadlockPolicy, ImmuneMutex};
         let rt = DimmunixRuntime::builder()
             .deadlock_policy(DeadlockPolicy::Error)
             .build();
-        let x = Arc::new(ImmuneMonitor::new_in(&rt, ()));
-        let y = Arc::new(ImmuneMutex::new_in(&rt, ()));
+        let x = ImmuneMonitor::new_in(&rt, ());
+        let y = ImmuneMutex::new_in(&rt, ());
 
-        let (x1, y1) = (x.clone(), y.clone());
-        let rt1 = rt.clone();
-        let t1 = std::thread::spawn(move || -> Result<(), LockError> {
-            let _y_guard = y1.lock_at(AcquisitionSite::new("T1.holdY", "inv.rs", 1))?;
-            let x_guard = x1.enter_at(AcquisitionSite::new("T1.enterX", "inv.rs", 2))?;
-            // Wait with a timeout long enough for t2 to grab X.
-            let _reacquired = x_guard.wait_for_at(
-                AcquisitionSite::new("T1.reacquireX", "inv.rs", 3),
-                Duration::from_millis(120),
-            )?;
-            let _ = &rt1;
-            Ok(())
+        let [r1, r2] = std::thread::scope(|scope| {
+            let t1 = scope.spawn(|| -> Result<(), LockError> {
+                let _y_guard = y.lock_at(AcquisitionSite::new("T1.holdY", "inv.rs", 1))?;
+                let x_guard = x.enter_at(AcquisitionSite::new("T1.enterX", "inv.rs", 2))?;
+                let _reacquired =
+                    x_guard.wait_at(AcquisitionSite::new("T1.reacquireX", "inv.rs", 3))?;
+                Ok(())
+            });
+            let t2 = scope.spawn(|| -> Result<(), LockError> {
+                counted(&rt, |s| s.releases, 1);
+                let x_guard = x.enter_at(AcquisitionSite::new("T2.enterX", "inv.rs", 4))?;
+                x_guard.notify_all();
+                // Requests so far: t1's Y, X and reacquired X, t2's X.
+                counted(&rt, |s| s.requests, 4);
+                let _y_guard = y.lock_at(AcquisitionSite::new("T2.lockY", "inv.rs", 5))?;
+                Ok(())
+            });
+            [t1.join().unwrap(), t2.join().unwrap()]
         });
-
-        let (x2, y2) = (x, y);
-        let t2 = std::thread::spawn(move || -> Result<(), LockError> {
-            std::thread::sleep(Duration::from_millis(40));
-            let _x_guard = x2.enter_at(AcquisitionSite::new("T2.enterX", "inv.rs", 4))?;
-            std::thread::sleep(Duration::from_millis(150));
-            let _y_guard = y2.lock_at(AcquisitionSite::new("T2.lockY", "inv.rs", 5))?;
-            Ok(())
-        });
-
-        let r1 = t1.join().unwrap();
-        let r2 = t2.join().unwrap();
-        // At least one of the two must have been refused with WouldDeadlock,
-        // and the signature must be recorded; if the timing did not produce
-        // the inversion, both succeed and nothing is recorded.
-        let detected = rt.stats().deadlocks_detected;
-        if r1.is_err() || r2.is_err() {
-            assert!(detected >= 1);
-            assert!(!rt.history().is_empty());
-        } else {
-            assert_eq!(detected, 0);
-        }
+        assert!(r2.is_err(), "t2's request for Y closes the cycle: {r2:?}");
+        assert!(r1.is_ok(), "t1 reacquires X once t2 backs off: {r1:?}");
+        assert_eq!(rt.stats().deadlocks_detected, 1);
+        assert_eq!(rt.history().len(), 1);
     }
 }

@@ -30,7 +30,6 @@
 
 #![deny(missing_docs)]
 
-use crate::microbench::busy_work;
 use dimmunix_core::{Config, History};
 use dimmunix_rt::asyncio::{current_task, yield_now, Executor, Mutex, MutexGuard};
 use dimmunix_rt::{AcquisitionSite, DeadlockPolicy, DimmunixRuntime};
@@ -351,6 +350,19 @@ pub fn run_bare_server(cfg: &AsyncServerConfig) -> AsyncServerResult {
     }
 }
 
+/// Busy-waits for `units` of work inside a request's critical section: a
+/// sleep would hand the worker back to the executor and hide what the
+/// locks cost.
+#[inline]
+fn busy_work(units: u64) -> u64 {
+    let mut acc: u64 = 0x9e3779b97f4a7c15;
+    for i in 0..units {
+        acc = acc.rotate_left(7) ^ i.wrapping_mul(0x2545f4914f6cdd1d);
+        std::hint::black_box(acc);
+    }
+    acc
+}
+
 // ---------------------------------------------------------------------------
 // The bare async mutex: what servers use when they don't know about
 // deadlock immunity. Identical queueing discipline to `asyncio::Mutex`
@@ -571,5 +583,16 @@ mod tests {
         );
         assert_eq!(immune.result.latencies.len(), cfg.tasks);
         assert!(immune.result.latency_percentile(0.99) >= immune.result.latency_percentile(0.5));
+    }
+
+    #[test]
+    fn busy_work_scales_with_units() {
+        let t0 = Instant::now();
+        busy_work(10);
+        let short = t0.elapsed();
+        let t1 = Instant::now();
+        busy_work(100_000);
+        let long = t1.elapsed();
+        assert!(long >= short);
     }
 }

@@ -1,12 +1,10 @@
 //! # workloads — benchmark and test workload generators
 //!
-//! Three families of workloads drive the evaluation harness:
+//! Three families of workloads drive the evaluation harness and the tests:
 //!
-//! * [`microbench`] — the §5 performance microbenchmark on real OS threads
-//!   (2–512 threads, random uncontended lock objects, busy-waits, 64–256
-//!   synthetic signatures), used to regenerate the 4–5% overhead result;
-//! * [`synthetic`] — generators for the synthetic deadlock histories the
-//!   microbenchmark loads;
+//! * [`synthetic`] — generators for the 64–256 synthetic deadlock
+//!   signatures the paper's §5 microbenchmark loads, and for the larger
+//!   histories of the platform-scale experiments;
 //! * [`patterns`] — simulated-VM workloads: dining philosophers, the §3.2
 //!   `MyLock` wrapper pathology (depth-1 ablation), and a forced
 //!   avoidance-starvation scenario;
@@ -14,23 +12,21 @@
 //!   task-keyed `asyncio` substrate: 10k+ concurrent tasks on a small
 //!   deterministic worker pool, fan-out/fan-in locking with seeded order
 //!   inversions, compared against bare async-unaware locks.
+//!
+//! The §5 overhead figure is not measured here: `reproduce --exp overhead`
+//! derives it from the immunity-cost benchmark's recorded costs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod async_server;
-pub mod microbench;
 pub mod patterns;
 pub mod synthetic;
 
 pub use async_server::{
     run_bare_server, run_immune_server, AsyncServerConfig, AsyncServerResult, BareMutex,
     ImmuneServerRun,
-};
-pub use microbench::{
-    busy_work, run_microbenchmark, run_overhead_pair, MicrobenchConfig, MicrobenchHarness,
-    MicrobenchResult, OverheadRow,
 };
 pub use patterns::{dining_philosophers, starvation_workload, wrapper_workload};
 pub use synthetic::{colliding_history, synthetic_history};

@@ -1,10 +1,13 @@
 //! Synthetic deadlock signatures.
 //!
-//! The §5 microbenchmark loads 64–256 *synthetic* signatures into the history
-//! "to simulate the scenario in which many synchronization statements are
-//! involved in deadlock bugs": the avoidance code then has to scan a
-//! realistically-sized history on every request, which is what makes the
-//! measured 4–5% overhead an upper bound rather than a best case.
+//! The paper's §5 microbenchmark loads 64–256 *synthetic* signatures into
+//! the history "to simulate the scenario in which many synchronization
+//! statements are involved in deadlock bugs": the avoidance code then has
+//! to scan a realistically-sized history on every request, which is what
+//! makes its measured 4–5% overhead an upper bound rather than a best case.
+//! `tests/integration_workloads.rs` loads those sizes into a runtime and
+//! checks that clean sections never match them: no park, no refusal, no
+//! detection.
 //!
 //! Platform-scale experiments (the `engine_sharded` bench and the
 //! shared-history memory test) push the same generator to 1000 signatures:
@@ -16,8 +19,8 @@
 use dimmunix_core::{CallStack, Frame, History, Signature, SignatureKind, SignaturePair};
 
 /// Builds `count` two-thread deadlock signatures whose outer positions do not
-/// correspond to any real acquisition site of the benchmark (so they are
-/// scanned but never matched — pure overhead, as in the paper).
+/// correspond to any real acquisition site (so they are scanned but never
+/// matched — pure overhead, as in the paper).
 pub fn synthetic_history(count: usize) -> History {
     let mut history = History::new();
     for i in 0..count {

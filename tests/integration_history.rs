@@ -241,10 +241,11 @@ fn provoke_deadlocks(
     rounds: u32,
     (scopes, file): Sites,
 ) {
-    use dimmunix::rt::AcquisitionSite;
+    use dimmunix::rt::{AcquisitionSite, ImmuneMutex};
 
     for round in 0..rounds {
-        let results = common::ab_ba(rt, |m, thread, inner| {
+        let (a, b) = (ImmuneMutex::new_in(rt, 0), ImmuneMutex::new_in(rt, 0));
+        let results = common::ab_ba(rt, [&a, &b], |m, thread, inner| {
             let line = round * 10 + 2 * thread as u32 + u32::from(inner);
             m.lock_at(AcquisitionSite::new(
                 scopes[thread][usize::from(inner)],

@@ -1,12 +1,15 @@
 //! Integration tests for the real-thread runtime (dimmunix-rt on
-//! dimmunix-core): detect-then-avoid across runtime instances, history
-//! persistence to disk (with recovery diagnostics), reader–writer locks,
-//! and a many-thread stress run that must never hang.
+//! dimmunix-core): detect-then-avoid on mutexes, reader–writer locks and
+//! across engine shards, history persistence to disk (with recovery
+//! diagnostics), and a many-thread stress run that must never hang. Every
+//! AB/BA schedule is ordered by request counts (`common::ab_ba`), never by
+//! sleeps.
 
 use dimmunix::core::SignatureKind;
 use dimmunix::rt::{
     AcquisitionSite, DeadlockPolicy, DimmunixRuntime, ImmuneMutex, ImmuneRwLock, LockError,
 };
+use std::ops::Deref;
 use std::sync::Arc;
 
 mod common;
@@ -16,14 +19,182 @@ const INNER_A: AcquisitionSite = AcquisitionSite::new("it.innerA", "it_rt.rs", 2
 const OUTER_B: AcquisitionSite = AcquisitionSite::new("it.outerB", "it_rt.rs", 3);
 const INNER_B: AcquisitionSite = AcquisitionSite::new("it.innerB", "it_rt.rs", 4);
 
-fn adversarial_run(
-    runtime: &Arc<DimmunixRuntime>,
-) -> (Result<(), LockError>, Result<(), LockError>) {
+fn adversarial_run(rt: &Arc<DimmunixRuntime>) -> (Result<(), LockError>, Result<(), LockError>) {
     const SITES: [[AcquisitionSite; 2]; 2] = [[OUTER_A, INNER_A], [OUTER_B, INNER_B]];
-    let [r1, r2] = common::ab_ba(runtime, |m, thread, inner| {
+    let (a, b) = (ImmuneMutex::new_in(rt, 0), ImmuneMutex::new_in(rt, 0));
+    let [r1, r2] = common::ab_ba(rt, [&a, &b], |m, thread, inner| {
         m.lock_at(SITES[thread][usize::from(inner)])
     });
     (r1, r2)
+}
+
+/// End-to-end "immunity develops" on real threads: run 1 detects the AB/BA
+/// deadlock, refuses it naming one of the two locks and the refused site,
+/// and records one signature; run 2, with that history, completes and
+/// learns nothing new.
+#[test]
+fn real_threads_learn_and_avoid_ab_ba() {
+    const SITES: [[AcquisitionSite; 2]; 2] = [
+        [
+            AcquisitionSite::new("transfer.a_to_b", "bank.rs", 10),
+            AcquisitionSite::new("transfer.a_to_b.inner", "bank.rs", 11),
+        ],
+        [
+            AcquisitionSite::new("transfer.b_to_a", "bank.rs", 20),
+            AcquisitionSite::new("transfer.b_to_a.inner", "bank.rs", 21),
+        ],
+    ];
+    let run = |rt: &Arc<DimmunixRuntime>| {
+        let (a, b) = (ImmuneMutex::new_in(rt, 0i64), ImmuneMutex::new_in(rt, 0i64));
+        let results = common::ab_ba(rt, [&a, &b], |m, thread, inner| {
+            m.lock_at(SITES[thread][usize::from(inner)])
+        });
+        (results, [a.lock_id(), b.lock_id()])
+    };
+    let builder = || DimmunixRuntime::builder().deadlock_policy(DeadlockPolicy::Error);
+
+    // Run 1: the refusal names the antibody's lock and the refused call
+    // site, what a fail-safe retry loop would log.
+    let rt = builder().build();
+    let ([r1, r2], locks) = run(&rt);
+    let Some(LockError::WouldDeadlock { lock, site, .. }) = r1.err().or(r2.err()) else {
+        panic!("the adversarial schedule must produce a detected deadlock");
+    };
+    assert!(locks.contains(&lock));
+    assert_eq!(site.file, "bank.rs");
+    let history = rt.history();
+    assert_eq!(history.len(), 1);
+    assert_eq!(
+        history.iter().next().unwrap().1.kind(),
+        SignatureKind::Deadlock
+    );
+
+    // Run 2: same lock order, antibody loaded, completes.
+    let rt = builder().history(history).build();
+    let ([r1, r2], _) = run(&rt);
+    assert!(
+        r1.is_ok() && r2.is_ok(),
+        "replay must complete: {r1:?} {r2:?}"
+    );
+    assert_eq!(rt.stats().deadlocks_detected, 0);
+    assert_eq!(rt.history().len(), 1, "no new signature on the replay");
+}
+
+/// Each thread of the writer/writer inversion write-locks its first lock
+/// and then read-locks the other, at implicit sites of its own (one line
+/// per thread and step).
+fn write_then_read(
+    l: &ImmuneRwLock<u32>,
+    thread: usize,
+    inner: bool,
+) -> Result<Box<dyn Deref<Target = u32> + '_>, LockError> {
+    Ok(match (thread, inner) {
+        (0, false) => Box::new(l.write()?),
+        (0, true) => Box::new(l.read()?),
+        (_, false) => Box::new(l.write()?),
+        (_, true) => Box::new(l.read()?),
+    })
+}
+
+/// Writer/writer inversion across two `ImmuneRwLock`s, implicit sites:
+/// detected once, avoided on the replay — the reader-writer scenario
+/// family goes through the same engine path as monitors.
+#[test]
+fn rwlock_writer_writer_inversion_learns_and_avoids() {
+    let run = |rt: &Arc<DimmunixRuntime>| {
+        let (a, b) = (ImmuneRwLock::new_in(rt, 1), ImmuneRwLock::new_in(rt, 1));
+        common::ab_ba(rt, [&a, &b], write_then_read)
+    };
+    let builder = || DimmunixRuntime::builder().deadlock_policy(DeadlockPolicy::Error);
+
+    // Run 1: the write/read inversion deadlocks and is detected.
+    let rt = builder().build();
+    let [r1, r2] = run(&rt);
+    assert!(
+        r1.is_err() || r2.is_err(),
+        "the adversarial schedule must deadlock: {r1:?} {r2:?}"
+    );
+    assert_eq!(rt.stats().deadlocks_detected, 1);
+    let history = rt.history();
+    assert_eq!(history.len(), 1);
+
+    // Run 2: antibody loaded, the same code completes.
+    let rt = builder().history(history).build();
+    let [r1, r2] = run(&rt);
+    assert!(
+        r1.is_ok() && r2.is_ok(),
+        "replay must complete: {r1:?} {r2:?}"
+    );
+    assert_eq!(rt.stats().deadlocks_detected, 0);
+    assert_eq!(rt.history().len(), 1, "no new signature on the replay");
+}
+
+/// Allocates immune mutexes until two of them live on different shards
+/// of `rt`, and returns that pair.
+fn cross_shard_pair(rt: &Arc<DimmunixRuntime>) -> (ImmuneMutex<u64>, ImmuneMutex<u64>) {
+    let first = ImmuneMutex::new_in(rt, 0u64);
+    let home = rt.shard_of(first.lock_id());
+    for _ in 0..64 {
+        let other = ImmuneMutex::new_in(rt, 0u64);
+        if rt.shard_of(other.lock_id()) != home {
+            return (first, other);
+        }
+    }
+    panic!("router failed to spread 64 sequential lock ids over shards");
+}
+
+/// Cross-shard detection: the AB/BA cycle where A and B live on
+/// different engine shards must be detected through the multi-shard
+/// snapshot path, recorded once, and avoided on the replay.
+#[test]
+fn cross_shard_deadlock_is_detected_and_avoided() {
+    const SITES: [[AcquisitionSite; 2]; 2] = [
+        [
+            AcquisitionSite::new("xs.a_outer", "xs.rs", 10),
+            AcquisitionSite::new("xs.a_inner", "xs.rs", 11),
+        ],
+        [
+            AcquisitionSite::new("xs.b_outer", "xs.rs", 20),
+            AcquisitionSite::new("xs.b_inner", "xs.rs", 21),
+        ],
+    ];
+    let run = |rt: &Arc<DimmunixRuntime>| {
+        let (a, b) = cross_shard_pair(rt);
+        assert_ne!(
+            rt.shard_of(a.lock_id()),
+            rt.shard_of(b.lock_id()),
+            "the cycle must span two shards"
+        );
+        common::ab_ba(rt, [&a, &b], |m, thread, inner| {
+            m.lock_at(SITES[thread][usize::from(inner)])
+        })
+    };
+    let builder = || {
+        DimmunixRuntime::builder()
+            .deadlock_policy(DeadlockPolicy::Error)
+            .shards(4)
+    };
+
+    // Run 1: the cross-shard deadlock is detected and recorded.
+    let rt = builder().build();
+    let [r1, r2] = run(&rt);
+    assert!(
+        r1.is_err() || r2.is_err(),
+        "the adversarial schedule must produce a detected cross-shard deadlock"
+    );
+    let history = rt.history();
+    assert_eq!(history.len(), 1);
+    assert_eq!(rt.stats().deadlocks_detected, 1);
+
+    // Run 2: antibody loaded, the replay completes.
+    let rt = builder().history(history).build();
+    let [r1, r2] = run(&rt);
+    assert!(
+        r1.is_ok() && r2.is_ok(),
+        "replay must complete: {r1:?} {r2:?}"
+    );
+    assert_eq!(rt.stats().deadlocks_detected, 0);
+    assert_eq!(rt.history().len(), 1, "no new signature on the replay");
 }
 
 #[test]

@@ -79,7 +79,8 @@ fn adversarial_run(
     rt: &Arc<DimmunixRuntime>,
     implicit: bool,
 ) -> (Result<(), LockError>, Result<(), LockError>) {
-    let [r1, r2] = common::ab_ba(rt, |m, _, inner| {
+    let (a, b) = (ImmuneMutex::new_in(rt, 0), ImmuneMutex::new_in(rt, 0));
+    let [r1, r2] = common::ab_ba(rt, [&a, &b], |m, _, inner| {
         if inner {
             acquire_inner(m, implicit)
         } else {
@@ -137,6 +138,51 @@ fn antibodies_transfer_between_surfaces() {
         assert_eq!(rt.stats().deadlocks_detected, 0);
         assert_eq!(rt.history().len(), 1, "no new signature on the replay");
     }
+}
+
+/// Thread 0 locks `a` then `b`, thread 1 `b` then `a`, each at implicit
+/// sites of its own (one line per thread and step).
+fn lock_per_thread(
+    m: &ImmuneMutex<u32>,
+    thread: usize,
+    inner: bool,
+) -> Result<ImmuneMutexGuard<'_, u32>, LockError> {
+    match (thread, inner) {
+        (0, false) => m.lock(),
+        (0, true) => m.lock(),
+        (_, false) => m.lock(),
+        (_, true) => m.lock(),
+    }
+}
+
+/// Learn then avoid through the implicit-site drop-in API alone: the
+/// refusal names this file and the caller scope, and the same code with the
+/// antibody loaded completes without learning anything new.
+#[test]
+fn implicit_sites_learn_and_avoid_ab_ba() {
+    let run = |rt: &Arc<DimmunixRuntime>| {
+        let (a, b) = (ImmuneMutex::new_in(rt, 0), ImmuneMutex::new_in(rt, 0));
+        common::ab_ba(rt, [&a, &b], lock_per_thread)
+    };
+    let builder = || DimmunixRuntime::builder().deadlock_policy(DeadlockPolicy::Error);
+    let rt = builder().build();
+    let [r1, r2] = run(&rt);
+    let Some(LockError::WouldDeadlock { site, .. }) = r1.err().or(r2.err()) else {
+        panic!("the adversarial schedule must deadlock");
+    };
+    assert!(site.file.ends_with("integration_sites.rs"), "site: {site}");
+    assert_eq!(site.scope, CALLER_SCOPE);
+    let history = rt.history();
+    assert_eq!(history.len(), 1);
+
+    let rt = builder().history(history).build();
+    let [r1, r2] = run(&rt);
+    assert!(
+        r1.is_ok() && r2.is_ok(),
+        "replay must complete: {r1:?} {r2:?}"
+    );
+    assert_eq!(rt.stats().deadlocks_detected, 0);
+    assert_eq!(rt.history().len(), 1, "no new signature on the replay");
 }
 
 // ---------------------------------------------------------------------

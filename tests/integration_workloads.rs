@@ -1,42 +1,51 @@
-//! Integration tests for the evaluation workloads and the experiment
-//! harness: the microbenchmark structure, the depth ablation, and the
-//! starvation experiment (experiments E2, A1, A3).
+//! Integration tests for the evaluation workloads: the synthetic histories
+//! and the depth ablation (experiment A1).
 
 use dimmunix::core::Config;
+use dimmunix::rt::{AcquisitionSite, DeadlockPolicy, DimmunixRuntime, ImmuneMutex};
 use dimmunix::vm::{ProcessBuilder, RunOutcome};
-use dimmunix::workloads::{
-    run_microbenchmark, synthetic_history, wrapper_workload, MicrobenchConfig,
-};
+use dimmunix::workloads::{synthetic_history, wrapper_workload};
 
-#[test]
-fn microbenchmark_matches_paper_structure() {
-    // 2-512 threads in the paper; here a slice of that range, with the
-    // synthetic history sizes the paper uses (64-256).
-    for &(threads, history) in &[(2usize, 64usize), (8, 256)] {
-        let cfg = MicrobenchConfig {
-            threads,
-            iterations: 200,
-            locks_per_thread: 4,
-            work_inside: 500,
-            work_outside: 1_000,
-            synthetic_signatures: history,
-            dimmunix_enabled: true,
-            shards: 1,
-        };
-        let result = run_microbenchmark(&cfg);
-        assert_eq!(result.synchronizations, (threads * 200) as u64);
-        // Random, per-thread lock objects: no contention, no yields, and
-        // certainly no deadlocks — the overhead being measured is pure hook
-        // cost, as in the paper.
-        assert_eq!(result.yields, 0);
-        assert_eq!(result.deadlocks, 0);
-    }
-}
-
+/// The paper's 64-256 synthetic signatures name no real site: loaded into a
+/// runtime, they let uncontended sections through, un-nested (tier 1) and
+/// nested (the engine, which checks the history), with no park, no refusal
+/// and no detection.
 #[test]
 fn synthetic_histories_have_paper_sizes_and_never_match() {
+    const FLAT: AcquisitionSite = AcquisitionSite::new("Worker.flat", "worker.rs", 1);
+    const OUTER: AcquisitionSite = AcquisitionSite::new("Worker.outer", "worker.rs", 2);
+    const INNER: AcquisitionSite = AcquisitionSite::new("Worker.inner", "worker.rs", 3);
+    const THREADS: u64 = 2;
+    const SECTIONS: u64 = 100;
     for &n in &[64usize, 128, 256] {
-        assert_eq!(synthetic_history(n).len(), n);
+        let history = synthetic_history(n);
+        assert_eq!(history.len(), n);
+        let loaded = history.to_text();
+        let rt = DimmunixRuntime::builder()
+            .deadlock_policy(DeadlockPolicy::Error)
+            .history(history)
+            .build();
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    let (a, b) = (ImmuneMutex::new_in(&rt, 0), ImmuneMutex::new_in(&rt, 0));
+                    for _ in 0..SECTIONS {
+                        *a.lock_at(FLAT).unwrap() += 1;
+                        let _outer = a.lock_at(OUTER).unwrap();
+                        *b.lock_at(INNER).unwrap() += 1;
+                    }
+                });
+            }
+        });
+        let stats = rt.stats();
+        assert_eq!(stats.requests, THREADS * SECTIONS * 3, "{stats}");
+        assert_eq!(stats.grants, stats.requests, "no refusal: {stats}");
+        // Every inner request was checked against the history.
+        assert_eq!(stats.instantiation_checks, THREADS * SECTIONS, "{stats}");
+        assert_eq!(stats.yields, 0, "no park: {stats}");
+        assert_eq!(stats.deadlocks_detected, 0, "{stats}");
+        assert_eq!(stats.starvations_detected, 0, "{stats}");
+        assert_eq!(rt.history().to_text(), loaded, "history unchanged");
     }
 }
 
@@ -88,60 +97,4 @@ fn depth_one_serializes_wrapper_workload_more_than_depth_two() {
     // more positions than depth 2.
     assert!(yields_depth1 >= yields_depth2);
     assert!(positions_depth1 <= positions_depth2);
-}
-
-#[test]
-fn starvation_experiment_never_hangs() {
-    let result = dimmunix_bench_shim::starvation();
-    assert_eq!(result.hung, 0);
-    assert_eq!(result.completed, result.replays);
-}
-
-/// Minimal local copy of the bench harness call so this test does not need a
-/// dev-dependency on the bench crate (which lives outside the facade).
-mod dimmunix_bench_shim {
-    use dimmunix::core::Config;
-    use dimmunix::vm::{ProcessBuilder, RunOutcome};
-    use dimmunix::workloads::starvation_workload;
-
-    pub struct Shim {
-        pub replays: u32,
-        pub completed: u32,
-        pub hung: u32,
-    }
-
-    pub fn starvation() -> Shim {
-        let mut history = None;
-        for seed in 0..400u64 {
-            let (program, main) = starvation_workload();
-            let mut p = ProcessBuilder::new("starvation", program)
-                .seed(seed)
-                .spawn_main(main);
-            let _ = p.run(500_000);
-            if p.stats().deadlocks_detected > 0 {
-                history = Some(p.engine().history().clone());
-                break;
-            }
-        }
-        let history = history.unwrap_or_default();
-        let mut shim = Shim {
-            replays: 0,
-            completed: 0,
-            hung: 0,
-        };
-        for seed in 0..20u64 {
-            let (program, main) = starvation_workload();
-            let mut builder = ProcessBuilder::new("starvation", program).seed(seed);
-            builder = builder.history(history.clone());
-            let mut p = builder.config(Config::default()).spawn_main(main);
-            let outcome = p.run(3_000_000);
-            shim.replays += 1;
-            if outcome == RunOutcome::Completed {
-                shim.completed += 1;
-            } else {
-                shim.hung += 1;
-            }
-        }
-        shim
-    }
 }
