@@ -108,7 +108,8 @@ pub fn find_instantiation(
 ///
 /// Both internal tables are structurally-shared persistent vectors, so
 /// cloning the index into the next [`HistorySnapshot`](crate::HistorySnapshot)
-/// is O(1) and an insert/remove path-copies O(log₃₂ n) nodes.
+/// is O(1), an insert/remove on that clone path-copies O(log₃₂ n) nodes, and
+/// one on an index nothing shares (a bulk build) copies none.
 #[derive(Debug, Clone, Default)]
 pub struct SignatureIndex {
     /// PositionId index -> ids of signatures with that outer position.
@@ -165,17 +166,17 @@ impl SignatureIndex {
                 Ok(_) => None,
             };
             if let Some(list) = updated {
-                self.by_position = self.by_position.set(pid.index(), Arc::new(list));
+                self.by_position.set(pid.index(), Arc::new(list));
             }
         }
         while self.outer_positions.len() < sig.index() {
-            self.outer_positions = self.outer_positions.push(None);
+            self.outer_positions.push(None);
         }
         let entry = Some(Arc::new(outer));
         if sig.index() == self.outer_positions.len() {
-            self.outer_positions = self.outer_positions.push(entry);
+            self.outer_positions.push(entry);
         } else {
-            self.outer_positions = self.outer_positions.set(sig.index(), entry);
+            self.outer_positions.set(sig.index(), entry);
         }
         self.live += 1;
     }
@@ -183,7 +184,7 @@ impl SignatureIndex {
     /// Grows `by_position` so `pid` has a (possibly empty) slot.
     fn reserve_position(&mut self, pid: PositionId) {
         while self.by_position.len() <= pid.index() {
-            self.by_position = self.by_position.push(Arc::new(Vec::new()));
+            self.by_position.push(Arc::new(Vec::new()));
         }
     }
 
@@ -202,11 +203,11 @@ impl SignatureIndex {
                 if let Ok(at) = ids.binary_search(&sig) {
                     let mut list = (**ids).clone();
                     list.remove(at);
-                    self.by_position = self.by_position.set(pid.index(), Arc::new(list));
+                    self.by_position.set(pid.index(), Arc::new(list));
                 }
             }
         }
-        self.outer_positions = self.outer_positions.set(sig.index(), None);
+        self.outer_positions.set(sig.index(), None);
         self.live -= 1;
         true
     }

@@ -61,8 +61,10 @@ pub struct History {
     /// signatures stay in place as dead slots so ids never shift; every
     /// reader filters on [`Slot::live`]. Backed by a structurally-shared
     /// persistent vector so cloning the history for the next
-    /// [`HistorySnapshot`](crate::HistorySnapshot) is O(1) and adding a
-    /// signature path-copies O(log₃₂ n) nodes instead of the whole store.
+    /// [`HistorySnapshot`](crate::HistorySnapshot) is O(1), adding a
+    /// signature to such a clone path-copies O(log₃₂ n) nodes instead of
+    /// the whole store, and adding to a history nothing shares (log replay)
+    /// copies nothing.
     slots: PersistentVec<Slot>,
     /// Dedup index: signature fingerprint -> indices of signatures with
     /// that fingerprint. `add`/`find` hash the candidate and compare
@@ -140,8 +142,8 @@ impl History {
         };
         let id = SignatureId::new(self.slots.len());
         bucket.push(id.index() as u32);
-        self.by_fingerprint = self.by_fingerprint.insert(fp, bucket).0;
-        self.slots = self.slots.push(Slot {
+        self.by_fingerprint.insert(fp, bucket);
+        self.slots.push(Slot {
             sig: Arc::new(sig),
             live: true,
             last_matched: Arc::new(AtomicU64::new(0)),
@@ -185,7 +187,7 @@ impl History {
                     live: false,
                     ..slot.clone()
                 };
-                self.slots = self.slots.set(id.index(), retired);
+                self.slots.set(id.index(), retired);
                 self.live -= 1;
                 true
             }
@@ -225,21 +227,6 @@ impl History {
             .enumerate()
             .filter(|(_, s)| s.live)
             .map(|(i, s)| (SignatureId::new(i), s.last_matched.load(Ordering::Relaxed)))
-    }
-
-    /// Dedup-index diagnostics: `(bucket count, largest bucket)`. The
-    /// largest bucket bounds the `same_bug` comparisons one `add`/`find`
-    /// performs; replay-cost tests assert it stays O(1) for histories of
-    /// distinct bugs.
-    pub fn dedup_buckets(&self) -> (usize, usize) {
-        (
-            self.by_fingerprint.len(),
-            self.by_fingerprint
-                .values()
-                .map(Vec::len)
-                .max()
-                .unwrap_or(0),
-        )
     }
 
     /// Returns the live signature with the given id (retired ids read as
@@ -806,7 +793,13 @@ impl HistoryLog {
                 });
             }
             total.records += replay.records;
-            total.history.merge(&replay.history);
+            if i == 0 {
+                // Nothing precedes the first segment to dedup against, so
+                // its history is taken as replayed instead of re-added.
+                total.history = replay.history;
+            } else {
+                total.history.merge(&replay.history);
+            }
             if last {
                 total.truncated_tail = replay.truncated_tail;
                 total.valid_len = replay.valid_len;
@@ -953,6 +946,15 @@ impl FromIterator<Signature> for History {
 mod tests {
     use super::*;
     use crate::Frame;
+
+    /// Dedup-index diagnostics: `(bucket count, largest bucket)`. The
+    /// largest bucket bounds the `same_bug` comparisons one `add`/`find`
+    /// performs; replay-cost tests assert it stays O(1) for histories of
+    /// distinct bugs.
+    fn dedup_buckets(h: &History) -> (usize, usize) {
+        let largest = h.by_fingerprint.values().map(Vec::len).max();
+        (h.by_fingerprint.len(), largest.unwrap_or(0))
+    }
 
     fn sig(kind: SignatureKind, a: u32, b: u32) -> Signature {
         Signature::new(
@@ -1265,6 +1267,35 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
+    /// Replay takes the first segment's history as decoded and merges the
+    /// later ones into it. That must give exactly the history of adding
+    /// every record in log order: the same ids, the same order, the same
+    /// bytes, with duplicates inside a segment and across segments.
+    #[test]
+    fn segmented_replay_equals_adding_every_record_in_order() {
+        let dir = std::env::temp_dir().join(format!("dimmunix-log-segord-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let log = HistoryLog::new(dir.join("history.log"))
+            .with_sync(false)
+            .with_segment_records(3);
+        let records: Vec<Signature> = [1, 2, 1, 3, 2, 4, 1, 5]
+            .into_iter()
+            .map(|a| sig(SignatureKind::Deadlock, a, a + 100))
+            .collect();
+        let mut expected = History::new();
+        for record in &records {
+            log.append(record).unwrap();
+            expected.add(record.clone());
+        }
+        assert!(dir.join("history.log.seg2").exists(), "three segments");
+        let replay = log.replay().unwrap();
+        assert_eq!(replay.records, records.len());
+        assert_eq!(replay.history.to_text(), expected.to_text());
+        let ids = |h: &History| h.iter().map(|(id, _)| id).collect::<Vec<_>>();
+        assert_eq!(ids(&replay.history), ids(&expected));
+        fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn segmented_torn_tail_in_last_segment_recovers() {
         let dir = std::env::temp_dir().join(format!("dimmunix-log-segtail-{}", std::process::id()));
@@ -1398,7 +1429,7 @@ mod tests {
         let elapsed = started.elapsed();
         assert_eq!(replay.records as u32, RECORDS + RECORDS / 10);
         assert_eq!(replay.history.len() as u32, RECORDS, "duplicates merged");
-        let (buckets, largest) = replay.history.dedup_buckets();
+        let (buckets, largest) = dedup_buckets(&replay.history);
         assert_eq!(buckets as u32, RECORDS, "one bucket per distinct bug");
         assert!(
             largest <= 2,

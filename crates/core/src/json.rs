@@ -102,11 +102,10 @@ pub fn write_escaped(out: &mut String, s: &str) {
 /// # Errors
 /// Returns a human-readable message for malformed input.
 pub fn parse(text: &str) -> Result<JsonValue, String> {
-    let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let value = parse_value(text, &mut pos)?;
+    skip_ws(text.as_bytes(), &mut pos);
+    if pos != text.len() {
         return Err(format!("trailing characters at byte {pos}"));
     }
     Ok(value)
@@ -118,13 +117,16 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+// The readers of composite values and strings take the document as `&str`
+// (so a string's unescaped runs are slices of it); the rest read its bytes.
+fn parse_value(text: &str, pos: &mut usize) -> Result<JsonValue, String> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => Ok(JsonValue::String(parse_string(bytes, pos)?)),
+        Some(b'{') => parse_object(text, pos),
+        Some(b'[') => parse_array(text, pos),
+        Some(b'"') => Ok(JsonValue::String(parse_string(text, pos)?)),
         Some(b't') => parse_keyword(bytes, pos, "true", JsonValue::Bool(true)),
         Some(b'f') => parse_keyword(bytes, pos, "false", JsonValue::Bool(false)),
         Some(b'n') => parse_keyword(bytes, pos, "null", JsonValue::Null),
@@ -159,81 +161,60 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         .map_err(|_| format!("invalid number `{text}` at byte {start}"))
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = text.as_bytes();
     debug_assert_eq!(bytes.get(*pos), Some(&b'"'));
     *pos += 1;
     let mut out = String::new();
     loop {
-        let Some(&b) = bytes.get(*pos) else {
-            return Err("unterminated string".into());
+        // Copy the run up to the next quote or backslash in one go: both are
+        // ASCII, so the run ends on a character boundary of `text`.
+        let run = bytes[*pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .ok_or("unterminated string")?;
+        out.push_str(&text[*pos..*pos + run]);
+        *pos += run + 1;
+        if bytes[*pos - 1] == b'"' {
+            return Ok(out);
+        }
+        let Some(&esc) = bytes.get(*pos) else {
+            return Err("unterminated escape".into());
         };
         *pos += 1;
-        match b {
-            b'"' => return Ok(out),
-            b'\\' => {
-                let Some(&esc) = bytes.get(*pos) else {
-                    return Err("unterminated escape".into());
-                };
-                *pos += 1;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'u' => {
-                        let code = parse_hex4(bytes, pos)?;
-                        // Surrogate pairs: JSON encodes astral characters as
-                        // two consecutive \uXXXX escapes.
-                        let c = if (0xD800..0xDC00).contains(&code) {
-                            if bytes.get(*pos) == Some(&b'\\') && bytes.get(*pos + 1) == Some(&b'u')
-                            {
-                                *pos += 2;
-                                let low = parse_hex4(bytes, pos)?;
-                                if (0xDC00..0xE000).contains(&low) {
-                                    char::from_u32(
-                                        0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00),
-                                    )
-                                } else {
-                                    // High surrogate not followed by a low one.
-                                    None
-                                }
-                            } else {
-                                None
-                            }
+        match esc {
+            b'"' => out.push('"'),
+            b'\\' => out.push('\\'),
+            b'/' => out.push('/'),
+            b'b' => out.push('\u{8}'),
+            b'f' => out.push('\u{c}'),
+            b'n' => out.push('\n'),
+            b'r' => out.push('\r'),
+            b't' => out.push('\t'),
+            b'u' => {
+                let code = parse_hex4(bytes, pos)?;
+                // Surrogate pairs: JSON encodes astral characters as two
+                // consecutive \uXXXX escapes.
+                let c = if (0xD800..0xDC00).contains(&code) {
+                    if bytes.get(*pos) == Some(&b'\\') && bytes.get(*pos + 1) == Some(&b'u') {
+                        *pos += 2;
+                        let low = parse_hex4(bytes, pos)?;
+                        if (0xDC00..0xE000).contains(&low) {
+                            char::from_u32(0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00))
                         } else {
-                            char::from_u32(code)
-                        };
-                        out.push(c.ok_or_else(|| "invalid \\u escape".to_string())?);
+                            // High surrogate not followed by a low one.
+                            None
+                        }
+                    } else {
+                        None
                     }
-                    other => return Err(format!("invalid escape `\\{}`", other as char)),
-                }
+                } else {
+                    char::from_u32(code)
+                };
+                out.push(c.ok_or_else(|| "invalid \\u escape".to_string())?);
             }
-            _ => {
-                // Re-decode the UTF-8 sequence starting at b.
-                let start = *pos - 1;
-                let width = utf8_width(b);
-                let end = start + width;
-                if end > bytes.len() {
-                    return Err("truncated utf-8 sequence".into());
-                }
-                let s = std::str::from_utf8(&bytes[start..end]).map_err(|e| e.to_string())?;
-                out.push_str(s);
-                *pos = end;
-            }
+            other => return Err(format!("invalid escape `\\{}`", other as char)),
         }
-    }
-}
-
-fn utf8_width(first: u8) -> usize {
-    match first {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
     }
 }
 
@@ -246,7 +227,8 @@ fn parse_hex4(bytes: &[u8], pos: &mut usize) -> Result<u32, String> {
     u32::from_str_radix(text, 16).map_err(|_| format!("invalid \\u digits `{text}`"))
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_array(text: &str, pos: &mut usize) -> Result<JsonValue, String> {
+    let bytes = text.as_bytes();
     *pos += 1; // '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -255,7 +237,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         return Ok(JsonValue::Array(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(text, pos)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -268,7 +250,8 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_object(text: &str, pos: &mut usize) -> Result<JsonValue, String> {
+    let bytes = text.as_bytes();
     *pos += 1; // '{'
     let mut map = BTreeMap::new();
     skip_ws(bytes, pos);
@@ -281,13 +264,13 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         if bytes.get(*pos) != Some(&b'"') {
             return Err(format!("expected object key at byte {pos}", pos = *pos));
         }
-        let key = parse_string(bytes, pos)?;
+        let key = parse_string(text, pos)?;
         skip_ws(bytes, pos);
         if bytes.get(*pos) != Some(&b':') {
             return Err(format!("expected `:` at byte {pos}", pos = *pos));
         }
         *pos += 1;
-        map.insert(key, parse_value(bytes, pos)?);
+        map.insert(key, parse_value(text, pos)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,

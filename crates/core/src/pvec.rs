@@ -3,34 +3,40 @@
 //! [`HistorySnapshot::append`](crate::HistorySnapshot::append) used to clone
 //! the entire history (signature vector, fingerprint map, canonical outer
 //! table, inverted index) to produce its successor — O(|history|) per
-//! detection. At fleet scale (ROADMAP direction 1: thousands of aggregated
-//! antibodies) that copy dominates detection cost. The two containers here
-//! make the successor snapshot an O(log₃₂ n) *path copy* instead:
+//! detection, which dominates detection cost once a process holds thousands
+//! of antibodies. The two containers here make a successor an O(1) clone
+//! plus an O(log₃₂ n) *path copy*:
 //!
 //! * [`PersistentVec`] — a 32-way bitmapped-trie vector (the classic
 //!   Clojure/Scala persistent vector). `clone` is O(1) (three `Arc` bumps),
-//!   `push`/`set` copy one root-to-leaf path, `get` walks log₃₂ n nodes,
-//!   and iteration touches each leaf once.
+//!   `get` walks log₃₂ n nodes, and iteration touches each leaf once.
 //! * [`PersistentMap`] — a hash-array-mapped trie over a 4-bit radix
 //!   (16-way branches), used for the fingerprint-dedup and stack-interning
-//!   lookups. `clone` is O(1); `insert` path-copies log₁₆ n nodes. The map
-//!   is deliberately *narrower* than the vector: an insert's dominant cost
-//!   is cloning the child arrays along the copied path (one refcount bump
-//!   per surviving pointer, and one decrement when the replaced epoch
-//!   drops), which totals Σ min(width, n/widthˡ) over the levels l. A
-//!   narrow radix keeps every copied array small, so that sum — and with
-//!   it the append-cost curve the `history_scale` bench gates — grows far
-//!   more slowly with n than a wide node's would. The vector does not share
-//!   this trade-off: its pushes only touch the always-warm right spine.
+//!   lookups. The map is deliberately *narrower* than the vector: an
+//!   insert into a shared map clones the child arrays along the copied
+//!   path (one refcount bump per surviving pointer, and one decrement when
+//!   the replaced epoch drops), which totals Σ min(width, n/widthˡ) over
+//!   the levels l. A narrow radix keeps every copied array small, so that
+//!   sum — and with it the append-cost curve the `history_scale` bench
+//!   gates — grows far more slowly with n than a wide node's would. The
+//!   vector does not share this trade-off: its pushes only touch the
+//!   always-warm right spine.
 //!
-//! Both are built from `std` only (the build environment has no crates.io
-//! access — see the PR 1 notes in CHANGES.md) and contain no unsafe code.
-//! Values are stored behind the structure's own nodes, so cheap-to-clone
-//! element types (`Arc<T>`, small copyable records) keep leaf copies cheap.
+//! Both have **one** update path, `&mut self` over [`Arc::make_mut`]: a
+//! node only this value reaches is changed in place, and a node shared
+//! with any clone is copied first. Bulk construction (log replay,
+//! [`HistorySnapshot::build`](crate::HistorySnapshot::build)) therefore
+//! allocates each node once, while an update after a `clone` — how every
+//! snapshot successor is made — copies exactly one root-to-leaf path and
+//! leaves the clone untouched.
 //!
-//! The `PersistentVec`-vs-`Vec` oracle property test lives in
-//! `tests/proptests.rs` (200+ generated op sequences, including
-//! clone-then-diverge structural sharing).
+//! Both are built from `std` only and contain no unsafe code. Values are
+//! stored behind the structure's own nodes, so cheap-to-clone element
+//! types (`Arc<T>`, small copyable records) keep leaf copies cheap.
+//!
+//! The `Vec`/`HashMap` oracle property tests live in `tests/proptests.rs`
+//! (200+ generated op sequences each, with a clone taken mid-sequence and
+//! both sides mutated afterwards).
 
 use std::collections::hash_map::DefaultHasher;
 use std::fmt;
@@ -58,24 +64,26 @@ const MAP_MASK: usize = MAP_WIDTH - 1;
 
 /// Trie node: interior branches hold up to 32 children, leaves hold exactly
 /// 32 elements (the trailing partial chunk lives in the vector's tail).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum Node<T> {
     Branch(Vec<Option<Arc<Node<T>>>>),
     Leaf(Vec<T>),
 }
 
-/// A persistent (immutable, structurally shared) vector.
+/// A persistent (structurally shared) vector.
 ///
-/// `push` and `set` return a *new* vector sharing almost all storage with
-/// the original; the original is never modified. `clone` is O(1), which is
-/// what lets [`HistorySnapshot::append`](crate::HistorySnapshot::append)
-/// produce a successor snapshot without copying the history.
+/// `clone` is O(1), which is what lets
+/// [`HistorySnapshot::append`](crate::HistorySnapshot::append) produce a
+/// successor snapshot without copying the history. `push` and `set` update
+/// in place the nodes this vector alone reaches and copy the ones it
+/// shares with a clone, so a clone never observes a later write.
 ///
 /// ```
 /// use dimmunix_core::PersistentVec;
 /// let a: PersistentVec<u32> = (0..100).collect();
-/// let b = a.push(100);
-/// assert_eq!(a.len(), 100);        // the original is untouched
+/// let mut b = a.clone();
+/// b.push(100);
+/// assert_eq!(a.len(), 100);        // the clone is untouched
 /// assert_eq!(b.len(), 101);
 /// assert_eq!(b.get(100), Some(&100));
 /// assert_eq!(a.get(100), None);
@@ -86,8 +94,8 @@ pub struct PersistentVec<T> {
     shift: usize,
     root: Option<Arc<Node<T>>>,
     /// The trailing `len % 32` elements (or 32 when `len` is a non-zero
-    /// multiple), kept outside the trie so pushes into a partial chunk are
-    /// one small clone instead of a path copy.
+    /// multiple), kept outside the trie so pushes into a partial chunk never
+    /// walk it.
     tail: Arc<Vec<T>>,
 }
 
@@ -185,76 +193,82 @@ impl<T> PersistentVec<T> {
 }
 
 impl<T: Clone> PersistentVec<T> {
-    /// Returns a vector extended by `value`. O(1) amortized clones into the
-    /// tail chunk; every 32nd push copies one root-to-leaf path.
-    #[must_use = "PersistentVec::push returns the extended vector"]
-    pub fn push(&self, value: T) -> Self {
+    /// Appends `value`. Pushes into a partial tail touch only the tail;
+    /// every 32nd push moves the full tail into the trie as a leaf, along
+    /// the right spine.
+    pub fn push(&mut self, value: T) {
+        self.len += 1;
         if self.tail.len() < WIDTH {
-            let mut tail = (*self.tail).clone();
-            tail.push(value);
-            return PersistentVec {
-                len: self.len + 1,
-                shift: self.shift,
-                root: self.root.clone(),
-                tail: Arc::new(tail),
-            };
+            Arc::make_mut(&mut self.tail).push(value);
+            return;
         }
-        // The tail is full: push it into the trie as a leaf and start a new
-        // tail with the single new element.
-        let leaf = Arc::new(Node::Leaf((*self.tail).clone()));
-        let trie_len = self.tail_offset();
-        let (root, shift) = match &self.root {
-            None => (leaf, 0),
-            Some(root) if trie_len == WIDTH << self.shift => {
-                // The root is full: grow one level.
-                let mut children: Vec<Option<Arc<Node<T>>>> = vec![None; WIDTH];
-                children[0] = Some(Arc::clone(root));
-                children[1] = Some(new_path(self.shift, leaf));
-                (Arc::new(Node::Branch(children)), self.shift + BITS)
-            }
-            Some(root) => (push_leaf(root, self.shift, trie_len, leaf), self.shift),
+        let mut tail = Vec::with_capacity(WIDTH);
+        tail.push(value);
+        let full = std::mem::replace(&mut self.tail, Arc::new(tail));
+        let leaf = Arc::new(Node::Leaf(
+            Arc::try_unwrap(full).unwrap_or_else(|shared| (*shared).clone()),
+        ));
+        // Index of the leaf's first element: the trie's length before it.
+        let index = self.len - 1 - WIDTH;
+        let Some(root) = self.root.as_mut() else {
+            self.root = Some(leaf);
+            return;
         };
-        PersistentVec {
-            len: self.len + 1,
-            shift,
-            root: Some(root),
-            tail: Arc::new(vec![value]),
+        if index == WIDTH << self.shift {
+            // The root is full: grow one level.
+            let mut children: Vec<Option<Arc<Node<T>>>> = vec![None; WIDTH];
+            children[0] = self.root.take();
+            children[1] = Some(new_path(self.shift, leaf));
+            self.root = Some(Arc::new(Node::Branch(children)));
+            self.shift += BITS;
+            return;
+        }
+        let (mut node, mut level) = (root, self.shift);
+        loop {
+            let Node::Branch(children) = Arc::make_mut(node) else {
+                unreachable!("a new leaf's path only crosses branches");
+            };
+            let slot = &mut children[(index >> level) & MASK];
+            level -= BITS;
+            match slot {
+                Some(child) => node = child,
+                None => {
+                    *slot = Some(new_path(level, leaf));
+                    return;
+                }
+            }
         }
     }
 
-    /// Returns a vector with the element at `index` replaced, path-copying
-    /// one root-to-leaf spine. The original is untouched.
+    /// Replaces the element at `index`.
     ///
     /// # Panics
     /// Panics if `index` is out of range.
-    #[must_use = "PersistentVec::set returns the updated vector"]
-    pub fn set(&self, index: usize, value: T) -> Self {
+    pub fn set(&mut self, index: usize, value: T) {
         assert!(
             index < self.len,
             "set index {index} out of range (len {})",
             self.len
         );
         if index >= self.tail_offset() {
-            let mut tail = (*self.tail).clone();
-            tail[index & MASK] = value;
-            return PersistentVec {
-                len: self.len,
-                shift: self.shift,
-                root: self.root.clone(),
-                tail: Arc::new(tail),
-            };
+            Arc::make_mut(&mut self.tail)[index & MASK] = value;
+            return;
         }
-        let root = set_in(
-            self.root.as_ref().expect("trie exists below tail offset"),
-            self.shift,
-            index,
-            value,
-        );
-        PersistentVec {
-            len: self.len,
-            shift: self.shift,
-            root: Some(root),
-            tail: Arc::clone(&self.tail),
+        let mut node = self.root.as_mut().expect("trie exists below tail offset");
+        let mut level = self.shift;
+        loop {
+            match Arc::make_mut(node) {
+                Node::Leaf(items) => {
+                    items[index & MASK] = value;
+                    return;
+                }
+                Node::Branch(children) => {
+                    node = children[(index >> level) & MASK]
+                        .as_mut()
+                        .expect("in-range index");
+                    level -= BITS;
+                }
+            }
         }
     }
 }
@@ -269,49 +283,11 @@ fn new_path<T>(level: usize, node: Arc<Node<T>>) -> Arc<Node<T>> {
     Arc::new(Node::Branch(children))
 }
 
-/// Inserts `leaf` (the chunk starting at element `index`) below `node`,
-/// path-copying the visited branches.
-fn push_leaf<T>(
-    node: &Arc<Node<T>>,
-    level: usize,
-    index: usize,
-    leaf: Arc<Node<T>>,
-) -> Arc<Node<T>> {
-    let Node::Branch(children) = &**node else {
-        unreachable!("push_leaf only descends through branches");
-    };
-    let mut children = children.clone();
-    let sub = (index >> level) & MASK;
-    children[sub] = Some(match &children[sub] {
-        None => new_path(level - BITS, leaf),
-        Some(child) => push_leaf(child, level - BITS, index, leaf),
-    });
-    Arc::new(Node::Branch(children))
-}
-
-/// Replaces element `index` below `node`, path-copying the visited spine.
-fn set_in<T: Clone>(node: &Arc<Node<T>>, level: usize, index: usize, value: T) -> Arc<Node<T>> {
-    match &**node {
-        Node::Leaf(items) => {
-            let mut items = items.clone();
-            items[index & MASK] = value;
-            Arc::new(Node::Leaf(items))
-        }
-        Node::Branch(children) => {
-            let sub = (index >> level) & MASK;
-            let mut children = children.clone();
-            let child = children[sub].as_ref().expect("in-range index");
-            children[sub] = Some(set_in(child, level - BITS, index, value));
-            Arc::new(Node::Branch(children))
-        }
-    }
-}
-
 impl<T: Clone> FromIterator<T> for PersistentVec<T> {
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
         let mut v = PersistentVec::new();
         for item in iter {
-            v = v.push(item);
+            v.push(item);
         }
         v
     }
@@ -364,7 +340,7 @@ impl<'a, T> IntoIterator for &'a PersistentVec<T> {
 /// HAMT node: branches use an occupancy bitmap over the next 4 hash bits
 /// with a dense child vector; leaves bucket the entries of one full 64-bit
 /// hash (different keys with equal hashes share a leaf).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum MapNode<K, V> {
     Branch {
         bitmap: u64,
@@ -376,18 +352,20 @@ enum MapNode<K, V> {
     },
 }
 
-/// A persistent (immutable, structurally shared) hash map.
+/// A persistent (structurally shared) hash map.
 ///
-/// `insert` returns a new map sharing all untouched storage with the
-/// original; `clone` is O(1). Hashing uses the same fixed-key
-/// `DefaultHasher` as the history's fingerprint index, so layout is
-/// deterministic within a process run (nothing here is persisted).
+/// `clone` is O(1); `insert` updates in place the nodes this map alone
+/// reaches and copies the ones it shares with a clone. Hashing uses the
+/// same fixed-key `DefaultHasher` as the history's fingerprint index, so
+/// layout is deterministic within a process run (nothing here is
+/// persisted).
 ///
 /// ```
 /// use dimmunix_core::PersistentMap;
 /// let a: PersistentMap<u32, &str> = PersistentMap::new();
-/// let b = a.insert(1, "one").0;
-/// assert_eq!(a.get(&1), None);     // the original is untouched
+/// let mut b = a.clone();
+/// assert!(b.insert(1, "one"));     // a new key
+/// assert_eq!(a.get(&1), None);     // the clone is untouched
 /// assert_eq!(b.get(&1), Some(&"one"));
 /// ```
 pub struct PersistentMap<K, V> {
@@ -501,85 +479,57 @@ impl<K: Hash + Eq, V> PersistentMap<K, V> {
 }
 
 impl<K: Hash + Eq + Clone, V: Clone> PersistentMap<K, V> {
-    /// Returns a map with `key` bound to `value`, plus whether the key was
-    /// new (`false` means an existing binding was replaced). The original
-    /// map is untouched.
-    #[must_use = "PersistentMap::insert returns the updated map"]
-    pub fn insert(&self, key: K, value: V) -> (Self, bool) {
+    /// Binds `key` to `value`; returns whether the key was new (`false`
+    /// means an existing binding was replaced). A leaf whose hash differs
+    /// from the key's at the current level is split into a branch.
+    pub fn insert(&mut self, key: K, value: V) -> bool {
         let hash = hash_of(&key);
-        let (root, added) = match &self.root {
-            None => (
-                Arc::new(MapNode::Leaf {
-                    hash,
-                    entries: vec![(key, value)],
-                }),
-                true,
-            ),
-            Some(root) => insert_in(root, 0, hash, key, value),
+        let Some(mut node) = self.root.as_mut() else {
+            self.root = Some(Arc::new(MapNode::Leaf {
+                hash,
+                entries: vec![(key, value)],
+            }));
+            self.len = 1;
+            return true;
         };
-        (
-            PersistentMap {
-                len: self.len + usize::from(added),
-                root: Some(root),
-            },
-            added,
-        )
-    }
-}
-
-/// Recursive insert: path-copies the visited spine, splitting a leaf into a
-/// branch when two different hashes collide at the current level.
-fn insert_in<K: Hash + Eq + Clone, V: Clone>(
-    node: &Arc<MapNode<K, V>>,
-    level: usize,
-    hash: u64,
-    key: K,
-    value: V,
-) -> (Arc<MapNode<K, V>>, bool) {
-    match &**node {
-        MapNode::Leaf { hash: h, entries } if *h == hash => {
-            let mut entries = entries.clone();
-            if let Some(entry) = entries.iter_mut().find(|(k, _)| *k == key) {
-                entry.1 = value;
-                (Arc::new(MapNode::Leaf { hash, entries }), false)
-            } else {
-                entries.push((key, value));
-                (Arc::new(MapNode::Leaf { hash, entries }), true)
+        let mut level = 0;
+        loop {
+            if let MapNode::Leaf { hash: old_hash, .. } = **node {
+                if old_hash != hash {
+                    // The old leaf moves under the new spine as it is.
+                    *node = split(Arc::clone(node), old_hash, level, hash, key, value);
+                    self.len += 1;
+                    return true;
+                }
             }
-        }
-        MapNode::Leaf { hash: h, .. } => {
-            (split(Arc::clone(node), *h, level, hash, key, value), true)
-        }
-        MapNode::Branch { bitmap, children } => {
-            let frag = (hash >> level) as usize & MAP_MASK;
-            let bit = 1u64 << frag;
-            let idx = (bitmap & (bit - 1)).count_ones() as usize;
-            let mut children = children.clone();
-            if bitmap & bit != 0 {
-                let (child, added) = insert_in(&children[idx], level + MAP_BITS, hash, key, value);
-                children[idx] = child;
-                (
-                    Arc::new(MapNode::Branch {
-                        bitmap: *bitmap,
-                        children,
-                    }),
-                    added,
-                )
-            } else {
-                children.insert(
-                    idx,
-                    Arc::new(MapNode::Leaf {
-                        hash,
-                        entries: vec![(key, value)],
-                    }),
-                );
-                (
-                    Arc::new(MapNode::Branch {
-                        bitmap: bitmap | bit,
-                        children,
-                    }),
-                    true,
-                )
+            match Arc::make_mut(node) {
+                MapNode::Leaf { entries, .. } => {
+                    if let Some(entry) = entries.iter_mut().find(|(k, _)| *k == key) {
+                        entry.1 = value;
+                        return false;
+                    }
+                    entries.push((key, value));
+                    self.len += 1;
+                    return true;
+                }
+                MapNode::Branch { bitmap, children } => {
+                    let bit = 1u64 << ((hash >> level) as usize & MAP_MASK);
+                    let idx = (*bitmap & (bit - 1)).count_ones() as usize;
+                    if *bitmap & bit == 0 {
+                        *bitmap |= bit;
+                        children.insert(
+                            idx,
+                            Arc::new(MapNode::Leaf {
+                                hash,
+                                entries: vec![(key, value)],
+                            }),
+                        );
+                        self.len += 1;
+                        return true;
+                    }
+                    node = &mut children[idx];
+                    level += MAP_BITS;
+                }
             }
         }
     }
@@ -657,7 +607,7 @@ mod tests {
         // 0..1100 crosses the 32-element tail boundary, the 1024-element
         // root-growth boundary, and leaves a partial tail.
         for i in 0..1100 {
-            v = v.push(i);
+            v.push(i);
             assert_eq!(v.len(), i + 1);
         }
         for i in 0..1100 {
@@ -671,13 +621,16 @@ mod tests {
     #[test]
     fn vec_clone_then_diverge_shares_structure() {
         let base: PersistentVec<u32> = (0..200).collect();
-        let a = base.push(1000);
-        let b = base.push(2000);
+        let mut a = base.clone();
+        a.push(1000);
+        let mut b = base.clone();
+        b.push(2000);
         assert_eq!(base.len(), 200);
         assert_eq!(a.get(200), Some(&1000));
         assert_eq!(b.get(200), Some(&2000));
         // Divergent sets never bleed into siblings or the base.
-        let c = a.set(0, 7);
+        let mut c = a.clone();
+        c.set(0, 7);
         assert_eq!(c.get(0), Some(&7));
         assert_eq!(a.get(0), Some(&0));
         assert_eq!(base.get(0), Some(&0));
@@ -686,28 +639,26 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn vec_set_out_of_range_panics() {
-        let v: PersistentVec<u8> = PersistentVec::new();
-        let _ = v.set(0, 1);
+        let mut v: PersistentVec<u8> = PersistentVec::new();
+        v.set(0, 1);
     }
 
     #[test]
     fn map_insert_get_and_replace() {
         let mut m: PersistentMap<u64, u64> = PersistentMap::new();
         for i in 0..500 {
-            let (next, added) = m.insert(i, i * 10);
-            assert!(added);
-            m = next;
+            assert!(m.insert(i, i * 10));
         }
         assert_eq!(m.len(), 500);
         for i in 0..500 {
             assert_eq!(m.get(&i), Some(&(i * 10)), "key {i}");
         }
         assert_eq!(m.get(&500), None);
-        let (replaced, added) = m.insert(42, 1);
-        assert!(!added);
+        let mut replaced = m.clone();
+        assert!(!replaced.insert(42, 1));
         assert_eq!(replaced.len(), 500);
         assert_eq!(replaced.get(&42), Some(&1));
-        assert_eq!(m.get(&42), Some(&420), "the original is untouched");
+        assert_eq!(m.get(&42), Some(&420), "the clone is untouched");
         assert!(m.contains_key(&0));
         assert!(!m.contains_key(&10_000));
     }
@@ -716,7 +667,7 @@ mod tests {
     fn map_iter_visits_every_entry_once() {
         let mut m: PersistentMap<u32, u32> = PersistentMap::new();
         for i in 0..300 {
-            m = m.insert(i, i).0;
+            m.insert(i, i);
         }
         let mut keys: Vec<u32> = m.iter().map(|(k, _)| *k).collect();
         keys.sort_unstable();

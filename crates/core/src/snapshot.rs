@@ -41,7 +41,8 @@ use std::sync::Arc;
 /// (append-only ids, depth-truncated stacks), but with **no owner queues**
 /// (queues are shard-local state) and persistent, structurally-shared
 /// storage — cloning the table into the next snapshot is O(1), interning
-/// one more stack path-copies O(log₃₂ n) nodes. Ids are stable under
+/// one more stack into that clone path-copies O(log₃₂ n) nodes, and
+/// interning into a table nothing shares copies none. Ids are stable under
 /// [`HistorySnapshot::append`] (the table only grows), which is what lets
 /// shards cache links across epochs.
 #[derive(Debug, Clone)]
@@ -97,10 +98,10 @@ impl OuterTable {
         let id = PositionId::new(self.stacks.len() as u32);
         let site_key = key.site_key();
         let shared = Arc::new(key);
-        self.stacks = self.stacks.push(Arc::clone(&shared));
-        self.by_stack = self.by_stack.insert(shared, id).0;
+        self.stacks.push(Arc::clone(&shared));
+        self.by_stack.insert(shared, id);
         if self.by_key.get(&site_key).is_none() {
-            self.by_key = self.by_key.insert(site_key, id).0;
+            self.by_key.insert(site_key, id);
         }
         id
     }
@@ -178,6 +179,8 @@ impl HistorySnapshot {
     /// signature is interned first, and the inverted index is constructed in
     /// one pass at the end — instead of the signature-by-signature
     /// resolve-and-index loop the engine used to run on every restart.
+    /// Nothing shares the fresh tables yet, so every insert updates them in
+    /// place.
     pub fn build(history: History, stack_depth: usize) -> Arc<Self> {
         let mut outers = OuterTable::new(stack_depth);
         let resolved: Vec<(SignatureId, Vec<PositionId>)> = history
@@ -317,13 +320,6 @@ impl HistorySnapshot {
         self.outers.lookup(stack)
     }
 
-    /// The canonical id of the first outer position with the given stable
-    /// site key, if any signature mentions one — how antibody exchange
-    /// re-anchors a foreign outer stack to this process's history.
-    pub fn outer_of_key(&self, key: SiteKey) -> Option<PositionId> {
-        self.outers.lookup_by_key(key)
-    }
-
     /// Number of signatures.
     pub fn len(&self) -> usize {
         self.history.len()
@@ -417,11 +413,12 @@ mod tests {
         let id = snap.outer_of_stack(&local).expect("interned");
         let shifted = CallStack::single(Frame::new("m1", "f.rs", 901));
         assert_eq!(snap.outer_of_stack(&shifted), None);
-        assert_eq!(snap.outer_of_key(shifted.site_key()), Some(id));
-        assert_eq!(snap.outer_of_key(SiteKey::new(42)), None);
+        let by_key = |snap: &HistorySnapshot, key| snap.outer_table().lookup_by_key(key);
+        assert_eq!(by_key(&snap, shifted.site_key()), Some(id));
+        assert_eq!(by_key(&snap, SiteKey::new(42)), None);
         // Appends keep key lookups stable.
         let (v2, _, _) = snap.append(sig(7, 8));
-        assert_eq!(v2.outer_of_key(shifted.site_key()), Some(id));
+        assert_eq!(by_key(&v2, shifted.site_key()), Some(id));
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //! their draw order so the pinned seeds keep meaning what they always did.
 
 use dimmunix_core::{
-    find_instantiation, AccessMode, CallStack, Config, Dimmunix, Frame, History, Instantiation,
-    LockId, OwnerId, OwnerQueue, PersistentMap, PersistentVec, PositionId, PositionTable,
-    RequestOutcome, ShardedDimmunix, Signature, SignatureId, SignatureIndex, SignatureKind,
-    SignaturePair, Stats, ThreadId,
+    find_instantiation, json, AccessMode, CallStack, Config, Dimmunix, Frame, History,
+    Instantiation, LockId, OwnerId, OwnerQueue, PersistentMap, PersistentVec, PositionId,
+    PositionTable, RequestOutcome, ShardedDimmunix, Signature, SignatureId, SignatureIndex,
+    SignatureKind, SignaturePair, Stats, ThreadId,
 };
 use dimmunix_testkit::schedule::{
     plan_mixed_step, plan_mutex_step, pretrain_history, universe_site, PlannedStep,
@@ -867,12 +867,36 @@ fn prop_sharded_engine_equals_monolithic_oracle_mixed_rwlock() {
     }
 }
 
+/// One random push or set on `pv` and on its oracle `model`, followed by the
+/// length check, random point reads and an out-of-range probe.
+fn vec_step(g: &mut Gen, pv: &mut PersistentVec<u64>, model: &mut Vec<u64>, seed: u64) {
+    if model.is_empty() || g.range(0, 10) < 7 {
+        let v = g.next_u64();
+        pv.push(v);
+        model.push(v);
+    } else {
+        let i = g.range(0, model.len());
+        let v = g.next_u64();
+        pv.set(i, v);
+        model[i] = v;
+    }
+    assert_eq!(pv.len(), model.len(), "seed {seed}");
+    assert_eq!(pv.is_empty(), model.is_empty(), "seed {seed}");
+    for _ in 0..3 {
+        let i = g.range(0, model.len());
+        assert_eq!(pv.get(i), Some(&model[i]), "seed {seed}: get({i})");
+    }
+    assert_eq!(pv.get(model.len()), None, "seed {seed}: past-end get");
+}
+
 /// **Persistent vector ≡ `Vec` oracle.** Random push/set sequences checked
 /// element-for-element against a plain `Vec`, with random point reads,
 /// out-of-range probes, and full iteration. At one random point in every
-/// sequence a clone is taken and the original keeps mutating: the clone
-/// must stay frozen at its snapshot (the structural-sharing contract the
-/// history snapshots rely on).
+/// sequence a clone is taken, and from then on both the original and the
+/// clone keep mutating, each checked against its own oracle: a write
+/// through either must never show through the other (the structural-sharing
+/// contract the history snapshots rely on, which in-place updates of
+/// unshared nodes must keep in both directions).
 #[test]
 fn prop_persistent_vec_matches_vec_oracle() {
     const SEED_SALT: u64 = 0x0bad_5eed_0001;
@@ -889,23 +913,12 @@ fn prop_persistent_vec_matches_vec_oracle() {
             if op == freeze_at {
                 frozen = Some((pv.clone(), model.clone()));
             }
-            if model.is_empty() || g.range(0, 10) < 7 {
-                let v = g.next_u64();
-                pv = pv.push(v);
-                model.push(v);
-            } else {
-                let i = g.range(0, model.len());
-                let v = g.next_u64();
-                pv = pv.set(i, v);
-                model[i] = v;
+            vec_step(&mut g, &mut pv, &mut model, seed);
+            if let Some((old, old_model)) = frozen.as_mut() {
+                if g.flip() {
+                    vec_step(&mut g, old, old_model, seed);
+                }
             }
-            assert_eq!(pv.len(), model.len(), "seed {seed}");
-            assert_eq!(pv.is_empty(), model.is_empty(), "seed {seed}");
-            for _ in 0..3 {
-                let i = g.range(0, model.len());
-                assert_eq!(pv.get(i), Some(&model[i]), "seed {seed}: get({i})");
-            }
-            assert_eq!(pv.get(model.len()), None, "seed {seed}: past-end get");
         }
         let collected: Vec<u64> = pv.iter().copied().collect();
         assert_eq!(collected, model, "seed {seed}: iteration diverges");
@@ -919,12 +932,48 @@ fn prop_persistent_vec_matches_vec_oracle() {
     }
 }
 
+/// One random insert or replace on `pm` and on its oracle `model` over a
+/// 40-key universe, checking the `added` contract, the length and a random
+/// probe.
+fn map_step(
+    g: &mut Gen,
+    pm: &mut PersistentMap<u64, u64>,
+    model: &mut std::collections::HashMap<u64, u64>,
+    seed: u64,
+) {
+    let k = g.range(0, 40) as u64;
+    let v = g.next_u64();
+    let added = pm.insert(k, v);
+    assert_eq!(added, !model.contains_key(&k), "seed {seed}: insert({k})");
+    model.insert(k, v);
+    assert_eq!(pm.len(), model.len(), "seed {seed}");
+    let probe = g.range(0, 40) as u64;
+    assert_eq!(
+        pm.get(&probe),
+        model.get(&probe),
+        "seed {seed}: get({probe})"
+    );
+    assert_eq!(
+        pm.contains_key(&probe),
+        model.contains_key(&probe),
+        "seed {seed}"
+    );
+}
+
+/// The entries of a map oracle, sorted.
+fn sorted_entries(model: &std::collections::HashMap<u64, u64>) -> Vec<(u64, u64)> {
+    let mut entries: Vec<(u64, u64)> = model.iter().map(|(k, v)| (*k, *v)).collect();
+    entries.sort_unstable();
+    entries
+}
+
 /// **Persistent map ≡ `HashMap` oracle.** Random insert/replace sequences
 /// over a small key universe (so hash-fragment collisions and replacement
 /// both happen) checked against `std::collections::HashMap`, including the
-/// `(map, added)` insert contract, random probes, full iteration, and a
-/// mid-sequence clone that must stay frozen.
-type FrozenMap = (PersistentMap<u64, u64>, Vec<(u64, u64)>);
+/// `added` insert contract, random probes and full iteration. A clone taken
+/// mid-sequence then keeps mutating beside the original, each against its
+/// own oracle, so a write leaking either way is caught.
+type FrozenMap = (PersistentMap<u64, u64>, std::collections::HashMap<u64, u64>);
 
 #[test]
 fn prop_persistent_map_matches_hashmap_oracle() {
@@ -938,41 +987,158 @@ fn prop_persistent_map_matches_hashmap_oracle() {
         let freeze_at = g.range(0, ops);
         for op in 0..ops {
             if op == freeze_at {
-                let mut snap: Vec<(u64, u64)> = model.iter().map(|(k, v)| (*k, *v)).collect();
-                snap.sort_unstable();
-                frozen = Some((pm.clone(), snap));
+                frozen = Some((pm.clone(), model.clone()));
             }
-            let k = g.range(0, 40) as u64;
-            let v = g.next_u64();
-            let (next, added) = pm.insert(k, v);
-            assert_eq!(added, !model.contains_key(&k), "seed {seed}: insert({k})");
-            pm = next;
-            model.insert(k, v);
-            assert_eq!(pm.len(), model.len(), "seed {seed}");
-            let probe = g.range(0, 40) as u64;
-            assert_eq!(
-                pm.get(&probe),
-                model.get(&probe),
-                "seed {seed}: get({probe})"
-            );
-            assert_eq!(
-                pm.contains_key(&probe),
-                model.contains_key(&probe),
-                "seed {seed}"
-            );
+            map_step(&mut g, &mut pm, &mut model, seed);
+            if let Some((old, old_model)) = frozen.as_mut() {
+                if g.flip() {
+                    map_step(&mut g, old, old_model, seed);
+                }
+            }
         }
         let mut collected: Vec<(u64, u64)> = pm.iter().map(|(k, v)| (*k, *v)).collect();
         collected.sort_unstable();
-        let mut expected: Vec<(u64, u64)> = model.into_iter().collect();
-        expected.sort_unstable();
-        assert_eq!(collected, expected, "seed {seed}: iteration diverges");
-        let (old, old_snap) = frozen.expect("freeze point always within ops");
+        assert_eq!(
+            collected,
+            sorted_entries(&model),
+            "seed {seed}: iteration diverges"
+        );
+        let (old, old_model) = frozen.expect("freeze point always within ops");
         let mut old_collected: Vec<(u64, u64)> = old.iter().map(|(k, v)| (*k, *v)).collect();
         old_collected.sort_unstable();
         assert_eq!(
-            old_collected, old_snap,
+            old_collected,
+            sorted_entries(&old_model),
             "seed {seed}: mid-sequence clone diverged from its snapshot"
         );
+    }
+}
+
+/// A random character for the JSON string properties: mostly ASCII, with
+/// the two characters that end an unescaped run, control characters, and
+/// two-, three- and four-byte UTF-8.
+fn json_char(g: &mut Gen) -> char {
+    const SPECIAL: &[char] = &[
+        '"', '\\', '/', '\n', '\r', '\t', '\u{0}', '\u{1f}', '\u{7f}',
+    ];
+    const WIDE: &[char] = &['é', 'ß', 'Ж', '€', '中', '\u{ffff}', '😀', '\u{10ffff}'];
+    match g.range(0, 4) {
+        0 => SPECIAL[g.range(0, SPECIAL.len())],
+        1 => WIDE[g.range(0, WIDE.len())],
+        _ => char::from(b' ' + g.range(0, 95) as u8),
+    }
+}
+
+/// **JSON strings round-trip.** `json::parse` decodes what
+/// `json::write_escaped` writes, for random strings of every character
+/// class; and a literal assembled piece by piece from raw characters, every
+/// short escape, `\u` escapes in the BMP (either hex case) and surrogate
+/// pairs decodes to the characters the pieces stand for.
+#[test]
+fn prop_json_strings_decode_what_was_encoded() {
+    const SEED_SALT: u64 = 0x0bad_5eed_0003;
+    const SHORT: &[(&str, char)] = &[
+        ("\\\"", '"'),
+        ("\\\\", '\\'),
+        ("\\/", '/'),
+        ("\\b", '\u{8}'),
+        ("\\f", '\u{c}'),
+        ("\\n", '\n'),
+        ("\\r", '\r'),
+        ("\\t", '\t'),
+    ];
+    for seed in 0..CASES {
+        let mut g = Gen::new(seed ^ SEED_SALT);
+        let len = g.range(0, 40);
+        let original: String = (0..len).map(|_| json_char(&mut g)).collect();
+        let mut doc = String::new();
+        json::write_escaped(&mut doc, &original);
+        assert_eq!(
+            json::parse(&doc).map(|v| v.as_str().map(str::to_owned)),
+            Ok(Some(original.clone())),
+            "seed {seed}: {doc}"
+        );
+
+        let (mut literal, mut expected) = (String::from("\""), String::new());
+        for _ in 0..g.range(0, 40) {
+            match g.range(0, 4) {
+                0 => {
+                    let (escape, c) = SHORT[g.range(0, SHORT.len())];
+                    literal.push_str(escape);
+                    expected.push(c);
+                }
+                1 => {
+                    // A BMP scalar value: below the surrogates or above them.
+                    let code = if g.flip() {
+                        g.range(0, 0xD800)
+                    } else {
+                        g.range(0xE000, 0x1_0000)
+                    } as u32;
+                    literal.push_str(&if g.flip() {
+                        format!("\\u{code:04x}")
+                    } else {
+                        format!("\\u{code:04X}")
+                    });
+                    expected.push(char::from_u32(code).expect("not a surrogate"));
+                }
+                2 => {
+                    let code = g.range(0x1_0000, 0x11_0000) as u32;
+                    let c = char::from_u32(code).expect("astral scalar value");
+                    let mut units = [0u16; 2];
+                    c.encode_utf16(&mut units);
+                    literal.push_str(&format!("\\u{:04x}\\u{:04X}", units[0], units[1]));
+                    expected.push(c);
+                }
+                _ => {
+                    let c = json_char(&mut g);
+                    if c == '"' || c == '\\' {
+                        continue;
+                    }
+                    literal.push(c);
+                    expected.push(c);
+                }
+            }
+        }
+        literal.push('"');
+        assert_eq!(
+            json::parse(&literal).map(|v| v.as_str().map(str::to_owned)),
+            Ok(Some(expected)),
+            "seed {seed}: {literal}"
+        );
+    }
+}
+
+/// **JSON string errors stay errors.** After a random valid prefix, an
+/// unterminated string, an unterminated escape, an invalid escape, a lone
+/// or badly paired surrogate, and truncated or non-hex `\u` digits are all
+/// rejected — never a panic, never a wrong string.
+#[test]
+fn prop_json_string_errors_are_rejected() {
+    const SEED_SALT: u64 = 0x0bad_5eed_0004;
+    const BROKEN: &[&str] = &[
+        "",                 // unterminated string
+        "\\\"",             // the closing quote is escaped: unterminated
+        "\\",               // unterminated escape
+        "\\x\"",            // invalid escape
+        "\\é\"",            // invalid escape starting a multi-byte character
+        "\\uD83D\"",        // lone high surrogate
+        "\\uD83Dx\"",       // high surrogate followed by a raw character
+        "\\ud83d\\u0041\"", // high surrogate followed by a non-low escape
+        "\\uDC00\"",        // lone low surrogate
+        "\\u12G4\"",        // bad hex digit
+        "\\u12\"",          // truncated \u escape
+        "\\u€\"",           // non-ASCII in place of hex digits
+    ];
+    for seed in 0..CASES {
+        let mut g = Gen::new(seed ^ SEED_SALT);
+        let prefix: String = (0..g.range(0, 20))
+            .map(|_| json_char(&mut g))
+            .filter(|c| *c != '"' && *c != '\\')
+            .collect();
+        for broken in BROKEN {
+            let doc = format!("\"{prefix}{broken}");
+            assert!(json::parse(&doc).is_err(), "seed {seed}: {doc:?} parsed");
+        }
     }
 }
 

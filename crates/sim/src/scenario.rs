@@ -126,8 +126,9 @@ pub struct Scenario {
     /// Model OS-level writer preference in the simulated locks: a shared
     /// request must queue behind an already-waiting exclusive request even
     /// when the current owners are all readers. The engine does not model
-    /// this queuing policy (see the ROADMAP known-gaps entry from PR 5),
-    /// which is exactly what [`writer_preference_gap`] demonstrates.
+    /// this queuing policy (see ARCHITECTURE.md, "`ImmuneRwLock` and the
+    /// multi-owner RAG"), which is exactly what [`writer_preference_gap`]
+    /// demonstrates.
     pub writer_preference: bool,
     /// Per-task fail-safe budget: when the schedule stalls with no runnable
     /// or sleeping task, the lowest-indexed blocked task may back out
@@ -306,9 +307,9 @@ pub fn async_server(tasks: usize, resources: usize, invert_every: usize, seed: u
     }
 }
 
-/// Executable spec of the PR 5 **writer-preference gap** (see the ROADMAP
-/// known-gaps entry): a cycle that exists only in the lock *queuing policy*,
-/// never in the engine's wait-for graph.
+/// Executable spec of the **writer-preference gap** (see ARCHITECTURE.md,
+/// "`ImmuneRwLock` and the multi-owner RAG"): a cycle that exists only in
+/// the lock *queuing policy*, never in the engine's wait-for graph.
 ///
 /// Lock 0 is a rwlock, lock 1 a mutex. The deadlocking schedule: `reader`
 /// takes 0 shared; `b-holder` takes 1; `writer` requests 0 exclusive and

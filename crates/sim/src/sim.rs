@@ -918,7 +918,8 @@ impl<E: EngineHooks> Sim<'_, E> {
     /// Fresh-arrival admission: owner compatibility, plus — under writer
     /// preference — no queued exclusive waiter may be overtaken by a new
     /// reader. This is the queuing policy the engine has no wait-for edge
-    /// for (ROADMAP known gap, PR 5).
+    /// for (the modeling gap in ARCHITECTURE.md, "`ImmuneRwLock` and the
+    /// multi-owner RAG").
     fn admissible_fresh(&self, lock: usize, task: usize, mode: AccessMode) -> bool {
         if !self.compatible(lock, task, mode) {
             return false;

@@ -1,17 +1,18 @@
-//! Executable spec of the **writer-preference gap** (ISSUE 7, satellite 2).
+//! Executable spec of the **writer-preference gap**.
 //!
-//! See ROADMAP.md § "Known gaps (carried forward)", first entry (discovered
-//! in PR 5): the engine does not model OS-level writer preference — a new
-//! reader held back behind a waiting writer has no reader→writer wait-for
-//! edge, so cycles that exist only in the lock *queuing policy* are
-//! invisible to detection and can resolve only through the fail-safe
-//! retry. The simulator models exactly that queuing policy
-//! ([`Scenario::writer_preference`]), which turns the prose gap into an
-//! assertion: the cycle completes via fail-safe, with **zero** detections
-//! and **zero** avoidance yields — nothing was learned, nothing could be.
-//! When the gap is closed (reader→writer edges in the RAG), the
+//! See ARCHITECTURE.md, "`ImmuneRwLock` and the multi-owner RAG", for the
+//! remaining modeling gap: the engine does not model OS-level writer
+//! preference — a new reader held back behind a waiting writer has no
+//! reader→writer wait-for edge, so cycles that exist only in the lock
+//! *queuing policy* are invisible to detection and can resolve only
+//! through the fail-safe retry. The simulator models exactly that queuing
+//! policy ([`Scenario::writer_preference`]), which turns the prose gap into
+//! an assertion: the cycle completes via fail-safe, with **zero**
+//! detections and **zero** avoidance yields — nothing was learned, nothing
+//! could be. When the gap is closed (reader→writer edges in the RAG), the
 //! `deadlocks_detected == 0` assertion below will fail, and this file
-//! should flip into a positive detection test plus a ROADMAP edit.
+//! should flip into a positive detection test while that section drops the
+//! gap.
 
 use dimmunix_core::History;
 use dimmunix_sim::scenario::writer_preference_gap;
