@@ -19,6 +19,7 @@
 //! gates it at <= 1.5.
 
 use dimmunix_bench::report::{write_bench_json, BenchJson};
+use dimmunix_core::{History, Signature, SignatureKind, SignaturePair};
 use dimmunix_rt::{AcquisitionSite, DimmunixRuntime, ImmuneMutex, TaskAcquire};
 use std::sync::{Arc, Barrier};
 use std::task::{Wake, Waker};
@@ -42,15 +43,37 @@ impl Wake for NoopWake {
     fn wake(self: Arc<Self>) {}
 }
 
+/// The workers' scope and file.
+const WORKER_SCOPE: &str = "ShardBench.worker";
+const WORKER_FILE: &str = "engine_sharded.rs";
+
+/// One signature at the workers' scope and file, on a line no worker runs.
+/// The admission filter keys a depth-1 site by scope and file alone, so it
+/// doubts every worker's site, while no worker's position is in the history:
+/// each request falls back from tier 1 and is decided by its home shard
+/// alone (tier 2).
+fn doubting_history() -> History {
+    let never_run = AcquisitionSite::new(WORKER_SCOPE, WORKER_FILE, 1_000_000).to_call_stack();
+    let mut history = History::new();
+    history.add(Signature::new(
+        SignatureKind::Deadlock,
+        vec![SignaturePair::new(never_run.clone(), never_run)],
+    ));
+    history
+}
+
 /// One timed run: `threads` OS threads, each hammering its own private
 /// locks through the three task hooks. Returns acquisitions per second.
 fn run(threads: usize, shards: usize) -> f64 {
     // This bench is about the *locked* engine — the path every doubted
-    // admission falls back to. Thread owners at clean sites are admitted
-    // lock-free and never touch a shard lock, so the shard count would
-    // measure nothing; task owners always take the locked path, so each
-    // worker drives it the way production does, as a registered task.
-    let rt = DimmunixRuntime::builder().shards(shards).build();
+    // admission falls back to. Owners at clean sites are admitted lock-free
+    // and never touch a shard lock, so the shard count would measure
+    // nothing; the history makes tier 1 doubt every worker's site instead.
+    // Each worker drives the task hooks, as a registered task.
+    let rt = DimmunixRuntime::builder()
+        .shards(shards)
+        .history(doubting_history())
+        .build();
     let barrier = Arc::new(Barrier::new(threads + 1));
     let mut handles = Vec::with_capacity(threads);
     for t in 0..threads {
@@ -58,7 +81,7 @@ fn run(threads: usize, shards: usize) -> f64 {
         let barrier = barrier.clone();
         handles.push(std::thread::spawn(move || {
             let locks: Vec<_> = (0..LOCKS_PER_THREAD).map(|_| rt.allocate_lock()).collect();
-            let site = AcquisitionSite::new("ShardBench.worker", "engine_sharded.rs", t as u32);
+            let site = AcquisitionSite::new(WORKER_SCOPE, WORKER_FILE, t as u32);
             let task = rt.register_task(None);
             let waker = Waker::from(Arc::new(NoopWake));
             barrier.wait();
@@ -78,8 +101,13 @@ fn run(threads: usize, shards: usize) -> f64 {
     }
     let elapsed = start.elapsed();
     let total = (threads * ITERS) as f64;
-    assert_eq!(rt.stats().acquisitions, total as u64);
-    assert_eq!(rt.stats().deadlocks_detected, 0);
+    let stats = rt.stats();
+    assert_eq!(stats.acquisitions, total as u64);
+    assert_eq!(stats.deadlocks_detected, 0);
+    assert_eq!(
+        stats.local_decisions, total as u64,
+        "every request on tier 2"
+    );
     total / elapsed.as_secs_f64()
 }
 

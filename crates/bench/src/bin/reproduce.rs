@@ -203,6 +203,12 @@ fn print_power() {
         "applications+OS share of energy: vanilla {}%  with Dimmunix {}%  (paper: 14% both)",
         p.vanilla_percent, p.dimmunix_percent
     );
+    println!(
+        "with Dimmunix unrounded: {:.2}%; it would round up to {}% at {:.0} ns per sync",
+        p.dimmunix_share_percent,
+        p.dimmunix_percent + 1,
+        p.round_up_cost_ns
+    );
     println!();
 }
 

@@ -242,6 +242,12 @@ pub struct PowerResult {
     pub vanilla_percent: u32,
     /// The same share with Dimmunix, in whole percent.
     pub dimmunix_percent: u32,
+    /// The same share with Dimmunix before rounding, in percent.
+    pub dimmunix_share_percent: f64,
+    /// The immunity cost per sync, in ns, at which the share with Dimmunix
+    /// would round up to the next whole percent: the headroom left before
+    /// the battery screen could tell the two platforms apart.
+    pub round_up_cost_ns: f64,
     /// The benchmark workload whose cost stood for one sync's immunity work:
     /// the dearest of [`OVERHEAD_PATHS`], so the share is an upper bound.
     pub workload: &'static str,
@@ -265,14 +271,21 @@ pub fn power(overhead: &Overhead) -> PowerResult {
     let total_syncs: u64 = TABLE1_PROFILES.iter().map(|p| p.total_syncs(30.0)).sum();
     let total_cycles: u64 = 30 * CYCLES_PER_SECOND;
     let model = EnergyModel::default();
-    let percent = |cycles_per_sync| {
-        model
-            .report(total_cycles, total_syncs, cycles_per_sync)
-            .app_share_percent()
-    };
+    let report = |cycles_per_sync| model.report(total_cycles, total_syncs, cycles_per_sync);
+    let immune = report(immunity_cycles_per_sync);
+    // The share reads `dimmunix_percent + 1` once it reaches the next
+    // half-percent boundary b, i.e. once app energy reaches
+    // b / (1 - b) x platform energy; the extra energy over vanilla is
+    // bought one busy cycle per cycle per sync.
+    let boundary = (f64::from(immune.app_share_percent()) + 0.5) / 100.0;
+    let app_at_boundary = boundary / (1.0 - boundary) * immune.platform_energy;
+    let extra_cycles_per_sync =
+        (app_at_boundary - report(0.0).app_energy) / (total_syncs as f64 * model.per_cycle);
     PowerResult {
-        vanilla_percent: percent(0.0),
-        dimmunix_percent: percent(immunity_cycles_per_sync),
+        vanilla_percent: report(0.0).app_share_percent(),
+        dimmunix_percent: immune.app_share_percent(),
+        dimmunix_share_percent: immune.app_share() * 100.0,
+        round_up_cost_ns: extra_cycles_per_sync / CYCLES_PER_SECOND as f64 * 1e9,
         workload,
         cost_ns,
     }
@@ -500,6 +513,28 @@ mod tests {
             );
             assert_eq!((p.vanilla_percent, p.dimmunix_percent), (14, percent));
         }
+    }
+
+    /// The headroom is where the share rounds up: a synthetic line charging
+    /// the dearest path 3 us reads the unrounded share, and the round-up
+    /// cost is the boundary — just under it still reads 14 %, just over it
+    /// 15 %.
+    #[test]
+    fn power_headroom_is_the_round_up_boundary() {
+        let p = power(&overhead(&trajectory_line([100, 700, 3000])).unwrap());
+        assert_eq!((p.workload, p.dimmunix_percent), ("async_clean", 14));
+        assert!(p.dimmunix_share_percent > 13.5 && p.dimmunix_share_percent < 14.5);
+        assert!(p.round_up_cost_ns > 3000.0, "{}", p.round_up_cost_ns);
+        let at = |ns: f64| {
+            let line = trajectory_line([100, 700, ns as u32]);
+            power(&overhead(&line).unwrap()).dimmunix_percent
+        };
+        assert_eq!(at(p.round_up_cost_ns - 1.0), 14);
+        assert_eq!(at(p.round_up_cost_ns + 1.0), 15);
+        // The unrounded share grows with the charged cost.
+        let dearer = power(&overhead(&trajectory_line([100, 700, 4000])).unwrap());
+        assert!(dearer.dimmunix_share_percent > p.dimmunix_share_percent);
+        assert_eq!(dearer.round_up_cost_ns, p.round_up_cost_ns);
     }
 
     #[test]

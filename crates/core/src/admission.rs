@@ -133,6 +133,7 @@ struct CounterStripe {
     fast_acquires: AtomicU64,
     fast_releases: AtomicU64,
     published: AtomicU64,
+    published_grants: AtomicU64,
 }
 
 /// What the filter has absorbed, for the writer alone.
@@ -477,10 +478,22 @@ impl AdmissionSummary {
     }
 
     /// Counts a fast-held lock of `owner` published into the engine by a
-    /// slow-path request (its request/grant/acquisition are then counted by
-    /// the engine, so aggregation subtracts `published` once from each).
+    /// slow-path request or a signature install (its request/grant/
+    /// acquisition are then counted by the engine, so aggregation subtracts
+    /// it once from each).
     pub fn note_published(&self, owner: OwnerId) {
         self.stripe(owner).published.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts a fast admission of `owner` published into the engine as a
+    /// grant, before its owner acquired the lock: the engine counts its
+    /// request and grant, and the acquisition when it completes, so only
+    /// the former two are subtracted. Counted in [`published`](Self::published)
+    /// too.
+    pub fn note_grant_published(&self, owner: OwnerId) {
+        let stripe = self.stripe(owner);
+        stripe.published.fetch_add(1, Ordering::Relaxed);
+        stripe.published_grants.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Fast-path admissions granted without any shard lock.
@@ -509,10 +522,15 @@ impl AdmissionSummary {
         self.total(|c| &c.fast_releases)
     }
 
-    /// Fast-held locks later published into the engine by a slow-path
-    /// request.
+    /// Fast-held locks and fast admissions later published into the
+    /// engine.
     pub fn published(&self) -> u64 {
         self.total(|c| &c.published)
+    }
+
+    /// The part of [`published`](Self::published) published as grants.
+    pub fn published_grants(&self) -> u64 {
+        self.total(|c| &c.published_grants)
     }
 }
 

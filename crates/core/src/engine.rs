@@ -497,7 +497,34 @@ impl Dimmunix {
         pos: PositionId,
         mode: AccessMode,
     ) -> RequestOutcome {
-        let t = t.into();
+        self.decide(t.into(), l, pos, mode, true)
+    }
+
+    /// [`request_at_mode`](Dimmunix::request_at_mode) for a requester that
+    /// holds no lock anywhere and that no live yield record names as a
+    /// blocker: nothing can wait on it, so no wait-for cycle can run through
+    /// it and the cycle search is skipped. The sharded ladder's tier 2
+    /// checks that precondition; debug builds re-run the search.
+    pub(crate) fn request_hold_free(
+        &mut self,
+        t: OwnerId,
+        l: LockId,
+        pos: PositionId,
+        mode: AccessMode,
+    ) -> RequestOutcome {
+        self.decide(t, l, pos, mode, false)
+    }
+
+    /// The request hook proper; `search_cycles` is false only when the
+    /// caller proved that no cycle can run through `t`.
+    fn decide(
+        &mut self,
+        t: OwnerId,
+        l: LockId,
+        pos: PositionId,
+        mode: AccessMode,
+        search_cycles: bool,
+    ) -> RequestOutcome {
         self.stats.requests += 1;
 
         if self.config.is_disabled() {
@@ -522,8 +549,12 @@ impl Dimmunix {
         self.rag.set_request_mode(t, l, pos, mode);
 
         // --- Detection -------------------------------------------------
-        if self.config.detection {
-            let include_yields = self.config.starvation_handling;
+        let include_yields = self.config.starvation_handling;
+        debug_assert!(
+            search_cycles || self.rag.find_cycle_from(t, include_yields).is_none(),
+            "a hold-free request that no yield record names closed a cycle"
+        );
+        if self.config.detection && search_cycles {
             if let Some(steps) = self.rag.find_cycle_from(t, include_yields) {
                 let detected = classify_cycle(&self.rag, &self.positions, &steps);
                 let is_starvation = detected.involves_yield;
@@ -750,10 +781,10 @@ impl Dimmunix {
     /// acquisitions without consulting the engine, and publishes the hold
     /// through here the moment the owner takes a slow-path request (so by
     /// the time an owner holds two locks, every hold is engine-visible and
-    /// detection sees the full wait-for relation). The hold already exists
-    /// physically, so this is a forced request+grant+acquire — no detection
-    /// or avoidance runs — stamped with the caller's global acquisition
-    /// sequence number.
+    /// detection sees the full wait-for relation) or a new signature is
+    /// installed. The hold already exists physically, so this is a forced
+    /// request+grant+acquire — no detection or avoidance runs — stamped with
+    /// the caller's global acquisition sequence number.
     pub fn publish_acquired(
         &mut self,
         t: impl Into<OwnerId>,
@@ -763,6 +794,37 @@ impl Dimmunix {
         seq: u64,
     ) {
         let t = t.into();
+        self.publish_grant(t, l, stack, mode);
+        self.acquired_with_seq(t, l, seq);
+    }
+
+    /// [`publish_acquired`](Dimmunix::publish_acquired) for a lock-free
+    /// admission whose owner has not acquired the lock yet (a task queued
+    /// behind the holder): a forced grant, leaving the state a granted
+    /// [`request_mode`](Dimmunix::request_mode) leaves — the request edge,
+    /// the occupied position slot and the pending grant the later
+    /// [`acquired`](Dimmunix::acquired) consumes.
+    pub fn publish_granted(
+        &mut self,
+        t: impl Into<OwnerId>,
+        l: LockId,
+        stack: &CallStack,
+        mode: AccessMode,
+    ) {
+        let t = t.into();
+        let pos = self.publish_grant(t, l, stack, mode);
+        self.rag.set_request_mode(t, l, pos, mode);
+    }
+
+    /// The forced grant both publishes share: counted, the position slot
+    /// occupied, the grant pending. Returns the interned position.
+    fn publish_grant(
+        &mut self,
+        t: OwnerId,
+        l: LockId,
+        stack: &CallStack,
+        mode: AccessMode,
+    ) -> PositionId {
         let pos = self.intern_position(stack);
         self.stats.requests += 1;
         self.stats.grants += 1;
@@ -773,7 +835,7 @@ impl Dimmunix {
             }
         }
         self.rag.set_pending_grant(t, l, pos, mode);
-        self.acquired_with_seq(t, l, seq);
+        pos
     }
 
     /// Wake-ups scheduled outside the release path (starvation resolution).

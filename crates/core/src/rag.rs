@@ -219,11 +219,6 @@ impl Rag {
         self.locks.remove(&l)
     }
 
-    /// True if the owner is registered.
-    pub fn has_owner(&self, t: OwnerId) -> bool {
-        self.owners_map.contains_key(&t)
-    }
-
     /// The *sole* owner of `l`, if it has exactly one. This is the
     /// single-owner view mutex/monitor substrates reason with; a reader
     /// crowd (several owners) answers `None` — use [`owners`](Rag::owners)
@@ -796,7 +791,10 @@ mod tests {
         assert_eq!(held.len(), 2);
         assert_eq!(rag.owner(l(1)), None);
         assert_eq!(rag.owner(l(2)), None);
-        assert!(!rag.has_owner(t(1)));
+        assert!(
+            !rag.owners_map.contains_key(&t(1)),
+            "the owner node is gone"
+        );
     }
 
     #[test]

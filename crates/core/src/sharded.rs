@@ -32,7 +32,9 @@
 //! need another shard's state: the requester holds no lock on any shard and
 //! no live yield record names it as a blocker (so no wait-for cycle can run
 //! through it), and no history signature mentions the requesting position
-//! (so the avoidance check is vacuous — the common case). Otherwise it takes
+//! (so the avoidance check is vacuous — the common case). The same facts
+//! rule out a cycle through the requester, so tier 2 runs no cycle search
+//! either. Otherwise it takes
 //! the cross-shard path ([`request_cross_shard`], tier 3): the implementor holds
 //! **all shards in ascending index order** (a total order, so two concurrent
 //! cross-shard requests cannot deadlock the engine itself) and the decision
@@ -87,6 +89,7 @@ use std::sync::Arc;
 /// Upper bound on the number of shards (holds-per-shard bookkeeping is a
 /// 64-bit mask).
 pub const MAX_SHARDS: usize = 64;
+const _: () = assert!(MAX_SHARDS <= 1 << u8::BITS, "a shard index fits a byte");
 
 /// The shard owning `lock` among `shards`: a Fibonacci multiplicative hash
 /// of the raw lock id, so substrates that allocate sequential ids (like
@@ -102,26 +105,49 @@ fn shard_index(lock: LockId, shards: usize) -> usize {
 }
 
 /// Per-owner routing bookkeeping kept outside the shards: the shards the
-/// owner holds locks on, and the one still carrying a leftover request edge.
-/// Each [`ShardAccess`] implementor keeps one per owner and hands it to the
-/// ladder, which alone reads and transitions it; outside this crate it is an
-/// opaque value with one question, [`is_idle`](Self::is_idle).
+/// owner holds locks on, the ones carrying a grant it has not yet acquired,
+/// and the one still carrying a leftover request edge. Each [`ShardAccess`]
+/// implementor keeps one per owner and hands it to the ladder, which alone
+/// reads and transitions it; outside this crate it is an opaque value with
+/// one question, [`is_idle`](Self::is_idle), and one transition,
+/// [`after_published`](Self::after_published).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OwnerRoute {
     /// Bit `s` set while the owner holds at least one lock on shard `s`.
     holds_mask: u64,
+    /// Bit `s` set while a grant on shard `s` awaits the owner's
+    /// acquisition. Only a task, which may run two acquisitions at once
+    /// (`join!`), can request with one outstanding.
+    granted_mask: u64,
     /// Shard still carrying the owner's request edge or yield record from a
     /// request that was answered with `Yield` or `DeadlockDetected` (the
-    /// substrate may never complete those acquisitions).
-    stale_shard: Option<usize>,
+    /// substrate may never complete those acquisitions). A byte: shard
+    /// indices are below [`MAX_SHARDS`], and the route is copied on every
+    /// locked request.
+    stale_shard: Option<u8>,
 }
 
 impl OwnerRoute {
-    /// True while no shard knows anything about the owner: no hold anywhere
-    /// and no leftover request edge — the owner's half of the lock-free
-    /// tier's precondition.
+    /// True while no shard knows anything about the owner: no hold and no
+    /// unacquired grant anywhere, and no leftover request edge — the
+    /// owner's half of the lock-free tier's precondition.
     pub fn is_idle(&self) -> bool {
-        self.holds_mask == 0 && self.stale_shard.is_none()
+        self.holds_mask == 0 && self.granted_mask == 0 && self.stale_shard.is_none()
+    }
+
+    /// The transition after a lock `owner` took on the lock-free tier was
+    /// published into `engine`, shard `home`: as a hold, or as a grant its
+    /// owner has yet to acquire — the owner's only state there, since it
+    /// reached no shard between its admission and the publish. The bit is
+    /// re-derived from the shard's RAG, so a caller that finds the lock
+    /// already published by someone else (an install) reaches the same
+    /// route.
+    pub fn after_published(&mut self, home: usize, engine: &Dimmunix, owner: OwnerId) {
+        if !engine.rag().held_locks(owner).is_empty() {
+            self.holds_mask |= 1 << home;
+        } else if engine.rag().pending_grant(owner).is_some() {
+            self.granted_mask |= 1 << home;
+        }
     }
 
     /// The owner-local half of tier 2's eligibility predicate: the requester
@@ -129,7 +155,7 @@ impl OwnerRoute {
     /// abandoned acquisition lives in the home shard itself.
     /// [`try_request_local`] has the other half and why the two suffice.
     fn local_eligible(&self, home: usize) -> bool {
-        self.holds_mask == 0 && self.stale_shard.map_or(true, |s| s == home)
+        self.holds_mask == 0 && self.stale_shard.map_or(true, |s| usize::from(s) == home)
     }
 
     /// The stale-request-edge transition after a request on `home`. `Yield`
@@ -141,9 +167,12 @@ impl OwnerRoute {
     fn after_request(&mut self, outcome: &RequestOutcome, home: usize) {
         match outcome {
             RequestOutcome::Yield { .. } | RequestOutcome::DeadlockDetected { .. } => {
-                self.stale_shard = Some(home);
+                self.stale_shard = Some(home as u8);
             }
-            RequestOutcome::Granted => self.stale_shard = None,
+            RequestOutcome::Granted => {
+                self.stale_shard = None;
+                self.granted_mask |= 1 << home;
+            }
             RequestOutcome::GrantedReentrant => {}
         }
     }
@@ -168,11 +197,12 @@ impl OwnerRoute {
     }
 
     /// The transition after a cancellation on `home`: it consumed the
-    /// request edge the home shard was carrying, so a stale marker pointing
-    /// at `home` is cleared; a marker pointing elsewhere is untouched (the
-    /// consumed edge was a different one).
+    /// request edge and any grant the home shard was carrying, so a stale
+    /// marker pointing at `home` is cleared; a marker pointing elsewhere is
+    /// untouched (the consumed edge was a different one).
     fn after_cancel(&mut self, home: usize) {
-        if self.stale_shard == Some(home) {
+        self.granted_mask &= !(1 << home);
+        if self.stale_shard.is_some_and(|s| usize::from(s) == home) {
             self.stale_shard = None;
         }
     }
@@ -184,10 +214,18 @@ impl OwnerRoute {
 ///
 /// Each provided method is a step of the ladder, keyed by [`OwnerId`]. What
 /// only the runtime has — a lock-free hold to publish, a park, the wake
-/// sinks — comes in as arguments, called under the step's shard locks. A
-/// step that changes the owner's [`OwnerRoute`] returns the transition for
-/// the implementor to apply where it keeps the route. Every shard carries
-/// the implementor's one [`AdmissionSummary`], which tier 2's gate reads.
+/// sinks, the install sink — comes in as arguments, called under the step's
+/// shard locks. A step that changes the owner's [`OwnerRoute`] returns the
+/// transition for the implementor to apply where it keeps the route. Every
+/// shard carries the implementor's one [`AdmissionSummary`], which tier 2's
+/// gate reads.
+///
+/// The install sink (`on_install`) runs under every shard lock right after
+/// a new signature's snapshot is installed, with every shard, before
+/// anything is decided against the new history — the request that
+/// installed it included. The runtime publishes its tasks' lock-free holds
+/// there; [`ShardedDimmunix`] has none and passes a no-op. A step that
+/// installs nothing never calls it.
 pub trait ShardAccess {
     /// One held shard: a mutex guard, or a plain `&mut` to an owned engine.
     type Guard<'a>: DerefMut<Target = Dimmunix>
@@ -215,20 +253,26 @@ pub trait ShardAccess {
     }
 
     /// Adds `sig` to the shared history under every shard lock, the path
-    /// detections take; returns its id and whether it was new.
-    fn add_signature_locked(&mut self, sig: Signature) -> (SignatureId, bool) {
+    /// detections take, and runs `on_install` if it was new; returns its id
+    /// and whether it was new.
+    fn add_signature_locked(
+        &mut self,
+        sig: Signature,
+        mut on_install: impl FnMut(&mut [&mut Dimmunix]),
+    ) -> (SignatureId, bool) {
         let n = self.shard_count();
-        broadcast_signature(&mut self.lock_all()[..n], sig)
+        broadcast_signature(&mut self.lock_all()[..n], sig, &mut on_install)
     }
 
     /// One engine decision: inside the home shard alone when neither
     /// detection nor avoidance can need another shard's state (tier 2),
     /// otherwise under every shard lock over the merged view (tier 3).
     ///
-    /// A `fast_hold` (a lock the owner holds unseen by the engine, and the
+    /// A `fast_hold` (a lock the owner took unseen by the engine, and the
     /// call that publishes it) forces tier 3 and is published first. Tier 3
     /// hands scheduled wake-ups to `wake_all` and runs `on_yield` **while
-    /// every shard lock is held**, so no release can slip past the park.
+    /// every shard lock is held**, so no release can slip past the park, and
+    /// `on_install` after each signature it installs.
     // Inlined so each implementor keeps a copy specialised to its arguments.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
@@ -242,6 +286,7 @@ pub trait ShardAccess {
         mode: AccessMode,
         on_yield: impl FnOnce(SignatureId),
         wake_all: impl FnOnce(&[SignatureId]),
+        mut on_install: impl FnMut(&mut [&mut Dimmunix]),
     ) -> RequestOutcome {
         let home = self.shard_of(lock);
         let mut decided = None;
@@ -278,12 +323,17 @@ pub trait ShardAccess {
                     // the request below sees the full wait-for relation.
                     let engine = at(shards, fhome);
                     publish(engine, seq);
-                    route.after_acquired(fhome, !engine.rag().held_locks(owner).is_empty());
-                    if let Some(summary) = engine.admission_summary() {
-                        summary.note_published(owner);
-                    }
+                    route.after_published(fhome, engine, owner);
                 }
-                let o = request_cross_shard(shards, owner, lock, stack, mode, route.stale_shard);
+                let o = request_cross_shard(
+                    shards,
+                    owner,
+                    lock,
+                    stack,
+                    mode,
+                    route.stale_shard.map(usize::from),
+                    &mut on_install,
+                );
                 at(shards, home).stats_mut().cross_decisions += 1;
                 // Starvation resolution and eviction schedule wake-ups; a
                 // request that did neither (nearly all) has none to drain.
@@ -382,7 +432,8 @@ pub trait ShardAccess {
 /// live yield record names it as a blocker** (a blocker list is a snapshot,
 /// so a starvation cycle can run through a hold-free owner, but only along
 /// a yield edge naming it). With no possible in-edge no cycle can pass
-/// through it, so the shard-local decision is the monolithic one.
+/// through it, so the shard-local decision is the monolithic one, and the
+/// cycle search it would run is skipped ([`Dimmunix::request_hold_free`]).
 fn try_request_local(
     shard: &mut Dimmunix,
     t: OwnerId,
@@ -405,7 +456,7 @@ fn try_request_local(
     {
         return None;
     }
-    Some(shard.request_at_mode(t, l, pos, mode))
+    Some(shard.request_hold_free(t, l, pos, mode))
 }
 
 /// Decides a request against the full multi-shard view (tier 3).
@@ -426,6 +477,7 @@ fn request_cross_shard(
     stack: &CallStack,
     mode: AccessMode,
     prev_request_shard: Option<usize>,
+    on_install: &mut impl FnMut(&mut [&mut Dimmunix]),
 ) -> RequestOutcome {
     let home = shard_index(l, shards.len());
     // A different shard still carrying the requester's last edge or record.
@@ -477,7 +529,7 @@ fn request_cross_shard(
         .map(|steps| classify_cycle_merged(ro, &steps));
         if let Some(detected) = detected {
             let is_starvation = detected.involves_yield;
-            let (sig_id, new) = broadcast_signature(shards, detected.signature.clone());
+            let (sig_id, new) = broadcast_signature(shards, detected.signature.clone(), on_install);
             if is_starvation {
                 let stats = at(shards, home).stats_mut();
                 stats.starvations_detected += 1;
@@ -532,7 +584,7 @@ fn request_cross_shard(
             // Parking would itself create a wait-for cycle: record the
             // avoidance-induced deadlock and let the thread proceed
             // instead (§2.2).
-            let (_, new) = broadcast_signature(shards, sig);
+            let (_, new) = broadcast_signature(shards, sig, on_install);
             let stats = at(shards, home).stats_mut();
             stats.starvations_detected += 1;
             stats.new_starvation_signatures += u64::from(new);
@@ -891,15 +943,26 @@ pub(crate) fn starvation_signature_merged(
 /// into every shard. The append itself — snapshot construction plus one
 /// history-log record — happens exactly once, on the first shard; the
 /// remaining shards only swap their `Arc` and reconcile their local
-/// position links. `shards` must contain every shard, held under the
-/// all-shard lock (ascending order) when the shards live behind mutexes.
-fn broadcast_signature(shards: &mut [Option<impl Held>], sig: Signature) -> (SignatureId, bool) {
+/// position links. Then, if `sig` was new, `on_install` runs over every
+/// shard (see [`ShardAccess`]). `shards` must contain every shard, held
+/// under the all-shard lock (ascending order) when the shards live behind
+/// mutexes.
+fn broadcast_signature(
+    shards: &mut [Option<impl Held>],
+    sig: Signature,
+    on_install: &mut impl FnMut(&mut [&mut Dimmunix]),
+) -> (SignatureId, bool) {
     let (id, new) = at(shards, 0).insert_signature(sig);
     if new {
         let snapshot = Arc::clone(at(shards, 0).history_snapshot());
         for i in 1..shards.len() {
             at(shards, i).install_snapshot(Arc::clone(&snapshot));
         }
+        let mut engines: Vec<&mut Dimmunix> = shards
+            .iter_mut()
+            .map(|s| s.as_deref_mut().expect("slot of an existing shard"))
+            .collect();
+        on_install(&mut engines);
     }
     debug_assert!(
         shards.windows(2).all(|w| Arc::ptr_eq(
@@ -1118,7 +1181,7 @@ impl ShardedDimmunix {
     /// Adds a signature to the shared history and installs the successor
     /// snapshot into every shard; returns its id and whether it was new.
     pub fn add_signature(&mut self, sig: Signature) -> (SignatureId, bool) {
-        self.shards.add_signature_locked(sig)
+        self.shards.add_signature_locked(sig, |_| {})
     }
 
     /// Called before a monitor (exclusive) acquisition; see
@@ -1153,6 +1216,7 @@ impl ShardedDimmunix {
             mode,
             |_| {},
             |sigs| woken.extend_from_slice(sigs),
+            |_| {},
         )
     }
 

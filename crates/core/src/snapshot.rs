@@ -25,7 +25,7 @@
 //! already existed. See `Dimmunix::install_snapshot` in `engine.rs`.
 
 use crate::avoidance::SignatureIndex;
-use crate::callstack::{CallStack, SiteKey};
+use crate::callstack::CallStack;
 use crate::history::History;
 use crate::position::PositionId;
 use crate::pvec::{PersistentMap, PersistentVec};
@@ -54,11 +54,6 @@ pub struct OuterTable {
     /// the *same* `Arc`s as `stacks` (hash/eq see through the `Arc`), so
     /// each distinct outer stack is stored once, not twice.
     by_stack: PersistentMap<Arc<CallStack>, PositionId>,
-    /// Stable-key lookup: the first canonical outer position interned with
-    /// each [`SiteKey`]. Several stacks can share a key (keys normalize
-    /// absolute lines away); first-wins matches the engine-side
-    /// [`PositionTable`](crate::PositionTable) convention.
-    by_key: PersistentMap<SiteKey, PositionId>,
 }
 
 impl OuterTable {
@@ -69,7 +64,6 @@ impl OuterTable {
             depth: depth.max(1),
             stacks: PersistentVec::new(),
             by_stack: PersistentMap::new(),
-            by_key: PersistentMap::new(),
         }
     }
 
@@ -96,13 +90,9 @@ impl OuterTable {
             return *id;
         }
         let id = PositionId::new(self.stacks.len() as u32);
-        let site_key = key.site_key();
         let shared = Arc::new(key);
         self.stacks.push(Arc::clone(&shared));
         self.by_stack.insert(shared, id);
-        if self.by_key.get(&site_key).is_none() {
-            self.by_key.insert(site_key, id);
-        }
         id
     }
 
@@ -110,14 +100,6 @@ impl OuterTable {
     /// interned.
     pub fn lookup(&self, stack: &CallStack) -> Option<PositionId> {
         self.by_stack.get(&stack.truncated(self.depth)).copied()
-    }
-
-    /// The first canonical outer position interned with the given stable
-    /// site key, if any — the snapshot-side foreign-antibody screening
-    /// query (same first-wins convention as
-    /// [`PositionTable::lookup_by_key`](crate::PositionTable::lookup_by_key)).
-    pub fn lookup_by_key(&self, key: SiteKey) -> Option<PositionId> {
-        self.by_key.get(&key).copied()
     }
 
     /// The interned stack with the given id.
@@ -399,26 +381,6 @@ mod tests {
         let (v2, _, _) = v1.append(sig(7, 8));
         assert_eq!(v2.outer_of_stack(&outer), Some(before));
         assert_eq!(v2.epoch(), 2);
-    }
-
-    /// Outer positions are addressable by stable site key: the same outer
-    /// stack rendered at shifted lines (a recompiled peer's signature)
-    /// resolves to the canonical id even though the stacks differ.
-    #[test]
-    fn outer_keys_survive_line_shifts() {
-        let mut h = History::new();
-        h.add(sig(1, 2));
-        let snap = HistorySnapshot::build(h, 1);
-        let local = CallStack::single(Frame::new("m1", "f.rs", 1));
-        let id = snap.outer_of_stack(&local).expect("interned");
-        let shifted = CallStack::single(Frame::new("m1", "f.rs", 901));
-        assert_eq!(snap.outer_of_stack(&shifted), None);
-        let by_key = |snap: &HistorySnapshot, key| snap.outer_table().lookup_by_key(key);
-        assert_eq!(by_key(&snap, shifted.site_key()), Some(id));
-        assert_eq!(by_key(&snap, SiteKey::new(42)), None);
-        // Appends keep key lookups stable.
-        let (v2, _, _) = snap.append(sig(7, 8));
-        assert_eq!(by_key(&v2, shifted.site_key()), Some(id));
     }
 
     #[test]

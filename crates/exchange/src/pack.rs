@@ -117,17 +117,6 @@ impl Pack {
         &self.origin
     }
 
-    /// The epoch range `(min, max)` the entries were collected over.
-    pub fn epoch_range(&self) -> (u64, u64) {
-        (self.epoch_min, self.epoch_max)
-    }
-
-    /// Extends the epoch range to cover `epoch`.
-    pub fn observe_epoch(&mut self, epoch: u64) {
-        self.epoch_min = self.epoch_min.min(epoch);
-        self.epoch_max = self.epoch_max.max(epoch);
-    }
-
     /// Number of antibodies in the pack.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -423,4 +412,19 @@ pub fn merge_history(local: &mut History, pack: &Pack) -> usize {
         }
     }
     fresh
+}
+
+/// The epoch lineage, which the codec and merge carry and tests check.
+#[cfg(test)]
+impl Pack {
+    /// The epoch range `(min, max)` the entries were collected over.
+    pub(crate) fn epoch_range(&self) -> (u64, u64) {
+        (self.epoch_min, self.epoch_max)
+    }
+
+    /// Extends the epoch range to cover `epoch`.
+    pub(crate) fn observe_epoch(&mut self, epoch: u64) {
+        self.epoch_min = self.epoch_min.min(epoch);
+        self.epoch_max = self.epoch_max.max(epoch);
+    }
 }

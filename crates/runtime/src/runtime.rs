@@ -373,14 +373,14 @@ impl<'r> ShardAccess for &'r EngineShards {
     }
 }
 
-/// A lock admitted on the no-engine fast path and still held. The engine has
-/// never seen this hold: the admission summary proved its site cannot appear
-/// in any history signature and its owner cannot be a deadlock-cycle
-/// participant, so the hold stays thread-private until either it is released
-/// (wake-free, since a filter-clear site can de-instantiate no signature) or
-/// the same thread takes the slow path for a nested acquisition — at which
-/// point the hold is published into its home shard's RAG first, so cycle
-/// detection sees the full hold set.
+/// A lock admitted on the no-engine fast path (tier 1) and not yet released.
+/// The engine has never seen it: the admission summary proved its site
+/// cannot appear in any history signature and its owner cannot be a
+/// deadlock-cycle participant, so it stays owner-private until it is
+/// released (wake-free, since a filter-clear site can de-instantiate no
+/// signature) or published into its home shard's RAG — by its owner's next
+/// request, so cycle detection sees the full hold set, and, for a task, by
+/// any signature install before then.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct FastHold {
     lock: LockId,
@@ -388,6 +388,76 @@ struct FastHold {
     /// The acquisition site, kept so a later publish can intern the same
     /// call stack the locked path would have recorded.
     site: AcquisitionSite,
+    /// Whether the owner holds the lock yet. A thread blocks in its
+    /// acquisition, so it has by its next request; a task may still be
+    /// queued behind the holder, and is then published as a grant.
+    acquired: bool,
+}
+
+/// The admission state every owner carries, thread or task: the route the
+/// locked tiers read and transition, and the one lock (if any) it took on
+/// tier 1. At most one: the owner's next acquisition while this is `Some`
+/// takes the cross-shard path, which publishes it into the engine first.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct OwnerState {
+    /// Holds mask, outstanding grants and stale request edge: the state the
+    /// locked admission path shares with `ShardedDimmunix`.
+    route: OwnerRoute,
+    fast_held: Option<FastHold>,
+}
+
+impl OwnerState {
+    /// Tier 1: admits the acquisition lock-free, recording the fast hold, if
+    /// the owner is known to no shard, holds nothing on tier 1, no import
+    /// is pending and the summary proves the site and the owner clear.
+    fn try_admit(
+        &mut self,
+        rt: &DimmunixRuntime,
+        owner: OwnerId,
+        lock: LockId,
+        site: AcquisitionSite,
+        mode: AccessMode,
+    ) -> bool {
+        if !self.route.is_idle() || self.fast_held.is_some() || rt.exchange_pending() {
+            return false;
+        }
+        let site_key = cached_site(site, |_, key| key);
+        let admitted = matches!(
+            rt.summary.try_admit(site_key, owner),
+            Admission::Admit { .. }
+        );
+        if admitted {
+            self.fast_held = Some(FastHold {
+                lock,
+                mode,
+                site,
+                acquired: false,
+            });
+        }
+        admitted
+    }
+
+    /// Marks the fast hold acquired if it is `lock`: true if it was (the
+    /// engine never sees the acquisition).
+    fn acquire_fast(&mut self, lock: LockId) -> bool {
+        match &mut self.fast_held {
+            Some(fh) if fh.lock == lock => {
+                fh.acquired = true;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Clears the fast hold if it is `lock`: true if it was (the engine
+    /// never saw the hold, so its release or back-out is the owner's alone).
+    fn clear_fast(&mut self, lock: LockId) -> bool {
+        let fast = self.fast_held.is_some_and(|fh| fh.lock == lock);
+        if fast {
+            self.fast_held = None;
+        }
+        fast
+    }
 }
 
 /// Per-(runtime, OS thread) routing state. Only the owning thread reads or
@@ -395,13 +465,7 @@ struct FastHold {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ThreadRoute {
     id: ThreadId,
-    /// Holds mask and stale request edge: the state the locked admission
-    /// path shares with tasks and with `ShardedDimmunix`.
-    route: OwnerRoute,
-    /// The one lock (if any) this thread holds via the no-engine fast path.
-    /// At most one: a second acquisition while this is `Some` takes the
-    /// cross-shard path, which publishes this hold into the engine first.
-    fast_held: Option<FastHold>,
+    state: OwnerState,
 }
 
 /// Cache key for [`SITE_STACKS`]: the site's `'static` string **pointers**
@@ -484,8 +548,10 @@ pub struct DimmunixRuntime {
     next_task: AtomicU64,
     /// Per-task routing state (the task analogue of the thread-local
     /// [`ThreadRoute`]). A map rather than a thread-local because a task may
-    /// be polled from any worker thread; each entry is only touched by its
-    /// own task's polls, which an executor serializes.
+    /// be polled from any worker thread; an entry is touched by its own
+    /// task's polls, which an executor serializes, and by the install sink
+    /// ([`publish_task_holds`](Self::publish_task_holds)), which publishes
+    /// its fast hold. Lock order: shards before this map, everywhere.
     task_routes: Mutex<IdHashMap<TaskId, TaskRoute>>,
     /// Wakers of the owners parked by avoidance, threads and tasks alike,
     /// keyed by the signature whose instantiation parked them: FIFO per
@@ -499,11 +565,11 @@ pub struct DimmunixRuntime {
     exchange: Option<ExchangeState>,
 }
 
-/// Per-task routing state: the shared [`OwnerRoute`] plus the task's spawn
-/// site for diagnostics.
+/// Per-task routing state: the same [`OwnerState`] a thread has, plus the
+/// task's spawn site for diagnostics.
 #[derive(Debug, Clone, Copy, Default)]
 struct TaskRoute {
-    route: OwnerRoute,
+    state: OwnerState,
     /// Where the task was spawned, when the executor recorded it.
     spawn_site: Option<AcquisitionSite>,
 }
@@ -738,82 +804,48 @@ impl DimmunixRuntime {
     }
 
     /// Identifier of the calling OS thread, registering it on first use (the
-    /// analogue of `initNode` on thread allocation).
+    /// analogue of `initNode` on thread allocation). Tests count what that
+    /// first use costs.
+    #[cfg(any(test, feature = "test-util"))]
+    #[doc(hidden)]
     pub fn current_thread(&self) -> ThreadId {
-        self.route().id
+        self.with_thread(|r| r.id)
     }
 
-    /// This thread's routing state, creating and registering it on first use.
-    fn route(&self) -> ThreadRoute {
-        THREAD_ROUTE.with(|cell| *self.route_in(&mut cell.borrow_mut()))
-    }
-
-    /// This thread's entry in its (already borrowed) route map; a thread seen
-    /// for the first time is given an id and registered on every shard.
-    fn route_in<'m>(&self, map: &'m mut IdHashMap<u64, ThreadRoute>) -> &'m mut ThreadRoute {
-        map.entry(self.instance).or_insert_with(|| {
-            let id = ThreadId::new(self.next_thread.fetch_add(1, Ordering::Relaxed));
-            let mut shards = &self.shards;
-            for i in 0..shards.shard_count() {
-                shards.lock(i).register_owner(id);
-            }
-            ThreadRoute {
-                id,
-                route: OwnerRoute::default(),
-                fast_held: None,
-            }
+    /// Applies `f` to this thread's routing state under one borrow of the
+    /// route map; a thread seen for the first time is registered first.
+    fn with_thread<R>(&self, f: impl FnOnce(&mut ThreadRoute) -> R) -> R {
+        THREAD_ROUTE.with(|cell| {
+            let mut map = cell.borrow_mut();
+            f(map
+                .entry(self.instance)
+                .or_insert_with(|| self.register_thread()))
         })
     }
 
-    /// Applies `f` to this thread's routing state, if it has any yet.
-    fn update_thread_route(&self, f: impl FnOnce(&mut ThreadRoute)) {
+    /// A new route for the calling thread: an id, registered on every shard.
+    // Kept out of line: every thread hook inlines `with_thread`.
+    #[cold]
+    #[inline(never)]
+    fn register_thread(&self) -> ThreadRoute {
+        let id = ThreadId::new(self.next_thread.fetch_add(1, Ordering::Relaxed));
+        let mut shards = &self.shards;
+        for i in 0..shards.shard_count() {
+            shards.lock(i).register_owner(id);
+        }
+        ThreadRoute {
+            id,
+            state: OwnerState::default(),
+        }
+    }
+
+    /// Applies `f` to this thread's admission state, if it has any yet.
+    fn update_thread_state(&self, f: impl FnOnce(&mut OwnerState)) {
         THREAD_ROUTE.with(|cell| {
             if let Some(r) = cell.borrow_mut().get_mut(&self.instance) {
-                f(r);
+                f(&mut r.state);
             }
         });
-    }
-
-    /// One-access no-engine admission attempt: checks every thread-local
-    /// precondition, consults the summary, and records the pending fast
-    /// hold, all under a single borrow of the route map. `Ok` means the
-    /// acquisition was admitted lock-free; `Err` hands back the route that
-    /// was read, so the locked path continues from it without a second look.
-    fn try_fast_admit(
-        &self,
-        lock: LockId,
-        site: AcquisitionSite,
-        mode: AccessMode,
-    ) -> Result<(), ThreadRoute> {
-        THREAD_ROUTE.with(|cell| {
-            let mut map = cell.borrow_mut();
-            let r = self.route_in(&mut map);
-            if r.route.is_idle() && r.fast_held.is_none() && !self.exchange_pending() {
-                let site_key = cached_site(site, |_, key| key);
-                if let Admission::Admit { .. } = self.summary.try_admit(site_key, r.id.into()) {
-                    r.fast_held = Some(FastHold { lock, mode, site });
-                    return Ok(());
-                }
-            }
-            Err(*r)
-        })
-    }
-
-    /// Clears this thread's pending fast hold if it is `lock`, under a
-    /// single borrow of the route map. `Ok` means it was (the engine never
-    /// saw the hold), `Err` that the locked path must run; both hand back
-    /// the thread's id.
-    fn clear_fast_held(&self, lock: LockId) -> Result<ThreadId, ThreadId> {
-        THREAD_ROUTE.with(|cell| {
-            let mut map = cell.borrow_mut();
-            let r = self.route_in(&mut map);
-            if r.fast_held.map(|fh| fh.lock) == Some(lock) {
-                r.fast_held = None;
-                Ok(r.id)
-            } else {
-                Err(r.id)
-            }
-        })
     }
 
     /// Allocates a lock id for a new immune lock (the analogue of inflating a
@@ -839,8 +871,11 @@ impl DimmunixRuntime {
     /// together with the lock-free fast-path counters, so a fast-path admit
     /// is indistinguishable from an engine grant in the totals. A fast hold
     /// that was later published into the engine (because its owner took the
-    /// slow path for a nested acquisition) already appears in the engine
-    /// counters, so published admits are subtracted to avoid double counting.
+    /// slow path for a nested acquisition, or a signature install published
+    /// a task's) already appears in the engine counters, so published admits
+    /// are subtracted to avoid double counting — from the acquisitions only
+    /// when published as a hold, since the engine counts a published grant's
+    /// acquisition when it completes.
     pub fn stats(&self) -> Stats {
         let mut total = Stats::new();
         let mut shards = &self.shards;
@@ -853,7 +888,8 @@ impl DimmunixRuntime {
         let unpublished = fast_admits.saturating_sub(published);
         total.requests += unpublished;
         total.grants += unpublished;
-        total.acquisitions += s.fast_acquires().saturating_sub(published);
+        let published_holds = published - s.published_grants();
+        total.acquisitions += s.fast_acquires().saturating_sub(published_holds);
         total.releases += s.fast_releases();
         total.fast_admits = fast_admits;
         total.slow_fallbacks = s.slow_fallbacks();
@@ -887,7 +923,45 @@ impl DimmunixRuntime {
     /// to the shared history, under the all-shard lock — the same
     /// append-once/install-everywhere path detections take.
     pub fn add_signature(&self, sig: Signature) -> SignatureId {
-        (&self.shards).add_signature_locked(sig).0
+        (&self.shards)
+            .add_signature_locked(sig, |engines| self.publish_task_holds(engines))
+            .0
+    }
+
+    /// Makes `owner`'s tier-1 `hold` engine-visible in `engine`, the home
+    /// shard of its lock: as a hold once acquired (stamped `seq`), as a
+    /// grant while its owner still waits for the lock.
+    fn publish_fast(&self, engine: &mut Dimmunix, owner: OwnerId, hold: FastHold, seq: u64) {
+        // Published from the stack the locked path would have interned.
+        cached_site(hold.site, |stack, _| {
+            if hold.acquired {
+                engine.publish_acquired(owner, hold.lock, stack, hold.mode, seq);
+                self.summary.note_published(owner);
+            } else {
+                engine.publish_granted(owner, hold.lock, stack, hold.mode);
+                self.summary.note_grant_published(owner);
+            }
+        });
+    }
+
+    /// The install sink: runs under every shard lock right after a new
+    /// signature is installed, and publishes every task's tier-1 hold or
+    /// grant into its home shard, so nothing is decided against the new
+    /// history without them. A thread's fast hold lives in its own
+    /// thread-local and keeps its window (ARCHITECTURE.md, "What the summary
+    /// deliberately does not prove").
+    fn publish_task_holds(&self, engines: &mut [&mut Dimmunix]) {
+        let mut shards = &self.shards;
+        let mut routes = sync::lock(&self.task_routes);
+        for (task, r) in routes.iter_mut() {
+            let Some(hold) = r.state.fast_held.take() else {
+                continue;
+            };
+            let (home, owner) = (shards.shard_of(hold.lock), OwnerId::Task(*task));
+            let seq = shards.next_seq();
+            self.publish_fast(engines[home], owner, hold, seq);
+            r.state.route.after_published(home, engines[home], owner);
+        }
     }
 
     /// Estimated bytes of memory the runtime adds to the process: the
@@ -990,7 +1064,8 @@ impl DimmunixRuntime {
 
     /// One pass of the paper's `lockMonitor` loop for an owner of either
     /// kind: the engine's decision, the park if it says yield (`waker` is
-    /// built only then) and the policy's verdict on a detection. The caller
+    /// built only then) and the policy's verdict on a detection. A tier-1
+    /// hold comes in as its lock and the call that publishes it. The caller
     /// stores `route` back and retries a park once the waker has fired.
     // Inlined so each adapter keeps a copy of the ladder specialised to its
     // arguments; one shared copy cost `nested_transfers` 4 %.
@@ -1000,7 +1075,7 @@ impl DimmunixRuntime {
         &self,
         owner: OwnerId,
         route: &mut OwnerRoute,
-        fast_hold: Option<FastHold>,
+        fast_hold: Option<(LockId, impl FnOnce(&mut Dimmunix, u64))>,
         lock: LockId,
         site: AcquisitionSite,
         mode: AccessMode,
@@ -1008,19 +1083,12 @@ impl DimmunixRuntime {
         waker: impl FnOnce() -> Waker,
     ) -> TaskAcquire {
         let stack = cached_site(site, |stack, _| Arc::clone(stack));
-        // Published from the stack the locked path would have interned.
-        let fast_hold = fast_hold.map(|fh| {
-            (fh.lock, move |engine: &mut Dimmunix, seq| {
-                cached_site(fh.site, |s, _| {
-                    engine.publish_acquired(owner, fh.lock, s, fh.mode, seq)
-                })
-            })
-        });
         let on_yield = |signature| self.park_on(signature, owner, waker());
         let wake_all = |sigs: &[SignatureId]| self.notify_signatures(sigs);
+        let on_install = |engines: &mut [&mut Dimmunix]| self.publish_task_holds(engines);
         let mut shards = &self.shards;
         match shards.decide_locked(
-            owner, route, fast_hold, lock, &stack, mode, on_yield, wake_all,
+            owner, route, fast_hold, lock, &stack, mode, on_yield, wake_all, on_install,
         ) {
             RequestOutcome::Granted | RequestOutcome::GrantedReentrant => TaskAcquire::Granted,
             RequestOutcome::Yield { signature } => TaskAcquire::Parked { signature },
@@ -1097,18 +1165,37 @@ impl DimmunixRuntime {
         // back to the locked path below, which remains the oracle.
         // Only this thread touches its route, so the read the fast path made
         // serves every retry; changes are stored back after each decision.
-        let Err(mut tr) = self.try_fast_admit(lock, site, mode) else {
+        let Err(mut tr) = self.with_thread(|r| {
+            if r.state.try_admit(self, r.id.into(), lock, site, mode) {
+                Ok(())
+            } else {
+                Err(*r)
+            }
+        }) else {
             return Ok(());
         };
         let owner = OwnerId::from(tr.id);
         let waker = || PARKER.with(|p| Waker::from(Arc::clone(p)));
         loop {
-            let before = tr.route;
-            let held = tr.fast_held.take();
-            let answer =
-                self.request_once(owner, &mut tr.route, held, lock, site, mode, None, waker);
-            if held.is_some() || tr.route != before {
-                self.update_thread_route(|r| *r = tr);
+            let before = tr.state.route;
+            let held = tr.state.fast_held.take();
+            let publish = held.map(|fh| {
+                (fh.lock, move |engine: &mut Dimmunix, seq| {
+                    self.publish_fast(engine, owner, fh, seq)
+                })
+            });
+            let answer = self.request_once(
+                owner,
+                &mut tr.state.route,
+                publish,
+                lock,
+                site,
+                mode,
+                None,
+                waker,
+            );
+            if held.is_some() || tr.state.route != before {
+                self.update_thread_state(|s| *s = tr.state);
             }
             match answer {
                 TaskAcquire::Granted => return Ok(()),
@@ -1129,14 +1216,14 @@ impl DimmunixRuntime {
     /// published on demand if the owner ever takes the slow path while still
     /// holding it.
     pub fn after_acquire(&self, lock: LockId) {
-        let route = self.route();
-        if route.fast_held.map(|fh| fh.lock) == Some(lock) {
-            self.summary.note_fast_acquire(route.id.into());
+        let (thread, fast) = self.with_thread(|r| (r.id, r.state.acquire_fast(lock)));
+        if fast {
+            self.summary.note_fast_acquire(thread.into());
             return;
         }
         let mut shards = &self.shards;
-        let acquired = shards.finish_locked(route.id.into(), lock);
-        self.update_thread_route(|r| acquired(&mut r.route));
+        let acquired = shards.finish_locked(thread.into(), lock);
+        self.update_thread_state(|s| acquired(&mut s.route));
     }
 
     /// Backs out of an approved acquisition that will not be completed
@@ -1144,15 +1231,16 @@ impl DimmunixRuntime {
     /// fast-path admission only drops the thread-local record — the engine
     /// never saw the request.
     pub fn cancel_acquire(&self, lock: LockId) {
-        let Err(thread) = self.clear_fast_held(lock) else {
+        let (thread, fast) = self.with_thread(|r| (r.id, r.state.clear_fast(lock)));
+        if fast {
             return;
-        };
+        }
         // A thread is back from its park before it can cancel, so there is
         // no parked signature to clean up after.
         let mut shards = &self.shards;
         let (_, cancelled) =
             shards.cancel_locked(thread.into(), lock, |sigs| self.notify_signatures(sigs));
-        self.update_thread_route(|r| cancelled(&mut r.route));
+        self.update_thread_state(|s| cancelled(&mut s.route));
     }
 
     /// The `unlockMonitor` prologue: releases in the owning shard and wakes
@@ -1161,18 +1249,16 @@ impl DimmunixRuntime {
     /// filter-clear at admission, so no live signature mentions it and the
     /// release can de-instantiate nothing.
     pub fn before_release(&self, lock: LockId) {
-        let thread = match self.clear_fast_held(lock) {
-            Ok(thread) => {
-                self.summary.note_fast_release(thread.into());
-                return;
-            }
-            Err(thread) => thread,
-        };
+        let (thread, fast) = self.with_thread(|r| (r.id, r.state.clear_fast(lock)));
+        if fast {
+            self.summary.note_fast_release(thread.into());
+            return;
+        }
         let mut shards = &self.shards;
         let released = shards.release_locked(thread.into(), lock, |sigs| {
             self.notify_signatures_released(sigs)
         });
-        self.update_thread_route(|r| released(&mut r.route));
+        self.update_thread_state(|s| released(&mut s.route));
     }
 
     /// Unregisters the calling thread (normally done when a worker exits),
@@ -1198,17 +1284,20 @@ impl DimmunixRuntime {
     // single-shot decision: a `Yield` registers the task's waker on the
     // signature and surfaces as [`TaskAcquire::Parked`], so the calling
     // future returns `Poll::Pending` instead of parking an OS thread.
+    //
+    // Tasks take tier 1 as threads do, through the same `OwnerState`. Unlike
+    // a thread's, a task's fast hold sits in `task_routes`, where every
+    // signature install publishes it (`publish_task_holds`) before anything
+    // is decided against the new history.
 
-    /// Registers a new async task with the engine and returns its identity.
+    /// Registers a new async task with the runtime and returns its identity.
     /// `spawn_site` (the source location of the `spawn` call, when the
     /// executor records one) is carried into
-    /// [`LockError::WouldDeadlock::spawn_site`] diagnostics.
+    /// [`LockError::WouldDeadlock::spawn_site`] diagnostics. No shard learns
+    /// of the task until it reaches the engine: a RAG creates an owner node
+    /// on first use.
     pub fn register_task(&self, spawn_site: Option<AcquisitionSite>) -> TaskId {
         let id = TaskId::new(self.next_task.fetch_add(1, Ordering::Relaxed));
-        let mut shards = &self.shards;
-        for i in 0..shards.shard_count() {
-            shards.lock(i).register_owner(id);
-        }
         sync::lock(&self.task_routes).insert(
             id,
             TaskRoute {
@@ -1219,18 +1308,15 @@ impl DimmunixRuntime {
         id
     }
 
-    fn task_route(&self, task: TaskId) -> TaskRoute {
+    /// Applies `f` to `task`'s admission state, if it is still registered.
+    fn update_task_state<R>(
+        &self,
+        task: TaskId,
+        f: impl FnOnce(&mut OwnerState) -> R,
+    ) -> Option<R> {
         sync::lock(&self.task_routes)
-            .get(&task)
-            .copied()
-            .unwrap_or_default()
-    }
-
-    /// Applies `f` to `task`'s route, if it is still registered.
-    fn update_task_route(&self, task: TaskId, f: impl FnOnce(&mut OwnerRoute)) {
-        if let Some(r) = sync::lock(&self.task_routes).get_mut(&task) {
-            f(&mut r.route);
-        }
+            .get_mut(&task)
+            .map(|r| f(&mut r.state))
     }
 
     /// Non-blocking analogue of [`before_acquire`](Self::before_acquire)
@@ -1264,36 +1350,64 @@ impl DimmunixRuntime {
         let owner = OwnerId::Task(task);
         // Same foreign-antibody gate as the thread path.
         self.feed_exchange(site);
-        let tr = self.task_route(task);
-        let (mut route, waker) = (tr.route, || waker.clone());
+        // Tier 1, under the one look at the task's route the locked path
+        // then continues from.
+        let tr = match sync::lock(&self.task_routes).get_mut(&task) {
+            Some(r) => {
+                if r.state.try_admit(self, owner, lock, site, mode) {
+                    return TaskAcquire::Granted;
+                }
+                *r
+            }
+            None => TaskRoute::default(),
+        };
+        // A fast hold stays in `task_routes` until the all-shard lock is
+        // held: an install may publish it first, and then there is nothing
+        // left to publish here.
+        let publish = tr.state.fast_held.map(|fh| {
+            (fh.lock, move |engine: &mut Dimmunix, seq| {
+                if let Some(Some(fh)) = self.update_task_state(task, |s| s.fast_held.take()) {
+                    self.publish_fast(engine, owner, fh, seq);
+                }
+            })
+        });
+        let mut route = tr.state.route;
         let answer = self.request_once(
             owner,
             &mut route,
-            None,
+            publish,
             lock,
             site,
             mode,
             tr.spawn_site,
-            waker,
+            || waker.clone(),
         );
-        if route != tr.route {
-            self.update_task_route(task, |r| *r = route);
+        if route != tr.state.route {
+            self.update_task_state(task, |s| s.route = route);
         }
         answer
     }
 
     /// The task analogue of [`after_acquire`](Self::after_acquire): records
-    /// the completed acquisition, stamped with the runtime-global sequence.
+    /// the completed acquisition, stamped with the runtime-global sequence,
+    /// or only counts it for a tier-1 hold.
     pub fn task_finish_acquire(&self, task: TaskId, lock: LockId) {
+        if self.update_task_state(task, |s| s.acquire_fast(lock)) == Some(true) {
+            self.summary.note_fast_acquire(task.into());
+            return;
+        }
         let mut shards = &self.shards;
         let acquired = shards.finish_locked(task.into(), lock);
-        self.update_task_route(task, acquired);
+        self.update_task_state(task, |s| acquired(&mut s.route));
     }
 
     /// Backs out of an approved task acquisition that will not be completed
     /// (the acquiring future was dropped between approval and completion —
     /// e.g. a select! raced it against a timeout).
     pub fn task_cancel_acquire(&self, task: TaskId, lock: LockId) {
+        if self.update_task_state(task, |s| s.clear_fast(lock)) == Some(true) {
+            return;
+        }
         let mut shards = &self.shards;
         let (parked_on, cancelled) =
             shards.cancel_locked(task.into(), lock, |sigs| self.notify_signatures(sigs));
@@ -1306,25 +1420,33 @@ impl DimmunixRuntime {
             }
             self.notify_signatures(&[sig]);
         }
-        self.update_task_route(task, cancelled);
+        self.update_task_state(task, |s| cancelled(&mut s.route));
     }
 
     /// The task analogue of [`before_release`](Self::before_release):
     /// releases in the owning shard and wakes the front owner parked on
-    /// every signature the engine says must be notified.
+    /// every signature the engine says must be notified. Releasing a tier-1
+    /// hold is wake-free: had a signature mentioning its site been installed
+    /// since, the install would have published it.
     pub fn task_release(&self, task: TaskId, lock: LockId) {
+        if self.update_task_state(task, |s| s.clear_fast(lock)) == Some(true) {
+            self.summary.note_fast_release(task.into());
+            return;
+        }
         let mut shards = &self.shards;
         let released = shards.release_locked(task.into(), lock, |sigs| {
             self.notify_signatures_released(sigs)
         });
-        self.update_task_route(task, released);
+        self.update_task_state(task, |s| released(&mut s.route));
     }
 
     /// Unregisters a completed task, force-releasing anything it still
-    /// holds on any shard (a guard leaked across task teardown).
+    /// holds on any shard (a guard leaked across task teardown). Its route
+    /// goes first, so no install can publish a hold of the retiring task
+    /// after its owner nodes are gone.
     pub fn retire_task(&self, task: TaskId) {
-        (&self.shards).retire_locked(task.into(), |sigs| self.notify_signatures(sigs));
         sync::lock(&self.task_routes).remove(&task);
+        (&self.shards).retire_locked(task.into(), |sigs| self.notify_signatures(sigs));
     }
 }
 

@@ -68,8 +68,11 @@ impl AcquisitionSite {
         CallStack::single(Frame::new(self.scope, self.file, self.line))
     }
 
-    /// Derives a stable numeric id for the site (the paper's compiler-id
-    /// optimization; the `engine_hotpath` bench measures what it saves).
+    /// Derives a stable numeric id for the site: deliberate API, the bridge
+    /// from a source location to the paper's compiler-id optimization (§4).
+    /// A substrate that keys acquisitions by id passes
+    /// `CallStack::from_site(site.to_site_id())` instead of a captured
+    /// stack. The runtime itself interns the site's depth-1 stack.
     pub fn to_site_id(self) -> SiteId {
         // FNV-1a over the textual location; stable across runs because it
         // depends only on the source location.

@@ -78,22 +78,42 @@ fn every_hook_takes_its_pinned_number_of_shard_locks() {
     assert_eq!(nested, [2, 1, 1, 1], "publish + tier 3, finish, releases");
     assert_eq!(decided(), (0, 1), "a nested transfer: tier 1, then tier 3");
 
-    // A hold-free task at a clean site: tier 2 throughout.
+    // A hold-free task at a clean site: tier 1 throughout, as for a thread.
+    // Registration is lazy: no shard sees the task before its first engine
+    // request.
     let waker = Waker::from(Arc::new(NoOp));
     let (n, task) = shard_locks(&rt, || rt.register_task(None));
-    assert_eq!(n, 2, "register_task");
+    assert_eq!(n, 0, "register_task");
+    let begin = |lock, site| {
+        assert_eq!(
+            rt.task_begin_acquire(task, lock, site, &waker),
+            TaskAcquire::Granted
+        )
+    };
     let task_cycle = [
-        count(&|| {
-            assert_eq!(
-                rt.task_begin_acquire(task, debit, TASK, &waker),
-                TaskAcquire::Granted
-            )
-        }),
+        count(&|| begin(debit, TASK)),
         count(&|| rt.task_finish_acquire(task, debit)),
         count(&|| rt.task_release(task, debit)),
     ];
-    assert_eq!(task_cycle, [1, 1, 1], "task begin / finish / release");
-    assert_eq!(decided(), (1, 0), "a hold-free task's begin: tier 2");
+    assert_eq!(task_cycle, [0, 0, 0], "task begin / finish / release");
+    assert_eq!(decided(), (0, 0), "a hold-free task's begin: tier 1");
+
+    // A nested task acquisition, as the thread's above: the inner request
+    // publishes the tier-1 hold and takes tier 3.
+    assert_eq!(count(&|| begin(debit, TASK)), 0);
+    assert_eq!(count(&|| rt.task_finish_acquire(task, debit)), 0);
+    let nested = [
+        count(&|| begin(credit, INNER)),
+        count(&|| rt.task_finish_acquire(task, credit)),
+        count(&|| rt.task_release(task, credit)),
+        count(&|| rt.task_release(task, debit)),
+    ];
+    assert_eq!(nested, [2, 1, 1, 1], "publish + tier 3, finish, releases");
+    assert_eq!(
+        decided(),
+        (0, 1),
+        "a nested task acquisition: tier 1, then tier 3"
+    );
     assert_eq!(count(&|| rt.retire_task(task)), 2, "retire_task");
 
     let outer = OUTER.to_call_stack();

@@ -5,10 +5,10 @@
 //! history (one avoidance park woken by the blocker's release, then a nested
 //! acquisition at a clean site). Only the hooks are driven; there are no
 //! real locks to block on, so every decision is the engine's. Where the
-//! adapters legitimately differ (a hold-free thread at a clean site is
-//! admitted lock-free and published by its nested request; a task takes the
-//! locked path from the start) `DimmunixRuntime::stats` folds both into
-//! the same totals.
+//! adapters legitimately differ (a hold-free owner at a clean site is
+//! admitted lock-free and published by its nested request — a task's also
+//! by any signature install in between) `DimmunixRuntime::stats` folds both
+//! into the same totals.
 
 use dimmunix_core::{History, LockId, Signature, SignatureKind, SignaturePair, TaskId};
 use dimmunix_rt::{AcquisitionSite, DimmunixRuntime, LockError, TaskAcquire};

@@ -511,10 +511,15 @@ mod tests {
         assert_eq!(learn.result.refused, 1890, "a closing request was refused");
         let stats = learn.runtime.stats();
         assert!(stats.deadlocks_detected >= 1);
-        // Which locked tier decided each request (tasks never take tier 1).
+        // Which tier decided each request: a hold-free task at a clean site
+        // is admitted lock-free (tier 1), so tier 2 decides none.
         assert_eq!(
-            (stats.local_decisions, stats.cross_decisions),
-            (19_705, 24_942)
+            (
+                stats.fast_admits,
+                stats.local_decisions,
+                stats.cross_decisions
+            ),
+            (19_705, 0, 24_942)
         );
         let learned = learn.runtime.history();
         assert_eq!(
@@ -543,8 +548,12 @@ mod tests {
         assert_eq!(stats.requests, 39_999);
         assert_eq!(stats.grants, 30_000);
         assert_eq!(
-            (stats.local_decisions, stats.cross_decisions),
-            (9_236, 30_763)
+            (
+                stats.fast_admits,
+                stats.local_decisions,
+                stats.cross_decisions
+            ),
+            (9_236, 0, 30_763)
         );
         let _ = std::fs::remove_file(&log);
     }
@@ -576,10 +585,14 @@ mod tests {
         let stats = immune.runtime.stats();
         assert_eq!(stats.deadlocks_detected, 0);
         // Per request: the first resource and the fan-in lock, taken
-        // holding nothing, on tier 2; the second resource on tier 3.
+        // holding nothing, on tier 1; the second resource on tier 3.
         assert_eq!(
-            (stats.local_decisions, stats.cross_decisions),
-            (4_000, 2_000)
+            (
+                stats.fast_admits,
+                stats.local_decisions,
+                stats.cross_decisions
+            ),
+            (4_000, 0, 2_000)
         );
         assert_eq!(immune.result.latencies.len(), cfg.tasks);
         assert!(immune.result.latency_percentile(0.99) >= immune.result.latency_percentile(0.5));
