@@ -721,4 +721,24 @@ mod engine_tests {
         let sig = e.history().get(SignatureId::new(0)).unwrap();
         assert_eq!(sig.arity(), 3);
     }
+
+    /// A task joining two acquisitions holds two approved grants at once;
+    /// each acquisition consumes the grant for its own lock, so the
+    /// position slots the grants occupied are the ones the releases vacate.
+    #[test]
+    fn two_outstanding_grants_are_consumed_per_lock() {
+        let task = OwnerId::task(1);
+        let mut e = Dimmunix::default();
+        let s1 = e.intern_position(&site("join.first", 1));
+        let s2 = e.intern_position(&site("join.second", 2));
+        assert!(e.request_at(task, l(1), s1).is_granted());
+        assert!(e.request_at(task, l(2), s2).is_granted());
+        e.acquired(task, l(1));
+        e.acquired(task, l(2));
+        e.released(task, l(1));
+        e.released(task, l(2));
+        let occupants = |p| e.positions().get(p).unwrap().queue().len();
+        assert_eq!((occupants(s1), occupants(s2)), (0, 0));
+        assert_eq!(e.positions().len(), 2, "no anonymous position interned");
+    }
 }
