@@ -674,12 +674,12 @@ impl Dimmunix {
         }
         // The access mode travels with the grant, so shared and exclusive
         // acquisitions flow through the same `acquired` hook.
-        let (pos, mode) = match self.rag.pending_grant(t) {
-            Some((granted_lock, p, m)) if granted_lock == l => (p, m),
-            _ => {
-                // The acquisition was not announced through `request` (or the
-                // grant was for a different lock). Account it under an
-                // anonymous position so release bookkeeping stays balanced.
+        let (pos, mode) = match self.rag.pending_grant(t, l) {
+            Some(granted) => granted,
+            None => {
+                // The acquisition was not announced through `request`.
+                // Account it under an anonymous position so release
+                // bookkeeping stays balanced.
                 let p = self.intern_position(&CallStack::new());
                 if let Some(pd) = self.positions.get_mut(p) {
                     pd.queue_mut().push(t);
@@ -758,20 +758,15 @@ impl Dimmunix {
     pub fn cancel_request(&mut self, t: impl Into<OwnerId>, l: LockId) {
         let t = t.into();
         self.clear_yield_tracked(t);
-        if let Some((granted_lock, pos, mode)) = self.rag.take_pending_grant(t) {
-            if granted_lock == l {
-                if let Some(p) = self.positions.get_mut(pos) {
-                    p.queue_mut().remove_one(t);
-                }
-                let mut wake = std::mem::take(&mut self.pending_wakeups);
-                let scheduled = wake.len();
-                self.extend_wakeups_for_position(pos, &mut wake);
-                self.stats.wakeups += (wake.len() - scheduled) as u64;
-                self.pending_wakeups = wake;
-            } else {
-                // The grant was for a different lock; keep it.
-                self.rag.set_pending_grant(t, granted_lock, pos, mode);
+        if let Some((pos, _)) = self.rag.take_pending_grant(t, l) {
+            if let Some(p) = self.positions.get_mut(pos) {
+                p.queue_mut().remove_one(t);
             }
+            let mut wake = std::mem::take(&mut self.pending_wakeups);
+            let scheduled = wake.len();
+            self.extend_wakeups_for_position(pos, &mut wake);
+            self.stats.wakeups += (wake.len() - scheduled) as u64;
+            self.pending_wakeups = wake;
         }
         self.rag.clear_request(t);
     }

@@ -116,8 +116,10 @@ pub struct OwnerNode {
     held: Vec<HeldEntry>,
     /// Present while the owner is parked by avoidance.
     yielding: Option<YieldRecord>,
-    /// Request approved by the last `request` grant, consumed by `acquire`.
-    pending_grant: Option<RequestEdge>,
+    /// Requests approved by a grant and not yet acquired, at most one per
+    /// lock: a task joining two acquisitions holds two at once. `acquire`
+    /// consumes the one for its lock.
+    grants: Vec<RequestEdge>,
 }
 
 /// One owner of a lock: the holding owner, the call-stack position of its
@@ -344,30 +346,47 @@ impl Rag {
         self.yield_records
     }
 
-    /// Stores the position and mode approved by a grant, consumed by
-    /// [`acquire`].
+    /// Stores the position and mode a grant approved for `t` on `l`,
+    /// consumed by [`acquire`]; it replaces an earlier grant on `l` and
+    /// leaves `t`'s grants on other locks alone.
     ///
     /// [`acquire`]: Rag::acquire
     pub fn set_pending_grant(&mut self, t: OwnerId, l: LockId, pos: PositionId, mode: AccessMode) {
-        self.owners_map.entry(t).or_default().pending_grant =
-            Some(RequestEdge { lock: l, pos, mode });
+        let grants = &mut self.owners_map.entry(t).or_default().grants;
+        let grant = RequestEdge { lock: l, pos, mode };
+        match grants.iter_mut().find(|g| g.lock == l) {
+            Some(slot) => *slot = grant,
+            None => grants.push(grant),
+        }
     }
 
-    /// The lock, position, and mode approved by the last grant for `t`, if
-    /// any.
-    pub fn pending_grant(&self, t: OwnerId) -> Option<(LockId, PositionId, AccessMode)> {
+    /// The position and mode a grant approved for `t` on `l`, if `t` has
+    /// not acquired `l` since.
+    pub fn pending_grant(&self, t: OwnerId, l: LockId) -> Option<(PositionId, AccessMode)> {
+        let n = self.owners_map.get(&t)?;
+        n.grants
+            .iter()
+            .find(|g| g.lock == l)
+            .map(|g| (g.pos, g.mode))
+    }
+
+    /// True if `t` has a grant on any lock it has not acquired yet.
+    pub fn has_pending_grant(&self, t: OwnerId) -> bool {
         self.owners_map
             .get(&t)
-            .and_then(|n| n.pending_grant)
-            .map(|g| (g.lock, g.pos, g.mode))
+            .is_some_and(|n| !n.grants.is_empty())
     }
 
-    /// Removes and returns the pending grant of `t`, if any.
-    pub fn take_pending_grant(&mut self, t: OwnerId) -> Option<(LockId, PositionId, AccessMode)> {
-        self.owners_map
-            .get_mut(&t)
-            .and_then(|n| n.pending_grant.take())
-            .map(|g| (g.lock, g.pos, g.mode))
+    /// Removes and returns `t`'s pending grant on `l`, if any.
+    pub fn take_pending_grant(
+        &mut self,
+        t: OwnerId,
+        l: LockId,
+    ) -> Option<(PositionId, AccessMode)> {
+        let grants = &mut self.owners_map.get_mut(&t)?.grants;
+        let i = grants.iter().position(|g| g.lock == l)?;
+        let g = grants.swap_remove(i);
+        Some((g.pos, g.mode))
     }
 
     /// Records that `t` acquired `l` at position `pos` (first, non-recursive
@@ -402,7 +421,7 @@ impl Rag {
         self.next_seq = self.next_seq.max(seq).saturating_add(1);
         let n = self.owners_map.entry(t).or_default();
         n.requesting = None;
-        n.pending_grant = None;
+        n.grants.retain(|g| g.lock != l);
         n.held.push(HeldEntry {
             lock: l,
             pos,
@@ -434,7 +453,7 @@ impl Rag {
     pub fn acquire_recursive(&mut self, t: OwnerId, l: LockId) {
         if let Some(n) = self.owners_map.get_mut(&t) {
             n.requesting = None;
-            n.pending_grant = None;
+            n.grants.retain(|g| g.lock != l);
         }
         if let Some(ln) = self.locks.get_mut(&l) {
             let owner = ln.owners.iter_mut().find(|o| o.owner == t);
@@ -513,6 +532,7 @@ impl Rag {
         for n in self.owners_map.values() {
             total += std::mem::size_of::<OwnerId>() + std::mem::size_of::<OwnerNode>();
             total += n.held.capacity() * std::mem::size_of::<HeldEntry>();
+            total += n.grants.capacity() * std::mem::size_of::<RequestEdge>();
             if let Some(y) = &n.yielding {
                 total += y.blockers.capacity() * std::mem::size_of::<OwnerId>();
             }
@@ -801,12 +821,20 @@ mod tests {
     fn pending_grant_roundtrip() {
         let mut rag = Rag::new();
         rag.set_pending_grant(t(1), l(5), p(7), AccessMode::Shared);
+        rag.set_pending_grant(t(1), l(6), p(8), AccessMode::Exclusive);
         assert_eq!(
-            rag.pending_grant(t(1)),
-            Some((l(5), p(7), AccessMode::Shared))
+            rag.pending_grant(t(1), l(5)),
+            Some((p(7), AccessMode::Shared))
         );
+        // Acquiring one lock consumes its own grant only.
         rag.acquire(t(1), l(5), p(7));
-        assert_eq!(rag.pending_grant(t(1)), None);
+        assert_eq!(rag.pending_grant(t(1), l(5)), None);
+        assert!(rag.has_pending_grant(t(1)));
+        assert_eq!(
+            rag.take_pending_grant(t(1), l(6)),
+            Some((p(8), AccessMode::Exclusive))
+        );
+        assert!(!rag.has_pending_grant(t(1)));
     }
 
     #[test]

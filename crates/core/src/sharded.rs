@@ -145,7 +145,7 @@ impl OwnerRoute {
     pub fn after_published(&mut self, home: usize, engine: &Dimmunix, owner: OwnerId) {
         if !engine.rag().held_locks(owner).is_empty() {
             self.holds_mask |= 1 << home;
-        } else if engine.rag().pending_grant(owner).is_some() {
+        } else if engine.rag().has_pending_grant(owner) {
             self.granted_mask |= 1 << home;
         }
     }
