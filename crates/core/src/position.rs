@@ -326,12 +326,6 @@ pub struct PositionTable {
     /// Keyed by the interned stack and probed through `Borrow<CallStack>`
     /// with the caller's own stack, so a hit clones nothing.
     by_stack: HashMap<Arc<CallStack>, PositionId>,
-    /// Stable-key index: the **first** position interned with each
-    /// [`SiteKey`]. Keys deliberately coarsen identity (absolute lines are
-    /// normalized away), so several positions may share one key; first-wins
-    /// is fine because the key lookup only answers "does a local position
-    /// prove this site exists here" for foreign-antibody screening.
-    by_key: HashMap<SiteKey, PositionId>,
     positions: Vec<Position>,
 }
 
@@ -350,7 +344,6 @@ impl PositionTable {
             depth: depth.max(1),
             interner,
             by_stack: HashMap::new(),
-            by_key: HashMap::new(),
             positions: Vec::new(),
         }
     }
@@ -402,9 +395,7 @@ impl PositionTable {
         }
         let shared = self.interner.intern(&stack);
         let id = PositionId(self.positions.len() as u32);
-        let position = Position::new(id, Arc::clone(&shared));
-        self.by_key.entry(position.site_key()).or_insert(id);
-        self.positions.push(position);
+        self.positions.push(Position::new(id, Arc::clone(&shared)));
         self.by_stack.insert(shared, id);
         id
     }
@@ -412,14 +403,6 @@ impl PositionTable {
     /// Looks up the id of an already-interned stack without inserting.
     pub fn lookup(&self, stack: &CallStack) -> Option<PositionId> {
         self.by_stack.get(&*self.coarsened(stack)).copied()
-    }
-
-    /// The first position interned with the given stable site key, if any.
-    /// This is the foreign-antibody screening query: a hit proves that a
-    /// program location with this content-hash identity exists (and has
-    /// synchronized) in *this* process.
-    pub fn lookup_by_key(&self, key: SiteKey) -> Option<PositionId> {
-        self.by_key.get(&key).copied()
     }
 
     /// Returns the position data for `id`, if it exists.
@@ -459,8 +442,6 @@ impl PositionTable {
         // allocations through the interner, so only the Arc handle counts).
         total += self.by_stack.len()
             * (std::mem::size_of::<Arc<CallStack>>() + std::mem::size_of::<PositionId>());
-        total += self.by_key.len()
-            * (std::mem::size_of::<SiteKey>() + std::mem::size_of::<PositionId>());
         total
     }
 }
@@ -590,17 +571,16 @@ mod tests {
         assert_eq!(q.distinct_owners_capped(99, |_| true).count(), 10);
     }
 
-    /// Site keys are assigned at intern time over the *truncated* stack and
-    /// answer the foreign-antibody screening query: the same site rendered
-    /// at shifted line numbers (a recompiled binary) resolves to the local
-    /// position by key even though the stacks differ structurally.
+    /// Site keys are assigned at intern time over the *truncated* stack:
+    /// the same site rendered at shifted line numbers (a recompiled binary)
+    /// has the local position's key even though the stacks differ
+    /// structurally.
     #[test]
     fn intern_assigns_stable_site_keys() {
         let mut t = PositionTable::new(2);
         let id = t.intern(&stack(1));
         let p = t.get(id).unwrap();
         assert_eq!(p.site_key(), p.stack().site_key());
-        assert_eq!(t.lookup_by_key(p.site_key()), Some(id));
         // The same site from a "recompiled binary": every line shifted.
         let shifted = CallStack::from_frames(vec![
             Frame::new("lock", "wrapper.rs", 1 + 40),
@@ -608,15 +588,14 @@ mod tests {
         ]);
         assert_eq!(t.lookup(&shifted), None, "absolute stacks differ");
         assert_eq!(
-            t.lookup_by_key(shifted.site_key()),
-            Some(id),
+            shifted.site_key(),
+            p.site_key(),
             "site keys must survive the shift"
         );
-        assert_eq!(t.lookup_by_key(SiteKey::new(0xdead_beef)), None);
     }
 
-    /// Colliding keys (coarsened identity) resolve to the first interned
-    /// position and never panic or churn the index.
+    /// Colliding keys (coarsened identity) leave the positions distinct:
+    /// identity is the stack, the key only names the site.
     #[test]
     fn colliding_site_keys_are_first_wins() {
         let mut t = PositionTable::new(1);
@@ -626,7 +605,6 @@ mod tests {
         assert_ne!(a, b);
         let key = t.get(a).unwrap().site_key();
         assert_eq!(t.get(b).unwrap().site_key(), key);
-        assert_eq!(t.lookup_by_key(key), Some(a));
     }
 
     #[test]
