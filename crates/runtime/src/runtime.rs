@@ -404,6 +404,10 @@ struct OwnerState {
     /// locked admission path shares with `ShardedDimmunix`.
     route: OwnerRoute,
     fast_held: Option<FastHold>,
+    /// Set once any shard may have an owner node for the owner (a RAG
+    /// creates one on the owner's first engine call). Retiring an owner
+    /// that only ever took tier 1 locks no shard.
+    reached_shard: bool,
 }
 
 impl OwnerState {
@@ -823,27 +827,25 @@ impl DimmunixRuntime {
         })
     }
 
-    /// A new route for the calling thread: an id, registered on every shard.
+    /// A new route for the calling thread: an id. No shard learns of the
+    /// thread until it reaches the engine: a RAG creates an owner node on
+    /// first use.
     // Kept out of line: every thread hook inlines `with_thread`.
     #[cold]
     #[inline(never)]
     fn register_thread(&self) -> ThreadRoute {
-        let id = ThreadId::new(self.next_thread.fetch_add(1, Ordering::Relaxed));
-        let mut shards = &self.shards;
-        for i in 0..shards.shard_count() {
-            shards.lock(i).register_owner(id);
-        }
         ThreadRoute {
-            id,
+            id: ThreadId::new(self.next_thread.fetch_add(1, Ordering::Relaxed)),
             state: OwnerState::default(),
         }
     }
 
-    /// Applies `f` to this thread's admission state, if it has any yet.
-    fn update_thread_state(&self, f: impl FnOnce(&mut OwnerState)) {
+    /// Applies the route transition of a locked step this thread took, if
+    /// it has a route.
+    fn update_thread_route(&self, f: impl FnOnce(&mut OwnerRoute)) {
         THREAD_ROUTE.with(|cell| {
             if let Some(r) = cell.borrow_mut().get_mut(&self.instance) {
-                f(&mut r.state);
+                f(&mut r.state.route);
             }
         });
     }
@@ -961,6 +963,7 @@ impl DimmunixRuntime {
             let seq = shards.next_seq();
             self.publish_fast(engines[home], owner, hold, seq);
             r.state.route.after_published(home, engines[home], owner);
+            r.state.reached_shard = true;
         }
     }
 
@@ -1177,7 +1180,8 @@ impl DimmunixRuntime {
         let owner = OwnerId::from(tr.id);
         let waker = || PARKER.with(|p| Waker::from(Arc::clone(p)));
         loop {
-            let before = tr.state.route;
+            let before = tr.state;
+            tr.state.reached_shard = true;
             let held = tr.state.fast_held.take();
             let publish = held.map(|fh| {
                 (fh.lock, move |engine: &mut Dimmunix, seq| {
@@ -1194,8 +1198,12 @@ impl DimmunixRuntime {
                 None,
                 waker,
             );
-            if held.is_some() || tr.state.route != before {
-                self.update_thread_state(|s| *s = tr.state);
+            if tr.state != before {
+                THREAD_ROUTE.with(|cell| {
+                    if let Some(r) = cell.borrow_mut().get_mut(&self.instance) {
+                        r.state = tr.state;
+                    }
+                });
             }
             match answer {
                 TaskAcquire::Granted => return Ok(()),
@@ -1223,7 +1231,7 @@ impl DimmunixRuntime {
         }
         let mut shards = &self.shards;
         let acquired = shards.finish_locked(thread.into(), lock);
-        self.update_thread_state(|s| acquired(&mut s.route));
+        self.update_thread_route(acquired);
     }
 
     /// Backs out of an approved acquisition that will not be completed
@@ -1240,7 +1248,7 @@ impl DimmunixRuntime {
         let mut shards = &self.shards;
         let (_, cancelled) =
             shards.cancel_locked(thread.into(), lock, |sigs| self.notify_signatures(sigs));
-        self.update_thread_state(|s| cancelled(&mut s.route));
+        self.update_thread_route(cancelled);
     }
 
     /// The `unlockMonitor` prologue: releases in the owning shard and wakes
@@ -1258,15 +1266,15 @@ impl DimmunixRuntime {
         let released = shards.release_locked(thread.into(), lock, |sigs| {
             self.notify_signatures_released(sigs)
         });
-        self.update_thread_state(|s| released(&mut s.route));
+        self.update_thread_route(released);
     }
 
     /// Unregisters the calling thread (normally done when a worker exits),
     /// force-releasing anything it still holds on any shard. A thread this
-    /// runtime never saw has nothing to retire.
+    /// runtime never saw, or saw on tier 1 only, has nothing to retire.
     pub fn retire_current_thread(&self) {
         let route = THREAD_ROUTE.with(|cell| cell.borrow_mut().remove(&self.instance));
-        if let Some(route) = route {
+        if let Some(route) = route.filter(|r| r.state.reached_shard) {
             (&self.shards).retire_locked(route.id.into(), |sigs| self.notify_signatures(sigs));
         }
     }
@@ -1372,6 +1380,7 @@ impl DimmunixRuntime {
             })
         });
         let mut route = tr.state.route;
+        let reached = tr.state.reached_shard;
         let answer = self.request_once(
             owner,
             &mut route,
@@ -1382,8 +1391,11 @@ impl DimmunixRuntime {
             tr.spawn_site,
             || waker.clone(),
         );
-        if route != tr.state.route {
-            self.update_task_state(task, |s| s.route = route);
+        if route != tr.state.route || !reached {
+            self.update_task_state(task, |s| {
+                s.route = route;
+                s.reached_shard = true;
+            });
         }
         answer
     }
@@ -1443,10 +1455,14 @@ impl DimmunixRuntime {
     /// Unregisters a completed task, force-releasing anything it still
     /// holds on any shard (a guard leaked across task teardown). Its route
     /// goes first, so no install can publish a hold of the retiring task
-    /// after its owner nodes are gone.
+    /// after its owner nodes are gone. A task that only ever took tier 1
+    /// has no owner node to remove; one without a route may have reached
+    /// the engine unregistered, so it is retired everywhere.
     pub fn retire_task(&self, task: TaskId) {
-        sync::lock(&self.task_routes).remove(&task);
-        (&self.shards).retire_locked(task.into(), |sigs| self.notify_signatures(sigs));
+        let route = sync::lock(&self.task_routes).remove(&task);
+        if route.map_or(true, |r| r.state.reached_shard) {
+            (&self.shards).retire_locked(task.into(), |sigs| self.notify_signatures(sigs));
+        }
     }
 }
 

@@ -46,7 +46,7 @@ fn every_hook_takes_its_pinned_number_of_shard_locks() {
         count(&|| {
             rt.current_thread();
         }),
-        2,
+        0,
         "first-use registration"
     );
     let (n, debit) = shard_locks(&rt, || rt.allocate_lock());
@@ -97,6 +97,32 @@ fn every_hook_takes_its_pinned_number_of_shard_locks() {
     ];
     assert_eq!(task_cycle, [0, 0, 0], "task begin / finish / release");
     assert_eq!(decided(), (0, 0), "a hold-free task's begin: tier 1");
+
+    // An owner that only ever took tier 1 reached no shard, so retiring it
+    // locks none: a thread, and a task.
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            section();
+            assert_eq!(
+                count(&|| rt.retire_current_thread()),
+                0,
+                "retire a thread after tier 1 only"
+            );
+        });
+    });
+    let tier1_task = rt.register_task(None);
+    assert_eq!(
+        rt.task_begin_acquire(tier1_task, debit, TASK, &waker),
+        TaskAcquire::Granted
+    );
+    rt.task_finish_acquire(tier1_task, debit);
+    rt.task_release(tier1_task, debit);
+    assert_eq!(
+        count(&|| rt.retire_task(tier1_task)),
+        0,
+        "retire a task after tier 1 only"
+    );
+    assert_eq!(decided(), (0, 0), "tier 1 throughout");
 
     // A nested task acquisition, as the thread's above: the inner request
     // publishes the tier-1 hold and takes tier 3.
