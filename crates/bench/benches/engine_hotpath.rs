@@ -29,13 +29,13 @@
 
 use dimmunix_bench::harness::bench;
 use dimmunix_bench::report::{write_bench_json, BenchJson};
+use dimmunix_bench::workloads::synthetic_history;
 use dimmunix_core::{
     CallStack, Config, Dimmunix, Frame, History, LockId, PositionId, ShardedDimmunix, Signature,
     SignatureKind, SignaturePair, ThreadId,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use workloads::synthetic_history;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 

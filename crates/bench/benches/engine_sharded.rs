@@ -19,12 +19,12 @@
 //! gates it at <= 1.5.
 
 use dimmunix_bench::report::{write_bench_json, BenchJson};
+use dimmunix_bench::workloads::synthetic_history;
 use dimmunix_core::{History, Signature, SignatureKind, SignaturePair};
 use dimmunix_rt::{AcquisitionSite, DimmunixRuntime, ImmuneMutex, TaskAcquire};
 use std::sync::{Arc, Barrier};
 use std::task::{Wake, Waker};
 use std::time::{Duration, Instant};
-use workloads::synthetic_history;
 
 /// Acquire/release pairs per thread per run.
 const ITERS: usize = 30_000;

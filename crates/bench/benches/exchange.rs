@@ -23,11 +23,11 @@
 //! and the no-refusals-before-activation invariant.
 
 use dimmunix_bench::report::{write_bench_json, BenchJson};
+use dimmunix_bench::workloads::synthetic_history;
 use dimmunix_exchange::{Pack, PendingSet};
 use dimmunix_rt::{AcquisitionSite, DimmunixRuntime, ExchangeOptions};
 use dimmunix_sim::fleet::fleet_convergence;
 use std::time::Instant;
-use workloads::synthetic_history;
 
 const PACK_SIZE: usize = 10_000;
 const MERGE_ROUNDS: usize = 20;

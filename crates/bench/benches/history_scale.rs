@@ -15,13 +15,13 @@
 //! antibodies. The post-eviction lookup latency is reported, not gated.
 
 use dimmunix_bench::report::{percentiles, write_bench_json, BenchJson};
+use dimmunix_bench::workloads::synthetic_history;
 use dimmunix_core::{
     CallStack, Config, Dimmunix, Frame, HistorySnapshot, Signature, SignatureKind, SignaturePair,
     DEFAULT_STACK_DEPTH,
 };
 use std::sync::Arc;
 use std::time::Instant;
-use workloads::synthetic_history;
 
 /// Signatures no synthetic history contains, so every timed `append` takes
 /// the full new-signature path (trie push, outer interning, index insert).

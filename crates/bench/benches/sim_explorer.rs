@@ -17,7 +17,7 @@
 //! Writes `BENCH_sim_explorer.json`; `check_bench` gates the rate, the
 //! find/minimize counts, corpus cleanliness, and immune-replay deadlocks.
 
-use android_sim::NotificationScenario;
+use dimmunix_bench::android::NotificationScenario;
 use dimmunix_bench::report::{repo_root, write_bench_json, BenchJson};
 use dimmunix_core::History;
 use dimmunix_sim::corpus::{replay_all, replay_on};

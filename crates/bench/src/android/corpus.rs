@@ -8,17 +8,6 @@
 //! that sum to the paper's totals); experiment E5 regenerates the headline
 //! ratio from it.
 
-/// Kind of synchronization construct found at a site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SyncConstruct {
-    /// A `synchronized (obj) { … }` block.
-    SynchronizedBlock,
-    /// A `synchronized` method.
-    SynchronizedMethod,
-    /// An explicit `Lock.lock()` / `unlock()` pair (e.g. `ReentrantLock`).
-    ExplicitLock,
-}
-
 /// Synchronization-site counts for one platform component.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ComponentSites {

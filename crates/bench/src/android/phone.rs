@@ -6,23 +6,21 @@
 //! and observe that the deadlock never reoccurs because the per-process
 //! history survived the reboot.
 
+use crate::dalvik::{MethodId, Process, Program, RunOutcome, Zygote};
 use crate::services::NotificationScenario;
-use dalvik_sim::{MethodId, Process, Program, RunOutcome, Zygote};
 use dimmunix_core::Config;
 use std::collections::HashMap;
 use std::path::PathBuf;
 
 /// An application installed on the phone.
 #[derive(Debug, Clone)]
-pub struct InstalledApp {
+struct InstalledApp {
     /// Package name (also names the persistent history file).
-    pub package: String,
+    package: String,
     /// The application program.
-    pub program: Program,
+    program: Program,
     /// Entry method.
-    pub entry: MethodId,
-    /// Baseline memory footprint in bytes.
-    pub baseline_bytes: usize,
+    entry: MethodId,
 }
 
 /// Result of running one application until it finishes, freezes, or exhausts
@@ -63,24 +61,14 @@ impl Phone {
         }
     }
 
-    /// A phone running the vanilla platform (no immunity) — the baseline.
-    pub fn vanilla(history_dir: impl Into<PathBuf>) -> Self {
-        Phone::new(Config::disabled(), history_dir)
-    }
-
     /// Sets the scheduler seed used for application runs (deterministic
     /// interleavings).
     pub fn set_scheduler_seed(&mut self, seed: u64) {
         self.scheduler_seed = seed;
     }
 
-    /// Number of boots so far (1 after construction).
-    pub fn boot_count(&self) -> u32 {
-        self.boot_count
-    }
-
     /// Installs an application.
-    pub fn install(&mut self, app: InstalledApp) {
+    fn install(&mut self, app: InstalledApp) {
         self.apps.insert(app.package.clone(), app);
     }
 
@@ -91,7 +79,6 @@ impl Phone {
             package: "com.example.notificationtest".to_string(),
             program,
             entry,
-            baseline_bytes: 6 * 1024 * 1024,
         });
     }
 
@@ -148,32 +135,6 @@ impl Phone {
     /// histories are already on "flash"); installed applications survive.
     pub fn reboot(&mut self) {
         self.boot_count += 1;
-    }
-
-    /// Repeatedly launches `package` (rebooting after every freeze) until it
-    /// completes or `max_launches` is reached. Returns the reports of every
-    /// launch — the case-study expectation is: at most one frozen launch,
-    /// then only clean ones.
-    pub fn launch_until_immune(
-        &mut self,
-        package: &str,
-        max_launches: u32,
-        max_steps: u64,
-    ) -> Vec<AppRunReport> {
-        let mut reports = Vec::new();
-        for _ in 0..max_launches {
-            let Some(report) = self.launch(package, max_steps) else {
-                break;
-            };
-            let frozen = report.frozen;
-            reports.push(report);
-            if frozen {
-                self.reboot();
-            } else {
-                break;
-            }
-        }
-        reports
     }
 }
 
@@ -251,7 +212,7 @@ mod tests {
             }
         }
         let seed = freezing_seed.expect("a freezing interleaving exists");
-        let mut vanilla = Phone::vanilla(dir.join("vanilla"));
+        let mut vanilla = Phone::new(Config::disabled(), dir.join("vanilla"));
         vanilla.set_scheduler_seed(seed);
         vanilla.install_notification_test_app(NotificationScenario::default());
         for _ in 0..2 {
@@ -263,29 +224,5 @@ mod tests {
             vanilla.reboot();
         }
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn launch_until_immune_reports_at_most_one_freeze_per_signature() {
-        let dir = temp_dir("until-immune");
-        let _ = std::fs::remove_dir_all(&dir);
-        for seed in 0..300u64 {
-            let mut phone = Phone::new(Config::default(), dir.join(format!("s{seed}")));
-            phone.set_scheduler_seed(seed);
-            phone.install_notification_test_app(NotificationScenario::default());
-            let reports = phone.launch_until_immune("com.example.notificationtest", 6, 300_000);
-            let freezes = reports.iter().filter(|r| r.frozen).count();
-            if freezes == 0 {
-                continue;
-            }
-            assert!(
-                freezes <= 1,
-                "seed {seed}: one signature suffices for this bug, got {freezes} freezes"
-            );
-            assert!(!reports.last().unwrap().frozen);
-            let _ = std::fs::remove_dir_all(&dir);
-            return;
-        }
-        panic!("no freezing seed found");
     }
 }

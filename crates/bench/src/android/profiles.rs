@@ -7,7 +7,7 @@
 //! to those numbers, which is what the Table 1 harness measures with and
 //! without Dimmunix.
 
-use dalvik_sim::{MethodId, ObjRef, Program, ProgramBuilder};
+use crate::dalvik::{MethodId, ObjRef, Program, ProgramBuilder};
 
 /// Virtual cycles per simulated second (the Nexus One has a 1 GHz single
 /// core; one virtual cycle stands for ~1 µs of work at the simulator's
@@ -177,7 +177,7 @@ impl AppProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dalvik_sim::{ProcessBuilder, RunOutcome};
+    use crate::dalvik::{ProcessBuilder, RunOutcome};
 
     #[test]
     fn table1_profiles_match_paper_ranges() {

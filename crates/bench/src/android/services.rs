@@ -11,13 +11,13 @@
 //!
 //! This module builds that scenario as a [`Program`] for the simulated VM.
 
-use dalvik_sim::{lower, MethodId, ObjRef, Program, ProgramBuilder};
+use crate::dalvik::{lower, MethodId, ObjRef, Program, ProgramBuilder};
 use dimmunix_sim::Scenario;
 
 /// Monitor guarding `NotificationManagerService.mNotificationList`.
-pub const NOTIFICATION_MANAGER_LOCK: ObjRef = ObjRef(7001);
+const NOTIFICATION_MANAGER_LOCK: ObjRef = ObjRef(7001);
 /// Monitor guarding `StatusBarService.mBar` / the expanded dialog state.
-pub const STATUS_BAR_LOCK: ObjRef = ObjRef(7002);
+const STATUS_BAR_LOCK: ObjRef = ObjRef(7002);
 
 /// Parameters of the notification/status-bar scenario.
 #[derive(Debug, Clone, Copy)]
@@ -94,24 +94,19 @@ impl NotificationScenario {
 }
 
 impl NotificationScenario {
-    /// The case study as an explorer scenario — the program
-    /// [lowered](dalvik_sim::lower()) — so it can be fuzzed, shrunk and
-    /// replayed by trace hash like any catalog scenario.
+    /// The case study as an explorer scenario — the program lowered — so
+    /// it can be fuzzed, shrunk and replayed by trace hash like any catalog
+    /// scenario.
     pub fn scenario(&self) -> Scenario {
         let (program, entry) = self.build();
         lower("notification-7986", &program, entry).expect("the program is loop-free")
     }
 }
 
-/// Convenience: the default scenario program.
-pub fn notification_deadlock_program() -> (Program, MethodId) {
-    NotificationScenario::default().build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dalvik_sim::{ProcessBuilder, RunOutcome};
+    use crate::dalvik::{ProcessBuilder, RunOutcome};
     use dimmunix_core::History;
     use dimmunix_sim::corpus::replay_on;
     use dimmunix_sim::{
@@ -120,7 +115,7 @@ mod tests {
 
     #[test]
     fn scenario_has_four_synchronization_sites() {
-        let (program, _) = notification_deadlock_program();
+        let (program, _) = NotificationScenario::default().build();
         assert_eq!(program.synchronization_site_count(), 4);
         assert!(program
             .method_by_name("NotificationManagerService.enqueueNotificationWithTag")
@@ -134,7 +129,7 @@ mod tests {
     fn some_schedule_freezes_the_services() {
         let mut froze = false;
         for seed in 0..300u64 {
-            let (program, main) = notification_deadlock_program();
+            let (program, main) = NotificationScenario::default().build();
             let mut p = ProcessBuilder::new("system_server", program)
                 .seed(seed)
                 .spawn_main(main);
@@ -152,7 +147,7 @@ mod tests {
     fn benign_schedules_complete() {
         let mut completed = 0;
         for seed in 0..50u64 {
-            let (program, main) = notification_deadlock_program();
+            let (program, main) = NotificationScenario::default().build();
             let mut p = ProcessBuilder::new("system_server", program)
                 .seed(seed)
                 .spawn_main(main);
@@ -191,7 +186,7 @@ mod tests {
     fn process_runs_are_deterministic_and_replay_from_their_decisions() {
         for seed in 0..20u64 {
             let launch = || {
-                let (program, main) = notification_deadlock_program();
+                let (program, main) = NotificationScenario::default().build();
                 let mut p = ProcessBuilder::new("system_server", program)
                     .seed(seed)
                     .spawn_main(main);

@@ -14,7 +14,7 @@
 
 /// Energy cost parameters, in arbitrary "energy units".
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EnergyModel {
+pub(crate) struct EnergyModel {
     /// Cost of one busy cycle of application work.
     pub per_cycle: f64,
     /// Cost of one synchronization operation on the vanilla platform.
@@ -42,7 +42,7 @@ impl Default for EnergyModel {
 
 /// Energy report for one measurement window.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EnergyReport {
+pub(crate) struct EnergyReport {
     /// Energy consumed by applications and the OS runtime.
     pub app_energy: f64,
     /// Fixed platform energy.

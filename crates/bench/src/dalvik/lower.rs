@@ -32,7 +32,7 @@ use std::fmt;
 
 /// Why a program has no finite lowering.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LowerError {
+pub(crate) enum LowerError {
     /// A method id that is not part of the program.
     UnknownMethod(MethodId),
     /// A `Call` chain re-enters the named method: inlining would not end.
@@ -72,7 +72,11 @@ struct Lowering<'p> {
 }
 
 /// Lowers `program`, started at `entry`, to a scenario named `name`.
-pub fn lower(name: &str, program: &Program, entry: MethodId) -> Result<Scenario, LowerError> {
+pub(crate) fn lower(
+    name: &str,
+    program: &Program,
+    entry: MethodId,
+) -> Result<Scenario, LowerError> {
     let mut l = Lowering {
         program,
         locks: HashMap::new(),

@@ -8,11 +8,11 @@
 //! turns those byte counts into the megabyte/percent figures of the table.
 
 /// Total RAM of the reference device (Nexus One, §5).
-pub const DEVICE_RAM_BYTES: usize = 512 * 1024 * 1024;
+const DEVICE_RAM_BYTES: usize = 512 * 1024 * 1024;
 
 /// Memory report for one application.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AppMemory {
+pub(crate) struct AppMemory {
     /// Resident bytes on the vanilla platform.
     pub vanilla_bytes: usize,
     /// Resident bytes with Dimmunix enabled.
@@ -25,25 +25,6 @@ impl AppMemory {
         AppMemory {
             vanilla_bytes,
             dimmunix_bytes,
-        }
-    }
-
-    /// Vanilla footprint in MB (the unit Table 1 uses).
-    pub fn vanilla_mb(&self) -> f64 {
-        self.vanilla_bytes as f64 / (1024.0 * 1024.0)
-    }
-
-    /// Dimmunix footprint in MB.
-    pub fn dimmunix_mb(&self) -> f64 {
-        self.dimmunix_bytes as f64 / (1024.0 * 1024.0)
-    }
-
-    /// Relative overhead (e.g. `0.04` for 4%).
-    pub fn overhead(&self) -> f64 {
-        if self.vanilla_bytes == 0 {
-            0.0
-        } else {
-            (self.dimmunix_bytes as f64 - self.vanilla_bytes as f64) / self.vanilla_bytes as f64
         }
     }
 }
@@ -74,7 +55,7 @@ impl PlatformMemory {
     }
 
     /// Adds one application's report.
-    pub fn add_app(&mut self, app: AppMemory) {
+    pub(crate) fn add_app(&mut self, app: AppMemory) {
         self.apps_vanilla_bytes += app.vanilla_bytes;
         self.apps_dimmunix_bytes += app.dimmunix_bytes;
     }
@@ -107,10 +88,9 @@ mod tests {
 
     #[test]
     fn app_memory_overhead() {
-        let m = AppMemory::new(15_000_000, 15_800_000);
-        assert!((m.overhead() - 0.0533).abs() < 0.001);
-        assert!(m.dimmunix_mb() > m.vanilla_mb());
-        assert_eq!(AppMemory::new(0, 10).overhead(), 0.0);
+        let mut p = PlatformMemory::new(0);
+        p.add_app(AppMemory::new(15_000_000, 15_800_000));
+        assert!((p.overall_overhead() - 0.0533).abs() < 0.001);
     }
 
     #[test]

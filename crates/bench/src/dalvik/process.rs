@@ -3,7 +3,7 @@
 //!
 //! Every process owns its own [`Dimmunix`] engine (platform-wide immunity is
 //! user-space and therefore per-process, §3.1). A process does not schedule
-//! its threads itself: its program is [lowered](crate::lower()) to a
+//! its threads itself: its program is [lowered](crate::dalvik::lower()) to a
 //! `dimmunix-sim` scenario and [`Process::run`] executes one seeded schedule
 //! of it on the explorer, which calls the engine's three hooks at
 //! `monitorenter` / `monitorexit` / `wait` exactly where the paper modifies
@@ -21,7 +21,7 @@ use dimmunix_testkit::Gen;
 pub const STACK_BUFFER_BYTES: usize = 512;
 /// Bytes the integration code adds per inflated monitor (the embedded RAG
 /// node, §4).
-pub const MONITOR_NODE_BYTES: usize = 64;
+const MONITOR_NODE_BYTES: usize = 64;
 /// Plain VM bookkeeping per thread (id, name, frames, state, counters).
 const THREAD_BYTES: usize = 112;
 /// Plain VM bookkeeping per inflated monitor (owner, recursion, wait set).
@@ -104,8 +104,8 @@ impl ProcessBuilder {
     /// Builds the process with its main thread at `entry`.
     ///
     /// # Panics
-    /// If the program has no finite lowering (see
-    /// [`LowerError`](crate::LowerError)).
+    /// If the program has no finite lowering: it names an unknown method,
+    /// or a call chain or the spawn tree re-enters a method.
     pub fn spawn_main(self, entry: MethodId) -> Process {
         let scenario = lower(&self.name, &self.program, entry)
             .unwrap_or_else(|e| panic!("{}: {e}", self.name));
@@ -139,11 +139,6 @@ impl Process {
     /// The process id.
     pub fn pid(&self) -> ProcessId {
         self.pid
-    }
-
-    /// The process (application) name.
-    pub fn name(&self) -> &str {
-        &self.scenario.name
     }
 
     /// The per-process Dimmunix engine.

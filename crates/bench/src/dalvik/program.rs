@@ -105,19 +105,6 @@ impl Program {
             .map(MethodId)
     }
 
-    /// Number of methods.
-    pub fn method_count(&self) -> usize {
-        self.methods.len()
-    }
-
-    /// Iterates over all methods.
-    pub fn methods(&self) -> impl Iterator<Item = (MethodId, &Method)> {
-        self.methods
-            .iter()
-            .enumerate()
-            .map(|(i, m)| (MethodId(i), m))
-    }
-
     /// Counts synchronization sites (`MonitorEnter` plus `Wait`) across the
     /// whole program — the static statistic the paper reports for Android's
     /// essential applications (§3.2).
@@ -133,7 +120,7 @@ impl Program {
 /// Builder for a [`Program`].
 ///
 /// ```
-/// use dalvik_sim::{ObjRef, ProgramBuilder};
+/// use dimmunix_bench::dalvik::{ObjRef, ProgramBuilder};
 /// let mut b = ProgramBuilder::new("demo.java");
 /// let worker = b
 ///     .method("Worker.run")
@@ -143,7 +130,7 @@ impl Program {
 ///     .finish();
 /// let main = b.method("Main.main").spawn(worker, "worker-1").finish();
 /// let program = b.build();
-/// assert_eq!(program.method_count(), 2);
+/// assert!(program.method(worker).is_some());
 /// assert!(program.method(main).is_some());
 /// ```
 #[derive(Debug, Clone)]
@@ -348,7 +335,6 @@ mod tests {
         assert_eq!(p.method_by_name("A.run"), Some(a));
         assert_eq!(p.method_by_name("C.run"), Some(c));
         assert_eq!(p.method_by_name("missing"), None);
-        assert_eq!(p.method_count(), 2);
         assert_eq!(p.method(a).unwrap().name, "A.run");
     }
 

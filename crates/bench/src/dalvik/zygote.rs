@@ -34,12 +34,6 @@ impl Zygote {
         }
     }
 
-    /// Creates a Zygote whose children run without Dimmunix (the vanilla
-    /// platform used as the overhead baseline).
-    pub fn vanilla() -> Self {
-        Zygote::new(Config::disabled())
-    }
-
     /// Stores per-application histories under `dir` (one file per package
     /// name), so they survive process restarts and phone reboots.
     pub fn with_history_dir(mut self, dir: impl Into<PathBuf>) -> Self {
@@ -51,11 +45,6 @@ impl Zygote {
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.base_seed = seed;
         self
-    }
-
-    /// The configuration template children are forked with.
-    pub fn config(&self) -> &Config {
-        &self.base_config
     }
 
     /// Forks a new application process running `program`, starting at
@@ -75,18 +64,13 @@ impl Zygote {
             .seed(self.base_seed.wrapping_add(pid.index() as u64))
             .spawn_main(entry)
     }
-
-    /// Number of processes forked so far.
-    pub fn forked_count(&self) -> u32 {
-        self.next_pid - 1
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dalvik::RunOutcome;
     use crate::program::{ObjRef, ProgramBuilder};
-    use crate::RunOutcome;
 
     fn tiny_program() -> (Program, MethodId) {
         let mut pb = ProgramBuilder::new("tiny.java");
@@ -107,7 +91,6 @@ mod tests {
         let mut a = zygote.fork("com.example.email", prog1, m1);
         let mut b = zygote.fork("com.example.browser", prog2, m2);
         assert_ne!(a.pid(), b.pid());
-        assert_eq!(zygote.forked_count(), 2);
         assert_eq!(a.run(1000), RunOutcome::Completed);
         assert_eq!(b.run(1000), RunOutcome::Completed);
         // Engines are isolated: each saw only its own synchronizations.
@@ -130,7 +113,7 @@ mod tests {
 
     #[test]
     fn vanilla_zygote_forks_disabled_engines() {
-        let mut zygote = Zygote::vanilla();
+        let mut zygote = Zygote::new(Config::disabled());
         let (prog, m) = tiny_program();
         let p = zygote.fork("com.example.camera", prog, m);
         assert!(p.engine().config().is_disabled());

@@ -5,7 +5,7 @@
 //! pathology of §3.2 (why depth-1 outer stacks can over-serialize custom
 //! synchronization wrappers), and a forced avoidance-starvation scenario.
 
-use dalvik_sim::{MethodId, ObjRef, Program, ProgramBuilder};
+use crate::dalvik::{MethodId, ObjRef, Program, ProgramBuilder};
 
 /// Builds a dining-philosophers program: `n` philosopher threads, each
 /// grabbing its left then right fork inside nested `synchronized` blocks,
@@ -109,7 +109,7 @@ pub fn wrapper_workload(worker_pairs: u32, rounds: u32) -> (Program, MethodId) {
 /// Builds a scenario that forces an avoidance-induced starvation once the
 /// AB/BA signature is known: a third lock C couples the two threads so that
 /// parking the second thread would block the first forever (§2.2).
-pub fn starvation_workload() -> (Program, MethodId) {
+pub(crate) fn starvation_workload() -> (Program, MethodId) {
     let a = ObjRef(1);
     let b = ObjRef(2);
     let c = ObjRef(3);
@@ -149,7 +149,7 @@ pub fn starvation_workload() -> (Program, MethodId) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dalvik_sim::{ProcessBuilder, RunOutcome};
+    use crate::dalvik::{ProcessBuilder, RunOutcome};
     use dimmunix_core::Config;
 
     #[test]

@@ -58,39 +58,6 @@ pub fn synthetic_history(count: usize) -> History {
     history
 }
 
-/// Like [`synthetic_history`], but the signatures' outer positions collide
-/// with the benchmark's real acquisition sites (file/method names passed in),
-/// so the avoidance path actually performs matching work and may yield.
-/// Used by the hot-history variant of the overhead experiment.
-pub fn colliding_history(count: usize, scope: &str, file: &str) -> History {
-    let mut history = History::new();
-    for i in 0..count {
-        let sig = Signature::new(
-            SignatureKind::Deadlock,
-            vec![
-                SignaturePair::new(
-                    CallStack::single(Frame::new(scope, file, i as u32)),
-                    CallStack::single(Frame::new(scope, file, (i + 10_000) as u32)),
-                ),
-                SignaturePair::new(
-                    CallStack::single(Frame::new(
-                        format!("{scope}.peer"),
-                        file,
-                        (i + 20_000) as u32,
-                    )),
-                    CallStack::single(Frame::new(
-                        format!("{scope}.peer"),
-                        file,
-                        (i + 30_000) as u32,
-                    )),
-                ),
-            ],
-        );
-        history.add(sig);
-    }
-    history
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,15 +75,5 @@ mod tests {
         // Dedup would have collapsed identical ones; 64 distinct entries
         // proves they are all different bugs.
         assert_eq!(h.len(), 64);
-    }
-
-    #[test]
-    fn colliding_history_mentions_the_scope() {
-        let h = colliding_history(8, "Bench.worker", "bench.rs");
-        assert_eq!(h.len(), 8);
-        let (_, sig) = h.iter().next().unwrap();
-        assert!(sig
-            .outer_stacks()
-            .any(|s| s.top().unwrap().method().contains("Bench.worker")));
     }
 }

@@ -80,7 +80,7 @@ impl fmt::Display for SiteKey {
 /// The Dalvik implementation stores the method and bytecode pc of the frame;
 /// for the Rust substrates we keep a method (or function) name, a file and a
 /// line, which is exactly the information the `acquire_site!()` macro in
-/// `dimmunix-rt` and the simulated frames in `dalvik-sim` can provide.
+/// `dimmunix-rt` and the simulated frames of the `dalvik` model can provide.
 ///
 /// ```
 /// use dimmunix_core::Frame;

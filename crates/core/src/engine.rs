@@ -12,8 +12,8 @@
 //! The engine is deliberately single-threaded: the paper serializes the three
 //! hooks with a global lock inside the VM, and the substrates here do the
 //! same (`dimmunix-rt` keeps each shard engine behind its own mutex;
-//! `dimmunix-sim`, which `dalvik-sim` lowers its programs onto, runs one task
-//! at a time). Keeping the engine free of interior locking makes it
+//! `dimmunix-sim`, which the `dalvik` model lowers its programs onto, runs
+//! one task at a time). Keeping the engine free of interior locking makes it
 //! deterministic and property-testable.
 
 use crate::admission::AdmissionSummary;

@@ -1,7 +1,7 @@
 //! Strongly-typed identifiers used throughout the Dimmunix engine.
 //!
 //! The engine is substrate-agnostic: it never touches OS threads or real
-//! mutexes. Substrates (the Dalvik-like simulator in `dalvik-sim`, or the
+//! mutexes. Substrates (the Dalvik-like simulator in `dimmunix-bench`, or the
 //! real-thread runtime in `dimmunix-rt`) map their own notion of threads and
 //! monitors onto these dense identifiers and feed synchronization events to
 //! the engine.

@@ -23,8 +23,9 @@
 //! `dimmunix-rt` wraps real `parking_lot` mutexes into `ImmuneMutex` /
 //! `ImmuneMonitor` types (Rust has no lock interposition point, so wrapper
 //! types play the role of the modified `lockMonitor`/`unlockMonitor`
-//! routines), and `dalvik-sim` is a deterministic VM simulator whose
-//! `monitorenter`/`monitorexit`/`wait` opcodes call the same hooks.
+//! routines), and `dimmunix-bench`'s `dalvik` model is a deterministic VM
+//! simulator whose `monitorenter`/`monitorexit`/`wait` opcodes call the
+//! same hooks.
 //!
 //! ## Quick start
 //!

@@ -62,19 +62,19 @@ pub mod rt {
     pub use ::dimmunix_rt::*;
 }
 
-/// The deterministic VM substrate (re-export of `dalvik-sim`).
+/// The deterministic VM substrate (re-export of `dimmunix_bench::dalvik`).
 pub mod vm {
-    pub use ::dalvik_sim::*;
+    pub use ::dimmunix_bench::dalvik::*;
 }
 
-/// The simulated Android platform (re-export of `android-sim`).
+/// The simulated Android platform (re-export of `dimmunix_bench::android`).
 pub mod android {
-    pub use ::android_sim::*;
+    pub use ::dimmunix_bench::android::*;
 }
 
-/// Workload generators (re-export of `workloads`).
+/// Workload generators (re-export of `dimmunix_bench::workloads`).
 pub mod workloads {
-    pub use ::workloads::*;
+    pub use ::dimmunix_bench::workloads::*;
 }
 
 /// The schedule-exploration engine (re-export of `dimmunix-sim`).

@@ -34,8 +34,8 @@
 //! same schedules, the same finds, the same minimized traces, byte for
 //! byte — across processes and machines.
 //!
-//! This is the workspace's one scheduler. `dalvik-sim` — the paper's
-//! *Dalvik deployment* (monitor bytecodes, `wait`/`notify`, Zygote
+//! This is the workspace's one scheduler. `dimmunix-bench`'s `dalvik`
+//! model — the paper's *Dalvik deployment* (monitor bytecodes, `wait`/`notify`, Zygote
 //! processes) — is a front end on it: its programs are lowered to
 //! [`Scenario`]s (`Compute`, `Wait`, `Notify` and `Spawn` ops, sites that
 //! are whole inlined call stacks) and a process run is one

@@ -19,7 +19,8 @@
 //! source file ([`SITE_FILE`]), which the asyncio substrate can also show
 //! as an `AcquisitionSite` — the same frame either way, so histories
 //! learned on one substrate are textually comparable with the other's.
-//! Front ends that lower a program model into a scenario (`dalvik-sim`)
+//! Front ends that lower a program model into a scenario (`dimmunix-bench`'s
+//! `dalvik` model)
 //! supply the full inlined frame chain of each synchronization statement
 //! instead.
 
@@ -250,7 +251,8 @@ pub fn bank_transfer(tellers: usize, accounts: usize, transfers: usize, seed: u6
 /// each lock a seeded pair of `resources` in ascending order — except every
 /// `invert_every`-th handler, which takes the same pair through an inverted
 /// code path (descending order, distinct sites). This is the declarative
-/// form of the `workloads::async_server` workload's `plan_requests`.
+/// form of `plan_requests` in the runtime's async-server test
+/// (`crates/runtime/tests/async_server.rs`).
 pub fn async_server(tasks: usize, resources: usize, invert_every: usize, seed: u64) -> Scenario {
     assert!(resources >= 2, "handlers lock two distinct resources");
     assert!(invert_every >= 1);

@@ -1,7 +1,7 @@
 //! Integration test for the §5 case study (experiment E3): the
 //! notification/status-bar deadlock freezes the phone once, is recorded, and
-//! never reoccurs after a reboot — across crates: android-sim (phone,
-//! services) on dalvik-sim (VM) on dimmunix-core (engine).
+//! never reoccurs after a reboot — across layers: the `android` model
+//! (phone, services) on the `dalvik` model (VM) on dimmunix-core (engine).
 
 use dimmunix::android::{NotificationScenario, Phone};
 use dimmunix::core::{Config, SignatureKind};
