@@ -116,10 +116,23 @@ pub struct OwnerNode {
     held: Vec<HeldEntry>,
     /// Present while the owner is parked by avoidance.
     yielding: Option<YieldRecord>,
-    /// Requests approved by a grant and not yet acquired, at most one per
-    /// lock: a task joining two acquisitions holds two at once. `acquire`
-    /// consumes the one for its lock.
-    grants: Vec<RequestEdge>,
+    /// A request approved by a grant and not yet acquired; `acquire`
+    /// consumes the one for its lock. A task joining two acquisitions holds
+    /// two at once: the others wait in `more_grants`, at most one per lock,
+    /// and only while this slot is filled.
+    grant: Option<RequestEdge>,
+    more_grants: Vec<RequestEdge>,
+}
+
+impl OwnerNode {
+    /// Removes and returns the grant on `l`, refilling the first slot.
+    fn take_grant(&mut self, l: LockId) -> Option<RequestEdge> {
+        if self.grant.is_some_and(|g| g.lock == l) {
+            return std::mem::replace(&mut self.grant, self.more_grants.pop());
+        }
+        let i = self.more_grants.iter().position(|g| g.lock == l)?;
+        Some(self.more_grants.swap_remove(i))
+    }
 }
 
 /// One owner of a lock: the holding owner, the call-stack position of its
@@ -352,11 +365,16 @@ impl Rag {
     ///
     /// [`acquire`]: Rag::acquire
     pub fn set_pending_grant(&mut self, t: OwnerId, l: LockId, pos: PositionId, mode: AccessMode) {
-        let grants = &mut self.owners_map.entry(t).or_default().grants;
+        let n = self.owners_map.entry(t).or_default();
         let grant = RequestEdge { lock: l, pos, mode };
-        match grants.iter_mut().find(|g| g.lock == l) {
-            Some(slot) => *slot = grant,
-            None => grants.push(grant),
+        match n.grant {
+            Some(first) if first.lock != l => {
+                match n.more_grants.iter_mut().find(|g| g.lock == l) {
+                    Some(slot) => *slot = grant,
+                    None => n.more_grants.push(grant),
+                }
+            }
+            _ => n.grant = Some(grant),
         }
     }
 
@@ -364,17 +382,16 @@ impl Rag {
     /// not acquired `l` since.
     pub fn pending_grant(&self, t: OwnerId, l: LockId) -> Option<(PositionId, AccessMode)> {
         let n = self.owners_map.get(&t)?;
-        n.grants
+        n.grant
             .iter()
+            .chain(&n.more_grants)
             .find(|g| g.lock == l)
             .map(|g| (g.pos, g.mode))
     }
 
     /// True if `t` has a grant on any lock it has not acquired yet.
     pub fn has_pending_grant(&self, t: OwnerId) -> bool {
-        self.owners_map
-            .get(&t)
-            .is_some_and(|n| !n.grants.is_empty())
+        self.owners_map.get(&t).is_some_and(|n| n.grant.is_some())
     }
 
     /// Removes and returns `t`'s pending grant on `l`, if any.
@@ -383,9 +400,7 @@ impl Rag {
         t: OwnerId,
         l: LockId,
     ) -> Option<(PositionId, AccessMode)> {
-        let grants = &mut self.owners_map.get_mut(&t)?.grants;
-        let i = grants.iter().position(|g| g.lock == l)?;
-        let g = grants.swap_remove(i);
+        let g = self.owners_map.get_mut(&t)?.take_grant(l)?;
         Some((g.pos, g.mode))
     }
 
@@ -421,7 +436,7 @@ impl Rag {
         self.next_seq = self.next_seq.max(seq).saturating_add(1);
         let n = self.owners_map.entry(t).or_default();
         n.requesting = None;
-        n.grants.retain(|g| g.lock != l);
+        n.take_grant(l);
         n.held.push(HeldEntry {
             lock: l,
             pos,
@@ -453,7 +468,7 @@ impl Rag {
     pub fn acquire_recursive(&mut self, t: OwnerId, l: LockId) {
         if let Some(n) = self.owners_map.get_mut(&t) {
             n.requesting = None;
-            n.grants.retain(|g| g.lock != l);
+            n.take_grant(l);
         }
         if let Some(ln) = self.locks.get_mut(&l) {
             let owner = ln.owners.iter_mut().find(|o| o.owner == t);
@@ -532,7 +547,7 @@ impl Rag {
         for n in self.owners_map.values() {
             total += std::mem::size_of::<OwnerId>() + std::mem::size_of::<OwnerNode>();
             total += n.held.capacity() * std::mem::size_of::<HeldEntry>();
-            total += n.grants.capacity() * std::mem::size_of::<RequestEdge>();
+            total += n.more_grants.capacity() * std::mem::size_of::<RequestEdge>();
             if let Some(y) = &n.yielding {
                 total += y.blockers.capacity() * std::mem::size_of::<OwnerId>();
             }
