@@ -67,19 +67,16 @@ impl Phone {
         self.scheduler_seed = seed;
     }
 
-    /// Installs an application.
-    fn install(&mut self, app: InstalledApp) {
-        self.apps.insert(app.package.clone(), app);
-    }
-
     /// Installs the §5 test application that reproduces issue 7986.
     pub fn install_notification_test_app(&mut self, scenario: NotificationScenario) {
         let (program, entry) = scenario.build();
-        self.install(InstalledApp {
-            package: "com.example.notificationtest".to_string(),
+        let package = "com.example.notificationtest".to_string();
+        let app = InstalledApp {
+            package: package.clone(),
             program,
             entry,
-        });
+        };
+        self.apps.insert(package, app);
     }
 
     /// Launches an installed application and runs it to completion, a

@@ -840,12 +840,11 @@ impl DimmunixRuntime {
         }
     }
 
-    /// Applies the route transition of a locked step this thread took, if
-    /// it has a route.
-    fn update_thread_route(&self, f: impl FnOnce(&mut OwnerRoute)) {
+    /// Applies `f` to this thread's admission state, if it has any yet.
+    fn update_thread_state(&self, f: impl FnOnce(&mut OwnerState)) {
         THREAD_ROUTE.with(|cell| {
             if let Some(r) = cell.borrow_mut().get_mut(&self.instance) {
-                f(&mut r.state.route);
+                f(&mut r.state);
             }
         });
     }
@@ -1199,11 +1198,7 @@ impl DimmunixRuntime {
                 waker,
             );
             if tr.state != before {
-                THREAD_ROUTE.with(|cell| {
-                    if let Some(r) = cell.borrow_mut().get_mut(&self.instance) {
-                        r.state = tr.state;
-                    }
-                });
+                self.update_thread_state(|s| *s = tr.state);
             }
             match answer {
                 TaskAcquire::Granted => return Ok(()),
@@ -1231,7 +1226,7 @@ impl DimmunixRuntime {
         }
         let mut shards = &self.shards;
         let acquired = shards.finish_locked(thread.into(), lock);
-        self.update_thread_route(acquired);
+        self.update_thread_state(|s| acquired(&mut s.route));
     }
 
     /// Backs out of an approved acquisition that will not be completed
@@ -1248,7 +1243,7 @@ impl DimmunixRuntime {
         let mut shards = &self.shards;
         let (_, cancelled) =
             shards.cancel_locked(thread.into(), lock, |sigs| self.notify_signatures(sigs));
-        self.update_thread_route(cancelled);
+        self.update_thread_state(|s| cancelled(&mut s.route));
     }
 
     /// The `unlockMonitor` prologue: releases in the owning shard and wakes
@@ -1266,7 +1261,7 @@ impl DimmunixRuntime {
         let released = shards.release_locked(thread.into(), lock, |sigs| {
             self.notify_signatures_released(sigs)
         });
-        self.update_thread_route(released);
+        self.update_thread_state(|s| released(&mut s.route));
     }
 
     /// Unregisters the calling thread (normally done when a worker exits),
