@@ -116,23 +116,10 @@ pub struct OwnerNode {
     held: Vec<HeldEntry>,
     /// Present while the owner is parked by avoidance.
     yielding: Option<YieldRecord>,
-    /// A request approved by a grant and not yet acquired; `acquire`
-    /// consumes the one for its lock. A task joining two acquisitions holds
-    /// two at once: the others wait in `more_grants`, at most one per lock,
-    /// and only while this slot is filled.
+    /// A request approved by a grant and not yet acquired, consumed by the
+    /// acquisition of its lock. Further ones wait in [`Rag`]'s
+    /// `more_grants`, and only while this slot is filled.
     grant: Option<RequestEdge>,
-    more_grants: Vec<RequestEdge>,
-}
-
-impl OwnerNode {
-    /// Removes and returns the grant on `l`, refilling the first slot.
-    fn take_grant(&mut self, l: LockId) -> Option<RequestEdge> {
-        if self.grant.is_some_and(|g| g.lock == l) {
-            return std::mem::replace(&mut self.grant, self.more_grants.pop());
-        }
-        let i = self.more_grants.iter().position(|g| g.lock == l)?;
-        Some(self.more_grants.swap_remove(i))
-    }
 }
 
 /// One owner of a lock: the holding owner, the call-stack position of its
@@ -184,6 +171,30 @@ pub struct Rag {
     /// zero on every shard: a yield record's blocker list is a snapshot, so
     /// a wait-for cycle can run through an owner that holds no lock at all.
     yield_records: usize,
+    /// Grants beyond an owner's first, at most one per (owner, lock): a task
+    /// joining two acquisitions holds two at once. Kept out of the owner
+    /// nodes, which stay as small as a thread's one grant needs.
+    more_grants: Vec<(OwnerId, RequestEdge)>,
+}
+
+/// Removes and returns `t`'s grant on `l` from its owner node `n` and the
+/// spilled grants, refilling the node's slot from the spilled ones.
+fn take_grant(
+    n: &mut OwnerNode,
+    more_grants: &mut Vec<(OwnerId, RequestEdge)>,
+    t: OwnerId,
+    l: LockId,
+) -> Option<RequestEdge> {
+    let first = n.grant?;
+    if first.lock == l {
+        let next = more_grants.iter().position(|(o, _)| *o == t);
+        n.grant = next.map(|i| more_grants.swap_remove(i).1);
+        return Some(first);
+    }
+    let i = more_grants
+        .iter()
+        .position(|(o, g)| *o == t && g.lock == l)?;
+    Some(more_grants.swap_remove(i).1)
 }
 
 impl Rag {
@@ -201,6 +212,7 @@ impl Rag {
         self.locks.clear();
         self.next_seq = 0;
         self.yield_records = 0;
+        self.more_grants.clear();
     }
 
     /// Registers an owner node (idempotent).
@@ -215,6 +227,7 @@ impl Rag {
         if node.yielding.is_some() {
             self.yield_records -= 1;
         }
+        self.more_grants.retain(|(o, _)| *o != t);
         for entry in &node.held {
             if let Some(l) = self.locks.get_mut(&entry.lock) {
                 l.owners.retain(|o| o.owner != t);
@@ -369,9 +382,10 @@ impl Rag {
         let grant = RequestEdge { lock: l, pos, mode };
         match n.grant {
             Some(first) if first.lock != l => {
-                match n.more_grants.iter_mut().find(|g| g.lock == l) {
-                    Some(slot) => *slot = grant,
-                    None => n.more_grants.push(grant),
+                let more = &mut self.more_grants;
+                match more.iter_mut().find(|(o, g)| *o == t && g.lock == l) {
+                    Some((_, slot)) => *slot = grant,
+                    None => more.push((t, grant)),
                 }
             }
             _ => n.grant = Some(grant),
@@ -381,12 +395,14 @@ impl Rag {
     /// The position and mode a grant approved for `t` on `l`, if `t` has
     /// not acquired `l` since.
     pub fn pending_grant(&self, t: OwnerId, l: LockId) -> Option<(PositionId, AccessMode)> {
-        let n = self.owners_map.get(&t)?;
-        n.grant
-            .iter()
-            .chain(&n.more_grants)
-            .find(|g| g.lock == l)
-            .map(|g| (g.pos, g.mode))
+        let first = self.owners_map.get(&t)?.grant?;
+        let g = if first.lock == l {
+            first
+        } else {
+            let mut spilled = self.more_grants.iter();
+            spilled.find(|(o, g)| *o == t && g.lock == l)?.1
+        };
+        Some((g.pos, g.mode))
     }
 
     /// True if `t` has a grant on any lock it has not acquired yet.
@@ -400,7 +416,8 @@ impl Rag {
         t: OwnerId,
         l: LockId,
     ) -> Option<(PositionId, AccessMode)> {
-        let g = self.owners_map.get_mut(&t)?.take_grant(l)?;
+        let n = self.owners_map.get_mut(&t)?;
+        let g = take_grant(n, &mut self.more_grants, t, l)?;
         Some((g.pos, g.mode))
     }
 
@@ -436,7 +453,7 @@ impl Rag {
         self.next_seq = self.next_seq.max(seq).saturating_add(1);
         let n = self.owners_map.entry(t).or_default();
         n.requesting = None;
-        n.take_grant(l);
+        take_grant(n, &mut self.more_grants, t, l);
         n.held.push(HeldEntry {
             lock: l,
             pos,
@@ -468,7 +485,7 @@ impl Rag {
     pub fn acquire_recursive(&mut self, t: OwnerId, l: LockId) {
         if let Some(n) = self.owners_map.get_mut(&t) {
             n.requesting = None;
-            n.take_grant(l);
+            take_grant(n, &mut self.more_grants, t, l);
         }
         if let Some(ln) = self.locks.get_mut(&l) {
             let owner = ln.owners.iter_mut().find(|o| o.owner == t);
@@ -544,10 +561,10 @@ impl Rag {
     /// Estimated resident memory of the graph in bytes.
     pub fn memory_footprint_bytes(&self) -> usize {
         let mut total = std::mem::size_of::<Self>();
+        total += self.more_grants.capacity() * std::mem::size_of::<(OwnerId, RequestEdge)>();
         for n in self.owners_map.values() {
             total += std::mem::size_of::<OwnerId>() + std::mem::size_of::<OwnerNode>();
             total += n.held.capacity() * std::mem::size_of::<HeldEntry>();
-            total += n.more_grants.capacity() * std::mem::size_of::<RequestEdge>();
             if let Some(y) = &n.yielding {
                 total += y.blockers.capacity() * std::mem::size_of::<OwnerId>();
             }
