@@ -584,14 +584,11 @@ impl fmt::Debug for AdmissionSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::LockId;
     use crate::SignatureId;
 
     fn record(blockers: Vec<OwnerId>) -> YieldRecord {
         YieldRecord {
             signature: SignatureId::new(0),
-            position: crate::position::PositionId::new(0),
-            lock: LockId::new(0),
             blockers,
         }
     }

@@ -20,12 +20,10 @@ use crate::admission::AdmissionSummary;
 use crate::avoidance::{MatchScratch, SignatureIndex};
 use crate::callstack::CallStack;
 use crate::config::Config;
-use crate::detection::classify_cycle;
 use crate::error::{DimmunixError, Result};
 use crate::history::{History, HistoryLog, RecoveryReport};
 use crate::position::{PositionId, PositionTable};
-use crate::rag::{AccessMode, Rag, YieldRecord};
-use crate::sharded::{find_instantiation_merged, starvation_signature_merged, would_starve_merged};
+use crate::rag::{AccessMode, Acquisition, AcquisitionState, Rag, YieldRecord};
 use crate::signature::Signature;
 use crate::snapshot::HistorySnapshot;
 use crate::stats::Stats;
@@ -371,15 +369,16 @@ impl Dimmunix {
     }
 
     /// Unregisters a terminated owner: any monitors it still owned are
-    /// force-released and the corresponding position-queue entries removed.
-    /// Returns the signatures whose parked owners should be woken as a
-    /// result of those releases.
+    /// force-released, its outstanding acquisitions withdrawn, and the
+    /// position-queue entries of both removed. Returns the signatures whose
+    /// parked owners should be woken as a result.
     pub fn unregister_owner(&mut self, t: impl Into<OwnerId>) -> Vec<SignatureId> {
         let t = t.into();
-        self.clear_yield_tracked(t);
-        let held = self.rag.unregister_owner(t);
         let mut wake = Vec::new();
-        for entry in held {
+        while let Some(a) = self.rag.withdraw_any(t) {
+            self.forget(t, &a, &mut wake);
+        }
+        for entry in self.rag.unregister_owner(t) {
             if let Some(p) = self.positions.get_mut(entry.pos) {
                 p.queue_mut().remove_one(t);
             }
@@ -515,8 +514,9 @@ impl Dimmunix {
         self.decide(t, l, pos, mode, false)
     }
 
-    /// The request hook proper; `search_cycles` is false only when the
-    /// caller proved that no cycle can run through `t`.
+    /// The request hook proper: the sharded engine's one decision, called
+    /// with this engine as the only shard. `search_cycles` is false only
+    /// when the caller proved that no cycle can run through `t`.
     fn decide(
         &mut self,
         t: OwnerId,
@@ -525,126 +525,8 @@ impl Dimmunix {
         mode: AccessMode,
         search_cycles: bool,
     ) -> RequestOutcome {
-        self.stats.requests += 1;
-
-        if self.config.is_disabled() {
-            self.stats.grants += 1;
-            self.rag.register_lock(l);
-            self.rag.set_pending_grant(t, l, pos, mode);
-            return RequestOutcome::Granted;
-        }
-
-        // If the thread is retrying after a yield, it is no longer parked.
-        self.clear_yield_tracked(t);
-
-        // Reentrant fast path: a thread never deadlocks against itself on a
-        // lock it already owns (in any mode — a read-to-write upgrade is a
-        // self-deadlock the engine cannot rescue, exactly like
-        // `std::sync::RwLock`).
-        if self.rag.owns(l, t) {
-            self.stats.reentrant_grants += 1;
-            return RequestOutcome::GrantedReentrant;
-        }
-
-        self.rag.set_request_mode(t, l, pos, mode);
-
-        // --- Detection -------------------------------------------------
-        let include_yields = self.config.starvation_handling;
-        debug_assert!(
-            search_cycles || self.rag.find_cycle_from(t, include_yields).is_none(),
-            "a hold-free request that no yield record names closed a cycle"
-        );
-        if self.config.detection && search_cycles {
-            if let Some(steps) = self.rag.find_cycle_from(t, include_yields) {
-                let detected = classify_cycle(&self.rag, &self.positions, &steps);
-                let is_starvation = detected.involves_yield;
-                let (sig_id, new) = self.insert_signature(detected.signature.clone());
-                if is_starvation {
-                    self.stats.starvations_detected += 1;
-                    if new {
-                        self.stats.new_starvation_signatures += 1;
-                    }
-                    // Resume every parked participant (§2.2): clear its yield
-                    // and schedule a wake-up of its signature.
-                    for th in &detected.owners {
-                        if let Some(y) = self.clear_yield_tracked(*th) {
-                            self.pending_wakeups.push(y.signature);
-                            self.stats.wakeups += 1;
-                        }
-                    }
-                    // Fall through: the requester itself is then treated by
-                    // the avoidance logic below.
-                } else {
-                    self.stats.deadlocks_detected += 1;
-                    if new {
-                        self.stats.new_deadlock_signatures += 1;
-                    }
-                    return RequestOutcome::DeadlockDetected {
-                        signature: sig_id,
-                        new_signature: new,
-                        owners: detected.owners,
-                    };
-                }
-            }
-        }
-
-        // --- Avoidance ---------------------------------------------------
-        if self.config.avoidance && !self.snapshot.is_empty() {
-            self.stats.instantiation_checks += 1;
-            // Hot path: positions no signature mentions carry no
-            // `history_ref` link, so the check is one `Option` read —
-            // O(signatures-at-this-position) otherwise, never O(|history|).
-            // The linear `avoidance::find_instantiation` remains the
-            // property-tested oracle.
-            let outer = self.positions.get(pos).and_then(|p| p.history_ref());
-            self.stats.signatures_examined +=
-                outer.map_or(0, |o| self.snapshot.index().signatures_at(o).len() as u64);
-            // Same implementations as the sharded engine's merged check,
-            // starvation probe and starvation signature, called with this
-            // engine as the only shard.
-            let mut scratch = std::mem::take(&mut self.match_scratch);
-            let starvation_handling = self.config.starvation_handling;
-            let only = &[Some(&mut *self)];
-            let inst =
-                outer.and_then(|o| find_instantiation_merged(only, 0, t, o, l, mode, &mut scratch));
-            let starvation_sig = inst
-                .as_ref()
-                .filter(|i| {
-                    starvation_handling && would_starve_merged(only, t, &i.blockers, &mut scratch)
-                })
-                .map(|i| starvation_signature_merged(only, 0, pos, &i.blockers));
-            self.match_scratch = scratch;
-            if let Some(sig) = starvation_sig {
-                // Parking would itself create a wait-for cycle: record the
-                // avoidance-induced deadlock and let the thread proceed
-                // instead (§2.2).
-                let (_, new) = self.insert_signature(sig);
-                self.stats.starvations_detected += 1;
-                self.stats.new_starvation_signatures += u64::from(new);
-            } else if let Some(inst) = inst {
-                self.stats.yields += 1;
-                self.set_yield_tracked(
-                    t,
-                    YieldRecord {
-                        signature: inst.signature,
-                        position: pos,
-                        lock: l,
-                        blockers: inst.blockers,
-                    },
-                );
-                return RequestOutcome::Yield {
-                    signature: inst.signature,
-                };
-            }
-        }
-
-        // --- Grant --------------------------------------------------------
-        self.stats.grants += 1;
-        if let Some(p) = self.positions.get_mut(pos) {
-            p.queue_mut().push(t);
-        }
-        self.rag.set_pending_grant(t, l, pos, mode);
-        RequestOutcome::Granted
+        let only = &mut [Some(self)];
+        crate::sharded::decide(only, t, l, pos, mode, search_cycles, &mut |_| {})
     }
 
     /// Called right after the monitor acquisition succeeded.
@@ -663,6 +545,11 @@ impl Dimmunix {
         if self.config.is_disabled() {
             return;
         }
+        // The acquisition completes `t`'s outstanding one of `l`, if any.
+        let outstanding = self.rag.withdraw(t, l);
+        if let Some(a) = &outstanding {
+            self.untrack_park(&a.state);
+        }
         if self.rag.owns(l, t) {
             // Recursive re-entry: counted as an acquisition above, but its
             // matching exit never reaches `releases` (the RAG just decrements
@@ -674,9 +561,9 @@ impl Dimmunix {
         }
         // The access mode travels with the grant, so shared and exclusive
         // acquisitions flow through the same `acquired` hook.
-        let (pos, mode) = match self.rag.pending_grant(t, l) {
-            Some(granted) => granted,
-            None => {
+        let (pos, mode) = match outstanding {
+            Some(a) if a.state == AcquisitionState::Granted => (a.pos, a.mode),
+            _ => {
                 // The acquisition was not announced through `request`.
                 // Account it under an anonymous position so release
                 // bookkeeping stays balanced.
@@ -750,25 +637,22 @@ impl Dimmunix {
         wake
     }
 
-    /// Abandons a granted-but-never-completed acquisition (e.g. the substrate
-    /// timed out or the thread was interrupted between `request` and
-    /// `acquired`). Reverses the queue entry created by the grant; the slot
-    /// that vacates is owed the wake-ups a release at the position would
-    /// issue, scheduled for [`take_pending_wakeups`](Dimmunix::take_pending_wakeups).
+    /// Withdraws an acquisition that will not be completed: a request
+    /// refused as a deadlock, a park the owner gives up, or a grant it never
+    /// acquires (e.g. the substrate timed out or the thread was interrupted
+    /// between `request` and `acquired`). `t`'s acquisitions of other locks
+    /// stay outstanding. A grant's queue slot is vacated, and is owed the
+    /// wake-ups a release at the position would issue, scheduled for
+    /// [`take_pending_wakeups`](Dimmunix::take_pending_wakeups).
     pub fn cancel_request(&mut self, t: impl Into<OwnerId>, l: LockId) {
         let t = t.into();
-        self.clear_yield_tracked(t);
-        if let Some((pos, _)) = self.rag.take_pending_grant(t, l) {
-            if let Some(p) = self.positions.get_mut(pos) {
-                p.queue_mut().remove_one(t);
-            }
+        if let Some(a) = self.rag.withdraw(t, l) {
             let mut wake = std::mem::take(&mut self.pending_wakeups);
             let scheduled = wake.len();
-            self.extend_wakeups_for_position(pos, &mut wake);
+            self.forget(t, &a, &mut wake);
             self.stats.wakeups += (wake.len() - scheduled) as u64;
             self.pending_wakeups = wake;
         }
-        self.rag.clear_request(t);
     }
 
     /// Makes an acquisition the engine never saw visible: the runtime's
@@ -796,9 +680,9 @@ impl Dimmunix {
     /// [`publish_acquired`](Dimmunix::publish_acquired) for a lock-free
     /// admission whose owner has not acquired the lock yet (a task queued
     /// behind the holder): a forced grant, leaving the state a granted
-    /// [`request_mode`](Dimmunix::request_mode) leaves — the request edge,
-    /// the occupied position slot and the pending grant the later
-    /// [`acquired`](Dimmunix::acquired) consumes.
+    /// [`request_mode`](Dimmunix::request_mode) leaves — a granted
+    /// outstanding acquisition, occupying its position slot, that the later
+    /// [`acquired`](Dimmunix::acquired) completes.
     pub fn publish_granted(
         &mut self,
         t: impl Into<OwnerId>,
@@ -806,20 +690,12 @@ impl Dimmunix {
         stack: &CallStack,
         mode: AccessMode,
     ) {
-        let t = t.into();
-        let pos = self.publish_grant(t, l, stack, mode);
-        self.rag.set_request_mode(t, l, pos, mode);
+        self.publish_grant(t.into(), l, stack, mode);
     }
 
-    /// The forced grant both publishes share: counted, the position slot
-    /// occupied, the grant pending. Returns the interned position.
-    fn publish_grant(
-        &mut self,
-        t: OwnerId,
-        l: LockId,
-        stack: &CallStack,
-        mode: AccessMode,
-    ) -> PositionId {
+    /// The forced grant both publishes share: counted, and (unless the
+    /// engine is disabled) a granted acquisition occupying its slot.
+    fn publish_grant(&mut self, t: OwnerId, l: LockId, stack: &CallStack, mode: AccessMode) {
         let pos = self.intern_position(stack);
         self.stats.requests += 1;
         self.stats.grants += 1;
@@ -828,9 +704,9 @@ impl Dimmunix {
             if let Some(p) = self.positions.get_mut(pos) {
                 p.queue_mut().push(t);
             }
+            self.open_request(t, l, pos, mode);
+            self.rag.set_state(t, l, AcquisitionState::Granted);
         }
-        self.rag.set_pending_grant(t, l, pos, mode);
-        pos
     }
 
     /// Wake-ups scheduled outside the release path (starvation resolution).
@@ -872,28 +748,69 @@ impl Dimmunix {
         &mut self.rag
     }
 
-    /// [`Rag::set_yield`] mirrored into the attached admission summary.
-    /// All engine-internal and cross-shard yield bookkeeping must go
-    /// through the tracked pair so the summary's blocker refcounts and park
-    /// counts stay balanced. `Rag::set_yield` replaces an existing record
-    /// without returning it, so the old record is tracked-cleared first.
-    pub(crate) fn set_yield_tracked(&mut self, t: OwnerId, record: YieldRecord) {
-        if let Some(summary) = &self.admission {
-            if let Some(old) = self.rag.clear_yield(t) {
-                summary.note_yield_cleared(&old);
-            }
-            summary.note_yield(&record);
+    /// Opens `t`'s request for `l` at `pos`: a fresh outstanding
+    /// acquisition, in place of an earlier one of `l` (a retry after a
+    /// yield), whose park or grant is forgotten first. Every park and
+    /// un-park goes through this engine's tracked calls, so the attached
+    /// admission summary's blocker refcounts and park counts stay balanced.
+    pub(crate) fn open_request(
+        &mut self,
+        t: OwnerId,
+        l: LockId,
+        pos: PositionId,
+        mode: AccessMode,
+    ) {
+        if let Some(old) = self.rag.request(t, l, pos, mode) {
+            let mut wake = std::mem::take(&mut self.pending_wakeups);
+            let scheduled = wake.len();
+            self.forget(t, &old, &mut wake);
+            self.stats.wakeups += (wake.len() - scheduled) as u64;
+            self.pending_wakeups = wake;
         }
-        self.rag.set_yield(t, record);
     }
 
-    /// [`Rag::clear_yield`] mirrored into the attached admission summary.
-    pub(crate) fn clear_yield_tracked(&mut self, t: OwnerId) -> Option<YieldRecord> {
-        let taken = self.rag.clear_yield(t);
-        if let (Some(rec), Some(summary)) = (&taken, &self.admission) {
-            summary.note_yield_cleared(rec);
+    /// Parks `t`'s outstanding acquisition of `l` on `record`, mirrored into
+    /// the attached admission summary.
+    pub(crate) fn park_tracked(&mut self, t: OwnerId, l: LockId, record: YieldRecord) {
+        if let Some(summary) = &self.admission {
+            summary.note_yield(&record);
         }
-        taken
+        let left = self.rag.set_state(t, l, AcquisitionState::Parked(record));
+        debug_assert_eq!(
+            left,
+            Some(AcquisitionState::Requested),
+            "parks a fresh request"
+        );
+    }
+
+    /// Returns `t`'s first parked acquisition to requested, mirrored into
+    /// the attached admission summary; returns its record.
+    pub(crate) fn unpark_tracked(&mut self, t: OwnerId) -> Option<YieldRecord> {
+        let record = self.rag.unpark(t)?;
+        if let Some(summary) = &self.admission {
+            summary.note_yield_cleared(&record);
+        }
+        Some(record)
+    }
+
+    /// Un-counts a park in the attached admission summary.
+    fn untrack_park(&self, state: &AcquisitionState) {
+        if let (AcquisitionState::Parked(record), Some(summary)) = (state, &self.admission) {
+            summary.note_yield_cleared(record);
+        }
+    }
+
+    /// Forgets `a`, an acquisition of `t`'s just taken out of the RAG: a
+    /// park is un-counted, and a grant's position slot is vacated, adding the
+    /// wake-ups the slot is owed to `wake`.
+    fn forget(&mut self, t: OwnerId, a: &Acquisition, wake: &mut Vec<SignatureId>) {
+        self.untrack_park(&a.state);
+        if a.state == AcquisitionState::Granted {
+            if let Some(p) = self.positions.get_mut(a.pos) {
+                p.queue_mut().remove_one(t);
+            }
+            self.extend_wakeups_for_position(a.pos, wake);
+        }
     }
 
     /// Mutable access to the position table (cross-shard orchestration).

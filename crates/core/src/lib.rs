@@ -79,7 +79,6 @@ pub use config::{
     Config, ConfigBuilder, DEFAULT_EVICTION_WINDOW, DEFAULT_LOG_SEGMENT_RECORDS,
     DEFAULT_MAX_SIGNATURES, DEFAULT_STACK_DEPTH,
 };
-pub use detection::{classify_cycle, DetectedCycle};
 pub use engine::{Dimmunix, RequestOutcome};
 pub use error::{DimmunixError, Result};
 pub use history::{
@@ -92,7 +91,8 @@ pub use ids::{
 pub use position::{OwnerQueue, Position, PositionId, PositionTable, StackInterner};
 pub use pvec::{PersistentMap, PersistentVec};
 pub use rag::{
-    find_cycle_with, AccessMode, CycleStep, HeldEntry, LockOwner, Rag, WaitEdge, YieldRecord,
+    find_cycle_with, AccessMode, Acquisition, AcquisitionState, CycleStep, HeldEntry, LockOwner,
+    Rag, WaitEdge, YieldRecord,
 };
 pub use sharded::{OwnerRoute, ShardAccess, ShardedDimmunix, MAX_SHARDS};
 pub use signature::{Signature, SignatureKind, SignaturePair};

@@ -3,11 +3,22 @@
 //! Dimmunix maintains the synchronization state of the process in a RAG
 //! (§2.2): lock nodes point to the owners holding them (annotated with the
 //! call stack of each acquisition, `acqPos`), and owner nodes point to the
-//! lock they are currently requesting (annotated with the requesting call
-//! stack). A cycle through a requesting owner means a deadlock is about to
-//! occur. Owners parked by the avoidance module add *yield* edges towards
-//! the owners blocking the matched signature; cycles through yield edges are
+//! locks they are requesting (annotated with the requesting call stack). A
+//! cycle through a requesting owner means a deadlock is about to occur.
+//! Owners parked by the avoidance module add *yield* edges towards the
+//! owners blocking the matched signature; cycles through yield edges are
 //! avoidance-induced deadlocks (starvation).
+//!
+//! ## Outstanding acquisitions
+//!
+//! An owner node keeps one [`Acquisition`] per lock the owner has requested
+//! and not yet acquired: a thread has at most one, a task polling two lock
+//! futures at once (`join!`) has two. Each carries its own position, mode
+//! and [`AcquisitionState`] — requested, parked by avoidance, or granted —
+//! and each is a wait of its own. Under the AND model (Holt 1972; Knapp
+//! 1987) an owner blocked on several acquisitions is deadlocked by a cycle
+//! through any one of them, so the wait-for successors of an owner are the
+//! edges of all of its acquisitions.
 //!
 //! The graph is keyed by [`OwnerId`], not raw thread ids: the paper's
 //! thread-keyed RAG is the `OwnerId::Thread` instantiation, and async
@@ -64,17 +75,50 @@ pub enum WaitEdge {
     Yield(SignatureId),
 }
 
-/// Record attached to an owner parked by the avoidance module.
+/// Record attached to an acquisition parked by the avoidance module.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct YieldRecord {
     /// The history signature whose instantiation is being avoided.
     pub signature: SignatureId,
-    /// The position the parked owner was requesting at.
-    pub position: PositionId,
-    /// The lock the parked owner wanted to acquire.
-    pub lock: LockId,
     /// The other owners currently covering the signature's outer positions.
     pub blockers: Vec<OwnerId>,
+}
+
+/// Where an outstanding acquisition stands.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum AcquisitionState {
+    /// Requested and not (or not yet) approved: being decided, or refused as
+    /// a deadlock and not yet withdrawn.
+    Requested,
+    /// Parked by avoidance until the signature is notified.
+    Parked(YieldRecord),
+    /// Approved; occupies its position's queue slot until acquired or
+    /// withdrawn.
+    Granted,
+}
+
+/// One outstanding acquisition: a lock an owner requested and has neither
+/// acquired nor withdrawn since. Each is a wait-for out-edge of its owner.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Acquisition {
+    /// The requested lock.
+    pub lock: LockId,
+    /// Call-stack position of the request.
+    pub pos: PositionId,
+    /// The requested access mode.
+    pub mode: AccessMode,
+    /// What the engine decided so far.
+    pub state: AcquisitionState,
+}
+
+impl Acquisition {
+    /// The yield record, if the acquisition is parked.
+    pub fn parked(&self) -> Option<&YieldRecord> {
+        match &self.state {
+            AcquisitionState::Parked(y) => Some(y),
+            _ => None,
+        }
+    }
 }
 
 /// One lock currently held by an owner: the lock, its acquisition position
@@ -98,28 +142,15 @@ pub struct HeldEntry {
     pub seq: u64,
 }
 
-/// An outstanding lock request: the lock, the requesting position, and the
-/// requested access mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct RequestEdge {
-    lock: LockId,
-    pos: PositionId,
-    mode: AccessMode,
-}
-
 /// Per-owner RAG node (a thread's or task's synchronization state).
 #[derive(Debug, Clone, Default)]
 pub struct OwnerNode {
-    /// Outstanding lock request, if any, with the requesting position.
-    requesting: Option<RequestEdge>,
     /// Locks currently held, in acquisition order, with their `acqPos`.
     held: Vec<HeldEntry>,
-    /// Present while the owner is parked by avoidance.
-    yielding: Option<YieldRecord>,
-    /// A request approved by a grant and not yet acquired, consumed by the
-    /// acquisition of its lock. Further ones wait in [`Rag`]'s
-    /// `more_grants`, and only while this slot is filled.
-    grant: Option<RequestEdge>,
+    /// The owner's first outstanding acquisition. Further ones, at most one
+    /// per lock, wait in [`Rag`]'s `more_outstanding`, and only while this
+    /// slot is filled.
+    outstanding: Option<Acquisition>,
 }
 
 /// One owner of a lock: the holding owner, the call-stack position of its
@@ -166,35 +197,12 @@ pub struct Rag {
     /// Fallback acquisition counter used when the caller does not supply a
     /// sequence number (single-engine configuration).
     next_seq: u64,
-    /// Number of owners currently parked by avoidance (with a yield
-    /// record). The sharded engine's fast path is only sound while this is
-    /// zero on every shard: a yield record's blocker list is a snapshot, so
-    /// a wait-for cycle can run through an owner that holds no lock at all.
-    yield_records: usize,
-    /// Grants beyond an owner's first, at most one per (owner, lock): a task
-    /// joining two acquisitions holds two at once. Kept out of the owner
-    /// nodes, which stay as small as a thread's one grant needs.
-    more_grants: Vec<(OwnerId, RequestEdge)>,
-}
-
-/// Removes and returns `t`'s grant on `l` from its owner node `n` and the
-/// spilled grants, refilling the node's slot from the spilled ones.
-fn take_grant(
-    n: &mut OwnerNode,
-    more_grants: &mut Vec<(OwnerId, RequestEdge)>,
-    t: OwnerId,
-    l: LockId,
-) -> Option<RequestEdge> {
-    let first = n.grant?;
-    if first.lock == l {
-        let next = more_grants.iter().position(|(o, _)| *o == t);
-        n.grant = next.map(|i| more_grants.swap_remove(i).1);
-        return Some(first);
-    }
-    let i = more_grants
-        .iter()
-        .position(|(o, g)| *o == t && g.lock == l)?;
-    Some(more_grants.swap_remove(i).1)
+    /// Number of parked acquisitions (with a yield record).
+    parked: usize,
+    /// Outstanding acquisitions beyond an owner's first, in request order: a
+    /// task joining two acquisitions has two at once. Kept out of the owner
+    /// nodes, which stay as small as a thread's one acquisition needs.
+    more_outstanding: Vec<(OwnerId, Acquisition)>,
 }
 
 impl Rag {
@@ -211,8 +219,8 @@ impl Rag {
         self.owners_map.clear();
         self.locks.clear();
         self.next_seq = 0;
-        self.yield_records = 0;
-        self.more_grants.clear();
+        self.parked = 0;
+        self.more_outstanding.clear();
     }
 
     /// Registers an owner node (idempotent).
@@ -222,12 +230,11 @@ impl Rag {
 
     /// Removes an owner node, returning the locks it still held (with their
     /// acquisition positions) so the caller can clean up position queues.
+    /// Outstanding acquisitions still recorded are dropped; a caller that
+    /// must vacate their slots [`withdraw`](Rag::withdraw)s them first.
     pub fn unregister_owner(&mut self, t: OwnerId) -> Vec<HeldEntry> {
+        while self.withdraw_any(t).is_some() {}
         let node = self.owners_map.remove(&t).unwrap_or_default();
-        if node.yielding.is_some() {
-            self.yield_records -= 1;
-        }
-        self.more_grants.retain(|(o, _)| *o != t);
         for entry in &node.held {
             if let Some(l) = self.locks.get_mut(&entry.lock) {
                 l.owners.retain(|o| o.owner != t);
@@ -300,25 +307,49 @@ impl Rag {
             .unwrap_or(&[])
     }
 
-    /// The lock and position `t` is currently requesting, if any.
-    pub fn requesting(&self, t: OwnerId) -> Option<(LockId, PositionId)> {
-        self.owners_map
-            .get(&t)
-            .and_then(|n| n.requesting)
-            .map(|r| (r.lock, r.pos))
+    /// `t`'s outstanding acquisitions, in request order.
+    pub fn outstanding(&self, t: OwnerId) -> impl Iterator<Item = &Acquisition> {
+        let first = self.owners_map.get(&t).and_then(|n| n.outstanding.as_ref());
+        // Spilled entries exist only while the node's slot is filled.
+        let more = if first.is_some() {
+            &self.more_outstanding[..]
+        } else {
+            &[]
+        };
+        let more = more.iter().filter(move |(o, _)| *o == t);
+        first.into_iter().chain(more.map(|(_, a)| a))
     }
 
-    /// The yield record of `t`, if it is parked by avoidance.
+    /// `t`'s outstanding acquisition of `l`, if any.
+    pub fn outstanding_on(&self, t: OwnerId, l: LockId) -> Option<&Acquisition> {
+        self.outstanding(t).find(|a| a.lock == l)
+    }
+
+    /// Whether `t` holds any lock, and whether it has any outstanding
+    /// acquisition, in one probe.
+    pub fn holds_and_waits(&self, t: OwnerId) -> (bool, bool) {
+        self.owners_map.get(&t).map_or((false, false), |n| {
+            (!n.held.is_empty(), n.outstanding.is_some())
+        })
+    }
+
+    /// The yield record of `t`'s first parked acquisition, if any.
     pub fn yielding(&self, t: OwnerId) -> Option<&YieldRecord> {
-        self.owners_map.get(&t).and_then(|n| n.yielding.as_ref())
+        self.outstanding(t).find_map(Acquisition::parked)
     }
 
-    /// Live yield records, keyed by their parked owner (in the map's order:
-    /// arbitrary, but with [`IdHashMap`] the same on every run).
+    /// Live yield records, keyed by their parked owner (owner nodes in the
+    /// map's order — arbitrary, but with [`IdHashMap`] the same on every
+    /// run — then the spilled acquisitions).
     pub fn yield_records(&self) -> impl Iterator<Item = (OwnerId, &YieldRecord)> {
-        self.owners_map
+        let first = self
+            .owners_map
             .iter()
-            .filter_map(|(t, n)| n.yielding.as_ref().map(|y| (*t, y)))
+            .filter_map(|(t, n)| Some((*t, n.outstanding.as_ref()?)));
+        let more = self.more_outstanding.iter().map(|(t, a)| (*t, a));
+        first
+            .chain(more)
+            .filter_map(|(t, a)| Some((t, a.parked()?)))
     }
 
     /// True if any live yield record names `t` among its blockers, i.e. a
@@ -331,100 +362,110 @@ impl Rag {
         self.yield_records().any(|(_, y)| y.blockers.contains(&t))
     }
 
-    /// Records that `t` requests `l` at position `pos`, exclusively.
-    pub fn set_request(&mut self, t: OwnerId, l: LockId, pos: PositionId) {
-        self.set_request_mode(t, l, pos, AccessMode::Exclusive);
-    }
-
-    /// Records that `t` requests `l` at position `pos` in `mode`.
-    pub fn set_request_mode(&mut self, t: OwnerId, l: LockId, pos: PositionId, mode: AccessMode) {
-        self.register_lock(l);
-        self.owners_map.entry(t).or_default().requesting = Some(RequestEdge { lock: l, pos, mode });
-    }
-
-    /// Clears the outstanding request of `t`.
-    pub fn clear_request(&mut self, t: OwnerId) {
-        if let Some(n) = self.owners_map.get_mut(&t) {
-            n.requesting = None;
-        }
-    }
-
-    /// Marks owner `t` as parked by avoidance.
-    pub fn set_yield(&mut self, t: OwnerId, record: YieldRecord) {
-        let n = self.owners_map.entry(t).or_default();
-        if n.yielding.is_none() {
-            self.yield_records += 1;
-        }
-        n.yielding = Some(record);
-    }
-
-    /// Clears the parked state of `t`; returns the record if one was set.
-    pub fn clear_yield(&mut self, t: OwnerId) -> Option<YieldRecord> {
-        let taken = self.owners_map.get_mut(&t).and_then(|n| n.yielding.take());
-        if taken.is_some() {
-            self.yield_records -= 1;
-        }
-        taken
-    }
-
-    /// Number of owners currently parked by avoidance in this graph.
+    /// Number of parked acquisitions in this graph.
     pub fn yield_count(&self) -> usize {
-        self.yield_records
+        self.parked
     }
 
-    /// Stores the position and mode a grant approved for `t` on `l`,
-    /// consumed by [`acquire`]; it replaces an earlier grant on `l` and
-    /// leaves `t`'s grants on other locks alone.
-    ///
-    /// [`acquire`]: Rag::acquire
-    pub fn set_pending_grant(&mut self, t: OwnerId, l: LockId, pos: PositionId, mode: AccessMode) {
-        let n = self.owners_map.entry(t).or_default();
-        let grant = RequestEdge { lock: l, pos, mode };
-        match n.grant {
-            Some(first) if first.lock != l => {
-                let more = &mut self.more_grants;
-                match more.iter_mut().find(|(o, g)| *o == t && g.lock == l) {
-                    Some((_, slot)) => *slot = grant,
-                    None => more.push((t, grant)),
-                }
-            }
-            _ => n.grant = Some(grant),
-        }
-    }
-
-    /// The position and mode a grant approved for `t` on `l`, if `t` has
-    /// not acquired `l` since.
-    pub fn pending_grant(&self, t: OwnerId, l: LockId) -> Option<(PositionId, AccessMode)> {
-        let first = self.owners_map.get(&t)?.grant?;
-        let g = if first.lock == l {
-            first
-        } else {
-            let mut spilled = self.more_grants.iter();
-            spilled.find(|(o, g)| *o == t && g.lock == l)?.1
-        };
-        Some((g.pos, g.mode))
-    }
-
-    /// True if `t` has a grant on any lock it has not acquired yet.
-    pub fn has_pending_grant(&self, t: OwnerId) -> bool {
-        self.owners_map.get(&t).is_some_and(|n| n.grant.is_some())
-    }
-
-    /// Removes and returns `t`'s pending grant on `l`, if any.
-    pub fn take_pending_grant(
+    /// Records that `t` requests `l` at position `pos` in `mode`: an
+    /// outstanding acquisition in state [`AcquisitionState::Requested`]. It
+    /// replaces an earlier outstanding acquisition of `l` by `t`, which is
+    /// returned, and leaves `t`'s acquisitions of other locks alone.
+    pub fn request(
         &mut self,
         t: OwnerId,
         l: LockId,
-    ) -> Option<(PositionId, AccessMode)> {
+        pos: PositionId,
+        mode: AccessMode,
+    ) -> Option<Acquisition> {
+        self.register_lock(l);
+        let new = Acquisition {
+            lock: l,
+            pos,
+            mode,
+            state: AcquisitionState::Requested,
+        };
+        let node = self.owners_map.entry(t).or_default();
+        let replaced = match &mut node.outstanding {
+            None => {
+                node.outstanding = Some(new);
+                None
+            }
+            Some(first) if first.lock == l => Some(std::mem::replace(first, new)),
+            Some(_) => {
+                let more = &mut self.more_outstanding;
+                match more.iter_mut().find(|(o, a)| *o == t && a.lock == l) {
+                    Some((_, slot)) => Some(std::mem::replace(slot, new)),
+                    None => {
+                        more.push((t, new));
+                        None
+                    }
+                }
+            }
+        };
+        self.parked -= usize::from(replaced.as_ref().is_some_and(|a| a.parked().is_some()));
+        replaced
+    }
+
+    /// Moves `t`'s outstanding acquisition of `l` to `state`; returns the
+    /// state it left, or `None` (changing nothing) if there is none.
+    pub fn set_state(
+        &mut self,
+        t: OwnerId,
+        l: LockId,
+        state: AcquisitionState,
+    ) -> Option<AcquisitionState> {
+        let parks = matches!(state, AcquisitionState::Parked(_));
+        let first = self.owners_map.get_mut(&t)?.outstanding.as_mut()?;
+        let entry = if first.lock == l {
+            first
+        } else {
+            let mut more = self.more_outstanding.iter_mut();
+            &mut more.find(|(o, a)| *o == t && a.lock == l)?.1
+        };
+        let left = std::mem::replace(&mut entry.state, state);
+        self.parked += usize::from(parks);
+        self.parked -= usize::from(matches!(left, AcquisitionState::Parked(_)));
+        Some(left)
+    }
+
+    /// Removes and returns `t`'s outstanding acquisition of `l`, refilling
+    /// the node's slot from the spilled ones.
+    pub fn withdraw(&mut self, t: OwnerId, l: LockId) -> Option<Acquisition> {
         let n = self.owners_map.get_mut(&t)?;
-        let g = take_grant(n, &mut self.more_grants, t, l)?;
-        Some((g.pos, g.mode))
+        let more = &mut self.more_outstanding;
+        let taken = if n.outstanding.as_ref()?.lock == l {
+            let next = more.iter().position(|(o, _)| *o == t);
+            std::mem::replace(&mut n.outstanding, next.map(|i| more.remove(i).1))
+        } else {
+            let i = more.iter().position(|(o, a)| *o == t && a.lock == l)?;
+            Some(more.remove(i).1)
+        };
+        self.parked -= usize::from(taken.as_ref().is_some_and(|a| a.parked().is_some()));
+        taken
+    }
+
+    /// Removes and returns `t`'s oldest outstanding acquisition, if any.
+    pub fn withdraw_any(&mut self, t: OwnerId) -> Option<Acquisition> {
+        let first = self.owners_map.get(&t)?.outstanding.as_ref()?.lock;
+        self.withdraw(t, first)
+    }
+
+    /// Returns `t`'s first parked acquisition to
+    /// [`AcquisitionState::Requested`], returning its yield record.
+    pub fn unpark(&mut self, t: OwnerId) -> Option<YieldRecord> {
+        let l = self.outstanding(t).find(|a| a.parked().is_some())?.lock;
+        match self.set_state(t, l, AcquisitionState::Requested)? {
+            AcquisitionState::Parked(y) => Some(y),
+            _ => None,
+        }
     }
 
     /// Records that `t` acquired `l` at position `pos` (first, non-recursive
-    /// acquisition, exclusive): adds the hold edge and an owner entry,
-    /// clears the request. The acquisition is stamped from this RAG's own
-    /// monotonic counter.
+    /// acquisition, exclusive): adds the hold edge and an owner entry. An
+    /// outstanding acquisition of `l` is the caller's to
+    /// [`withdraw`](Rag::withdraw) first. The acquisition is stamped from
+    /// this RAG's own monotonic counter.
     pub fn acquire(&mut self, t: OwnerId, l: LockId, pos: PositionId) {
         let seq = self.next_seq;
         self.acquire_with_seq(t, l, pos, seq);
@@ -452,8 +493,6 @@ impl Rag {
     ) {
         self.next_seq = self.next_seq.max(seq).saturating_add(1);
         let n = self.owners_map.entry(t).or_default();
-        n.requesting = None;
-        take_grant(n, &mut self.more_grants, t, l);
         n.held.push(HeldEntry {
             lock: l,
             pos,
@@ -483,10 +522,6 @@ impl Rag {
     /// owns (any mode): bumps `t`'s own recursion depth; other owners are
     /// untouched.
     pub fn acquire_recursive(&mut self, t: OwnerId, l: LockId) {
-        if let Some(n) = self.owners_map.get_mut(&t) {
-            n.requesting = None;
-            take_grant(n, &mut self.more_grants, t, l);
-        }
         if let Some(ln) = self.locks.get_mut(&l) {
             let owner = ln.owners.iter_mut().find(|o| o.owner == t);
             debug_assert!(owner.is_some(), "recursive acquisition by a non-owner");
@@ -519,30 +554,29 @@ impl Rag {
     }
 
     /// Visits the successor owners of `t` in the wait-for relation, together
-    /// with the edge kind. A request fans out to **every** owner whose mode
+    /// with the edge kind: the edges of each outstanding acquisition, in
+    /// request order. A request fans out to **every** owner whose mode
     /// conflicts with the requested one: a writer blocked behind a reader
     /// crowd waits on all of its readers, while a reader joining the crowd
-    /// waits on no one. `include_yields` selects whether avoidance-parked
-    /// owners contribute edges (needed for starvation detection).
+    /// waits on no one. `include_yields` selects whether a parked
+    /// acquisition also contributes its blockers (needed for starvation
+    /// detection).
     pub fn successors(
         &self,
         t: OwnerId,
         include_yields: bool,
         mut visit: impl FnMut(OwnerId, WaitEdge),
     ) {
-        let Some(node) = self.owners_map.get(&t) else {
-            return;
-        };
-        if let Some(edge) = node.requesting {
-            for owner in self.owners(edge.lock) {
-                if owner.owner != t && edge.mode.conflicts_with(owner.mode) {
-                    visit(owner.owner, WaitEdge::Lock(edge.lock));
+        for a in self.outstanding(t) {
+            for owner in self.owners(a.lock) {
+                if owner.owner != t && a.mode.conflicts_with(owner.mode) {
+                    visit(owner.owner, WaitEdge::Lock(a.lock));
                 }
             }
-        }
-        if let Some(y) = node.yielding.as_ref().filter(|_| include_yields) {
-            for b in y.blockers.iter().filter(|b| **b != t) {
-                visit(*b, WaitEdge::Yield(y.signature));
+            if let Some(y) = a.parked().filter(|_| include_yields) {
+                for b in y.blockers.iter().filter(|b| **b != t) {
+                    visit(*b, WaitEdge::Yield(y.signature));
+                }
             }
         }
     }
@@ -561,13 +595,13 @@ impl Rag {
     /// Estimated resident memory of the graph in bytes.
     pub fn memory_footprint_bytes(&self) -> usize {
         let mut total = std::mem::size_of::<Self>();
-        total += self.more_grants.capacity() * std::mem::size_of::<(OwnerId, RequestEdge)>();
+        total += self.more_outstanding.capacity() * std::mem::size_of::<(OwnerId, Acquisition)>();
         for n in self.owners_map.values() {
             total += std::mem::size_of::<OwnerId>() + std::mem::size_of::<OwnerNode>();
             total += n.held.capacity() * std::mem::size_of::<HeldEntry>();
-            if let Some(y) = &n.yielding {
-                total += y.blockers.capacity() * std::mem::size_of::<OwnerId>();
-            }
+        }
+        for (_, y) in self.yield_records() {
+            total += y.blockers.capacity() * std::mem::size_of::<OwnerId>();
         }
         for n in self.locks.values() {
             total += std::mem::size_of::<LockId>() + std::mem::size_of::<LockNode>();
@@ -584,8 +618,8 @@ impl Rag {
 /// This is [`Rag::find_cycle_from`] with the graph abstracted away: the
 /// sharded engine calls it with a closure that concatenates the successor
 /// edges of every shard's RAG, which yields exactly the wait-for relation a
-/// single monolithic RAG would contain (an owner's out-edges all live in the
-/// shard that handled its outstanding request).
+/// single monolithic RAG would contain (each outstanding acquisition, and
+/// with it its out-edges, lives in the shard of its lock).
 ///
 /// An owner that waits on no one — nearly every request — answers `None`
 /// from that one successor call, before anything is allocated.
@@ -609,8 +643,8 @@ where
 }
 
 /// Depth-first search over the wait-for relation, recording the path.
-/// Out-degree per owner is 1 (the requested lock's holders) plus the blockers
-/// of a yield record, so the graph is tiny in practice.
+/// Out-degree per owner is the holders of each requested lock plus the
+/// blockers of a parked acquisition, so the graph is tiny in practice.
 struct CycleSearch<F> {
     target: OwnerId,
     successors: F,
@@ -724,15 +758,15 @@ mod tests {
         rag.acquire_mode_with_seq(t(1), l(1), p(1), AccessMode::Shared, 1);
         rag.acquire_mode_with_seq(t(2), l(1), p(2), AccessMode::Shared, 2);
         // A writer waits on *all* current readers...
-        rag.set_request_mode(t(3), l(1), p(3), AccessMode::Exclusive);
+        rag.request(t(3), l(1), p(3), AccessMode::Exclusive);
         assert_eq!(successors_of(&rag, t(3), false), vec![t(1), t(2)]);
         // ...while a reader joining the crowd waits on no one.
-        rag.set_request_mode(t(4), l(1), p(4), AccessMode::Shared);
+        rag.request(t(4), l(1), p(4), AccessMode::Shared);
         assert!(successors_of(&rag, t(4), false).is_empty());
         // A reader blocked behind an exclusive owner does wait.
         let mut rag2 = Rag::new();
         rag2.acquire(t(1), l(1), p(0));
-        rag2.set_request_mode(t(2), l(1), p(1), AccessMode::Shared);
+        rag2.request(t(2), l(1), p(1), AccessMode::Shared);
         assert_eq!(successors_of(&rag2, t(2), false).len(), 1);
     }
 
@@ -745,9 +779,9 @@ mod tests {
         rag.acquire_mode_with_seq(t(1), l(1), p(1), AccessMode::Shared, 1);
         rag.acquire_mode_with_seq(t(2), l(1), p(2), AccessMode::Shared, 2);
         rag.acquire(t(3), l(2), p(3));
-        rag.set_request_mode(t(3), l(1), p(4), AccessMode::Exclusive);
+        rag.request(t(3), l(1), p(4), AccessMode::Exclusive);
         assert!(rag.find_cycle_from(t(3), false).is_none());
-        rag.set_request_mode(t(2), l(2), p(5), AccessMode::Shared);
+        rag.request(t(2), l(2), p(5), AccessMode::Shared);
         let cycle = rag.find_cycle_from(t(2), false).expect("cycle");
         let threads: Vec<OwnerId> = cycle.iter().map(|s| s.owner).collect();
         assert!(threads.contains(&t(2)) && threads.contains(&t(3)));
@@ -778,9 +812,9 @@ mod tests {
         // t1 holds l1, t2 holds l2, t1 requests l2, t2 requests l1.
         rag.acquire(t(1), l(1), p(0));
         rag.acquire(t(2), l(2), p(1));
-        rag.set_request(t(1), l(2), p(2));
+        rag.request(t(1), l(2), p(2), AccessMode::Exclusive);
         assert!(rag.find_cycle_from(t(1), false).is_none());
-        rag.set_request(t(2), l(1), p(3));
+        rag.request(t(2), l(1), p(3), AccessMode::Exclusive);
         let cycle = rag.find_cycle_from(t(2), false).expect("cycle");
         assert_eq!(cycle.len(), 2);
         let threads: Vec<OwnerId> = cycle.iter().map(|s| s.owner).collect();
@@ -794,9 +828,9 @@ mod tests {
         rag.acquire(t(1), l(1), p(0));
         rag.acquire(t(2), l(2), p(1));
         rag.acquire(t(3), l(3), p(2));
-        rag.set_request(t(1), l(2), p(3));
-        rag.set_request(t(2), l(3), p(4));
-        rag.set_request(t(3), l(1), p(5));
+        rag.request(t(1), l(2), p(3), AccessMode::Exclusive);
+        rag.request(t(2), l(3), p(4), AccessMode::Exclusive);
+        rag.request(t(3), l(1), p(5), AccessMode::Exclusive);
         let cycle = rag.find_cycle_from(t(3), false).expect("cycle");
         assert_eq!(cycle.len(), 3);
     }
@@ -806,7 +840,7 @@ mod tests {
         let mut rag = Rag::new();
         rag.acquire(t(1), l(1), p(0));
         rag.acquire(t(2), l(2), p(1));
-        rag.set_request(t(2), l(1), p(2));
+        rag.request(t(2), l(1), p(2), AccessMode::Exclusive);
         assert!(rag.find_cycle_from(t(2), false).is_none());
     }
 
@@ -816,18 +850,13 @@ mod tests {
         // t1 holds l1 and requests l2 owned by t2; t2 is parked yielding on t1.
         rag.acquire(t(1), l(1), p(0));
         rag.acquire(t(2), l(2), p(1));
-        rag.set_request(t(1), l(2), p(2));
-        rag.set_request(t(2), l(3), p(3));
-        rag.register_lock(l(3));
-        rag.set_yield(
-            t(2),
-            YieldRecord {
-                signature: SignatureId::new(0),
-                position: p(3),
-                lock: l(3),
-                blockers: vec![t(1)],
-            },
-        );
+        rag.request(t(1), l(2), p(2), AccessMode::Exclusive);
+        rag.request(t(2), l(3), p(3), AccessMode::Exclusive);
+        let parked = YieldRecord {
+            signature: SignatureId::new(0),
+            blockers: vec![t(1)],
+        };
+        rag.set_state(t(2), l(3), AcquisitionState::Parked(parked));
         assert!(rag.find_cycle_from(t(1), false).is_none());
         let cycle = rag.find_cycle_from(t(1), true).expect("starvation cycle");
         assert_eq!(cycle.len(), 2);
@@ -850,31 +879,80 @@ mod tests {
     }
 
     #[test]
-    fn pending_grant_roundtrip() {
+    fn outstanding_acquisitions_are_kept_per_lock() {
+        use AcquisitionState::*;
         let mut rag = Rag::new();
-        rag.set_pending_grant(t(1), l(5), p(7), AccessMode::Shared);
-        rag.set_pending_grant(t(1), l(6), p(8), AccessMode::Exclusive);
+        assert_eq!(rag.request(t(1), l(5), p(7), AccessMode::Shared), None);
+        assert_eq!(rag.request(t(1), l(6), p(8), AccessMode::Exclusive), None);
+        assert_eq!(rag.set_state(t(1), l(5), Granted), Some(Requested));
+        // A request for another lock overwrites nothing.
+        let locks: Vec<LockId> = rag.outstanding(t(1)).map(|a| a.lock).collect();
+        assert_eq!(locks, vec![l(5), l(6)]);
+        assert_eq!(rag.holds_and_waits(t(1)), (false, true));
+        // Withdrawing the first refills the node's slot from the spilled one.
+        let first = rag.withdraw(t(1), l(5)).expect("outstanding");
         assert_eq!(
-            rag.pending_grant(t(1), l(5)),
-            Some((p(7), AccessMode::Shared))
+            (first.pos, first.mode, first.state),
+            (p(7), AccessMode::Shared, Granted)
         );
-        // Acquiring one lock consumes its own grant only.
-        rag.acquire(t(1), l(5), p(7));
-        assert_eq!(rag.pending_grant(t(1), l(5)), None);
-        assert!(rag.has_pending_grant(t(1)));
+        assert_eq!(rag.outstanding_on(t(1), l(6)).map(|a| a.pos), Some(p(8)));
+        // The park count follows the states, and a repeated request replaces
+        // the earlier one.
+        let parked = YieldRecord {
+            signature: SignatureId::new(0),
+            blockers: vec![t(2)],
+        };
+        rag.set_state(t(1), l(6), Parked(parked.clone()));
+        assert_eq!((rag.yield_count(), rag.yielding(t(1))), (1, Some(&parked)));
+        let replaced = rag.request(t(1), l(6), p(9), AccessMode::Exclusive);
+        assert_eq!(replaced.map(|a| a.state), Some(Parked(parked)));
+        assert_eq!(rag.yield_count(), 0);
+        assert_eq!(rag.withdraw_any(t(1)).map(|a| a.pos), Some(p(9)));
+        assert_eq!(rag.holds_and_waits(t(1)), (false, false));
+    }
+
+    #[test]
+    fn a_cycle_through_any_outstanding_acquisition_is_found() {
+        // t1 waits for l1 (held by t3) and for l2 (held by t2); t2 then
+        // requests l3, which t1 holds: the cycle runs through t1's second
+        // acquisition.
+        let mut rag = Rag::new();
+        rag.acquire(t(1), l(3), p(0));
+        rag.acquire(t(2), l(2), p(1));
+        rag.acquire(t(3), l(1), p(2));
+        rag.request(t(1), l(1), p(3), AccessMode::Exclusive);
+        rag.request(t(1), l(2), p(4), AccessMode::Exclusive);
+        assert!(rag.find_cycle_from(t(1), false).is_none());
+        rag.request(t(2), l(3), p(5), AccessMode::Exclusive);
+        let cycle = rag.find_cycle_from(t(2), false).expect("cycle");
         assert_eq!(
-            rag.take_pending_grant(t(1), l(6)),
-            Some((p(8), AccessMode::Exclusive))
+            cycle,
+            vec![
+                CycleStep {
+                    owner: t(2),
+                    edge: WaitEdge::Lock(l(3))
+                },
+                CycleStep {
+                    owner: t(1),
+                    edge: WaitEdge::Lock(l(2))
+                },
+            ]
         );
-        assert!(!rag.has_pending_grant(t(1)));
     }
 
     #[test]
     fn successors_skip_self_edges() {
         let mut rag = Rag::new();
         rag.acquire(t(1), l(1), p(0));
-        rag.set_request(t(1), l(1), p(1));
+        rag.request(t(1), l(1), p(1), AccessMode::Exclusive);
         assert!(successors_of(&rag, t(1), true).is_empty());
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn owner_node_keeps_one_acquisition_inline_in_72_bytes() {
+        // The hold list (24 B) and a thread's one outstanding acquisition.
+        assert_eq!(std::mem::size_of::<OwnerNode>(), 72);
     }
 
     #[test]

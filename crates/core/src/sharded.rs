@@ -7,10 +7,10 @@
 //! splits the engine state into `N` shards keyed by lock id, so uncontended
 //! acquisitions of locks on different shards never touch the same state:
 //!
-//! * **A shard owns the locks that hash to it**: their RAG lock nodes, the
-//!   request/yield/pending-grant edges of threads whose outstanding request
-//!   targets one of its locks, the position-queue entries created by grants
-//!   of its locks, and its own [`Stats`] (rolled up on read).
+//! * **A shard owns the locks that hash to it**: their RAG lock nodes, every
+//!   owner's outstanding acquisitions of them (requested, parked or
+//!   granted), the position-queue entries created by grants of its locks,
+//!   and its own [`Stats`] (rolled up on read).
 //! * **Every shard reads one shared, immutable
 //!   [`HistorySnapshot`](crate::HistorySnapshot)** — the history, the
 //!   canonical outer-position table, and the
@@ -41,9 +41,9 @@
 //! is computed against the merged view:
 //!
 //! * the merged wait-for relation is the concatenation of the per-shard
-//!   relations (a thread's out-edges all live in the shard of its
-//!   outstanding request, so concatenation introduces neither duplicates nor
-//!   order changes);
+//!   relations: an owner's out-edges are those of its outstanding
+//!   acquisitions, and each acquisition lives in the shard of its lock, so
+//!   concatenation yields every edge exactly once;
 //! * the merged occupancy of a signature's outer position is the union of
 //!   every shard's local queue at that slot;
 //! * hold-recency queries (`last_history_hold`) merge per-shard holds by the
@@ -53,12 +53,14 @@
 //!   crowd) lives whole in the lock's home shard, so the merged view unions
 //!   owner sets per lock trivially: the wait-for fan-out of a request (one
 //!   edge per conflicting owner) is generated inside the shard that owns
-//!   both the request edge and the lock node, and concatenation preserves
+//!   both the acquisition and the lock node, and concatenation preserves
 //!   it exactly.
 //!
 //! Detection results flow back through the owning shards: the signature is
 //! appended to every replica, the yield/queue bookkeeping is written to the
 //! shard that owns the affected lock, and counters land on the home shard.
+//! The monolithic [`Dimmunix`] decides through the same function, as the
+//! one-shard call.
 //!
 //! ## Two implementors and the single-shard oracle
 //!
@@ -75,11 +77,12 @@ use crate::admission::AdmissionSummary;
 use crate::avoidance::{Instantiation, MatchScratch};
 use crate::callstack::CallStack;
 use crate::config::Config;
+use crate::detection::{classify_cycle, starvation_signature};
 use crate::engine::{Dimmunix, RequestOutcome};
 use crate::history::History;
 use crate::position::PositionId;
-use crate::rag::{find_cycle_with, AccessMode, CycleStep, WaitEdge, YieldRecord};
-use crate::signature::{Signature, SignatureKind, SignaturePair};
+use crate::rag::{find_cycle_with, AccessMode, AcquisitionState, CycleStep, WaitEdge, YieldRecord};
+use crate::signature::Signature;
 use crate::snapshot::HistorySnapshot;
 use crate::stats::Stats;
 use crate::{IdHashMap, LockId, OwnerId, SignatureId};
@@ -95,7 +98,7 @@ const _: () = assert!(MAX_SHARDS <= 1 << u8::BITS, "a shard index fits a byte");
 /// of the raw lock id, so substrates that allocate sequential ids (like
 /// `dimmunix-rt`) spread their locks evenly even when allocation patterns
 /// are strided.
-fn shard_index(lock: LockId, shards: usize) -> usize {
+pub(crate) fn shard_index(lock: LockId, shards: usize) -> usize {
     if shards == 1 {
         return 0;
     }
@@ -105,106 +108,61 @@ fn shard_index(lock: LockId, shards: usize) -> usize {
 }
 
 /// Per-owner routing bookkeeping kept outside the shards: the shards the
-/// owner holds locks on, the ones carrying a grant it has not yet acquired,
-/// and the one still carrying a leftover request edge. Each [`ShardAccess`]
-/// implementor keeps one per owner and hands it to the ladder, which alone
-/// reads and transitions it; outside this crate it is an opaque value with
-/// one question, [`is_idle`](Self::is_idle), and one transition,
-/// [`after_published`](Self::after_published).
+/// owner holds locks on, and the ones recording an outstanding acquisition
+/// of its. Each [`ShardAccess`] implementor keeps one per owner and hands it
+/// to the ladder, which alone reads and transitions it; outside this crate
+/// it is an opaque value with one question, [`is_idle`](Self::is_idle), and
+/// one transition, [`after_published`](Self::after_published).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OwnerRoute {
     /// Bit `s` set while the owner holds at least one lock on shard `s`.
     holds_mask: u64,
-    /// Bit `s` set while a grant on shard `s` awaits the owner's
-    /// acquisition. Only a task, which may run two acquisitions at once
-    /// (`join!`), can request with one outstanding.
-    granted_mask: u64,
-    /// Shard still carrying the owner's request edge or yield record from a
-    /// request that was answered with `Yield` or `DeadlockDetected` (the
-    /// substrate may never complete those acquisitions). A byte: shard
-    /// indices are below [`MAX_SHARDS`], and the route is copied on every
-    /// locked request.
-    stale_shard: Option<u8>,
+    /// Bit `s` set while shard `s` records an outstanding acquisition of the
+    /// owner: requested, parked or granted, and neither acquired nor
+    /// withdrawn.
+    outstanding_mask: u64,
 }
 
 impl OwnerRoute {
     /// True while no shard knows anything about the owner: no hold and no
-    /// unacquired grant anywhere, and no leftover request edge — the
-    /// owner's half of the lock-free tier's precondition.
+    /// outstanding acquisition anywhere — the owner's half of the lock-free
+    /// tier's precondition. An owner that waits for a lock takes no tier-1
+    /// admission: a hold taken unseen during the wait would be invisible to
+    /// a cycle through that wait.
     pub fn is_idle(&self) -> bool {
-        self.holds_mask == 0 && self.granted_mask == 0 && self.stale_shard.is_none()
+        self.holds_mask == 0 && self.outstanding_mask == 0
     }
 
     /// The transition after a lock `owner` took on the lock-free tier was
     /// published into `engine`, shard `home`: as a hold, or as a grant its
-    /// owner has yet to acquire — the owner's only state there, since it
-    /// reached no shard between its admission and the publish. The bit is
-    /// re-derived from the shard's RAG, so a caller that finds the lock
-    /// already published by someone else (an install) reaches the same
-    /// route.
+    /// owner has yet to acquire. Like every transition it re-reads the
+    /// shard's RAG, so a caller that finds the lock already published by
+    /// someone else (an install) reaches the same route.
     pub fn after_published(&mut self, home: usize, engine: &Dimmunix, owner: OwnerId) {
-        if !engine.rag().held_locks(owner).is_empty() {
-            self.holds_mask |= 1 << home;
-        } else if engine.rag().has_pending_grant(owner) {
-            self.granted_mask |= 1 << home;
-        }
+        self.observe(home, engine.rag().holds_and_waits(owner));
     }
 
     /// The owner-local half of tier 2's eligibility predicate: the requester
-    /// holds no lock on any shard, and any leftover request edge from an
-    /// abandoned acquisition lives in the home shard itself.
-    /// [`try_request_local`] has the other half and why the two suffice.
-    fn local_eligible(&self, home: usize) -> bool {
-        self.holds_mask == 0 && self.stale_shard.map_or(true, |s| usize::from(s) == home)
+    /// holds no lock on any shard. [`try_request_local`] has the other half
+    /// and why the two suffice.
+    fn local_eligible(&self) -> bool {
+        self.holds_mask == 0
     }
 
-    /// The stale-request-edge transition after a request on `home`. `Yield`
-    /// and `DeadlockDetected` leave the request edge (and, for yields, the
-    /// park record) behind in the home shard until the owner retries,
-    /// completes, or cancels; a grant's edge is consumed by the following
-    /// `acquired`; the reentrant fast path touches no edges, so the previous
-    /// value stands. (A disabled engine only ever grants.)
-    fn after_request(&mut self, outcome: &RequestOutcome, home: usize) {
-        match outcome {
-            RequestOutcome::Yield { .. } | RequestOutcome::DeadlockDetected { .. } => {
-                self.stale_shard = Some(home as u8);
+    /// Sets shard `home`'s bits to what its RAG records of the owner after a
+    /// step there: whether it holds a lock, and whether it has an
+    /// outstanding acquisition. Re-derived rather than counted, so the masks
+    /// can never drift.
+    fn observe(&mut self, home: usize, (holds, waits): (bool, bool)) {
+        let set = |mask: u64, on: bool| {
+            if on {
+                mask | 1 << home
+            } else {
+                mask & !(1 << home)
             }
-            RequestOutcome::Granted => {
-                self.stale_shard = None;
-                self.granted_mask |= 1 << home;
-            }
-            RequestOutcome::GrantedReentrant => {}
-        }
-    }
-
-    /// The transition after an acquisition on `home` was recorded: the
-    /// acquisition consumed the home shard's request edge, and `holds` says
-    /// whether the shard's RAG now records any hold for the owner.
-    fn after_acquired(&mut self, home: usize, holds: bool) {
-        self.after_released(home, holds); // the same holds-mask transition
-        self.after_cancel(home); // the same consumed-edge transition
-    }
-
-    /// The holds-mask transition after an engine call on `home` changed (or
-    /// may have changed) the owner's holds there. `holds` is re-derived from
-    /// the shard's RAG rather than counted, so the mask can never drift.
-    fn after_released(&mut self, home: usize, holds: bool) {
-        if holds {
-            self.holds_mask |= 1 << home;
-        } else {
-            self.holds_mask &= !(1 << home);
-        }
-    }
-
-    /// The transition after a cancellation on `home`: it consumed the
-    /// request edge and any grant the home shard was carrying, so a stale
-    /// marker pointing at `home` is cleared; a marker pointing elsewhere is
-    /// untouched (the consumed edge was a different one).
-    fn after_cancel(&mut self, home: usize) {
-        self.granted_mask &= !(1 << home);
-        if self.stale_shard.is_some_and(|s| usize::from(s) == home) {
-            self.stale_shard = None;
-        }
+        };
+        self.holds_mask = set(self.holds_mask, holds);
+        self.outstanding_mask = set(self.outstanding_mask, waits);
     }
 }
 
@@ -289,8 +247,7 @@ pub trait ShardAccess {
         mut on_install: impl FnMut(&mut [&mut Dimmunix]),
     ) -> RequestOutcome {
         let home = self.shard_of(lock);
-        let mut decided = None;
-        if fast_hold.is_none() && route.local_eligible(home) {
+        if fast_hold.is_none() && route.local_eligible() {
             let mut shard = self.lock(home);
             // The parked half, read under the home shard's lock: parking or
             // resuming an owner takes every shard lock, and the summary's
@@ -303,53 +260,42 @@ pub trait ShardAccess {
             {
                 // A yield needs the requesting position in the history,
                 // which tier 2 declines: `on_yield` only ever runs on tier 3.
-                decided = try_request_local(&mut shard, owner, lock, stack, mode);
-                if decided.is_some() {
+                if let Some(outcome) = try_request_local(&mut shard, owner, lock, stack, mode) {
                     shard.stats_mut().local_decisions += 1;
+                    route.observe(home, shard.rag().holds_and_waits(owner));
+                    return outcome;
                 }
             }
         }
 
-        let outcome = match decided {
-            Some(decided) => decided,
-            None => {
-                let n = self.shard_count();
-                let publish = fast_hold
-                    .map(|(held, publish)| (self.shard_of(held), self.next_seq(), publish));
-                let mut all = self.lock_all();
-                let shards = &mut all[..n];
-                if let Some((fhome, seq, publish)) = publish {
-                    // After this the owner's every hold is engine-visible, so
-                    // the request below sees the full wait-for relation.
-                    let engine = at(shards, fhome);
-                    publish(engine, seq);
-                    route.after_published(fhome, engine, owner);
-                }
-                let o = request_cross_shard(
-                    shards,
-                    owner,
-                    lock,
-                    stack,
-                    mode,
-                    route.stale_shard.map(usize::from),
-                    &mut on_install,
-                );
-                at(shards, home).stats_mut().cross_decisions += 1;
-                // Starvation resolution and eviction schedule wake-ups; a
-                // request that did neither (nearly all) has none to drain.
-                if shards.iter().any(|s| shard(s).has_pending_wakeups()) {
-                    let pending: Vec<SignatureId> = (0..n)
-                        .flat_map(|i| at(shards, i).take_pending_wakeups())
-                        .collect();
-                    wake_all(&pending);
-                }
-                if let RequestOutcome::Yield { signature } = &o {
-                    on_yield(*signature);
-                }
-                o
-            }
-        };
-        route.after_request(&outcome, home);
+        let n = self.shard_count();
+        let publish =
+            fast_hold.map(|(held, publish)| (self.shard_of(held), self.next_seq(), publish));
+        let mut all = self.lock_all();
+        let shards = &mut all[..n];
+        if let Some((fhome, seq, publish)) = publish {
+            // After this the owner's every hold is engine-visible, so the
+            // request below sees the full wait-for relation.
+            let engine = at(shards, fhome);
+            publish(engine, seq);
+            route.after_published(fhome, engine, owner);
+        }
+        let pos = at(shards, home).intern_position(stack);
+        let outcome = decide(shards, owner, lock, pos, mode, true, &mut on_install);
+        let h = at(shards, home);
+        h.stats_mut().cross_decisions += 1;
+        route.observe(home, h.rag().holds_and_waits(owner));
+        // Starvation resolution and eviction schedule wake-ups; a request
+        // that did neither (nearly all) has none to drain.
+        if shards.iter().any(|s| shard(s).has_pending_wakeups()) {
+            let pending: Vec<SignatureId> = (0..n)
+                .flat_map(|i| at(shards, i).take_pending_wakeups())
+                .collect();
+            wake_all(&pending);
+        }
+        if let RequestOutcome::Yield { signature } = &outcome {
+            on_yield(*signature);
+        }
         outcome
     }
 
@@ -361,8 +307,8 @@ pub trait ShardAccess {
         let seq = self.next_seq();
         let mut shard = self.lock(home);
         shard.acquired_with_seq(owner, lock, seq);
-        let holds = !shard.rag().held_locks(owner).is_empty();
-        move |route: &mut OwnerRoute| route.after_acquired(home, holds)
+        let seen = shard.rag().holds_and_waits(owner);
+        move |route: &mut OwnerRoute| route.observe(home, seen)
     }
 
     /// Backs `owner` out of an approved acquisition of `lock` that will not
@@ -377,12 +323,14 @@ pub trait ShardAccess {
     ) -> (Option<SignatureId>, impl FnOnce(&mut OwnerRoute)) {
         let home = self.shard_of(lock);
         let mut shard = self.lock(home);
-        let parked_on = shard.rag().yielding(owner).map(|y| y.signature);
+        let parked = shard.rag().outstanding_on(owner, lock);
+        let parked_on = parked.and_then(|a| a.parked()).map(|y| y.signature);
         shard.cancel_request(owner, lock);
         if shard.has_pending_wakeups() {
             wake_all(&shard.take_pending_wakeups());
         }
-        (parked_on, move |r: &mut OwnerRoute| r.after_cancel(home))
+        let seen = shard.rag().holds_and_waits(owner);
+        (parked_on, move |r: &mut OwnerRoute| r.observe(home, seen))
     }
 
     /// Releases `owner`'s hold on `lock` in its home shard; the signatures
@@ -400,8 +348,8 @@ pub trait ShardAccess {
         if !wake.is_empty() {
             wake_front(wake);
         }
-        let holds = !shard.rag().held_locks(owner).is_empty();
-        move |route: &mut OwnerRoute| route.after_released(home, holds)
+        let seen = shard.rag().holds_and_waits(owner);
+        move |route: &mut OwnerRoute| route.observe(home, seen)
     }
 
     /// Unregisters `owner` on every shard, force-releasing anything it still
@@ -427,13 +375,14 @@ pub trait ShardAccess {
 /// appears in the history and tier 3 must decide.
 ///
 /// Precondition, checked by [`ShardAccess::decide_locked`]: the requester
-/// holds no lock on **any** shard, has no outstanding request or yield
-/// record on a *different* shard ([`OwnerRoute::local_eligible`]), and **no
+/// holds no lock on **any** shard ([`OwnerRoute::local_eligible`]), and **no
 /// live yield record names it as a blocker** (a blocker list is a snapshot,
 /// so a starvation cycle can run through a hold-free owner, but only along
 /// a yield edge naming it). With no possible in-edge no cycle can pass
 /// through it, so the shard-local decision is the monolithic one, and the
 /// cycle search it would run is skipped ([`Dimmunix::request_hold_free`]).
+/// Its outstanding acquisitions on other shards are untouched by the
+/// decision, as they are on the all-shard path.
 fn try_request_local(
     shard: &mut Dimmunix,
     t: OwnerId,
@@ -459,110 +408,101 @@ fn try_request_local(
     Some(shard.request_hold_free(t, l, pos, mode))
 }
 
-/// Decides a request against the full multi-shard view (tier 3).
+/// The one request decision — the paper's `lockMonitor` check — against
+/// the full multi-shard view (tier 3); the monolithic engine and tier 2 are
+/// its one-shard calls.
 ///
 /// `shards` must contain **every** shard, held in ascending index order (the
-/// slots of [`ShardAccess::lock_all`]), and `prev_request_shard` is the shard
-/// still carrying the thread's previous request edge or yield record, if any
-/// (the request edge moves to `l`'s home shard, mirroring the monolithic
-/// engine's overwrite).
-///
-/// The decision logic mirrors [`Dimmunix::request_at`] step for step; only
-/// the state accessors are merged across shards as described in the module
-/// docs.
-fn request_cross_shard(
+/// slots of [`ShardAccess::lock_all`]), and `pos` is the requesting position
+/// as `l`'s home shard interned it. The request opens `t`'s outstanding
+/// acquisition of `l` on the home shard; its acquisitions of other locks
+/// stay where they are. `search_cycles` is false only when the caller proved
+/// that no cycle can run through `t`. Detection and avoidance read the
+/// merged state as described in the module docs.
+pub(crate) fn decide(
     shards: &mut [Option<impl Held>],
     t: OwnerId,
     l: LockId,
-    stack: &CallStack,
+    pos: PositionId,
     mode: AccessMode,
-    prev_request_shard: Option<usize>,
+    search_cycles: bool,
     on_install: &mut impl FnMut(&mut [&mut Dimmunix]),
 ) -> RequestOutcome {
     let home = shard_index(l, shards.len());
-    // A different shard still carrying the requester's last edge or record.
-    let prev = prev_request_shard.filter(|prev| *prev != home);
     let h = at(shards, home);
-    let pos = h.intern_position(stack);
     h.stats_mut().requests += 1;
 
     if h.config().is_disabled() {
         h.stats_mut().grants += 1;
         h.rag_mut().register_lock(l);
-        h.rag_mut().set_pending_grant(t, l, pos, mode);
         return RequestOutcome::Granted;
     }
-    let detection = h.config().detection;
-    let avoidance = h.config().avoidance;
     let starvation_handling = h.config().starvation_handling;
 
-    // If the thread is retrying after a yield, it is no longer parked; the
-    // record lives in the shard that answered the yielded request.
-    h.clear_yield_tracked(t);
-    if let Some(prev) = prev {
-        at(shards, prev).clear_yield_tracked(t);
-    }
-
     // Reentrant fast path: a thread never deadlocks against itself on a
-    // lock it already owns (in any mode).
-    let h = at(shards, home);
+    // lock it already owns (in any mode — a read-to-write upgrade is a
+    // self-deadlock the engine cannot rescue, exactly like
+    // `std::sync::RwLock`).
     if h.rag().owns(l, t) {
         h.stats_mut().reentrant_grants += 1;
         return RequestOutcome::GrantedReentrant;
     }
-
-    // The request edge moves to the home shard (the monolithic engine's
-    // `set_request` overwrite, split across shards).
-    h.rag_mut().set_request_mode(t, l, pos, mode);
-    if let Some(prev) = prev {
-        at(shards, prev).rag_mut().clear_request(t);
-    }
+    // If the owner is retrying after a yield, its acquisition is no longer
+    // parked.
+    h.open_request(t, l, pos, mode);
 
     // --- Detection (merged wait-for relation) --------------------------
-    if detection {
-        let include_yields = starvation_handling;
-        // One read-only view serves cycle search and classification.
-        let ro = &*shards;
-        let detected = find_cycle_with(t, |th, out| {
-            merged_successors(ro, th, include_yields, |next, edge| out.push((next, edge)));
-        })
-        .map(|steps| classify_cycle_merged(ro, &steps));
-        if let Some(detected) = detected {
-            let is_starvation = detected.involves_yield;
-            let (sig_id, new) = broadcast_signature(shards, detected.signature.clone(), on_install);
-            if is_starvation {
-                let stats = at(shards, home).stats_mut();
-                stats.starvations_detected += 1;
-                stats.new_starvation_signatures += u64::from(new);
-                // Resume every parked participant (§2.2): clear its yield
-                // (wherever it lives) and schedule a wake-up.
-                for th in &detected.owners {
-                    if let Some(y) = clear_yield_any(shards, *th) {
+    let include_yields = starvation_handling;
+    debug_assert!(
+        search_cycles || merged_cycle(shards, t, include_yields).is_none(),
+        "a hold-free request that no yield record names closed a cycle"
+    );
+    let detected = search_cycles
+        .then(|| merged_cycle(shards, t, include_yields))
+        .flatten()
+        .map(|steps| classify_cycle(shards, &steps));
+    if let Some(detected) = detected {
+        let is_starvation = detected.involves_yield;
+        let (sig_id, new) = broadcast_signature(shards, detected.signature.clone(), on_install);
+        if is_starvation {
+            let stats = at(shards, home).stats_mut();
+            stats.starvations_detected += 1;
+            stats.new_starvation_signatures += u64::from(new);
+            // Resume every parked participant (§2.2): un-park its
+            // acquisitions (wherever they live) and schedule wake-ups.
+            for th in &detected.owners {
+                for i in 0..shards.len() {
+                    while let Some(y) = at(shards, i).unpark_tracked(*th) {
                         let h = at(shards, home);
                         h.push_pending_wakeup(y.signature);
                         h.stats_mut().wakeups += 1;
                     }
                 }
-                // Fall through: the requester itself is then treated by the
-                // avoidance logic below.
-            } else {
-                let stats = at(shards, home).stats_mut();
-                stats.deadlocks_detected += 1;
-                stats.new_deadlock_signatures += u64::from(new);
-                return RequestOutcome::DeadlockDetected {
-                    signature: sig_id,
-                    new_signature: new,
-                    owners: detected.owners,
-                };
             }
+            // Fall through: the requester itself is then treated by the
+            // avoidance logic below.
+        } else {
+            let stats = at(shards, home).stats_mut();
+            stats.deadlocks_detected += 1;
+            stats.new_deadlock_signatures += u64::from(new);
+            return RequestOutcome::DeadlockDetected {
+                signature: sig_id,
+                new_signature: new,
+                owners: detected.owners,
+            };
         }
     }
 
     // --- Avoidance (merged queue occupancy) ----------------------------
     // (A starvation recorded just above may have been the first signature.)
-    if avoidance && !at(shards, home).history().is_empty() {
+    if !at(shards, home).history().is_empty() {
         let h = at(shards, home);
         h.stats_mut().instantiation_checks += 1;
+        // Hot path: positions no signature mentions carry no `history_ref`
+        // link, so the check is one `Option` read —
+        // O(signatures-at-this-position) otherwise, never O(|history|). The
+        // linear `avoidance::find_instantiation` remains the
+        // property-tested oracle.
         let outer = h.positions().get(pos).and_then(|p| p.history_ref());
         let examined = outer.map_or(0, |o| h.signature_index().signatures_at(o).len() as u64);
         h.stats_mut().signatures_examined += examined;
@@ -578,7 +518,7 @@ fn request_cross_shard(
             .filter(|i| {
                 starvation_handling && would_starve_merged(ro, t, &i.blockers, &mut scratch)
             })
-            .map(|i| starvation_signature_merged(ro, home, pos, &i.blockers));
+            .map(|i| starvation_signature(ro, home, pos, &i.blockers));
         *at(shards, home).match_scratch_mut() = scratch;
         if let Some(sig) = starvation_sig {
             // Parking would itself create a wait-for cycle: record the
@@ -591,15 +531,11 @@ fn request_cross_shard(
         } else if let Some(inst) = inst {
             let h = at(shards, home);
             h.stats_mut().yields += 1;
-            h.set_yield_tracked(
-                t,
-                YieldRecord {
-                    signature: inst.signature,
-                    position: pos,
-                    lock: l,
-                    blockers: inst.blockers,
-                },
-            );
+            let record = YieldRecord {
+                signature: inst.signature,
+                blockers: inst.blockers,
+            };
+            h.park_tracked(t, l, record);
             return RequestOutcome::Yield {
                 signature: inst.signature,
             };
@@ -612,7 +548,7 @@ fn request_cross_shard(
     if let Some(p) = h.positions_mut().get_mut(pos) {
         p.queue_mut().push(t);
     }
-    h.rag_mut().set_pending_grant(t, l, pos, mode);
+    h.rag_mut().set_state(t, l, AcquisitionState::Granted);
     RequestOutcome::Granted
 }
 
@@ -629,7 +565,7 @@ pub(crate) trait Held: DerefMut<Target = Dimmunix> {}
 
 impl<G: DerefMut<Target = Dimmunix>> Held for G {}
 
-fn shard(s: &Option<impl Held>) -> &Dimmunix {
+pub(crate) fn shard(s: &Option<impl Held>) -> &Dimmunix {
     s.as_deref().expect("slot of an existing shard")
 }
 
@@ -640,9 +576,9 @@ fn at(shards: &mut [Option<impl Held>], index: usize) -> &mut Dimmunix {
 }
 
 /// The merged wait-for successors of `t`: concatenation of the per-shard
-/// relations. A thread's out-edges (its outstanding request and its yield
-/// blockers) all live in the shard of its outstanding request, so
-/// concatenation yields exactly the monolithic successor list.
+/// relations. Each of `t`'s outstanding acquisitions lives in the shard of
+/// its lock, with that lock's owners, so concatenation yields exactly the
+/// monolithic successor list.
 fn merged_successors(
     shards: &[Option<impl Held>],
     t: OwnerId,
@@ -654,133 +590,17 @@ fn merged_successors(
     }
 }
 
-/// A position pinned to the shard whose table interned it.
-type ShardPos = (usize, PositionId);
-
-fn stack_at(shards: &[Option<impl Held>], loc: Option<ShardPos>) -> CallStack {
-    loc.and_then(|(s, p)| shard(&shards[s]).positions().get(p))
-        .map(|p| p.stack().clone())
-        .unwrap_or_default()
-}
-
-/// The shard and record of `t`'s outstanding request, if any.
-fn requesting_any(shards: &[Option<impl Held>], t: OwnerId) -> Option<(usize, LockId, PositionId)> {
-    shards
-        .iter()
-        .map(shard)
-        .enumerate()
-        .find_map(|(i, s)| s.rag().requesting(t).map(|(l, p)| (i, l, p)))
-}
-
-/// The shard and yield record of `t`, if it is parked by avoidance.
-fn yielding_any(shards: &[Option<impl Held>], t: OwnerId) -> Option<(usize, &YieldRecord)> {
-    shards
-        .iter()
-        .map(shard)
-        .enumerate()
-        .find_map(|(i, s)| s.rag().yielding(t).map(|y| (i, y)))
-}
-
-/// Clears `t`'s yield record in whichever shard carries it.
-fn clear_yield_any(shards: &mut [Option<impl Held>], t: OwnerId) -> Option<YieldRecord> {
-    (0..shards.len()).find_map(|i| at(shards, i).clear_yield_tracked(t))
-}
-
-/// Latest lock held by `t` (by global acquisition sequence) whose
-/// acquisition position is flagged as in-history — the merged equivalent of
-/// `detection::last_history_hold`.
-fn last_history_hold_merged(shards: &[Option<impl Held>], t: OwnerId) -> Option<ShardPos> {
-    shards
-        .iter()
-        .map(shard)
-        .enumerate()
-        .flat_map(|(i, s)| {
-            s.rag()
-                .held_locks(t)
-                .iter()
-                .filter(|e| {
-                    s.positions()
-                        .get(e.pos)
-                        .map(|d| d.in_history())
-                        .unwrap_or(false)
-                })
-                .map(move |e| (e.seq, (i, e.pos)))
-        })
-        .max_by_key(|(seq, _)| *seq)
-        .map(|(_, loc)| loc)
-}
-
-/// Latest lock held by `t` across all shards, by global acquisition
-/// sequence — the merged equivalent of `held_locks(t).last()`.
-fn last_hold_merged(shards: &[Option<impl Held>], t: OwnerId) -> Option<ShardPos> {
-    shards
-        .iter()
-        .map(shard)
-        .enumerate()
-        .flat_map(|(i, s)| {
-            s.rag()
-                .held_locks(t)
-                .iter()
-                .map(move |e| (e.seq, (i, e.pos)))
-        })
-        .max_by_key(|(seq, _)| *seq)
-        .map(|(_, loc)| loc)
-}
-
-/// The merged equivalent of [`classify_cycle`](crate::classify_cycle):
-/// resolves positions through the shard that interned them and hold recency
-/// through the global acquisition sequence.
-fn classify_cycle_merged(
+/// A wait-for cycle through `t` over the merged relation, if any.
+fn merged_cycle(
     shards: &[Option<impl Held>],
-    steps: &[CycleStep],
-) -> crate::detection::DetectedCycle {
-    let n = steps.len();
-    let mut pairs = Vec::with_capacity(n);
-    let mut involves_yield = false;
-    let owners: Vec<OwnerId> = steps.iter().map(|s| s.owner).collect();
-
-    for i in 0..n {
-        let waited_on = steps[(i + 1) % n].owner;
-        let inner: Option<ShardPos> = requesting_any(shards, waited_on)
-            .map(|(s, _, p)| (s, p))
-            .or_else(|| yielding_any(shards, waited_on).map(|(s, y)| (s, y.position)));
-        let outer: Option<ShardPos> = match &steps[i].edge {
-            WaitEdge::Lock(lock) => {
-                // The waited-on thread is one owner among possibly several
-                // (a reader crowd): the template position is *its* `acqPos`.
-                let s = shard_index(*lock, shards.len());
-                shard(&shards[s])
-                    .rag()
-                    .acq_pos_of(*lock, waited_on)
-                    .map(|p| (s, p))
-            }
-            WaitEdge::Yield(_) => {
-                involves_yield = true;
-                last_history_hold_merged(shards, waited_on)
-                    .or_else(|| last_hold_merged(shards, waited_on))
-                    .or(inner)
-            }
-        };
-        pairs.push(SignaturePair::new(
-            stack_at(shards, outer),
-            stack_at(shards, inner),
-        ));
-    }
-
-    if steps.iter().any(|s| matches!(s.edge, WaitEdge::Yield(_))) {
-        involves_yield = true;
-    }
-
-    let kind = if involves_yield {
-        SignatureKind::Starvation
-    } else {
-        SignatureKind::Deadlock
-    };
-    crate::detection::DetectedCycle {
-        owners,
-        involves_yield,
-        signature: Signature::new(kind, pairs),
-    }
+    t: OwnerId,
+    include_yields: bool,
+) -> Option<Vec<CycleStep>> {
+    find_cycle_with(t, |th, out| {
+        merged_successors(shards, th, include_yields, |next, edge| {
+            out.push((next, edge))
+        });
+    })
 }
 
 /// The merged instantiation check, in the shared snapshot's canonical
@@ -800,11 +620,11 @@ fn classify_cycle_merged(
 /// carve-out every reader joining a crowd at a history position would be
 /// parked against its own crowd-mates — a spurious (fail-safe) refusal.
 ///
-/// The monolithic engine's avoidance check is the one-shard call
-/// (`&[&engine]`, `home = 0`) — one implementation, so the single-engine
-/// and sharded decisions cannot drift. `scratch` is the caller's reused
-/// working memory; nothing is read from it.
-pub(crate) fn find_instantiation_merged(
+/// The monolithic engine reaches it through [`decide`]'s one-shard call —
+/// one implementation, so the single-engine and sharded decisions cannot
+/// drift. `scratch` is the caller's reused working memory; nothing is read
+/// from it.
+fn find_instantiation_merged(
     shards: &[Option<impl Held>],
     home: usize,
     thread: OwnerId,
@@ -889,7 +709,7 @@ fn crowd_mate_occupancy(s: &Dimmunix, p: &crate::Position, c: OwnerId, lock: Loc
 /// cycle, i.e. some blocker transitively waits on `t`. The monolithic engine
 /// asks the same question as the one-shard call. The worklist is the
 /// candidate buffer of `scratch`, free again once a match was extracted.
-pub(crate) fn would_starve_merged(
+fn would_starve_merged(
     shards: &[Option<impl Held>],
     t: OwnerId,
     blockers: &[OwnerId],
@@ -911,32 +731,6 @@ pub(crate) fn would_starve_merged(
         });
     }
     false
-}
-
-/// Builds the signature of an avoidance-induced deadlock: one pair per
-/// participant (the would-be parked owner, whose request `home` answers, plus
-/// its blockers), using the most informative stable position for each.
-pub(crate) fn starvation_signature_merged(
-    shards: &[Option<impl Held>],
-    home: usize,
-    pos: PositionId,
-    blockers: &[OwnerId],
-) -> Signature {
-    let mut pairs = Vec::with_capacity(1 + blockers.len());
-    let requester_stack = stack_at(shards, Some((home, pos)));
-    pairs.push(SignaturePair::new(requester_stack.clone(), requester_stack));
-    for b in blockers {
-        let requesting = requesting_any(shards, *b).map(|(s, _, p)| (s, p));
-        let outer = last_history_hold_merged(shards, *b)
-            .or_else(|| last_hold_merged(shards, *b))
-            .or(requesting);
-        let inner = requesting.or(outer);
-        pairs.push(SignaturePair::new(
-            stack_at(shards, outer),
-            stack_at(shards, inner),
-        ));
-    }
-    Signature::new(SignatureKind::Starvation, pairs)
 }
 
 /// Appends `sig` to the shared history and installs the successor snapshot
@@ -1284,57 +1078,31 @@ impl ShardedDimmunix {
 mod tests {
     use super::*;
 
-    fn yielded() -> RequestOutcome {
-        RequestOutcome::Yield {
-            signature: SignatureId::new(0),
-        }
-    }
-
     #[test]
     fn holds_on_any_shard_force_the_cross_path() {
         let mut r = OwnerRoute::default();
-        assert!(r.is_idle() && (0..MAX_SHARDS).all(|home| r.local_eligible(home)));
-        r.after_acquired(MAX_SHARDS - 1, true);
-        r.after_acquired(2, true);
-        assert!((0..MAX_SHARDS).all(|home| !r.local_eligible(home)));
+        assert!(r.is_idle() && r.local_eligible());
+        r.observe(MAX_SHARDS - 1, (true, false));
+        r.observe(2, (true, false));
+        assert!(!r.local_eligible());
         // Bits are per shard, and a shard's bit follows its RAG, not a count.
-        r.after_released(MAX_SHARDS - 1, false);
-        r.after_released(2, true);
-        assert!(!r.is_idle() && !r.local_eligible(2));
-        r.after_released(2, false);
+        r.observe(MAX_SHARDS - 1, (false, false));
+        r.observe(2, (true, false));
+        assert!(!r.is_idle() && !r.local_eligible());
+        r.observe(2, (false, false));
         assert!(r.is_idle());
     }
 
     #[test]
-    fn a_stale_edge_blocks_tier_one_and_every_shard_but_its_own() {
-        let refused = RequestOutcome::DeadlockDetected {
-            signature: SignatureId::new(0),
-            new_signature: true,
-            owners: Vec::new(),
-        };
-        for outcome in [yielded(), refused] {
-            let mut r = OwnerRoute::default();
-            r.after_request(&outcome, 3);
-            assert_eq!(r.stale_shard, Some(3));
-            assert!(!r.is_idle() && r.local_eligible(3) && !r.local_eligible(4));
-        }
-    }
-
-    #[test]
-    fn only_a_grant_or_the_home_shard_clears_a_stale_edge() {
+    fn an_outstanding_acquisition_blocks_tier_one_but_not_tier_two() {
         let mut r = OwnerRoute::default();
-        r.after_request(&yielded(), 3);
-        r.after_request(&RequestOutcome::GrantedReentrant, 5);
-        r.after_cancel(4);
-        r.after_acquired(4, false);
-        assert_eq!(r.stale_shard, Some(3));
-        r.after_cancel(3);
-        assert_eq!(r.stale_shard, None);
-        r.after_request(&yielded(), 3);
-        r.after_acquired(3, true);
-        assert_eq!(r.stale_shard, None);
-        r.after_request(&yielded(), 3);
-        r.after_request(&RequestOutcome::Granted, 5);
-        assert_eq!(r.stale_shard, None);
+        r.observe(3, (false, true));
+        r.observe(5, (false, true));
+        assert!(!r.is_idle() && r.local_eligible());
+        // Withdrawing one leaves the other outstanding.
+        r.observe(3, (false, false));
+        assert!(!r.is_idle());
+        r.observe(5, (false, false));
+        assert!(r.is_idle());
     }
 }

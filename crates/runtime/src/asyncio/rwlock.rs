@@ -23,7 +23,7 @@ struct LockState {
     /// Wakers of engine-approved tasks waiting for the lock itself, FIFO
     /// with the access mode they wait in and at most one entry per task —
     /// the async analogue of blocking on the raw lock after
-    /// `before_acquire` returns. Their request edges stay in the RAG, so
+    /// `before_acquire` returns. Their granted acquisitions stay in the RAG, so
     /// cycles through these waits remain visible.
     waiters: VecDeque<(TaskId, AccessMode, Waker)>,
 }
@@ -215,10 +215,10 @@ impl<T> RwLock<T> {
 enum Stage {
     /// No engine state yet.
     Init,
-    /// Parked by avoidance: a yield record and request edge exist.
+    /// Parked by avoidance: a parked acquisition exists.
     Parked,
-    /// Engine approved; a pending grant (request edge) exists until the
-    /// acquisition completes.
+    /// Engine approved; a granted acquisition exists until the acquisition
+    /// completes.
     Approved,
     /// Completed (guard produced or error returned).
     Done,
@@ -268,9 +268,8 @@ impl<'a, T> Acquire<'a, T> {
                             return Poll::Pending;
                         }
                         TaskAcquire::WouldDeadlock(err) => {
-                            // The engine leaves the refused request edge
-                            // behind; clear it so the task's next request
-                            // starts clean.
+                            // The engine leaves the refused request
+                            // outstanding; withdraw it.
                             lock.rt.task_cancel_acquire(task, id);
                             self.stage = Stage::Done;
                             return Poll::Ready(Err(err));

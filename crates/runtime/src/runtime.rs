@@ -400,8 +400,8 @@ struct FastHold {
 /// takes the cross-shard path, which publishes it into the engine first.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct OwnerState {
-    /// Holds mask, outstanding grants and stale request edge: the state the
-    /// locked admission path shares with `ShardedDimmunix`.
+    /// Holds and outstanding-acquisition masks: the state the locked
+    /// admission path shares with `ShardedDimmunix`.
     route: OwnerRoute,
     fast_held: Option<FastHold>,
     /// Set once any shard may have an owner node for the owner (a RAG
@@ -1202,7 +1202,11 @@ impl DimmunixRuntime {
             }
             match answer {
                 TaskAcquire::Granted => return Ok(()),
-                TaskAcquire::WouldDeadlock(refusal) => return Err(refusal),
+                TaskAcquire::WouldDeadlock(refusal) => {
+                    // Withdraw the refused request, as the task path does.
+                    self.cancel_acquire(lock);
+                    return Err(refusal);
+                }
                 // Sleep until the queued waker fires, then retry the request
                 // (the paper's do/while loop).
                 TaskAcquire::Parked { .. } => PARKER.with(|p| {

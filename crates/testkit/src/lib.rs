@@ -10,6 +10,8 @@
 //!   by the sharded-vs-monolithic and mixed-rwlock oracles.
 //! * [`script`] — the per-owner lock/unlock scripts plus turn sequences
 //!   used by the sync/async-equivalence suite.
+//! * [`reference`](mod@reference) — an independent model of the engine's wait-for
+//!   bookkeeping and the join-shaped scripts it is checked on.
 //!
 //! **Every helper preserves the exact pseudo-random stream of the test it
 //! was extracted from** — same constructor seeding, same draw order, same
@@ -23,6 +25,7 @@
 
 #![deny(missing_docs)]
 
+pub mod reference;
 pub mod schedule;
 pub mod script;
 
