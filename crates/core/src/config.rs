@@ -31,17 +31,19 @@ pub const DEFAULT_LOG_SEGMENT_RECORDS: usize = 1024;
 ///
 /// ```
 /// use dimmunix_core::Config;
-/// let cfg = Config::builder().stack_depth(2).detection(true).build();
+/// let cfg = Config::builder().stack_depth(2).starvation_handling(false).build();
 /// assert_eq!(cfg.stack_depth, 2);
+/// assert!(!cfg.is_disabled() && Config::disabled().is_disabled());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Config {
     /// Number of call-stack frames retained per acquisition position.
     pub stack_depth: usize,
-    /// Whether the detection module (RAG cycle search on every request) runs.
-    pub detection: bool,
-    /// Whether the avoidance module (signature-instantiation check) runs.
-    pub avoidance: bool,
+    /// Whether the engine runs at all: the detection module (RAG cycle
+    /// search on every request) and the avoidance module
+    /// (signature-instantiation check) go together. `false` is
+    /// [`Config::disabled`], the vanilla platform.
+    pub enabled: bool,
     /// Whether avoidance-induced starvation is detected and converted into
     /// starvation signatures (§2.2).
     pub starvation_handling: bool,
@@ -77,8 +79,7 @@ impl Default for Config {
     fn default() -> Self {
         Config {
             stack_depth: DEFAULT_STACK_DEPTH,
-            detection: true,
-            avoidance: true,
+            enabled: true,
             starvation_handling: true,
             history_path: None,
             log_sync: true,
@@ -104,8 +105,7 @@ impl Config {
     /// a pure pass-through (used for overhead baselines).
     pub fn disabled() -> Self {
         Config {
-            detection: false,
-            avoidance: false,
+            enabled: false,
             starvation_handling: false,
             ..Self::default()
         }
@@ -113,7 +113,7 @@ impl Config {
 
     /// Returns true if neither detection nor avoidance is active.
     pub fn is_disabled(&self) -> bool {
-        !self.detection && !self.avoidance
+        !self.enabled
     }
 }
 
@@ -127,18 +127,6 @@ impl ConfigBuilder {
     /// Sets the retained call-stack depth (clamped to at least 1).
     pub fn stack_depth(mut self, depth: usize) -> Self {
         self.config.stack_depth = depth.max(1);
-        self
-    }
-
-    /// Enables or disables deadlock detection.
-    pub fn detection(mut self, enabled: bool) -> Self {
-        self.config.detection = enabled;
-        self
-    }
-
-    /// Enables or disables deadlock avoidance.
-    pub fn avoidance(mut self, enabled: bool) -> Self {
-        self.config.avoidance = enabled;
         self
     }
 
@@ -195,8 +183,7 @@ mod tests {
     fn default_matches_paper_choices() {
         let cfg = Config::default();
         assert_eq!(cfg.stack_depth, 1);
-        assert!(cfg.detection);
-        assert!(cfg.avoidance);
+        assert!(cfg.enabled);
         assert!(cfg.starvation_handling);
         assert!(cfg.history_path.is_none());
         assert!(cfg.log_sync);
@@ -208,8 +195,6 @@ mod tests {
     fn builder_sets_fields() {
         let cfg = Config::builder()
             .stack_depth(3)
-            .detection(false)
-            .avoidance(false)
             .starvation_handling(false)
             .history_path("/tmp/h.dimmu")
             .log_sync(false)
@@ -218,7 +203,7 @@ mod tests {
             .log_segment_records(64)
             .build();
         assert_eq!(cfg.stack_depth, 3);
-        assert!(cfg.is_disabled());
+        assert!(!cfg.starvation_handling);
         assert_eq!(cfg.max_signatures, 12);
         assert!(cfg.history_path.is_some());
         assert!(!cfg.log_sync);
