@@ -64,8 +64,8 @@ pub(crate) fn classify_cycle(shards: &[Option<impl Held>], steps: &[CycleStep]) 
             // one of the signature's outer positions; the most informative
             // stable stack for it is its last hold at a history position,
             // falling back to its latest hold.
-            WaitEdge::Yield(_) => last_history_hold(shards, next.owner)
-                .or_else(|| last_hold(shards, next.owner))
+            WaitEdge::Yield(_) => latest_hold(shards, next.owner, true)
+                .or_else(|| latest_hold(shards, next.owner, false))
                 .or(inner),
         };
         pairs.push(SignaturePair::new(
@@ -123,8 +123,8 @@ pub(crate) fn starvation_signature(
             let first = e.rag().outstanding(*b).next();
             first.map(|a| (s, a.pos))
         });
-        let outer = last_history_hold(shards, *b)
-            .or_else(|| last_hold(shards, *b))
+        let outer = latest_hold(shards, *b, true)
+            .or_else(|| latest_hold(shards, *b, false))
             .or(waiting);
         let inner = waiting.or(outer);
         pairs.push(SignaturePair::new(
@@ -141,18 +141,9 @@ fn stack_at(shards: &[Option<impl Held>], loc: Option<ShardPos>) -> CallStack {
         .unwrap_or_default()
 }
 
-/// Latest lock held by `t` (by global acquisition sequence) whose
-/// acquisition position is flagged as in-history.
-fn last_history_hold(shards: &[Option<impl Held>], t: OwnerId) -> Option<ShardPos> {
-    latest_hold(shards, t, true)
-}
-
 /// Latest lock held by `t` across all shards, by global acquisition
-/// sequence.
-fn last_hold(shards: &[Option<impl Held>], t: OwnerId) -> Option<ShardPos> {
-    latest_hold(shards, t, false)
-}
-
+/// sequence; with `in_history`, the latest whose acquisition position is
+/// flagged as in-history.
 fn latest_hold(shards: &[Option<impl Held>], t: OwnerId, in_history: bool) -> Option<ShardPos> {
     shards
         .iter()

@@ -647,11 +647,7 @@ impl Dimmunix {
     pub fn cancel_request(&mut self, t: impl Into<OwnerId>, l: LockId) {
         let t = t.into();
         if let Some(a) = self.rag.withdraw(t, l) {
-            let mut wake = std::mem::take(&mut self.pending_wakeups);
-            let scheduled = wake.len();
-            self.forget(t, &a, &mut wake);
-            self.stats.wakeups += (wake.len() - scheduled) as u64;
-            self.pending_wakeups = wake;
+            self.forget_scheduled(t, &a);
         }
     }
 
@@ -750,7 +746,7 @@ impl Dimmunix {
 
     /// Opens `t`'s request for `l` at `pos`: a fresh outstanding
     /// acquisition, in place of an earlier one of `l` (a retry after a
-    /// yield), whose park or grant is forgotten first. Every park and
+    /// yield), which is forgotten as a cancellation would. Every park and
     /// un-park goes through this engine's tracked calls, so the attached
     /// admission summary's blocker refcounts and park counts stay balanced.
     pub(crate) fn open_request(
@@ -760,12 +756,8 @@ impl Dimmunix {
         pos: PositionId,
         mode: AccessMode,
     ) {
-        if let Some(old) = self.rag.request(t, l, pos, mode) {
-            let mut wake = std::mem::take(&mut self.pending_wakeups);
-            let scheduled = wake.len();
-            self.forget(t, &old, &mut wake);
-            self.stats.wakeups += (wake.len() - scheduled) as u64;
-            self.pending_wakeups = wake;
+        if let Some(earlier) = self.rag.request(t, l, pos, mode) {
+            self.forget_scheduled(t, &earlier);
         }
     }
 
@@ -798,6 +790,17 @@ impl Dimmunix {
         if let (AcquisitionState::Parked(record), Some(summary)) = (state, &self.admission) {
             summary.note_yield_cleared(record);
         }
+    }
+
+    /// [`forget`](Self::forget) outside the release path: the wake-ups a
+    /// vacated slot is owed are scheduled for
+    /// [`take_pending_wakeups`](Dimmunix::take_pending_wakeups).
+    fn forget_scheduled(&mut self, t: OwnerId, a: &Acquisition) {
+        let mut wake = std::mem::take(&mut self.pending_wakeups);
+        let scheduled = wake.len();
+        self.forget(t, a, &mut wake);
+        self.stats.wakeups += (wake.len() - scheduled) as u64;
+        self.pending_wakeups = wake;
     }
 
     /// Forgets `a`, an acquisition of `t`'s just taken out of the RAG: a

@@ -35,7 +35,7 @@
 //! (so the avoidance check is vacuous — the common case). The same facts
 //! rule out a cycle through the requester, so tier 2 runs no cycle search
 //! either. Otherwise it takes
-//! the cross-shard path ([`request_cross_shard`], tier 3): the implementor holds
+//! the cross-shard path ([`decide`], tier 3): the implementor holds
 //! **all shards in ascending index order** (a total order, so two concurrent
 //! cross-shard requests cannot deadlock the engine itself) and the decision
 //! is computed against the merged view:
@@ -46,8 +46,8 @@
 //!   concatenation yields every edge exactly once;
 //! * the merged occupancy of a signature's outer position is the union of
 //!   every shard's local queue at that slot;
-//! * hold-recency queries (`last_history_hold`) merge per-shard holds by the
-//!   global acquisition sequence number stamped through
+//! * hold-recency queries (`detection::latest_hold`) merge per-shard holds
+//!   by the global acquisition sequence number stamped through
 //!   [`Dimmunix::acquired_with_seq`];
 //! * a lock's **owner set** (one entry per owner — several for a reader
 //!   crowd) lives whole in the lock's home shard, so the merged view unions
