@@ -669,14 +669,14 @@ impl Dimmunix {
         seq: u64,
     ) {
         let t = t.into();
-        self.publish_grant(t, l, stack, mode);
+        self.publish_granted(t, l, stack, mode);
         self.acquired_with_seq(t, l, seq);
     }
 
     /// [`publish_acquired`](Dimmunix::publish_acquired) for a lock-free
     /// admission whose owner has not acquired the lock yet (a task queued
-    /// behind the holder): a forced grant, leaving the state a granted
-    /// [`request_mode`](Dimmunix::request_mode) leaves — a granted
+    /// behind the holder): a forced grant, counted, leaving the state a
+    /// granted [`request_mode`](Dimmunix::request_mode) leaves — a granted
     /// outstanding acquisition, occupying its position slot, that the later
     /// [`acquired`](Dimmunix::acquired) completes.
     pub fn publish_granted(
@@ -686,12 +686,7 @@ impl Dimmunix {
         stack: &CallStack,
         mode: AccessMode,
     ) {
-        self.publish_grant(t.into(), l, stack, mode);
-    }
-
-    /// The forced grant both publishes share: counted, and (unless the
-    /// engine is disabled) a granted acquisition occupying its slot.
-    fn publish_grant(&mut self, t: OwnerId, l: LockId, stack: &CallStack, mode: AccessMode) {
+        let t = t.into();
         let pos = self.intern_position(stack);
         self.stats.requests += 1;
         self.stats.grants += 1;

@@ -154,15 +154,9 @@ impl OwnerRoute {
     /// outstanding acquisition. Re-derived rather than counted, so the masks
     /// can never drift.
     fn observe(&mut self, home: usize, (holds, waits): (bool, bool)) {
-        let set = |mask: u64, on: bool| {
-            if on {
-                mask | 1 << home
-            } else {
-                mask & !(1 << home)
-            }
-        };
-        self.holds_mask = set(self.holds_mask, holds);
-        self.outstanding_mask = set(self.outstanding_mask, waits);
+        let others = !(1u64 << home);
+        self.holds_mask = self.holds_mask & others | u64::from(holds) << home;
+        self.outstanding_mask = self.outstanding_mask & others | u64::from(waits) << home;
     }
 }
 
@@ -311,9 +305,10 @@ pub trait ShardAccess {
         move |route: &mut OwnerRoute| route.observe(home, seen)
     }
 
-    /// Backs `owner` out of an approved acquisition of `lock` that will not
-    /// be completed; the wake-ups the vacated slot is owed go to `wake_all`.
-    /// Also returns the signature the owner was still parked on, if any.
+    /// Withdraws `owner`'s outstanding acquisition of `lock` — refused,
+    /// parked or approved — that will not be completed; the wake-ups a
+    /// vacated slot is owed go to `wake_all`. Also returns the signature the
+    /// acquisition was still parked on, if any.
     #[inline(always)]
     fn cancel_locked(
         &mut self,
