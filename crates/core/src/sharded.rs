@@ -499,41 +499,42 @@ pub(crate) fn decide(
         // linear `avoidance::find_instantiation` remains the
         // property-tested oracle.
         let outer = h.positions().get(pos).and_then(|p| p.history_ref());
-        let examined = outer.map_or(0, |o| h.signature_index().signatures_at(o).len() as u64);
-        h.stats_mut().signatures_examined += examined;
-        // The home shard lends its scratch for the length of the decision.
-        let mut scratch = std::mem::take(h.match_scratch_mut());
-        // One read-only view serves the instantiation check and, when it
-        // matches, the starvation probe over the same state.
-        let ro = &*shards;
-        let inst =
-            outer.and_then(|o| find_instantiation_merged(ro, home, t, o, l, mode, &mut scratch));
-        let starvation_sig = inst
-            .as_ref()
-            .filter(|i| {
-                starvation_handling && would_starve_merged(ro, t, &i.blockers, &mut scratch)
-            })
-            .map(|i| starvation_signature(ro, home, pos, &i.blockers));
-        *at(shards, home).match_scratch_mut() = scratch;
-        if let Some(sig) = starvation_sig {
-            // Parking would itself create a wait-for cycle: record the
-            // avoidance-induced deadlock and let the thread proceed
-            // instead (§2.2).
-            let (_, new) = broadcast_signature(shards, sig, on_install);
-            let stats = at(shards, home).stats_mut();
-            stats.starvations_detected += 1;
-            stats.new_starvation_signatures += u64::from(new);
-        } else if let Some(inst) = inst {
-            let h = at(shards, home);
-            h.stats_mut().yields += 1;
-            let record = YieldRecord {
-                signature: inst.signature,
-                blockers: inst.blockers,
-            };
-            h.park_tracked(t, l, record);
-            return RequestOutcome::Yield {
-                signature: inst.signature,
-            };
+        if let Some(outer) = outer {
+            let examined = h.signature_index().signatures_at(outer).len() as u64;
+            h.stats_mut().signatures_examined += examined;
+            // The home shard lends its scratch for the length of the check.
+            let mut scratch = std::mem::take(h.match_scratch_mut());
+            // One read-only view serves the instantiation check and, when it
+            // matches, the starvation probe over the same state.
+            let ro = &*shards;
+            let inst = find_instantiation_merged(ro, home, t, outer, l, mode, &mut scratch);
+            let starvation_sig = inst
+                .as_ref()
+                .filter(|i| {
+                    starvation_handling && would_starve_merged(ro, t, &i.blockers, &mut scratch)
+                })
+                .map(|i| starvation_signature(ro, home, pos, &i.blockers));
+            *at(shards, home).match_scratch_mut() = scratch;
+            if let Some(sig) = starvation_sig {
+                // Parking would itself create a wait-for cycle: record the
+                // avoidance-induced deadlock and let the thread proceed
+                // instead (§2.2).
+                let (_, new) = broadcast_signature(shards, sig, on_install);
+                let stats = at(shards, home).stats_mut();
+                stats.starvations_detected += 1;
+                stats.new_starvation_signatures += u64::from(new);
+            } else if let Some(inst) = inst {
+                let h = at(shards, home);
+                h.stats_mut().yields += 1;
+                let record = YieldRecord {
+                    signature: inst.signature,
+                    blockers: inst.blockers,
+                };
+                h.park_tracked(t, l, record);
+                return RequestOutcome::Yield {
+                    signature: inst.signature,
+                };
+            }
         }
     }
 
