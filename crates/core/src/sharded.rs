@@ -12,7 +12,7 @@
 //!   granted), the position-queue entries created by grants of its locks,
 //!   and its own [`Stats`] (rolled up on read).
 //! * **Every shard reads one shared, immutable
-//!   [`HistorySnapshot`](crate::HistorySnapshot)** — the history, the
+//!   [`HistorySnapshot`]** — the history, the
 //!   canonical outer-position table, and the
 //!   [`SignatureIndex`](crate::SignatureIndex) exist once per process, not
 //!   once per shard. A detection builds the successor snapshot

@@ -18,7 +18,7 @@
 //!   to keep in lockstep.
 //!
 //! The canonical outer-position namespace decouples the shared snapshot
-//! from the per-shard [`PositionTable`]s (which own the thread queues and
+//! from the per-shard [`PositionTable`](crate::PositionTable)s (which own the thread queues and
 //! are deliberately shard-local): each shard lazily links its own interned
 //! positions to the canonical ids — at intern time for positions created
 //! after the signature, and at snapshot-install time for positions that

@@ -2,8 +2,9 @@
 //! futures at once, as `join!` does) is blocked on each of them. Under the
 //! AND model a cycle through any one of those waits is a deadlock, and the
 //! signature records the position of the wait the cycle went through.
-//! Retiring such an owner between grant and acquisition leaves no occupant
-//! behind in a position queue.
+//! An acquisition can close such a cycle too, and is then detected as a
+//! request that closes one is. Retiring such an owner between grant and
+//! acquisition leaves no occupant behind in a position queue.
 //!
 //! Both scripts run on a [`Dimmunix`] and on a [`ShardedDimmunix`] with 1
 //! and 4 shards; on 4 shards the two locks live on different shards.
@@ -35,6 +36,20 @@ impl Engine {
         match self {
             Engine::Mono(e) => e.acquired(t, l),
             Engine::Sharded(e) => e.acquired(t, l),
+        }
+    }
+
+    fn released(&mut self, t: OwnerId, l: LockId) {
+        match self {
+            Engine::Mono(e) => drop(e.released(t, l)),
+            Engine::Sharded(e) => drop(e.released(t, l)),
+        }
+    }
+
+    fn history(&self) -> dimmunix_core::History {
+        match self {
+            Engine::Mono(e) => e.history().clone(),
+            Engine::Sharded(e) => e.history().clone(),
         }
     }
 
@@ -114,11 +129,50 @@ fn a_cycle_through_a_second_outstanding_wait_is_detected() {
         };
         assert_eq!(engine.deadlocks_detected(), 1, "{name}");
         assert_eq!(owners.len(), 2, "{name}");
-        let history = match &engine {
-            Engine::Mono(e) => e.history().clone(),
-            Engine::Sharded(e) => e.history().clone(),
-        };
+        let history = engine.history();
         let pairs = history.get(signature).expect("recorded").pairs();
+        for (outer, inner) in [(20, 21), (10, 11)] {
+            assert!(
+                pairs.contains(&SignaturePair::new(site(outer), site(inner))),
+                "{name}: no pair ({outer}, {inner}) in {pairs:?}"
+            );
+        }
+    }
+}
+
+/// U holds l2 and H holds l1; task T requests l1 and l2 (both granted, T
+/// waits for H and for U). U's request for l1 is granted too: H, not T,
+/// holds it. H releases, and T's acquisition of l1 closes the cycle — U
+/// waits for T, T for U — with no request of either to follow. The
+/// acquisition completes and the cycle is recorded: pairs (20, 21) for T
+/// and (10, 11) for U.
+#[test]
+fn an_acquisition_that_closes_a_cycle_is_detected() {
+    let (l1, l2, engines) = engines();
+    let (u, t, h) = (
+        OwnerId::from(ThreadId::new(1)),
+        OwnerId::from(TaskId::new(2)),
+        OwnerId::from(ThreadId::new(3)),
+    );
+    for (name, mut engine) in engines {
+        assert!(engine.request(u, l2, 10).is_granted(), "{name}");
+        engine.acquired(u, l2);
+        assert!(engine.request(h, l1, 30).is_granted(), "{name}");
+        engine.acquired(h, l1);
+        assert!(engine.request(t, l1, 20).is_granted(), "{name}");
+        assert!(engine.request(t, l2, 21).is_granted(), "{name}");
+        assert!(engine.request(u, l1, 11).is_granted(), "{name}");
+        engine.released(h, l1);
+        assert_eq!(engine.deadlocks_detected(), 0, "{name}");
+        engine.acquired(t, l1);
+        assert_eq!(
+            engine.deadlocks_detected(),
+            1,
+            "{name}: T's acquisition closed the cycle unseen"
+        );
+        let history = engine.history();
+        assert_eq!(history.len(), 1, "{name}");
+        let pairs = history.iter().next().expect("recorded").1.pairs();
         for (outer, inner) in [(20, 21), (10, 11)] {
             assert!(
                 pairs.contains(&SignaturePair::new(site(outer), site(inner))),

@@ -4,8 +4,9 @@
 //! through a [`Dimmunix`] and through [`ShardedDimmunix`] engines with 1 and
 //! 3 shards, and through `dimmunix-testkit`'s reference model, which shares
 //! no code with the engine's RAG. After every step each engine must agree
-//! with the model on the request's outcome, on every owner's outstanding
-//! acquisitions, and on the occupancy of every position queue.
+//! with the model on the request's outcome, on the number of deadlocks
+//! detected so far (an acquisition can close a cycle too), on every owner's
+//! outstanding acquisitions, and on the occupancy of every position queue.
 
 use dimmunix_core::{
     AcquisitionState, CallStack, Config, Dimmunix, Frame, LockId, OwnerId, RequestOutcome,
@@ -113,6 +114,13 @@ impl Engine {
         out
     }
 
+    fn deadlocks_detected(&self) -> u64 {
+        match self {
+            Engine::Mono(e) => e.stats().deadlocks_detected,
+            Engine::Sharded(e) => e.stats().deadlocks_detected,
+        }
+    }
+
     /// Occupants of every position queue, by site line, over every shard.
     fn occupancy(&self) -> BTreeMap<u32, usize> {
         let mut out = BTreeMap::new();
@@ -129,6 +137,7 @@ impl Engine {
 #[test]
 fn prop_engines_agree_with_the_reference_model_on_join_scripts() {
     let (mut steps, mut deadlocks, mut retired_grants, mut joins) = (0usize, 0, 0, 0);
+    let mut acquisition_detections = 0;
     for seed in 0..CASES {
         let mut g = Gen::new(seed ^ 0x101d_5c1e);
         let mut model = Model::new(OWNERS, LOCKS, MAX_OUTSTANDING);
@@ -152,7 +161,11 @@ fn prop_engines_agree_with_the_reference_model_on_join_scripts() {
                     .filter(|r| r.granted)
                     .count();
             }
+            let detected = model.detections();
             let verdict = model.apply(step);
+            if let Step::Acquire { .. } = step {
+                acquisition_detections += model.detections() - detected;
+            }
             steps += 1;
             deadlocks += usize::from(verdict == Some(Verdict::Deadlock));
             joins += (0..OWNERS)
@@ -167,6 +180,11 @@ fn prop_engines_agree_with_the_reference_model_on_join_scripts() {
             for (name, engine) in &mut engines {
                 let ctx = format!("seed {seed} step {step_no} {step:?} ({name})");
                 assert_eq!(engine.apply(step), verdict, "{ctx}: outcome");
+                assert_eq!(
+                    engine.deadlocks_detected(),
+                    model.detections(),
+                    "{ctx}: deadlocks detected"
+                );
                 for (o, want) in expected.iter().enumerate() {
                     assert_eq!(
                         &engine.outstanding(o),
@@ -187,5 +205,9 @@ fn prop_engines_agree_with_the_reference_model_on_join_scripts() {
     assert!(
         deadlocks >= 100 && retired_grants >= 100 && joins >= 1_000,
         "{deadlocks} deadlocks, {retired_grants} retired grants, {joins} joins"
+    );
+    assert!(
+        acquisition_detections >= 10,
+        "{acquisition_detections} acquisitions closed a cycle"
     );
 }

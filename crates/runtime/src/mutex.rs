@@ -8,7 +8,7 @@
 //!
 //! The type is a **drop-in replacement**: [`ImmuneMutex::new`] takes only
 //! the protected value (attaching to the process-global
-//! [`DimmunixRuntime`](crate::DimmunixRuntime)), and [`ImmuneMutex::lock`]
+//! [`DimmunixRuntime`]), and [`ImmuneMutex::lock`]
 //! is `#[track_caller]`, deriving its acquisition site from the caller's
 //! source location. Migrating a program from `std::sync` is a rename plus
 //! handling [`LockError`] where a deadlock would have hung. The explicit

@@ -10,7 +10,7 @@
 //! by any signature install in between) `DimmunixRuntime::stats` folds both
 //! into the same totals.
 
-use dimmunix_core::{History, LockId, Signature, SignatureKind, SignaturePair, TaskId};
+use dimmunix_core::{History, LockId, Signature, SignatureKind, SignaturePair, Stats, TaskId};
 use dimmunix_rt::{AcquisitionSite, DimmunixRuntime, LockError, TaskAcquire};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
@@ -294,4 +294,54 @@ fn mixed_owners_share_one_fifo_queue() {
     rt.task_release(t2, lb);
     assert_eq!(woken(), [1, 1]);
     assert_eq!(rt.stats().yields, 3);
+}
+
+/// An owner retired while it still holds an engine-visible lock (a worker
+/// that exits holding a guard, a task torn down with one) is force-released
+/// like a release: the retirement wakes the owner parked behind it, which
+/// then takes its lock. The thread side: X holds A at `P_A`, Y parks at
+/// `P_B` behind it, and X retires without releasing A.
+fn threads_retire_a_blocker() -> Stats {
+    let (rt, [la, lb, _]) = runtime(park_history());
+    let step = Barrier::new(2);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            thread_acquire(&rt, la, P_A);
+            step.wait(); // X holds A
+            await_yields(&rt, 1); // Y is parked behind X
+            rt.retire_current_thread();
+        });
+        s.spawn(|| {
+            step.wait();
+            thread_acquire(&rt, lb, P_B); // parks until X's retirement
+            rt.before_release(lb);
+        });
+    });
+    rt.stats()
+}
+
+/// The same script on two tasks, retired through `retire_task`.
+fn tasks_retire_a_blocker() -> Stats {
+    let (rt, [la, lb, _]) = runtime(park_history());
+    let (x, y) = (rt.register_task(None), rt.register_task(None));
+    let (wakes, w) = counting_waker();
+    task_acquire(&rt, &w, x, la, P_A);
+    let parked = rt.task_begin_acquire(y, lb, P_B, &w);
+    assert!(matches!(parked, TaskAcquire::Parked { .. }));
+    rt.retire_task(x);
+    assert_eq!(wakes.0.load(Ordering::SeqCst), 1, "X's retirement wakes Y");
+    task_acquire(&rt, &w, y, lb, P_B);
+    rt.task_release(y, lb);
+    rt.stats()
+}
+
+#[test]
+fn retiring_a_blocker_wakes_the_owner_parked_behind_it_on_both_kinds() {
+    let t = tasks_retire_a_blocker();
+    // X's hold is force-released by the retirement, not counted a release.
+    assert_eq!(
+        [t.requests, t.yields, t.acquisitions, t.releases],
+        [3, 1, 2, 1]
+    );
+    assert_eq!(threads_retire_a_blocker(), t);
 }

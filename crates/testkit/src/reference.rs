@@ -5,7 +5,9 @@
 //! The model keeps holds and outstanding requests as plain maps. It finds a
 //! deadlock by brute force, as a cycle through the requester in the
 //! wait-for graph: an owner waits for the holder of every lock it has an
-//! outstanding request for (the AND model). It counts position-queue
+//! outstanding request for (the AND model). It looks for one after every
+//! acquisition too, through the acquiring owner: an owner with another
+//! outstanding request can close a cycle by acquiring. It counts position-queue
 //! occupancy from scratch: a hold occupies the site it was granted at, and
 //! so does a granted request not yet acquired. It shares no code with the
 //! engine's RAG, so it can catch what oracles that all run that RAG cannot.
@@ -87,6 +89,8 @@ pub struct Model {
     held: BTreeMap<usize, (usize, u32)>,
     /// Per owner: lock → outstanding request.
     requests: Vec<BTreeMap<usize, Request>>,
+    /// Cycles found so far, by requests and by acquisitions.
+    detections: u64,
 }
 
 impl Model {
@@ -99,12 +103,20 @@ impl Model {
             next_site: 1,
             held: BTreeMap::new(),
             requests: vec![BTreeMap::new(); owners],
+            detections: 0,
         }
     }
 
     /// `owner`'s outstanding requests, by lock.
     pub fn outstanding(&self, owner: usize) -> &BTreeMap<usize, Request> {
         &self.requests[owner]
+    }
+
+    /// Deadlocks detected so far: requests answered
+    /// [`Verdict::Deadlock`], and acquisitions that closed a cycle through
+    /// their owner (the acquisition itself completes).
+    pub fn detections(&self) -> u64 {
+        self.detections
     }
 
     /// Position-queue occupancy per site, recomputed from scratch: one
@@ -173,6 +185,7 @@ impl Model {
                 };
                 self.requests[owner].insert(lock, req);
                 if self.waits_for_itself(owner) {
+                    self.detections += 1;
                     return Some(Verdict::Deadlock);
                 }
                 self.requests[owner].insert(
@@ -188,6 +201,7 @@ impl Model {
                 let req = self.requests[owner].remove(&lock).expect("outstanding");
                 assert!(req.granted && !self.held.contains_key(&lock));
                 self.held.insert(lock, (owner, req.site));
+                self.detections += u64::from(self.waits_for_itself(owner));
             }
             Step::Release { owner, lock } => {
                 assert_eq!(self.held.remove(&lock).map(|(h, _)| h), Some(owner));
@@ -245,6 +259,23 @@ mod tests {
         m.apply(Step::Retire { owner: 1 });
         assert_eq!(m.occupancy(), BTreeMap::from([(1, 1)]));
         assert_eq!(m.outstanding(0).get(&0).map(|r| r.granted), Some(false));
+    }
+
+    #[test]
+    fn an_acquisition_that_closes_a_cycle_is_counted() {
+        let mut m = Model::new(3, 2, 3);
+        let request = |owner, lock, site| Step::Request { owner, lock, site };
+        for (owner, lock, site) in [(0, 1, 1), (2, 0, 2)] {
+            assert_eq!(m.apply(request(owner, lock, site)), Some(Verdict::Granted));
+            m.apply(Step::Acquire { owner, lock });
+        }
+        assert_eq!(m.apply(request(1, 0, 3)), Some(Verdict::Granted));
+        assert_eq!(m.apply(request(1, 1, 4)), Some(Verdict::Granted));
+        assert_eq!(m.apply(request(0, 0, 5)), Some(Verdict::Granted));
+        m.apply(Step::Release { owner: 2, lock: 0 });
+        assert_eq!(m.detections(), 0);
+        m.apply(Step::Acquire { owner: 1, lock: 0 });
+        assert_eq!(m.detections(), 1);
     }
 
     #[test]
