@@ -529,18 +529,30 @@ impl Dimmunix {
         crate::sharded::decide(only, t, l, pos, mode, search_cycles, &mut |_| {})
     }
 
-    /// Called right after the monitor acquisition succeeded.
+    /// Called right after the monitor acquisition succeeded. An owner that
+    /// still waits on another outstanding acquisition (a task joining two
+    /// lock futures) can close a wait-for cycle by acquiring: the cycle is
+    /// then detected and recorded as a request that closes one is, and the
+    /// acquisition, which has happened, stands.
     pub fn acquired(&mut self, t: impl Into<OwnerId>, l: LockId) {
         let seq = self.rag.next_acquire_seq();
         self.acquired_with_seq(t, l, seq);
     }
 
     /// [`acquired`](Dimmunix::acquired) with an explicit acquisition sequence
-    /// number, used by the sharded engine to stamp holds distributed over
-    /// several shards from one global counter (see
-    /// [`Rag::acquire_with_seq`]).
+    /// number, for a substrate that stamps holds from a counter of its own
+    /// (see [`Rag::acquire_with_seq`]).
     pub fn acquired_with_seq(&mut self, t: impl Into<OwnerId>, l: LockId, seq: u64) {
         let t = t.into();
+        self.record_acquired(t, l, seq);
+        if self.rag.holds_and_waits(t).1 {
+            crate::sharded::detect_acquired(&mut [Some(self)], 0, t, &mut |_| {});
+        }
+    }
+
+    /// The acquisition hook's bookkeeping, without the cycle search: the
+    /// sharded ladder searches over every shard instead.
+    pub(crate) fn record_acquired(&mut self, t: OwnerId, l: LockId, seq: u64) {
         self.stats.acquisitions += 1;
         if self.config.is_disabled() {
             return;
@@ -670,7 +682,7 @@ impl Dimmunix {
     ) {
         let t = t.into();
         self.publish_granted(t, l, stack, mode);
-        self.acquired_with_seq(t, l, seq);
+        self.record_acquired(t, l, seq);
     }
 
     /// [`publish_acquired`](Dimmunix::publish_acquired) for a lock-free

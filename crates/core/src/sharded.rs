@@ -48,7 +48,7 @@
 //!   every shard's local queue at that slot;
 //! * hold-recency queries (`detection::latest_hold`) merge per-shard holds
 //!   by the global acquisition sequence number stamped through
-//!   [`Dimmunix::acquired_with_seq`];
+//!   [`ShardAccess::finish_locked`];
 //! * a lock's **owner set** (one entry per owner — several for a reader
 //!   crowd) lives whole in the lock's home shard, so the merged view unions
 //!   owner sets per lock trivially: the wait-for fan-out of a request (one
@@ -294,15 +294,35 @@ pub trait ShardAccess {
     }
 
     /// Records `owner`'s completed acquisition of `lock` in its home shard,
-    /// stamped with the implementor-wide acquisition sequence.
+    /// stamped with the implementor-wide acquisition sequence. If `owner`
+    /// still waits on another outstanding acquisition (`route` is its route
+    /// before this step), the new hold may have closed a wait-for cycle
+    /// through it: the merged cycle search then runs under every shard lock,
+    /// and a cycle found is recorded as a request-time detection records
+    /// one, `on_install` included. Returns whether one was; an owner with
+    /// nothing else outstanding (every thread) takes the home shard alone.
     #[inline(always)]
-    fn finish_locked(&mut self, owner: OwnerId, lock: LockId) -> impl FnOnce(&mut OwnerRoute) {
+    fn finish_locked(
+        &mut self,
+        owner: OwnerId,
+        route: OwnerRoute,
+        lock: LockId,
+        mut on_install: impl FnMut(&mut [&mut Dimmunix]),
+    ) -> (bool, impl FnOnce(&mut OwnerRoute)) {
         let home = self.shard_of(lock);
         let seq = self.next_seq();
         let mut shard = self.lock(home);
-        shard.acquired_with_seq(owner, lock, seq);
+        shard.record_acquired(owner, lock, seq);
         let seen = shard.rag().holds_and_waits(owner);
-        move |route: &mut OwnerRoute| route.observe(home, seen)
+        drop(shard);
+        let waits_elsewhere = route.outstanding_mask & !(1u64 << home) != 0;
+        let detected = (seen.1 || waits_elsewhere) && {
+            let n = self.shard_count();
+            detect_acquired(&mut self.lock_all()[..n], home, owner, &mut on_install)
+        };
+        (detected, move |route: &mut OwnerRoute| {
+            route.observe(home, seen)
+        })
     }
 
     /// Withdraws `owner`'s outstanding acquisition of `lock` — refused,
@@ -546,6 +566,30 @@ pub(crate) fn decide(
     }
     h.rag_mut().set_state(t, l, AcquisitionState::Granted);
     RequestOutcome::Granted
+}
+
+/// Detection at an acquisition: `t` just took a lock on shard `home` while
+/// another acquisition of its is outstanding, so the owners waiting for the
+/// new hold may close a cycle through `t` — one no request of theirs will
+/// look for. `shards` must contain every shard, as for [`decide`]. Only
+/// lock edges count: a genuine deadlock, recorded as [`decide`] records
+/// one (signature broadcast, counters on `home`). Returns whether one was
+/// found.
+pub(crate) fn detect_acquired(
+    shards: &mut [Option<impl Held>],
+    home: usize,
+    t: OwnerId,
+    on_install: &mut impl FnMut(&mut [&mut Dimmunix]),
+) -> bool {
+    let Some(steps) = merged_cycle(shards, t, false) else {
+        return false;
+    };
+    let detected = classify_cycle(shards, &steps);
+    let (_, new) = broadcast_signature(shards, detected.signature, on_install);
+    let stats = at(shards, home).stats_mut();
+    stats.deadlocks_detected += 1;
+    stats.new_deadlock_signatures += u64::from(new);
+    true
 }
 
 // ----------------------------------------------------------------------
@@ -1015,8 +1059,9 @@ impl ShardedDimmunix {
     /// acquisition sequence.
     pub fn acquired(&mut self, t: impl Into<OwnerId>, l: LockId) {
         let t = t.into();
-        let acquired = self.shards.finish_locked(t, l);
-        acquired(self.owner_routes.entry(t).or_default());
+        let route = self.owner_routes.entry(t).or_default();
+        let (_, acquired) = self.shards.finish_locked(t, *route, l, |_| {});
+        acquired(route);
     }
 
     /// Called right before the monitor is released; see

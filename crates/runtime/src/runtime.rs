@@ -29,11 +29,17 @@
 //! replays the log — repairing a crash-partial tail record — so antibodies
 //! survive process restarts and reboots (§2.1).
 //!
-//! An owner parked by avoidance, thread or task, queues a [`Waker`] on the
-//! signature that refused it (one FIFO per signature, global across shards);
-//! the release path of whichever shard releases a lock acquired at one of
-//! the signature's outer positions wakes the front of the queue. A thread's
-//! waker unparks it: the blocking hooks are `block_on` over the task ones.
+//! Threads and tasks are owners of one kind as far as the hooks go: each
+//! hook (begin, finish, cancel, release, retire) has one body, generic over
+//! where the owner's admission state lives — a thread's in a thread-local, a
+//! task's in a runtime map. An owner parked by avoidance queues a [`Waker`]
+//! on the signature that refused it (one FIFO per signature, global across
+//! shards); the release path of whichever shard releases a lock acquired at
+//! one of the signature's outer positions wakes the front of the queue. The
+//! task hooks return the begin hook's answer to the executor; the blocking
+//! hooks loop over it and sleep until the queued waker unparks the thread.
+//! The runtime's internal locks and their order are listed once, in
+//! `ARCHITECTURE.md`, "Invariants worth knowing".
 
 use crate::exchange::{ExchangeOptions, ExchangeState, ExchangeStats};
 use crate::site::AcquisitionSite;
@@ -394,12 +400,13 @@ struct FastHold {
     acquired: bool,
 }
 
-/// The admission state every owner carries, thread or task: the route the
-/// locked tiers read and transition, and the one lock (if any) it took on
-/// tier 1. At most one: the owner's next acquisition while this is `Some`
-/// takes the cross-shard path, which publishes it into the engine first.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct OwnerState {
+/// An owner's entry with the runtime, thread or task: its route on the
+/// locked tiers and the one lock (if any) it took on tier 1. At most one: the
+/// owner's next acquisition while `fast_held` is `Some` takes the
+/// cross-shard path, which publishes it into the engine first.
+#[derive(Debug, Clone, Copy)]
+struct Route {
+    owner: OwnerId,
     /// Holds and outstanding-acquisition masks: the state the locked
     /// admission path shares with `ShardedDimmunix`.
     route: OwnerRoute,
@@ -408,16 +415,30 @@ struct OwnerState {
     /// creates one on the owner's first engine call). Retiring an owner
     /// that only ever took tier 1 locks no shard.
     reached_shard: bool,
+    /// Where a task was spawned, when the executor recorded it; `None` for
+    /// a thread.
+    spawn_site: Option<AcquisitionSite>,
 }
 
-impl OwnerState {
+impl Route {
+    fn new(owner: OwnerId, spawn_site: Option<AcquisitionSite>) -> Self {
+        let (route, fast_held, reached_shard) = Default::default();
+        Route {
+            owner,
+            route,
+            fast_held,
+            reached_shard,
+            spawn_site,
+        }
+    }
+
     /// Tier 1: admits the acquisition lock-free, recording the fast hold, if
     /// the owner is known to no shard, holds nothing on tier 1, no import
-    /// is pending and the summary proves the site and the owner clear.
+    /// is pending and the summary proves the site and the owner clear — so
+    /// it can neither close a cycle nor occupy an avoidance slot.
     fn try_admit(
         &mut self,
         rt: &DimmunixRuntime,
-        owner: OwnerId,
         lock: LockId,
         site: AcquisitionSite,
         mode: AccessMode,
@@ -427,7 +448,7 @@ impl OwnerState {
         }
         let site_key = cached_site(site, |_, key| key);
         let admitted = matches!(
-            rt.summary.try_admit(site_key, owner),
+            rt.summary.try_admit(site_key, self.owner),
             Admission::Admit { .. }
         );
         if admitted {
@@ -464,12 +485,39 @@ impl OwnerState {
     }
 }
 
-/// Per-(runtime, OS thread) routing state. Only the owning thread reads or
-/// writes its entry, so no synchronization is needed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct ThreadRoute {
-    id: ThreadId,
-    state: OwnerState,
+/// Where an owner's [`Route`] lives, as the hooks reach it: each hook has
+/// one body generic over it, one monomorphised copy per owner kind.
+trait Slot {
+    fn owner(&self) -> OwnerId;
+    /// Applies `f` to the route, if the owner has one.
+    fn with<R>(&mut self, f: impl FnOnce(&mut Route) -> R) -> Option<R>;
+}
+
+/// A thread's slot: its entry of `THREAD_ROUTE`, borrowed for the length of
+/// the hook. Only the owning thread touches it, so a look is a field access.
+impl Slot for &mut Route {
+    fn owner(&self) -> OwnerId {
+        self.owner
+    }
+
+    fn with<R>(&mut self, f: impl FnOnce(&mut Route) -> R) -> Option<R> {
+        Some(f(self))
+    }
+}
+
+/// A task's slot: its entry of [`task_routes`](DimmunixRuntime::task_routes),
+/// which the install sink writes too, so each look takes the map's lock. An
+/// unregistered task has no route.
+struct TaskSlot<'r>(&'r DimmunixRuntime, TaskId);
+
+impl Slot for TaskSlot<'_> {
+    fn owner(&self) -> OwnerId {
+        OwnerId::Task(self.1)
+    }
+
+    fn with<R>(&mut self, f: impl FnOnce(&mut Route) -> R) -> Option<R> {
+        sync::lock(&self.0.task_routes).get_mut(&self.1).map(f)
+    }
 }
 
 /// Cache key for [`SITE_STACKS`]: the site's `'static` string **pointers**
@@ -493,7 +541,7 @@ impl From<AcquisitionSite> for SiteCacheKey {
 
 thread_local! {
     /// Per-OS-thread routing state, keyed by runtime instance.
-    static THREAD_ROUTE: std::cell::RefCell<IdHashMap<u64, ThreadRoute>> =
+    static THREAD_ROUTE: std::cell::RefCell<IdHashMap<u64, Route>> =
         std::cell::RefCell::new(IdHashMap::default());
 
     /// This thread's parker, allocated at its first park (a thread blocks
@@ -550,13 +598,13 @@ pub struct DimmunixRuntime {
     next_thread: AtomicU64,
     next_lock: AtomicU64,
     next_task: AtomicU64,
-    /// Per-task routing state (the task analogue of the thread-local
-    /// [`ThreadRoute`]). A map rather than a thread-local because a task may
-    /// be polled from any worker thread; an entry is touched by its own
-    /// task's polls, which an executor serializes, and by the install sink
-    /// ([`publish_task_holds`](Self::publish_task_holds)), which publishes
-    /// its fast hold. Lock order: shards before this map, everywhere.
-    task_routes: Mutex<IdHashMap<TaskId, TaskRoute>>,
+    /// The tasks' [`Route`]s (a thread's is in a thread-local). A map
+    /// because a task may be polled from any worker thread; an entry is
+    /// touched by its own task's polls, which an executor serializes, and by
+    /// the install sink ([`publish_task_holds`](Self::publish_task_holds)),
+    /// which publishes its fast hold. Its place in the lock order:
+    /// `ARCHITECTURE.md`, "Invariants worth knowing".
+    task_routes: Mutex<IdHashMap<TaskId, Route>>,
     /// Wakers of the owners parked by avoidance, threads and tasks alike,
     /// keyed by the signature whose instantiation parked them: FIFO per
     /// signature, at most one entry per owner, queued by
@@ -567,15 +615,6 @@ pub struct DimmunixRuntime {
     /// Collaborative-exchange state (quarantined foreign antibodies and
     /// counters); `None` unless [`RuntimeBuilder::exchange`] configured it.
     exchange: Option<ExchangeState>,
-}
-
-/// Per-task routing state: the same [`OwnerState`] a thread has, plus the
-/// task's spawn site for diagnostics.
-#[derive(Debug, Clone, Copy, Default)]
-struct TaskRoute {
-    state: OwnerState,
-    /// Where the task was spawned, when the executor recorded it.
-    spawn_site: Option<AcquisitionSite>,
 }
 
 /// The engine's answer to a non-blocking task acquisition request — the
@@ -738,8 +777,9 @@ impl DimmunixRuntime {
     /// Feeds one locally observed acquisition position to the
     /// foreign-antibody gate. The common case — nothing quarantined —
     /// costs one relaxed load. Activated antibodies are appended to the
-    /// shared history *after* the pending guard is dropped, keeping the
-    /// pending-before-shards lock order one-way.
+    /// shared history *after* the pending guard is dropped: the pending set
+    /// comes before the shards in the lock order (`ARCHITECTURE.md`,
+    /// "Invariants worth knowing").
     fn feed_exchange(&self, site: AcquisitionSite) {
         let Some(ex) = &self.exchange else { return };
         if !ex.pending_nonempty.load(Ordering::Relaxed) {
@@ -813,12 +853,13 @@ impl DimmunixRuntime {
     #[cfg(any(test, feature = "test-util"))]
     #[doc(hidden)]
     pub fn current_thread(&self) -> ThreadId {
-        self.with_thread(|r| r.id)
+        self.with_thread(|r| r.owner.as_thread().expect("a thread's route"))
     }
 
-    /// Applies `f` to this thread's routing state under one borrow of the
-    /// route map; a thread seen for the first time is registered first.
-    fn with_thread<R>(&self, f: impl FnOnce(&mut ThreadRoute) -> R) -> R {
+    /// Applies `f` to this thread's route under one borrow of the route map,
+    /// held for as long as `f` runs; a thread seen for the first time is
+    /// registered first.
+    fn with_thread<R>(&self, f: impl FnOnce(&mut Route) -> R) -> R {
         THREAD_ROUTE.with(|cell| {
             let mut map = cell.borrow_mut();
             f(map
@@ -833,20 +874,9 @@ impl DimmunixRuntime {
     // Kept out of line: every thread hook inlines `with_thread`.
     #[cold]
     #[inline(never)]
-    fn register_thread(&self) -> ThreadRoute {
-        ThreadRoute {
-            id: ThreadId::new(self.next_thread.fetch_add(1, Ordering::Relaxed)),
-            state: OwnerState::default(),
-        }
-    }
-
-    /// Applies `f` to this thread's admission state, if it has any yet.
-    fn update_thread_state(&self, f: impl FnOnce(&mut OwnerState)) {
-        THREAD_ROUTE.with(|cell| {
-            if let Some(r) = cell.borrow_mut().get_mut(&self.instance) {
-                f(&mut r.state);
-            }
-        });
+    fn register_thread(&self) -> Route {
+        let id = ThreadId::new(self.next_thread.fetch_add(1, Ordering::Relaxed));
+        Route::new(id.into(), None)
     }
 
     /// Allocates a lock id for a new immune lock (the analogue of inflating a
@@ -954,15 +984,15 @@ impl DimmunixRuntime {
     fn publish_task_holds(&self, engines: &mut [&mut Dimmunix]) {
         let mut shards = &self.shards;
         let mut routes = sync::lock(&self.task_routes);
-        for (task, r) in routes.iter_mut() {
-            let Some(hold) = r.state.fast_held.take() else {
+        for r in routes.values_mut() {
+            let Some(hold) = r.fast_held.take() else {
                 continue;
             };
-            let (home, owner) = (shards.shard_of(hold.lock), OwnerId::Task(*task));
+            let (home, owner) = (shards.shard_of(hold.lock), r.owner);
             let seq = shards.next_seq();
             self.publish_fast(engines[home], owner, hold, seq);
-            r.state.route.after_published(home, engines[home], owner);
-            r.state.reached_shard = true;
+            r.route.after_published(home, engines[home], owner);
+            r.reached_shard = true;
         }
     }
 
@@ -1008,8 +1038,9 @@ impl DimmunixRuntime {
         }
     }
 
-    /// Wakes **every** owner parked on the listed signatures. Lock order:
-    /// shard(s) before the parked map, everywhere.
+    /// Wakes **every** owner parked on the listed signatures. The parked
+    /// map comes after the shards in the lock order (`ARCHITECTURE.md`,
+    /// "Invariants worth knowing").
     fn notify_signatures(&self, sigs: &[SignatureId]) {
         let mut parked = sync::lock(&self.parked);
         for sig in sigs {
@@ -1057,41 +1088,67 @@ impl DimmunixRuntime {
     }
 
     // ------------------------------------------------------------------
-    // The locked admission path: core's ladder over `self.shards`
+    // The hooks: one body each, generic over the owner's `Slot`. The public
+    // hooks below are adapters: a thread's loops over `begin` and sleeps on
+    // a park; a task's returns `begin`'s answer to its executor.
     // ------------------------------------------------------------------
-    //
-    // The public hooks below adapt it for threads and tasks and differ only
-    // in where an owner's route lives (`THREAD_ROUTE` vs `task_routes`) and
-    // in who drives the retry after a park (the hook's loop vs the executor).
 
-    /// One pass of the paper's `lockMonitor` loop for an owner of either
-    /// kind: the engine's decision, the park if it says yield (`waker` is
-    /// built only then) and the policy's verdict on a detection. A tier-1
-    /// hold comes in as its lock and the call that publishes it. The caller
-    /// stores `route` back and retries a park once the waker has fired.
-    // Inlined so each adapter keeps a copy of the ladder specialised to its
-    // arguments; one shared copy cost `nested_transfers` 4 %.
-    #[allow(clippy::too_many_arguments)]
+    /// The `lockMonitor` prologue, once, for an owner of either kind: the
+    /// foreign-antibody gate, tier 1, then one engine decision on the locked
+    /// tiers, the park if it says yield (`waker` is built only then) and the
+    /// policy's verdict on a detection. After a [`TaskAcquire::Parked`] the
+    /// caller retries once the queued waker fires.
+    // Inlined: one copy per owner kind; one shared copy cost
+    // `nested_transfers` 4 %.
     #[inline(always)]
-    fn request_once(
+    fn begin(
         &self,
-        owner: OwnerId,
-        route: &mut OwnerRoute,
-        fast_hold: Option<(LockId, impl FnOnce(&mut Dimmunix, u64))>,
+        mut slot: impl Slot,
         lock: LockId,
         site: AcquisitionSite,
         mode: AccessMode,
-        spawn_site: Option<AcquisitionSite>,
         waker: impl FnOnce() -> Waker,
     ) -> TaskAcquire {
+        // This position may activate quarantined imports: before any shard
+        // lock is taken, so the antibody can refuse this very request.
+        self.feed_exchange(site);
+        let owner = slot.owner();
+        // Tier 1; on any doubt the locked tiers continue from this one look.
+        let read = slot.with(|r| {
+            let declined = !r.try_admit(self, lock, site, mode);
+            let fast_lock = r.fast_held.map(|fh| fh.lock);
+            declined.then_some((r.route, fast_lock, r.reached_shard, r.spawn_site))
+        });
+        let (mut route, fast_lock, reached, spawn_site) = match read {
+            Some(Some(read)) => read,
+            Some(None) => return TaskAcquire::Granted,
+            None => Default::default(),
+        };
+        // A tier-1 hold leaves the slot only under the all-shard lock: an
+        // install may have published a task's since.
+        let slot_ref = &mut slot;
+        let publish = fast_lock.map(|held| {
+            (held, move |engine: &mut Dimmunix, seq| {
+                if let Some(Some(fh)) = slot_ref.with(|r| r.fast_held.take()) {
+                    self.publish_fast(engine, owner, fh, seq);
+                }
+            })
+        });
         let stack = cached_site(site, |stack, _| Arc::clone(stack));
         let on_yield = |signature| self.park_on(signature, owner, waker());
         let wake_all = |sigs: &[SignatureId]| self.notify_signatures(sigs);
         let on_install = |engines: &mut [&mut Dimmunix]| self.publish_task_holds(engines);
-        let mut shards = &self.shards;
-        match shards.decide_locked(
-            owner, route, fast_hold, lock, &stack, mode, on_yield, wake_all, on_install,
-        ) {
+        let (before, mut shards) = (route, &self.shards);
+        let outcome = shards.decide_locked(
+            owner, &mut route, publish, lock, &stack, mode, on_yield, wake_all, on_install,
+        );
+        if route != before || !reached {
+            slot.with(|r| {
+                r.route = route;
+                r.reached_shard = true;
+            });
+        }
+        match outcome {
             RequestOutcome::Granted | RequestOutcome::GrantedReentrant => TaskAcquire::Granted,
             RequestOutcome::Yield { signature } => TaskAcquire::Parked { signature },
             RequestOutcome::DeadlockDetected { signature, .. } => {
@@ -1114,12 +1171,81 @@ impl DimmunixRuntime {
         }
     }
 
-    /// The `lockMonitor` prologue: keeps requesting until the engine grants,
-    /// parking on the matched signature's queue whenever it says yield.
-    ///
-    /// Uncontended requests that cannot interact with another shard are
-    /// decided under the home shard's lock alone; the rest take the ordered
-    /// all-shard snapshot path.
+    /// The `lockMonitor` epilogue: records the acquisition, or only counts
+    /// a tier-1 one (published later, if at all, by a request or an
+    /// install). One that closes a cycle, its owner still waiting on
+    /// another, is recorded and exported as a request-time detection is.
+    #[inline(always)]
+    fn finish(&self, mut slot: impl Slot, lock: LockId) {
+        let owner = slot.owner();
+        let route = match slot.with(|r| (!r.acquire_fast(lock)).then_some(r.route)) {
+            Some(None) => return self.summary.note_fast_acquire(owner),
+            read => read.flatten().unwrap_or_default(),
+        };
+        let on_install = |engines: &mut [&mut Dimmunix]| self.publish_task_holds(engines);
+        let mut shards = &self.shards;
+        let (detected, acquired) = shards.finish_locked(owner, route, lock, on_install);
+        slot.with(|r| acquired(&mut r.route));
+        if detected {
+            self.export_contribution();
+        }
+    }
+
+    /// Backs out of an approved or parked acquisition that will not be
+    /// completed. Backing out of a tier-1 admission only drops the route's
+    /// record: the engine never saw the request.
+    #[inline(always)]
+    fn cancel(&self, mut slot: impl Slot, lock: LockId) {
+        let owner = slot.owner();
+        if slot.with(|r| r.clear_fast(lock)) == Some(true) {
+            return;
+        }
+        let mut shards = &self.shards;
+        let (parked_on, cancelled) =
+            shards.cancel_locked(owner, lock, |sigs| self.notify_signatures(sigs));
+        // A dropped task future may have been handed the one wake of a
+        // release: drop its stale waker and re-broadcast. (A thread is back
+        // from its park before it can cancel: it has nothing parked here.)
+        if let Some(sig) = parked_on {
+            if let Some(q) = sync::lock(&self.parked).get_mut(&sig) {
+                q.retain(|(o, _)| *o != owner);
+            }
+            self.notify_signatures(&[sig]);
+        }
+        slot.with(|r| cancelled(&mut r.route));
+    }
+
+    /// The `unlockMonitor` prologue: releases in the owning shard and wakes
+    /// the front owner parked on every signature the engine says must be
+    /// notified. Releasing a tier-1 hold is wake-free: its site was
+    /// filter-clear at admission, and had a signature mentioning it been
+    /// installed since, a task's hold would have been published by it.
+    #[inline(always)]
+    fn release(&self, mut slot: impl Slot, lock: LockId) {
+        let owner = slot.owner();
+        if slot.with(|r| r.clear_fast(lock)) == Some(true) {
+            return self.summary.note_fast_release(owner);
+        }
+        let mut shards = &self.shards;
+        let released =
+            shards.release_locked(owner, lock, |sigs| self.notify_signatures_released(sigs));
+        slot.with(|r| released(&mut r.route));
+    }
+
+    /// Force-releases anything `owner` still holds on any shard. Its route
+    /// (`None` if it had none) is already removed, so no install can publish
+    /// a hold of it after its owner nodes are gone. An owner that only took
+    /// tier 1 has no owner node; one without a route may have reached the
+    /// engine unregistered, so it is retired everywhere.
+    fn retire(&self, owner: OwnerId, route: Option<Route>) {
+        if route.map_or(true, |r| r.reached_shard) {
+            (&self.shards).retire_locked(owner, |sigs| self.notify_signatures(sigs));
+        }
+    }
+
+    /// The `lockMonitor` prologue: keeps requesting until the engine
+    /// grants, sleeping on the matched signature's queue whenever it says
+    /// yield (the paper's `do { … } while (sigId >= 0)` loop).
     ///
     /// # Errors
     /// Returns [`LockError::WouldDeadlock`] when a deadlock is detected and
@@ -1152,150 +1278,53 @@ impl DimmunixRuntime {
         site: AcquisitionSite,
         mode: AccessMode,
     ) -> Result<(), LockError> {
-        // Foreign-antibody gate: this acquisition's position is local
-        // evidence that may activate quarantined imports. Runs before any
-        // shard lock is taken (activation appends under the all-shard
-        // lock), so the antibody can refuse *this very request* below.
-        self.feed_exchange(site);
-
-        // No-engine fast path: a hold-free requester whose site provably
-        // appears in no history signature and whom no yield record names as
-        // a blocker cannot close a cycle and cannot occupy an avoidance
-        // slot, so the grant is decided by one seqlock-consistent read of
-        // the admission summary — no shard lock at all. Any doubt (seqlock
-        // retry exhaustion, filter hit, blocker hit, relevant park) falls
-        // back to the locked path below, which remains the oracle.
-        // Only this thread touches its route, so the read the fast path made
-        // serves every retry; changes are stored back after each decision.
-        let Err(mut tr) = self.with_thread(|r| {
-            if r.state.try_admit(self, r.id.into(), lock, site, mode) {
-                Ok(())
-            } else {
-                Err(*r)
-            }
-        }) else {
-            return Ok(());
-        };
-        let owner = OwnerId::from(tr.id);
         let waker = || PARKER.with(|p| Waker::from(Arc::clone(p)));
-        loop {
-            let before = tr.state;
-            tr.state.reached_shard = true;
-            let held = tr.state.fast_held.take();
-            let publish = held.map(|fh| {
-                (fh.lock, move |engine: &mut Dimmunix, seq| {
-                    self.publish_fast(engine, owner, fh, seq)
-                })
-            });
-            let answer = self.request_once(
-                owner,
-                &mut tr.state.route,
-                publish,
-                lock,
-                site,
-                mode,
-                None,
-                waker,
-            );
-            if tr.state != before {
-                self.update_thread_state(|s| *s = tr.state);
-            }
-            match answer {
+        self.with_thread(|r| loop {
+            match self.begin(&mut *r, lock, site, mode, waker) {
                 TaskAcquire::Granted => return Ok(()),
                 TaskAcquire::WouldDeadlock(refusal) => {
-                    // Withdraw the refused request, as the task path does.
-                    self.cancel_acquire(lock);
+                    // Withdraw the refused request, as the async locks do.
+                    self.cancel(&mut *r, lock);
                     return Err(refusal);
                 }
-                // Sleep until the queued waker fires, then retry the request
-                // (the paper's do/while loop).
+                // Sleep until the queued waker fires, then retry.
                 TaskAcquire::Parked { .. } => PARKER.with(|p| {
                     while !p.woken.swap(false, Ordering::Acquire) {
                         thread::park();
                     }
                 }),
             }
-        }
+        })
     }
 
-    /// The `lockMonitor` epilogue. A hold admitted on the no-engine fast
-    /// path stays engine-invisible here (only a counter ticks); it is
-    /// published on demand if the owner ever takes the slow path while still
-    /// holding it.
+    /// The `lockMonitor` epilogue: records the completed acquisition.
     pub fn after_acquire(&self, lock: LockId) {
-        let (thread, fast) = self.with_thread(|r| (r.id, r.state.acquire_fast(lock)));
-        if fast {
-            self.summary.note_fast_acquire(thread.into());
-            return;
-        }
-        let mut shards = &self.shards;
-        let acquired = shards.finish_locked(thread.into(), lock);
-        self.update_thread_state(|s| acquired(&mut s.route));
+        self.with_thread(|r| self.finish(r, lock));
     }
 
     /// Backs out of an approved acquisition that will not be completed
-    /// (e.g. a failed `try_lock` on the underlying mutex). Backing out of a
-    /// fast-path admission only drops the thread-local record — the engine
-    /// never saw the request.
+    /// (e.g. a failed `try_lock` on the underlying mutex).
     pub fn cancel_acquire(&self, lock: LockId) {
-        let (thread, fast) = self.with_thread(|r| (r.id, r.state.clear_fast(lock)));
-        if fast {
-            return;
-        }
-        // A thread is back from its park before it can cancel, so there is
-        // no parked signature to clean up after.
-        let mut shards = &self.shards;
-        let (_, cancelled) =
-            shards.cancel_locked(thread.into(), lock, |sigs| self.notify_signatures(sigs));
-        self.update_thread_state(|s| cancelled(&mut s.route));
+        self.with_thread(|r| self.cancel(r, lock));
     }
 
-    /// The `unlockMonitor` prologue: releases in the owning shard and wakes
-    /// the front owner parked on every signature the engine says must be
-    /// notified. Releasing a fast-path hold is wake-free: its site was
-    /// filter-clear at admission, so no live signature mentions it and the
-    /// release can de-instantiate nothing.
+    /// The `unlockMonitor` prologue: releases the lock and wakes the owners
+    /// parked behind it.
     pub fn before_release(&self, lock: LockId) {
-        let (thread, fast) = self.with_thread(|r| (r.id, r.state.clear_fast(lock)));
-        if fast {
-            self.summary.note_fast_release(thread.into());
-            return;
-        }
-        let mut shards = &self.shards;
-        let released = shards.release_locked(thread.into(), lock, |sigs| {
-            self.notify_signatures_released(sigs)
-        });
-        self.update_thread_state(|s| released(&mut s.route));
+        self.with_thread(|r| self.release(r, lock));
     }
 
     /// Unregisters the calling thread (normally done when a worker exits),
     /// force-releasing anything it still holds on any shard. A thread this
-    /// runtime never saw, or saw on tier 1 only, has nothing to retire.
+    /// runtime never saw has no id, and nothing to retire.
     pub fn retire_current_thread(&self) {
-        let route = THREAD_ROUTE.with(|cell| cell.borrow_mut().remove(&self.instance));
-        if let Some(route) = route.filter(|r| r.state.reached_shard) {
-            (&self.shards).retire_locked(route.id.into(), |sigs| self.notify_signatures(sigs));
+        if let Some(r) = THREAD_ROUTE.with(|cell| cell.borrow_mut().remove(&self.instance)) {
+            self.retire(r.owner, Some(r));
         }
     }
 
-    // ------------------------------------------------------------------
-    // The task API: poll-based hooks for async substrates
-    // ------------------------------------------------------------------
-    //
-    // Async tasks are multiplexed onto a small pool of OS worker threads, so
-    // a task-level deadlock (task A holds lock 1 and awaits lock 2 while
-    // task B holds lock 2 and awaits lock 1) is invisible to the
-    // thread-keyed hooks above whenever the tasks share a worker. These
-    // hooks key the engine by [`OwnerId::Task`] instead, and replace the
-    // blocking yield loop of [`before_acquire`](Self::before_acquire) with a
-    // single-shot decision: a `Yield` registers the task's waker on the
-    // signature and surfaces as [`TaskAcquire::Parked`], so the calling
-    // future returns `Poll::Pending` instead of parking an OS thread.
-    //
-    // Tasks take tier 1 as threads do, through the same `OwnerState`. Unlike
-    // a thread's, a task's fast hold sits in `task_routes`, where every
-    // signature install publishes it (`publish_task_holds`) before anything
-    // is decided against the new history.
+    // The task hooks key the engine by `OwnerId::Task`: a task-level cycle
+    // between tasks that share a worker thread is invisible to the thread's.
 
     /// Registers a new async task with the runtime and returns its identity.
     /// `spawn_site` (the source location of the `spawn` call, when the
@@ -1305,25 +1334,9 @@ impl DimmunixRuntime {
     /// on first use.
     pub fn register_task(&self, spawn_site: Option<AcquisitionSite>) -> TaskId {
         let id = TaskId::new(self.next_task.fetch_add(1, Ordering::Relaxed));
-        sync::lock(&self.task_routes).insert(
-            id,
-            TaskRoute {
-                spawn_site,
-                ..TaskRoute::default()
-            },
-        );
+        let route = Route::new(id.into(), spawn_site);
+        sync::lock(&self.task_routes).insert(id, route);
         id
-    }
-
-    /// Applies `f` to `task`'s admission state, if it is still registered.
-    fn update_task_state<R>(
-        &self,
-        task: TaskId,
-        f: impl FnOnce(&mut OwnerState) -> R,
-    ) -> Option<R> {
-        sync::lock(&self.task_routes)
-            .get_mut(&task)
-            .map(|r| f(&mut r.state))
     }
 
     /// Non-blocking analogue of [`before_acquire`](Self::before_acquire)
@@ -1354,114 +1367,31 @@ impl DimmunixRuntime {
         mode: AccessMode,
         waker: &Waker,
     ) -> TaskAcquire {
-        let owner = OwnerId::Task(task);
-        // Same foreign-antibody gate as the thread path.
-        self.feed_exchange(site);
-        // Tier 1, under the one look at the task's route the locked path
-        // then continues from.
-        let tr = match sync::lock(&self.task_routes).get_mut(&task) {
-            Some(r) => {
-                if r.state.try_admit(self, owner, lock, site, mode) {
-                    return TaskAcquire::Granted;
-                }
-                *r
-            }
-            None => TaskRoute::default(),
-        };
-        // A fast hold stays in `task_routes` until the all-shard lock is
-        // held: an install may publish it first, and then there is nothing
-        // left to publish here.
-        let publish = tr.state.fast_held.map(|fh| {
-            (fh.lock, move |engine: &mut Dimmunix, seq| {
-                if let Some(Some(fh)) = self.update_task_state(task, |s| s.fast_held.take()) {
-                    self.publish_fast(engine, owner, fh, seq);
-                }
-            })
-        });
-        let mut route = tr.state.route;
-        let reached = tr.state.reached_shard;
-        let answer = self.request_once(
-            owner,
-            &mut route,
-            publish,
-            lock,
-            site,
-            mode,
-            tr.spawn_site,
-            || waker.clone(),
-        );
-        if route != tr.state.route || !reached {
-            self.update_task_state(task, |s| {
-                s.route = route;
-                s.reached_shard = true;
-            });
-        }
-        answer
+        self.begin(TaskSlot(self, task), lock, site, mode, || waker.clone())
     }
 
-    /// The task analogue of [`after_acquire`](Self::after_acquire): records
-    /// the completed acquisition, stamped with the runtime-global sequence,
-    /// or only counts it for a tier-1 hold.
+    /// The task analogue of [`after_acquire`](Self::after_acquire).
     pub fn task_finish_acquire(&self, task: TaskId, lock: LockId) {
-        if self.update_task_state(task, |s| s.acquire_fast(lock)) == Some(true) {
-            self.summary.note_fast_acquire(task.into());
-            return;
-        }
-        let mut shards = &self.shards;
-        let acquired = shards.finish_locked(task.into(), lock);
-        self.update_task_state(task, |s| acquired(&mut s.route));
+        self.finish(TaskSlot(self, task), lock);
     }
 
-    /// Backs out of an approved task acquisition that will not be completed
-    /// (the acquiring future was dropped between approval and completion —
-    /// e.g. a select! raced it against a timeout).
+    /// Backs out of an approved or parked task acquisition that will not be
+    /// completed (the acquiring future was dropped — e.g. a select! raced it
+    /// against a timeout).
     pub fn task_cancel_acquire(&self, task: TaskId, lock: LockId) {
-        if self.update_task_state(task, |s| s.clear_fast(lock)) == Some(true) {
-            return;
-        }
-        let mut shards = &self.shards;
-        let (parked_on, cancelled) =
-            shards.cancel_locked(task.into(), lock, |sigs| self.notify_signatures(sigs));
-        // The dropped future may have been the single waiter a release-driven
-        // wake was handed to; drop its stale waker and re-broadcast so the
-        // wake is not lost with it.
-        if let Some(sig) = parked_on {
-            if let Some(q) = sync::lock(&self.parked).get_mut(&sig) {
-                q.retain(|(o, _)| *o != OwnerId::Task(task));
-            }
-            self.notify_signatures(&[sig]);
-        }
-        self.update_task_state(task, |s| cancelled(&mut s.route));
+        self.cancel(TaskSlot(self, task), lock);
     }
 
-    /// The task analogue of [`before_release`](Self::before_release):
-    /// releases in the owning shard and wakes the front owner parked on
-    /// every signature the engine says must be notified. Releasing a tier-1
-    /// hold is wake-free: had a signature mentioning its site been installed
-    /// since, the install would have published it.
+    /// The task analogue of [`before_release`](Self::before_release).
     pub fn task_release(&self, task: TaskId, lock: LockId) {
-        if self.update_task_state(task, |s| s.clear_fast(lock)) == Some(true) {
-            self.summary.note_fast_release(task.into());
-            return;
-        }
-        let mut shards = &self.shards;
-        let released = shards.release_locked(task.into(), lock, |sigs| {
-            self.notify_signatures_released(sigs)
-        });
-        self.update_task_state(task, |s| released(&mut s.route));
+        self.release(TaskSlot(self, task), lock);
     }
 
     /// Unregisters a completed task, force-releasing anything it still
-    /// holds on any shard (a guard leaked across task teardown). Its route
-    /// goes first, so no install can publish a hold of the retiring task
-    /// after its owner nodes are gone. A task that only ever took tier 1
-    /// has no owner node to remove; one without a route may have reached
-    /// the engine unregistered, so it is retired everywhere.
+    /// holds on any shard (a guard leaked across task teardown).
     pub fn retire_task(&self, task: TaskId) {
         let route = sync::lock(&self.task_routes).remove(&task);
-        if route.map_or(true, |r| r.state.reached_shard) {
-            (&self.shards).retire_locked(task.into(), |sigs| self.notify_signatures(sigs));
-        }
+        self.retire(task.into(), route);
     }
 }
 
