@@ -532,7 +532,7 @@ impl Dimmunix {
     /// Called right after the monitor acquisition succeeded. An owner that
     /// still waits on another outstanding acquisition (a task joining two
     /// lock futures) can close a wait-for cycle by acquiring: the cycle is
-    /// then detected and recorded as a request that closes one is, and the
+    /// then handled as a request that closes one handles it, and the
     /// acquisition, which has happened, stands.
     pub fn acquired(&mut self, t: impl Into<OwnerId>, l: LockId) {
         let seq = self.rag.next_acquire_seq();
@@ -713,8 +713,9 @@ impl Dimmunix {
     }
 
     /// Wake-ups scheduled outside the release path (starvation resolution).
-    /// Substrates should drain these after every `request` call and wake
-    /// every owner that queued a waker on one of the signatures.
+    /// Substrates should drain these after every `request` call (and after
+    /// an `acquired` by an owner with another acquisition outstanding) and
+    /// wake every owner that queued a waker on one of the signatures.
     pub fn take_pending_wakeups(&mut self) -> Vec<SignatureId> {
         std::mem::take(&mut self.pending_wakeups)
     }

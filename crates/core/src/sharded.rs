@@ -77,7 +77,7 @@ use crate::admission::AdmissionSummary;
 use crate::avoidance::{Instantiation, MatchScratch};
 use crate::callstack::CallStack;
 use crate::config::Config;
-use crate::detection::{classify_cycle, starvation_signature};
+use crate::detection::{classify_cycle, starvation_signature, DetectedCycle};
 use crate::engine::{Dimmunix, RequestOutcome};
 use crate::history::History;
 use crate::position::PositionId;
@@ -279,14 +279,7 @@ pub trait ShardAccess {
         let h = at(shards, home);
         h.stats_mut().cross_decisions += 1;
         route.observe(home, h.rag().holds_and_waits(owner));
-        // Starvation resolution and eviction schedule wake-ups; a request
-        // that did neither (nearly all) has none to drain.
-        if shards.iter().any(|s| shard(s).has_pending_wakeups()) {
-            let pending: Vec<SignatureId> = (0..n)
-                .flat_map(|i| at(shards, i).take_pending_wakeups())
-                .collect();
-            wake_all(&pending);
-        }
+        drain_wakeups(shards, wake_all);
         if let RequestOutcome::Yield { signature } = &outcome {
             on_yield(*signature);
         }
@@ -299,14 +292,17 @@ pub trait ShardAccess {
     /// before this step), the new hold may have closed a wait-for cycle
     /// through it: the merged cycle search then runs under every shard lock,
     /// and a cycle found is recorded as a request-time detection records
-    /// one, `on_install` included. Returns whether one was; an owner with
-    /// nothing else outstanding (every thread) takes the home shard alone.
+    /// one — a starvation's scheduled wake-ups go to `wake_all`, and
+    /// `on_install` runs. Returns whether a deadlock was found; an owner
+    /// with nothing else outstanding (every thread) takes the home shard
+    /// alone.
     #[inline(always)]
     fn finish_locked(
         &mut self,
         owner: OwnerId,
         route: OwnerRoute,
         lock: LockId,
+        wake_all: impl FnOnce(&[SignatureId]),
         mut on_install: impl FnMut(&mut [&mut Dimmunix]),
     ) -> (bool, impl FnOnce(&mut OwnerRoute)) {
         let home = self.shard_of(lock);
@@ -318,11 +314,13 @@ pub trait ShardAccess {
         let waits_elsewhere = route.outstanding_mask & !(1u64 << home) != 0;
         let detected = (seen.1 || waits_elsewhere) && {
             let n = self.shard_count();
-            detect_acquired(&mut self.lock_all()[..n], home, owner, &mut on_install)
+            let mut all = self.lock_all();
+            let detected = detect_acquired(&mut all[..n], home, owner, &mut on_install);
+            drain_wakeups(&mut all[..n], wake_all);
+            detected
         };
-        (detected, move |route: &mut OwnerRoute| {
-            route.observe(home, seen)
-        })
+        let observed = move |route: &mut OwnerRoute| route.observe(home, seen);
+        (detected, observed)
     }
 
     /// Withdraws `owner`'s outstanding acquisition of `lock` — refused,
@@ -477,35 +475,16 @@ pub(crate) fn decide(
         .flatten()
         .map(|steps| classify_cycle(shards, &steps));
     if let Some(detected) = detected {
-        let is_starvation = detected.involves_yield;
-        let (sig_id, new) = broadcast_signature(shards, detected.signature.clone(), on_install);
-        if is_starvation {
-            let stats = at(shards, home).stats_mut();
-            stats.starvations_detected += 1;
-            stats.new_starvation_signatures += u64::from(new);
-            // Resume every parked participant (§2.2): un-park its
-            // acquisitions (wherever they live) and schedule wake-ups.
-            for th in &detected.owners {
-                for i in 0..shards.len() {
-                    while let Some(y) = at(shards, i).unpark_tracked(*th) {
-                        let h = at(shards, home);
-                        h.push_pending_wakeup(y.signature);
-                        h.stats_mut().wakeups += 1;
-                    }
-                }
-            }
-            // Fall through: the requester itself is then treated by the
-            // avoidance logic below.
-        } else {
-            let stats = at(shards, home).stats_mut();
-            stats.deadlocks_detected += 1;
-            stats.new_deadlock_signatures += u64::from(new);
+        let (signature, new_signature) = record_cycle(shards, home, &detected, on_install);
+        if !detected.involves_yield {
             return RequestOutcome::DeadlockDetected {
-                signature: sig_id,
-                new_signature: new,
+                signature,
+                new_signature,
                 owners: detected.owners,
             };
         }
+        // A starvation: the requester itself is then treated by the
+        // avoidance logic below.
     }
 
     // --- Avoidance (merged queue occupancy) ----------------------------
@@ -568,28 +547,69 @@ pub(crate) fn decide(
     RequestOutcome::Granted
 }
 
+/// Records a detected cycle: its signature broadcast to every shard and
+/// counted on `home`. A starvation (a cycle through a park) also resumes
+/// every parked participant (§2.2): its acquisitions, wherever they live,
+/// are un-parked and their wake-ups scheduled on `home`. Returns the
+/// signature and whether it was new.
+fn record_cycle(
+    shards: &mut [Option<impl Held>],
+    home: usize,
+    detected: &DetectedCycle,
+    on_install: &mut impl FnMut(&mut [&mut Dimmunix]),
+) -> (SignatureId, bool) {
+    let (id, new) = broadcast_signature(shards, detected.signature.clone(), on_install);
+    let stats = at(shards, home).stats_mut();
+    if !detected.involves_yield {
+        stats.deadlocks_detected += 1;
+        stats.new_deadlock_signatures += u64::from(new);
+        return (id, new);
+    }
+    stats.starvations_detected += 1;
+    stats.new_starvation_signatures += u64::from(new);
+    for th in &detected.owners {
+        for i in 0..shards.len() {
+            while let Some(y) = at(shards, i).unpark_tracked(*th) {
+                let h = at(shards, home);
+                h.push_pending_wakeup(y.signature);
+                h.stats_mut().wakeups += 1;
+            }
+        }
+    }
+    (id, new)
+}
+
 /// Detection at an acquisition: `t` just took a lock on shard `home` while
 /// another acquisition of its is outstanding, so the owners waiting for the
 /// new hold may close a cycle through `t` — one no request of theirs will
-/// look for. `shards` must contain every shard, as for [`decide`]. Only
-/// lock edges count: a genuine deadlock, recorded as [`decide`] records
-/// one (signature broadcast, counters on `home`). Returns whether one was
-/// found.
+/// look for. `shards` must contain every shard, as for [`decide`]; the
+/// search and the record are [`decide`]'s. Returns whether a deadlock (not
+/// a starvation) was found.
 pub(crate) fn detect_acquired(
     shards: &mut [Option<impl Held>],
     home: usize,
     t: OwnerId,
     on_install: &mut impl FnMut(&mut [&mut Dimmunix]),
 ) -> bool {
-    let Some(steps) = merged_cycle(shards, t, false) else {
+    let include_yields = at(shards, home).config().starvation_handling;
+    let Some(steps) = merged_cycle(shards, t, include_yields) else {
         return false;
     };
     let detected = classify_cycle(shards, &steps);
-    let (_, new) = broadcast_signature(shards, detected.signature, on_install);
-    let stats = at(shards, home).stats_mut();
-    stats.deadlocks_detected += 1;
-    stats.new_deadlock_signatures += u64::from(new);
-    true
+    record_cycle(shards, home, &detected, on_install);
+    !detected.involves_yield
+}
+
+/// Hands every shard's scheduled wake-ups to `wake_all`, if there are any
+/// (starvation resolution, cancellations and evictions schedule them; a
+/// step that did none of these, nearly every one, has none to drain).
+fn drain_wakeups(shards: &mut [Option<impl Held>], wake_all: impl FnOnce(&[SignatureId])) {
+    if shards.iter().any(|s| shard(s).has_pending_wakeups()) {
+        let pending: Vec<SignatureId> = (0..shards.len())
+            .flat_map(|i| at(shards, i).take_pending_wakeups())
+            .collect();
+        wake_all(&pending);
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -1060,7 +1080,9 @@ impl ShardedDimmunix {
     pub fn acquired(&mut self, t: impl Into<OwnerId>, l: LockId) {
         let t = t.into();
         let route = self.owner_routes.entry(t).or_default();
-        let (_, acquired) = self.shards.finish_locked(t, *route, l, |_| {});
+        let woken = &mut self.woken;
+        let wake_all = |sigs: &[SignatureId]| woken.extend_from_slice(sigs);
+        let (_, acquired) = self.shards.finish_locked(t, *route, l, wake_all, |_| {});
         acquired(route);
     }
 

@@ -10,8 +10,8 @@
 //! and 4 shards; on 4 shards the two locks live on different shards.
 
 use dimmunix_core::{
-    CallStack, Config, Dimmunix, Frame, LockId, OwnerId, RequestOutcome, ShardedDimmunix,
-    SignaturePair, TaskId, ThreadId,
+    CallStack, Config, Dimmunix, Frame, History, LockId, OwnerId, RequestOutcome, ShardedDimmunix,
+    Signature, SignatureKind, SignaturePair, TaskId, ThreadId,
 };
 
 fn site(line: u32) -> CallStack {
@@ -61,9 +61,20 @@ impl Engine {
     }
 
     fn deadlocks_detected(&self) -> u64 {
+        self.stats().deadlocks_detected
+    }
+
+    fn stats(&self) -> dimmunix_core::Stats {
         match self {
-            Engine::Mono(e) => e.stats().deadlocks_detected,
-            Engine::Sharded(e) => e.stats().deadlocks_detected,
+            Engine::Mono(e) => *e.stats(),
+            Engine::Sharded(e) => e.stats(),
+        }
+    }
+
+    fn take_pending_wakeups(&mut self) -> Vec<dimmunix_core::SignatureId> {
+        match self {
+            Engine::Mono(e) => e.take_pending_wakeups(),
+            Engine::Sharded(e) => e.take_pending_wakeups(),
         }
     }
 
@@ -85,7 +96,12 @@ impl Engine {
 /// 4 shards. The locks are chosen so that on 4 shards `l1` lives on shard 1
 /// and `l2` on shard 2.
 fn engines() -> (LockId, LockId, Vec<(&'static str, Engine)>) {
-    let four = ShardedDimmunix::new(Config::default(), 4);
+    engines_with(History::new())
+}
+
+/// [`engines`], each starting from `history`.
+fn engines_with(history: History) -> (LockId, LockId, Vec<(&'static str, Engine)>) {
+    let four = ShardedDimmunix::with_history(Config::default(), 4, history.clone());
     let on = |shard| {
         (1..)
             .map(LockId::new)
@@ -94,10 +110,16 @@ fn engines() -> (LockId, LockId, Vec<(&'static str, Engine)>) {
     };
     let (l1, l2) = (on(1), on(2));
     let engines = vec![
-        ("Dimmunix", Engine::Mono(Box::default())),
+        (
+            "Dimmunix",
+            Engine::Mono(Box::new(Dimmunix::with_history(
+                Config::default(),
+                history.clone(),
+            ))),
+        ),
         (
             "ShardedDimmunix(1)",
-            Engine::Sharded(ShardedDimmunix::new(Config::default(), 1)),
+            Engine::Sharded(ShardedDimmunix::with_history(Config::default(), 1, history)),
         ),
         ("ShardedDimmunix(4)", Engine::Sharded(four)),
     ];
@@ -179,6 +201,50 @@ fn an_acquisition_that_closes_a_cycle_is_detected() {
                 "{name}: no pair ({outer}, {inner}) in {pairs:?}"
             );
         }
+    }
+}
+
+/// The same shape through a park: with a signature over sites 1 and 2, U
+/// holds `lu` at site 1, and task T's request for l2 at site 2 parks with U
+/// as its blocker. U then waits for l1, and T's acquisition of l1 closes a
+/// cycle through T's park: an avoidance-induced deadlock. It is resolved as
+/// a request that closes one resolves it — recorded, T's park lifted and its
+/// wake-up scheduled — and T's retry is granted.
+#[test]
+fn a_starvation_closed_by_an_acquisition_is_resolved() {
+    let pair = |at| SignaturePair::new(site(at), site(at));
+    let mut history = History::new();
+    let (sig, _) = history.add(Signature::new(
+        SignatureKind::Deadlock,
+        vec![pair(1), pair(2)],
+    ));
+    let (l1, l2, engines) = engines_with(history);
+    let lu = LockId::new(1_000);
+    let (u, t, h) = (
+        OwnerId::from(ThreadId::new(1)),
+        OwnerId::from(TaskId::new(2)),
+        OwnerId::from(ThreadId::new(3)),
+    );
+    for (name, mut engine) in engines {
+        assert!(engine.request(u, lu, 1).is_granted(), "{name}");
+        engine.acquired(u, lu);
+        assert!(engine.request(h, l1, 30).is_granted(), "{name}");
+        engine.acquired(h, l1);
+        assert!(engine.request(t, l1, 20).is_granted(), "{name}");
+        let parked = engine.request(t, l2, 2);
+        assert_eq!(parked, RequestOutcome::Yield { signature: sig }, "{name}");
+        assert!(engine.request(u, l1, 11).is_granted(), "{name}");
+        engine.released(h, l1);
+        engine.take_pending_wakeups();
+        engine.acquired(t, l1);
+        let stats = engine.stats();
+        assert_eq!(
+            (stats.starvations_detected, stats.deadlocks_detected),
+            (1, 0),
+            "{name}: T's acquisition closed a cycle through its park unseen"
+        );
+        assert_eq!(engine.take_pending_wakeups(), [sig], "{name}: T is woken");
+        assert!(engine.request(t, l2, 2).is_granted(), "{name}: T's retry");
     }
 }
 

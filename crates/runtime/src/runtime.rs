@@ -1174,7 +1174,7 @@ impl DimmunixRuntime {
     /// The `lockMonitor` epilogue: records the acquisition, or only counts
     /// a tier-1 one (published later, if at all, by a request or an
     /// install). One that closes a cycle, its owner still waiting on
-    /// another, is recorded and exported as a request-time detection is.
+    /// another, is handled as a request-time detection is.
     #[inline(always)]
     fn finish(&self, mut slot: impl Slot, lock: LockId) {
         let owner = slot.owner();
@@ -1182,9 +1182,10 @@ impl DimmunixRuntime {
             Some(None) => return self.summary.note_fast_acquire(owner),
             read => read.flatten().unwrap_or_default(),
         };
+        let wake_all = |sigs: &[SignatureId]| self.notify_signatures(sigs);
         let on_install = |engines: &mut [&mut Dimmunix]| self.publish_task_holds(engines);
         let mut shards = &self.shards;
-        let (detected, acquired) = shards.finish_locked(owner, route, lock, on_install);
+        let (detected, acquired) = shards.finish_locked(owner, route, lock, wake_all, on_install);
         slot.with(|r| acquired(&mut r.route));
         if detected {
             self.export_contribution();

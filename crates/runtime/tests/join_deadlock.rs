@@ -7,14 +7,18 @@
 //! U waits for T, which waits for U. The runtime answers `WouldDeadlock`, U
 //! drops l2, and both tasks finish. Were T's wait for l2 invisible, U's
 //! request would be granted and both tasks would stay stuck.
+//!
+//! An acquisition can close such a cycle too, with no request to follow:
+//! the hook-level script at the end.
 
 use dimmunix_rt::asyncio::{yield_now, Executor, Mutex};
-use dimmunix_rt::{AcquisitionSite, DimmunixRuntime, LockError};
+use dimmunix_rt::{AcquisitionSite, DimmunixRuntime, ExchangeOptions, LockError, TaskAcquire};
 use std::cell::Cell;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::task::{Context, Poll};
+use std::sync::Arc;
+use std::task::{Context, Poll, Wake, Waker};
 
 const FILE: &str = "join_deadlock.rs";
 const U1: AcquisitionSite = AcquisitionSite::new("join.u1", FILE, 1);
@@ -108,4 +112,57 @@ fn a_cycle_through_a_joined_wait_is_refused() {
     // On one shard both of T's waits are in one RAG; on two, one per shard.
     join_script(1);
     join_script(2);
+}
+
+struct NoOp;
+
+impl Wake for NoOp {
+    fn wake(self: Arc<Self>) {}
+}
+
+/// U holds l2 and H holds l1. T's requests for l1 and l2 are granted (T
+/// waits for H and for U), and so is U's for l1 (H, not T, holds it). H
+/// releases, and T's acquisition of l1 closes the cycle U → T → U with no
+/// request of either to follow. The task hooks record it, and the runtime
+/// exports its pack as after a refused request; the acquisition stands.
+fn acquisition_script(shards: usize) {
+    let dir = std::env::temp_dir().join(format!(
+        "dimmunix-join-acquired-{}-{shards}",
+        std::process::id()
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    let rt = DimmunixRuntime::builder()
+        .shards(shards)
+        .log_sync(false)
+        .exchange(ExchangeOptions::new("join").export(dir.join("join.pack")))
+        .build();
+    let (l1, l2) = (rt.allocate_lock(), rt.allocate_lock());
+    assert_eq!(rt.shard_of(l1) == rt.shard_of(l2), shards == 1);
+    let [u, t, h] = [(); 3].map(|_| rt.register_task(None));
+    let w = Waker::from(Arc::new(NoOp));
+    let grant = |task, lock, site| {
+        let answer = rt.task_begin_acquire(task, lock, site, &w);
+        assert_eq!(answer, TaskAcquire::Granted, "{shards} shards");
+    };
+    grant(u, l2, U2);
+    rt.task_finish_acquire(u, l2);
+    grant(h, l1, U1);
+    rt.task_finish_acquire(h, l1);
+    grant(t, l1, T1);
+    grant(t, l2, T2);
+    grant(u, l1, U3);
+    rt.task_release(h, l1);
+    assert_eq!(rt.stats().deadlocks_detected, 0, "{shards} shards");
+    rt.task_finish_acquire(t, l1);
+    let stats = rt.stats();
+    assert_eq!(stats.deadlocks_detected, 1, "{shards} shards");
+    assert_eq!(rt.history().len(), 1, "{shards} shards");
+    assert_eq!(rt.exchange_stats().unwrap().exported, 1, "{shards} shards");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn an_acquisition_that_closes_a_cycle_is_detected_and_exported() {
+    acquisition_script(1);
+    acquisition_script(2);
 }
