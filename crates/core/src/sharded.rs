@@ -11,9 +11,8 @@
 //!   owner's outstanding acquisitions of them (requested, parked or
 //!   granted), the position-queue entries created by grants of its locks,
 //!   and its own [`Stats`] (rolled up on read).
-//! * **Every shard reads one shared, immutable
-//!   [`HistorySnapshot`]** — the history, the
-//!   canonical outer-position table, and the
+//! * **Every shard reads one shared, immutable [`HistorySnapshot`]** — the
+//!   history, the canonical outer-position table, and the
 //!   [`SignatureIndex`](crate::SignatureIndex) exist once per process, not
 //!   once per shard. A detection builds the successor snapshot
 //!   (copy-on-write, epoch bumped), appends one record to the history log,

@@ -18,11 +18,12 @@
 //!   to keep in lockstep.
 //!
 //! The canonical outer-position namespace decouples the shared snapshot
-//! from the per-shard [`PositionTable`](crate::PositionTable)s (which own the thread queues and
-//! are deliberately shard-local): each shard lazily links its own interned
-//! positions to the canonical ids — at intern time for positions created
-//! after the signature, and at snapshot-install time for positions that
-//! already existed. See `Dimmunix::install_snapshot` in `engine.rs`.
+//! from the per-shard [`PositionTable`](crate::PositionTable)s (which own
+//! the thread queues and are deliberately shard-local): each shard lazily
+//! links its own interned positions to the canonical ids — at intern time
+//! for positions created after the signature, and at snapshot-install time
+//! for positions that already existed. See `Dimmunix::install_snapshot` in
+//! `engine.rs`.
 
 use crate::avoidance::SignatureIndex;
 use crate::callstack::CallStack;

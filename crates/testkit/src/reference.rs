@@ -7,10 +7,11 @@
 //! wait-for graph: an owner waits for the holder of every lock it has an
 //! outstanding request for (the AND model). It looks for one after every
 //! acquisition too, through the acquiring owner: an owner with another
-//! outstanding request can close a cycle by acquiring. It counts position-queue
-//! occupancy from scratch: a hold occupies the site it was granted at, and
-//! so does a granted request not yet acquired. It shares no code with the
-//! engine's RAG, so it can catch what oracles that all run that RAG cannot.
+//! outstanding request can close a cycle by acquiring. It counts
+//! position-queue occupancy from scratch: a hold occupies the site it was
+//! granted at, and so does a granted request not yet acquired. It shares no
+//! code with the engine's RAG, so it can catch what oracles that all run
+//! that RAG cannot.
 //!
 //! Locks are exclusive, and every request comes from a site no earlier step
 //! used: no signature the engine learns can match a later request, so
