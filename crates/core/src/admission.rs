@@ -136,6 +136,12 @@ struct CounterStripe {
     published_grants: AtomicU64,
 }
 
+/// Adds one to a counter whose writers are serialized by a lock of the
+/// caller's: no read-modify-write needed.
+fn bump(counter: &AtomicU64) {
+    counter.store(counter.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+}
+
 /// What the filter has absorbed, for the writer alone.
 #[derive(Debug, Default)]
 struct Absorbed {
@@ -481,8 +487,13 @@ impl AdmissionSummary {
     /// slow-path request or a signature install (its request/grant/
     /// acquisition are then counted by the engine, so aggregation subtracts
     /// it once from each).
+    ///
+    /// A publish happens under every shard lock of the engines this summary
+    /// is attached to, and those locks order the callers, so the count is a
+    /// plain load and store rather than a read-modify-write (as for
+    /// [`note_grant_published`](Self::note_grant_published)).
     pub fn note_published(&self, owner: OwnerId) {
-        self.stripe(owner).published.fetch_add(1, Ordering::Relaxed);
+        bump(&self.stripe(owner).published);
     }
 
     /// Counts a fast admission of `owner` published into the engine as a
@@ -492,8 +503,8 @@ impl AdmissionSummary {
     /// too.
     pub fn note_grant_published(&self, owner: OwnerId) {
         let stripe = self.stripe(owner);
-        stripe.published.fetch_add(1, Ordering::Relaxed);
-        stripe.published_grants.fetch_add(1, Ordering::Relaxed);
+        bump(&stripe.published);
+        bump(&stripe.published_grants);
     }
 
     /// Fast-path admissions granted without any shard lock.

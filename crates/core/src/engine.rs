@@ -669,9 +669,14 @@ impl Dimmunix {
     /// through here the moment the owner takes a slow-path request (so by
     /// the time an owner holds two locks, every hold is engine-visible and
     /// detection sees the full wait-for relation) or a new signature is
-    /// installed. The hold already exists physically, so this is a forced
-    /// request+grant+acquire — no detection or avoidance runs — stamped with
-    /// the caller's global acquisition sequence number.
+    /// installed. The hold already exists physically, so no detection or
+    /// avoidance runs: it is counted as a request, a grant and an
+    /// acquisition, occupies its position slot and is recorded as a hold
+    /// stamped `seq` (which must order it among its owner's other holds, as
+    /// [`acquired_with_seq`](Dimmunix::acquired_with_seq)'s does), in one
+    /// step — the state [`publish_granted`](Dimmunix::publish_granted) then
+    /// [`acquired_with_seq`](Dimmunix::acquired_with_seq) would leave. The
+    /// owner has no outstanding acquisition of `l` and does not hold it.
     pub fn publish_acquired(
         &mut self,
         t: impl Into<OwnerId>,
@@ -681,8 +686,23 @@ impl Dimmunix {
         seq: u64,
     ) {
         let t = t.into();
-        self.publish_granted(t, l, stack, mode);
-        self.record_acquired(t, l, seq);
+        let pos = self.intern_position(stack);
+        self.stats.requests += 1;
+        self.stats.grants += 1;
+        self.stats.acquisitions += 1;
+        if self.config.is_disabled() {
+            self.rag.register_lock(l);
+        } else {
+            debug_assert!(
+                self.rag.outstanding_on(t, l).is_none() && !self.rag.owns(l, t),
+                "a published hold is its owner's only record of the lock"
+            );
+            if let Some(p) = self.positions.get_mut(pos) {
+                p.queue_mut().push(t);
+            }
+            // Registers `l` too.
+            self.rag.acquire_mode_with_seq(t, l, pos, mode, seq);
+        }
     }
 
     /// [`publish_acquired`](Dimmunix::publish_acquired) for a lock-free

@@ -11,9 +11,9 @@
 //! exactly like OS threads.
 
 use crate::callstack::{CallStack, SiteKey};
-use crate::OwnerId;
+use crate::{IdHashMap, OwnerId};
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::sync::{Arc, RwLock};
 
@@ -43,17 +43,23 @@ impl fmt::Display for PositionId {
 /// Dimmunix to acquire, locks at one position.
 ///
 /// §4's Position stores this as a linked queue with a free list; here it is
-/// a counted multiset ordered by owner id. The representation matters once
-/// owners are *tasks*: a server position can be occupied by thousands of
-/// concurrent tasks at once, and the avoidance hot path asks for a few
-/// distinct occupants per check — an ordered count map answers that in
-/// O(answer), keeps insert/remove at O(log distinct), and makes every
-/// traversal deterministic. The same owner may appear more than once (it
-/// may hold several locks acquired at the same program location).
+/// a counted multiset ordered by owner id: one `(owner, occurrences)` entry
+/// per distinct owner in a flat ring buffer sorted by owner. The
+/// representation matters once owners are *tasks*: a server position can be
+/// occupied by thousands of concurrent tasks at once, and the avoidance hot
+/// path asks for a few distinct occupants per check — a sorted prefix
+/// answers that in O(answer), a binary search finds an owner in O(log
+/// distinct), and every traversal is deterministic. Owner ids are allocated
+/// in increasing order and locks are granted roughly first come, first
+/// served, so an occupant nearly always arrives at the back and leaves near
+/// the front: a ring buffer moves only the entries on the shorter side of
+/// an insert or removal. The same owner may appear more than once (it may
+/// hold several locks acquired at the same program location).
 #[derive(Debug, Clone, Default)]
 pub struct OwnerQueue {
-    /// Occurrences per owner; absent means zero.
-    counts: std::collections::BTreeMap<OwnerId, usize>,
+    /// Occurrences per owner, sorted by owner; an absent owner has zero,
+    /// and no entry has zero.
+    counts: VecDeque<(OwnerId, usize)>,
     /// Total occurrences across all owners.
     len: usize,
 }
@@ -79,27 +85,51 @@ impl OwnerQueue {
         self.counts.len()
     }
 
+    /// Where `owner`'s entry is, or would be inserted.
+    fn find(&self, owner: OwnerId) -> Result<usize, usize> {
+        // The common case first: the newest owner, at the end.
+        let len = self.counts.len();
+        match self.counts.back() {
+            Some((newest, _)) if *newest < owner => Err(len),
+            Some((newest, _)) if *newest == owner => Ok(len - 1),
+            _ => self.counts.binary_search_by_key(&owner, |(o, _)| *o),
+        }
+    }
+
+    /// Removes the entry at `i`, from an end without shifting where it can.
+    fn remove_at(&mut self, i: usize) -> Option<(OwnerId, usize)> {
+        if i == 0 {
+            self.counts.pop_front()
+        } else if i + 1 == self.counts.len() {
+            self.counts.pop_back()
+        } else {
+            self.counts.remove(i)
+        }
+    }
+
     /// Adds one occurrence of `owner`.
     pub fn push(&mut self, owner: impl Into<OwnerId>) {
-        *self.counts.entry(owner.into()).or_insert(0) += 1;
+        let owner = owner.into();
+        match self.find(owner) {
+            Ok(i) => self.counts[i].1 += 1,
+            Err(i) if i == self.counts.len() => self.counts.push_back((owner, 1)),
+            Err(i) => self.counts.insert(i, (owner, 1)),
+        }
         self.len += 1;
     }
 
     /// Removes one occurrence of `owner`; returns true if an occurrence was
     /// present.
     pub fn remove_one(&mut self, owner: impl Into<OwnerId>) -> bool {
-        let owner = owner.into();
-        match self.counts.get_mut(&owner) {
-            Some(c) => {
-                *c -= 1;
-                if *c == 0 {
-                    self.counts.remove(&owner);
-                }
-                self.len -= 1;
-                true
-            }
-            None => false,
+        let Ok(i) = self.find(owner.into()) else {
+            return false;
+        };
+        self.counts[i].1 -= 1;
+        if self.counts[i].1 == 0 {
+            self.remove_at(i);
         }
+        self.len -= 1;
+        true
     }
 
     /// Removes every occurrence of every owner. Used by the schedule
@@ -111,19 +141,20 @@ impl OwnerQueue {
 
     /// Removes every occurrence of `owner`, returning how many were removed.
     pub fn remove_all(&mut self, owner: impl Into<OwnerId>) -> usize {
-        let removed = self.counts.remove(&owner.into()).unwrap_or(0);
+        let found = self.find(owner.into()).ok();
+        let removed = found.and_then(|i| self.remove_at(i)).map_or(0, |(_, c)| c);
         self.len -= removed;
         removed
     }
 
     /// Number of occurrences of `owner`.
     pub fn count(&self, owner: impl Into<OwnerId>) -> usize {
-        self.counts.get(&owner.into()).copied().unwrap_or(0)
+        self.find(owner.into()).map_or(0, |i| self.counts[i].1)
     }
 
     /// True if `owner` occupies at least one slot.
     pub fn contains(&self, owner: impl Into<OwnerId>) -> bool {
-        self.counts.contains_key(&owner.into())
+        self.find(owner.into()).is_ok()
     }
 
     /// Iterates over the occupying owners (occurrences, not deduplicated),
@@ -145,7 +176,7 @@ impl OwnerQueue {
         cap: usize,
         mut keep: impl FnMut(OwnerId) -> bool + 'a,
     ) -> impl Iterator<Item = OwnerId> + 'a {
-        let distinct = self.counts.keys().copied();
+        let distinct = self.counts.iter().map(|(o, _)| *o);
         distinct.filter(move |o| keep(*o)).take(cap)
     }
 }
@@ -323,10 +354,24 @@ pub struct PositionTable {
     /// sharded engines and the runtime share a single interner across all
     /// shards via [`PositionTable::with_interner`].
     interner: Arc<StackInterner>,
+    /// Keyed by the address of each stack the table stores, so a caller
+    /// passing one of those very stacks (the runtime's per-site cache holds
+    /// the shared interner's) is answered without hashing the stack. Sound
+    /// because the table holds an `Arc` to every stack it keys here: while
+    /// the key is in the map no other live stack can have its address.
+    by_addr: IdHashMap<usize, PositionId>,
     /// Keyed by the interned stack and probed through `Borrow<CallStack>`
-    /// with the caller's own stack, so a hit clones nothing.
+    /// with the caller's own stack, so a hit clones nothing: the fallback
+    /// for stacks from anywhere else (history files, packs, the simulator).
     by_stack: HashMap<Arc<CallStack>, PositionId>,
     positions: Vec<Position>,
+    /// Interns answered by hashing the stack's contents (`by_stack`).
+    content_probes: u64,
+}
+
+/// The identity key of a stack: its address.
+fn address(stack: &CallStack) -> usize {
+    stack as *const CallStack as usize
 }
 
 impl PositionTable {
@@ -343,8 +388,10 @@ impl PositionTable {
         PositionTable {
             depth: depth.max(1),
             interner,
+            by_addr: IdHashMap::default(),
             by_stack: HashMap::new(),
             positions: Vec::new(),
+            content_probes: 0,
         }
     }
 
@@ -355,8 +402,8 @@ impl PositionTable {
 
     /// Re-points the table at a shared interner. Safe at any time — the
     /// interner only deduplicates future interns; stacks already interned
-    /// keep their existing allocations (the `by_stack` fast path answers
-    /// repeats before the interner is consulted).
+    /// keep their existing allocations, which still key both maps (a
+    /// repeat of one from the new interner is answered by content).
     pub fn set_interner(&mut self, interner: Arc<StackInterner>) {
         self.interner = interner;
     }
@@ -387,8 +434,19 @@ impl PositionTable {
         }
     }
 
-    /// Interns `stack` (after truncation) and returns its id.
+    /// Interns `stack` (after truncation) and returns its id. A stack this
+    /// table stores (the one [`Position::stack_shared`] hands out, or the
+    /// shared interner's copy of it) is found by its address; any other by
+    /// its contents.
     pub fn intern(&mut self, stack: &CallStack) -> PositionId {
+        match self.by_addr.get(&address(stack)) {
+            Some(id) => *id,
+            None => self.intern_by_content(stack),
+        }
+    }
+
+    fn intern_by_content(&mut self, stack: &CallStack) -> PositionId {
+        self.content_probes += 1;
         let stack = self.coarsened(stack);
         if let Some(id) = self.by_stack.get(&*stack) {
             return *id;
@@ -396,13 +454,25 @@ impl PositionTable {
         let shared = self.interner.intern(&stack);
         let id = PositionId(self.positions.len() as u32);
         self.positions.push(Position::new(id, Arc::clone(&shared)));
+        self.by_addr.insert(address(&shared), id);
         self.by_stack.insert(shared, id);
         id
     }
 
     /// Looks up the id of an already-interned stack without inserting.
     pub fn lookup(&self, stack: &CallStack) -> Option<PositionId> {
-        self.by_stack.get(&*self.coarsened(stack)).copied()
+        let by_addr = self.by_addr.get(&address(stack));
+        by_addr
+            .or_else(|| self.by_stack.get(&*self.coarsened(stack)))
+            .copied()
+    }
+
+    /// How many [`intern`](Self::intern) calls so far hashed the stack's
+    /// contents: a stack's first intern, and every intern of a stack the
+    /// table does not store. The count a locked acquisition at a cached
+    /// site keeps at zero.
+    pub fn content_probes(&self) -> u64 {
+        self.content_probes
     }
 
     /// Returns the position data for `id`, if it exists.
@@ -439,9 +509,12 @@ impl PositionTable {
             }
         }
         // HashMap side of the interning (keys share the stored stacks'
-        // allocations through the interner, so only the Arc handle counts).
+        // allocations through the interner, so only the Arc handle counts),
+        // and the address keys.
         total += self.by_stack.len()
             * (std::mem::size_of::<Arc<CallStack>>() + std::mem::size_of::<PositionId>());
+        total +=
+            self.by_addr.len() * (std::mem::size_of::<usize>() + std::mem::size_of::<PositionId>());
         total
     }
 }
@@ -651,6 +724,52 @@ mod tests {
         let second = interner.intern(&s);
         assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(interner.len(), 1);
+    }
+
+    /// A stack the table stores is found by its address; an equal stack in
+    /// another allocation by its contents, to the same id.
+    #[test]
+    fn identity_and_content_lookups_agree() {
+        let mut t = PositionTable::new(2);
+        let id = t.intern(&stack(4));
+        assert_eq!(t.content_probes(), 1, "a first intern hashes");
+        let stored = Arc::clone(t.get(id).unwrap().stack_shared());
+        assert_eq!(t.intern(&stored), id);
+        assert_eq!(t.lookup(&stored), Some(id));
+        assert_eq!(
+            t.content_probes(),
+            1,
+            "the stored stack is found by address"
+        );
+        let copy = stack(4);
+        assert!(!std::ptr::eq(&copy, &*stored));
+        assert_eq!(t.intern(&copy), id);
+        assert_eq!(t.content_probes(), 2, "an equal copy is found by content");
+        assert_eq!(t.len(), 1);
+    }
+
+    /// A clone holds the same stacks, so the address keys it copies are
+    /// still sound; a table re-pointed at another interner keeps keying the
+    /// stacks it already stores, and finds an equal stack of the new
+    /// interner's by content.
+    #[test]
+    fn clones_and_repointed_tables_answer_the_same_ids() {
+        let mut t = PositionTable::new(1);
+        let ids: Vec<_> = (0..4).map(|i| t.intern(&stack(i))).collect();
+        let stored: Vec<_> = ids
+            .iter()
+            .map(|id| Arc::clone(t.get(*id).unwrap().stack_shared()))
+            .collect();
+        let mut clone = t.clone();
+        let other = Arc::new(StackInterner::new());
+        t.set_interner(Arc::clone(&other));
+        for (id, s) in ids.iter().zip(&stored) {
+            assert_eq!(clone.intern(s), *id);
+            assert_eq!(t.intern(s), *id);
+            assert_eq!(t.intern(&other.intern(s)), *id);
+        }
+        assert_eq!((t.len(), clone.len()), (4, 4));
+        assert_eq!(clone.content_probes(), 4, "only the first interns hashed");
     }
 
     #[test]

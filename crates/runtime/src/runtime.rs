@@ -554,24 +554,38 @@ thread_local! {
     /// Per-thread cache of interned call stacks and site keys by acquisition
     /// site. A site is a `'static` triple, so the cache never invalidates;
     /// the steady-state acquisition path allocates nothing and hashes only
-    /// this one small map lookup.
+    /// this one small map lookup. Each stack is the [`process_interner`]'s
+    /// copy, which the shards' position tables store and key by address.
     static SITE_STACKS: std::cell::RefCell<IdHashMap<SiteCacheKey, (Arc<CallStack>, SiteKey)>> =
         std::cell::RefCell::new(IdHashMap::default());
+}
+
+/// The stack interner every runtime's shards share, so a site's stack has
+/// one allocation in the process: the one [`SITE_STACKS`] holds on every
+/// thread, which a shard's position table finds by address, hashing
+/// nothing.
+fn process_interner() -> &'static Arc<StackInterner> {
+    static INTERNER: std::sync::OnceLock<Arc<StackInterner>> = std::sync::OnceLock::new();
+    INTERNER.get_or_init(Arc::default)
 }
 
 /// Applies `f` to the call stack and stable site key of an acquisition site,
 /// in place in the thread-local cache (built once per (thread, site)), so a
 /// caller that only needs the key, or the stack for the length of one engine
-/// call, touches no reference count. `f` must not acquire through a site.
-fn cached_site<R>(site: AcquisitionSite, f: impl FnOnce(&Arc<CallStack>, SiteKey) -> R) -> R {
+/// call, touches no reference count. The cache is only read while `f` runs:
+/// a call from inside `f` that misses (an install publishing a task's hold
+/// taken on another thread) gets the interned stack uncached.
+fn cached_site<R>(site: AcquisitionSite, f: impl FnOnce(&CallStack, SiteKey) -> R) -> R {
     SITE_STACKS.with(|cell| {
-        let mut map = cell.borrow_mut();
-        let (stack, key) = map.entry(site.into()).or_insert_with(|| {
-            let stack = Arc::new(site.to_call_stack());
-            let key = stack.site_key();
-            (stack, key)
-        });
-        f(stack, *key)
+        if let Some((stack, key)) = cell.borrow().get(&site.into()) {
+            return f(stack, *key);
+        }
+        let stack = process_interner().intern(&site.to_call_stack());
+        let key = stack.site_key();
+        if let Ok(mut map) = cell.try_borrow_mut() {
+            map.insert(site.into(), (Arc::clone(&stack), key));
+        }
+        f(&stack, key)
     })
 }
 
@@ -695,15 +709,15 @@ impl DimmunixRuntime {
         let count = options.shards.clamp(1, MAX_SHARDS);
         let snapshot = Arc::clone(first.history_snapshot());
         let summary = Arc::new(AdmissionSummary::new());
-        let interner = Arc::new(StackInterner::new());
+        let interner = process_interner();
         first.attach_admission_summary(Arc::clone(&summary));
-        first.share_stack_interner(Arc::clone(&interner));
+        first.share_stack_interner(Arc::clone(interner));
         let mut engines = Vec::with_capacity(count);
         engines.push(Mutex::new(first));
         for _ in 1..count {
             let mut engine = Dimmunix::with_snapshot(options.config.clone(), Arc::clone(&snapshot));
             engine.attach_admission_summary(Arc::clone(&summary));
-            engine.share_stack_interner(Arc::clone(&interner));
+            engine.share_stack_interner(Arc::clone(interner));
             engines.push(Mutex::new(engine));
         }
         let exchange = options.exchange.clone().map(ExchangeState::new);
@@ -847,6 +861,19 @@ impl DimmunixRuntime {
         self.shards.locks_taken.load(Ordering::Relaxed)
     }
 
+    /// Position lookups so far that hashed a call stack, summed over the
+    /// shards: the interns the shards' position tables answered by content
+    /// rather than by the stack's address (see
+    /// [`PositionTable::content_probes`](dimmunix_core::PositionTable::content_probes)).
+    #[cfg(feature = "test-util")]
+    #[doc(hidden)]
+    pub fn hashed_position_lookups(&self) -> u64 {
+        let engines = self.shards.engines.iter();
+        engines
+            .map(|e| sync::lock(e).positions().content_probes())
+            .sum()
+    }
+
     /// Identifier of the calling OS thread, registering it on first use (the
     /// analogue of `initNode` on thread allocation). Tests count what that
     /// first use costs.
@@ -960,13 +987,18 @@ impl DimmunixRuntime {
     }
 
     /// Makes `owner`'s tier-1 `hold` engine-visible in `engine`, the home
-    /// shard of its lock: as a hold once acquired (stamped `seq`), as a
-    /// grant while its owner still waits for the lock.
-    fn publish_fast(&self, engine: &mut Dimmunix, owner: OwnerId, hold: FastHold, seq: u64) {
+    /// shard of its lock: as a hold once acquired, as a grant while its
+    /// owner still waits for the lock. A hold is stamped with sequence 0,
+    /// below every sequence [`ShardAccess::next_seq`] hands out: the owner
+    /// was idle when tier 1 admitted it and has acquired nothing since (its
+    /// next acquisition publishes it first), so every other hold it will
+    /// have alongside this one is later. Only one owner's holds are ever
+    /// compared by sequence.
+    fn publish_fast(&self, engine: &mut Dimmunix, owner: OwnerId, hold: FastHold) {
         // Published from the stack the locked path would have interned.
         cached_site(hold.site, |stack, _| {
             if hold.acquired {
-                engine.publish_acquired(owner, hold.lock, stack, hold.mode, seq);
+                engine.publish_acquired(owner, hold.lock, stack, hold.mode, 0);
                 self.summary.note_published(owner);
             } else {
                 engine.publish_granted(owner, hold.lock, stack, hold.mode);
@@ -982,15 +1014,14 @@ impl DimmunixRuntime {
     /// thread-local and keeps its window (ARCHITECTURE.md, "What the summary
     /// deliberately does not prove").
     fn publish_task_holds(&self, engines: &mut [&mut Dimmunix]) {
-        let mut shards = &self.shards;
+        let shards = &self.shards;
         let mut routes = sync::lock(&self.task_routes);
         for r in routes.values_mut() {
             let Some(hold) = r.fast_held.take() else {
                 continue;
             };
             let (home, owner) = (shards.shard_of(hold.lock), r.owner);
-            let seq = shards.next_seq();
-            self.publish_fast(engines[home], owner, hold, seq);
+            self.publish_fast(engines[home], owner, hold);
             r.route.after_published(home, engines[home], owner);
             r.reached_shard = true;
         }
@@ -1128,20 +1159,23 @@ impl DimmunixRuntime {
         // install may have published a task's since.
         let slot_ref = &mut slot;
         let publish = fast_lock.map(|held| {
-            (held, move |engine: &mut Dimmunix, seq| {
+            (held, move |engine: &mut Dimmunix| {
                 if let Some(Some(fh)) = slot_ref.with(|r| r.fast_held.take()) {
-                    self.publish_fast(engine, owner, fh, seq);
+                    self.publish_fast(engine, owner, fh);
                 }
             })
         });
-        let stack = cached_site(site, |stack, _| Arc::clone(stack));
         let on_yield = |signature| self.park_on(signature, owner, waker());
         let wake_all = |sigs: &[SignatureId]| self.notify_signatures(sigs);
         let on_install = |engines: &mut [&mut Dimmunix]| self.publish_task_holds(engines);
         let (before, mut shards) = (route, &self.shards);
-        let outcome = shards.decide_locked(
-            owner, &mut route, publish, lock, &stack, mode, on_yield, wake_all, on_install,
-        );
+        // The site's stack is lent to the engine call from the cache, which
+        // holds the very allocation the shards key positions by.
+        let outcome = cached_site(site, |stack, _| {
+            shards.decide_locked(
+                owner, &mut route, publish, lock, stack, mode, on_yield, wake_all, on_install,
+            )
+        });
         if route != before || !reached {
             slot.with(|r| {
                 r.route = route;
