@@ -697,6 +697,10 @@ impl Dimmunix {
                 self.rag.outstanding_on(t, l).is_none() && !self.rag.owns(l, t),
                 "a published hold is its owner's only record of the lock"
             );
+            debug_assert!(
+                seq != 0 || self.rag.held_locks(t).is_empty(),
+                "a hold stamped 0 must be its owner's earliest"
+            );
             if let Some(p) = self.positions.get_mut(pos) {
                 p.queue_mut().push(t);
             }

@@ -212,10 +212,7 @@ pub trait ShardAccess {
         mut on_install: impl FnMut(&mut [&mut Dimmunix]),
     ) -> (SignatureId, bool) {
         let n = self.shard_count();
-        let mut all = self.lock_all();
-        let added = broadcast_signature(&mut all[..n], sig, &mut on_install);
-        unlock_all(all, n);
-        added
+        broadcast_signature(&mut self.lock_all()[..n], sig, &mut on_install)
     }
 
     /// One engine decision: inside the home shard alone when neither
@@ -269,6 +266,12 @@ pub trait ShardAccess {
         let mut all = self.lock_all();
         let shards = &mut all[..n];
         if let Some((fhome, publish)) = publish {
+            // The hold was taken while its owner held nothing, so it is the
+            // owner's earliest; the runtime stamps it sequence 0.
+            debug_assert!(
+                (0..n).all(|i| at(shards, i).rag().held_locks(owner).is_empty()),
+                "a lock-free hold is published before its owner's other holds"
+            );
             // After this the owner's every hold is engine-visible, so the
             // request below sees the full wait-for relation.
             let engine = at(shards, fhome);
@@ -284,7 +287,6 @@ pub trait ShardAccess {
         if let RequestOutcome::Yield { signature } = &outcome {
             on_yield(*signature);
         }
-        unlock_all(all, n);
         outcome
     }
 
@@ -319,7 +321,6 @@ pub trait ShardAccess {
             let mut all = self.lock_all();
             let detected = detect_acquired(&mut all[..n], home, owner, &mut on_install);
             drain_wakeups(&mut all[..n], wake_all);
-            unlock_all(all, n);
             detected
         };
         let observed = move |route: &mut OwnerRoute| route.observe(home, seen);
@@ -378,24 +379,12 @@ pub trait ShardAccess {
         for i in 0..n {
             wake.extend(at(&mut all, i).unregister_owner(owner));
         }
-        unlock_all(all, n);
         wake.sort_unstable_by_key(|s| s.index());
         wake.dedup();
         if !wake.is_empty() {
             wake_all(&wake);
         }
     }
-}
-
-/// Releases the shards [`ShardAccess::lock_all`] held, the first `n` slots
-/// in ascending order, and forgets the array: every other slot is `None`,
-/// and the array's drop glue would visit all [`MAX_SHARDS`] of them (≈ 50 ns
-/// a tier-3 step on the 2-CPU build host, more than its two shard mutexes
-/// take). On a panic the array unwinds normally.
-fn unlock_all<G>(mut all: [Option<G>; MAX_SHARDS], n: usize) {
-    all[..n].iter_mut().for_each(|held| drop(held.take()));
-    debug_assert!(all.iter().all(Option::is_none), "lock_all held {n} shards");
-    std::mem::forget(all);
 }
 
 /// Tier 2: decides a request entirely inside its home shard, or returns

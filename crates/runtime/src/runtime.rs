@@ -1021,6 +1021,10 @@ impl DimmunixRuntime {
                 continue;
             };
             let (home, owner) = (shards.shard_of(hold.lock), r.owner);
+            debug_assert!(
+                engines.iter().all(|e| e.rag().held_locks(owner).is_empty()),
+                "a task's lock-free hold is its earliest"
+            );
             self.publish_fast(engines[home], owner, hold);
             r.route.after_published(home, engines[home], owner);
             r.reached_shard = true;
