@@ -219,8 +219,9 @@ pub trait ShardAccess {
     /// detection nor avoidance can need another shard's state (tier 2),
     /// otherwise under every shard lock over the merged view (tier 3).
     ///
-    /// A `fast_hold` (a lock the owner took unseen by the engine, and the
-    /// call that publishes it) forces tier 3 and is published first. Tier 3
+    /// A `fast_hold` (a lock the owner took unseen by the engine while it
+    /// held nothing else, and the call that publishes it) forces tier 3 and
+    /// is published first. Tier 3
     /// hands scheduled wake-ups to `wake_all` and runs `on_yield` **while
     /// every shard lock is held**, so no release can slip past the park, and
     /// `on_install` after each signature it installs.
