@@ -483,28 +483,23 @@ impl AdmissionSummary {
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts a fast-held lock of `owner` published into the engine by a
-    /// slow-path request or a signature install (its request/grant/
-    /// acquisition are then counted by the engine, so aggregation subtracts
-    /// it once from each).
+    /// Counts a tier-1 admission of `owner` published into the engine
+    /// ([`Dimmunix::publish`](crate::Dimmunix::publish)) by a locked request
+    /// or a signature install. The engine then counts its request and grant,
+    /// so aggregation subtracts it once from each; `as_grant` marks one
+    /// published before its owner acquired the lock, whose acquisition the
+    /// engine counts when it completes, so it is not subtracted from the
+    /// acquisitions.
     ///
     /// A publish happens under every shard lock of the engines this summary
-    /// is attached to, and those locks order the callers, so the count is a
-    /// plain load and store rather than a read-modify-write (as for
-    /// [`note_grant_published`](Self::note_grant_published)).
-    pub fn note_published(&self, owner: OwnerId) {
-        bump(&self.stripe(owner).published);
-    }
-
-    /// Counts a fast admission of `owner` published into the engine as a
-    /// grant, before its owner acquired the lock: the engine counts its
-    /// request and grant, and the acquisition when it completes, so only
-    /// the former two are subtracted. Counted in [`published`](Self::published)
-    /// too.
-    pub fn note_grant_published(&self, owner: OwnerId) {
+    /// is attached to, and those locks order the callers, so each count is a
+    /// plain load and store rather than a read-modify-write.
+    pub(crate) fn note_published(&self, owner: OwnerId, as_grant: bool) {
         let stripe = self.stripe(owner);
         bump(&stripe.published);
-        bump(&stripe.published_grants);
+        if as_grant {
+            bump(&stripe.published_grants);
+        }
     }
 
     /// Fast-path admissions granted without any shard lock.
@@ -689,7 +684,7 @@ mod tests {
                 s.note_fast_release(owner);
             }
             assert_eq!(s.try_admit(in_history, owner), Admission::Fallback);
-            s.note_published(owner);
+            s.note_published(owner, false);
         }
         // One parked owner elsewhere: the next admit is a degradation hit.
         let rec = record(vec![OwnerId::thread(1000)]);

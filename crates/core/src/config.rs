@@ -22,9 +22,9 @@ pub const DEFAULT_MAX_SIGNATURES: usize = 4096;
 /// snapshot epochs is considered stale and may be retired to make room.
 pub const DEFAULT_EVICTION_WINDOW: u64 = 16;
 
-/// Default record count per history-log segment before an engine append
-/// rolls to a fresh `<path>.segN` file. Detections are rare, so a segment
-/// this size represents a long deployment; compaction coalesces the chain.
+/// Record count per history-log segment before an engine append rolls to a
+/// fresh `<path>.segN` file. Detections are rare, so a segment this size
+/// represents a long deployment; compaction coalesces the chain.
 pub const DEFAULT_LOG_SEGMENT_RECORDS: usize = 1024;
 
 /// Configuration of a [`Dimmunix`](crate::engine::Dimmunix) engine instance.
@@ -69,10 +69,6 @@ pub struct Config {
     /// retained. Each retirement is recorded in
     /// [`Stats::signatures_evicted`](crate::Stats).
     pub eviction_window: u64,
-    /// Records per history-log segment before appends roll to a fresh
-    /// `<path>.segN` file (0 = unsegmented). Replay always walks whatever
-    /// segment chain exists on disk regardless of this setting.
-    pub log_segment_records: usize,
 }
 
 impl Default for Config {
@@ -85,7 +81,6 @@ impl Default for Config {
             log_sync: true,
             max_signatures: DEFAULT_MAX_SIGNATURES,
             eviction_window: DEFAULT_EVICTION_WINDOW,
-            log_segment_records: DEFAULT_LOG_SEGMENT_RECORDS,
         }
     }
 }
@@ -162,13 +157,6 @@ impl ConfigBuilder {
         self
     }
 
-    /// Sets the records-per-segment cap of the history log (0 keeps the
-    /// log unsegmented).
-    pub fn log_segment_records(mut self, records: usize) -> Self {
-        self.config.log_segment_records = records;
-        self
-    }
-
     /// Finishes the builder.
     pub fn build(self) -> Config {
         self.config
@@ -188,7 +176,6 @@ mod tests {
         assert!(cfg.history_path.is_none());
         assert!(cfg.log_sync);
         assert_eq!(cfg.eviction_window, DEFAULT_EVICTION_WINDOW);
-        assert_eq!(cfg.log_segment_records, DEFAULT_LOG_SEGMENT_RECORDS);
     }
 
     #[test]
@@ -200,7 +187,6 @@ mod tests {
             .log_sync(false)
             .max_signatures(12)
             .eviction_window(4)
-            .log_segment_records(64)
             .build();
         assert_eq!(cfg.stack_depth, 3);
         assert!(!cfg.starvation_handling);
@@ -208,7 +194,6 @@ mod tests {
         assert!(cfg.history_path.is_some());
         assert!(!cfg.log_sync);
         assert_eq!(cfg.eviction_window, 4);
-        assert_eq!(cfg.log_segment_records, 64);
     }
 
     #[test]

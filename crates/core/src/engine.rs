@@ -19,7 +19,7 @@
 use crate::admission::AdmissionSummary;
 use crate::avoidance::{MatchScratch, SignatureIndex};
 use crate::callstack::CallStack;
-use crate::config::Config;
+use crate::config::{Config, DEFAULT_LOG_SEGMENT_RECORDS};
 use crate::error::{DimmunixError, Result};
 use crate::history::{History, HistoryLog, RecoveryReport};
 use crate::position::{PositionId, PositionTable};
@@ -130,6 +130,14 @@ impl Default for Dimmunix {
     }
 }
 
+/// Handle on the append-only history log `config` names, if any: the one
+/// place the engine builds it, for replay, appends and rewrites alike.
+fn history_log(config: &Config) -> Option<HistoryLog> {
+    let path = config.history_path.as_ref()?;
+    let log = HistoryLog::new(path).with_sync(config.log_sync);
+    Some(log.with_segment_records(DEFAULT_LOG_SEGMENT_RECORDS))
+}
+
 impl Dimmunix {
     /// Creates an engine with the given configuration. If the configuration
     /// names a history log, it is replayed — repairing a crash-partial tail
@@ -140,31 +148,28 @@ impl Dimmunix {
     /// restart can ever read; the engine then starts with an empty history,
     /// matching the old text-codec behaviour of a corrupt file.
     pub fn new(config: Config) -> Self {
-        let (history, recovery) = match config.history_path.as_ref() {
-            Some(path) => {
-                let log = HistoryLog::new(path);
-                match log.recover() {
-                    Ok(replay) => {
-                        let report = RecoveryReport {
-                            replayed: replay.records,
-                            truncated_tail: replay.truncated_tail,
-                            ..RecoveryReport::default()
-                        };
-                        (replay.history, Some(report))
-                    }
-                    Err(_) => {
-                        let quarantined_records = log.raw_record_count();
-                        let quarantine_path = log.quarantine().ok();
-                        let report = RecoveryReport {
-                            replayed: 0,
-                            truncated_tail: false,
-                            quarantined_records,
-                            quarantine_path,
-                        };
-                        (History::new(), Some(report))
-                    }
+        let (history, recovery) = match history_log(&config) {
+            Some(log) => match log.recover() {
+                Ok(replay) => {
+                    let report = RecoveryReport {
+                        replayed: replay.records,
+                        truncated_tail: replay.truncated_tail,
+                        ..RecoveryReport::default()
+                    };
+                    (replay.history, Some(report))
                 }
-            }
+                Err(_) => {
+                    let quarantined_records = log.raw_record_count();
+                    let quarantine_path = log.quarantine().ok();
+                    let report = RecoveryReport {
+                        replayed: 0,
+                        truncated_tail: false,
+                        quarantined_records,
+                        quarantine_path,
+                    };
+                    (History::new(), Some(report))
+                }
+            },
             None => (History::new(), None),
         };
         let mut engine = Self::with_history(config, history);
@@ -663,74 +668,59 @@ impl Dimmunix {
         }
     }
 
-    /// Makes an acquisition the engine never saw visible: the runtime's
-    /// lock-free admission path grants hold-free, clean-history
-    /// acquisitions without consulting the engine, and publishes the hold
-    /// through here the moment the owner takes a slow-path request (so by
-    /// the time an owner holds two locks, every hold is engine-visible and
-    /// detection sees the full wait-for relation) or a new signature is
-    /// installed. The hold already exists physically, so no detection or
-    /// avoidance runs: it is counted as a request, a grant and an
-    /// acquisition, occupies its position slot and is recorded as a hold
-    /// stamped `seq` (which must order it among its owner's other holds, as
-    /// [`acquired_with_seq`](Dimmunix::acquired_with_seq)'s does), in one
-    /// step — the state [`publish_granted`](Dimmunix::publish_granted) then
-    /// [`acquired_with_seq`](Dimmunix::acquired_with_seq) would leave. The
-    /// owner has no outstanding acquisition of `l` and does not hold it.
-    pub fn publish_acquired(
+    /// Makes a lock the runtime's lock-free tier admitted visible to the
+    /// engine — the one way a tier-1 hold enters a RAG. The runtime admits
+    /// hold-free, clean-history acquisitions without consulting the engine,
+    /// and publishes one through here the moment its owner takes a locked
+    /// request (so by the time an owner holds two locks, every hold is
+    /// engine-visible and detection sees the full wait-for relation) or a
+    /// new signature is installed. Nothing is decided: the admission has
+    /// happened. It is counted as a request and a grant and occupies its
+    /// position slot; if the owner has `acquired` the lock it is counted as
+    /// an acquisition and recorded as a hold, otherwise (a task queued
+    /// behind the holder) it is left as the granted outstanding acquisition
+    /// a granted [`request_mode`](Dimmunix::request_mode) leaves, which the
+    /// later [`acquired`](Dimmunix::acquired) completes. The attached
+    /// admission summary counts the publish.
+    ///
+    /// A hold is stamped with sequence 0, below every sequence a substrate
+    /// or the RAG hands out: tier 1 admits only an owner the engine knows
+    /// nothing of, and the owner's next acquisition publishes this one
+    /// first, so every other hold it will have alongside it is later. Only
+    /// one owner's holds are ever compared by sequence. The owner therefore
+    /// holds nothing yet, on any shard, and has no record of `l`.
+    pub fn publish(
         &mut self,
         t: impl Into<OwnerId>,
         l: LockId,
         stack: &CallStack,
         mode: AccessMode,
-        seq: u64,
+        acquired: bool,
     ) {
         let t = t.into();
         let pos = self.intern_position(stack);
         self.stats.requests += 1;
         self.stats.grants += 1;
-        self.stats.acquisitions += 1;
+        self.stats.acquisitions += u64::from(acquired);
+        if let Some(summary) = &self.admission {
+            summary.note_published(t, !acquired);
+        }
         if self.config.is_disabled() {
             self.rag.register_lock(l);
-        } else {
-            debug_assert!(
-                self.rag.outstanding_on(t, l).is_none() && !self.rag.owns(l, t),
-                "a published hold is its owner's only record of the lock"
-            );
-            debug_assert!(
-                seq != 0 || self.rag.held_locks(t).is_empty(),
-                "a hold stamped 0 must be its owner's earliest"
-            );
-            if let Some(p) = self.positions.get_mut(pos) {
-                p.queue_mut().push(t);
-            }
-            // Registers `l` too.
-            self.rag.acquire_mode_with_seq(t, l, pos, mode, seq);
+            return;
         }
-    }
-
-    /// [`publish_acquired`](Dimmunix::publish_acquired) for a lock-free
-    /// admission whose owner has not acquired the lock yet (a task queued
-    /// behind the holder): a forced grant, counted, leaving the state a
-    /// granted [`request_mode`](Dimmunix::request_mode) leaves — a granted
-    /// outstanding acquisition, occupying its position slot, that the later
-    /// [`acquired`](Dimmunix::acquired) completes.
-    pub fn publish_granted(
-        &mut self,
-        t: impl Into<OwnerId>,
-        l: LockId,
-        stack: &CallStack,
-        mode: AccessMode,
-    ) {
-        let t = t.into();
-        let pos = self.intern_position(stack);
-        self.stats.requests += 1;
-        self.stats.grants += 1;
-        self.rag.register_lock(l);
-        if !self.config.is_disabled() {
-            if let Some(p) = self.positions.get_mut(pos) {
-                p.queue_mut().push(t);
-            }
+        debug_assert!(
+            self.rag.held_locks(t).is_empty() && self.rag.outstanding_on(t, l).is_none(),
+            "a tier-1 hold is published before its owner's other holds, as its only record of the lock"
+        );
+        if let Some(p) = self.positions.get_mut(pos) {
+            p.queue_mut().push(t);
+        }
+        if acquired {
+            // Registers `l` too.
+            self.rag.acquire_mode_with_seq(t, l, pos, mode, 0);
+        } else {
+            self.rag.register_lock(l);
             self.open_request(t, l, pos, mode);
             self.rag.set_state(t, l, AcquisitionState::Granted);
         }
@@ -759,7 +749,7 @@ impl Dimmunix {
     /// Returns an error if no history path is configured or the write
     /// fails.
     pub fn save_history(&self) -> Result<()> {
-        match self.log() {
+        match history_log(&self.config) {
             Some(log) => log.rewrite(self.snapshot.history()),
             None => Err(DimmunixError::ProtocolViolation(
                 "no history path configured".into(),
@@ -912,15 +902,6 @@ impl Dimmunix {
     // Internals
     // ------------------------------------------------------------------
 
-    /// Handle on the configured append-only history log, if any.
-    fn log(&self) -> Option<HistoryLog> {
-        self.config.history_path.as_ref().map(|p| {
-            HistoryLog::new(p)
-                .with_sync(self.config.log_sync)
-                .with_segment_records(self.config.log_segment_records)
-        })
-    }
-
     fn extend_wakeups_for_position(&self, pos: PositionId, wake: &mut Vec<SignatureId>) {
         let Some(outer) = self.positions.get(pos).and_then(|p| p.history_ref()) else {
             return;
@@ -965,7 +946,7 @@ impl Dimmunix {
         let (snapshot, id, new) = self.snapshot.append(sig);
         debug_assert!(new, "duplicates returned early above");
         if new {
-            if let Some(log) = self.log() {
+            if let Some(log) = history_log(&self.config) {
                 // Best-effort, like the paper's persistence: a failed write
                 // costs re-learning the bug after the next occurrence, never
                 // engine correctness.

@@ -1325,6 +1325,64 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
+    /// A crash can stop an append after any byte of its record. Cut a log
+    /// of `K` records at every offset from the end of record `K - 1` to
+    /// the end of record `K` — once as a single file, once as the last
+    /// segment of a two-segment chain — and recover: no committed record
+    /// is lost, the torn one is dropped and reported exactly when some of
+    /// it reached the file, the file ends at the last whole record, a
+    /// second recovery changes nothing, and the next append replays as
+    /// record `K`.
+    #[test]
+    fn recovery_at_every_byte_of_the_last_record() {
+        const K: usize = 4;
+        let dir = std::env::temp_dir().join(format!("dimmunix-log-cut-{}", std::process::id()));
+        let records: Vec<Signature> = (0..K as u32)
+            .map(|i| sig(SignatureKind::Deadlock, i * 10, i * 10 + 1))
+            .collect();
+        // (segment size, the last file): one file holds all K records; two
+        // records per segment put records K-1 and K in `.seg1`.
+        for (segment_records, last) in [(usize::MAX, "history.log"), (2, "history.log.seg1")] {
+            let _ = fs::remove_dir_all(&dir);
+            let log = HistoryLog::new(dir.join("history.log"))
+                .with_sync(false)
+                .with_segment_records(segment_records);
+            for record in &records {
+                log.append(record).unwrap();
+            }
+            let last = dir.join(last);
+            let full = fs::read(&last).unwrap();
+            // Record K is the file's last line; record K-1 ends before it.
+            let start = full[..full.len() - 1]
+                .iter()
+                .rposition(|b| *b == b'\n')
+                .map_or(0, |newline| newline + 1);
+            for cut in start..=full.len() {
+                fs::write(&last, &full[..cut]).unwrap();
+                let whole = cut == full.len();
+                let replay = log.recover().unwrap();
+                let committed = if whole { K } else { K - 1 };
+                assert_eq!(replay.records, committed, "cut at {cut}");
+                assert_eq!(replay.truncated_tail, cut > start && !whole, "cut at {cut}");
+                let expected_len = if whole { full.len() } else { start };
+                assert_eq!(fs::read(&last).unwrap().len(), expected_len, "cut at {cut}");
+                let again = log.recover().unwrap();
+                assert_eq!(again.records, committed, "cut at {cut}");
+                assert!(!again.truncated_tail, "cut at {cut}");
+                assert_eq!(fs::read(&last).unwrap().len(), expected_len, "cut at {cut}");
+                if !whole {
+                    log.append(&records[K - 1]).unwrap();
+                    let replay = log.replay().unwrap();
+                    assert_eq!(replay.records, K, "cut at {cut}");
+                    assert_eq!(replay.history.len(), K, "cut at {cut}");
+                    assert!(!replay.truncated_tail, "cut at {cut}");
+                    assert_eq!(fs::read(&last).unwrap(), full, "cut at {cut}");
+                }
+            }
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn torn_tail_in_interior_segment_is_interior_corruption() {
         let dir = std::env::temp_dir().join(format!("dimmunix-log-segmid-{}", std::process::id()));

@@ -107,11 +107,13 @@ pub(crate) fn shard_index(lock: LockId, shards: usize) -> usize {
 }
 
 /// Per-owner routing bookkeeping kept outside the shards: the shards the
-/// owner holds locks on, and the ones recording an outstanding acquisition
-/// of its. Each [`ShardAccess`] implementor keeps one per owner and hands it
-/// to the ladder, which alone reads and transitions it; outside this crate
-/// it is an opaque value with one question, [`is_idle`](Self::is_idle), and
-/// one transition, [`after_published`](Self::after_published).
+/// owner holds locks on, the ones recording an outstanding acquisition of
+/// its, and whether it ever reached one. Each [`ShardAccess`] implementor
+/// keeps one per owner and hands it to the ladder's steps by `&mut`; the
+/// ladder alone transitions it. Outside this crate it is an opaque value
+/// with two questions, [`is_idle`](Self::is_idle) and
+/// [`reached_shard`](Self::reached_shard), and one transition,
+/// [`after_published`](Self::after_published).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OwnerRoute {
     /// Bit `s` set while the owner holds at least one lock on shard `s`.
@@ -120,6 +122,9 @@ pub struct OwnerRoute {
     /// owner: requested, parked or granted, and neither acquired nor
     /// withdrawn.
     outstanding_mask: u64,
+    /// Set by the owner's first step on any shard (a RAG creates an owner
+    /// node on the owner's first engine call) and never cleared.
+    reached: bool,
 }
 
 impl OwnerRoute {
@@ -130,6 +135,12 @@ impl OwnerRoute {
     /// a cycle through that wait.
     pub fn is_idle(&self) -> bool {
         self.holds_mask == 0 && self.outstanding_mask == 0
+    }
+
+    /// True once any shard may have an owner node for the owner: retiring
+    /// an owner that only ever took the lock-free tier touches no shard.
+    pub fn reached_shard(&self) -> bool {
+        self.reached
     }
 
     /// The transition after a lock `owner` took on the lock-free tier was
@@ -156,6 +167,7 @@ impl OwnerRoute {
         let others = !(1u64 << home);
         self.holds_mask = self.holds_mask & others | u64::from(holds) << home;
         self.outstanding_mask = self.outstanding_mask & others | u64::from(waits) << home;
+        self.reached = true;
     }
 }
 
@@ -166,10 +178,10 @@ impl OwnerRoute {
 /// Each provided method is a step of the ladder, keyed by [`OwnerId`]. What
 /// only the runtime has — a lock-free hold to publish, a park, the wake
 /// sinks, the install sink — comes in as arguments, called under the step's
-/// shard locks. A step that changes the owner's [`OwnerRoute`] returns the
-/// transition for the implementor to apply where it keeps the route. Every
-/// shard carries the implementor's one [`AdmissionSummary`], which tier 2's
-/// gate reads.
+/// shard locks. A step that can change the owner's [`OwnerRoute`] takes it
+/// by `&mut` and updates it in place; the implementor only says where the
+/// route lives. Every shard carries the implementor's one
+/// [`AdmissionSummary`], which tier 2's gate reads.
 ///
 /// The install sink (`on_install`) runs under every shard lock right after
 /// a new signature's snapshot is installed, with every shard, before
@@ -220,8 +232,8 @@ pub trait ShardAccess {
     /// otherwise under every shard lock over the merged view (tier 3).
     ///
     /// A `fast_hold` (a lock the owner took unseen by the engine while it
-    /// held nothing else, and the call that publishes it) forces tier 3 and
-    /// is published first. Tier 3
+    /// held nothing else, and the call that publishes it through
+    /// [`Dimmunix::publish`]) forces tier 3 and is published first. Tier 3
     /// hands scheduled wake-ups to `wake_all` and runs `on_yield` **while
     /// every shard lock is held**, so no release can slip past the park, and
     /// `on_install` after each signature it installs.
@@ -267,12 +279,6 @@ pub trait ShardAccess {
         let mut all = self.lock_all();
         let shards = &mut all[..n];
         if let Some((fhome, publish)) = publish {
-            // The hold was taken while its owner held nothing, so it is the
-            // owner's earliest; the runtime stamps it sequence 0.
-            debug_assert!(
-                (0..n).all(|i| at(shards, i).rag().held_locks(owner).is_empty()),
-                "a lock-free hold is published before its owner's other holds"
-            );
             // After this the owner's every hold is engine-visible, so the
             // request below sees the full wait-for relation.
             let engine = at(shards, fhome);
@@ -293,8 +299,8 @@ pub trait ShardAccess {
 
     /// Records `owner`'s completed acquisition of `lock` in its home shard,
     /// stamped with the implementor-wide acquisition sequence. If `owner`
-    /// still waits on another outstanding acquisition (`route` is its route
-    /// before this step), the new hold may have closed a wait-for cycle
+    /// still waits on another outstanding acquisition, the new hold may
+    /// have closed a wait-for cycle
     /// through it: the merged cycle search then runs under every shard lock,
     /// and a cycle found is recorded as a request-time detection records
     /// one — a starvation's scheduled wake-ups go to `wake_all`, and
@@ -305,11 +311,11 @@ pub trait ShardAccess {
     fn finish_locked(
         &mut self,
         owner: OwnerId,
-        route: OwnerRoute,
+        route: &mut OwnerRoute,
         lock: LockId,
         wake_all: impl FnOnce(&[SignatureId]),
         mut on_install: impl FnMut(&mut [&mut Dimmunix]),
-    ) -> (bool, impl FnOnce(&mut OwnerRoute)) {
+    ) -> bool {
         let home = self.shard_of(lock);
         let seq = self.next_seq();
         let mut shard = self.lock(home);
@@ -317,15 +323,14 @@ pub trait ShardAccess {
         let seen = shard.rag().holds_and_waits(owner);
         drop(shard);
         let waits_elsewhere = route.outstanding_mask & !(1u64 << home) != 0;
-        let detected = (seen.1 || waits_elsewhere) && {
+        route.observe(home, seen);
+        (seen.1 || waits_elsewhere) && {
             let n = self.shard_count();
             let mut all = self.lock_all();
             let detected = detect_acquired(&mut all[..n], home, owner, &mut on_install);
             drain_wakeups(&mut all[..n], wake_all);
             detected
-        };
-        let observed = move |route: &mut OwnerRoute| route.observe(home, seen);
-        (detected, observed)
+        }
     }
 
     /// Withdraws `owner`'s outstanding acquisition of `lock` — refused,
@@ -336,9 +341,10 @@ pub trait ShardAccess {
     fn cancel_locked(
         &mut self,
         owner: OwnerId,
+        route: &mut OwnerRoute,
         lock: LockId,
         wake_all: impl FnOnce(&[SignatureId]),
-    ) -> (Option<SignatureId>, impl FnOnce(&mut OwnerRoute)) {
+    ) -> Option<SignatureId> {
         let home = self.shard_of(lock);
         let mut shard = self.lock(home);
         let parked = shard.rag().outstanding_on(owner, lock);
@@ -347,8 +353,8 @@ pub trait ShardAccess {
         if shard.has_pending_wakeups() {
             wake_all(&shard.take_pending_wakeups());
         }
-        let seen = shard.rag().holds_and_waits(owner);
-        (parked_on, move |r: &mut OwnerRoute| r.observe(home, seen))
+        route.observe(home, shard.rag().holds_and_waits(owner));
+        parked_on
     }
 
     /// Releases `owner`'s hold on `lock` in its home shard; the signatures
@@ -357,17 +363,17 @@ pub trait ShardAccess {
     fn release_locked(
         &mut self,
         owner: OwnerId,
+        route: &mut OwnerRoute,
         lock: LockId,
         wake_front: impl FnOnce(&[SignatureId]),
-    ) -> impl FnOnce(&mut OwnerRoute) {
+    ) {
         let home = self.shard_of(lock);
         let mut shard = self.lock(home);
         let wake = shard.release(owner, lock);
         if !wake.is_empty() {
             wake_front(wake);
         }
-        let seen = shard.rag().holds_and_waits(owner);
-        move |route: &mut OwnerRoute| route.observe(home, seen)
+        route.observe(home, shard.rag().holds_and_waits(owner));
     }
 
     /// Unregisters `owner` on every shard, force-releasing anything it still
@@ -1087,8 +1093,7 @@ impl ShardedDimmunix {
         let route = self.owner_routes.entry(t).or_default();
         let woken = &mut self.woken;
         let wake_all = |sigs: &[SignatureId]| woken.extend_from_slice(sigs);
-        let (_, acquired) = self.shards.finish_locked(t, *route, l, wake_all, |_| {});
-        acquired(route);
+        self.shards.finish_locked(t, route, l, wake_all, |_| {});
     }
 
     /// Called right before the monitor is released; see
@@ -1103,21 +1108,19 @@ impl ShardedDimmunix {
     pub fn released_into(&mut self, t: impl Into<OwnerId>, l: LockId, wake: &mut Vec<SignatureId>) {
         let t = t.into();
         wake.clear();
-        let released = self
-            .shards
-            .release_locked(t, l, |sigs| wake.extend_from_slice(sigs));
-        released(self.owner_routes.entry(t).or_default());
+        let route = self.owner_routes.entry(t).or_default();
+        self.shards
+            .release_locked(t, route, l, |sigs| wake.extend_from_slice(sigs));
     }
 
     /// Abandons a granted-but-never-completed acquisition; see
     /// [`Dimmunix::cancel_request`].
     pub fn cancel_request(&mut self, t: impl Into<OwnerId>, l: LockId) {
         let t = t.into();
+        let route = self.owner_routes.entry(t).or_default();
         let woken = &mut self.woken;
-        let (_, cancelled) = self
-            .shards
-            .cancel_locked(t, l, |sigs| woken.extend_from_slice(sigs));
-        cancelled(self.owner_routes.entry(t).or_default());
+        self.shards
+            .cancel_locked(t, route, l, |sigs| woken.extend_from_slice(sigs));
     }
 
     /// Drains wake-ups scheduled outside the release path (starvation
@@ -1149,7 +1152,7 @@ mod tests {
     #[test]
     fn holds_on_any_shard_force_the_cross_path() {
         let mut r = OwnerRoute::default();
-        assert!(r.is_idle() && r.local_eligible());
+        assert!(r.is_idle() && r.local_eligible() && !r.reached_shard());
         r.observe(MAX_SHARDS - 1, (true, false));
         r.observe(2, (true, false));
         assert!(!r.local_eligible());
@@ -1158,7 +1161,9 @@ mod tests {
         r.observe(2, (true, false));
         assert!(!r.is_idle() && !r.local_eligible());
         r.observe(2, (false, false));
-        assert!(r.is_idle());
+        // Idle again, but a shard has seen the owner: retiring it must
+        // reach the shards.
+        assert!(r.is_idle() && r.reached_shard());
     }
 
     #[test]

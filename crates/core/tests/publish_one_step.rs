@@ -1,8 +1,9 @@
-//! `Dimmunix::publish_acquired` makes a lock-free hold engine-visible in one
-//! step: counted as a request, a grant and an acquisition, its position slot
-//! occupied, its hold recorded. That must leave exactly what the two-step
-//! sequence leaves — a forced grant (`publish_granted`) completed by
-//! `acquired_with_seq` — in the counters, the holds, the outstanding
+//! `Dimmunix::publish` of an acquired lock makes a lock-free hold
+//! engine-visible in one step: counted as a request, a grant and an
+//! acquisition, its position slot occupied, its hold recorded. That must
+//! leave exactly what the two-step sequence leaves — a forced grant (a
+//! `publish` of the unacquired lock) completed by `acquired_with_seq` at the
+//! same sequence 0 — in the counters, the holds, the outstanding
 //! acquisitions and the position queues, and every later decision must be
 //! the same. Checked on a `Dimmunix` and on the sharded ladder with 1 and 4
 //! shards, the way the runtime publishes: as the fast hold of a nested
@@ -44,13 +45,13 @@ enum Publish {
 }
 
 impl Publish {
-    fn run(self, e: &mut Dimmunix, t: OwnerId, l: LockId, at: u32, seq: u64) {
+    fn run(self, e: &mut Dimmunix, t: OwnerId, l: LockId, at: u32) {
         let stack = site(at);
         match self {
-            Publish::OneStep => e.publish_acquired(t, l, &stack, AccessMode::Exclusive, seq),
+            Publish::OneStep => e.publish(t, l, &stack, AccessMode::Exclusive, true),
             Publish::TwoStep => {
-                e.publish_granted(t, l, &stack, AccessMode::Exclusive);
-                e.acquired_with_seq(t, l, seq);
+                e.publish(t, l, &stack, AccessMode::Exclusive, false);
+                e.acquired_with_seq(t, l, 0);
             }
         }
     }
@@ -85,7 +86,7 @@ fn one_step_publish_leaves_what_the_two_step_sequence_leaves_on_an_engine() {
         let mut e = Dimmunix::with_history(Config::default(), history());
         let mut states = Vec::new();
         // T took l1 at site 1 lock-free, and now requests l2.
-        publish.run(&mut e, T, l1, 1, 7);
+        publish.run(&mut e, T, l1, 1);
         states.push(state(&e, &owners, &locks));
         assert_eq!(e.request(T, l2, &site(2)), RequestOutcome::Granted);
         e.acquired(T, l2);
@@ -165,8 +166,7 @@ impl ShardAccess for Owned {
 }
 
 /// A request by `t` for `l` at site `at`, publishing `fast` (a lock taken
-/// lock-free at site 1) first, as the runtime's nested request does: with
-/// sequence 0, since the owner had no other hold when it took that one.
+/// lock-free at site 1) first, as the runtime's nested request does.
 fn request(
     s: &mut Owned,
     route: &mut OwnerRoute,
@@ -175,7 +175,7 @@ fn request(
     fast: Option<(LockId, Publish)>,
 ) -> RequestOutcome {
     let fast =
-        fast.map(|(held, publish)| (held, move |e: &mut Dimmunix| publish.run(e, t, held, 1, 0)));
+        fast.map(|(held, publish)| (held, move |e: &mut Dimmunix| publish.run(e, t, held, 1)));
     let stack = site(at);
     s.decide_locked(
         t,
@@ -206,8 +206,7 @@ fn one_step_publish_leaves_what_the_two_step_sequence_leaves_on_the_sharded_ladd
             let outcome = request(&mut s, &mut t_route, T, (l2, 2), Some((l1, publish)));
             assert_eq!(outcome, RequestOutcome::Granted);
             states.push(s.state(&owners, &locks));
-            let (_, acquired) = s.finish_locked(T, t_route, l2, |_| {}, |_| {});
-            acquired(&mut t_route);
+            s.finish_locked(T, &mut t_route, l2, |_| {}, |_| {});
             states.push(s.state(&owners, &locks));
             let outcome = request(&mut s, &mut u_route, U, (l3, 3), None);
             assert!(
@@ -216,8 +215,7 @@ fn one_step_publish_leaves_what_the_two_step_sequence_leaves_on_the_sharded_ladd
             );
             states.push(s.state(&owners, &locks));
             for l in [l2, l1] {
-                let released = s.release_locked(T, l, |_| {});
-                released(&mut t_route);
+                s.release_locked(T, &mut t_route, l, |_| {});
             }
             assert!(t_route.is_idle());
             let outcome = request(&mut s, &mut u_route, U, (l3, 3), None);
@@ -246,7 +244,7 @@ fn a_published_grant_completes_to_the_one_step_hold() {
         assert!(e.request(T, l1, &site(5)).is_granted());
         e.acquired(T, l1);
     }
-    queued.publish_granted(K, l1, &site(1), AccessMode::Exclusive);
+    queued.publish(K, l1, &site(1), AccessMode::Exclusive, false);
     let slot = queued.positions().lookup(&site(1)).unwrap();
     let queue = queued.positions().get(slot).unwrap().queue();
     assert_eq!(queue.count(K), 1, "a published grant occupies its slot");
@@ -255,8 +253,8 @@ fn a_published_grant_completes_to_the_one_step_hold() {
     for e in [&mut queued, &mut direct] {
         assert!(e.released(T, l1).is_empty());
     }
-    queued.acquired_with_seq(K, l1, 9);
-    direct.publish_acquired(K, l1, &site(1), AccessMode::Exclusive, 9);
+    queued.acquired_with_seq(K, l1, 0);
+    direct.publish(K, l1, &site(1), AccessMode::Exclusive, true);
     assert_eq!(
         state(&queued, &owners, &locks),
         state(&direct, &owners, &locks)

@@ -7,27 +7,23 @@
 //! process exports its signatures as a [`Pack`] — a versioned single-file
 //! document keyed by [stable fingerprints](dimmunix_core::Signature::stable_fingerprint)
 //! that survive recompilation — and any other process running the same
-//! program can [`merge`](Pack::merge) that pack into its own history, so
-//! only one member of a fleet ever pays the first-occurrence cost of each
-//! bug.
+//! program can import that pack behind the trust gate below, so only one
+//! member of a fleet ever pays the first-occurrence cost of each bug.
 //!
-//! Three layers:
+//! Two layers:
 //!
 //! - **Packs** ([`pack`]): the `dimmunix-pack v1` codec with lineage
 //!   metadata, a CRDT-style join ([`Pack::merge`]: idempotent, commutative,
-//!   associative), [`Pack::diff`] for minimal contribution packs, and
-//!   all-or-nothing integrity checking (a pack failing any check is rejected
-//!   whole and can be quarantined like a corrupt log segment).
+//!   associative), and all-or-nothing integrity checking (a pack failing any
+//!   check is rejected whole and can be quarantined like a corrupt log
+//!   segment).
 //! - **Trust gating** ([`pending`]): foreign signatures are screened against
 //!   locally interned positions before activation. An antibody naming sites
 //!   this process has never executed sits inert in a [`PendingSet`], so a
 //!   bad pack cannot park threads at arbitrary sites (antibodies are
 //!   standing yield instructions — trusting them blindly would be a
-//!   denial-of-service vector).
-//! - **Snapshot joins**: [`merge_snapshot`] and [`merge_history`] fold a
-//!   pack into the engine's history keyed by stable fingerprint, so a bug
-//!   the local process already knows under different absolute line numbers
-//!   is deduplicated rather than double-counted.
+//!   denial-of-service vector). The gate is the only way a pack's
+//!   antibodies reach a history.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -36,17 +32,13 @@
 pub mod pack;
 pub mod pending;
 
-pub use pack::{
-    merge_history, merge_snapshot, Pack, PackEntry, PackError, PACK_FORMAT, PACK_VERSION,
-};
+pub use pack::{Pack, PackEntry, PackError, PACK_FORMAT, PACK_VERSION};
 pub use pending::{ActivatedAntibody, PendingSet};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dimmunix_core::{
-        CallStack, Frame, History, HistorySnapshot, Signature, SignatureKind, SignaturePair,
-    };
+    use dimmunix_core::{CallStack, Frame, Signature, SignatureKind, SignaturePair};
     use dimmunix_testkit::Gen;
 
     fn sig(outer_m: &str, line: u32, delta: u32) -> Signature {
@@ -246,58 +238,6 @@ mod tests {
             assert_eq!(canonical(&left), canonical(&right), "seed {seed}");
             assert_eq!(left.epoch_range(), right.epoch_range(), "seed {seed}");
         }
-    }
-
-    #[test]
-    fn diff_is_the_minimal_contribution() {
-        for seed in 0..100u64 {
-            let mut gen = Gen::new(seed.wrapping_mul(0x853c_49e6_748f_ea9b) | 1);
-            let local = random_pack(&mut gen, "local");
-            let remote = random_pack(&mut gen, "remote");
-            let contribution = local.diff(&remote);
-            // Nothing the remote already knows...
-            for (fp, _) in contribution.entries() {
-                assert!(!remote.contains(fp), "seed {seed}");
-                assert!(local.contains(fp), "seed {seed}");
-            }
-            // ...and merging the contribution gives the remote every bug
-            // the full pack would have. (Detection counts are advisory
-            // lineage and may stay lower for bugs the remote already knew.)
-            let mut via_diff = remote.clone();
-            via_diff.merge(&contribution);
-            let mut via_full = remote.clone();
-            via_full.merge(&local);
-            let bugs = |p: &Pack| p.entries().map(|(fp, _)| fp).collect::<Vec<_>>();
-            assert_eq!(bugs(&via_diff), bugs(&via_full), "seed {seed}");
-            assert_eq!(
-                via_diff.fingerprint(),
-                via_full.fingerprint(),
-                "seed {seed}"
-            );
-        }
-    }
-
-    /// The snapshot join deduplicates on the stable fingerprint, so a bug
-    /// the local process already recorded under its own compilation's line
-    /// numbers is not imported again from a foreign rendering.
-    #[test]
-    fn merge_snapshot_joins_on_stable_fingerprint() {
-        let mut history = History::new();
-        history.add(sig("outer.a", 10, 0)); // local rendering
-        let snapshot = HistorySnapshot::build(history, 1);
-
-        let mut pack = Pack::new("peer");
-        pack.add(sig("outer.a", 10, 500), 2); // same bug, shifted build
-        pack.add(sig("outer.z", 90, 500), 1); // genuinely new bug
-        let (merged, fresh) = merge_snapshot(&snapshot, &pack);
-        assert_eq!(fresh, 1, "only the unknown bug is imported");
-        assert_eq!(merged.len(), 2);
-
-        // Same join through the mutable-History entry point.
-        let mut history = History::new();
-        history.add(sig("outer.a", 10, 0));
-        assert_eq!(merge_history(&mut history, &pack), 1);
-        assert_eq!(history.len(), 2);
     }
 
     /// Satellite: the pending-activation path. A foreign antibody imports

@@ -24,13 +24,12 @@
 
 use dimmunix_core::json::{self, JsonValue};
 use dimmunix_core::{
-    fnv1a, signature_from_json_value, signature_to_log_record, History, HistorySnapshot, Signature,
+    fnv1a, signature_from_json_value, signature_to_log_record, HistorySnapshot, Signature,
     FNV_OFFSET,
 };
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 /// Magic `format` string of every pack document.
 pub const PACK_FORMAT: &str = "dimmunix-pack";
@@ -177,22 +176,6 @@ impl Pack {
         self.epoch_min = self.epoch_min.min(other.epoch_min);
         self.epoch_max = self.epoch_max.max(other.epoch_max);
         fresh
-    }
-
-    /// The minimal contribution pack: entries of `self` that `remote` does
-    /// not already carry (by stable fingerprint). This is what a process
-    /// pushes back after detecting locally — everything else the fleet
-    /// already knows.
-    pub fn diff(&self, remote: &Pack) -> Pack {
-        let mut out = Pack::new(self.origin.clone());
-        out.epoch_min = self.epoch_min;
-        out.epoch_max = self.epoch_max;
-        for (fp, entry) in &self.entries {
-            if !remote.entries.contains_key(fp) {
-                out.entries.insert(*fp, entry.clone());
-            }
-        }
-        out
     }
 
     /// The whole-pack fingerprint: FNV-1a over the sorted entry fingerprints.
@@ -364,54 +347,6 @@ impl Pack {
             }
         }
     }
-}
-
-/// Joins a pack into an immutable history snapshot, producing the successor
-/// snapshot and the number of antibodies that were new.
-///
-/// The join key is the stable fingerprint: entries whose bug the local
-/// history already knows — even under a different compilation's absolute
-/// line numbers — are skipped rather than duplicated.
-pub fn merge_snapshot(local: &Arc<HistorySnapshot>, pack: &Pack) -> (Arc<HistorySnapshot>, usize) {
-    let known: std::collections::HashSet<u64> = local
-        .history()
-        .iter()
-        .map(|(_, sig)| sig.stable_fingerprint())
-        .collect();
-    let mut snapshot = Arc::clone(local);
-    let mut fresh = 0;
-    for (fp, entry) in pack.entries() {
-        if known.contains(&fp) {
-            continue;
-        }
-        let (next, _, was_new) = snapshot.append(entry.signature.clone());
-        snapshot = next;
-        if was_new {
-            fresh += 1;
-        }
-    }
-    (snapshot, fresh)
-}
-
-/// Joins a pack directly into a mutable [`History`], returning the number of
-/// antibodies that were new. Same stable-fingerprint join as
-/// [`merge_snapshot`].
-pub fn merge_history(local: &mut History, pack: &Pack) -> usize {
-    let known: std::collections::HashSet<u64> = local
-        .iter()
-        .map(|(_, sig)| sig.stable_fingerprint())
-        .collect();
-    let mut fresh = 0;
-    for (fp, entry) in pack.entries() {
-        if known.contains(&fp) {
-            continue;
-        }
-        let (_, was_new) = local.add(entry.signature.clone());
-        if was_new {
-            fresh += 1;
-        }
-    }
-    fresh
 }
 
 /// The epoch lineage, which the codec and merge carry and tests check.

@@ -50,7 +50,7 @@ use dimmunix_core::{
     ShardAccess, Signature, SignatureId, SiteKey, StackInterner, Stats, TaskId, ThreadId,
     MAX_SHARDS,
 };
-use dimmunix_exchange::{Pack, PackError};
+use dimmunix_exchange::{ActivatedAntibody, Pack, PackError, PendingSet};
 use std::collections::VecDeque;
 use std::fmt;
 use std::path::PathBuf;
@@ -407,14 +407,10 @@ struct FastHold {
 #[derive(Debug, Clone, Copy)]
 struct Route {
     owner: OwnerId,
-    /// Holds and outstanding-acquisition masks: the state the locked
-    /// admission path shares with `ShardedDimmunix`.
+    /// The state the locked admission ladder keeps for the owner, as it
+    /// does for `ShardedDimmunix`'s owners.
     route: OwnerRoute,
     fast_held: Option<FastHold>,
-    /// Set once any shard may have an owner node for the owner (a RAG
-    /// creates one on the owner's first engine call). Retiring an owner
-    /// that only ever took tier 1 locks no shard.
-    reached_shard: bool,
     /// Where a task was spawned, when the executor recorded it; `None` for
     /// a thread.
     spawn_site: Option<AcquisitionSite>,
@@ -422,12 +418,11 @@ struct Route {
 
 impl Route {
     fn new(owner: OwnerId, spawn_site: Option<AcquisitionSite>) -> Self {
-        let (route, fast_held, reached_shard) = Default::default();
+        let (route, fast_held) = Default::default();
         Route {
             owner,
             route,
             fast_held,
-            reached_shard,
             spawn_site,
         }
     }
@@ -491,6 +486,31 @@ trait Slot {
     fn owner(&self) -> OwnerId;
     /// Applies `f` to the route, if the owner has one.
     fn with<R>(&mut self, f: impl FnOnce(&mut Route) -> R) -> Option<R>;
+
+    /// The owner's ladder route for a locked step, read in the look that
+    /// first lets `fast` settle the step on tier 1: `None` if it did (the
+    /// lock was the owner's tier-1 hold). An owner without a route starts
+    /// from the default one.
+    fn locked_route(&mut self, fast: impl FnOnce(&mut Route) -> bool) -> Option<OwnerRoute> {
+        match self.with(|r| (!fast(r)).then_some(r.route)) {
+            Some(None) => None,
+            read => Some(read.flatten().unwrap_or_default()),
+        }
+    }
+
+    /// Writes back the route a locked step updated in place. Sound without
+    /// holding the slot across the step: an owner in a locked step has no
+    /// tier-1 hold, and the install sink writes only the routes of owners
+    /// that have one.
+    fn write_back(&mut self, route: OwnerRoute) {
+        self.with(|r| {
+            debug_assert!(
+                r.fast_held.is_none(),
+                "an owner in a locked step has no tier-1 hold"
+            );
+            r.route = route;
+        });
+    }
 }
 
 /// A thread's slot: its entry of `THREAD_ROUTE`, borrowed for the length of
@@ -616,7 +636,7 @@ pub struct DimmunixRuntime {
     /// because a task may be polled from any worker thread; an entry is
     /// touched by its own task's polls, which an executor serializes, and by
     /// the install sink ([`publish_task_holds`](Self::publish_task_holds)),
-    /// which publishes its fast hold. Its place in the lock order:
+    /// which publishes its tier-1 hold. Its place in the lock order:
     /// `ARCHITECTURE.md`, "Invariants worth knowing".
     task_routes: Mutex<IdHashMap<TaskId, Route>>,
     /// Wakers of the owners parked by avoidance, threads and tasks alike,
@@ -752,64 +772,66 @@ impl DimmunixRuntime {
         let Some(ex) = &self.exchange else { return };
         let snapshot = self.history_snapshot();
         let mut activated = Vec::new();
-        {
-            let mut pending = sync::lock(&ex.pending);
-            for path in &ex.import_paths {
-                match Pack::load_or_quarantine(path) {
-                    Ok(pack) => {
-                        for (_, entry) in pack.entries() {
-                            activated
-                                .extend(pending.admit(entry.signature.clone(), entry.detections));
-                            ex.imported.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    // A peer that has not exported yet is not an error.
-                    Err((PackError::Io(e), _)) if e.kind() == std::io::ErrorKind::NotFound => {}
-                    Err(_) => {
-                        ex.quarantined_packs.fetch_add(1, Ordering::Relaxed);
+        let mut pending = sync::lock(&ex.pending);
+        for path in &ex.import_paths {
+            match Pack::load_or_quarantine(path) {
+                Ok(pack) => {
+                    for (_, entry) in pack.entries() {
+                        activated.extend(pending.admit(entry.signature.clone(), entry.detections));
+                        ex.imported.fetch_add(1, Ordering::Relaxed);
                     }
                 }
-            }
-            let outers = snapshot.outer_table();
-            for raw in 0..outers.len() {
-                if pending.is_empty() {
-                    break;
-                }
-                if let Some(stack) = outers.stack(PositionId::new(raw as u32)) {
-                    activated.extend(pending.observe_position(stack));
+                // A peer that has not exported yet is not an error.
+                Err((PackError::Io(e), _)) if e.kind() == std::io::ErrorKind::NotFound => {}
+                Err(_) => {
+                    ex.quarantined_packs.fetch_add(1, Ordering::Relaxed);
                 }
             }
-            ex.pending_nonempty
-                .store(!pending.is_empty(), Ordering::Relaxed);
         }
-        for antibody in activated {
-            self.add_signature(antibody.signature);
-            ex.activated.fetch_add(1, Ordering::Relaxed);
+        let outers = snapshot.outer_table();
+        for raw in 0..outers.len() {
+            if pending.is_empty() {
+                break;
+            }
+            if let Some(stack) = outers.stack(PositionId::new(raw as u32)) {
+                activated.extend(pending.observe_position(stack));
+            }
         }
+        self.activate(ex, &pending, activated);
     }
 
     /// Feeds one locally observed acquisition position to the
     /// foreign-antibody gate. The common case — nothing quarantined —
-    /// costs one relaxed load. Activated antibodies are appended to the
-    /// shared history *after* the pending guard is dropped: the pending set
-    /// comes before the shards in the lock order (`ARCHITECTURE.md`,
-    /// "Invariants worth knowing").
+    /// costs one load.
     fn feed_exchange(&self, site: AcquisitionSite) {
         let Some(ex) = &self.exchange else { return };
-        if !ex.pending_nonempty.load(Ordering::Relaxed) {
+        if !ex.pending_nonempty.load(Ordering::Acquire) {
             return;
         }
-        let activated = {
-            let mut pending = sync::lock(&ex.pending);
-            let out = cached_site(site, |stack, _| pending.observe_position(stack));
-            ex.pending_nonempty
-                .store(!pending.is_empty(), Ordering::Relaxed);
-            out
-        };
+        let mut pending = sync::lock(&ex.pending);
+        let activated = cached_site(site, |stack, _| pending.observe_position(stack));
+        self.activate(ex, &pending, activated);
+    }
+
+    /// Installs the antibodies just taken out of `pending`, then clears the
+    /// gate if nothing is left pending — in that order, so a tier-1 reader
+    /// that sees the gate clear ([`exchange_pending`](Self::exchange_pending))
+    /// also sees the admission filter hold every activated site. Runs under
+    /// the pending guard, which comes before the shards in the lock order
+    /// (`ARCHITECTURE.md`, "Invariants worth knowing") and serialises two
+    /// activating threads.
+    fn activate(
+        &self,
+        ex: &ExchangeState,
+        pending: &PendingSet,
+        activated: Vec<ActivatedAntibody>,
+    ) {
         for antibody in activated {
             self.add_signature(antibody.signature);
             ex.activated.fetch_add(1, Ordering::Relaxed);
         }
+        ex.pending_nonempty
+            .store(!pending.is_empty(), Ordering::Release);
     }
 
     /// Writes this process's contribution pack — its full current history
@@ -986,48 +1008,24 @@ impl DimmunixRuntime {
             .0
     }
 
-    /// Makes `owner`'s tier-1 `hold` engine-visible in `engine`, the home
-    /// shard of its lock: as a hold once acquired, as a grant while its
-    /// owner still waits for the lock. A hold is stamped with sequence 0,
-    /// below every sequence [`ShardAccess::next_seq`] hands out: the owner
-    /// was idle when tier 1 admitted it and has acquired nothing since (its
-    /// next acquisition publishes it first), so every other hold it will
-    /// have alongside this one is later. Only one owner's holds are ever
-    /// compared by sequence.
-    fn publish_fast(&self, engine: &mut Dimmunix, owner: OwnerId, hold: FastHold) {
-        // Published from the stack the locked path would have interned.
-        cached_site(hold.site, |stack, _| {
-            if hold.acquired {
-                engine.publish_acquired(owner, hold.lock, stack, hold.mode, 0);
-                self.summary.note_published(owner);
-            } else {
-                engine.publish_granted(owner, hold.lock, stack, hold.mode);
-                self.summary.note_grant_published(owner);
-            }
-        });
-    }
-
     /// The install sink: runs under every shard lock right after a new
     /// signature is installed, and publishes every task's tier-1 hold or
-    /// grant into its home shard, so nothing is decided against the new
-    /// history without them. A thread's fast hold lives in its own
-    /// thread-local and keeps its window (ARCHITECTURE.md, "What the summary
-    /// deliberately does not prove").
+    /// grant into its home shard ([`Dimmunix::publish`]), so nothing is
+    /// decided against the new history without them. A thread's fast hold
+    /// lives in its own thread-local and keeps its window (ARCHITECTURE.md,
+    /// "What the summary deliberately does not prove").
     fn publish_task_holds(&self, engines: &mut [&mut Dimmunix]) {
-        let shards = &self.shards;
         let mut routes = sync::lock(&self.task_routes);
         for r in routes.values_mut() {
-            let Some(hold) = r.fast_held.take() else {
+            let Some(fh) = r.fast_held.take() else {
                 continue;
             };
-            let (home, owner) = (shards.shard_of(hold.lock), r.owner);
-            debug_assert!(
-                engines.iter().all(|e| e.rag().held_locks(owner).is_empty()),
-                "a task's lock-free hold is its earliest"
-            );
-            self.publish_fast(engines[home], owner, hold);
-            r.route.after_published(home, engines[home], owner);
-            r.reached_shard = true;
+            let (home, owner) = (self.shard_of(fh.lock), r.owner);
+            let engine = &mut *engines[home];
+            cached_site(fh.site, |stack, _| {
+                engine.publish(owner, fh.lock, stack, fh.mode, fh.acquired);
+            });
+            r.route.after_published(home, engine, owner);
         }
     }
 
@@ -1114,12 +1112,13 @@ impl DimmunixRuntime {
     /// Whether quarantined foreign antibodies await activation. The
     /// no-engine fast path declines while any are pending, so an antibody
     /// cannot be bypassed in the window between its import and the
-    /// history/filter update that [`feed_exchange`](Self::feed_exchange)'s
-    /// activation performs.
+    /// history/filter update that [`activate`](Self::activate) performs:
+    /// the gate clears only after that update (a Release store this
+    /// Acquire load pairs with).
     fn exchange_pending(&self) -> bool {
         self.exchange
             .as_ref()
-            .is_some_and(|ex| ex.pending_nonempty.load(Ordering::Relaxed))
+            .is_some_and(|ex| ex.pending_nonempty.load(Ordering::Acquire))
     }
 
     // ------------------------------------------------------------------
@@ -1152,9 +1151,9 @@ impl DimmunixRuntime {
         let read = slot.with(|r| {
             let declined = !r.try_admit(self, lock, site, mode);
             let fast_lock = r.fast_held.map(|fh| fh.lock);
-            declined.then_some((r.route, fast_lock, r.reached_shard, r.spawn_site))
+            declined.then_some((r.route, fast_lock, r.spawn_site))
         });
-        let (mut route, fast_lock, reached, spawn_site) = match read {
+        let (mut route, fast_lock, spawn_site) = match read {
             Some(Some(read)) => read,
             Some(None) => return TaskAcquire::Granted,
             None => Default::default(),
@@ -1165,7 +1164,9 @@ impl DimmunixRuntime {
         let publish = fast_lock.map(|held| {
             (held, move |engine: &mut Dimmunix| {
                 if let Some(Some(fh)) = slot_ref.with(|r| r.fast_held.take()) {
-                    self.publish_fast(engine, owner, fh);
+                    cached_site(fh.site, |stack, _| {
+                        engine.publish(owner, fh.lock, stack, fh.mode, fh.acquired);
+                    });
                 }
             })
         });
@@ -1180,11 +1181,8 @@ impl DimmunixRuntime {
                 owner, &mut route, publish, lock, stack, mode, on_yield, wake_all, on_install,
             )
         });
-        if route != before || !reached {
-            slot.with(|r| {
-                r.route = route;
-                r.reached_shard = true;
-            });
+        if route != before {
+            slot.write_back(route);
         }
         match outcome {
             RequestOutcome::Granted | RequestOutcome::GrantedReentrant => TaskAcquire::Granted,
@@ -1216,15 +1214,14 @@ impl DimmunixRuntime {
     #[inline(always)]
     fn finish(&self, mut slot: impl Slot, lock: LockId) {
         let owner = slot.owner();
-        let route = match slot.with(|r| (!r.acquire_fast(lock)).then_some(r.route)) {
-            Some(None) => return self.summary.note_fast_acquire(owner),
-            read => read.flatten().unwrap_or_default(),
+        let Some(mut route) = slot.locked_route(|r| r.acquire_fast(lock)) else {
+            return self.summary.note_fast_acquire(owner);
         };
         let wake_all = |sigs: &[SignatureId]| self.notify_signatures(sigs);
         let on_install = |engines: &mut [&mut Dimmunix]| self.publish_task_holds(engines);
         let mut shards = &self.shards;
-        let (detected, acquired) = shards.finish_locked(owner, route, lock, wake_all, on_install);
-        slot.with(|r| acquired(&mut r.route));
+        let detected = shards.finish_locked(owner, &mut route, lock, wake_all, on_install);
+        slot.write_back(route);
         if detected {
             self.export_contribution();
         }
@@ -1236,12 +1233,12 @@ impl DimmunixRuntime {
     #[inline(always)]
     fn cancel(&self, mut slot: impl Slot, lock: LockId) {
         let owner = slot.owner();
-        if slot.with(|r| r.clear_fast(lock)) == Some(true) {
+        let Some(mut route) = slot.locked_route(|r| r.clear_fast(lock)) else {
             return;
-        }
+        };
         let mut shards = &self.shards;
-        let (parked_on, cancelled) =
-            shards.cancel_locked(owner, lock, |sigs| self.notify_signatures(sigs));
+        let parked_on =
+            shards.cancel_locked(owner, &mut route, lock, |sigs| self.notify_signatures(sigs));
         // A dropped task future may have been handed the one wake of a
         // release: drop its stale waker and re-broadcast. (A thread is back
         // from its park before it can cancel: it has nothing parked here.)
@@ -1251,7 +1248,7 @@ impl DimmunixRuntime {
             }
             self.notify_signatures(&[sig]);
         }
-        slot.with(|r| cancelled(&mut r.route));
+        slot.write_back(route);
     }
 
     /// The `unlockMonitor` prologue: releases in the owning shard and wakes
@@ -1262,13 +1259,13 @@ impl DimmunixRuntime {
     #[inline(always)]
     fn release(&self, mut slot: impl Slot, lock: LockId) {
         let owner = slot.owner();
-        if slot.with(|r| r.clear_fast(lock)) == Some(true) {
+        let Some(mut route) = slot.locked_route(|r| r.clear_fast(lock)) else {
             return self.summary.note_fast_release(owner);
-        }
+        };
+        let wake_front = |sigs: &[SignatureId]| self.notify_signatures_released(sigs);
         let mut shards = &self.shards;
-        let released =
-            shards.release_locked(owner, lock, |sigs| self.notify_signatures_released(sigs));
-        slot.with(|r| released(&mut r.route));
+        shards.release_locked(owner, &mut route, lock, wake_front);
+        slot.write_back(route);
     }
 
     /// Force-releases anything `owner` still holds on any shard. Its route
@@ -1277,7 +1274,7 @@ impl DimmunixRuntime {
     /// tier 1 has no owner node; one without a route may have reached the
     /// engine unregistered, so it is retired everywhere.
     fn retire(&self, owner: OwnerId, route: Option<Route>) {
-        if route.map_or(true, |r| r.reached_shard) {
+        if route.map_or(true, |r| r.route.reached_shard()) {
             (&self.shards).retire_locked(owner, |sigs| self.notify_signatures(sigs));
         }
     }

@@ -260,6 +260,29 @@ fn provoke_deadlocks(
     }
 }
 
+/// Learns `rounds` distinct antibodies on an in-memory runtime and appends
+/// them, in detection order, to a log at `path` that rolls to a new segment
+/// every `segment_records` records. Returns the learned history.
+fn segmented_log_of_detections(
+    path: &std::path::Path,
+    rounds: u32,
+    segment_records: usize,
+) -> History {
+    use dimmunix::rt::{DeadlockPolicy, DimmunixRuntime};
+
+    let rt = DimmunixRuntime::builder()
+        .deadlock_policy(DeadlockPolicy::Error)
+        .build();
+    provoke_deadlocks(&rt, rounds, SEG);
+    let history = rt.history();
+    assert_eq!(history.len(), rounds as usize);
+    let log = HistoryLog::new(path).with_segment_records(segment_records);
+    for (_, sig) in history.iter() {
+        log.append(sig).unwrap();
+    }
+    history
+}
+
 /// Crash recovery with a segmented log: a kill mid-append tears the tail of
 /// the **last** segment, and restart repairs it exactly as in the
 /// single-file case — committed records replay, the partial one is
@@ -271,30 +294,21 @@ fn segmented_log_survives_a_kill_in_the_last_segment() {
     let dir = std::env::temp_dir().join(format!("dimmunix-it-segkill-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let path = dir.join("history.log");
-    let cfg = Config::builder()
-        .history_path(&path)
-        .log_segment_records(2)
-        .build();
-    let builder = || {
-        DimmunixRuntime::builder()
-            .config(cfg.clone())
-            .deadlock_policy(DeadlockPolicy::Error)
-    };
 
-    // Three distinct detections at two records per segment: the third rolls
-    // into a second segment.
-    let rt = builder().build();
-    provoke_deadlocks(&rt, 3, SEG);
-    assert_eq!(rt.history().len(), 3);
-    drop(rt);
+    // Three distinct antibodies at two records per segment: the third rolls
+    // into a second segment. The engine replays whatever chain is on disk.
+    segmented_log_of_detections(&path, 3, 2);
     let seg1 = dir.join("history.log.seg1");
-    assert!(seg1.exists(), "the third detection must roll to .seg1");
+    assert!(seg1.exists(), "the third record must roll to .seg1");
 
     // The "kill": the last segment's only record was cut short.
     let bytes = std::fs::read(&seg1).unwrap();
     std::fs::write(&seg1, &bytes[..bytes.len() - 9]).unwrap();
 
-    let rt = builder().build();
+    let rt = DimmunixRuntime::builder()
+        .history_path(&path)
+        .deadlock_policy(DeadlockPolicy::Error)
+        .build();
     let report = rt.recovery_report().expect("a log path is configured");
     assert_eq!(report.replayed, 2, "{report}");
     assert!(report.truncated_tail, "{report}");
@@ -368,27 +382,17 @@ fn segmented_history_replays_byte_identically_across_processes() {
     let dir = std::env::temp_dir().join(format!("dimmunix-it-segxproc-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let path = dir.join("history.log");
-    let cfg = Config::builder()
-        .history_path(&path)
-        .log_segment_records(1)
-        .build();
-    let builder = || {
-        DimmunixRuntime::builder()
-            .config(cfg.clone())
-            .deadlock_policy(DeadlockPolicy::Error)
-    };
 
     // One record per segment: every detection rolls a fresh segment.
-    let rt = builder().build();
-    provoke_deadlocks(&rt, 3, SEG);
-    let text_before = rt.history().to_text();
-    assert_eq!(rt.history().len(), 3);
-    drop(rt);
+    let text_before = segmented_log_of_detections(&path, 3, 1).to_text();
     assert!(dir.join("history.log.seg1").exists());
     assert!(dir.join("history.log.seg2").exists());
 
     // "Process 2" replays the chain into the identical history.
-    let rt = builder().build();
+    let rt = DimmunixRuntime::builder()
+        .history_path(&path)
+        .deadlock_policy(DeadlockPolicy::Error)
+        .build();
     let report = rt.recovery_report().expect("a log path is configured");
     assert!(report.is_clean(), "{report}");
     assert_eq!(report.replayed, 3);
